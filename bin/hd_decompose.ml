@@ -216,7 +216,8 @@ let run input method_ ~jobs ~portfolio ~solvers time_limit seed population
               }
             in
             (* -j 1: the sequential round-robin islands of Section 7.2;
-               -j N>1: one domain per island, ring-buffer migration *)
+               -j N>1: one scheduler executor per island, ring-buffer
+               migration *)
             let r =
               if jobs > 1 then Hd_parallel.Saiga_par.run config h
               else Hd_ga.Saiga_ghw.run config h

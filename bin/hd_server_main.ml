@@ -1,7 +1,7 @@
 (* hd_server: decomposition-as-a-service.  Speaks the line-JSON
    protocol of docs/SERVER.md on stdin/stdout: submit hypergraphs or
    conjunctive queries, poll/wait/cancel jobs, read stats.  Solves run
-   asynchronously, time-sliced over a small domain pool; repeat
+   asynchronously, time-sliced on the scheduler's worker domains; repeat
    submissions are answered from a canonical-signature cache. *)
 
 module Server = Hd_server.Server

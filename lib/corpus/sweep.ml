@@ -127,11 +127,9 @@ let sweep_loaded ?(jobs = 1) ?(roster = default_roster)
            (String.concat ", " (S.names ()))));
   let solve = solve_instance ~roster ~budget ~seed in
   let rows =
-    if jobs <= 1 then List.map solve instances
-    else
-      Hd_parallel.Domain_pool.with_pool ~domains:jobs (fun pool ->
-          (* window derivation lives in Domain_pool.default_window *)
-          Hd_parallel.Domain_pool.map pool solve instances)
+    Hd_parallel.Scheduler.with_scheduler ~workers:(jobs - 1) (fun s ->
+        Hd_parallel.Scheduler.map_array s solve (Array.of_list instances))
+    |> Array.to_list
   in
   { roster; jobs = max 1 jobs; budget; rows; skipped }
 

@@ -4,9 +4,10 @@
     A sweep takes a set of corpus instances (from {!Manifest} entries
     or already-loaded hypergraphs), a {e roster} of named solvers from
     the {!Hd_engine.Solver} registry, and a per-instance
-    {!Hd_engine.Budget} spec.  Instances fan out over an
-    {!Hd_parallel.Domain_pool} with a bounded number in flight; within
-    one instance the roster members run as sequential time trials
+    {!Hd_engine.Budget} spec.  Instances fan out as fork/join tasks
+    ({!Hd_parallel.Scheduler.map_array}) on a scheduler sized to
+    [jobs]; within one instance the roster members run as sequential
+    time trials
     under {!Hd_engine.Budget.sub} shares of the instance budget (equal
     splits, unspent time rolling over), each through
     {!Hd_engine.Engine.run} — so block splitting and the whole anytime
@@ -92,9 +93,9 @@ val sweep :
   report
 
 (** [sweep_loaded instances] sweeps already-loaded instances
-    [(collection, name, hypergraph)].  [jobs] (default 1) > 1 fans
-    instances out over that many worker domains, with the in-flight
-    window derived once in {!Hd_parallel.Domain_pool.default_window};
+    [(collection, name, hypergraph)].  [jobs] (default 1) instances
+    run at once: the caller plus [jobs - 1] worker domains, and at
+    [jobs <= 1] every instance runs inline in input order;
     [roster] defaults to {!default_roster} (unknown names raise
     [Invalid_argument] before any work runs); [budget] (default 5 s,
     no state cap) is the per-instance spec; [seed] (default 1) seeds

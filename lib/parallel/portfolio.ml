@@ -37,41 +37,37 @@ let outcome_of inc =
   let lb, ub = Incumbent.bounds inc in
   if lb >= ub then Search_types.Exact ub else Search_types.Bounds { lb; ub }
 
-(* Race [members] on a pool of [jobs] domains sharing [inc].  With
-   fewer domains than members the tail members queue; by the time they
-   start the incumbent is usually closed and they return instantly, so
-   -j 1 degenerates to running the first member alone. *)
+(* Race the first [jobs] [members] sharing [inc], one fork/join task
+   each on a scheduler with one executor per member (the joining caller
+   is the last one), so every member runs at once; -j 1 runs the first
+   member alone, inline.  A member's exception re-raises after all
+   members have finished. *)
 let race ~jobs ~inc members =
-  let jobs = max 1 jobs in
-  let members = List.filteri (fun i _ -> i < jobs) members in
+  let members =
+    Array.of_list (List.filteri (fun i _ -> i < max 1 jobs) members)
+  in
+  let n = Array.length members in
   let started = Hd_engine.Clock.now () in
   let winner = Atomic.make None in
+  let run (name, job) =
+    let t0 = Hd_engine.Clock.now () in
+    (* skip the real work when the race is already over *)
+    let outcome =
+      if Incumbent.closed inc || Incumbent.cancelled inc then outcome_of inc
+      else job ()
+    in
+    (match outcome with
+    | Search_types.Exact _ ->
+        (* first exact finisher is the winner *)
+        ignore (Atomic.compare_and_set winner None (Some name))
+    | Search_types.Bounds _ -> ());
+    { member = name; outcome; elapsed = Hd_engine.Clock.now () -. t0 }
+  in
+  Obs.Counter.add c_members n;
   let reports =
-    Domain_pool.with_pool ~domains:(List.length members) (fun pool ->
-        members
-        |> List.map (fun (name, job) ->
-               Obs.Counter.incr c_members;
-               let fut =
-                 Domain_pool.submit pool (fun () ->
-                     let t0 = Hd_engine.Clock.now () in
-                     (* skip the real work when the race is already over *)
-                     let outcome =
-                       if Incumbent.closed inc || Incumbent.cancelled inc then
-                         outcome_of inc
-                       else job ()
-                     in
-                     (match outcome with
-                     | Search_types.Exact _ ->
-                         (* first exact finisher is the winner *)
-                         ignore
-                           (Atomic.compare_and_set winner None (Some name))
-                     | Search_types.Bounds _ -> ());
-                     (outcome, Hd_engine.Clock.now () -. t0))
-               in
-               (name, fut))
-        |> List.map (fun (name, fut) ->
-               let outcome, elapsed = Domain_pool.await fut in
-               { member = name; outcome; elapsed }))
+    Array.to_list
+      (Scheduler.with_scheduler ~workers:(n - 1) (fun s ->
+           Scheduler.map_array s run members))
   in
   let outcome = outcome_of inc in
   (match outcome with

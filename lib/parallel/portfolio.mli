@@ -1,5 +1,6 @@
-(** Portfolio search: race complementary solvers on worker domains
-    against one shared {!Hd_core.Incumbent.t}.
+(** Portfolio search: race complementary solvers against one shared
+    {!Hd_core.Incumbent.t}, as the fork/join tasks of a {!Scheduler}
+    with one executor per member (its workers plus the caller).
 
     For treewidth the roster is A*-tw, BB-tw and GA-tw (then ablation
     variants and reseeded GAs up to 8 members); for ghw it is A*-ghw,
@@ -8,7 +9,8 @@
     heuristics feed the exact solvers' pruning and the exact solvers'
     lower bounds stop the heuristics.  The race ends when the incumbent
     closes ([lb = ub], winner = first member to return [Exact]) or
-    every member exhausts its budget.
+    every member exhausts its budget.  A member that raises does not
+    stop the others: its exception re-raises once all have finished.
 
     The returned width is deterministic for instances every exact
     member can finish: exact solvers prove the same optimum whatever
@@ -28,7 +30,7 @@ type t = {
   winner : string option;
       (** first member to return [Exact]; [None] when nobody closed *)
   members : member_report list;  (** per-member outcomes, roster order *)
-  domains : int;  (** worker domains used (= members raced) *)
+  domains : int;  (** domains racing (= members raced, caller included) *)
   elapsed : float;
 }
 

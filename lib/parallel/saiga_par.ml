@@ -34,7 +34,7 @@ let run ?incumbent ?within (config : Saiga_ghw.config) h =
      i -> i+1, so each ring has exactly one producer (island i) and one
      consumer (island i+1): the SPSC contract Ring requires *)
   let inboxes = Array.init k (fun _ -> Ring.create 4) in
-  let island i () =
+  let island i =
     let rng = Random.State.make [| config.seed; i |] in
     (* each island runs its own ticker on the shared budget, so the
        deadline is global while the amortized clock stays domain-local *)
@@ -113,12 +113,11 @@ let run ?incumbent ?within (config : Saiga_ghw.config) h =
       Ga_engine.Population.evaluations pop,
       !params )
   in
+  (* one executor per island (the joining caller is the last one):
+     islands synchronise only through the rings and the incumbent *)
   let results =
-    if k = 1 then [| island 0 () |]
-    else
-      (* one domain per island: islands synchronise only through the
-         rings and the incumbent *)
-      Array.map Domain.join (Array.init k (fun i -> Domain.spawn (island i)))
+    Scheduler.with_scheduler ~workers:(k - 1) (fun s ->
+        Scheduler.map_array s island (Array.init k Fun.id))
   in
   let best, best_individual =
     Array.fold_left

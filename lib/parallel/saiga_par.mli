@@ -1,9 +1,11 @@
-(** Domain-parallel SAIGA-ghw: one domain per island, lock-free
-    migration.
+(** Domain-parallel SAIGA-ghw: one scheduler executor per island,
+    lock-free migration.
 
     The sequential {!Hd_ga.Saiga_ghw} interleaves its islands
-    round-robin and migrates at epoch barriers; here every island owns
-    a domain and runs its epochs at its own pace.  Migration follows a
+    round-robin and migrates at epoch barriers; here the islands are
+    the fork/join tasks of a {!Scheduler} with [n_islands - 1] workers
+    (the calling domain is the last executor), so every island runs its
+    epochs at its own pace.  Migration follows a
     {e directed} ring — island [i] offers its best (individual,
     fitness, parameter vector) to island [i + 1 mod k] through a
     single-producer single-consumer {!Ring} — and is entirely
@@ -17,8 +19,9 @@
     migrant arrival schedule depends on domain timing — but every
     published width is a sound ghw upper bound, and an [incumbent]
     collects the islands' improvements for portfolio use exactly as in
-    {!Hd_ga.Saiga_ghw.run}.  With [n_islands = 1] no domain is spawned
-    and the run degenerates to a single self-adapting GA. *)
+    {!Hd_ga.Saiga_ghw.run}.  With [n_islands = 1] the scheduler has no
+    workers, so no domain is spawned and the run degenerates to a
+    single self-adapting GA on the caller. *)
 
 val run :
   ?incumbent:Hd_core.Incumbent.t ->
@@ -26,8 +29,8 @@ val run :
   Hd_ga.Saiga_ghw.config ->
   Hd_hypergraph.Hypergraph.t ->
   Hd_ga.Saiga_ghw.report
-(** [run config h] spawns [config.n_islands] domains and returns the
-    merged report: best over islands, summed evaluations, maximal
+(** [run config h] runs [config.n_islands] islands at once and returns
+    the merged report: best over islands, summed evaluations, maximal
     epoch count, every island's final parameter vector.  [within]
     supplies an engine budget (overriding [config.time_limit]) shared
     by all islands — each runs its own amortized ticker against the

@@ -3,12 +3,15 @@
     One instance owns a fixed set of worker domains, each draining its
     own {!Deque} (LIFO for the owner, stolen FIFO by idle peers) plus a
     global FIFO injector queue for external submissions and
-    fairness-sensitive resubmissions.  Every parallel layer in the tree
-    — biconnected block solves ({!Hd_engine.Exec}), the HDA* [-par]
-    solvers ({!Hdastar}), partitioned columnar query passes
+    fairness-sensitive resubmissions.  It is the tree's only source of
+    worker domains.  Biconnected block solves ({!Hd_engine.Exec}), the
+    HDA* [-par] solvers ({!Hdastar}), partitioned columnar query passes
     ({!Hd_query.Colexec}) and the server's time-sliced jobs
-    ([Server.Jobs]) — submits plain closures here, so they all share
-    one domain pool and never oversubscribe the machine.
+    ([Server.Jobs]) submit plain closures to the instance their caller
+    owns (the CLIs share {!shared}), so they never oversubscribe the
+    machine.  Portfolio races ({!Portfolio}), parallel SAIGA
+    ({!Saiga_par}) and corpus sweeps ([Hd_corpus.Sweep]) fork/join
+    their members on a private instance sized to the member count.
 
     Two task shapes cover all of them: a plain [unit -> unit] closure
     ({!spawn} / {!inject}), and a resumable turn ({!resume}) that

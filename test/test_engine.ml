@@ -555,27 +555,17 @@ let test_step_slices_whole_engine_run () =
   check "solve actually got sliced" true (Step.slices step >= 2)
 
 (* ------------------------------------------------------------------ *)
-(* Timing-source invariant: the wall clock lives in lib/engine only    *)
+(* Source invariants: one clock, one domain spawner                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_no_direct_clock_reads () =
-  (* scan the source trees this test declares as deps; the needle is
-     split so this file does not match itself *)
-  let needle = "Unix.get" ^ "timeofday" in
-  let contains hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  let exempt path =
-    (* the two timing authorities *)
-    let has sub =
-      let sl = String.length sub and pl = String.length path in
-      let rec go i = i + sl <= pl && (String.sub path i sl = sub || go (i + 1)) in
-      go 0
-    in
-    has "lib/engine/" || has "lib/obs/"
-  in
+let contains ~sub s =
+  let sl = String.length sub and l = String.length s in
+  let rec go i = i + sl <= l && (String.sub s i sl = sub || go (i + 1)) in
+  go 0
+
+(* the .ml/.mli files under [dirs] (source trees this test declares as
+   deps) that mention [needle], skipping paths [exempt] accepts *)
+let sources_mentioning ~exempt needle dirs =
   let offenders = ref [] in
   let rec walk dir =
     Array.iter
@@ -590,14 +580,31 @@ let test_no_direct_clock_reads () =
           let len = in_channel_length ic in
           let body = really_input_string ic len in
           close_in ic;
-          if contains body then offenders := path :: !offenders
+          if contains ~sub:needle body then offenders := path :: !offenders
         end)
       (Sys.readdir dir)
   in
-  List.iter (fun d -> if Sys.file_exists d then walk d)
-    [ "../lib"; "../bin"; "../bench"; "../examples" ];
+  List.iter (fun d -> if Sys.file_exists d then walk d) dirs;
+  !offenders
+
+(* the needles are split so this file does not match itself *)
+let test_no_direct_clock_reads () =
+  (* the two timing authorities *)
+  let exempt path =
+    contains ~sub:"lib/engine/" path || contains ~sub:"lib/obs/" path
+  in
   Alcotest.(check (list string))
-    "no wall-clock reads outside lib/engine and lib/obs" [] !offenders
+    "no wall-clock reads outside lib/engine and lib/obs" []
+    (sources_mentioning ~exempt ("Unix.get" ^ "timeofday")
+       [ "../lib"; "../bin"; "../bench"; "../examples" ])
+
+let test_one_domain_spawner () =
+  (* every multi-domain layer runs on the work-stealing scheduler, so a
+     second pool cannot creep back in beside it *)
+  let exempt path = Filename.check_suffix path "lib/parallel/scheduler.ml" in
+  Alcotest.(check (list string))
+    "Domain.spawn only in lib/parallel/scheduler.ml" []
+    (sources_mentioning ~exempt ("Domain." ^ "spawn") [ "../lib"; "../bin" ])
 
 let () =
   Alcotest.run "hd_engine"
@@ -667,5 +674,6 @@ let () =
         [
           Alcotest.test_case "no direct clock reads" `Quick
             test_no_direct_clock_reads;
+          Alcotest.test_case "one domain spawner" `Quick test_one_domain_spawner;
         ] );
     ]

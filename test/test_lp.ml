@@ -1,7 +1,6 @@
 (* hd_lp: arbitrary-precision integers, exact rationals, and the
-   rational simplex — including the cross-checks the fhw solvers rely
-   on: exact simplex vs brute-force vertex enumeration and vs the
-   historical float simplex. *)
+   rational simplex — including the cross-check the fhw solvers rely
+   on: exact simplex vs brute-force vertex enumeration. *)
 
 module Bigint = Hd_lp.Bigint
 module Rat = Hd_lp.Rat
@@ -99,7 +98,7 @@ let prop_rat_field =
       && (Rat.sign b = 0 || Rat.equal (Rat.mul (Rat.div a b) b) a)
       && Rat.compare a b = compare (an * bd) (bn * ad))
 
-(* --- Simplex: exact vs float vs brute force --- *)
+(* --- Simplex: exact vs brute force --- *)
 
 (* Brute-force LP solver by vertex enumeration: for [min c.x, Ax >= b,
    x >= 0] with n variables, some optimal solution (when one exists)
@@ -227,23 +226,39 @@ let prop_simplex_vs_brute_force =
           (* covering LPs with non-empty rows are feasible and bounded *)
           false)
 
-let prop_simplex_vs_float =
-  QCheck.Test.make ~count:120 ~name:"exact simplex matches float simplex"
-    QCheck.small_int (fun seed ->
-      let rng = Random.State.make [| seed; 0x52 |] in
-      let objective, constraints, bounds = random_cover_lp rng in
-      match Simplex.minimize ~objective ~constraints ~bounds with
-      | Simplex.Optimal { value; _ } -> (
-          match
-            Hd_setcover.Simplex.minimize
-              ~objective:(Array.map Rat.to_float objective)
-              ~constraints:(Array.map (Array.map Rat.to_float) constraints)
-              ~bounds:(Array.map Rat.to_float bounds)
-          with
-          | Hd_setcover.Simplex.Optimal { value = fv; _ } ->
-              Float.abs (fv -. Rat.to_float value) < 1e-6
-          | _ -> false)
-      | _ -> false)
+let ints = Array.map Rat.of_int
+
+let optimal_value = function
+  | Simplex.Optimal { value; _ } -> value
+  | Simplex.Infeasible -> Alcotest.fail "unexpected infeasible"
+  | Simplex.Unbounded -> Alcotest.fail "unexpected unbounded"
+
+let test_simplex_basic () =
+  (* min x + y subject to x + y >= 2, x >= 1/2: a fractional bound,
+     which the 0/1 covering LPs of the property never produce *)
+  check rat "value" (Rat.of_int 2)
+    (optimal_value
+       (Simplex.minimize ~objective:(ints [| 1; 1 |])
+          ~constraints:[| ints [| 1; 1 |]; ints [| 1; 0 |] |]
+          ~bounds:[| Rat.of_int 2; Rat.make 1 2 |]))
+
+let test_simplex_unbounded () =
+  (* min -x with x >= 1 is unbounded below *)
+  match
+    Simplex.minimize ~objective:(ints [| -1 |]) ~constraints:[| ints [| 1 |] |]
+      ~bounds:(ints [| 1 |])
+  with
+  | Simplex.Unbounded -> ()
+  | _ -> Alcotest.fail "min -x, x >= 1 must be unbounded"
+
+let test_simplex_redundant_rows () =
+  (* 2x + 2y >= 2 repeats x + y >= 1: the duplicate row must not
+     break phase one; optimum 2 at x = 1 *)
+  check rat "redundant" (Rat.of_int 2)
+    (optimal_value
+       (Simplex.minimize ~objective:(ints [| 2; 3 |])
+          ~constraints:[| ints [| 1; 1 |]; ints [| 2; 2 |] |]
+          ~bounds:(ints [| 1; 2 |])))
 
 let test_simplex_triangle () =
   (* the fractional vertex: cover the triangle's three vertices with
@@ -261,6 +276,27 @@ let test_simplex_triangle () =
   | Simplex.Optimal { value; solution } ->
       check rat "rho* = 3/2 exactly" (Rat.make 3 2) value;
       Array.iter (fun w -> check rat "w = 1/2" (Rat.make 1 2) w) solution
+  | _ -> Alcotest.fail "triangle LP must be optimal"
+
+let test_simplex_triangle_lp () =
+  (* the triangle LP with its pairwise-sum rows in the other order:
+     min x1 + x2 + x3 with x1 + x2, x2 + x3, x1 + x3 >= 1; the optimum
+     3/2 must not depend on row order, and the solution must be feasible *)
+  let constraints =
+    [| ints [| 1; 1; 0 |]; ints [| 0; 1; 1 |]; ints [| 1; 0; 1 |] |]
+  in
+  match
+    Simplex.minimize ~objective:(ints [| 1; 1; 1 |]) ~constraints
+      ~bounds:(ints [| 1; 1; 1 |])
+  with
+  | Simplex.Optimal { value; solution } ->
+      check rat "triangle LP" (Rat.make 3 2) value;
+      Array.iter
+        (fun row ->
+          let lhs = ref Rat.zero in
+          Array.iteri (fun j a -> lhs := Rat.add !lhs (Rat.mul a solution.(j))) row;
+          Alcotest.(check bool) "row covered" true (Rat.compare !lhs Rat.one >= 0))
+        constraints
   | _ -> Alcotest.fail "triangle LP must be optimal"
 
 let test_simplex_infeasible () =
@@ -286,7 +322,11 @@ let () =
       ( "simplex",
         [
           Alcotest.test_case "triangle 3/2" `Quick test_simplex_triangle;
+          Alcotest.test_case "triangle LP" `Quick test_simplex_triangle_lp;
           Alcotest.test_case "infeasible" `Quick test_simplex_infeasible;
+          Alcotest.test_case "basic" `Quick test_simplex_basic;
+          Alcotest.test_case "unbounded" `Quick test_simplex_unbounded;
+          Alcotest.test_case "redundant rows" `Quick test_simplex_redundant_rows;
         ] );
       qsuite "properties"
         [
@@ -294,6 +334,5 @@ let () =
           prop_bigint_divmod;
           prop_rat_field;
           prop_simplex_vs_brute_force;
-          prop_simplex_vs_float;
         ];
     ]

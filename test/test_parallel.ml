@@ -1,10 +1,10 @@
-(* hd_parallel: incumbent sharing, the domain pool, the SPSC ring, and
-   portfolio determinism across -j values. *)
+(* hd_parallel: incumbent sharing, the SPSC ring, the work-stealing
+   scheduler, parallel SAIGA, and portfolio determinism across -j
+   values. *)
 
 module Graph = Hd_graph.Graph
 module Incumbent = Hd_core.Incumbent
 module St = Hd_search.Search_types
-module Pool = Hd_parallel.Domain_pool
 module Ring = Hd_parallel.Ring
 module Portfolio = Hd_parallel.Portfolio
 
@@ -140,64 +140,6 @@ let test_ring_spsc_stream () =
   done;
   Domain.join d;
   check "stream drained" true (Ring.is_empty r)
-
-(* ------------------------------------------------------------------ *)
-(* Domain pool                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_submit_await () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      check_int "pool size" 2 (Pool.size pool);
-      let futures = List.init 20 (fun i -> Pool.submit pool (fun () -> i * i)) in
-      List.iteri
-        (fun i fut -> check_int "job result" (i * i) (Pool.await fut))
-        futures)
-
-let test_pool_exception () =
-  Pool.with_pool ~domains:1 (fun pool ->
-      let fut = Pool.submit pool (fun () -> failwith "boom") in
-      check "job exception re-raised" true
-        (try
-           ignore (Pool.await fut);
-           false
-         with Failure m -> m = "boom");
-      (* the worker survives a failing job *)
-      let fut = Pool.submit pool (fun () -> 41 + 1) in
-      check_int "worker survives failure" 42 (Pool.await fut))
-
-let test_pool_cancel () =
-  Pool.with_pool ~domains:1 (fun pool ->
-      let started = Atomic.make false and gate = Atomic.make false in
-      let blocker =
-        Pool.submit pool (fun () ->
-            Atomic.set started true;
-            while not (Atomic.get gate) do
-              Domain.cpu_relax ()
-            done;
-            "done")
-      in
-      while not (Atomic.get started) do
-        Domain.cpu_relax ()
-      done;
-      (* the single worker is busy, so this job is still queued *)
-      let queued = Pool.submit pool (fun () -> "never") in
-      check "running job not cancellable" false (Pool.cancel blocker);
-      check "queued job cancellable" true (Pool.cancel queued);
-      check "cancel is idempotent-ish" false (Pool.cancel queued);
-      Atomic.set gate true;
-      check "blocker completes" true (Pool.await blocker = "done");
-      check "await on cancelled raises" true
-        (try
-           ignore (Pool.await queued);
-           false
-         with Pool.Cancelled -> true))
-
-let test_pool_invalid () =
-  check "zero domains rejected" true
-    (try
-       ignore (Pool.create ~domains:0);
-       false
-     with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Work-stealing deque                                                 *)
@@ -519,6 +461,58 @@ let test_portfolio_ghw () =
   let r = Portfolio.solve_ghw ~jobs:2 ~budget ~seed:5 h in
   check_int "adder_15 ghw" 2 (exact_width "adder_15" r)
 
+exception Member_boom
+
+(* a member's exception re-raises through the race's run_all, but only
+   once the other members have run to completion *)
+let test_portfolio_member_exception () =
+  let module S = Hd_engine.Solver in
+  let reported = Atomic.make false in
+  S.register
+    { S.name = "test-boom"; kind = S.Tw; doc = "raises";
+      run = (fun ?seed:_ _ _ -> raise Member_boom) };
+  S.register
+    { S.name = "test-report"; kind = S.Tw; doc = "reports [0,3]";
+      run =
+        (fun ?seed:_ _ _ ->
+          Atomic.set reported true;
+          { S.outcome = S.Bounds { lb = 0; ub = 3 }; visited = 0;
+            generated = 0; elapsed = 0.0; ordering = None }) };
+  check "member exception re-raised" true
+    (try
+       ignore
+         (Portfolio.solve_named ~names:[ "test-boom"; "test-report" ]
+            (S.Graph (graph "grid4")));
+       false
+     with Member_boom -> true);
+  check "other member still reported" true (Atomic.get reported)
+
+(* ------------------------------------------------------------------ *)
+(* Parallel SAIGA                                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Saiga_ghw = Hd_ga.Saiga_ghw
+
+(* every ordering of K6 has the full clique as a bag, covered by no
+   fewer than 3 edges: ghw 3 whatever the islands' schedule *)
+let saiga_k6 n_islands =
+  let h = Hd_hypergraph.Hypergraph.of_graph (Graph.complete 6) in
+  let config =
+    Saiga_ghw.default_config ~n_islands ~island_population:20 ~epoch_length:5
+      ~max_epochs:8 ~seed:3 ()
+  in
+  let r = Hd_parallel.Saiga_par.run config h in
+  check_int "K6 ghw" 3 r.Saiga_ghw.best;
+  check "witness is a permutation" true
+    (Hd_core.Ordering.is_permutation r.Saiga_ghw.best_individual);
+  check_int "one parameter vector per island" n_islands
+    (Array.length r.Saiga_ghw.final_params)
+
+let test_saiga_par_islands () = saiga_k6 3
+
+(* one island runs inline on the caller (a scheduler with no workers) *)
+let test_saiga_par_single_island () = saiga_k6 1
+
 let () =
   Alcotest.run "hd_parallel"
     [
@@ -534,13 +528,6 @@ let () =
           Alcotest.test_case "fifo" `Quick test_ring_fifo;
           Alcotest.test_case "capacity rounding" `Quick test_ring_capacity;
           Alcotest.test_case "spsc stream" `Quick test_ring_spsc_stream;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "submit/await" `Quick test_pool_submit_await;
-          Alcotest.test_case "exceptions" `Quick test_pool_exception;
-          Alcotest.test_case "cancel" `Quick test_pool_cancel;
-          Alcotest.test_case "invalid size" `Quick test_pool_invalid;
         ] );
       ( "deque",
         [
@@ -577,5 +564,13 @@ let () =
             test_portfolio_determinism;
           Alcotest.test_case "report shape" `Quick test_portfolio_report_shape;
           Alcotest.test_case "ghw race" `Quick test_portfolio_ghw;
+          Alcotest.test_case "member exception re-raises" `Quick
+            test_portfolio_member_exception;
+        ] );
+      ( "saiga",
+        [
+          Alcotest.test_case "three islands on K6" `Quick test_saiga_par_islands;
+          Alcotest.test_case "one island inline" `Quick
+            test_saiga_par_single_island;
         ] );
     ]

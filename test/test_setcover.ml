@@ -1,7 +1,6 @@
 module Hypergraph = Hd_hypergraph.Hypergraph
 module Set_cover = Hd_setcover.Set_cover
 module Bitset = Hd_graph.Bitset
-module Simplex = Hd_setcover.Simplex
 module Fractional = Hd_setcover.Fractional
 
 let check = Alcotest.(check bool)
@@ -116,58 +115,6 @@ let prop_greedy_covers =
       let p = { Set_cover.universe = Bitset.of_list n universe; hypergraph = h } in
       Set_cover.is_cover p (Set_cover.greedy ~rng p))
 
-
-(* --- simplex --- *)
-
-let optimal_value = function
-  | Simplex.Optimal { value; _ } -> value
-  | Simplex.Infeasible -> Alcotest.fail "unexpected infeasible"
-  | Simplex.Unbounded -> Alcotest.fail "unexpected unbounded"
-
-let test_simplex_basic () =
-  (* min x + y subject to x + y >= 2, x >= 0.5 *)
-  let outcome =
-    Simplex.minimize ~objective:[| 1.0; 1.0 |]
-      ~constraints:[| [| 1.0; 1.0 |]; [| 1.0; 0.0 |] |]
-      ~bounds:[| 2.0; 0.5 |]
-  in
-  Alcotest.(check (float 1e-6)) "value" 2.0 (optimal_value outcome)
-
-let test_simplex_fractional_optimum () =
-  (* min x1 + x2 + x3 with pairwise-sum constraints: the triangle LP,
-     optimum 1.5 at x = (0.5, 0.5, 0.5) *)
-  let outcome =
-    Simplex.minimize ~objective:[| 1.0; 1.0; 1.0 |]
-      ~constraints:
-        [| [| 1.0; 1.0; 0.0 |]; [| 0.0; 1.0; 1.0 |]; [| 1.0; 0.0; 1.0 |] |]
-      ~bounds:[| 1.0; 1.0; 1.0 |]
-  in
-  Alcotest.(check (float 1e-6)) "triangle LP" 1.5 (optimal_value outcome)
-
-let test_simplex_infeasible_unbounded () =
-  (* 0x >= 1 is infeasible *)
-  (match
-     Simplex.minimize ~objective:[| 1.0 |] ~constraints:[| [| 0.0 |] |]
-       ~bounds:[| 1.0 |]
-   with
-  | Simplex.Infeasible -> ()
-  | _ -> Alcotest.fail "expected infeasible");
-  (* min -x with x >= 1 is unbounded below *)
-  match
-    Simplex.minimize ~objective:[| -1.0 |] ~constraints:[| [| 1.0 |] |]
-      ~bounds:[| 1.0 |]
-  with
-  | Simplex.Unbounded -> ()
-  | _ -> Alcotest.fail "expected unbounded"
-
-let test_simplex_redundant_rows () =
-  let outcome =
-    Simplex.minimize ~objective:[| 2.0; 3.0 |]
-      ~constraints:[| [| 1.0; 1.0 |]; [| 2.0; 2.0 |] |]
-      ~bounds:[| 1.0; 2.0 |]
-  in
-  Alcotest.(check (float 1e-6)) "redundant" 2.0 (optimal_value outcome)
-
 (* --- fractional covers (exact rational) --- *)
 
 module Rat = Hd_lp.Rat
@@ -250,13 +197,6 @@ let () =
           Alcotest.test_case "uncoverable" `Quick test_uncoverable;
           Alcotest.test_case "k-set-cover bound" `Quick test_lower_bound;
           Alcotest.test_case "cache" `Quick test_cache;
-        ] );
-      ( "simplex",
-        [
-          Alcotest.test_case "basic" `Quick test_simplex_basic;
-          Alcotest.test_case "triangle LP" `Quick test_simplex_fractional_optimum;
-          Alcotest.test_case "infeasible/unbounded" `Quick test_simplex_infeasible_unbounded;
-          Alcotest.test_case "redundant rows" `Quick test_simplex_redundant_rows;
         ] );
       ( "fractional",
         [
