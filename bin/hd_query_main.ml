@@ -42,7 +42,7 @@ let par_of_jobs jobs =
   end
   else None
 
-let run_batch batch_file data mode method_ engine jobs seed time_limit limit =
+let run_batch batch_file data mode method_ jobs seed time_limit limit =
   let qs = Cq.parse_multi_file batch_file in
   if qs = [] then begin
     prerr_endline "hd_query: --batch file contains no rules";
@@ -86,8 +86,7 @@ let run_batch batch_file data mode method_ engine jobs seed time_limit limit =
         in
         let r, elapsed =
           Hd_engine.Clock.time @@ fun () ->
-          Y.run ~engine ~method_ ~jobs ~seed ~time_limit ?ordering ?par ~mode
-            db q
+          Y.run ~method_ ~jobs ~seed ~time_limit ?ordering ?par ~mode db q
         in
         let s = r.Y.stats in
         Printf.printf "[%d] %s  (%s, width %d, %.3fs%s)\n" i
@@ -120,8 +119,8 @@ let run_batch batch_file data mode method_ engine jobs seed time_limit limit =
     (1000.0 *. total_secs /. float_of_int (max 1 n))
     !decompositions !decomp_secs !reused
 
-let run query_file query_string batch data mode method_ engine jobs seed
-    time_limit limit brute stats =
+let run query_file query_string batch data mode method_ jobs seed time_limit
+    limit brute stats =
   if stats <> None then Hd_obs.Obs.enable ();
   match batch with
   | Some batch_file ->
@@ -130,7 +129,7 @@ let run query_file query_string batch data mode method_ engine jobs seed
           "hd_query: --batch excludes QUERY, --expr and --brute-force";
         exit 2
       end;
-      run_batch batch_file data mode method_ engine jobs seed time_limit limit;
+      run_batch batch_file data mode method_ jobs seed time_limit limit;
       (match stats with
       | Some path -> (
           try Hd_obs.Obs.write_report path
@@ -168,7 +167,7 @@ let run query_file query_string batch data mode method_ engine jobs seed
   else begin
     let r, elapsed =
       Hd_engine.Clock.time @@ fun () ->
-      Y.run ~engine ~method_ ~jobs ~seed ~time_limit ?par:(par_of_jobs jobs)
+      Y.run ~method_ ~jobs ~seed ~time_limit ?par:(par_of_jobs jobs)
         ~mode db q
     in
     (match mode with
@@ -223,16 +222,6 @@ let batch =
            Queries with isomorphic cyclic structure share one \
            decomposition (canonical-signature matching); per-query and \
            amortised timings are reported.")
-
-let engine =
-  Arg.(
-    value
-    & opt (enum [ ("columnar", Y.Columnar); ("rows", Y.Rows) ]) Y.Columnar
-    & info [ "engine" ]
-        ~doc:
-          "Execution kernel: $(b,columnar) (vector-at-a-time, selection \
-           vectors, radix partitioning; the default) or $(b,rows) (the \
-           row-at-a-time reference).")
 
 let data =
   Arg.(
@@ -332,6 +321,6 @@ let cmd =
     (Cmd.info "hd_query" ~doc ~man)
     Term.(
       const run $ query_file $ query_string $ batch $ data $ mode $ method_
-      $ engine $ jobs $ seed $ time_limit $ limit $ brute $ stats)
+      $ jobs $ seed $ time_limit $ limit $ brute $ stats)
 
 let () = exit (Cmd.eval cmd)

@@ -47,25 +47,33 @@ let run problem strategy seed stats =
   (match Solver.solve_if_acyclic csp with
   | Some _ -> Format.printf "constraint hypergraph is alpha-acyclic@."
   | None -> Format.printf "constraint hypergraph is cyclic@.");
-  let from_decomposition =
+  let td () =
+    solve "tree-decomposition solving" (fun () -> Solver.solve csp ~strategy:`Td ~seed)
+  in
+  let ghd () =
+    solve "GHD solving" (fun () -> Solver.solve csp ~strategy:`Ghd ~seed)
+  in
+  let adaptive () =
+    solve "adaptive consistency" (fun () ->
+        Hd_csp.Adaptive_consistency.solve_auto ~seed csp)
+  in
+  let from_decompositions =
     match strategy with
-    | `Td -> solve "tree-decomposition solving" (fun () -> Solver.solve csp ~strategy:`Td ~seed)
-    | `Ghd -> solve "GHD solving" (fun () -> Solver.solve csp ~strategy:`Ghd ~seed)
-    | `Adaptive ->
-        solve "adaptive consistency" (fun () ->
-            Hd_csp.Adaptive_consistency.solve_auto ~seed csp)
+    | `Td -> [ td () ]
+    | `Ghd -> [ ghd () ]
+    | `Adaptive -> [ adaptive () ]
     | `Both ->
-        ignore (solve "tree-decomposition solving" (fun () -> Solver.solve csp ~strategy:`Td ~seed));
-        ignore (solve "GHD solving" (fun () -> Solver.solve csp ~strategy:`Ghd ~seed));
-        solve "adaptive consistency" (fun () ->
-            Hd_csp.Adaptive_consistency.solve_auto ~seed csp)
+        let t = td () in
+        let g = ghd () in
+        [ t; g; adaptive () ]
   in
   let oracle = solve "backtracking oracle" (fun () -> Csp.solve_backtracking csp) in
-  (match (from_decomposition, oracle) with
-  | Some _, Some _ | None, None -> Format.printf "agreement: ok@."
-  | _ ->
-      Format.printf "agreement: MISMATCH@.";
-      exit 1);
+  if List.for_all (fun r -> Option.is_some r = Option.is_some oracle) from_decompositions
+  then Format.printf "agreement: ok@."
+  else begin
+    Format.printf "agreement: MISMATCH@.";
+    exit 1
+  end;
   match stats with
   | Some path -> (
       try Hd_obs.Obs.write_report path

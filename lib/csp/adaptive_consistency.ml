@@ -1,3 +1,17 @@
+module Qrelation = Hd_query.Qrelation
+
+(* the variables of [rels]' scopes, first occurrence first *)
+let union_scope rels =
+  let vars =
+    List.fold_left
+      (fun acc r ->
+        Array.fold_left
+          (fun acc u -> if List.mem u acc then acc else u :: acc)
+          acc (Qrelation.scope r))
+      [] rels
+  in
+  Array.of_list (List.rev vars)
+
 let solve csp sigma =
   let n = Csp.n_variables csp in
   if not (Hd_core.Ordering.is_permutation sigma) || Array.length sigma <> n
@@ -9,7 +23,7 @@ let solve csp sigma =
        (largest-position) variable *)
     let buckets = Array.make n [] in
     let place r =
-      let scope = Relation.scope r in
+      let scope = Qrelation.scope r in
       if Array.length scope > 0 then begin
         let p = Array.fold_left (fun acc v -> max acc pos.(v)) 0 scope in
         buckets.(p) <- r :: buckets.(p)
@@ -22,21 +36,17 @@ let solve csp sigma =
       if i < 0 then true
       else begin
         let v = sigma.(i) in
-        let domain_rel =
-          Relation.make ~scope:[| v |]
-            (Array.to_list (Array.map (fun x -> [| x |]) (Csp.domain csp v)))
-        in
-        let joined =
-          List.fold_left Relation.join domain_rel buckets.(i)
-        in
+        let rels = Csp.domain_relation csp v :: buckets.(i) in
+        let joined = Hd_query.Join_tree.bag rels ~scope:(union_scope rels) in
         processed.(i) <- Some joined;
-        if Relation.is_empty joined then false
+        if Qrelation.is_empty joined then false
         else begin
           let rest =
             Array.of_list
-              (List.filter (( <> ) v) (Array.to_list (Relation.scope joined)))
+              (List.filter (( <> ) v) (Array.to_list (Qrelation.scope joined)))
           in
-          if Array.length rest > 0 then place (Relation.project joined rest);
+          if Array.length rest > 0 then
+            place (Hd_query.Join_tree.bag [ joined ] ~scope:rest);
           forward (i - 1)
         end
       end
@@ -53,28 +63,23 @@ let solve csp sigma =
           match processed.(i) with
           | None -> ok := false
           | Some joined ->
-              let scope = Relation.scope joined in
-              let consistent tuple =
-                let fine = ref true in
-                Array.iteri
-                  (fun k u ->
-                    if u <> v && assignment.(u) = min_int then
-                      (* variables later in elimination order are
-                         already assigned; others cannot occur *)
-                      fine := false
-                    else if u <> v && tuple.(k) <> assignment.(u) then
-                      fine := false)
-                  scope;
-                !fine
+              let scope = Qrelation.scope joined in
+              (* the bucket's other variables come later in elimination
+                 order, so they are already assigned *)
+              let rec consistent row k =
+                k = Array.length scope
+                || (scope.(k) = v
+                   || Qrelation.get joined row k = assignment.(scope.(k)))
+                   && consistent row (k + 1)
               in
-              (match
-                 List.find_opt consistent (Relation.tuples joined)
-               with
-              | Some tuple ->
-                  Array.iteri
-                    (fun k u -> if assignment.(u) = min_int then assignment.(u) <- tuple.(k))
-                    scope
-              | None -> ok := false)
+              let rec first row =
+                if row >= Qrelation.cardinality joined then ok := false
+                else if consistent row 0 then
+                  assignment.(v) <-
+                    Qrelation.get joined row (Qrelation.position joined v)
+                else first (row + 1)
+              in
+              first 0
         end
       done;
       if !ok && Csp.consistent csp assignment then Some assignment else None

@@ -1,6 +1,8 @@
+module Qrelation = Hd_query.Qrelation
+
 type t = {
   domains : int array array;
-  constraints : Relation.t list;
+  constraints : Qrelation.t list;
   variable_names : string array option;
 }
 
@@ -12,7 +14,7 @@ let make ?variable_names ~domains constraints =
         (fun v ->
           if v < 0 || v >= n then
             invalid_arg "Csp.make: constraint scope out of range")
-        (Relation.scope r))
+        (Qrelation.scope r))
     constraints;
   (match variable_names with
   | Some names when Array.length names <> n ->
@@ -25,6 +27,10 @@ let domain csp v = csp.domains.(v)
 let constraints csp = csp.constraints
 let n_constraints csp = List.length csp.constraints
 
+let domain_relation csp v =
+  Qrelation.make ~scope:[| v |]
+    (Array.to_list (Array.map (fun x -> [| x |]) csp.domains.(v)))
+
 let variable_name csp v =
   match csp.variable_names with
   | Some names -> names.(v)
@@ -33,7 +39,7 @@ let variable_name csp v =
 let hypergraph csp =
   let n = n_variables csp in
   let scopes =
-    List.map (fun r -> Array.to_list (Relation.scope r)) csp.constraints
+    List.map (fun r -> Array.to_list (Qrelation.scope r)) csp.constraints
   in
   let covered = Array.make n false in
   List.iter (List.iter (fun v -> covered.(v) <- true)) scopes;
@@ -51,9 +57,9 @@ let consistent csp assignment =
   List.for_all
     (fun r ->
       let tuple =
-        Array.map (fun v -> assignment.(v)) (Relation.scope r)
+        Array.map (fun v -> assignment.(v)) (Qrelation.scope r)
       in
-      Relation.mem r tuple)
+      Qrelation.mem r tuple)
     csp.constraints
 
 (* Backtracking over variables in index order; after each assignment,
@@ -66,7 +72,7 @@ let backtrack csp ~on_solution =
   let by_last = Array.make (max n 1) [] in
   List.iter
     (fun r ->
-      let last = Array.fold_left max 0 (Relation.scope r) in
+      let last = Array.fold_left max 0 (Qrelation.scope r) in
       by_last.(last) <- r :: by_last.(last))
     csp.constraints;
   let rec assign v =
@@ -79,9 +85,9 @@ let backtrack csp ~on_solution =
             List.for_all
               (fun r ->
                 let tuple =
-                  Array.map (fun u -> assignment.(u)) (Relation.scope r)
+                  Array.map (fun u -> assignment.(u)) (Qrelation.scope r)
                 in
-                Relation.mem r tuple)
+                Qrelation.mem r tuple)
               by_last.(v)
           in
           if ok then assign (v + 1))

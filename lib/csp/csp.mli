@@ -1,7 +1,8 @@
 (** Constraint satisfaction problems (Definition 5).
 
     A CSP is variables with finite integer domains plus constraints,
-    each a {!Relation.t} whose scope names the constrained variables.
+    each a columnar {!Hd_query.Qrelation.t} whose scope names the
+    constrained variables.
     Variable names are optional and used only for display. *)
 
 type t
@@ -11,12 +12,19 @@ type t
     @raise Invalid_argument when a constraint mentions an unknown
     variable. *)
 val make :
-  ?variable_names:string array -> domains:int array array -> Relation.t list -> t
+  ?variable_names:string array ->
+  domains:int array array ->
+  Hd_query.Qrelation.t list ->
+  t
 
 val n_variables : t -> int
 val domain : t -> int -> int array
-val constraints : t -> Relation.t list
+val constraints : t -> Hd_query.Qrelation.t list
 val n_constraints : t -> int
+
+(** [domain_relation csp v] is the unary relation of [v]'s domain — the
+    unconstrained relation on [v]. *)
+val domain_relation : t -> int -> Hd_query.Qrelation.t
 val variable_name : t -> int -> string
 
 (** [hypergraph csp] is the constraint hypergraph (Definition 7):

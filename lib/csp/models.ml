@@ -1,4 +1,5 @@
 module Graph = Hd_graph.Graph
+module Qrelation = Hd_query.Qrelation
 
 let all_different_pairs ~domain_size =
   let tuples = ref [] in
@@ -13,7 +14,7 @@ let graph_coloring g ~colors =
   let edges = Graph.edges g in
   let pairs = all_different_pairs ~domain_size:colors in
   let constraints =
-    List.map (fun (u, v) -> Relation.make ~scope:[| u; v |] pairs) edges
+    List.map (fun (u, v) -> Qrelation.make ~scope:[| u; v |] pairs) edges
   in
   let domains = Array.init (Graph.n g) (fun _ -> Array.init colors Fun.id) in
   Csp.make ~domains constraints
@@ -26,7 +27,7 @@ let australia () =
   in
   let pairs = all_different_pairs ~domain_size:3 in
   let constraints =
-    List.map (fun (u, v) -> Relation.make ~scope:[| u; v |] pairs) borders
+    List.map (fun (u, v) -> Qrelation.make ~scope:[| u; v |] pairs) borders
   in
   let domains = Array.init 7 (fun _ -> [| 0; 1; 2 |]) in
   Csp.make ~variable_names:names ~domains constraints
@@ -39,9 +40,9 @@ let example5 () =
   let r3 = [ [| c; b; c |]; [| c; c; b |] ] in
   let constraints =
     [
-      Relation.make ~scope:[| 0; 1; 2 |] r1;
-      Relation.make ~scope:[| 0; 4; 5 |] r2;
-      Relation.make ~scope:[| 2; 3; 4 |] r3;
+      Qrelation.make ~scope:[| 0; 1; 2 |] r1;
+      Qrelation.make ~scope:[| 0; 4; 5 |] r2;
+      Qrelation.make ~scope:[| 2; 3; 4 |] r3;
     ]
   in
   let domains =
@@ -77,7 +78,7 @@ let sat clauses ~n_vars =
           if satisfied then
             satisfying := Array.init k (fun i -> (mask lsr i) land 1) :: !satisfying
         done;
-        Relation.make ~scope !satisfying)
+        Qrelation.make ~scope !satisfying)
       clauses
   in
   let domains = Array.init n_vars (fun _ -> [| 0; 1 |]) in
@@ -94,7 +95,7 @@ let n_queens n =
             tuples := [| c1; c2 |] :: !tuples
         done
       done;
-      constraints := Relation.make ~scope:[| r1; r2 |] !tuples :: !constraints
+      constraints := Qrelation.make ~scope:[| r1; r2 |] !tuples :: !constraints
     done
   done;
   let domains = Array.init n (fun _ -> Array.init n Fun.id) in
@@ -127,7 +128,7 @@ let random_csp ~seed ~n_vars ~domain_size ~n_constraints ~arity ~tightness =
             tuples := tuple :: !tuples
           end
         done;
-        Relation.make ~scope !tuples)
+        Qrelation.make ~scope !tuples)
   in
   let domains = Array.init n_vars (fun _ -> Array.init domain_size Fun.id) in
   Csp.make ~domains constraints

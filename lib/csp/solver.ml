@@ -2,34 +2,18 @@ module Bitset = Hd_graph.Bitset
 module Hypergraph = Hd_hypergraph.Hypergraph
 module Td = Hd_core.Tree_decomposition
 module Ghd = Hd_core.Ghd
+module Join_tree = Hd_query.Join_tree
+module Qrelation = Hd_query.Qrelation
 module Obs = Hd_obs.Obs
 
-(* Observability: join work while materialising bag relations.  The
-   semijoin side is counted in Join_tree.acyclic_solve. *)
-let c_joins = Obs.Counter.make "csp.joins"
-let c_join_tuples = Obs.Counter.make "csp.join_tuples"
-let h_relation_size = Obs.Histogram.make "csp.intermediate_relation_size"
-
-(* [Relation.join] with its output size recorded *)
-let join_counted a b =
-  let r = Relation.join a b in
-  Obs.Counter.incr c_joins;
-  let size = Relation.cardinality r in
-  Obs.Counter.add c_join_tuples size;
-  Obs.Histogram.observe h_relation_size size;
-  r
-
-let domains_of csp =
-  Array.init (Csp.n_variables csp) (fun v -> Csp.domain csp v)
-
-let relation_of_edge csp h e =
+(* the relation of every hyperedge of the CSP's hypergraph [h]: the
+   constraints in order, then the full unary relations of the singleton
+   hyperedges that cover constraint-free variables *)
+let edge_relations csp h =
   let cs = Array.of_list (Csp.constraints csp) in
-  if e < Array.length cs then cs.(e)
-  else begin
-    (* a singleton hyperedge covering an unconstrained variable *)
-    let scope = Array.map (fun v -> v) (Hypergraph.edge h e) in
-    Relation.full ~scope ~domains:(domains_of csp)
-  end
+  Array.init (Hypergraph.n_edges h) (fun e ->
+      if e < Array.length cs then cs.(e)
+      else Csp.domain_relation csp (Hypergraph.edge h e).(0))
 
 (* fill variables the join tree left untouched (none when the
    decomposition covers all variables, but stay total anyway) *)
@@ -42,93 +26,44 @@ let finalize csp = function
         assignment;
       if Csp.consistent csp assignment then Some assignment else None
 
-let solve_with_td csp td =
-  Obs.with_span "csp.solve_with_td" @@ fun () ->
-  let h = Csp.hypergraph csp in
-  if not (Td.valid_for_hypergraph h td) then
-    invalid_arg "Solver.solve_with_td: not a tree decomposition of the CSP";
-  let n_nodes = Td.n_nodes td in
-  let domains = domains_of csp in
-  (* step 1 of JTC: place each constraint in one covering bag *)
-  let placed = Array.make n_nodes [] in
-  List.iteri
-    (fun _i r ->
-      let scope = Relation.scope r in
-      let node =
-        let rec find p =
-          if p >= n_nodes then assert false
-          else if Array.for_all (Bitset.mem (Td.bag td p)) scope then p
-          else find (p + 1)
-        in
-        find 0
-      in
-      placed.(node) <- r :: placed.(node))
-    (Csp.constraints csp);
-  (* step 2: solve each bag subproblem — join the placed constraints,
-     then extend with the bag variables not yet in the scope *)
-  let relations =
-    Array.init n_nodes (fun p ->
-        let base =
-          match placed.(p) with
-          | [] -> Relation.make ~scope:[||] [ [||] ]
-          | r :: rest -> List.fold_left join_counted r rest
-        in
-        let scope_vars = Relation.scope base in
-        let missing =
-          List.filter
-            (fun v -> not (Array.exists (( = ) v) scope_vars))
-            (Bitset.elements (Td.bag td p))
-        in
-        List.fold_left
-          (fun acc v ->
-            join_counted acc (Relation.full ~scope:[| v |] ~domains))
-          base missing)
-  in
-  let jt = { Join_tree.relations; parent = td.Td.parent } in
-  finalize csp
-    (Join_tree.acyclic_solve jt ~n_vars:(Csp.n_variables csp))
+let solve_tree csp jt =
+  finalize csp (Join_tree.solve jt ~n_vars:(Csp.n_variables csp))
 
-(* the join tree built by [solve_with_td]'s clustering, reused for
-   counting *)
+(* steps 4-5 of Join Tree Clustering: place each constraint in one
+   covering bag, then solve each bag subproblem -- join the placed
+   constraints with the domains of the bag variables they leave out *)
 let join_tree_of_td csp td =
   let h = Csp.hypergraph csp in
   if not (Td.valid_for_hypergraph h td) then
     invalid_arg "Solver: not a tree decomposition of the CSP";
   let n_nodes = Td.n_nodes td in
-  let domains = domains_of csp in
   let placed = Array.make n_nodes [] in
   List.iter
     (fun r ->
-      let scope = Relation.scope r in
-      let node =
-        let rec find p =
-          if p >= n_nodes then assert false
-          else if Array.for_all (Bitset.mem (Td.bag td p)) scope then p
-          else find (p + 1)
-        in
-        find 0
+      let scope = Qrelation.scope r in
+      let rec find p =
+        if Array.for_all (Bitset.mem (Td.bag td p)) scope then p
+        else find (p + 1)
       in
+      let node = find 0 in
       placed.(node) <- r :: placed.(node))
     (Csp.constraints csp);
-  let relations =
+  let rels =
     Array.init n_nodes (fun p ->
-        let base =
-          match placed.(p) with
-          | [] -> Relation.make ~scope:[||] [ [||] ]
-          | r :: rest -> List.fold_left join_counted r rest
+        let bag = Bitset.elements (Td.bag td p) in
+        let covered v =
+          List.exists (fun r -> Array.exists (( = ) v) (Qrelation.scope r)) placed.(p)
         in
-        let scope_vars = Relation.scope base in
-        let missing =
-          List.filter
-            (fun v -> not (Array.exists (( = ) v) scope_vars))
-            (Bitset.elements (Td.bag td p))
-        in
-        List.fold_left
-          (fun acc v ->
-            join_counted acc (Relation.full ~scope:[| v |] ~domains))
-          base missing)
+        let missing = List.filter (fun v -> not (covered v)) bag in
+        Join_tree.bag
+          (placed.(p) @ List.map (Csp.domain_relation csp) missing)
+          ~scope:(Array.of_list bag))
   in
-  { Join_tree.relations; parent = td.Td.parent }
+  { Join_tree.rels; parent = td.Td.parent }
+
+let solve_with_td csp td =
+  Obs.with_span "csp.solve_with_td" @@ fun () ->
+  solve_tree csp (join_tree_of_td csp td)
 
 let count_with_td csp td =
   Obs.with_span "csp.count_with_td" @@ fun () ->
@@ -142,26 +77,7 @@ let solve_with_ghd csp ghd =
   if not (Ghd.valid h ghd) then
     invalid_arg "Solver.solve_with_ghd: not a GHD of the CSP";
   let ghd = Ghd.complete h ghd in
-  let n_nodes = Td.n_nodes ghd.Ghd.td in
-  let relations =
-    Array.init n_nodes (fun p ->
-        let lambda = ghd.Ghd.lambda.(p) in
-        let joined =
-          match Array.to_list lambda with
-          | [] -> Relation.make ~scope:[||] [ [||] ]
-          | e :: rest ->
-              List.fold_left
-                (fun acc e' -> join_counted acc (relation_of_edge csp h e'))
-                (relation_of_edge csp h e)
-                rest
-        in
-        (* project onto chi(p) *)
-        let chi = Array.of_list (Bitset.elements (Td.bag ghd.Ghd.td p)) in
-        Relation.project joined chi)
-  in
-  let jt = { Join_tree.relations; parent = ghd.Ghd.td.Td.parent } in
-  finalize csp
-    (Join_tree.acyclic_solve jt ~n_vars:(Csp.n_variables csp))
+  solve_tree csp (Join_tree.of_ghd ghd (Array.get (edge_relations csp h)))
 
 let solve ?solver ?time_limit csp ~strategy ~seed =
   let h = Csp.hypergraph csp in
@@ -192,10 +108,4 @@ let solve_if_acyclic csp =
   match Hd_hypergraph.Acyclicity.join_tree h with
   | None -> None
   | Some parent ->
-      let relations =
-        Array.init (Hypergraph.n_edges h) (fun e -> relation_of_edge csp h e)
-      in
-      let jt = { Join_tree.relations; parent } in
-      Some
-        (finalize csp
-           (Join_tree.acyclic_solve jt ~n_vars:(Csp.n_variables csp)))
+      Some (solve_tree csp { Join_tree.rels = edge_relations csp h; parent })

@@ -1,11 +1,13 @@
 (** Solving CSPs from decompositions (Section 2.4).
 
     Both solvers transform the CSP into a solution-equivalent acyclic
-    instance — a join tree — and run {!Join_tree.acyclic_solve}:
+    instance — a join tree — and run {!Hd_query.Join_tree.solve}, the
+    same columnar semijoin kernel that answers conjunctive queries:
 
     - {!solve_with_td} is steps 4-5 of Join Tree Clustering: place each
       constraint in a bag containing its scope, solve each bag
-      subproblem by join + cartesian extension (cost O(d^(w+1))).
+      subproblem by join + cartesian extension with the domains of
+      the bag variables left uncovered (cost O(d^(w+1))).
     - {!solve_with_ghd} completes the GHD (Lemma 2) and computes each
       node's relation as the projection onto chi(p) of the join of the
       lambda(p) constraint relations (cost O(|I|^(k+1) log |I|) for
@@ -57,10 +59,3 @@ val solve_if_acyclic : Csp.t -> int array option option
     @raise Invalid_argument when [td] is not a tree decomposition of
     the CSP's constraint hypergraph. *)
 val count_with_td : Csp.t -> Hd_core.Tree_decomposition.t -> int
-
-(** [relation_of_edge csp h e] is the relation attached to hyperedge
-    [e] of the CSP's hypergraph [h]: constraint [e]'s relation for real
-    constraints, the full unary relation for the singleton hyperedges
-    added to cover constraint-free variables. *)
-val relation_of_edge :
-  Csp.t -> Hd_hypergraph.Hypergraph.t -> int -> Relation.t

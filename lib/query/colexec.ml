@@ -2,9 +2,8 @@ module Obs = Hd_obs.Obs
 
 (* Observability: the vector-at-a-time execution kernel.  Selection
    vectors replace materialised semijoin intermediates, radix
-   partitions replace boxed-key Hashtbl indexes; the counters let the
-   bench attribute per-tuple work to each engine (the row path counts
-   the same events under query.hash_probes). *)
+   partitions replace boxed-key Hashtbl indexes; the counters attribute
+   the per-tuple join work of queries and CSPs alike. *)
 let c_selvec_semijoins = Obs.Counter.make "query.selvec_semijoins"
 let c_selvec_kept = Obs.Counter.make "query.selvec_kept_rows"
 let c_radix_partitions = Obs.Counter.make "query.radix_partitions"

@@ -1,10 +1,11 @@
-(** Vector-at-a-time columnar execution kernel for the query path.
+(** Vector-at-a-time columnar execution kernel: the one join
+    implementation, behind both Yannakakis query answering and CSP
+    solving (via {!Join_tree}).
 
-    The row-at-a-time Yannakakis engine pays, per probed tuple, one
-    boxed [int array] key allocation, one structural hash of it, and —
-    after every semijoin — a full re-materialisation of the surviving
-    relation (dropping its cached indexes).  This module replaces all
-    of that on the hot path:
+    A row-at-a-time join pays, per probed tuple, one boxed [int array]
+    key allocation, one structural hash of it, and — after every
+    semijoin — a full re-materialisation of the surviving relation.
+    This module avoids all of that:
 
     - {b selection vectors}: a semijoin pass returns the surviving row
       ids of the {e unchanged} base relation ([int array], ascending) —
@@ -20,9 +21,7 @@
 
     Counters: [query.selvec_semijoins], [query.selvec_kept_rows],
     [query.radix_partitions], [query.radix_probes],
-    [query.radix_bucket_skips], [query.radix_join_tuples].  The
-    retained row engine counts its probes under [query.hash_probes],
-    which is what the bench compares against. *)
+    [query.radix_bucket_skips], [query.radix_join_tuples]. *)
 
 (** A selection vector: row ids of a base relation, ascending. *)
 type sel = int array

@@ -1,25 +1,11 @@
 module Obs = Hd_obs.Obs
 
-(* Observability: hash-join work on the query path.  Semijoin pass
-   totals live in Yannakakis; these count the per-operation tuple
-   traffic. *)
-let c_joins = Obs.Counter.make "query.joins"
-let c_join_tuples = Obs.Counter.make "query.join_tuples"
-let c_semijoins = Obs.Counter.make "query.semijoins"
-let c_semijoin_kept = Obs.Counter.make "query.semijoin_kept_tuples"
-let c_index_builds = Obs.Counter.make "query.index_builds"
-
-(* per-tuple Hashtbl probes on the row-at-a-time path: each one hashes
-   a boxed int-array key; the columnar engine's equivalent work shows
-   up under query.radix_probes instead (see Colexec) *)
-let c_hash_probes = Obs.Counter.make "query.hash_probes"
 let h_relation_size = Obs.Histogram.make "query.relation_size"
 
 type t = {
   scope : int array;
   cols : int array array;  (* cols.(j).(i) = row i, column j *)
   n : int;
-  mutable indexes : (int array * (int array, int list) Hashtbl.t) list;
 }
 
 let check_scope scope =
@@ -54,13 +40,13 @@ let of_rows_unchecked ~scope rows ~n =
       done)
     rows;
   Obs.Histogram.observe h_relation_size n;
-  { scope; cols; n; indexes = [] }
+  { scope; cols; n }
 
 (* columns assumed equal-length, rows distinct; scope not revalidated —
    the columnar kernel's materialisation entry point *)
 let of_columns_unchecked ~scope cols ~n =
   Obs.Histogram.observe h_relation_size n;
-  { scope; cols; n; indexes = [] }
+  { scope; cols; n }
 
 let make ~scope rows =
   check_scope scope;
@@ -91,142 +77,17 @@ let position r attr =
 
 let positions r attrs = Array.map (position r) attrs
 
-let key_at r positions i = Array.map (fun p -> r.cols.(p).(i)) positions
-
-let index_on r positions =
-  match List.find_opt (fun (p, _) -> p = positions) r.indexes with
-  | Some (_, table) -> table
-  | None ->
-      Obs.Counter.incr c_index_builds;
-      let table = Hashtbl.create (max 16 r.n) in
-      (* descending fill so each bucket lists row ids ascending *)
-      for i = r.n - 1 downto 0 do
-        let key = key_at r positions i in
-        let bucket =
-          match Hashtbl.find_opt table key with Some b -> b | None -> []
-        in
-        Hashtbl.replace table key (i :: bucket)
-      done;
-      r.indexes <- (positions, table) :: r.indexes;
-      table
-
-let matching r ~on key =
-  Obs.Counter.incr c_hash_probes;
-  match Hashtbl.find_opt (index_on r on) key with
-  | Some rows -> rows
-  | None -> []
-
-let all_positions r = Array.init (arity r) Fun.id
-
+(* a column scan: joins probe through Colexec, so no index is kept for
+   the odd membership test *)
 let mem r tuple =
-  if Array.length tuple <> arity r then false
-  else matching r ~on:(all_positions r) tuple <> []
-
-(* attributes of [a] also in [b], in [a]'s scope order *)
-let shared_attrs a b =
-  Array.of_list
-    (List.filter
-       (fun v -> Array.exists (( = ) v) b.scope)
-       (Array.to_list a.scope))
-
-let join a b =
-  let shared = shared_attrs a b in
-  let pa = positions a shared and pb = positions b shared in
-  let b_priv =
-    Array.of_list
-      (List.filter
-         (fun j -> not (Array.exists (( = ) j) pb))
-         (List.init (arity b) Fun.id))
-  in
-  let out_scope =
-    Array.append a.scope (Array.map (fun j -> b.scope.(j)) b_priv)
-  in
-  let ka = arity a and kp = Array.length b_priv in
-  let index = index_on b pb in
-  let out = ref [] in
-  let n = ref 0 in
-  for i = 0 to a.n - 1 do
-    Obs.Counter.incr c_hash_probes;
-    match Hashtbl.find_opt index (key_at a pa i) with
-    | None -> ()
-    | Some bs ->
-        List.iter
-          (fun jb ->
-            let row = Array.make (ka + kp) 0 in
-            for j = 0 to ka - 1 do
-              row.(j) <- a.cols.(j).(i)
-            done;
-            for j = 0 to kp - 1 do
-              row.(ka + j) <- b.cols.(b_priv.(j)).(jb)
-            done;
-            out := row :: !out;
-            incr n)
-          bs
-  done;
-  Obs.Counter.incr c_joins;
-  Obs.Counter.add c_join_tuples !n;
-  (* distinct inputs give distinct output rows: an output row determines
-     its generating pair *)
-  of_rows_unchecked ~scope:out_scope (List.rev !out) ~n:!n
-
-let filter_rows r keep_ids ~n =
   let k = arity r in
-  let cols = Array.init k (fun _ -> Array.make n 0) in
-  List.iteri
-    (fun i' i ->
-      for j = 0 to k - 1 do
-        cols.(j).(i') <- r.cols.(j).(i)
-      done)
-    keep_ids;
-  Obs.Histogram.observe h_relation_size n;
-  { scope = r.scope; cols; n; indexes = [] }
-
-let semijoin a b =
-  let shared = shared_attrs a b in
-  let pa = positions a shared and pb = positions b shared in
-  let index = index_on b pb in
-  let keep = ref [] in
-  let n = ref 0 in
-  for i = a.n - 1 downto 0 do
-    Obs.Counter.incr c_hash_probes;
-    if Hashtbl.mem index (key_at a pa i) then begin
-      keep := i :: !keep;
-      incr n
-    end
-  done;
-  Obs.Counter.incr c_semijoins;
-  Obs.Counter.add c_semijoin_kept !n;
-  if !n = a.n then a else filter_rows a !keep ~n:!n
-
-let project r attrs =
-  check_scope attrs;
-  let ps = positions r attrs in
-  let seen = Hashtbl.create (max 16 r.n) in
-  let out = ref [] in
-  let n = ref 0 in
-  for i = r.n - 1 downto 0 do
-    let row = key_at r ps i in
-    if not (Hashtbl.mem seen row) then begin
-      Hashtbl.add seen row ();
-      out := row :: !out;
-      incr n
-    end
-  done;
-  (* reversed iteration + prepending keeps first-occurrence order up to
-     dedup choice; order is unspecified anyway *)
-  of_rows_unchecked ~scope:attrs !out ~n:!n
-
-let select_eq r ~attr ~value =
-  let p = position r attr in
-  let keep = ref [] in
-  let n = ref 0 in
-  for i = r.n - 1 downto 0 do
-    if r.cols.(p).(i) = value then begin
-      keep := i :: !keep;
-      incr n
-    end
-  done;
-  filter_rows r !keep ~n:!n
+  Array.length tuple = k
+  &&
+  let rec matches i j =
+    j = k || (r.cols.(j).(i) = tuple.(j) && matches i (j + 1))
+  in
+  let rec scan i = i < r.n && (matches i 0 || scan (i + 1)) in
+  scan 0
 
 let equal a b =
   a.scope = b.scope

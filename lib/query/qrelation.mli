@@ -1,17 +1,14 @@
-(** Columnar finite relations for query answering.
+(** Columnar finite relations: query bags and CSP constraints alike.
 
     A [Qrelation.t] pairs a scope — an array of distinct attribute ids
-    (query-variable ids, or column numbers [0 .. k-1] for base tables)
-    — with a deduplicated set of integer tuples stored column-wise.
-    All values are interned constants ({!Intern}), so comparisons are
-    integer comparisons.
+    (query-variable or CSP-variable ids, or column numbers
+    [0 .. k-1] for base tables) — with a deduplicated set of integer
+    tuples stored column-wise.  Query values are interned constants
+    ({!Intern}), so comparisons are integer comparisons.
 
-    The module keeps {e hash indexes on attribute subsets}: an index
-    maps the tuple of values at a position subset to the matching row
-    ids, is built once on demand and cached on the relation, and backs
-    {!join}, {!semijoin} and the Yannakakis enumeration — replacing the
-    scan-based joins of the CSP layer's list relations on the query
-    path.  Relations are immutable apart from that cache. *)
+    Relations are immutable.  This module is storage only: joins,
+    semijoins and projections are the columnar kernel's ({!Colexec},
+    driven over join trees by {!Join_tree}). *)
 
 type t
 
@@ -49,6 +46,7 @@ val row : t -> int -> int array
 (** [rows r] lists all rows in their stable stored order. *)
 val rows : t -> int array list
 
+(** [mem r tuple] is a column scan, linear in [r]'s size. *)
 val mem : t -> int array -> bool
 
 (** [position r attr] is [attr]'s column.
@@ -57,33 +55,6 @@ val position : t -> int -> int
 
 (** [positions r attrs] maps {!position} over [attrs]. *)
 val positions : t -> int array -> int array
-
-(** [index_on r positions] is the hash index of [r] on the given column
-    subset: the key [Array.map (fun p -> get r i p) positions] maps to
-    every matching row id [i] (ascending).  Indexes are cached per
-    position subset; do not mutate the returned table. *)
-val index_on : t -> int array -> (int array, int list) Hashtbl.t
-
-(** [matching r ~on key] lists the rows of [r] whose values at columns
-    [on] equal [key], via {!index_on}. *)
-val matching : t -> on:int array -> int array -> int list
-
-(** [join a b] is the natural join on the shared attributes; its scope
-    is [a]'s attributes followed by [b]'s private ones.  Hash join:
-    [b] is indexed on the shared columns and [a]'s rows probe it. *)
-val join : t -> t -> t
-
-(** [semijoin a b] keeps the rows of [a] with at least one match in [b]
-    on the shared attributes.  With disjoint scopes this is [a] itself
-    when [b] is non-empty, and the empty relation otherwise. *)
-val semijoin : t -> t -> t
-
-(** [project r attrs] projects (with deduplication) onto [attrs]. *)
-val project : t -> int array -> t
-
-(** [select_eq r ~attr ~value] keeps rows assigning [value] to
-    [attr]. *)
-val select_eq : t -> attr:int -> value:int -> t
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

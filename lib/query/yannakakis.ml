@@ -1,31 +1,17 @@
-module Hypergraph = Hd_hypergraph.Hypergraph
 module Acyclicity = Hd_hypergraph.Acyclicity
-module Td = Hd_core.Tree_decomposition
 module Ghd = Hd_core.Ghd
-module Bitset = Hd_graph.Bitset
 module St = Hd_search.Search_types
 module Obs = Hd_obs.Obs
 
-(* Observability: bag materialisation, semijoin passes, and the
-   enumeration's tuple-producing work.  After full reduction the
-   enumeration is backtrack-free, so query.enum_dead_ends stays 0 —
-   the test suite asserts this. *)
+(* Observability: bag materialisation and answers; the semijoin passes
+   and enumeration count themselves in Join_tree. *)
 let c_bag_tuples = Obs.Counter.make "query.bag_tuples"
-let c_reduce_semijoins = Obs.Counter.make "query.reduce_semijoins"
-let c_enum_rows = Obs.Counter.make "query.enum_rows"
-let c_enum_dead_ends = Obs.Counter.make "query.enum_dead_ends"
 let c_answers = Obs.Counter.make "query.answers"
-
-(* row-engine probe attribution; shares the registry slot with
-   Qrelation's handle *)
-let c_hash_probes = Obs.Counter.make "query.hash_probes"
 let h_bag_size = Obs.Histogram.make "query.bag_size"
 
 type mode = Answers | Count | Boolean
 
 type method_ = Auto | Min_fill | Bb_ghw | Portfolio
-
-type engine = Columnar | Rows
 
 type stats = {
   acyclic : bool;
@@ -43,31 +29,6 @@ type result = {
   nonempty : bool;
   stats : stats;
 }
-
-exception Empty_result
-
-(* a join tree of materialised relations: rels.(i)'s scope is node i's
-   bag, parent.(i) = -1 for roots *)
-type tree = { rels : Qrelation.t array; parent : int array }
-
-(* children-before-parents order *)
-let bottom_up_order parent =
-  let m = Array.length parent in
-  let depth = Array.make m (-1) in
-  let rec depth_of i =
-    if depth.(i) >= 0 then depth.(i)
-    else begin
-      let d = if parent.(i) = -1 then 0 else depth_of parent.(i) + 1 in
-      depth.(i) <- d;
-      d
-    end
-  in
-  let order = Array.init m Fun.id in
-  for i = 0 to m - 1 do
-    ignore (depth_of i)
-  done;
-  Array.sort (fun a b -> compare depth.(b) depth.(a)) order;
-  order
 
 let total_tuples rels =
   Array.fold_left (fun acc r -> acc + Qrelation.cardinality r) 0 rels
@@ -109,44 +70,13 @@ let observe_bag r =
   Obs.Counter.add c_bag_tuples (Qrelation.cardinality r);
   Obs.Histogram.observe h_bag_size (Qrelation.cardinality r)
 
-(* materialise one relation per GHD node: join the lambda-label atom
-   relations, project onto the bag.  Completion (Lemma 2) guarantees
-   every atom is enforced unprojected at some node. *)
-let materialize_ghd ?par ~engine ghd atom_rels =
-  Obs.with_span "query.materialize" @@ fun () ->
-  let td = ghd.Ghd.td in
-  let n_nodes = Td.n_nodes td in
-  let rels =
-    Array.init n_nodes (fun p ->
-        let lambda = ghd.Ghd.lambda.(p) in
-        let chi = Array.of_list (Bitset.elements (Td.bag td p)) in
-        let r =
-          match (engine, Array.to_list lambda) with
-          | _, [] -> Qrelation.make ~scope:[||] [ [||] ]
-          | Columnar, es ->
-              Colexec.join_project ?par
-                (List.map (fun e -> atom_rels.(e)) es)
-                ~scope:chi
-          | Rows, e :: rest ->
-              let joined =
-                List.fold_left
-                  (fun acc e' -> Qrelation.join acc atom_rels.(e'))
-                  atom_rels.(e) rest
-              in
-              Qrelation.project joined chi
-        in
-        observe_bag r;
-        r)
-  in
-  { rels; parent = td.Td.parent }
-
-let plan ?par ~engine ~method_ ~jobs ~seed ~time_limit ~ordering h atom_rels =
+let plan ?par ~method_ ~jobs ~seed ~time_limit ~ordering h atom_rels =
   Obs.with_span "query.plan" @@ fun () ->
   let acyclic_tree () =
     match Acyclicity.join_tree h with
     | Some parent ->
         Array.iter observe_bag atom_rels;
-        Some ({ rels = Array.copy atom_rels; parent }, 1, true)
+        Some ({ Join_tree.rels = atom_rels; parent }, 1, true)
     | None -> None
   in
   let ghd_plan () =
@@ -160,305 +90,20 @@ let plan ?par ~engine ~method_ ~jobs ~seed ~time_limit ~ordering h atom_rels =
           ordering_for ~method_ ~jobs ~seed ~time_limit h
     in
     let ghd = Ghd.of_ordering h sigma ~cover:`Exact in
+    (* completion (Lemma 2) enforces every atom unprojected at some
+       node *)
     let ghd = Ghd.complete h ghd in
-    (materialize_ghd ?par ~engine ghd atom_rels, Ghd.width ghd, false)
+    let tree =
+      Obs.with_span "query.materialize" @@ fun () ->
+      Join_tree.of_ghd ?par ghd (Array.get atom_rels)
+    in
+    Array.iter observe_bag tree.Join_tree.rels;
+    (tree, Ghd.width ghd, false)
   in
   match method_ with
   | Auto -> (
       match acyclic_tree () with Some t -> t | None -> ghd_plan ())
   | Min_fill | Bb_ghw | Portfolio -> ghd_plan ()
-
-let shared_vars sa sb =
-  Array.of_list
-    (List.filter (fun v -> Array.exists (( = ) v) sb) (Array.to_list sa))
-
-(* ------------------------------------------------------------------ *)
-(* Row engine: materialised semijoin reduction                         *)
-(* ------------------------------------------------------------------ *)
-
-(* bottom-up pass; raises Empty_result as soon as any relation empties *)
-let reduce_bottom_up t ~semijoins =
-  let order = bottom_up_order t.parent in
-  Array.iter
-    (fun (r : Qrelation.t) -> if Qrelation.is_empty r then raise Empty_result)
-    t.rels;
-  Array.iter
-    (fun i ->
-      let p = t.parent.(i) in
-      if p <> -1 then begin
-        t.rels.(p) <- Qrelation.semijoin t.rels.(p) t.rels.(i);
-        incr semijoins;
-        Obs.Counter.incr c_reduce_semijoins;
-        if Qrelation.is_empty t.rels.(p) then raise Empty_result
-      end)
-    order
-
-(* top-down pass: after it, every tuple everywhere takes part in at
-   least one full solution (full reduction) *)
-let reduce_top_down t ~semijoins =
-  let order = bottom_up_order t.parent in
-  for k = Array.length order - 1 downto 0 do
-    let i = order.(k) in
-    let p = t.parent.(i) in
-    if p <> -1 then begin
-      t.rels.(i) <- Qrelation.semijoin t.rels.(i) t.rels.(p);
-      incr semijoins;
-      Obs.Counter.incr c_reduce_semijoins
-    end
-  done
-
-(* number of distinct full assignments admitted by the (reduced) tree:
-   per-node weights accumulated children-first, one hash lookup per
-   parent tuple and child.  The scratch table and probe key are hoisted
-   and reused — the per-tuple path allocates only on insertion. *)
-let count_assignments t =
-  let m = Array.length t.rels in
-  let children = Array.make m [] in
-  Array.iteri
-    (fun i p -> if p <> -1 then children.(p) <- i :: children.(p))
-    t.parent;
-  let weights = Array.make m [||] in
-  let sums : (int array, int) Hashtbl.t = Hashtbl.create 256 in
-  Array.iter
-    (fun i ->
-      let r = t.rels.(i) in
-      let w = Array.make (Qrelation.cardinality r) 1 in
-      List.iter
-        (fun c ->
-          let rc = t.rels.(c) in
-          let shared = shared_vars (Qrelation.scope r) (Qrelation.scope rc) in
-          let pr = Qrelation.positions r shared in
-          let pc = Qrelation.positions rc shared in
-          let k = Array.length shared in
-          Hashtbl.reset sums;
-          Array.iteri
-            (fun j wj ->
-              let key = Array.map (fun p -> Qrelation.get rc j p) pc in
-              Obs.Counter.incr c_hash_probes;
-              let prev = try Hashtbl.find sums key with Not_found -> 0 in
-              Hashtbl.replace sums key (wj + prev))
-            weights.(c);
-          let key = Array.make k 0 in
-          for j = 0 to Qrelation.cardinality r - 1 do
-            for x = 0 to k - 1 do
-              key.(x) <- Qrelation.get r j pr.(x)
-            done;
-            Obs.Counter.incr c_hash_probes;
-            w.(j) <- w.(j) * (try Hashtbl.find sums key with Not_found -> 0)
-          done)
-        children.(i);
-      weights.(i) <- w)
-    (bottom_up_order t.parent);
-  let total = ref 1 in
-  Array.iteri
-    (fun i p ->
-      if p = -1 then
-        total := !total * Array.fold_left ( + ) 0 weights.(i))
-    t.parent;
-  !total
-
-(* visit every full assignment of the reduced tree in depth-first
-   pre-order; on a fully reduced tree every row extends, so the work is
-   proportional to the solutions emitted, never to dead intermediate
-   tuples *)
-let enumerate t ~n_vars ~on_solution =
-  Obs.with_span "query.enumerate" @@ fun () ->
-  let order =
-    let o = bottom_up_order t.parent in
-    Array.init (Array.length o) (fun k -> o.(Array.length o - 1 - k))
-  in
-  let m = Array.length order in
-  let info =
-    Array.map
-      (fun i ->
-        let r = t.rels.(i) in
-        let sc = Qrelation.scope r in
-        let parent_scope =
-          if t.parent.(i) = -1 then [||]
-          else Qrelation.scope t.rels.(t.parent.(i))
-        in
-        let shared = shared_vars sc parent_scope in
-        let index = Qrelation.index_on r (Qrelation.positions r shared) in
-        let fresh =
-          Array.of_list
-            (List.filter_map
-               (fun j ->
-                 let v = sc.(j) in
-                 if Array.exists (( = ) v) shared then None else Some (j, v))
-               (List.init (Array.length sc) Fun.id))
-        in
-        (r, shared, index, fresh))
-      order
-  in
-  let env = Array.make (max 1 n_vars) (-1) in
-  let rec go k =
-    if k = m then on_solution env
-    else begin
-      let r, shared, index, fresh = info.(k) in
-      let key = Array.map (fun v -> env.(v)) shared in
-      Obs.Counter.incr c_hash_probes;
-      match Hashtbl.find_opt index key with
-      | None -> Obs.Counter.incr c_enum_dead_ends
-      | Some row_ids ->
-          List.iter
-            (fun rid ->
-              Obs.Counter.incr c_enum_rows;
-              Array.iter
-                (fun (j, v) -> env.(v) <- Qrelation.get r rid j)
-                fresh;
-              go (k + 1))
-            row_ids
-    end
-  in
-  go 0
-
-(* ------------------------------------------------------------------ *)
-(* Columnar engine: selection vectors over immutable bags              *)
-(* ------------------------------------------------------------------ *)
-
-(* the live selection per node; bags themselves are never rewritten *)
-type colstate = { tree : tree; sels : Colexec.sel array }
-
-let col_semijoin ?par st ~probe:i ~build:c =
-  let r = st.tree.rels.(i) and rc = st.tree.rels.(c) in
-  let shared = shared_vars (Qrelation.scope r) (Qrelation.scope rc) in
-  st.sels.(i) <-
-    Colexec.semijoin ?par
-      ~probe:(r, st.sels.(i), Qrelation.positions r shared)
-      ~build:(rc, st.sels.(c), Qrelation.positions rc shared)
-      ()
-
-let col_reduce_bottom_up ?par st ~semijoins =
-  let order = bottom_up_order st.tree.parent in
-  Array.iter
-    (fun sel -> if Array.length sel = 0 then raise Empty_result)
-    st.sels;
-  Array.iter
-    (fun i ->
-      let p = st.tree.parent.(i) in
-      if p <> -1 then begin
-        col_semijoin ?par st ~probe:p ~build:i;
-        incr semijoins;
-        Obs.Counter.incr c_reduce_semijoins;
-        if Array.length st.sels.(p) = 0 then raise Empty_result
-      end)
-    order
-
-let col_reduce_top_down ?par st ~semijoins =
-  let order = bottom_up_order st.tree.parent in
-  for k = Array.length order - 1 downto 0 do
-    let i = order.(k) in
-    let p = st.tree.parent.(i) in
-    if p <> -1 then begin
-      col_semijoin ?par st ~probe:i ~build:p;
-      incr semijoins;
-      Obs.Counter.incr c_reduce_semijoins
-    end
-  done
-
-let col_surviving st = Array.fold_left (fun acc s -> acc + Array.length s) 0 st.sels
-
-(* weighted counting over selection slots: weights.(i).(s) counts the
-   full assignments below node i extending selection slot s *)
-let col_count_assignments st =
-  let t = st.tree in
-  let m = Array.length t.rels in
-  let children = Array.make m [] in
-  Array.iteri
-    (fun i p -> if p <> -1 then children.(p) <- i :: children.(p))
-    t.parent;
-  let weights = Array.make m [||] in
-  Array.iter
-    (fun i ->
-      let r = t.rels.(i) in
-      let sel = st.sels.(i) in
-      let w = Array.make (Array.length sel) 1 in
-      List.iter
-        (fun c ->
-          let rc = t.rels.(c) in
-          let shared = shared_vars (Qrelation.scope r) (Qrelation.scope rc) in
-          let pr = Qrelation.positions r shared in
-          let pc = Qrelation.positions rc shared in
-          let ks =
-            Colexec.Keysum.build rc ~pos:pc ~sel:st.sels.(c)
-              ~weights:weights.(c)
-          in
-          let k = Array.length shared in
-          let key = Array.make k 0 in
-          for s = 0 to Array.length sel - 1 do
-            let row = sel.(s) in
-            for x = 0 to k - 1 do
-              key.(x) <- Qrelation.get r row pr.(x)
-            done;
-            w.(s) <- w.(s) * Colexec.Keysum.find ks key
-          done)
-        children.(i);
-      weights.(i) <- w)
-    (bottom_up_order t.parent);
-  let total = ref 1 in
-  Array.iteri
-    (fun i p ->
-      if p = -1 then total := !total * Array.fold_left ( + ) 0 weights.(i))
-    t.parent;
-  !total
-
-(* backtrack-free enumeration over selection vectors: per node a
-   chained int-hash Index of the surviving rows on the parent-shared
-   columns, probed with a reused scratch key; fresh variables are read
-   straight out of the base columns (late materialisation) *)
-let col_enumerate st ~n_vars ~on_solution =
-  Obs.with_span "query.enumerate" @@ fun () ->
-  let t = st.tree in
-  let order =
-    let o = bottom_up_order t.parent in
-    Array.init (Array.length o) (fun k -> o.(Array.length o - 1 - k))
-  in
-  let m = Array.length order in
-  let info =
-    Array.map
-      (fun i ->
-        let r = t.rels.(i) in
-        let sc = Qrelation.scope r in
-        let parent_scope =
-          if t.parent.(i) = -1 then [||]
-          else Qrelation.scope t.rels.(t.parent.(i))
-        in
-        let shared = shared_vars sc parent_scope in
-        let index =
-          Colexec.Index.build r
-            ~pos:(Qrelation.positions r shared)
-            ~sel:st.sels.(i)
-        in
-        let fresh =
-          Array.of_list
-            (List.filter_map
-               (fun j ->
-                 let v = sc.(j) in
-                 if Array.exists (( = ) v) shared then None
-                 else Some (Qrelation.col r j, v))
-               (List.init (Array.length sc) Fun.id))
-        in
-        (shared, index, fresh, Array.make (Array.length shared) 0))
-      order
-  in
-  let env = Array.make (max 1 n_vars) (-1) in
-  let rec go k =
-    if k = m then on_solution env
-    else begin
-      let shared, index, fresh, key = info.(k) in
-      for x = 0 to Array.length shared - 1 do
-        key.(x) <- env.(shared.(x))
-      done;
-      let any = ref false in
-      Colexec.Index.iter index key (fun rid ->
-          any := true;
-          Obs.Counter.incr c_enum_rows;
-          Array.iter (fun (colv, v) -> env.(v) <- colv.(rid)) fresh;
-          go (k + 1));
-      if not !any then Obs.Counter.incr c_enum_dead_ends
-    end
-  in
-  go 0
 
 (* ------------------------------------------------------------------ *)
 (* The engine                                                          *)
@@ -466,8 +111,8 @@ let col_enumerate st ~n_vars ~on_solution =
 
 let empty_result mode stats = { mode; answers = []; count = 0; nonempty = false; stats }
 
-let run ?(engine = Columnar) ?(method_ = Auto) ?(jobs = 1) ?(seed = 42)
-    ?(time_limit = 10.0) ?ordering ?par ~mode db q =
+let run ?(method_ = Auto) ?(jobs = 1) ?(seed = 42) ?(time_limit = 10.0)
+    ?ordering ?par ~mode db q =
   Obs.with_span "query.run" @@ fun () ->
   let vars = Cq.variables q in
   let n_vars = Array.length vars in
@@ -510,90 +155,55 @@ let run ?(engine = Columnar) ?(method_ = Auto) ?(jobs = 1) ?(seed = 42)
         (List.map (fun a -> Db.relation_for_atom db ~var_id a) proper)
     in
     let tree, width, acyclic =
-      plan ?par ~engine ~method_ ~jobs ~seed ~time_limit ~ordering h atom_rels
+      plan ?par ~method_ ~jobs ~seed ~time_limit ~ordering h atom_rels
     in
-    let bags = Array.length tree.rels in
-    let tuples_materialized = total_tuples tree.rels in
-    let semijoins = ref 0 in
+    let tuples_materialized = total_tuples tree.Join_tree.rels in
+    let st = Join_tree.start tree in
+    let stats () =
+      {
+        acyclic;
+        width;
+        bags = Array.length tree.Join_tree.rels;
+        tuples_materialized;
+        tuples_after_reduction = Join_tree.surviving st;
+        semijoins = Join_tree.semijoins st;
+      }
+    in
     let head_covers_all =
       let covered = Array.make n_vars false in
       Array.iter (fun v -> covered.(v) <- true) head_ids;
       Array.for_all Fun.id covered
     in
-    let stats_now tuples_after_reduction =
-      {
-        acyclic;
-        width;
-        bags;
-        tuples_materialized;
-        tuples_after_reduction;
-        semijoins = !semijoins;
-      }
+    let reduced =
+      Obs.with_span "query.reduce" (fun () ->
+          Join_tree.reduce ?par ~full:(mode <> Boolean) st)
     in
-    (* mode dispatch shared by both engines once reduction is done *)
-    let finish ~stats ~count_all ~enum =
+    if not reduced then empty_result mode (stats ())
+    else
       match mode with
       | Boolean ->
           { mode; answers = []; count = 1; nonempty = true; stats = stats () }
       | Count when head_covers_all ->
           (* the head covers every variable: distinct answers are in
-             bijection with full assignments — count by weights, no
+             bijection with full assignments -- count by weights, no
              materialisation *)
-          let count = count_all () in
+          let count = Join_tree.count st in
           Obs.Counter.add c_answers count;
           { mode; answers = []; count; nonempty = count > 0; stats = stats () }
-      | Count ->
-          (* a genuine projection: enumerate and count distinct heads *)
+      | Count | Answers ->
+          (* enumerate and deduplicate the head projections *)
           let seen = Hashtbl.create 256 in
-          enum (fun env ->
+          Join_tree.iter st ~n_vars (fun env ->
               let proj = Array.map (fun v -> env.(v)) head_ids in
               if not (Hashtbl.mem seen proj) then begin
                 Hashtbl.add seen proj ();
                 Obs.Counter.incr c_answers
               end);
           let count = Hashtbl.length seen in
-          { mode; answers = []; count; nonempty = count > 0; stats = stats () }
-      | Answers ->
-          let seen = Hashtbl.create 256 in
-          enum (fun env ->
-              let proj = Array.map (fun v -> env.(v)) head_ids in
-              if not (Hashtbl.mem seen proj) then begin
-                Hashtbl.add seen proj ();
-                Obs.Counter.incr c_answers
-              end);
           let answers =
-            Hashtbl.fold (fun proj () acc -> Db.decode db proj :: acc) seen []
+            if mode = Answers then
+              Hashtbl.fold (fun proj () acc -> Db.decode db proj :: acc) seen []
+            else []
           in
-          {
-            mode;
-            answers;
-            count = Hashtbl.length seen;
-            nonempty = answers <> [];
-            stats = stats ();
-          }
-    in
-    match engine with
-    | Rows -> (
-        try
-          Obs.with_span "query.reduce" (fun () ->
-              reduce_bottom_up tree ~semijoins;
-              if mode <> Boolean then reduce_top_down tree ~semijoins);
-          finish
-            ~stats:(fun () -> stats_now (total_tuples tree.rels))
-            ~count_all:(fun () -> count_assignments tree)
-            ~enum:(fun f -> enumerate tree ~n_vars ~on_solution:f)
-        with Empty_result -> empty_result mode (stats_now (total_tuples tree.rels)))
-    | Columnar -> (
-        let st =
-          { tree; sels = Array.map Colexec.all_rows tree.rels }
-        in
-        try
-          Obs.with_span "query.reduce" (fun () ->
-              col_reduce_bottom_up ?par st ~semijoins;
-              if mode <> Boolean then col_reduce_top_down ?par st ~semijoins);
-          finish
-            ~stats:(fun () -> stats_now (col_surviving st))
-            ~count_all:(fun () -> col_count_assignments st)
-            ~enum:(fun f -> col_enumerate st ~n_vars ~on_solution:f)
-        with Empty_result -> empty_result mode (stats_now (col_surviving st)))
+          { mode; answers; count; nonempty = count > 0; stats = stats () }
   end

@@ -34,14 +34,6 @@ type method_ =
   | Bb_ghw  (** always decompose, branch-and-bound ghw ordering *)
   | Portfolio  (** always decompose, parallel portfolio ordering *)
 
-type engine =
-  | Columnar
-      (** vector-at-a-time over selection vectors and radix-partitioned
-          int-hash probes ({!Colexec}); the default *)
-  | Rows
-      (** the retained row-at-a-time reference: materialised semijoins
-          over boxed-key [Hashtbl] indexes *)
-
 type stats = {
   acyclic : bool;  (** answered via the GYO join tree *)
   width : int;  (** 1 when acyclic, else the GHD width of the plan *)
@@ -62,9 +54,8 @@ type result = {
   stats : stats;
 }
 
-(** [run ~mode db q] answers [q] over [db].  [engine] picks the
-    execution kernel (default [Columnar]; [Rows] is the reference the
-    test suite cross-checks against).  [jobs] sizes the [Portfolio]
+(** [run ~mode db q] answers [q] over [db] on the columnar
+    {!Join_tree} passes.  [jobs] sizes the [Portfolio]
     race; [seed] and [time_limit] parameterise the decomposition search
     ([time_limit] bounds only that search, not evaluation).  [ordering]
     supplies an elimination ordering computed elsewhere — batch
@@ -77,7 +68,6 @@ type result = {
     @raise Failure on relations missing from [db] or arity
     mismatches. *)
 val run :
-  ?engine:engine ->
   ?method_:method_ ->
   ?jobs:int ->
   ?seed:int ->

@@ -1,7 +1,9 @@
 module Graph = Hd_graph.Graph
-module Relation = Hd_csp.Relation
+module Qrelation = Hd_query.Qrelation
+module Cx = Hd_query.Colexec
+module Join_tree = Hd_query.Join_tree
+module Obs = Hd_obs.Obs
 module Csp = Hd_csp.Csp
-module Join_tree = Hd_csp.Join_tree
 module Solver = Hd_csp.Solver
 module Models = Hd_csp.Models
 module Adaptive = Hd_csp.Adaptive_consistency
@@ -12,62 +14,94 @@ module Ordering = Hd_core.Ordering
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* --- relations --- *)
+(* --- relations: Qrelation storage, Colexec operators --- *)
 
-let r_ab = Relation.make ~scope:[| 0; 1 |] [ [| 1; 2 |]; [| 1; 3 |]; [| 2; 3 |] ]
-let r_bc = Relation.make ~scope:[| 1; 2 |] [ [| 2; 5 |]; [| 3; 6 |] ]
+(* natural join through the columnar kernel; scope is [a]'s attributes
+   then [b]'s private ones *)
+let join a b =
+  let sa = Qrelation.scope a in
+  let priv =
+    List.filter (fun v -> not (Array.mem v sa)) (Array.to_list (Qrelation.scope b))
+  in
+  Join_tree.bag [ a; b ] ~scope:(Array.append sa (Array.of_list priv))
+
+(* [a]'s rows with a match in [b], as a relation *)
+let semijoin a b =
+  let shared =
+    Array.of_list
+      (List.filter
+         (fun v -> Array.mem v (Qrelation.scope b))
+         (Array.to_list (Qrelation.scope a)))
+  in
+  let sel =
+    Cx.semijoin
+      ~probe:(a, Cx.all_rows a, Qrelation.positions a shared)
+      ~build:(b, Cx.all_rows b, Qrelation.positions b shared)
+      ()
+  in
+  Qrelation.make ~scope:(Qrelation.scope a)
+    (Array.to_list (Array.map (Qrelation.row a) sel))
+
+let r_ab = Qrelation.make ~scope:[| 0; 1 |] [ [| 1; 2 |]; [| 1; 3 |]; [| 2; 3 |] ]
+let r_bc = Qrelation.make ~scope:[| 1; 2 |] [ [| 2; 5 |]; [| 3; 6 |] ]
 
 let test_relation_basics () =
-  check_int "arity" 2 (Relation.arity r_ab);
-  check_int "cardinality" 3 (Relation.cardinality r_ab);
-  check "mem" true (Relation.mem r_ab [| 1; 3 |]);
-  check "not mem" false (Relation.mem r_ab [| 3; 1 |]);
-  check_int "value" 2 (Relation.value r_ab [| 1; 2 |] ~var:1);
+  check_int "arity" 2 (Qrelation.arity r_ab);
+  check_int "cardinality" 3 (Qrelation.cardinality r_ab);
+  check "mem" true (Qrelation.mem r_ab [| 1; 3 |]);
+  check "not mem" false (Qrelation.mem r_ab [| 3; 1 |]);
+  check "arity-mismatched tuple not mem" false (Qrelation.mem r_ab [| 1 |]);
+  check_int "value" 2 (Qrelation.get r_ab 0 (Qrelation.position r_ab 1));
   (* dedup *)
-  let r = Relation.make ~scope:[| 0 |] [ [| 1 |]; [| 1 |]; [| 2 |] ] in
-  check_int "deduped" 2 (Relation.cardinality r)
+  let r = Qrelation.make ~scope:[| 0 |] [ [| 1 |]; [| 1 |]; [| 2 |] ] in
+  check_int "deduped" 2 (Qrelation.cardinality r)
 
 let test_relation_join () =
-  let j = Relation.join r_ab r_bc in
-  Alcotest.(check (array int)) "join scope" [| 0; 1; 2 |] (Relation.scope j);
-  check_int "join size" 3 (Relation.cardinality j);
-  check "tuple" true (Relation.mem j [| 1; 2; 5 |]);
-  check "tuple" true (Relation.mem j [| 2; 3; 6 |]);
+  let j = join r_ab r_bc in
+  Alcotest.(check (array int)) "join scope" [| 0; 1; 2 |] (Qrelation.scope j);
+  check_int "join size" 3 (Qrelation.cardinality j);
+  check "tuple" true (Qrelation.mem j [| 1; 2; 5 |]);
+  check "tuple" true (Qrelation.mem j [| 2; 3; 6 |]);
   (* join with disjoint scope = cartesian product *)
-  let r_d = Relation.make ~scope:[| 5 |] [ [| 9 |]; [| 8 |] ] in
-  check_int "cartesian" 6 (Relation.cardinality (Relation.join r_ab r_d))
+  let r_d = Qrelation.make ~scope:[| 5 |] [ [| 9 |]; [| 8 |] ] in
+  check_int "cartesian" 6 (Qrelation.cardinality (join r_ab r_d))
 
 let test_relation_semijoin () =
-  let s = Relation.semijoin r_ab r_bc in
-  check_int "semijoin keeps matched" 3 (Relation.cardinality s);
-  let r_bc' = Relation.make ~scope:[| 1; 2 |] [ [| 2; 5 |] ] in
-  let s' = Relation.semijoin r_ab r_bc' in
-  check_int "semijoin filters" 1 (Relation.cardinality s');
-  check "kept the right tuple" true (Relation.mem s' [| 1; 2 |])
+  let s = semijoin r_ab r_bc in
+  check_int "semijoin keeps matched" 3 (Qrelation.cardinality s);
+  let r_bc' = Qrelation.make ~scope:[| 1; 2 |] [ [| 2; 5 |] ] in
+  let s' = semijoin r_ab r_bc' in
+  check_int "semijoin filters" 1 (Qrelation.cardinality s');
+  check "kept the right tuple" true (Qrelation.mem s' [| 1; 2 |])
 
 let test_relation_project_select_full () =
-  let p = Relation.project r_ab [| 1 |] in
-  check_int "project dedups" 2 (Relation.cardinality p);
-  let s = Relation.select r_ab ~var:0 ~value:1 in
-  check_int "select" 2 (Relation.cardinality s);
-  let f = Relation.full ~scope:[| 0; 1 |] ~domains:[| [| 0; 1 |]; [| 0; 1; 2 |] |] in
-  check_int "full" 6 (Relation.cardinality f)
+  let p = Join_tree.bag [ r_ab ] ~scope:[| 1 |] in
+  check_int "project dedups" 2 (Qrelation.cardinality p);
+  (* selection is a semijoin with a unary relation *)
+  let s = semijoin r_ab (Qrelation.make ~scope:[| 0 |] [ [| 1 |] ]) in
+  check_int "select" 2 (Qrelation.cardinality s);
+  let csp = Csp.make ~domains:[| [| 0; 1 |]; [| 0; 1; 2 |] |] [] in
+  let f =
+    Join_tree.bag
+      [ Csp.domain_relation csp 0; Csp.domain_relation csp 1 ]
+      ~scope:[| 0; 1 |]
+  in
+  check_int "full" 6 (Qrelation.cardinality f)
+
+let random_relation rng ~max_rows scope =
+  Qrelation.make ~scope
+    (List.init
+       (1 + Random.State.int rng max_rows)
+       (fun _ -> Array.init (Array.length scope) (fun _ -> Random.State.int rng 3)))
 
 let prop_join_commutes =
   QCheck.Test.make ~count:100 ~name:"join cardinality commutes"
     QCheck.(make QCheck.Gen.(pair int int))
     (fun (s1, s2) ->
       let rng = Random.State.make [| s1; s2 |] in
-      let mk scope =
-        Relation.make ~scope
-          (List.init
-             (1 + Random.State.int rng 6)
-             (fun _ ->
-               Array.init (Array.length scope) (fun _ -> Random.State.int rng 3)))
-      in
-      let a = mk [| 0; 1 |] and b = mk [| 1; 2 |] in
-      Relation.cardinality (Relation.join a b)
-      = Relation.cardinality (Relation.join b a))
+      let a = random_relation rng ~max_rows:6 [| 0; 1 |]
+      and b = random_relation rng ~max_rows:6 [| 1; 2 |] in
+      Qrelation.cardinality (join a b) = Qrelation.cardinality (join b a))
 
 (* --- CSP basics --- *)
 
@@ -115,29 +149,29 @@ let test_nqueens () =
 
 let test_acyclic_solving_figure () =
   (* a path-shaped join tree *)
-  let relations =
+  let rels =
     [|
-      Relation.make ~scope:[| 0; 1 |] [ [| 0; 1 |]; [| 1; 1 |] ];
-      Relation.make ~scope:[| 1; 2 |] [ [| 1; 0 |]; [| 2; 2 |] ];
-      Relation.make ~scope:[| 2; 3 |] [ [| 0; 5 |] ];
+      Qrelation.make ~scope:[| 0; 1 |] [ [| 0; 1 |]; [| 1; 1 |] ];
+      Qrelation.make ~scope:[| 1; 2 |] [ [| 1; 0 |]; [| 2; 2 |] ];
+      Qrelation.make ~scope:[| 2; 3 |] [ [| 0; 5 |] ];
     |]
   in
-  let jt = { Join_tree.relations; parent = [| -1; 0; 1 |] } in
+  let jt = { Join_tree.rels; parent = [| -1; 0; 1 |] } in
   check "join tree" true (Join_tree.is_join_tree jt);
-  match Join_tree.acyclic_solve jt ~n_vars:4 with
+  match Join_tree.solve jt ~n_vars:4 with
   | None -> Alcotest.fail "satisfiable"
   | Some a ->
       Alcotest.(check (array int)) "unique solution" [| 0; 1; 0; 5 |] a
 
 let test_acyclic_unsat () =
-  let relations =
+  let rels =
     [|
-      Relation.make ~scope:[| 0 |] [ [| 1 |] ];
-      Relation.make ~scope:[| 0 |] [ [| 2 |] ];
+      Qrelation.make ~scope:[| 0 |] [ [| 1 |] ];
+      Qrelation.make ~scope:[| 0 |] [ [| 2 |] ];
     |]
   in
-  let jt = { Join_tree.relations; parent = [| -1; 0 |] } in
-  check "unsat" true (Join_tree.acyclic_solve jt ~n_vars:1 = None)
+  let jt = { Join_tree.rels; parent = [| -1; 0 |] } in
+  check "unsat" true (Join_tree.solve jt ~n_vars:1 = None)
 
 (* --- solving from decompositions --- *)
 
@@ -259,23 +293,25 @@ let prop_adaptive_agrees =
 let test_relation_errors () =
   check "dup scope rejected" true
     (try
-       ignore (Relation.make ~scope:[| 1; 1 |] []);
+       ignore (Qrelation.make ~scope:[| 1; 1 |] []);
        false
      with Invalid_argument _ -> true);
   check "arity mismatch rejected" true
     (try
-       ignore (Relation.make ~scope:[| 0; 1 |] [ [| 3 |] ]);
+       ignore (Qrelation.make ~scope:[| 0; 1 |] [ [| 3 |] ]);
        false
      with Invalid_argument _ -> true);
   Alcotest.check_raises "value outside scope" Not_found (fun () ->
-      ignore (Relation.value r_ab [| 1; 2 |] ~var:9))
+      ignore (Qrelation.position r_ab 9));
+  Alcotest.check_raises "bag outside every scope" Not_found (fun () ->
+      ignore (Join_tree.bag [ r_ab ] ~scope:[| 9 |]))
 
 let test_relation_equal () =
-  let a = Relation.make ~scope:[| 0; 1 |] [ [| 1; 2 |]; [| 3; 4 |] ] in
-  let b = Relation.make ~scope:[| 0; 1 |] [ [| 3; 4 |]; [| 1; 2 |] ] in
-  check "order-insensitive equal" true (Relation.equal a b);
-  let c = Relation.make ~scope:[| 0; 1 |] [ [| 1; 2 |] ] in
-  check "not equal" false (Relation.equal a c)
+  let a = Qrelation.make ~scope:[| 0; 1 |] [ [| 1; 2 |]; [| 3; 4 |] ] in
+  let b = Qrelation.make ~scope:[| 0; 1 |] [ [| 3; 4 |]; [| 1; 2 |] ] in
+  check "order-insensitive equal" true (Qrelation.equal a b);
+  let c = Qrelation.make ~scope:[| 0; 1 |] [ [| 1; 2 |] ] in
+  check "not equal" false (Qrelation.equal a c)
 
 let test_count_unsat_zero () =
   let unsat = Models.sat [ [ 1 ]; [ -1 ] ] ~n_vars:1 in
@@ -294,32 +330,20 @@ let prop_join_associative_cardinality =
     QCheck.(make QCheck.Gen.(pair int int))
     (fun (s1, s2) ->
       let rng = Random.State.make [| s1; s2 |] in
-      let mk scope =
-        Relation.make ~scope
-          (List.init
-             (1 + Random.State.int rng 5)
-             (fun _ ->
-               Array.init (Array.length scope) (fun _ -> Random.State.int rng 3)))
-      in
+      let mk = random_relation rng ~max_rows:5 in
       let a = mk [| 0; 1 |] and b = mk [| 1; 2 |] and c = mk [| 2; 3 |] in
-      Relation.cardinality (Relation.join (Relation.join a b) c)
-      = Relation.cardinality (Relation.join a (Relation.join b c)))
+      Qrelation.cardinality (join (join a b) c)
+      = Qrelation.cardinality (join a (join b c)))
 
 let prop_semijoin_idempotent =
   QCheck.Test.make ~count:60 ~name:"semijoin idempotent"
     QCheck.(make QCheck.Gen.(pair int int))
     (fun (s1, s2) ->
       let rng = Random.State.make [| s1; s2 |] in
-      let mk scope =
-        Relation.make ~scope
-          (List.init
-             (1 + Random.State.int rng 5)
-             (fun _ ->
-               Array.init (Array.length scope) (fun _ -> Random.State.int rng 3)))
-      in
-      let a = mk [| 0; 1 |] and b = mk [| 1; 2 |] in
-      let once = Relation.semijoin a b in
-      Relation.equal once (Relation.semijoin once b))
+      let a = random_relation rng ~max_rows:5 [| 0; 1 |]
+      and b = random_relation rng ~max_rows:5 [| 1; 2 |] in
+      let once = semijoin a b in
+      Qrelation.equal once (semijoin once b))
 
 (* --- model counting on junction trees --- *)
 
@@ -331,6 +355,25 @@ let test_count_australia () =
   let td = Td.of_ordering_hypergraph h sigma in
   check_int "count via TD" 18 (Solver.count_with_td csp td)
 
+(* CSP solving runs on the query layer's columnar kernel: its semijoin
+   passes show up under the Colexec counters *)
+let test_count_on_shared_kernel () =
+  let csp = Models.australia () in
+  let h = Csp.hypergraph csp in
+  let rng = Random.State.make [| 4 |] in
+  let sigma = Hd_core.Ordering_heuristics.min_fill_hypergraph rng h in
+  let td = Td.of_ordering_hypergraph h sigma in
+  let value name = Obs.Counter.value (Obs.Counter.make name) in
+  Obs.enable ();
+  Obs.reset ();
+  let count = Solver.count_with_td csp td in
+  let semijoins = value "query.selvec_semijoins" in
+  let join_tuples = value "query.radix_join_tuples" in
+  Obs.disable ();
+  check_int "count via TD" 18 count;
+  check "semijoins on the selection-vector kernel" true (semijoins > 0);
+  check "bags joined radix-wise" true (join_tuples > 0)
+
 let test_count_queens () =
   let csp = Models.n_queens 5 in
   let h = Csp.hypergraph csp in
@@ -341,7 +384,7 @@ let test_count_queens () =
 
 (* known closed-form model counts: a path of binary [<>] constraints
    (alpha-acyclic) has d.(d-1)^(n-1) models; the [<>] triangle (cyclic)
-   has d.(d-1).(d-2).  These pin down the hash-aggregated counting in
+   has d.(d-1).(d-2).  These pin down the keyed-sum counting in
    Join_tree.count_solutions and the bag-join counting in
    Solver.count_with_td against closed forms rather than against
    another solver. *)
@@ -353,7 +396,7 @@ let neq_relation i j d =
       if a <> b then tuples := [| a; b |] :: !tuples
     done
   done;
-  Relation.make ~scope:[| i; j |] !tuples
+  Qrelation.make ~scope:[| i; j |] !tuples
 
 let rec pow b e = if e = 0 then 1 else b * pow b (e - 1)
 
@@ -372,13 +415,13 @@ let test_count_chain_known () =
   (* the constraints themselves form a path join tree *)
   let jt =
     {
-      Join_tree.relations = Array.of_list cons;
+      Join_tree.rels = Array.of_list cons;
       parent = Array.init (n - 1) (fun i -> i - 1);
     }
   in
   check "is a join tree" true (Join_tree.is_join_tree jt);
   check_int "count on the join tree" expected (Join_tree.count_solutions jt);
-  (match Join_tree.acyclic_solve jt ~n_vars:n with
+  (match Join_tree.solve jt ~n_vars:n with
   | Some a -> check "acyclic_solve solution consistent" true (Csp.consistent csp a)
   | None -> Alcotest.fail "expected a solution");
   match Solver.solve_if_acyclic csp with
@@ -454,6 +497,8 @@ let () =
       ( "counting",
         [
           Alcotest.test_case "australia" `Quick test_count_australia;
+          Alcotest.test_case "on the shared join kernel" `Quick
+            test_count_on_shared_kernel;
           Alcotest.test_case "5-queens" `Quick test_count_queens;
           Alcotest.test_case "unsat counts zero" `Quick test_count_unsat_zero;
           Alcotest.test_case "chain of <> (closed form)" `Quick

@@ -555,7 +555,7 @@ let test_step_slices_whole_engine_run () =
   check "solve actually got sliced" true (Step.slices step >= 2)
 
 (* ------------------------------------------------------------------ *)
-(* Source invariants: one clock, one domain spawner                   *)
+(* Source invariants: one clock, one domain spawner, one join kernel   *)
 (* ------------------------------------------------------------------ *)
 
 let contains ~sub s =
@@ -605,6 +605,17 @@ let test_one_domain_spawner () =
   Alcotest.(check (list string))
     "Domain.spawn only in lib/parallel/scheduler.ml" []
     (sources_mentioning ~exempt ("Domain." ^ "spawn") [ "../lib"; "../bin" ])
+
+let test_one_join_kernel () =
+  (* CSP relations are Qrelations joined by Colexec; a boxed-key hash
+     join cannot creep back into the CSP layer beside it *)
+  Alcotest.(check (list string))
+    "no Hashtbl under lib/csp" []
+    (sources_mentioning ~exempt:(fun _ -> false) ("Hash" ^ "tbl") [ "../lib/csp" ]);
+  let exempt path = Filename.check_suffix path "lib/query/join_tree.ml" in
+  Alcotest.(check (list string))
+    "bottom_up_order defined only in lib/query/join_tree.ml" []
+    (sources_mentioning ~exempt ("let bottom_up" ^ "_order") [ "../lib" ])
 
 let () =
   Alcotest.run "hd_engine"
@@ -675,5 +686,6 @@ let () =
           Alcotest.test_case "no direct clock reads" `Quick
             test_no_direct_clock_reads;
           Alcotest.test_case "one domain spawner" `Quick test_one_domain_spawner;
+          Alcotest.test_case "one join kernel" `Quick test_one_join_kernel;
         ] );
     ]

@@ -4,6 +4,7 @@ module Intern = Hd_query.Intern
 module Qrelation = Hd_query.Qrelation
 module Y = Hd_query.Yannakakis
 module Bf = Hd_query.Brute_force
+module Cx = Hd_query.Colexec
 module Obs = Hd_obs.Obs
 
 let check = Alcotest.(check bool)
@@ -117,6 +118,74 @@ let test_hypergraph_extraction () =
 
 let qr scope rows = Qrelation.make ~scope rows
 
+(* the reference algebra: nested-loop natural join and semijoin over
+   row lists, independent of the Colexec kernel they check *)
+let pos_of scope v =
+  let rec go j =
+    if j = Array.length scope then None
+    else if scope.(j) = v then Some j
+    else go (j + 1)
+  in
+  go 0
+
+(* rows of scopes [sa] and [sb] agree on every shared attribute *)
+let agree sa ra sb rb =
+  let ok = ref true in
+  Array.iteri
+    (fun i v ->
+      match pos_of sb v with Some j when ra.(i) <> rb.(j) -> ok := false | _ -> ())
+    sa;
+  !ok
+
+(* [b]'s attributes outside [a]'s scope *)
+let private_attrs a b =
+  List.filter
+    (fun v -> pos_of (Qrelation.scope a) v = None)
+    (Array.to_list (Qrelation.scope b))
+
+let nl_join a b =
+  let sa = Qrelation.scope a and sb = Qrelation.scope b in
+  let priv = Array.of_list (private_attrs a b) in
+  let extra rb = Array.map (fun v -> rb.(Option.get (pos_of sb v))) priv in
+  qr (Array.append sa priv)
+    (List.concat_map
+       (fun ra ->
+         List.filter_map
+           (fun rb ->
+             if agree sa ra sb rb then Some (Array.append ra (extra rb))
+             else None)
+           (Qrelation.rows b))
+       (Qrelation.rows a))
+
+let nl_semijoin a b =
+  let sa = Qrelation.scope a and sb = Qrelation.scope b in
+  qr sa
+    (List.filter
+       (fun ra -> List.exists (fun rb -> agree sa ra sb rb) (Qrelation.rows b))
+       (Qrelation.rows a))
+
+(* decode a selection vector into the selected rows *)
+let rows_of_sel r sel = Array.to_list (Array.map (Qrelation.row r) sel)
+
+(* the same operators through the columnar kernel *)
+let cx_join a b =
+  Cx.join_project [ a; b ]
+    ~scope:(Array.append (Qrelation.scope a) (Array.of_list (private_attrs a b)))
+
+let cx_semijoin a b =
+  let shared =
+    Array.of_list
+      (List.filter
+         (fun v -> pos_of (Qrelation.scope b) v <> None)
+         (Array.to_list (Qrelation.scope a)))
+  in
+  qr (Qrelation.scope a)
+    (rows_of_sel a
+       (Cx.semijoin
+          ~probe:(a, Cx.all_rows a, Qrelation.positions a shared)
+          ~build:(b, Cx.all_rows b, Qrelation.positions b shared)
+          ()))
+
 let test_qrelation_basics () =
   let r = qr [| 0; 1 |] [ [| 1; 2 |]; [| 1; 3 |]; [| 1; 2 |] ] in
   check_int "dedup" 2 (Qrelation.cardinality r);
@@ -124,69 +193,59 @@ let test_qrelation_basics () =
   check "not mem" false (Qrelation.mem r [| 3; 1 |]);
   check_int "get" 3 (Qrelation.get r 1 1);
   check_int "position" 1 (Qrelation.position r 1);
-  (* index: both rows share the key on column 0 *)
-  let idx = Qrelation.index_on r [| 0 |] in
-  check_int "bucket" 2 (List.length (Hashtbl.find idx [| 1 |]));
-  check_int "matching" 2 (List.length (Qrelation.matching r ~on:[| 0 |] [| 1 |]))
+  check "row" true (Qrelation.row r 1 = [| 1; 3 |])
 
+(* hand-computed cases pin down both the nested-loop reference and the
+   columnar kernel *)
 let test_qrelation_join_semijoin () =
-  let a = qr [| 0; 1 |] [ [| 1; 2 |]; [| 1; 3 |]; [| 2; 3 |] ] in
-  let b = qr [| 1; 2 |] [ [| 2; 5 |]; [| 3; 6 |] ] in
-  let j = Qrelation.join a b in
-  Alcotest.(check (array int)) "join scope" [| 0; 1; 2 |] (Qrelation.scope j);
-  check_int "join size" 3 (Qrelation.cardinality j);
-  check "join tuple" true (Qrelation.mem j [| 1; 2; 5 |]);
-  (* disjoint scopes: cartesian product *)
-  let c = qr [| 7 |] [ [| 9 |]; [| 8 |] ] in
-  check_int "cartesian" 6 (Qrelation.cardinality (Qrelation.join a c));
-  let s = Qrelation.semijoin a (qr [| 1; 2 |] [ [| 2; 5 |] ]) in
-  check_int "semijoin filters" 1 (Qrelation.cardinality s);
-  check "kept" true (Qrelation.mem s [| 1; 2 |]);
-  (* semijoin against an empty disjoint relation empties *)
-  check "empty disjoint" true
-    (Qrelation.is_empty (Qrelation.semijoin a (qr [| 7 |] [])));
-  check_int "nonempty disjoint keeps all" 3
-    (Qrelation.cardinality (Qrelation.semijoin a c))
+  List.iter
+    (fun (join, semijoin) ->
+      let a = qr [| 0; 1 |] [ [| 1; 2 |]; [| 1; 3 |]; [| 2; 3 |] ] in
+      let b = qr [| 1; 2 |] [ [| 2; 5 |]; [| 3; 6 |] ] in
+      let j = join a b in
+      Alcotest.(check (array int)) "join scope" [| 0; 1; 2 |] (Qrelation.scope j);
+      check_int "join size" 3 (Qrelation.cardinality j);
+      check "join tuple" true (Qrelation.mem j [| 1; 2; 5 |]);
+      (* disjoint scopes: cartesian product *)
+      let c = qr [| 7 |] [ [| 9 |]; [| 8 |] ] in
+      check_int "cartesian" 6 (Qrelation.cardinality (join a c));
+      let s = semijoin a (qr [| 1; 2 |] [ [| 2; 5 |] ]) in
+      check_int "semijoin filters" 1 (Qrelation.cardinality s);
+      check "kept" true (Qrelation.mem s [| 1; 2 |]);
+      (* semijoin against an empty disjoint relation empties *)
+      check "empty disjoint" true (Qrelation.is_empty (semijoin a (qr [| 7 |] [])));
+      check_int "nonempty disjoint keeps all" 3
+        (Qrelation.cardinality (semijoin a c)))
+    [ (nl_join, nl_semijoin); (cx_join, cx_semijoin) ]
 
 let test_qrelation_project_select () =
   let a = qr [| 0; 1 |] [ [| 1; 2 |]; [| 1; 3 |]; [| 2; 3 |] ] in
   check_int "project dedups" 2
-    (Qrelation.cardinality (Qrelation.project a [| 0 |]));
+    (Qrelation.cardinality (Cx.join_project [ a ] ~scope:[| 0 |]));
+  (* selection: a semijoin with a unary relation *)
   check_int "select" 2
-    (Qrelation.cardinality (Qrelation.select_eq a ~attr:0 ~value:1));
+    (Qrelation.cardinality (cx_semijoin a (qr [| 0 |] [ [| 1 |] ])));
   check "equal" true
     (Qrelation.equal a (qr [| 0; 1 |] [ [| 2; 3 |]; [| 1; 3 |]; [| 1; 2 |] ]))
 
-(* the csp Relation and Qrelation implement the same algebra *)
-let prop_qrelation_matches_relation =
-  QCheck.Test.make ~count:200 ~name:"Qrelation join/semijoin = Relation"
+(* the columnar kernel and the nested-loop reference implement the
+   same algebra *)
+let prop_colexec_matches_nested_loop =
+  QCheck.Test.make ~count:200 ~name:"joins = nested loop"
     QCheck.(make QCheck.Gen.(pair int int))
     (fun (s1, s2) ->
       let rng = Random.State.make [| s1; s2 |] in
       let mk scope =
-        List.init
-          (Random.State.int rng 8)
-          (fun _ ->
-            Array.init (Array.length scope) (fun _ -> Random.State.int rng 3))
+        qr scope
+          (List.init
+             (Random.State.int rng 8)
+             (fun _ ->
+               Array.init (Array.length scope) (fun _ -> Random.State.int rng 3)))
       in
-      let sa = [| 0; 1 |] and sb = [| 1; 2 |] in
-      let ra = mk sa and rb = mk sb in
-      let q_join = Qrelation.join (qr sa ra) (qr sb rb) in
-      let r_join =
-        Hd_csp.Relation.join
-          (Hd_csp.Relation.make ~scope:sa ra)
-          (Hd_csp.Relation.make ~scope:sb rb)
-      in
-      let q_semi = Qrelation.semijoin (qr sa ra) (qr sb rb) in
-      let r_semi =
-        Hd_csp.Relation.semijoin
-          (Hd_csp.Relation.make ~scope:sa ra)
-          (Hd_csp.Relation.make ~scope:sb rb)
-      in
-      sorted (Qrelation.rows q_join)
-      = sorted (Hd_csp.Relation.tuples r_join)
-      && sorted (Qrelation.rows q_semi)
-         = sorted (Hd_csp.Relation.tuples r_semi))
+      let a = mk [| 0; 1 |] and b = mk [| 1; 2 |] in
+      sorted (Qrelation.rows (cx_join a b)) = sorted (Qrelation.rows (nl_join a b))
+      && sorted (Qrelation.rows (cx_semijoin a b))
+         = sorted (Qrelation.rows (nl_semijoin a b)))
 
 (* ------------------------------------------------------------------ *)
 (* Db loading                                                          *)
@@ -354,31 +413,19 @@ let test_two_relations () =
 (* Columnar kernel (Colexec)                                           *)
 (* ------------------------------------------------------------------ *)
 
-module Cx = Hd_query.Colexec
-
-(* decode a selection vector into the selected rows, for comparison
-   against the row-engine algebra *)
-let rows_of_sel r sel =
-  Array.to_list
-    (Array.map
-       (fun i ->
-         Array.init (Array.length (Qrelation.scope r)) (Qrelation.get r i))
-       sel)
-
 let test_colexec_semijoin () =
   let a = qr [| 0; 1 |] [ [| 1; 2 |]; [| 1; 3 |]; [| 2; 3 |] ] in
   let b = qr [| 1; 2 |] [ [| 2; 5 |]; [| 3; 6 |] ] in
   (* shared attribute 1 = a's column 1 = b's column 0: the selection
-     must pick exactly the rows the row-engine semijoin keeps *)
+     must pick exactly the rows the nested-loop semijoin keeps *)
   let sel =
     Cx.semijoin
       ~probe:(a, Cx.all_rows a, [| 1 |])
       ~build:(b, Cx.all_rows b, [| 0 |])
       ()
   in
-  check "matches row semijoin" true
-    (sorted (rows_of_sel a sel)
-    = sorted (Qrelation.rows (Qrelation.semijoin a b)));
+  check "matches nested-loop semijoin" true
+    (sorted (rows_of_sel a sel) = sorted (Qrelation.rows (nl_semijoin a b)));
   (* the base relation is untouched: selection vectors only *)
   check_int "base unchanged" 3 (Qrelation.cardinality a);
   (* restricting the build selection restricts the survivors *)
@@ -432,8 +479,8 @@ let test_colexec_join_project () =
   let a = qr [| 0; 1 |] [ [| 1; 2 |]; [| 1; 3 |]; [| 2; 3 |] ] in
   let b = qr [| 1; 2 |] [ [| 2; 5 |]; [| 3; 6 |] ] in
   let j = Cx.join_project [ a; b ] ~scope:[| 0; 1; 2 |] in
-  check "join matches rows engine" true
-    (sorted (Qrelation.rows j) = sorted (Qrelation.rows (Qrelation.join a b)));
+  check "join matches nested loop" true
+    (sorted (Qrelation.rows j) = sorted (Qrelation.rows (nl_join a b)));
   (* projection dedups *)
   let p = Cx.join_project [ a; b ] ~scope:[| 0 |] in
   check "project dedups" true
@@ -522,10 +569,11 @@ let test_colexec_parallel_identical () =
                 (seq_r.Y.stats = par_r.Y.stats))
             [ triangle_q; two_hop_q ]))
 
-(* columnar and row engines agree with brute force -- same answer
-   multiset, same query.answers counter -- on random cyclic and
+(* the columnar engine agrees with brute force -- same answer
+   multiset, Count and Boolean results, and a query.answers counter
+   equal to the number of distinct answers -- on random cyclic and
    acyclic query shapes *)
-let prop_columnar_matches_rows =
+let prop_columnar_matches_brute_force =
   let queries =
     [
       (* cyclic *)
@@ -538,7 +586,7 @@ let prop_columnar_matches_rows =
       Cq.parse_string "ans(X) :- e(a,X).";
     ]
   in
-  QCheck.Test.make ~count:40 ~name:"columnar = rows = brute force"
+  QCheck.Test.make ~count:40 ~name:"columnar = brute force"
     QCheck.(make QCheck.Gen.(pair (2 -- 6) int))
     (fun (n, seed) ->
       let rng = Random.State.make [| n; seed; 7 |] in
@@ -555,21 +603,14 @@ let prop_columnar_matches_rows =
           let expected = sorted (Bf.answers db q) in
           Obs.enable ();
           Obs.reset ();
-          let col = Y.run ~engine:Y.Columnar ~mode:Y.Answers db q in
-          let col_ctr = value "query.answers" in
-          Obs.reset ();
-          let row = Y.run ~engine:Y.Rows ~mode:Y.Answers db q in
-          let row_ctr = value "query.answers" in
+          let r = Y.run ~mode:Y.Answers db q in
+          let answers_ctr = value "query.answers" in
           Obs.disable ();
-          sorted col.Y.answers = expected
-          && sorted row.Y.answers = expected
-          && col.Y.count = List.length expected
-          && row.Y.count = col.Y.count
-          && col_ctr = row_ctr
-          && (Y.run ~engine:Y.Columnar ~mode:Y.Count db q).Y.count
-             = (Y.run ~engine:Y.Rows ~mode:Y.Count db q).Y.count
-          && (Y.run ~engine:Y.Columnar ~mode:Y.Boolean db q).Y.nonempty
-             = (expected <> []))
+          sorted r.Y.answers = expected
+          && r.Y.count = List.length expected
+          && answers_ctr = List.length expected
+          && (Y.run ~mode:Y.Count db q).Y.count = Bf.count db q
+          && (Y.run ~mode:Y.Boolean db q).Y.nonempty = Bf.boolean db q)
         queries)
 
 (* ------------------------------------------------------------------ *)
@@ -633,31 +674,27 @@ let test_atom_cache () =
 let test_enumeration_no_dead_work () =
   (* only 3 answers (the rotations of the one triangle), but a long
      pendant chain inflates the raw e relation and hence the
-     unreduced bags -- both engines must enumerate backtrack-free *)
+     unreduced bags -- the enumeration must still be backtrack-free *)
   let db = db_of_edges (triangle_plus_chain 40) in
-  List.iter
-    (fun engine ->
-      Obs.enable ();
-      Obs.reset ();
-      let r = Y.run ~engine ~mode:Y.Answers db triangle_q in
-      let value name = Obs.Counter.value (Obs.Counter.make name) in
-      let dead = value "query.enum_dead_ends" in
-      let rows = value "query.enum_rows" in
-      Obs.disable ();
-      check_int "three triangles" 3 r.Y.count;
-      check "semijoins ran" true (r.Y.stats.Y.semijoins > 0);
-      check "reduction shrank the bags" true
-        (r.Y.stats.Y.tuples_after_reduction < r.Y.stats.Y.tuples_materialized);
-      (* full reduction makes enumeration backtrack-free: no probe
-         misses *)
-      check_int "no dead ends" 0 dead;
-      (* and the tuple-producing work is bounded by answers x bags,
-         never by the (much larger) non-answer intermediate tuples *)
-      check "enum work bounded by answers" true
-        (rows <= r.Y.count * r.Y.stats.Y.bags);
-      check "enum work independent of chain length" true
-        (rows < r.Y.stats.Y.tuples_materialized))
-    [ Y.Columnar; Y.Rows ]
+  Obs.enable ();
+  Obs.reset ();
+  let r = Y.run ~mode:Y.Answers db triangle_q in
+  let value name = Obs.Counter.value (Obs.Counter.make name) in
+  let dead = value "query.enum_dead_ends" in
+  let rows = value "query.enum_rows" in
+  Obs.disable ();
+  check_int "three triangles" 3 r.Y.count;
+  check "semijoins ran" true (r.Y.stats.Y.semijoins > 0);
+  check "reduction shrank the bags" true
+    (r.Y.stats.Y.tuples_after_reduction < r.Y.stats.Y.tuples_materialized);
+  (* full reduction makes enumeration backtrack-free: no probe misses *)
+  check_int "no dead ends" 0 dead;
+  (* and the tuple-producing work is bounded by answers x bags, never
+     by the (much larger) non-answer intermediate tuples *)
+  check "enum work bounded by answers" true
+    (rows <= r.Y.count * r.Y.stats.Y.bags);
+  check "enum work independent of chain length" true
+    (rows < r.Y.stats.Y.tuples_materialized)
 
 let () =
   Alcotest.run "query"
@@ -677,9 +714,7 @@ let () =
             test_qrelation_join_semijoin;
           Alcotest.test_case "project and select" `Quick
             test_qrelation_project_select;
-        ]
-        @ List.map QCheck_alcotest.to_alcotest
-            [ prop_qrelation_matches_relation ] );
+        ] );
       ( "db",
         [
           Alcotest.test_case "load csv/tsv" `Quick test_db_load;
@@ -698,7 +733,8 @@ let () =
           Alcotest.test_case "parallel passes byte-identical" `Quick
             test_colexec_parallel_identical;
         ]
-        @ List.map QCheck_alcotest.to_alcotest [ prop_columnar_matches_rows ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_colexec_matches_nested_loop; prop_columnar_matches_brute_force ]
       );
       ( "yannakakis",
         [
