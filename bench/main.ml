@@ -1366,11 +1366,45 @@ let corpus scale =
             failures;
           exit_code := 3)
 
+(* the fhw column of the widths experiment at the CI scale (-states
+   3000), and the LP pivots it took on the single-phase dual simplex;
+   the two-phase primal simplex it replaced took 13,963 pivots for the
+   same 901 solves.  The widths are fixed; pivots may drop, never rise *)
+let widths_gate_states = 3000
+let widths_baseline_pivots = 7_996
+
+let widths_baseline_fhw =
+  [
+    ("csp-synth/grid2d_02", "1*"); ("cq-mini/path_02", "1*");
+    ("csp-synth/clique_03", "3/2*"); ("cq-mini/cycle_03", "3/2*");
+    ("cq-mini/triangle", "3/2*"); ("cq-mini/path_03", "1*");
+    ("cq-mini/star_03", "1*"); ("csp-synth/grid3d_02", "4/3*");
+    ("cq-mini/cycle_04", "2*"); ("cq-mini/path_04", "1*");
+    ("cq-mini/snowflake_02", "1*"); ("cq-mini/square_chord", "3/2*");
+    ("cq-mini/wide_3x4", "3/2*"); ("csp-synth/clique_04", "2*");
+    ("cq-mini/cycle_05", "2*"); ("cq-mini/star_05", "1*");
+    ("cq-mini/cycle_06", "2*"); ("cq-mini/path_06", "1*");
+    ("cq-mini/snowflake_03", "1*"); ("cq-mini/grid_2x3", "2*");
+    ("cq-mini/tree_d3", "1*"); ("csp-synth/adder_01", "5/3*");
+    ("csp-synth/clique_05", "5/2*"); ("csp-synth/grid2d_04", "9/4*");
+    ("cq-mini/cycle_08", "2*"); ("cq-mini/wide_4x5", "2*");
+    ("cq-mini/path_08", "1*"); ("cq-mini/star_08", "1*");
+    ("csp-synth/clique_06", "3*"); ("cq-mini/path_10", "1*");
+    ("cq-mini/grid_3x3", "2*"); ("csp-synth/bridge_01", "19/7*");
+    ("cq-mini/wide_5x6", "2*"); ("csp-synth/adder_02", "5/3*");
+    ("csp-synth/clique_07", "7/2*"); ("csp-synth/clique_08", "4*");
+    ("csp-synth/grid2d_06", "[7/3,7/2]"); ("csp-synth/adder_03", "5/3*");
+    ("csp-synth/bridge_02", "19/7*"); ("csp-synth/circuit_00", "3*");
+    ("csp-synth/adder_04", "5/3*");
+  ]
+
 (* the full width ladder -- tw / ghw / fhw (exact rational) / hw --
-   side by side on the smallest corpus instances, recorded as
-   BENCH_report.json's "widths" section (schema hd_lp/widths/1).
+   side by side on the corpus instances with |V| + |E| <= 50, recorded
+   as BENCH_report.json's "widths" section (schema hd_lp/widths/2).
    CI smokes this under a -states budget so the numbers are
-   machine-independent *)
+   machine-independent, and at -states 3000 the run fails (exit 1)
+   unless the fhw column equals the recorded one and the LP took at
+   most the recorded pivots *)
 let widths scale =
   header "Widths -- tw / ghw / fhw / hw ladder on the smallest corpus instances";
   Hd_search.Solvers.ensure ();
@@ -1379,8 +1413,10 @@ let widths scale =
   let smallest =
     let weight h = Hypergraph.n_vertices h + Hypergraph.n_edges h in
     List.sort (fun (_, a) (_, b) -> compare (weight a) (weight b)) loaded
-    |> List.filteri (fun i _ -> i < 3)
+    |> List.filter (fun (_, h) -> weight h <= 50)
   in
+  let counter name = Obs.Counter.value (Obs.Counter.make name) in
+  let solves_before = counter "lp.solves" and pivots_before = counter "lp.pivots" in
   Printf.printf "%-20s %4s %4s | %8s %8s %10s %8s | %8s\n" "instance" "V" "H"
     "tw" "ghw" "fhw" "hw" "time";
   let rows =
@@ -1417,26 +1453,67 @@ let widths scale =
           (outcome_string tw.Hd_engine.Solver.outcome)
           (outcome_string ghw.Hd_engine.Solver.outcome)
           fhw_str hw_str secs;
-        Obs.Json.Obj
-          [
-            ("instance", Obs.Json.String name);
-            ("vertices", Obs.Json.Int (Hypergraph.n_vertices h));
-            ("edges", Obs.Json.Int (Hypergraph.n_edges h));
-            ("tw", Obs.Json.String (outcome_string tw.Hd_engine.Solver.outcome));
-            ( "ghw",
-              Obs.Json.String (outcome_string ghw.Hd_engine.Solver.outcome) );
-            ("fhw", Obs.Json.String fhw_str);
-            ("fhw_exact", Obs.Json.Bool fhw_exact);
-            ("hw", Obs.Json.String hw_str);
-            ("seconds", Obs.Json.Float secs);
-          ])
+        ( (name, fhw_str),
+          Obs.Json.Obj
+            [
+              ("instance", Obs.Json.String name);
+              ("vertices", Obs.Json.Int (Hypergraph.n_vertices h));
+              ("edges", Obs.Json.Int (Hypergraph.n_edges h));
+              ("tw", Obs.Json.String (outcome_string tw.Hd_engine.Solver.outcome));
+              ( "ghw",
+                Obs.Json.String (outcome_string ghw.Hd_engine.Solver.outcome) );
+              ("fhw", Obs.Json.String fhw_str);
+              ("fhw_exact", Obs.Json.Bool fhw_exact);
+              ("hw", Obs.Json.String hw_str);
+              ("seconds", Obs.Json.Float secs);
+            ] ))
       smallest
+  in
+  let solves = counter "lp.solves" - solves_before
+  and pivots = counter "lp.pivots" - pivots_before in
+  let fhw_column = List.map fst rows and rows = List.map snd rows in
+  Printf.printf "\nlp: %d solves, %d pivots" solves pivots;
+  let gate =
+    if scale.states <> Some widths_gate_states then begin
+      Printf.printf " (gated at -states %d only)\n" widths_gate_states;
+      "report-only"
+    end
+    else begin
+      Printf.printf " (recorded: at most %d pivots)\n" widths_baseline_pivots;
+      let fhw_ok =
+        List.sort compare fhw_column = List.sort compare widths_baseline_fhw
+      in
+      if not fhw_ok then begin
+        Printf.printf "FAIL: the fhw column differs from the recorded one at\n";
+        List.iter
+          (fun (i, f) ->
+            if not (List.mem (i, f) widths_baseline_fhw) then
+              Printf.printf "  %s: %s\n" i f)
+          fhw_column
+      end;
+      if pivots > widths_baseline_pivots then
+        Printf.printf "FAIL: %d LP pivots, recorded at most %d\n" pivots
+          widths_baseline_pivots;
+      if fhw_ok && pivots <= widths_baseline_pivots then "pass"
+      else begin
+        exit_code := 1;
+        "fail"
+      end
+    end
   in
   set_widths_section
     (Obs.Json.Obj
        [
-         ("schema", Obs.Json.String "hd_lp/widths/1");
+         ("schema", Obs.Json.String "hd_lp/widths/2");
          ("instances", Obs.Json.List rows);
+         ( "lp",
+           Obs.Json.Obj
+             [
+               ("lp.solves", Obs.Json.Int solves);
+               ("lp.pivots", Obs.Json.Int pivots);
+               ("recorded_pivots", Obs.Json.Int widths_baseline_pivots);
+             ] );
+         ("gate", Obs.Json.String gate);
        ])
 
 (* ------------------------------------------------------------------ *)

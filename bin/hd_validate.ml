@@ -6,8 +6,8 @@
    .ghd witnesses get the full hypertree treatment: the three GHD
    conditions plus the descendant/special condition.  --fhw
    additionally prices every bag with an exact rational fractional
-   cover (the fhw of the decomposition), verified in exact
-   arithmetic. *)
+   cover (the fhw of the decomposition), each price certified by weak
+   duality in exact arithmetic. *)
 
 module Graph = Hd_graph.Graph
 module Bitset = Hd_graph.Bitset
@@ -17,7 +17,8 @@ module Ghd = Hd_core.Ghd
 module Rat = Hd_lp.Rat
 
 (* exact fractional width of a decomposition: max over bags of rho*,
-   each weighting audited by Fractional.verify before being trusted *)
+   each value trusted only with its weak-duality certificate -- a
+   feasible cover and a feasible vertex packing that both weigh rho* *)
 let fractional_width h td =
   let width = ref Rat.zero in
   let ok = ref true in
@@ -25,12 +26,18 @@ let fractional_width h td =
     (fun bag ->
       if not (Bitset.is_empty bag) then begin
         let problem = { Hd_setcover.Set_cover.universe = bag; hypergraph = h } in
-        let rho, weights = Hd_setcover.Fractional.cover problem in
-        if not (Hd_setcover.Fractional.verify problem weights) then ok := false;
-        if Rat.compare rho !width > 0 then width := rho
+        let s = Hd_setcover.Fractional.cover problem in
+        if not (Hd_setcover.Fractional.certify problem s) then ok := false;
+        if Rat.compare s.value !width > 0 then width := s.value
       end)
     td.Td.bags;
   (!width, !ok)
+
+let audit_fractional_width h td =
+  let q, certified = fractional_width h td in
+  Format.printf "fractional width of witness: %s (bags certified by duality: %b)@."
+    (Rat.to_string q) certified;
+  if not certified then exit 1
 
 let run instance graph_file hypergraph_file td_file fhw stats =
   if stats <> None then Hd_obs.Obs.enable ();
@@ -75,12 +82,7 @@ let run instance graph_file hypergraph_file td_file fhw stats =
         "bags: %d@.width: %d (hypertree width of witness)@.valid ghd: %b@.special \
          condition: %b@.valid hypertree decomposition: %b@."
         (Td.n_nodes td) (Ghd.width ghd) ghd_ok special_ok (ghd_ok && special_ok);
-      if fhw then begin
-        let q, cover_ok = fractional_width h td in
-        Format.printf "fractional width of witness: %s (covers verified: %b)@."
-          (Rat.to_string q) cover_ok;
-        if not cover_ok then exit 1
-      end;
+      if fhw then audit_fractional_width h td;
       ghd_ok && special_ok
     end
     else begin
@@ -96,12 +98,7 @@ let run instance graph_file hypergraph_file td_file fhw stats =
       in
       Format.printf "bags: %d@.width: %d@.valid tree decomposition: %b@."
         (Td.n_nodes td) (Td.width td) valid;
-      if fhw then begin
-        let q, cover_ok = fractional_width h td in
-        Format.printf "fractional width of witness: %s (covers verified: %b)@."
-          (Rat.to_string q) cover_ok;
-        if not cover_ok then exit 1
-      end;
+      if fhw then audit_fractional_width h td;
       valid
     end
   in
@@ -141,9 +138,9 @@ let fhw_flag =
     & info [ "fhw" ]
         ~doc:
           "Also price every bag with an exact rational fractional edge cover \
-           and report the fractional width of the witness (covers are \
-           re-verified in exact arithmetic; exits non-zero if any cover \
-           fails its audit).")
+           and report the fractional width of the witness (each bag's value is \
+           certified in exact arithmetic by a cover and a vertex packing of \
+           equal weight; exits non-zero if any bag fails its audit).")
 
 let stats =
   Arg.(

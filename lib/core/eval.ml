@@ -217,14 +217,14 @@ let ghw_width_exact ?cache t sigma =
                Set_cover.exact_size { universe; hypergraph = h }))
 
 (* as [memoized], but for the Rat-valued LP memo with its own counters *)
-let memoized_frac table cover universe =
+let rho_memoized table hypergraph universe =
   match Bag_tbl.find_opt table universe with
   | Some w ->
       Obs.Counter.incr c_lp_memo_hits;
       w
   | None ->
       Obs.Counter.incr c_lp_memo_misses;
-      let w = cover universe in
+      let w = Hd_setcover.Fractional.cover_value { Set_cover.universe; hypergraph } in
       Bag_tbl.add table (Bitset.copy universe) w;
       w
 
@@ -243,12 +243,7 @@ let fhw_width_q t sigma =
     Bitset.clear t.bag;
     Bitset.add t.bag v;
     List.iter (Bitset.add t.bag) !members;
-    let rho =
-      memoized_frac t.frac_memo
-        (fun universe ->
-          Hd_setcover.Fractional.cover_value { Set_cover.universe; hypergraph = h })
-        t.bag
-    in
+    let rho = rho_memoized t.frac_memo h t.bag in
     if Rat.compare rho !width > 0 then width := rho;
     propagate t !members;
     decr i

@@ -11,6 +11,11 @@
 
 type t
 
+(** Tables keyed by bag content: {!Hd_graph.Bitset.fnv_hash} of the
+    members, {!Hd_graph.Bitset.equal} on collision.  The one bag-keyed
+    table of the system, shared by every cover memo. *)
+module Bag_tbl : Hashtbl.S with type key = Hd_graph.Bitset.t
+
 (** [of_graph g] is a reusable workspace for evaluating orderings of
     [g]. *)
 val of_graph : Hd_graph.Graph.t -> t
@@ -63,6 +68,13 @@ val reset_memo : t -> unit
     covers (counters [lp.memo_hits]/[lp.memo_misses]); integral and
     fractional costs never share entries. *)
 val fhw_width_q : t -> Ordering.t -> Hd_lp.Rat.t
+
+(** [rho_memoized table h bag] is rho* of [bag] over [h]'s hyperedges,
+    looked up in (or, copying [bag], added to) [table] — the memo behind
+    {!fhw_width_q}, exposed for searches that price bags themselves.
+    Counts [lp.memo_hits]/[lp.memo_misses]. *)
+val rho_memoized :
+  Hd_lp.Rat.t Bag_tbl.t -> Hd_hypergraph.Hypergraph.t -> Hd_graph.Bitset.t -> Hd_lp.Rat.t
 
 (** [fhw_width t sigma] is [Rat.to_float (fhw_width_q t sigma)] — for
     display and legacy call sites only. *)

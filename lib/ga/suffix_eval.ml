@@ -11,12 +11,7 @@ let c_full_reevals = Obs.Counter.make "ga.full_reevals"
 let c_memo_hits = Obs.Counter.make "setcover.memo_hits"
 let c_memo_misses = Obs.Counter.make "setcover.memo_misses"
 
-module Bag_tbl = Hashtbl.Make (struct
-  type t = Bitset.t
-
-  let equal = Bitset.equal
-  let hash = Bitset.fnv_hash
-end)
+module Bag_tbl = Hd_core.Eval.Bag_tbl
 
 type objective =
   | Tw

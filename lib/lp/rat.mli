@@ -4,8 +4,17 @@
     every fractional cover weight is a [Rat.t], so optimality decisions
     are made by exact integer cross-multiplication, never by float
     comparison against an epsilon.  Values are kept normalised
-    (positive denominator, coprime parts), which also keeps the
-    underlying {!Bigint}s small through long pivot sequences. *)
+    (positive denominator, coprime parts), which also keeps the parts
+    small through long pivot sequences.
+
+    A value has one of two representations, chosen by the value
+    alone: native-int parts when both are below [2^30] in magnitude
+    (every cross product then fits a native int, so arithmetic on two
+    such values takes a native gcd path with no overflow check), and
+    a {!Bigint} pair otherwise.  Results return to the native form
+    whenever they fit, so the representation is canonical and
+    invisible: {!equal}, {!hash}, {!to_string}, {!num} and {!den}
+    depend only on the value. *)
 
 type t
 

@@ -1,12 +1,17 @@
-(* Exact two-phase primal simplex over dense Rat tableaus.
+(* Exact single-phase dual simplex over dense Rat tableaus.
 
-   Minimises c.x subject to A x >= b, x >= 0 — the shape of the
-   fractional-edge-cover LP (one >= 1 row per vertex of a bag, one
-   column per candidate hyperedge).  Both the entering and the leaving
-   choice follow Bland's smallest-index rule, so the method terminates
-   on every input without any perturbation; all zero tests are exact,
-   so the reported optimum is the true rational optimum, not a
-   float-epsilon approximation. *)
+   Minimises c.x subject to A x >= b, x >= 0 with c >= 0 and b >= 0 —
+   the shape of the fractional-edge-cover LP (one >= 1 row per vertex
+   of a bag, one column per candidate hyperedge).  Instead of the
+   primal, it solves the dual packing LP  max b.y  s.t.  A^T y <= c,
+   y >= 0,  whose all-slack basis is feasible because c >= 0: no phase
+   1, no artificial columns.  At the optimum the primal x is read off
+   the reduced costs of the slack columns, and both optima agree by
+   strong duality.  Both the entering and the leaving choice follow
+   Bland's smallest-index rule, so the method terminates on every
+   input without any perturbation; all zero tests are exact, so the
+   reported optimum is the true rational optimum, not a float-epsilon
+   approximation. *)
 
 module Obs = Hd_obs.Obs
 
@@ -14,67 +19,60 @@ let c_solves = Obs.Counter.make "lp.solves"
 let c_pivots = Obs.Counter.make "lp.pivots"
 
 type outcome =
-  | Optimal of { value : Rat.t; solution : Rat.t array }
+  | Optimal of { value : Rat.t; solution : Rat.t array; dual : Rat.t array }
   | Infeasible
-  | Unbounded
 
-(* Tableau layout: [m] constraint rows and one objective row (last);
-   columns are the structural variables, surplus variables, artificial
-   variables, and the right-hand side (last).  [basis.(row)] is the
-   variable currently basic in that row. *)
-type tableau = {
-  rows : Rat.t array array;
-  basis : int array;
-  m : int;
-  cols : int; (* total variable columns, excluding the rhs *)
-}
-
-let pivot t ~row ~col =
+(* Tableau layout: [n] rows, one per primal variable (dual constraint
+   A^T_j y + s_j = c_j), and the objective row (last), holding the
+   reduced costs of  max b.y  and, in the rhs, the current objective
+   value.  Columns are the [m] dual variables y, the [n] slacks s, and
+   the right-hand side (last).  [basis.(row)] is the variable currently
+   basic in that row. *)
+let pivot rows basis ~row ~col =
   Obs.Counter.incr c_pivots;
-  let width = t.cols + 1 in
-  let scale = t.rows.(row).(col) in
-  for j = 0 to width - 1 do
-    t.rows.(row).(j) <- Rat.div t.rows.(row).(j) scale
-  done;
-  for i = 0 to t.m do
-    if i <> row then begin
-      let factor = t.rows.(i).(col) in
-      if Rat.sign factor <> 0 then
-        for j = 0 to width - 1 do
-          t.rows.(i).(j) <-
-            Rat.sub t.rows.(i).(j) (Rat.mul factor t.rows.(row).(j))
-        done
+  let prow = rows.(row) in
+  let scale = prow.(col) in
+  (* only the pivot row's nonzero columns change any other row *)
+  let nonzero = ref [] in
+  for j = Array.length prow - 1 downto 0 do
+    if Rat.sign prow.(j) <> 0 then begin
+      prow.(j) <- Rat.div prow.(j) scale;
+      nonzero := j :: !nonzero
     end
   done;
-  t.basis.(row) <- col
+  Array.iteri
+    (fun i r ->
+      let factor = r.(col) in
+      if i <> row && Rat.sign factor <> 0 then
+        List.iter (fun j -> r.(j) <- Rat.sub r.(j) (Rat.mul factor prow.(j))) !nonzero)
+    rows;
+  basis.(row) <- col
 
 (* Bland's rule: entering variable = smallest index with negative
    reduced cost; leaving row = exact minimum ratio, ties broken by the
-   smallest basic-variable index.  Guarantees termination. *)
-let rec iterate t ~allowed =
-  let objective = t.rows.(t.m) in
+   smallest basic-variable index.  Guarantees termination.  No leaving
+   row means the dual is unbounded along the entering column. *)
+let rec iterate rows basis ~n ~rhs =
+  let objective = rows.(n) in
   let entering = ref (-1) in
-  (try
-     for j = 0 to t.cols - 1 do
-       if allowed j && Rat.sign objective.(j) < 0 then begin
-         entering := j;
-         raise Exit
-       end
-     done
-   with Exit -> ());
+  let j = ref 0 in
+  while !entering < 0 && !j < rhs do
+    if Rat.sign objective.(!j) < 0 then entering := !j;
+    incr j
+  done;
   if !entering < 0 then `Optimal
   else begin
     let col = !entering in
     let best_row = ref (-1) and best_ratio = ref Rat.zero in
-    for i = 0 to t.m - 1 do
-      let coeff = t.rows.(i).(col) in
+    for i = 0 to n - 1 do
+      let coeff = rows.(i).(col) in
       if Rat.sign coeff > 0 then begin
-        let ratio = Rat.div t.rows.(i).(t.cols) coeff in
+        let ratio = Rat.div rows.(i).(rhs) coeff in
         let better =
           !best_row < 0
           ||
           let c = Rat.compare ratio !best_ratio in
-          c < 0 || (c = 0 && t.basis.(i) < t.basis.(!best_row))
+          c < 0 || (c = 0 && basis.(i) < basis.(!best_row))
         in
         if better then begin
           best_ratio := ratio;
@@ -84,8 +82,8 @@ let rec iterate t ~allowed =
     done;
     if !best_row < 0 then `Unbounded
     else begin
-      pivot t ~row:!best_row ~col;
-      iterate t ~allowed
+      pivot rows basis ~row:!best_row ~col;
+      iterate rows basis ~n ~rhs
     end
   end
 
@@ -104,78 +102,32 @@ let minimize ~objective ~constraints ~bounds =
     (fun b ->
       if Rat.sign b < 0 then invalid_arg "Simplex.minimize: negative bound")
     bounds;
-  (* columns: n structural, m surplus, m artificial *)
-  let cols = n + m + m in
-  let rows = Array.make_matrix (m + 1) (cols + 1) Rat.zero in
-  let basis = Array.make m 0 in
+  Array.iter
+    (fun c ->
+      if Rat.sign c < 0 then invalid_arg "Simplex.minimize: negative objective")
+    objective;
+  (* columns: m dual variables, n slacks, then the rhs *)
+  let rhs = m + n in
+  let rows = Array.make_matrix (n + 1) (rhs + 1) Rat.zero in
+  let basis = Array.init n (fun j -> m + j) in
+  for j = 0 to n - 1 do
+    for i = 0 to m - 1 do
+      rows.(j).(i) <- constraints.(i).(j)
+    done;
+    rows.(j).(m + j) <- Rat.one;
+    rows.(j).(rhs) <- objective.(j)
+  done;
   for i = 0 to m - 1 do
-    for j = 0 to n - 1 do
-      rows.(i).(j) <- constraints.(i).(j)
-    done;
-    rows.(i).(n + i) <- Rat.of_int (-1);
-    (* surplus *)
-    rows.(i).(n + m + i) <- Rat.one;
-    (* artificial *)
-    rows.(i).(cols) <- bounds.(i);
-    basis.(i) <- n + m + i
+    rows.(n).(i) <- Rat.neg bounds.(i)
   done;
-  let t = { rows; basis; m; cols } in
-  (* phase 1: minimise the sum of artificials.  The objective row must
-     be expressed over the current (artificial) basis: subtract each
-     constraint row. *)
-  for j = 0 to cols do
-    let s = ref Rat.zero in
-    for i = 0 to m - 1 do
-      s := Rat.add !s rows.(i).(j)
-    done;
-    rows.(m).(j) <-
-      (if j >= n + m && j < cols then Rat.sub Rat.one !s else Rat.neg !s)
-  done;
-  (match iterate t ~allowed:(fun _ -> true) with
-  | `Unbounded -> assert false (* phase 1 is bounded below by 0 *)
-  | `Optimal -> ());
-  let phase1_value = Rat.neg rows.(m).(cols) in
-  if Rat.sign phase1_value > 0 then Infeasible
-  else begin
-    (* drive any residual artificial variables out of the basis *)
-    for i = 0 to m - 1 do
-      if t.basis.(i) >= n + m then begin
-        let found = ref false in
-        for j = 0 to n + m - 1 do
-          if (not !found) && Rat.sign rows.(i).(j) <> 0 then begin
-            pivot t ~row:i ~col:j;
-            found := true
-          end
-        done
-        (* a row with no pivotable column is all-zero: redundant *)
-      end
-    done;
-    (* phase 2 objective over the current basis *)
-    for j = 0 to cols do
-      rows.(m).(j) <- (if j < n then objective.(j) else Rat.zero)
-    done;
-    rows.(m).(cols) <- Rat.zero;
-    for i = 0 to m - 1 do
-      let b = t.basis.(i) in
-      if b < n then begin
-        let factor = rows.(m).(b) in
-        if Rat.sign factor <> 0 then
-          for j = 0 to cols do
-            rows.(m).(j) <- Rat.sub rows.(m).(j) (Rat.mul factor rows.(i).(j))
-          done
-      end
-    done;
-    let artificial_banned j = j < n + m in
-    match iterate t ~allowed:artificial_banned with
-    | `Unbounded -> Unbounded
-    | `Optimal ->
-        let solution = Array.make n Rat.zero in
-        for i = 0 to m - 1 do
-          if t.basis.(i) < n then solution.(t.basis.(i)) <- rows.(i).(cols)
-        done;
-        let value = ref Rat.zero in
-        for j = 0 to n - 1 do
-          value := Rat.add !value (Rat.mul objective.(j) solution.(j))
-        done;
-        Optimal { value = !value; solution }
-  end
+  match iterate rows basis ~n ~rhs with
+  | `Unbounded -> Infeasible
+  | `Optimal ->
+      let dual = Array.make m Rat.zero in
+      Array.iteri (fun j b -> if b < m then dual.(b) <- rows.(j).(rhs)) basis;
+      Optimal
+        {
+          value = rows.(n).(rhs);
+          solution = Array.sub rows.(n) m n;
+          dual;
+        }

@@ -18,10 +18,9 @@
 module Bitset = Hd_graph.Bitset
 module Elim_graph = Hd_graph.Elim_graph
 module Hypergraph = Hd_hypergraph.Hypergraph
-module Set_cover = Hd_setcover.Set_cover
-module Fractional = Hd_setcover.Fractional
 module Lower_bounds = Hd_bounds.Lower_bounds
 module Incumbent = Hd_core.Incumbent
+module Eval = Hd_core.Eval
 module Rat = Hd_lp.Rat
 module Obs = Hd_obs.Obs
 open Search_types
@@ -38,33 +37,24 @@ type result_q = {
 
 exception Out_of_budget
 
-(* rho* of elimination bags, cached by bag content like
-   Ghw_common.Cover but Rat-valued — fractional and integral cover
-   costs never share a table *)
+(* rho* of elimination bags, cached by bag content in Eval's LP memo
+   (counted as lp.memo_hits/lp.memo_misses) — fractional and integral
+   cover costs never share a table *)
 module Frac_cover = struct
   type t = {
     hypergraph : Hypergraph.t;
-    cache : (Bitset.t, Rat.t) Hashtbl.t;
+    cache : Rat.t Eval.Bag_tbl.t;
     scratch : Bitset.t;
   }
 
   let make h =
     {
       hypergraph = h;
-      cache = Hashtbl.create 4096;
+      cache = Eval.Bag_tbl.create 4096;
       scratch = Bitset.create (max 1 (Hypergraph.n_vertices h));
     }
 
-  let rho_of t universe =
-    match Hashtbl.find_opt t.cache universe with
-    | Some w -> w
-    | None ->
-        let w =
-          Fractional.cover_value
-            { Set_cover.universe; hypergraph = t.hypergraph }
-        in
-        Hashtbl.add t.cache (Bitset.copy universe) w;
-        w
+  let rho_of t universe = Eval.rho_memoized t.cache t.hypergraph universe
 
   (* rho* of the elimination bag {v} u N(v) *)
   let bag_width t eg v =
@@ -115,9 +105,9 @@ let solve ?(budget = no_budget) ?within ?seed h =
     let rng = Random.State.make [| Option.value seed ~default:0xfa3 |] in
     let primal = Hypergraph.primal h in
     let k = max 1 (Hypergraph.max_edge_size h) in
-    let eval = Hd_core.Eval.of_hypergraph h in
+    let eval = Eval.of_hypergraph h in
     let ub_sigma = Hd_core.Ordering_heuristics.min_fill_hypergraph rng h in
-    let best_q = ref (Hd_core.Eval.fhw_width_q eval ub_sigma) in
+    let best_q = ref (Eval.fhw_width_q eval ub_sigma) in
     let best_sigma = ref ub_sigma in
     let lb0 =
       Rat.max

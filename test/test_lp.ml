@@ -98,6 +98,70 @@ let prop_rat_field =
       && (Rat.sign b = 0 || Rat.equal (Rat.mul (Rat.div a b) b) a)
       && Rat.compare a b = compare (an * bd) (bn * ad))
 
+(* operands straddling both representations: native parts hold
+   magnitudes below 2^30, so values near 2^29, 2^30, 2^31 and 2^61
+   exercise the native path, the Bigint path and the switch between
+   them *)
+let boundary_int =
+  QCheck.Gen.(
+    let* base = oneofl [ 0; 1; 1 lsl 29; 1 lsl 30; 1 lsl 31; 1 lsl 61 ] in
+    let* offset = int_range (-3) 3 in
+    let* negative = bool in
+    let v = base + offset in
+    return (if negative then -v else v))
+
+let boundary_rat =
+  QCheck.make
+    ~print:(fun (n, d) -> Printf.sprintf "%d/%d" n d)
+    QCheck.Gen.(
+      pair boundary_int (map (fun d -> if d = 0 then 1 else abs d) boundary_int))
+
+(* every operation against its defining Bigint identity, computed from
+   num/den; plus the canonical form: normalised parts, one printed form
+   and one hash per value, and of_string inverting to_string *)
+let prop_rat_matches_bigint =
+  QCheck.Test.make ~count:1000 ~name:"rat ops match bigint identities"
+    (QCheck.pair boundary_rat boundary_rat)
+    (fun ((an, ad), (bn, bd)) ->
+      let open Bigint in
+      let a = Rat.make an ad and b = Rat.make bn bd in
+      let na = Rat.num a and da = Rat.den a and nb = Rat.num b and db = Rat.den b in
+      let normal r =
+        sign (Rat.den r) > 0
+        && equal (gcd (Rat.num r) (Rat.den r)) one
+        && Rat.equal r (Rat.make_big (Rat.num r) (Rat.den r))
+      in
+      (* r = n/d, checked by cross-multiplication *)
+      let is r n d = normal r && equal (mul (Rat.num r) d) (mul n (Rat.den r)) in
+      let canonical x y =
+        (* equal values, built along different paths *)
+        Rat.equal x y
+        && Rat.hash x = Rat.hash y
+        && Rat.to_string x = Rat.to_string y
+        && Rat.equal (Rat.of_string (Rat.to_string x)) x
+      in
+      let three = of_int 3 in
+      normal a && normal b
+      && Rat.equal a (Rat.make_big (of_int an) (of_int ad))
+      && canonical a (Rat.make_big (mul na three) (mul da three))
+      && canonical (Rat.add a b) (Rat.add b a)
+      && is (Rat.add a b) (add (mul na db) (mul nb da)) (mul da db)
+      && is (Rat.sub a b) (sub (mul na db) (mul nb da)) (mul da db)
+      && is (Rat.mul a b) (mul na nb) (mul da db)
+      && is (Rat.neg a) (neg na) da
+      && Rat.compare a b = compare (mul na db) (mul nb da)
+      && (Rat.compare a b = 0) = Rat.equal a b
+      && Rat.sign a = sign na
+      && Rat.is_integer a = equal da one
+      && (Rat.sign b = 0
+         || is (Rat.div a b) (mul na db) (mul da nb) && is (Rat.inv b) db nb)
+      &&
+      let fl = of_int (Rat.floor a) and cl = of_int (Rat.ceil a) in
+      compare (mul fl da) na <= 0
+      && compare na (mul (add fl one) da) < 0
+      && compare (mul cl da) na >= 0
+      && compare na (mul (sub cl one) da) > 0)
+
 (* --- Simplex: exact vs brute force --- *)
 
 (* Brute-force LP solver by vertex enumeration: for [min c.x, Ax >= b,
@@ -211,19 +275,32 @@ let prop_simplex_vs_brute_force =
       let rng = Random.State.make [| seed; 0x51 |] in
       let objective, constraints, bounds = random_cover_lp rng in
       match Simplex.minimize ~objective ~constraints ~bounds with
-      | Simplex.Optimal { value; solution } ->
+      | Simplex.Optimal { value; solution; dual } ->
+          let dot a x =
+            let acc = ref Rat.zero in
+            Array.iteri (fun j c -> acc := Rat.add !acc (Rat.mul c x.(j))) a;
+            !acc
+          in
+          let column j = Array.map (fun row -> row.(j)) constraints in
           (* the reported solution must be feasible and achieve value *)
-          let recomputed = ref Rat.zero in
-          Array.iteri
-            (fun j c -> recomputed := Rat.add !recomputed (Rat.mul c solution.(j)))
-            objective;
-          Rat.equal value !recomputed
+          Rat.equal value (dot objective solution)
           && Array.for_all (fun v -> Rat.sign v >= 0) solution
+          && Array.for_all2
+               (fun row b -> Rat.compare (dot row solution) b >= 0)
+               constraints bounds
+          (* the dual must be feasible (A^T y <= c, y >= 0) and achieve
+             value: a weak-duality certificate of optimality *)
+          && Array.length dual = Array.length bounds
+          && Array.for_all (fun v -> Rat.sign v >= 0) dual
+          && Array.for_all
+               (fun j -> Rat.compare (dot (column j) dual) objective.(j) <= 0)
+               (Array.init (Array.length objective) Fun.id)
+          && Rat.equal value (dot bounds dual)
           && (match brute_force ~objective ~constraints ~bounds with
              | Some bf -> Rat.equal bf value
              | None -> false)
-      | Simplex.Infeasible | Simplex.Unbounded ->
-          (* covering LPs with non-empty rows are feasible and bounded *)
+      | Simplex.Infeasible ->
+          (* covering LPs with non-empty rows are feasible *)
           false)
 
 let ints = Array.map Rat.of_int
@@ -231,7 +308,6 @@ let ints = Array.map Rat.of_int
 let optimal_value = function
   | Simplex.Optimal { value; _ } -> value
   | Simplex.Infeasible -> Alcotest.fail "unexpected infeasible"
-  | Simplex.Unbounded -> Alcotest.fail "unexpected unbounded"
 
 let test_simplex_basic () =
   (* min x + y subject to x + y >= 2, x >= 1/2: a fractional bound,
@@ -242,18 +318,19 @@ let test_simplex_basic () =
           ~constraints:[| ints [| 1; 1 |]; ints [| 1; 0 |] |]
           ~bounds:[| Rat.of_int 2; Rat.make 1 2 |]))
 
-let test_simplex_unbounded () =
-  (* min -x with x >= 1 is unbounded below *)
+let test_simplex_negative_objective () =
+  (* min -x with x >= 1 is unbounded below: the solver only takes
+     non-negative objectives, whose minimum is bounded by 0 *)
   match
     Simplex.minimize ~objective:(ints [| -1 |]) ~constraints:[| ints [| 1 |] |]
       ~bounds:(ints [| 1 |])
   with
-  | Simplex.Unbounded -> ()
-  | _ -> Alcotest.fail "min -x, x >= 1 must be unbounded"
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a negative objective entry must be rejected"
 
 let test_simplex_redundant_rows () =
   (* 2x + 2y >= 2 repeats x + y >= 1: the duplicate row must not
-     break phase one; optimum 2 at x = 1 *)
+     break the solver; optimum 2 at x = 1 *)
   check rat "redundant" (Rat.of_int 2)
     (optimal_value
        (Simplex.minimize ~objective:(ints [| 2; 3 |])
@@ -273,7 +350,7 @@ let test_simplex_triangle () =
   in
   let bounds = Array.make 3 Rat.one in
   match Simplex.minimize ~objective ~constraints ~bounds with
-  | Simplex.Optimal { value; solution } ->
+  | Simplex.Optimal { value; solution; _ } ->
       check rat "rho* = 3/2 exactly" (Rat.make 3 2) value;
       Array.iter (fun w -> check rat "w = 1/2" (Rat.make 1 2) w) solution
   | _ -> Alcotest.fail "triangle LP must be optimal"
@@ -289,7 +366,7 @@ let test_simplex_triangle_lp () =
     Simplex.minimize ~objective:(ints [| 1; 1; 1 |]) ~constraints
       ~bounds:(ints [| 1; 1; 1 |])
   with
-  | Simplex.Optimal { value; solution } ->
+  | Simplex.Optimal { value; solution; _ } ->
       check rat "triangle LP" (Rat.make 3 2) value;
       Array.iter
         (fun row ->
@@ -325,7 +402,8 @@ let () =
           Alcotest.test_case "triangle LP" `Quick test_simplex_triangle_lp;
           Alcotest.test_case "infeasible" `Quick test_simplex_infeasible;
           Alcotest.test_case "basic" `Quick test_simplex_basic;
-          Alcotest.test_case "unbounded" `Quick test_simplex_unbounded;
+          Alcotest.test_case "negative objective rejected" `Quick
+            test_simplex_negative_objective;
           Alcotest.test_case "redundant rows" `Quick test_simplex_redundant_rows;
         ] );
       qsuite "properties"
@@ -333,6 +411,7 @@ let () =
           prop_bigint_matches_int;
           prop_bigint_divmod;
           prop_rat_field;
+          prop_rat_matches_bigint;
           prop_simplex_vs_brute_force;
         ];
     ]

@@ -347,6 +347,28 @@ let test_fhw_triangle () =
       check "witness realises 3/2" true
         (Rat.equal (Rat.make 3 2) (Eval.fhw_width_q ws sigma))
 
+let test_fhw_memo_counted () =
+  (* every bag rho* the search prices goes through the content-keyed
+     LP memo, so a branching search on a grid must report hits *)
+  let h = Hypergraph.of_graph (Graph.grid 4 4) in
+  Hd_obs.Obs.enable ();
+  Hd_obs.Obs.reset ();
+  let r = Bb_fhw.solve ~seed:1 h in
+  let value name =
+    match
+      List.find_opt
+        (fun c -> Hd_obs.Obs.Counter.name c = name)
+        (Hd_obs.Obs.Counter.all ())
+    with
+    | Some c -> Hd_obs.Obs.Counter.value c
+    | None -> Alcotest.failf "counter %s not registered" name
+  in
+  let hits = value "lp.memo_hits" and misses = value "lp.memo_misses" in
+  Hd_obs.Obs.disable ();
+  check "search branched" true (r.Bb_fhw.visited > 0);
+  check "memo hits counted" true (hits > 0);
+  check "one LP per miss" true (misses = value "lp.solves")
+
 let prop_fhw_bb_matches_brute =
   QCheck.Test.make ~count:20 ~name:"BB-fhw = brute force (n<=5)"
     QCheck.(make QCheck.Gen.(pair (2 -- 5) int))
@@ -677,7 +699,10 @@ let () =
       ( "widths",
         [ Alcotest.test_case "analyze" `Quick test_widths_analyze ] );
       ( "bb-fhw",
-        [ Alcotest.test_case "triangle 3/2" `Quick test_fhw_triangle ]
+        [
+          Alcotest.test_case "triangle 3/2" `Quick test_fhw_triangle;
+          Alcotest.test_case "memo hits counted" `Quick test_fhw_memo_counted;
+        ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_fhw_bb_matches_brute; prop_width_hierarchy ] );
       ( "ghd io",

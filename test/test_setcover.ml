@@ -151,13 +151,39 @@ let test_fractional_verify_rejects () =
   let p =
     problem ~n:3 ~edges:[ [ 0; 1 ]; [ 1; 2 ]; [ 0; 2 ] ] ~universe:[ 0; 1; 2 ]
   in
-  let _, weights = Fractional.cover p in
+  let { Fractional.weights; _ } = Fractional.cover p in
   Alcotest.(check bool) "optimal cover verifies" true (Fractional.verify p weights);
   let short = [ (0, Rat.make 1 2); (1, Rat.make 1 2); (2, Rat.make 1 4) ] in
   Alcotest.(check bool) "deficient cover rejected" false (Fractional.verify p short);
   let negative = [ (0, Rat.of_int 2); (1, Rat.of_int 2); (2, Rat.make (-1) 2) ] in
   Alcotest.(check bool) "negative weight rejected" false
     (Fractional.verify p negative)
+
+let test_fractional_packing_certificate () =
+  (* the triangle's optimal packing puts 1/2 on every vertex; a packing
+     overloading an edge, or one lighter than rho*, breaks the
+     weak-duality certificate *)
+  let p =
+    problem ~n:3 ~edges:[ [ 0; 1 ]; [ 1; 2 ]; [ 0; 2 ] ] ~universe:[ 0; 1; 2 ]
+  in
+  let s = Fractional.cover p in
+  Alcotest.(check bool) "optimal packing verifies" true
+    (Fractional.verify_packing p s.packing);
+  Alcotest.check rat "packing weighs rho*" (Rat.make 3 2)
+    (List.fold_left (fun acc (_, w) -> Rat.add acc w) Rat.zero s.packing);
+  Alcotest.(check bool) "optimum certified" true (Fractional.certify p s);
+  let overloaded = [ (0, Rat.one); (1, Rat.make 1 2); (2, Rat.make 1 2) ] in
+  Alcotest.(check bool) "overloaded edge rejected" false
+    (Fractional.verify_packing p overloaded);
+  Alcotest.(check bool) "corrupted packing not certified" false
+    (Fractional.certify p { s with packing = overloaded });
+  let light = [ (0, Rat.make 1 2); (1, Rat.make 1 2) ] in
+  Alcotest.(check bool) "light packing is feasible" true
+    (Fractional.verify_packing p light);
+  Alcotest.(check bool) "light packing not certified" false
+    (Fractional.certify p { s with packing = light });
+  Alcotest.(check bool) "outside vertex rejected" false
+    (Fractional.verify_packing p [ (7, Rat.make 1 2) ])
 
 let prop_fractional_bounds =
   QCheck.Test.make ~count:120
@@ -176,7 +202,7 @@ let prop_fractional_bounds =
         List.filter (fun v -> Hypergraph.incident h v <> []) (List.init n Fun.id)
       in
       let p = { Set_cover.universe = Bitset.of_list n universe; hypergraph = h } in
-      let rho, weights = Fractional.cover p in
+      let ({ Fractional.value = rho; weights; _ } as solution) = Fractional.cover p in
       let integral = Rat.of_int (List.length (Set_cover.exact p)) in
       let lower =
         Rat.make (List.length universe) (max 1 (Hypergraph.max_edge_size h))
@@ -184,7 +210,8 @@ let prop_fractional_bounds =
       (* all comparisons exact: no epsilons anywhere *)
       Rat.compare rho integral <= 0
       && Rat.compare rho lower >= 0
-      && Fractional.verify p weights)
+      && Fractional.verify p weights
+      && Fractional.certify p solution)
 
 let () =
   Alcotest.run "setcover"
@@ -204,6 +231,8 @@ let () =
           Alcotest.test_case "clique" `Quick test_fractional_clique;
           Alcotest.test_case "single edge" `Quick test_fractional_single_edge;
           Alcotest.test_case "verify rejects" `Quick test_fractional_verify_rejects;
+          Alcotest.test_case "packing certificate" `Quick
+            test_fractional_packing_certificate;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
