@@ -1,15 +1,12 @@
 module Graph = Hd_graph.Graph
-module Elim_graph = Hd_graph.Elim_graph
 module Bitset = Hd_graph.Bitset
-module Hypergraph = Hd_hypergraph.Hypergraph
-module Lower_bounds = Hd_bounds.Lower_bounds
 module Incumbent = Hd_core.Incumbent
 module Budget = Hd_engine.Budget
 module Clock = Hd_engine.Clock
 module Step = Hd_engine.Step
 module Solver = Hd_engine.Solver
 module Search_util = Hd_search.Search_util
-module Ghw_common = Hd_search.Ghw_common
+module Bag_cost = Hd_search.Bag_cost
 module Pq = Hd_search.Pq
 module Obs = Hd_obs.Obs
 
@@ -17,74 +14,15 @@ let c_messages = Obs.Counter.make "hdastar.messages"
 let c_batches = Obs.Counter.make "hdastar.batches"
 let c_ring_full = Obs.Counter.make "hdastar.ring_full"
 
-(* States carry their whole elimination path (oldest first) instead of
-   a parent pointer: paths cross domain boundaries, parent chains into
-   another worker's heap must not. *)
-type node = {
-  path : int list;
-  g : int;
-  h : int;
-  f : int;
-  depth : int;
-  parent_red : bool;
-      (* the [reduced] flag from the children_of call that produced
-         this node; children are computed lazily at expansion, and the
-         pruning rule needs the parent's flag then *)
-  last : int;  (* vertex eliminated into this state; -1 at the root *)
-}
-
-let compare_nodes a b =
-  let c = compare a.f b.f in
-  if c <> 0 then c else compare b.depth a.depth
-
-let sync eg current_path target =
-  let rec split xs ys =
-    match (xs, ys) with
-    | x :: xs', y :: ys' when x = y -> split xs' ys'
-    | _ -> (xs, ys)
-  in
-  let to_undo, to_do = split !current_path target in
-  List.iter (fun _ -> Elim_graph.restore_last eg) to_undo;
-  List.iter (Elim_graph.eliminate eg) to_do;
-  current_path := target
-
-let ordering_of_path ~n path eg =
-  let sigma = Array.make n (-1) in
-  let i = ref (n - 1) in
-  List.iter
-    (fun v ->
-      sigma.(!i) <- v;
-      decr i)
-    path;
-  Elim_graph.iter_alive
-    (fun v ->
-      sigma.(!i) <- v;
-      decr i)
-    eg;
-  sigma
-
-(* Per-worker flavor hooks, closed over that worker's private scratch
-   (elim graph, rng, cover oracle). *)
-type ops = {
-  completion : unit -> int;
-      (* width of finishing greedily from the current eg; goal test is
-         [completion <= g], and [max g completion] is an anytime ub *)
-  cost : int -> int;  (* bag width of eliminating v at the current eg *)
-  heuristic : unit -> int;  (* admissible h after an elimination *)
-  children : lb:int -> parent_reduced:bool -> last:int -> int list * bool;
-  gate_g : bool;  (* check g' < ub before eliminating (ghw) *)
-  offer_mid : bool;  (* PR1-style offer after each child elimination (tw) *)
-}
-
 let batch_size = 64
 let ring_capacity = 256
 let max_workers = 62 (* started-mask bits *)
 
-type shared = {
+type 'node shared = {
   w : int;
   inc : Incumbent.t;
   budget : Budget.t;
-  rings : node array Ring.t array array;  (* rings.(src).(dst) *)
+  rings : 'node array Ring.t array array;  (* rings.(src).(dst) *)
   in_flight : int Atomic.t;
   idlers : int Atomic.t;
   started : int Atomic.t;  (* bitmask of live workers *)
@@ -118,388 +56,253 @@ let exhausted sh =
   && Atomic.get sh.idlers = live
   && Atomic.get sh.activity = a1
 
-let run_worker sh ~me ~make_ops ~n ~root ~root_owner =
-  Step.unsliced @@ fun () ->
-  let eg, ops, _rng = make_ops me in
-  let tk = Budget.ticker sh.budget in
-  let current_path = ref [] in
-  let pq = Pq.create ~compare:compare_nodes ~dummy:root in
-  let seen : (Bitset.t, int) Hashtbl.t = Hashtbl.create 1024 in
-  let out = Array.make sh.w [] in
-  let out_n = Array.make sh.w 0 in
-  let ebits = Bitset.create n in
-  let idle = ref false in
-  let empty_rounds = ref 0 in
-  let leave_idle () =
-    if !idle then begin
-      Atomic.incr sh.activity;
-      Atomic.decr sh.idlers;
-      idle := false
-    end;
-    empty_rounds := 0
-  in
-  let insert_local node =
-    let key = Bitset.of_list n node.path in
-    match Hashtbl.find_opt seen key with
-    | Some g_seen when g_seen <= node.g ->
-        Obs.Counter.incr Search_util.c_duplicates
-    | _ ->
-        Hashtbl.replace seen key node.g;
-        Pq.push pq node
-  in
-  let flush dst =
-    if out_n.(dst) > 0 then begin
-      let batch = Array.of_list (List.rev out.(dst)) in
-      out.(dst) <- [];
-      out_n.(dst) <- 0;
-      if Ring.try_push sh.rings.(me).(dst) batch then begin
-        Obs.Counter.incr c_batches;
-        Obs.Counter.add c_messages (Array.length batch)
-      end
-      else begin
-        (* receiver's inbox is full: keep the states; dedup precision
-           degrades, soundness does not *)
-        Obs.Counter.incr c_ring_full;
-        Array.iter
-          (fun nd ->
-            insert_local nd;
-            Atomic.decr sh.in_flight)
-          batch
-      end
-    end
-  in
-  let flush_all () =
-    for dst = 0 to sh.w - 1 do
-      if dst <> me then flush dst
-    done
-  in
-  let route node =
-    Bitset.clear ebits;
-    List.iter (Bitset.add ebits) node.path;
-    let hash = Bitset.fnv_hash ebits in
-    let mask = Atomic.get sh.started in
-    let dst = nth_member mask (hash mod popcount mask) in
-    if dst = me then insert_local node
-    else begin
-      Atomic.incr sh.in_flight;
-      out.(dst) <- node :: out.(dst);
-      out_n.(dst) <- out_n.(dst) + 1;
-      if out_n.(dst) >= batch_size then flush dst
-    end
-  in
-  let drain () =
-    for src = 0 to sh.w - 1 do
-      if src <> me then
-        let rec go () =
-          match Ring.try_pop sh.rings.(src).(me) with
-          | None -> ()
-          | Some batch ->
-              leave_idle ();
-              Array.iter
-                (fun nd ->
-                  insert_local nd;
-                  Atomic.decr sh.in_flight)
-                batch;
-              go ()
-        in
-        go ()
-    done
-  in
-  let rec pop_live () =
-    if Pq.is_empty pq then None
-    else
-      let s = Pq.pop pq in
-      if s.f >= Incumbent.ub sh.inc then begin
-        Obs.Counter.incr Search_util.c_stale;
-        pop_live ()
-      end
-      else Some s
-  in
-  let expand s =
-    Atomic.incr sh.activity;
-    Budget.tick_visited tk;
-    Obs.Counter.incr Search_util.c_expanded;
-    sync eg current_path s.path;
-    let comp = ops.completion () in
-    if comp <= s.g then begin
-      (* goal: a completed ordering of width s.g.  Unlike the
-         sequential A* this is a local minimum, not the global one, so
-         publish the bound and let pruning drain the other frontiers *)
-      let sigma = ordering_of_path ~n s.path eg in
-      ignore (Incumbent.offer_ub sh.inc ~witness:sigma s.g)
-    end
-    else begin
-      let total = max s.g comp in
-      if total < Incumbent.ub sh.inc then begin
-        let sigma = ordering_of_path ~n s.path eg in
-        if Incumbent.offer_ub sh.inc ~witness:sigma total then
-          Obs.Counter.incr Search_util.c_ub_improved
+(* The distributed search over any bag cost.  Its result is read off
+   the shared int incumbent, so a fractional cost would report ceilings;
+   only treewidth and ghw are instantiated. *)
+module Make (C : Bag_cost.S) = struct
+  module Search = Hd_search.Ordering_search.Make (C)
+
+  let run_worker sh ~me ~p ~seed ~ub ~root ~root_owner =
+    Step.unsliced @@ fun () ->
+    let n = Graph.n (C.graph p) in
+    let rng = Random.State.make [| seed + (me * 0x9e37) |] in
+    let tk = Budget.ticker sh.budget in
+    let s =
+      Search.searcher p ~ticker:tk ~inc:sh.inc ~rng ~ub ~lb:root.Search.f
+    in
+    let pq = Pq.create ~compare:Search.compare_nodes ~dummy:root in
+    let seen : (Bitset.t, C.t) Hashtbl.t = Hashtbl.create 1024 in
+    let out = Array.make sh.w [] in
+    let out_n = Array.make sh.w 0 in
+    let ebits = Bitset.create n in
+    let idle = ref false in
+    let empty_rounds = ref 0 in
+    let leave_idle () =
+      if !idle then begin
+        Atomic.incr sh.activity;
+        Atomic.decr sh.idlers;
+        idle := false
       end;
-      let children, red =
-        ops.children ~lb:s.f ~parent_reduced:s.parent_red ~last:s.last
-      in
-      List.iter
-        (fun v ->
-          if not (Budget.out_of_budget tk) then begin
-            Budget.tick_generated tk;
-            Obs.Counter.incr Search_util.c_generated;
-            let c = ops.cost v in
-            let g' = max s.g c in
-            if (not ops.gate_g) || g' < Incumbent.ub sh.inc then begin
-              Elim_graph.eliminate eg v;
-              if ops.offer_mid then begin
-                let n' = Elim_graph.n_alive eg in
-                let completion = max g' (n' - 1) in
-                if completion < Incumbent.ub sh.inc then begin
-                  let sigma = ordering_of_path ~n (s.path @ [ v ]) eg in
-                  if Incumbent.offer_ub sh.inc ~witness:sigma completion then begin
-                    Obs.Counter.incr Search_util.c_pr1;
-                    Obs.Counter.incr Search_util.c_ub_improved
-                  end
-                end
-              end;
-              let h' =
-                if Elim_graph.n_alive eg <= 1 then 0 else ops.heuristic ()
-              in
-              let f' = max (max g' h') s.f in
-              if f' < Incumbent.ub sh.inc then
-                route
-                  {
-                    path = s.path @ [ v ];
-                    g = g';
-                    h = h';
-                    f = f';
-                    depth = s.depth + 1;
-                    parent_red = red;
-                    last = v;
-                  };
-              Elim_graph.restore_last eg
-            end
-          end)
-        children
-    end
-  in
-  (* go live; the root's owner seeds its own queue *)
-  let rec register () =
-    let cur = Atomic.get sh.started in
-    if not (Atomic.compare_and_set sh.started cur (cur lor (1 lsl me))) then
-      register ()
-  in
-  register ();
-  if me = root_owner then insert_local root;
-  let rec loop () =
-    if not (Atomic.get sh.halt) then begin
-      drain ();
-      if Incumbent.closed sh.inc || Incumbent.cancelled sh.inc then
-        Atomic.set sh.halt true
-      else if Budget.out_of_budget tk then Atomic.set sh.halt true
-      else begin
-        (match pop_live () with
-        | Some s ->
-            leave_idle ();
-            expand s
-        | None ->
-            flush_all ();
-            if not !idle then begin
-              idle := true;
-              Atomic.incr sh.idlers
-            end;
-            if exhausted sh then begin
-              (* the whole distributed frontier is drained: every state
-                 below the incumbent ub was expanded or dominated, so
-                 ub is the exact width; closing the incumbent stops
-                 every worker *)
-              ignore (Incumbent.raise_lb sh.inc (Incumbent.ub sh.inc));
-              Atomic.set sh.halt true
-            end
-            else begin
-              incr empty_rounds;
-              if !empty_rounds > 10_000 then Unix.sleepf 0.0002
-              else Domain.cpu_relax ()
-            end);
-        loop ()
+      empty_rounds := 0
+    in
+    let insert_local (node : Search.node) =
+      let key = Bitset.of_list n node.rpath in
+      match Hashtbl.find_opt seen key with
+      | Some g_seen when C.compare g_seen node.g <= 0 ->
+          Obs.Counter.incr Search_util.c_duplicates
+      | _ ->
+          Hashtbl.replace seen key node.g;
+          Pq.push pq node
+    in
+    let flush dst =
+      if out_n.(dst) > 0 then begin
+        let batch = Array.of_list (List.rev out.(dst)) in
+        out.(dst) <- [];
+        out_n.(dst) <- 0;
+        if Ring.try_push sh.rings.(me).(dst) batch then begin
+          Obs.Counter.incr c_batches;
+          Obs.Counter.add c_messages (Array.length batch)
+        end
+        else begin
+          (* receiver's inbox is full: keep the states; dedup precision
+             degrades, soundness does not *)
+          Obs.Counter.incr c_ring_full;
+          Array.iter
+            (fun nd ->
+              insert_local nd;
+              Atomic.decr sh.in_flight)
+            batch
+        end
       end
-    end
-  in
-  loop ();
-  leave_idle ();
-  sh.stats.(me) <- (Budget.visited tk, Budget.generated tk)
-
-(* ------------------------------------------------------------------ *)
-(* The shared driver                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let solve_generic ~sched ~within ~n ~initial ~make_ops =
-  let b = match within with Some b -> b | None -> Budget.create () in
-  Budget.start b;
-  let inc =
-    match Budget.incumbent b with Some i -> i | None -> Incumbent.create ()
-  in
-  let result, secs =
-    Clock.time @@ fun () ->
-    let ub_sigma, ub0, lb0 = initial () in
-    ignore (Incumbent.offer_ub inc ~witness:ub_sigma ub0);
-    ignore (Incumbent.raise_lb inc lb0);
-    let finish ~visited ~generated =
-      let lb, ub = Incumbent.bounds inc in
-      let ordering =
-        match Incumbent.witness inc with
-        | Some w -> Some w
-        | None -> Some ub_sigma
-      in
-      let outcome =
-        if Incumbent.closed inc then Solver.Exact ub
-        else Solver.Bounds { lb = min lb ub; ub }
-      in
-      { Solver.outcome; visited; generated; elapsed = 0.0; ordering }
     in
-    if Incumbent.closed inc then finish ~visited:0 ~generated:0
-    else begin
-      let w = min max_workers (Scheduler.size sched + 1) in
-      let sh =
-        {
-          w;
-          inc;
-          budget = b;
-          rings =
-            Array.init w (fun _ ->
-                Array.init w (fun _ -> Ring.create ring_capacity));
-          in_flight = Atomic.make 0;
-          idlers = Atomic.make 0;
-          started = Atomic.make 0;
-          activity = Atomic.make 0;
-          halt = Atomic.make false;
-          stats = Array.make w (0, 0);
-        }
-      in
-      let root =
-        { path = []; g = 0; h = lb0; f = lb0; depth = 0; parent_red = true; last = -1 }
-      in
-      (* the empty eliminated set hashes to a fixed owner; worker 0 is
-         the caller and always starts, so make it the owner — the
-         search is live even while pool workers are busy elsewhere *)
-      let root_owner = 0 in
-      Scheduler.run_all sched
-        (List.init w (fun me () ->
-             run_worker sh ~me ~make_ops ~n ~root ~root_owner));
-      let visited = Array.fold_left (fun a (v, _) -> a + v) 0 sh.stats in
-      let generated = Array.fold_left (fun a (_, g) -> a + g) 0 sh.stats in
-      finish ~visited ~generated
-    end
-  in
-  { result with Solver.elapsed = secs }
+    let flush_all () =
+      for dst = 0 to sh.w - 1 do
+        if dst <> me then flush dst
+      done
+    in
+    let route (node : Search.node) =
+      Bitset.clear ebits;
+      List.iter (Bitset.add ebits) node.rpath;
+      let hash = Bitset.fnv_hash ebits in
+      let mask = Atomic.get sh.started in
+      let dst = nth_member mask (hash mod popcount mask) in
+      if dst = me then insert_local node
+      else begin
+        Atomic.incr sh.in_flight;
+        out.(dst) <- node :: out.(dst);
+        out_n.(dst) <- out_n.(dst) + 1;
+        if out_n.(dst) >= batch_size then flush dst
+      end
+    in
+    let drain () =
+      for src = 0 to sh.w - 1 do
+        if src <> me then
+          let rec go () =
+            match Ring.try_pop sh.rings.(src).(me) with
+            | None -> ()
+            | Some batch ->
+                leave_idle ();
+                Array.iter
+                  (fun nd ->
+                    insert_local nd;
+                    Atomic.decr sh.in_flight)
+                  batch;
+                go ()
+          in
+          go ()
+      done
+    in
+    let rec pop_live () =
+      if Pq.is_empty pq then None
+      else
+        let node = Pq.pop pq in
+        if not (Search.below s node.Search.f) then begin
+          Obs.Counter.incr Search_util.c_stale;
+          pop_live ()
+        end
+        else Some node
+    in
+    (* go live; the root's owner seeds its own queue *)
+    let rec register () =
+      let cur = Atomic.get sh.started in
+      if not (Atomic.compare_and_set sh.started cur (cur lor (1 lsl me))) then
+        register ()
+    in
+    register ();
+    if me = root_owner then begin
+      insert_local root;
+      Atomic.decr sh.in_flight
+    end;
+    let rec loop () =
+      if not (Atomic.get sh.halt) then begin
+        drain ();
+        if Incumbent.closed sh.inc || Incumbent.cancelled sh.inc then
+          Atomic.set sh.halt true
+        else if Budget.out_of_budget tk then Atomic.set sh.halt true
+        else begin
+          (match pop_live () with
+          | Some node ->
+              leave_idle ();
+              Atomic.incr sh.activity;
+              (* a goal is a local minimum, not the global one: its
+                 bound is published, and pruning drains the other
+                 frontiers *)
+              ignore (Search.expand s node ~push:route)
+          | None ->
+              flush_all ();
+              if not !idle then begin
+                idle := true;
+                Atomic.incr sh.idlers
+              end;
+              if exhausted sh then begin
+                (* the whole distributed frontier is drained: every
+                   state below the incumbent ub was expanded or
+                   dominated, so ub is the exact width; closing the
+                   incumbent stops every worker *)
+                ignore (Incumbent.raise_lb sh.inc (Incumbent.ub sh.inc));
+                Atomic.set sh.halt true
+              end
+              else begin
+                incr empty_rounds;
+                if !empty_rounds > 10_000 then Unix.sleepf 0.0002
+                else Domain.cpu_relax ()
+              end);
+          loop ()
+        end
+      end
+    in
+    loop ();
+    leave_idle ();
+    sh.stats.(me) <- (Budget.visited tk, Budget.generated tk)
 
-let solve_tw ?sched ?within ?seed g =
+  let solve ~sched ~within ~seed input =
+    let p = C.prepare input in
+    match C.trivial p with
+    | Some w ->
+        {
+          Solver.outcome = Solver.Exact (C.ceil w);
+          visited = 0;
+          generated = 0;
+          elapsed = 0.0;
+          ordering = Some (Array.init (Graph.n (C.graph p)) Fun.id);
+        }
+    | None ->
+        let b = match within with Some b -> b | None -> Budget.create () in
+        Budget.start b;
+        let inc =
+          match Budget.incumbent b with
+          | Some i -> i
+          | None -> Incumbent.create ()
+        in
+        let result, secs =
+          Clock.time @@ fun () ->
+          let ub_sigma, ub0, lb0 = C.initial p (Random.State.make [| seed |]) in
+          ignore (Incumbent.offer_ub inc ~witness:ub_sigma (C.ceil ub0));
+          ignore (Incumbent.raise_lb inc (C.ceil lb0));
+          let finish ~visited ~generated =
+            let lb, ub = Incumbent.bounds inc in
+            let ordering =
+              match Incumbent.witness inc with
+              | Some w -> Some w
+              | None -> Some ub_sigma
+            in
+            let outcome =
+              if Incumbent.closed inc then Solver.Exact ub
+              else Solver.Bounds { lb = min lb ub; ub }
+            in
+            { Solver.outcome; visited; generated; elapsed = 0.0; ordering }
+          in
+          if Incumbent.closed inc then finish ~visited:0 ~generated:0
+          else begin
+            let w = min max_workers (Scheduler.size sched + 1) in
+            let sh =
+              {
+                w;
+                inc;
+                budget = b;
+                rings =
+                  Array.init w (fun _ ->
+                      Array.init w (fun _ -> Ring.create ring_capacity));
+                (* the root counts as in flight until its owner
+                   queues it: a worker that comes online first must
+                   not find the frontier exhausted *)
+                in_flight = Atomic.make 1;
+                idlers = Atomic.make 0;
+                started = Atomic.make 0;
+                activity = Atomic.make 0;
+                halt = Atomic.make false;
+                stats = Array.make w (0, 0);
+              }
+            in
+            let root = Search.root lb0 in
+            (* the empty eliminated set hashes to a fixed owner; worker 0
+               is the caller and always starts, so make it the owner —
+               the search is live even while pool workers are busy
+               elsewhere *)
+            let root_owner = 0 in
+            Scheduler.run_all sched
+              (List.init w (fun me () ->
+                   run_worker sh ~me ~p ~seed ~ub:(ub_sigma, ub0) ~root
+                     ~root_owner));
+            let visited = Array.fold_left (fun a (v, _) -> a + v) 0 sh.stats in
+            let generated =
+              Array.fold_left (fun a (_, g) -> a + g) 0 sh.stats
+            in
+            finish ~visited ~generated
+          end
+        in
+        { result with Solver.elapsed = secs }
+end
+
+module Tw = Make (Bag_cost.Tw)
+module Ghw = Make (Bag_cost.Ghw)
+
+let scheduler = function Some s -> s | None -> Scheduler.shared ()
+
+let solve_tw ?sched ?within ?(seed = 0x7ea) g =
   Obs.with_span "hdastar.solve_tw" @@ fun () ->
-  let sched = match sched with Some s -> s | None -> Scheduler.shared () in
-  let n = Graph.n g in
-  if n <= 1 then
-    {
-      Solver.outcome = Solver.Exact (n - 1);
-      visited = 0;
-      generated = 0;
-      elapsed = 0.0;
-      ordering = Some (Array.init n (fun i -> i));
-    }
-  else
-    let base_seed = Option.value seed ~default:0x7ea in
-    let initial () =
-      let rng = Random.State.make [| base_seed |] in
-      let eval = Hd_core.Eval.of_graph g in
-      let ub_sigma, ub0 =
-        Hd_core.Ordering_heuristics.best_of rng g ~trials:3
-          ~eval:(Hd_core.Eval.tw_width eval)
-      in
-      let lb = Lower_bounds.treewidth ~rng g in
-      (ub_sigma, ub0, lb)
-    in
-    let make_ops me =
-      let rng = Random.State.make [| base_seed + (me * 0x9e37) |] in
-      let eg = Elim_graph.of_graph g in
-      let ops =
-        {
-          completion = (fun () -> Elim_graph.n_alive eg - 1);
-          cost = (fun v -> Elim_graph.degree eg v);
-          heuristic =
-            (fun () -> Lower_bounds.treewidth_of_elim ~rng ~trials:1 eg);
-          children =
-            (fun ~lb ~parent_reduced ~last ->
-              match Elim_graph.find_reducible eg ~lb with
-              | Some w ->
-                  Obs.Counter.incr Search_util.c_reductions;
-                  ([ w ], true)
-              | None ->
-                  let keep u =
-                    parent_reduced || last < 0
-                    || not (Search_util.prune_child eg ~last ~candidate:u)
-                  in
-                  ( List.rev
-                      (Elim_graph.fold_alive
-                         (fun u acc -> if keep u then u :: acc else acc)
-                         eg []),
-                    false ));
-          gate_g = false;
-          offer_mid = true;
-        }
-      in
-      (eg, ops, rng)
-    in
-    solve_generic ~sched ~within ~n ~initial ~make_ops
+  Tw.solve ~sched:(scheduler sched) ~within ~seed g
 
-let solve_ghw ?sched ?within ?seed h =
+let solve_ghw ?sched ?within ?(seed = 0xa5a) h =
   Obs.with_span "hdastar.solve_ghw" @@ fun () ->
-  let sched = match sched with Some s -> s | None -> Scheduler.shared () in
-  Ghw_common.check_input h;
-  let h = Hypergraph.remove_subsumed h in
-  let n = Hypergraph.n_vertices h in
-  if n = 0 then
-    {
-      Solver.outcome = Solver.Exact 0;
-      visited = 0;
-      generated = 0;
-      elapsed = 0.0;
-      ordering = Some [||];
-    }
-  else
-    let base_seed = Option.value seed ~default:0xa5a in
-    let initial () =
-      let rng = Random.State.make [| base_seed |] in
-      Ghw_common.initial_bounds h rng
-    in
-    let k = Hypergraph.max_edge_size h in
-    let make_ops me =
-      let rng = Random.State.make [| base_seed + (me * 0x9e37) |] in
-      let eg = Elim_graph.of_graph (Hypergraph.primal h) in
-      let covers = Ghw_common.Cover.make h `Exact rng in
-      let ops =
-        {
-          completion = (fun () -> Ghw_common.Cover.completion_width covers eg);
-          cost = (fun v -> Ghw_common.Cover.bag_width covers eg v);
-          heuristic =
-            (fun () ->
-              Lower_bounds.ghw_of_elim ~rng ~trials:1 ~max_edge_size:k eg);
-          children =
-            (fun ~lb:_ ~parent_reduced ~last ->
-              match Elim_graph.find_reducible eg ~lb:(-1) with
-              | Some w ->
-                  Obs.Counter.incr Search_util.c_reductions;
-                  ([ w ], true)
-              | None ->
-                  let keep u =
-                    parent_reduced || last < 0
-                    || not
-                         (Search_util.prune_child ~adjacent_case:false eg
-                            ~last ~candidate:u)
-                  in
-                  ( List.rev
-                      (Elim_graph.fold_alive
-                         (fun u acc -> if keep u then u :: acc else acc)
-                         eg []),
-                    false ));
-          gate_g = true;
-          offer_mid = false;
-        }
-      in
-      (eg, ops, rng)
-    in
-    solve_generic ~sched ~within ~n ~initial ~make_ops
+  Ghw.solve ~sched:(scheduler sched) ~within ~seed h

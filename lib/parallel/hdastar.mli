@@ -10,6 +10,11 @@
     state locally, which costs dedup precision, never soundness.
     Bounds flow through one shared {!Hd_core.Incumbent}: every worker
     prunes on the best global upper bound the moment it is published.
+    Each worker expands states with the sequential A*'s own step
+    ({!Hd_search.Ordering_search.Make.expand}) over a
+    {!Hd_search.Bag_cost} instance, with its own elimination graph,
+    cost oracle and random state; a goal state only publishes its
+    bound, since one worker's frontier minimum is not the global one.
 
     Workers register themselves as they come online (a busy shared
     pool may start them late) and states are only ever routed to live
@@ -17,8 +22,10 @@
     onward.  Termination is all-idle detection: when every live worker
     is idle, no message is in flight and nothing changed during the
     check, the frontier is exhausted and the incumbent upper bound is
-    the exact width.  On budget exhaustion the result degrades to the
-    incumbent bounds, exactly like the sequential A*.
+    the exact width.  The root counts as in flight until its owner
+    queues it, so a worker that starts first cannot mistake the empty
+    frontier for an exhausted one.  On budget exhaustion the result
+    degrades to the incumbent bounds, exactly like the sequential A*.
 
     With a sequential scheduler (0 workers) the solve runs entirely on
     the calling domain and is deterministic for a fixed seed.

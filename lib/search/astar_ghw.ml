@@ -1,250 +1,6 @@
-module Bitset = Hd_graph.Bitset
-module Elim_graph = Hd_graph.Elim_graph
-module Hypergraph = Hd_hypergraph.Hypergraph
-module Lower_bounds = Hd_bounds.Lower_bounds
-module Incumbent = Hd_core.Incumbent
-module Obs = Hd_obs.Obs
-open Search_types
+module Search = Ordering_search.Make (Bag_cost.Ghw)
 
-type state = {
-  parent : state option;
-  vertex : int;
-  g : int;
-  h : int;
-  f : int;
-  depth : int;
-  mutable children : int list;
-  reduced : bool;
-}
-
-let compare_states a b =
-  let c = compare a.f b.f in
-  if c <> 0 then c else compare b.depth a.depth
-
-let path_of s =
-  let rec go s acc =
-    match s.parent with None -> acc | Some p -> go p (s.vertex :: acc)
-  in
-  go s []
-
-let sync eg current_path s =
-  let target = path_of s in
-  let rec split xs ys =
-    match (xs, ys) with
-    | x :: xs', y :: ys' when x = y -> split xs' ys'
-    | _ -> (xs, ys)
-  in
-  let to_undo, to_do = split !current_path target in
-  List.iter (fun _ -> Elim_graph.restore_last eg) to_undo;
-  List.iter (Elim_graph.eliminate eg) to_do;
-  current_path := target
-
-let ordering_of_path ~n path eg =
-  let sigma = Array.make n (-1) in
-  let i = ref (n - 1) in
-  List.iter
-    (fun v ->
-      sigma.(!i) <- v;
-      decr i)
-    path;
-  Elim_graph.iter_alive
-    (fun v ->
-      sigma.(!i) <- v;
-      decr i)
-    eg;
-  sigma
-
-let children_of eg ~parent_reduced ~last =
-  match Elim_graph.find_reducible eg ~lb:(-1) with
-  | Some w ->
-      Obs.Counter.incr Search_util.c_reductions;
-      ([ w ], true)
-  | None ->
-      let keep u =
-        parent_reduced || last < 0
-        || not
-             (Search_util.prune_child ~adjacent_case:false eg ~last
-                ~candidate:u)
-      in
-      let kept =
-        List.rev
-          (Elim_graph.fold_alive
-             (fun u acc -> if keep u then u :: acc else acc)
-             eg [])
-      in
-      (kept, false)
-
-let solve ?(budget = no_budget) ?within ?(dedup = false) ?incumbent ?seed h =
-  Obs.with_span "astar_ghw.solve" @@ fun () ->
-  Ghw_common.check_input h;
-  (* subsumed hyperedges never matter for covers or coverage: searching
-     the reduced instance is free speedup (same vertices, same primal,
-     same ghw) *)
-  let h = Hypergraph.remove_subsumed h in
-  let n = Hypergraph.n_vertices h in
-  let ticker =
-    match within with
-    | Some b -> Search_util.ticker_within b
-    | None -> Search_util.make_ticker budget
-  in
-  let finish outcome ordering =
-    {
-      outcome;
-      visited = Search_util.visited ticker;
-      generated = Search_util.generated ticker;
-      elapsed = Search_util.elapsed ticker;
-      ordering;
-    }
-  in
-  if n = 0 then finish (Exact 0) (Some [||])
-  else begin
-    let rng = Random.State.make [| Option.value seed ~default:0xa5a |] in
-    let ub_sigma, ub0, lb0 = Ghw_common.initial_bounds h rng in
-    let inc =
-      match incumbent with
-      | Some i -> i
-      | None -> (
-          match Option.bind within Hd_engine.Budget.incumbent with
-          | Some i -> i
-          | None -> Incumbent.create ())
-    in
-    ignore (Incumbent.offer_ub inc ~witness:ub_sigma ub0);
-    ignore (Incumbent.raise_lb inc lb0);
-    let lb0 = max lb0 (Incumbent.lb inc) in
-    let best_sigma = ref ub_sigma in
-    let final_sigma () =
-      match Incumbent.witness inc with
-      | Some w -> Some w
-      | None -> Some !best_sigma
-    in
-    if Incumbent.closed inc then
-      finish (Exact (Incumbent.ub inc)) (final_sigma ())
-    else begin
-      let covers = Ghw_common.Cover.make h `Exact rng in
-      let k = Hypergraph.max_edge_size h in
-      let best_lb = ref lb0 in
-      let eg = Elim_graph.of_graph (Hypergraph.primal h) in
-      let current_path = ref [] in
-      let seen : (Bitset.t, int) Hashtbl.t = Hashtbl.create 4096 in
-      let root_children, root_reduced = children_of eg ~parent_reduced:true ~last:(-1) in
-      let root =
-        {
-          parent = None;
-          vertex = -1;
-          g = 0;
-          h = lb0;
-          f = lb0;
-          depth = 0;
-          children = root_children;
-          reduced = root_reduced;
-        }
-      in
-      (* the root is reachable from every state's parent chain anyway,
-         so using it as the queue's slot-clearing dummy retains nothing *)
-      let queue = Pq.create ~compare:compare_states ~dummy:root in
-      Pq.push queue root;
-      let rec search () =
-        if Incumbent.closed inc then
-          finish (Exact (Incumbent.ub inc)) (final_sigma ())
-        else if Pq.is_empty queue then begin
-          let w = Incumbent.ub inc in
-          ignore (Incumbent.raise_lb inc w);
-          finish (Exact w) (final_sigma ())
-        end
-        else if Search_util.out_of_budget ticker || Incumbent.cancelled inc
-        then begin
-          let ubv = Incumbent.ub inc in
-          finish (Bounds { lb = min !best_lb ubv; ub = ubv }) (final_sigma ())
-        end
-        else begin
-          let s = Pq.pop queue in
-          if s.f >= Incumbent.ub inc then begin
-            Obs.Counter.incr Search_util.c_stale;
-            search ()
-          end
-          else begin
-            Search_util.tick_visited ticker;
-            Obs.Counter.incr Search_util.c_expanded;
-            sync eg current_path s;
-            if s.f > !best_lb then begin
-              best_lb := s.f;
-              (* the frontier minimum f is a sound global lower bound *)
-              ignore (Incumbent.raise_lb inc s.f);
-              Obs.Counter.incr Search_util.c_lb_improved
-            end;
-            let completion = Ghw_common.Cover.completion_width covers eg in
-            if completion <= s.g then begin
-              let sigma = ordering_of_path ~n (path_of s) eg in
-              ignore (Incumbent.offer_ub inc ~witness:sigma s.g);
-              ignore (Incumbent.raise_lb inc s.g);
-              finish (Exact s.g) (Some sigma)
-            end
-            else begin
-              expand s completion;
-              s.children <- [];
-              search ()
-            end
-          end
-        end
-      and expand s completion_here =
-        (* anytime upper bound from this state *)
-        let total = max s.g completion_here in
-        if total < Incumbent.ub inc then begin
-          let sigma = ordering_of_path ~n (path_of s) eg in
-          if Incumbent.offer_ub inc ~witness:sigma total then begin
-            Obs.Counter.incr Search_util.c_ub_improved;
-            best_sigma := sigma
-          end
-        end;
-        List.iter
-          (fun v ->
-            if not (Search_util.out_of_budget ticker) then begin
-              Search_util.tick_generated ticker;
-              Obs.Counter.incr Search_util.c_generated;
-              let c = Ghw_common.Cover.bag_width covers eg v in
-              let g' = max s.g c in
-              if g' < Incumbent.ub inc then begin
-                Elim_graph.eliminate eg v;
-                let h' =
-                  if Elim_graph.n_alive eg <= 1 then 0
-                  else Lower_bounds.ghw_of_elim ~rng ~trials:1 ~max_edge_size:k eg
-                in
-                let f' = max (max g' h') s.f in
-                if f' < Incumbent.ub inc then begin
-                  let dominated =
-                    dedup
-                    &&
-                    let key = Elim_graph.alive eg in
-                    match Hashtbl.find_opt seen key with
-                    | Some g_seen when g_seen <= g' ->
-                        Obs.Counter.incr Search_util.c_duplicates;
-                        true
-                    | _ ->
-                        Hashtbl.replace seen (Bitset.copy key) g';
-                        false
-                  in
-                  if not dominated then begin
-                    let children, reduced =
-                      children_of eg ~parent_reduced:s.reduced ~last:v
-                    in
-                    Pq.push queue
-                      {
-                        parent = Some s;
-                        vertex = v;
-                        g = g';
-                        h = h';
-                        f = f';
-                        depth = s.depth + 1;
-                        children;
-                        reduced;
-                      }
-                  end
-                end;
-                Elim_graph.restore_last eg
-              end
-            end)
-          s.children
-      in
-      search ()
-    end
-  end
+let solve ?budget ?within ?dedup ?incumbent ?(seed = 0xa5a) h =
+  Hd_obs.Obs.with_span "astar_ghw.solve" @@ fun () ->
+  Ordering_search.int_result
+    (Search.astar ?budget ?within ?incumbent ?dedup ~seed h)

@@ -6,7 +6,10 @@
     tw-ksc-width bound of the remaining minor and
     [f = max (g, h, parent.f)].  The f-value of the last visited state
     is a valid ghw lower bound when the budget runs out — the anytime
-    behaviour Table 9.1 reports. *)
+    behaviour Table 9.1 reports.
+
+    This is {!Ordering_search.Make.astar} over {!Bag_cost.Ghw}; the
+    default seed is [0xa5a]. *)
 
 val solve :
   ?budget:Search_types.budget ->

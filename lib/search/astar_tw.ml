@@ -1,263 +1,9 @@
-module Graph = Hd_graph.Graph
-module Elim_graph = Hd_graph.Elim_graph
-module Bitset = Hd_graph.Bitset
-module Lower_bounds = Hd_bounds.Lower_bounds
-module Incumbent = Hd_core.Incumbent
-module Obs = Hd_obs.Obs
-open Search_types
+module Search = Ordering_search.Make (Bag_cost.Tw)
 
-type state = {
-  parent : state option;
-  vertex : int; (* eliminated on entering this state; -1 at the root *)
-  g : int;
-  h : int;
-  f : int;
-  depth : int;
-  mutable children : int list;
-  reduced : bool;
-}
-
-let compare_states a b =
-  (* smallest f first; among equal f prefer deeper states, which reach
-     goals sooner once the frontier sits at the optimum (Section 5.3) *)
-  let c = compare a.f b.f in
-  if c <> 0 then c else compare b.depth a.depth
-
-(* The elimination path from the root to [s], in elimination order. *)
-let path_of s =
-  let rec go s acc =
-    match s.parent with None -> acc | Some p -> go p (s.vertex :: acc)
-  in
-  go s []
-
-(* Move the shared elimination graph from the state it is currently at
-   to state [s]: restore back to the deepest common ancestor, then
-   eliminate along [s]'s remaining path.  [current_path] is kept in
-   elimination order. *)
-let sync eg current_path s =
-  let target = path_of s in
-  let rec split xs ys =
-    match (xs, ys) with
-    | x :: xs', y :: ys' when x = y -> split xs' ys'
-    | _ -> (xs, ys)
-  in
-  let to_undo, to_do = split !current_path target in
-  List.iter (fun _ -> Elim_graph.restore_last eg) to_undo;
-  List.iter (Elim_graph.eliminate eg) to_do;
-  current_path := target
-
-(* sigma places the first-eliminated vertex last (library convention) *)
-let ordering_of_path ~n path eg =
-  let sigma = Array.make n (-1) in
-  let i = ref (n - 1) in
-  List.iter
-    (fun v ->
-      sigma.(!i) <- v;
-      decr i)
-    path;
-  Elim_graph.iter_alive
-    (fun v ->
-      sigma.(!i) <- v;
-      decr i)
-    eg;
-  sigma
-
-let children_of eg ~lb ~parent_reduced ~last =
-  match Elim_graph.find_reducible eg ~lb with
-  | Some w ->
-      Obs.Counter.incr Search_util.c_reductions;
-      ([ w ], true)
-  | None ->
-      let keep u =
-        parent_reduced || last < 0
-        || not (Search_util.prune_child eg ~last ~candidate:u)
-      in
-      let kept =
-        List.rev
-          (Elim_graph.fold_alive
-             (fun u acc -> if keep u then u :: acc else acc)
-             eg [])
-      in
-      (kept, false)
-
-let solve ?(budget = no_budget) ?within ?(dedup = false) ?incumbent ?seed g =
-  Obs.with_span "astar_tw.solve" @@ fun () ->
-  let n = Graph.n g in
-  let ticker =
-    match within with
-    | Some b -> Search_util.ticker_within b
-    | None -> Search_util.make_ticker budget
-  in
-  let finish outcome ordering =
-    {
-      outcome;
-      visited = Search_util.visited ticker;
-      generated = Search_util.generated ticker;
-      elapsed = Search_util.elapsed ticker;
-      ordering;
-    }
-  in
-  if n <= 1 then finish (Exact (n - 1)) (Some (Array.init n (fun i -> i)))
-  else begin
-    let rng = Random.State.make [| Option.value seed ~default:0x7ea |] in
-    let eval = Hd_core.Eval.of_graph g in
-    let ub_sigma, ub0 =
-      Hd_core.Ordering_heuristics.best_of rng g ~trials:3
-        ~eval:(Hd_core.Eval.tw_width eval)
-    in
-    let lb = Lower_bounds.treewidth ~rng g in
-    (* all bound traffic goes through the (possibly shared) incumbent:
-       racing solvers see our improvements and vice versa *)
-    let inc =
-      match incumbent with
-      | Some i -> i
-      | None -> (
-          match Option.bind within Hd_engine.Budget.incumbent with
-          | Some i -> i
-          | None -> Incumbent.create ())
-    in
-    ignore (Incumbent.offer_ub inc ~witness:ub_sigma ub0);
-    ignore (Incumbent.raise_lb inc lb);
-    let lb = max lb (Incumbent.lb inc) in
-    let best_sigma = ref ub_sigma in
-    let final_sigma () =
-      match Incumbent.witness inc with
-      | Some w -> Some w
-      | None -> Some !best_sigma
-    in
-    if Incumbent.closed inc then finish (Exact (Incumbent.ub inc)) (final_sigma ())
-    else begin
-      let best_lb = ref lb in
-      let eg = Elim_graph.of_graph g in
-      let current_path = ref [] in
-      let seen : (Bitset.t, int) Hashtbl.t = Hashtbl.create 4096 in
-      let root_children, root_reduced =
-        children_of eg ~lb ~parent_reduced:true ~last:(-1)
-      in
-      let root =
-        {
-          parent = None;
-          vertex = -1;
-          g = 0;
-          h = lb;
-          f = lb;
-          depth = 0;
-          children = root_children;
-          reduced = root_reduced;
-        }
-      in
-      (* the root is reachable from every state's parent chain anyway,
-         so using it as the queue's slot-clearing dummy retains nothing *)
-      let queue = Pq.create ~compare:compare_states ~dummy:root in
-      Pq.push queue root;
-      let rec search () =
-        if Incumbent.closed inc then
-          (* some racer (possibly us) proved lb = ub *)
-          finish (Exact (Incumbent.ub inc)) (final_sigma ())
-        else if Pq.is_empty queue then begin
-          let w = Incumbent.ub inc in
-          (* every state below w was pruned: w is optimal; closing the
-             incumbent releases the other portfolio members *)
-          ignore (Incumbent.raise_lb inc w);
-          finish (Exact w) (final_sigma ())
-        end
-        else if Search_util.out_of_budget ticker || Incumbent.cancelled inc
-        then begin
-          let ubv = Incumbent.ub inc in
-          finish (Bounds { lb = min !best_lb ubv; ub = ubv }) (final_sigma ())
-        end
-        else begin
-          let s = Pq.pop queue in
-          if s.f >= Incumbent.ub inc then begin
-            (* stale entry: the upper bound improved since the push *)
-            Obs.Counter.incr Search_util.c_stale;
-            search ()
-          end
-          else begin
-            Search_util.tick_visited ticker;
-            Obs.Counter.incr Search_util.c_expanded;
-            sync eg current_path s;
-            if s.f > !best_lb then begin
-              best_lb := s.f;
-              (* the frontier minimum f is a sound global lower bound *)
-              ignore (Incumbent.raise_lb inc s.f);
-              Obs.Counter.incr Search_util.c_lb_improved
-            end;
-            if s.g >= Elim_graph.n_alive eg - 1 then begin
-              let sigma = ordering_of_path ~n (path_of s) eg in
-              ignore (Incumbent.offer_ub inc ~witness:sigma s.g);
-              ignore (Incumbent.raise_lb inc s.g);
-              finish (Exact s.g) (Some sigma)
-            end
-            else begin
-              expand s;
-              s.children <- [];
-              search ()
-            end
-          end
-        end
-      and expand s =
-        List.iter
-          (fun v ->
-            if not (Search_util.out_of_budget ticker) then begin
-              Search_util.tick_generated ticker;
-              Obs.Counter.incr Search_util.c_generated;
-              let d = Elim_graph.degree eg v in
-              let g' = max s.g d in
-              Elim_graph.eliminate eg v;
-              (* PR 1: completing in any order costs at most
-                 max (g', n' - 1) *)
-              let n' = Elim_graph.n_alive eg in
-              let completion = max g' (n' - 1) in
-              if completion < Incumbent.ub inc then begin
-                let sigma = ordering_of_path ~n (path_of s @ [ v ]) eg in
-                if Incumbent.offer_ub inc ~witness:sigma completion then begin
-                  Obs.Counter.incr Search_util.c_pr1;
-                  Obs.Counter.incr Search_util.c_ub_improved;
-                  best_sigma := sigma
-                end
-              end;
-              let h' =
-                if n' <= 1 then 0 else Lower_bounds.treewidth_of_elim ~rng ~trials:1 eg
-              in
-              let f' = max (max g' h') s.f in
-              if f' < Incumbent.ub inc then begin
-                let dominated =
-                  dedup
-                  &&
-                  let key = Elim_graph.alive eg in
-                  match Hashtbl.find_opt seen key with
-                  | Some g_seen when g_seen <= g' ->
-                      Obs.Counter.incr Search_util.c_duplicates;
-                      true
-                  | _ ->
-                      Hashtbl.replace seen (Bitset.copy key) g';
-                      false
-                in
-                if not dominated then begin
-                  let children, reduced =
-                    children_of eg ~lb:f' ~parent_reduced:s.reduced ~last:v
-                  in
-                  Pq.push queue
-                    {
-                      parent = Some s;
-                      vertex = v;
-                      g = g';
-                      h = h';
-                      f = f';
-                      depth = s.depth + 1;
-                      children;
-                      reduced;
-                    }
-                end
-              end;
-              Elim_graph.restore_last eg
-            end)
-          s.children
-      in
-      search ()
-    end
-  end
+let solve ?budget ?within ?dedup ?incumbent ?(seed = 0x7ea) g =
+  Hd_obs.Obs.with_span "astar_tw.solve" @@ fun () ->
+  Ordering_search.int_result
+    (Search.astar ?budget ?within ?incumbent ?dedup ~seed g)
 
 let solve_hypergraph ?budget ?within ?dedup ?incumbent ?seed h =
   solve ?budget ?within ?dedup ?incumbent ?seed

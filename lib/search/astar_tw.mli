@@ -8,7 +8,12 @@
     pruning rule PR2 removes swap-equivalent sibling branches; states
     whose [f] reaches the min-fill upper bound are discarded.  On an
     exhausted budget the largest [f] visited is reported as a treewidth
-    lower bound (Section 5.3). *)
+    lower bound (Section 5.3).
+
+    This is {!Ordering_search.Make.astar} over {!Bag_cost.Tw}: each
+    expanded state offers one completion, its [g] or the live vertex
+    count minus one, whichever is larger.  The default seed is
+    [0x7ea]. *)
 
 (** [solve ?budget ?dedup ?seed g] computes the treewidth of [g].
 

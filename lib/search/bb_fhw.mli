@@ -9,7 +9,10 @@
 
     Lower bounds use the fractional k-set-cover argument: a clique
     minor of [c] vertices forces a bag whose fractional cover weighs
-    at least [c/k] when hyperedges have at most [k] vertices. *)
+    at least [c/k] when hyperedges have at most [k] vertices.
+
+    This is {!Ordering_search.Make.bb} over {!Bag_cost.Fhw}; the
+    default seed is [0xfa3]. *)
 
 type outcome_q =
   | Exact_q of Hd_lp.Rat.t  (** the exact fractional hypertree width *)

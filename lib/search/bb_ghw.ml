@@ -1,149 +1,11 @@
-module Elim_graph = Hd_graph.Elim_graph
-module Hypergraph = Hd_hypergraph.Hypergraph
-module Lower_bounds = Hd_bounds.Lower_bounds
-module Incumbent = Hd_core.Incumbent
-module Obs = Hd_obs.Obs
-open Search_types
+type cover_mode = [ `Exact | `Greedy ]
 
-type cover_mode = Ghw_common.cover_mode
+module Exact = Ordering_search.Make (Bag_cost.Ghw)
+module Greedy = Ordering_search.Make (Bag_cost.Ghw_greedy)
 
-exception Out_of_budget
-exception Closed
-
-let solve ?(budget = no_budget) ?within ?incumbent ?seed ?(cover = `Exact) h =
-  Obs.with_span "bb_ghw.solve" @@ fun () ->
-  Ghw_common.check_input h;
-  (* subsumed hyperedges never matter for covers or coverage: searching
-     the reduced instance is free speedup (same vertices, same primal,
-     same ghw) *)
-  let h = Hypergraph.remove_subsumed h in
-  let n = Hypergraph.n_vertices h in
-  let ticker =
-    match within with
-    | Some b -> Search_util.ticker_within b
-    | None -> Search_util.make_ticker budget
-  in
-  let finish outcome ordering =
-    {
-      outcome;
-      visited = Search_util.visited ticker;
-      generated = Search_util.generated ticker;
-      elapsed = Search_util.elapsed ticker;
-      ordering;
-    }
-  in
-  if n = 0 then finish (Exact 0) (Some [||])
-  else begin
-    let rng = Random.State.make [| Option.value seed ~default:0x6b6 |] in
-    let ub_sigma, ub0, lb0 = Ghw_common.initial_bounds h rng in
-    let inc =
-      match incumbent with
-      | Some i -> i
-      | None -> (
-          match Option.bind within Hd_engine.Budget.incumbent with
-          | Some i -> i
-          | None -> Incumbent.create ())
-    in
-    ignore (Incumbent.offer_ub inc ~witness:ub_sigma ub0);
-    ignore (Incumbent.raise_lb inc lb0);
-    let lb0 = max lb0 (Incumbent.lb inc) in
-    let best_sigma = ref ub_sigma in
-    let final_sigma () =
-      match Incumbent.witness inc with
-      | Some w -> Some w
-      | None -> Some !best_sigma
-    in
-    if Incumbent.closed inc then
-      finish (Exact (Incumbent.ub inc)) (final_sigma ())
-    else begin
-      let covers = Ghw_common.Cover.make h cover rng in
-      let k = Hypergraph.max_edge_size h in
-      let eg = Elim_graph.of_graph (Hypergraph.primal h) in
-      let path = ref [] in
-      let rec branch ~g_val ~f_floor ~reduced =
-        if Search_util.out_of_budget ticker || Incumbent.cancelled inc then
-          raise Out_of_budget;
-        if Incumbent.closed inc then raise Closed;
-        Search_util.tick_visited ticker;
-        Obs.Counter.incr Search_util.c_expanded;
-        let completion = max g_val (Ghw_common.Cover.completion_width covers eg) in
-        if completion < Incumbent.ub inc then begin
-          let sigma = Ghw_common.record_ordering ~n eg !path in
-          if Incumbent.offer_ub inc ~witness:sigma completion then begin
-            Obs.Counter.incr Search_util.c_ub_improved;
-            best_sigma := sigma
-          end
-        end;
-        (* a completion no better than g exists iff covering the rest
-           at once already fits in g: then nothing below can improve *)
-        if completion > g_val && f_floor < Incumbent.ub inc then begin
-          let candidates =
-            (* simplicial reduction only: the almost-simplicial rule is
-               degree-based and specific to treewidth *)
-            match Elim_graph.find_reducible eg ~lb:(-1) with
-            | Some w ->
-                Obs.Counter.incr Search_util.c_reductions;
-                [ (w, true) ]
-            | None ->
-                let last = match !path with v :: _ -> v | [] -> -1 in
-                let keep u =
-                  reduced || last < 0
-                  || not
-                       (Search_util.prune_child ~adjacent_case:false eg ~last
-                          ~candidate:u)
-                in
-                List.rev
-                  (Elim_graph.fold_alive
-                     (fun u acc -> if keep u then (u, false) :: acc else acc)
-                     eg [])
-          in
-          let candidates =
-            List.sort
-              (fun (a, _) (b, _) ->
-                compare (Elim_graph.degree eg a) (Elim_graph.degree eg b))
-              candidates
-          in
-          List.iter
-            (fun (v, via_reduction) ->
-              Search_util.tick_generated ticker;
-              Obs.Counter.incr Search_util.c_generated;
-              let c = Ghw_common.Cover.bag_width covers eg v in
-              let g'' = max g_val c in
-              if g'' < Incumbent.ub inc then begin
-                Elim_graph.eliminate eg v;
-                path := v :: !path;
-                let h_val =
-                  if Elim_graph.n_alive eg <= 1 then 0
-                  else
-                    Lower_bounds.ghw_of_elim ~rng ~trials:1 ~max_edge_size:k eg
-                in
-                let f = max (max g'' h_val) f_floor in
-                if f < Incumbent.ub inc then
-                  branch ~g_val:g'' ~f_floor:f ~reduced:via_reduction;
-                path := List.tl !path;
-                Elim_graph.restore_last eg
-              end)
-            candidates
-        end
-      in
-      match branch ~g_val:0 ~f_floor:lb0 ~reduced:false with
-      | () ->
-          let outcome =
-            match cover with
-            | `Exact ->
-                (* exhausted the tree with exact covers: ub is optimal *)
-                let w = Incumbent.ub inc in
-                ignore (Incumbent.raise_lb inc w);
-                Exact w
-            | `Greedy ->
-                (* greedy covers only prove the upper bound *)
-                let ubv = Incumbent.ub inc in
-                Bounds { lb = min lb0 ubv; ub = ubv }
-          in
-          finish outcome (final_sigma ())
-      | exception Closed -> finish (Exact (Incumbent.ub inc)) (final_sigma ())
-      | exception Out_of_budget ->
-          let ubv = Incumbent.ub inc in
-          finish (Bounds { lb = min lb0 ubv; ub = ubv }) (final_sigma ())
-    end
-  end
+let solve ?budget ?within ?incumbent ?(seed = 0x6b6) ?(cover = `Exact) h =
+  Hd_obs.Obs.with_span "bb_ghw.solve" @@ fun () ->
+  Ordering_search.int_result
+    (match cover with
+    | `Exact -> Exact.bb ?budget ?within ?incumbent ~seed h
+    | `Greedy -> Greedy.bb ?budget ?within ?incumbent ~seed h)

@@ -9,7 +9,11 @@
     minor.  Simplicial reduction (Section 8.2), the non-adjacent case of
     pruning rule PR2 and the PR1-style completion bound — covering all
     remaining vertices at once — shrink the tree (Section 8.3).  Exact
-    bag covers are memoised across the whole run. *)
+    bag covers are memoised across the whole run.
+
+    This is {!Ordering_search.Make.bb} over {!Bag_cost.Ghw}, or
+    {!Bag_cost.Ghw_greedy} for greedy covers; the default seed is
+    [0x6b6]. *)
 
 type cover_mode =
   [ `Exact  (** optimal lambda per bag: the search is an exact method *)

@@ -1,165 +1,10 @@
-module Graph = Hd_graph.Graph
-module Elim_graph = Hd_graph.Elim_graph
-module Lower_bounds = Hd_bounds.Lower_bounds
-module Incumbent = Hd_core.Incumbent
-module Obs = Hd_obs.Obs
-open Search_types
+module Search = Ordering_search.Make (Bag_cost.Tw)
 
-exception Out_of_budget
-exception Closed
-
-let solve ?(budget = no_budget) ?within ?incumbent ?seed ?(use_pr2 = true)
-    ?(use_reductions = true) g =
-  Obs.with_span "bb_tw.solve" @@ fun () ->
-  let n = Graph.n g in
-  let ticker =
-    match within with
-    | Some b -> Search_util.ticker_within b
-    | None -> Search_util.make_ticker budget
-  in
-  let finish outcome ordering =
-    {
-      outcome;
-      visited = Search_util.visited ticker;
-      generated = Search_util.generated ticker;
-      elapsed = Search_util.elapsed ticker;
-      ordering;
-    }
-  in
-  if n <= 1 then finish (Exact (n - 1)) (Some (Array.init n (fun i -> i)))
-  else begin
-    let rng = Random.State.make [| Option.value seed ~default:0xb0b |] in
-    let eval = Hd_core.Eval.of_graph g in
-    let ub_sigma, ub0 =
-      Hd_core.Ordering_heuristics.best_of rng g ~trials:3
-        ~eval:(Hd_core.Eval.tw_width eval)
-    in
-    let lb0 = Lower_bounds.treewidth ~rng g in
-    let inc =
-      match incumbent with
-      | Some i -> i
-      | None -> (
-          match Option.bind within Hd_engine.Budget.incumbent with
-          | Some i -> i
-          | None -> Incumbent.create ())
-    in
-    ignore (Incumbent.offer_ub inc ~witness:ub_sigma ub0);
-    ignore (Incumbent.raise_lb inc lb0);
-    let lb0 = max lb0 (Incumbent.lb inc) in
-    let best_sigma = ref ub_sigma in
-    let final_sigma () =
-      match Incumbent.witness inc with
-      | Some w -> Some w
-      | None -> Some !best_sigma
-    in
-    if Incumbent.closed inc then
-      finish (Exact (Incumbent.ub inc)) (final_sigma ())
-    else begin
-      let eg = Elim_graph.of_graph g in
-      let path = ref [] in
-      (* vertices eliminated so far, most recent first *)
-      let record_solution width =
-        if width < Incumbent.ub inc then begin
-          (* sigma's back is eliminated first: live vertices fill the
-             front (eliminated last, in any order), then the path in
-             most-recent-first order puts the first elimination at the
-             very back *)
-          let sigma = Array.make n (-1) in
-          let i = ref 0 in
-          Elim_graph.iter_alive
-            (fun v ->
-              sigma.(!i) <- v;
-              incr i)
-            eg;
-          List.iter
-            (fun v ->
-              sigma.(!i) <- v;
-              incr i)
-            !path;
-          if Incumbent.offer_ub inc ~witness:sigma width then begin
-            Obs.Counter.incr Search_util.c_ub_improved;
-            best_sigma := sigma
-          end
-        end
-      in
-      (* depth-first over elimination choices; [g_val] is the width of
-         the partial ordering, [f_floor] the inherited f of the parent *)
-      let rec branch ~g_val ~f_floor ~reduced =
-        if Search_util.out_of_budget ticker || Incumbent.cancelled inc then
-          raise Out_of_budget;
-        if Incumbent.closed inc then raise Closed;
-        Search_util.tick_visited ticker;
-        Obs.Counter.incr Search_util.c_expanded;
-        let n' = Elim_graph.n_alive eg in
-        (* PR 1 *)
-        let completion = max g_val (n' - 1) in
-        if completion < Incumbent.ub inc then begin
-          Obs.Counter.incr Search_util.c_pr1;
-          record_solution completion
-        end;
-        if n' - 1 > g_val && f_floor < Incumbent.ub inc then begin
-          let reducible =
-            if use_reductions then Elim_graph.find_reducible eg ~lb:f_floor
-            else None
-          in
-          let candidates =
-            match reducible with
-            | Some w ->
-                Obs.Counter.incr Search_util.c_reductions;
-                [ (w, true) ]
-            | None ->
-                let last = match !path with v :: _ -> v | [] -> -1 in
-                let keep u =
-                  (not use_pr2) || reduced || last < 0
-                  || not (Search_util.prune_child eg ~last ~candidate:u)
-                in
-                List.rev
-                  (Elim_graph.fold_alive
-                     (fun u acc -> if keep u then (u, false) :: acc else acc)
-                     eg [])
-          in
-          (* explore low-degree vertices first: they concentrate good
-             orderings early, tightening ub for later siblings *)
-          let candidates =
-            List.sort
-              (fun (a, _) (b, _) ->
-                compare (Elim_graph.degree eg a) (Elim_graph.degree eg b))
-              candidates
-          in
-          List.iter
-            (fun (v, via_reduction) ->
-              Search_util.tick_generated ticker;
-              Obs.Counter.incr Search_util.c_generated;
-              let d = Elim_graph.degree eg v in
-              let g'' = max g_val d in
-              if g'' < Incumbent.ub inc then begin
-                Elim_graph.eliminate eg v;
-                path := v :: !path;
-                let h =
-                  if Elim_graph.n_alive eg <= 1 then 0
-                  else Lower_bounds.treewidth_of_elim ~rng ~trials:1 eg
-                in
-                let f = max (max g'' h) f_floor in
-                if f < Incumbent.ub inc then
-                  branch ~g_val:g'' ~f_floor:f ~reduced:via_reduction;
-                path := List.tl !path;
-                Elim_graph.restore_last eg
-              end)
-            candidates
-        end
-      in
-      match branch ~g_val:0 ~f_floor:lb0 ~reduced:false with
-      | () ->
-          (* exhausted the tree: the incumbent ub is optimal *)
-          let w = Incumbent.ub inc in
-          ignore (Incumbent.raise_lb inc w);
-          finish (Exact w) (final_sigma ())
-      | exception Closed -> finish (Exact (Incumbent.ub inc)) (final_sigma ())
-      | exception Out_of_budget ->
-          let ubv = Incumbent.ub inc in
-          finish (Bounds { lb = min lb0 ubv; ub = ubv }) (final_sigma ())
-    end
-  end
+let solve ?budget ?within ?incumbent ?(seed = 0xb0b) ?use_pr2 ?use_reductions
+    g =
+  Hd_obs.Obs.with_span "bb_tw.solve" @@ fun () ->
+  Ordering_search.int_result
+    (Search.bb ?budget ?within ?incumbent ?use_pr2 ?use_reductions ~seed g)
 
 let solve_hypergraph ?budget ?within ?incumbent ?seed h =
   solve ?budget ?within ?incumbent ?seed (Hd_hypergraph.Hypergraph.primal h)

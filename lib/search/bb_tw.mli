@@ -1,10 +1,12 @@
 (** BB-tw: depth-first branch and bound for treewidth (Section 4.4).
 
-    The same ingredients as {!Astar_tw} — elimination-ordering search
-    space, min-fill upper bound, minor-based lower bounds, simplicial /
+    {!Ordering_search.Make.bb} over {!Bag_cost.Tw}: the same
+    ingredients as {!Astar_tw} — elimination-ordering search space,
+    min-fill upper bound, minor-based lower bounds, simplicial /
     strongly-almost-simplicial reductions, pruning rules PR1 and PR2 —
     explored depth-first with an anytime upper bound, as in the
-    algorithms QuickBB and BB-tw the paper compares against. *)
+    algorithms QuickBB and BB-tw the paper compares against.  The
+    default seed is [0xb0b]. *)
 
 (** [use_pr2] and [use_reductions] (both on by default) exist for the
     pruning ablation bench.  [incumbent] shares bounds with racing

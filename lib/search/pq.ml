@@ -54,8 +54,8 @@ let pop q =
     q.data.(0) <- q.data.(q.size);
     sift_down q 0
   end;
-  (* clear the vacated slot: A* states keep their whole parent chain
-     alive, so a stale reference here pins dead frontier subtrees *)
+  (* clear the vacated slot: A* states keep their whole elimination
+     path alive, so a stale reference here pins dead memory *)
   q.data.(q.size) <- q.dummy;
   top
 

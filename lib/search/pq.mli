@@ -7,8 +7,8 @@
     [dummy] is a throwaway element used to fill vacated and spare
     slots of the backing array.  It is never returned and never passed
     to [compare]; it exists so that popped elements become unreachable
-    immediately (A* states carry their entire parent chain, so a stale
-    slot would pin an arbitrarily large dead subtree in memory).  Any
+    immediately (A* states carry their entire elimination path, so a
+    stale slot would pin dead memory).  Any
     value of the element type works; a long-lived one (e.g. the root
     state) costs nothing extra. *)
 

@@ -1,10 +1,12 @@
-(* Internal helpers shared by the four exact-search algorithms. *)
+(* Internal helpers of the ordering search (Ordering_search and its
+   distributed A*, Hd_parallel.Hdastar): its counters and pruning rule
+   PR2. *)
 
 module Elim_graph = Hd_graph.Elim_graph
 module Obs = Hd_obs.Obs
 
-(* Observability counters shared by A*-tw, BB-tw, BB-ghw and A*-ghw;
-   the per-algorithm spans (e.g. "astar_tw.solve") tell the runs apart.
+(* Observability counters shared by every ordering search; the
+   per-solver spans (e.g. "astar_tw.solve") tell the runs apart.
    Registered here at module-init time so they appear in every report,
    even at 0.  Naming scheme: docs/OBSERVABILITY.md. *)
 let c_expanded = Obs.Counter.make "search.nodes_expanded"
@@ -31,8 +33,8 @@ let swap_equivalent ?(adjacent_case = true) eg u =
       if not (List.mem u nbrs) then true
       else if not adjacent_case then
         (* the adjacent-vertex case preserves bag sizes (sound for
-           treewidth) but permutes bag contents, which can change exact
-           set-cover widths — callers optimising ghw disable it *)
+           treewidth) but permutes bag contents, which can change
+           cover costs — costs that are not size-only disable it *)
         false
       else
         let fill_partners =
@@ -60,19 +62,3 @@ let prune_child ?adjacent_case eg ~last ~candidate =
   let pruned = last > candidate && swap_equivalent ?adjacent_case eg candidate in
   if pruned then Obs.Counter.incr c_pr2;
   pruned
-
-(* The per-run clock for budget checks is the engine's amortized
-   ticker; [make_ticker] keeps the historical spec-based entry point,
-   [ticker_within] attaches to a caller-supplied running budget. *)
-type ticker = Hd_engine.Budget.ticker
-
-let make_ticker (spec : Search_types.budget) =
-  Hd_engine.Budget.ticker (Hd_engine.Budget.of_spec spec)
-
-let ticker_within = Hd_engine.Budget.ticker
-let elapsed = Hd_engine.Budget.ticker_elapsed
-let out_of_budget = Hd_engine.Budget.out_of_budget
-let tick_visited = Hd_engine.Budget.tick_visited
-let tick_generated = Hd_engine.Budget.tick_generated
-let visited = Hd_engine.Budget.visited
-let generated = Hd_engine.Budget.generated

@@ -124,8 +124,5 @@ let ensure () =
            Hd_core.Ordering_heuristics.min_fill_hypergraph rng
              (S.hypergraph_of p)));
     register ~name:"hw-det-k" ~kind:S.Hw
-      ~doc:"det-k-decomp: exact hypertree width (Gottlob & Samer)" det_k;
-    (* historical name, same solver *)
-    register ~name:"det-k" ~kind:S.Hw
-      ~doc:"alias of hw-det-k (kept for scripts)" det_k
+      ~doc:"det-k-decomp: exact hypertree width (Gottlob & Samer)" det_k
   end

@@ -290,8 +290,62 @@ let test_all_solvers_sound_under_tiny_budget () =
           let ghd = Ghd.of_ordering h sigma ~cover:`Exact in
           check (label "%s witness valid") true (Ghd.valid h ghd);
           check (label "%s witness width <= ub") true (Ghd.width ghd <= ub)
+      | Some sigma, S.Fhw ->
+          let fhw = Hd_core.Eval.(fhw_width_q (of_hypergraph h) sigma) in
+          check (label "%s witness ceil(fhw) <= ub") true
+            (Hd_lp.Rat.ceil fhw <= ub)
       | _ -> ())
     (S.all ())
+
+(* a random hypergraph on [n] vertices with n to 3n - 1 edges of two
+   or three vertices (dense enough that the initial bounds often leave
+   the exact searches work to do), every vertex in some edge *)
+let random_hypergraph seed n =
+  let rng = Random.State.make [| seed |] in
+  let vertex () = Random.State.int rng n in
+  let edges =
+    List.init
+      (n + Random.State.int rng (2 * n))
+      (fun _ -> List.init (2 + Random.State.int rng 2) (fun _ -> vertex ()))
+  in
+  let uncovered =
+    List.filter
+      (fun v -> not (List.exists (List.mem v) edges))
+      (List.init n Fun.id)
+  in
+  Hypergraph.create ~n
+    (List.map (List.sort_uniq compare)
+       (edges @ List.map (fun v -> [ v; vertex () ]) uncovered))
+
+(* Cross-solver soundness: under a state cap, no registered solver's
+   lower bound exceeds any solver's upper bound for the same width.  An
+   unsound [Bounds] from any instance of the ordering-search core, or
+   from any other solver, breaks it. *)
+let prop_cross_solver_bounds =
+  QCheck.Test.make ~count:200 ~name:"every lb <= every ub of the same width"
+    QCheck.(triple (int_bound 10_000) (int_range 3 7) (int_range 1 20))
+    (fun (seed, n, max_states) ->
+      ensure_registry ();
+      Hd_parallel.Par_solvers.ensure ();
+      let h = random_hypergraph seed n in
+      let bounds =
+        List.map
+          (fun (s : S.t) ->
+            let p =
+              match s.S.kind with
+              | S.Tw -> S.Graph (Hypergraph.primal h)
+              | S.Ghw | S.Fhw | S.Hw -> S.Hypergraph h
+            in
+            let r = Engine.run ~seed:1 s (B.create ~max_states ()) p in
+            (s.S.kind, S.bounds_of r.S.outcome))
+          (S.all ())
+      in
+      List.for_all
+        (fun (kind, (lb, _)) ->
+          List.for_all
+            (fun (kind', (_, ub)) -> kind <> kind' || lb <= ub)
+            bounds)
+        bounds)
 
 (* ------------------------------------------------------------------ *)
 (* Decompose-by-blocks: engine results vs monolithic                   *)
@@ -606,6 +660,19 @@ let test_one_domain_spawner () =
     "Domain.spawn only in lib/parallel/scheduler.ml" []
     (sources_mentioning ~exempt ("Domain." ^ "spawn") [ "../lib"; "../bin" ])
 
+let test_one_ordering_search () =
+  (* tw, ghw and fhw differ only in their Bag_cost: one module walks
+     the elimination-ordering tree, and HDA-star reuses its expansion
+     step instead of a copy *)
+  let exempt path =
+    Filename.check_suffix path "lib/search/ordering_search.ml"
+  in
+  Alcotest.(check (list string))
+    "Elim_graph.restore_last only in lib/search/ordering_search.ml" []
+    (sources_mentioning ~exempt
+       ("Elim_graph.restore" ^ "_last")
+       [ "../lib/search"; "../lib/parallel" ])
+
 let test_one_join_kernel () =
   (* CSP relations are Qrelations joined by Colexec; a boxed-key hash
      join cannot creep back into the CSP layer beside it *)
@@ -654,6 +721,7 @@ let () =
           Alcotest.test_case "unknown name" `Quick test_run_by_name_unknown;
           Alcotest.test_case "all solvers, tiny budget" `Slow
             test_all_solvers_sound_under_tiny_budget;
+          QCheck_alcotest.to_alcotest prop_cross_solver_bounds;
         ] );
       ( "engine",
         [
@@ -687,5 +755,7 @@ let () =
             test_no_direct_clock_reads;
           Alcotest.test_case "one domain spawner" `Quick test_one_domain_spawner;
           Alcotest.test_case "one join kernel" `Quick test_one_join_kernel;
+          Alcotest.test_case "one ordering search" `Quick
+            test_one_ordering_search;
         ] );
     ]

@@ -633,7 +633,7 @@ let test_pq () =
 
 let test_pq_no_leak () =
   (* popped elements must become unreachable: A* states hold their
-     whole parent chain, so stale heap slots pin dead subtrees.  This
+     whole elimination path, so stale heap slots pin dead memory.  This
      test fails against the pre-fix pq.ml, which left popped elements
      live at data.(size) and grew the array with a live element. *)
   let n = 64 in
@@ -668,6 +668,97 @@ let prop_pq_sorts =
       let out = List.init (List.length xs) (fun _ -> Hd_search.Pq.pop q) in
       out = List.sort compare xs)
 
+(* --- trajectory pins of the ordering-search core --- *)
+
+module Hdastar = Hd_parallel.Hdastar
+
+(* Outcome, visited and generated states of every search on four
+   bundled instances at 400 states, seed 1 (HDA-star on a 0-worker
+   scheduler, which is deterministic).  The rows were recorded from the
+   per-width searches the core replaced, so any drift in pruning,
+   bounds or child order shows here.  A*-tw and HDA*-tw are recorded on
+   the core's A* flow, which offers one completion per expanded state
+   where the old A*-tw offered one per generated child. *)
+let trajectory_pins =
+  [
+    ("b06", "bb-tw", "[9,14]", 140, 411);
+    ("b06", "bb-ghw", "[3,6]", 72, 411);
+    ("b06", "bb-ghw-greedy", "[3,7]", 65, 404);
+    ("b06", "fhw-bb", "[5/2,6]", 72, 421);
+    ("b06", "astar-ghw", "[3,7]", 39, 401);
+    ("b06", "astar-tw", "[9,14]", 73, 401);
+    ("b06", "hdastar-ghw", "[3,7]", 39, 401);
+    ("b06", "hdastar-tw", "[9,14]", 110, 401);
+    ("grid3d_4", "bb-tw", "[11,19]", 65, 404);
+    ("grid3d_4", "bb-ghw", "[4,8]", 54, 404);
+    ("grid3d_4", "bb-ghw-greedy", "[4,8]", 41, 401);
+    ("grid3d_4", "fhw-bb", "[3,7]", 41, 405);
+    ("grid3d_4", "astar-ghw", "[4,8]", 24, 401);
+    ("grid3d_4", "astar-tw", "[13,19]", 25, 401);
+    ("grid3d_4", "hdastar-ghw", "[4,8]", 24, 401);
+    ("grid3d_4", "hdastar-tw", "[11,19]", 38, 401);
+    ("grid2d_10", "bb-tw", "[6,14]", 81, 419);
+    ("grid2d_10", "bb-ghw", "[3,9]", 164, 402);
+    ("grid2d_10", "bb-ghw-greedy", "[3,9]", 137, 402);
+    ("grid2d_10", "fhw-bb", "[7/3,15/2]", 88, 410);
+    ("grid2d_10", "astar-ghw", "[3,9]", 11, 401);
+    ("grid2d_10", "astar-tw", "[6,16]", 17, 401);
+    ("grid2d_10", "hdastar-ghw", "[3,9]", 11, 401);
+    ("grid2d_10", "hdastar-tw", "[6,16]", 17, 401);
+    ("bridge_3", "bb-tw", "6 (exact)", 0, 0);
+    ("bridge_3", "bb-ghw", "3 (exact)", 24, 108);
+    ("bridge_3", "bb-ghw-greedy", "[3,3]", 23, 107);
+    ("bridge_3", "fhw-bb", "[7/3,19/7]", 176, 419);
+    ("bridge_3", "astar-ghw", "3 (exact)", 22, 113);
+    ("bridge_3", "astar-tw", "6 (exact)", 0, 0);
+    ("bridge_3", "hdastar-ghw", "3 (exact)", 22, 113);
+    ("bridge_3", "hdastar-tw", "6 (exact)", 0, 0)
+  ]
+
+let pinned_run instance solver =
+  let h =
+    if instance = "bridge_3" then Hd_instances.Hypergraphs.bridge 3
+    else Option.get (Hd_instances.Hypergraphs.by_name instance)
+  in
+  let g = Hypergraph.primal h in
+  let budget = { St.time_limit = None; max_states = Some 400 } in
+  let int (r : St.result) =
+    (Format.asprintf "%a" St.pp_outcome r.St.outcome, r.visited, r.generated)
+  in
+  let hdastar solve =
+    Hd_parallel.Scheduler.with_scheduler ~workers:0 (fun sched ->
+        int (solve sched (Hd_engine.Budget.of_spec budget)))
+  in
+  match solver with
+  | "bb-tw" -> int (Bb_tw.solve ~budget ~seed:1 g)
+  | "bb-ghw" -> int (Bb_ghw.solve ~budget ~seed:1 h)
+  | "bb-ghw-greedy" -> int (Bb_ghw.solve ~budget ~cover:`Greedy ~seed:1 h)
+  | "astar-ghw" -> int (Astar_ghw.solve ~budget ~seed:1 h)
+  | "astar-tw" -> int (Astar_tw.solve ~budget ~seed:1 g)
+  | "hdastar-ghw" ->
+      hdastar (fun sched within -> Hdastar.solve_ghw ~sched ~within ~seed:1 h)
+  | "hdastar-tw" ->
+      hdastar (fun sched within -> Hdastar.solve_tw ~sched ~within ~seed:1 g)
+  | "fhw-bb" ->
+      let r = Bb_fhw.solve ~budget ~seed:1 h in
+      let q = Hd_lp.Rat.to_string in
+      ( (match r.Bb_fhw.outcome_q with
+        | Bb_fhw.Exact_q w -> q w ^ " (exact)"
+        | Bb_fhw.Bounds_q { lb; ub } -> Printf.sprintf "[%s,%s]" (q lb) (q ub)),
+        r.visited,
+        r.generated )
+  | _ -> Alcotest.failf "no pinned solver %s" solver
+
+let test_trajectory_pins () =
+  List.iter
+    (fun (instance, solver, outcome, visited, generated) ->
+      let o, v, g = pinned_run instance solver in
+      let label what = Printf.sprintf "%s %s %s" instance solver what in
+      Alcotest.(check string) (label "outcome") outcome o;
+      check_int (label "visited") visited v;
+      check_int (label "generated") generated g)
+    trajectory_pins
+
 let () =
   Alcotest.run "search"
     [
@@ -689,6 +780,8 @@ let () =
       ( "bb-tw",
         [ Alcotest.test_case "known treewidths" `Quick test_bb_known ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_bb_matches_astar ] );
+      ( "ordering",
+        [ Alcotest.test_case "trajectory pins" `Quick test_trajectory_pins ] );
       ( "robustness",
         [
           Alcotest.test_case "state budgets" `Quick test_ghw_budget_states;

@@ -156,12 +156,12 @@ let test_protocol_parse () =
   | _ -> Alcotest.fail "well-formed submit must parse");
   (match
      Protocol.parse
-       {|{"op":"submit","cq":"ans() :- r(X,Y).","solver":"det-k","time_limit":2,"cache":false}|}
+       {|{"op":"submit","cq":"ans() :- r(X,Y).","solver":"hw-det-k","time_limit":2,"cache":false}|}
    with
   | Ok (Protocol.Submit s) ->
       check "cq source" true
         (s.Protocol.source = Protocol.Cq_text "ans() :- r(X,Y).");
-      check "solver carried" true (s.Protocol.solver = Some "det-k");
+      check "solver carried" true (s.Protocol.solver = Some "hw-det-k");
       check "int time limit accepted as number" true
         (s.Protocol.time_limit = Some 2.0);
       check "cache off" false s.Protocol.use_cache
