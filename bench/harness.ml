@@ -79,14 +79,16 @@ let default_scale =
     widths_only = false;
   }
 
+(* the passive spec for the portfolio and the corpus sweep *)
 let budget scale =
   match scale.states with
-  | Some n -> { Hd_search.Search_types.time_limit = None; max_states = Some n }
+  | Some n -> { Hd_engine.Budget.time_limit = None; max_states = Some n }
   | None ->
-      {
-        Hd_search.Search_types.time_limit = Some scale.time_limit;
-        max_states = None;
-      }
+      { Hd_engine.Budget.time_limit = Some scale.time_limit; max_states = None }
+
+(* a fresh running budget for one solver call: a started budget keeps
+   its clock, so never share one across runs *)
+let within scale = Hd_engine.Budget.of_spec (budget scale)
 
 (* per-experiment hd_obs snapshots, collected by [record_table] and
    written out as one BENCH_report.json at the end of the run *)

@@ -67,7 +67,7 @@ let table_5_1 scale =
       let g = graph name in
       let lb, ub = initial_bounds_tw g 1 in
       let result, secs =
-        time (fun () -> Hd_search.Astar_tw.solve ~budget:(budget scale) ~seed:1 g)
+        time (fun () -> Hd_search.Astar_tw.solve ~within:(within scale) ~seed:1 g)
       in
       let paper_a, paper_q, paper_b =
         match List.find_opt (fun (n, _, _, _) -> n = name) Paper.table_5_1 with
@@ -89,7 +89,7 @@ let table_5_2 scale =
       let g = graph name in
       let lb, ub = initial_bounds_tw g 1 in
       let result, secs =
-        time (fun () -> Hd_search.Astar_tw.solve ~budget:(budget scale) ~seed:1 g)
+        time (fun () -> Hd_search.Astar_tw.solve ~within:(within scale) ~seed:1 g)
       in
       Printf.printf "%-8s %5d %5d | %4d %4d %10s %7.2fs | %8s\n" name
         (Graph.n g) (Graph.m g) lb ub
@@ -113,8 +113,6 @@ let run_ga_tw scale g ~crossover ~mutation ~params ~population ~run =
       crossover;
       mutation;
       max_iterations = scale.iterations;
-      time_limit = None;
-      target = None;
       seed = 1000 + run;
     }
   in
@@ -372,7 +370,7 @@ let exact_ghw_table title solve scale =
       let ws = Hd_core.Eval.of_hypergraph h in
       let sigma = Hd_core.Ordering_heuristics.min_fill_hypergraph rng h in
       let ub = Hd_core.Eval.ghw_width ~rng ws sigma in
-      let result, secs = time (fun () -> solve ~budget:(budget scale) h) in
+      let result, secs = time (fun () -> solve ~within:(within scale) h) in
       Printf.printf "%-12s %5d %5d | %4d %4d %10s %7.2fs %9d\n" name
         (Hypergraph.n_vertices h) (Hypergraph.n_edges h) lb ub
         (outcome_string result.St.outcome)
@@ -381,12 +379,12 @@ let exact_ghw_table title solve scale =
 
 let table_8_1 scale =
   exact_ghw_table "Table 8.1/8.2 -- BB-ghw (exact bag covers, tw-ksc-width lb)"
-    (fun ~budget h -> Hd_search.Bb_ghw.solve ~budget ~seed:1 h)
+    (fun ~within h -> Hd_search.Bb_ghw.solve ~within ~seed:1 h)
     scale
 
 let table_9_1 scale =
   exact_ghw_table "Table 9.1/9.2 -- A*-ghw (best-first, anytime lower bounds)"
-    (fun ~budget h -> Hd_search.Astar_ghw.solve ~budget ~seed:1 h)
+    (fun ~within h -> Hd_search.Astar_ghw.solve ~within ~seed:1 h)
     scale
 
 (* ------------------------------------------------------------------ *)
@@ -440,11 +438,11 @@ let ablation_setcover scale =
       let h = hypergraph name in
       let exact, t1 =
         time (fun () ->
-            Hd_search.Bb_ghw.solve ~budget:(budget scale) ~seed:1 ~cover:`Exact h)
+            Hd_search.Bb_ghw.solve ~within:(within scale) ~seed:1 ~cover:`Exact h)
       in
       let greedy, t2 =
         time (fun () ->
-            Hd_search.Bb_ghw.solve ~budget:(budget scale) ~seed:1 ~cover:`Greedy h)
+            Hd_search.Bb_ghw.solve ~within:(within scale) ~seed:1 ~cover:`Greedy h)
       in
       Printf.printf "%-12s | %12s %7.2fs | %12s %7.2fs\n" name
         (outcome_string exact.St.outcome)
@@ -461,11 +459,11 @@ let ablation_dedup scale =
     (fun name ->
       let g = graph name in
       let plain, t1 =
-        time (fun () -> Hd_search.Astar_tw.solve ~budget:(budget scale) ~seed:1 g)
+        time (fun () -> Hd_search.Astar_tw.solve ~within:(within scale) ~seed:1 g)
       in
       let dedup, t2 =
         time (fun () ->
-            Hd_search.Astar_tw.solve ~budget:(budget scale) ~dedup:true ~seed:1 g)
+            Hd_search.Astar_tw.solve ~within:(within scale) ~dedup:true ~seed:1 g)
       in
       Printf.printf "%-12s | %10s %9d %7.2fs | %10s %9d %7.2fs\n" name
         (outcome_string plain.St.outcome)
@@ -481,12 +479,12 @@ let ablation_pruning scale =
   List.iter
     (fun name ->
       let g = graph name in
-      let both = Hd_search.Bb_tw.solve ~budget:(budget scale) ~seed:1 g in
+      let both = Hd_search.Bb_tw.solve ~within:(within scale) ~seed:1 g in
       let no_pr2 =
-        Hd_search.Bb_tw.solve ~budget:(budget scale) ~seed:1 ~use_pr2:false g
+        Hd_search.Bb_tw.solve ~within:(within scale) ~seed:1 ~use_pr2:false g
       in
       let no_red =
-        Hd_search.Bb_tw.solve ~budget:(budget scale) ~seed:1
+        Hd_search.Bb_tw.solve ~within:(within scale) ~seed:1
           ~use_reductions:false g
       in
       Printf.printf "%-10s | %10s %9d | %10s %9d | %10s %9d\n" name
@@ -632,13 +630,14 @@ let extension_hw scale =
             try
               let hw, hd =
                 Hd_search.Det_k_decomp.hypertree_width
-                  ~time_limit:scale.time_limit h
+                  ~within:(Hd_engine.Budget.create ~time_limit:scale.time_limit ())
+                  h
               in
               assert (Hd_search.Det_k_decomp.valid h hd);
               Printf.sprintf "%d*" hw
             with Hd_search.Det_k_decomp.Timeout -> "t/o")
       in
-      let ghw = Hd_search.Bb_ghw.solve ~budget:(budget scale) ~seed:1 h in
+      let ghw = Hd_search.Bb_ghw.solve ~within:(within scale) ~seed:1 h in
       let fhw =
         let rng = Random.State.make [| 1 |] in
         let sigma = Hd_core.Ordering_heuristics.min_fill_hypergraph rng h in
@@ -659,12 +658,12 @@ let extension_preprocess scale =
     (fun name ->
       let g = graph name in
       let plain, t1 =
-        time (fun () -> Hd_search.Astar_tw.solve ~budget:(budget scale) ~seed:1 g)
+        time (fun () -> Hd_search.Astar_tw.solve ~within:(within scale) ~seed:1 g)
       in
       let pre, t2 =
         time (fun () ->
             Hd_search.Preprocess.treewidth_with_preprocessing
-              ~budget:(budget scale) ~seed:1 g)
+              ~within:(within scale) ~seed:1 g)
       in
       let kernel =
         let r =
@@ -689,7 +688,7 @@ let scaling scale =
     (fun name ->
       let h = hypergraph name in
       let result, secs =
-        time (fun () -> Hd_search.Bb_ghw.solve ~budget:(budget scale) ~seed:1 h)
+        time (fun () -> Hd_search.Bb_ghw.solve ~within:(within scale) ~seed:1 h)
       in
       Printf.printf "%-12s %5d %5d | %10s %7.2fs\n" name
         (Hypergraph.n_vertices h) (Hypergraph.n_edges h)
@@ -864,7 +863,7 @@ let parallel scale =
       let chain = Hd_instances.Graphs.chain ~copies (graph "myciel4") in
       let solve () =
         Hd_engine.Engine.run_by_name ~seed:1 "bb-tw"
-          (B.of_spec (budget scale))
+          (within scale)
           (Sv.Graph chain)
       in
       let seq, t1 = time solve in
@@ -889,12 +888,12 @@ let parallel scale =
       let g = graph name in
       let seq, t1 =
         time (fun () ->
-            Hd_search.Astar_tw.solve ~budget:(budget scale) ~seed:1 g)
+            Hd_search.Astar_tw.solve ~within:(within scale) ~seed:1 g)
       in
       let par, t2 =
         time (fun () ->
             Hd_parallel.Hdastar.solve_tw ~sched
-              ~within:(B.of_spec (budget scale))
+              ~within:(within scale)
               ~seed:1 g)
       in
       let notes =
@@ -1425,13 +1424,13 @@ let widths scale =
         let problem = Hd_engine.Solver.Hypergraph h in
         let run name =
           Hd_engine.Engine.run_by_name ~seed:1 name
-            (Hd_engine.Budget.of_spec (budget scale))
+            (within scale)
             problem
         in
         let started = Hd_engine.Clock.now () in
         let tw = run "astar-tw" in
         let ghw = run "bb-ghw" in
-        let fhw = Hd_search.Bb_fhw.solve ~budget:(budget scale) ~seed:1 h in
+        let fhw = Hd_search.Bb_fhw.solve ~within:(within scale) ~seed:1 h in
         let hw = run "hw-det-k" in
         let secs = Hd_engine.Clock.now () -. started in
         let fhw_str, fhw_exact =

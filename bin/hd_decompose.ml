@@ -25,8 +25,10 @@ let load ~instance ~graph_file ~hypergraph_file =
 let hypergraph_of = function G g -> Hypergraph.of_graph g | H h -> h
 let primal_of = function G g -> g | H h -> Hypergraph.primal h
 
-let budget time_limit =
-  { St.time_limit; max_states = None }
+(* the portfolio and sweep take a passive spec; a single solver run
+   takes a fresh budget, built at each call so no clock is shared *)
+let budget time_limit = { Hd_engine.Budget.time_limit; max_states = None }
+let within time_limit = Hd_engine.Budget.create ?time_limit ()
 
 let report_search label (result : St.result) =
   Format.printf "%s: %a  (visited %d, generated %d, %.2fs)@." label
@@ -84,9 +86,10 @@ let run_corpus ~dir ~solvers ~jobs ~time_limit ~seed =
     exit 2
   end;
   let roster = match solvers with [] -> None | names -> Some names in
-  let budget = { St.time_limit; max_states = None } in
   let report =
-    try Hd_corpus.Sweep.sweep ~jobs ?roster ~budget ~seed entries
+    try
+      Hd_corpus.Sweep.sweep ~jobs ?roster ~budget:(budget time_limit) ~seed
+        entries
     with Invalid_argument msg ->
       prerr_endline ("hd_decompose: " ^ msg);
       exit 2
@@ -114,12 +117,8 @@ let run input method_ ~jobs ~portfolio ~solvers time_limit seed population
       Format.printf "input: %d vertices, %d hyperedges (primal: %d edges)@."
         (Hypergraph.n_vertices h) (Hypergraph.n_edges h) (Graph.m g);
       let ga_config =
-        {
-          (Hd_ga.Ga_engine.default_config ~population_size:population
-             ~max_iterations:iterations ~seed ())
-          with
-          Hd_ga.Ga_engine.time_limit;
-        }
+        Hd_ga.Ga_engine.default_config ~population_size:population
+          ~max_iterations:iterations ~seed ()
       in
       (* what the witness ordering (if any) should be evaluated as:
          bags for tw, exact covers for ghw, exact LP covers for fhw *)
@@ -161,8 +160,7 @@ let run input method_ ~jobs ~portfolio ~solvers time_limit seed population
             match names with
             | [ name ] ->
                 report_search name
-                  (Hd_engine.Engine.run_by_name ~seed name
-                     (Hd_engine.Budget.of_spec (budget time_limit))
+                  (Hd_engine.Engine.run_by_name ~seed name (within time_limit)
                      problem)
             | names ->
                 report_portfolio "portfolio"
@@ -188,39 +186,39 @@ let run input method_ ~jobs ~portfolio ~solvers time_limit seed population
         match method_ with
         | `Astar_tw ->
             report_search "A*-tw"
-              (Hd_search.Astar_tw.solve ~budget:(budget time_limit) ~seed g)
+              (Hd_search.Astar_tw.solve ~within:(within time_limit) ~seed g)
         | `Bb_tw ->
             report_search "BB-tw"
-              (Hd_search.Bb_tw.solve ~budget:(budget time_limit) ~seed g)
+              (Hd_search.Bb_tw.solve ~within:(within time_limit) ~seed g)
         | `Astar_ghw ->
             wkind := `Ghw;
             report_search "A*-ghw"
-              (Hd_search.Astar_ghw.solve ~budget:(budget time_limit) ~seed h)
+              (Hd_search.Astar_ghw.solve ~within:(within time_limit) ~seed h)
         | `Bb_ghw ->
             wkind := `Ghw;
             report_search "BB-ghw"
-              (Hd_search.Bb_ghw.solve ~budget:(budget time_limit) ~seed h)
-        | `Ga_tw -> report_ga "GA-tw" (Hd_ga.Ga_tw.run ga_config g)
+              (Hd_search.Bb_ghw.solve ~within:(within time_limit) ~seed h)
+        | `Ga_tw ->
+            report_ga "GA-tw"
+              (Hd_ga.Ga_tw.run ~within:(within time_limit) ga_config g)
         | `Ga_ghw ->
             wkind := `Ghw;
-            report_ga "GA-ghw" (Hd_ga.Ga_ghw.run ga_config h)
+            report_ga "GA-ghw"
+              (Hd_ga.Ga_ghw.run ~within:(within time_limit) ga_config h)
         | `Saiga ->
             wkind := `Ghw;
             let config =
-              {
-                (Hd_ga.Saiga_ghw.default_config
-                   ~n_islands:(if jobs > 1 then jobs else 4)
-                   ~seed ())
-                with
-                Hd_ga.Saiga_ghw.time_limit;
-              }
+              Hd_ga.Saiga_ghw.default_config
+                ~n_islands:(if jobs > 1 then jobs else 4)
+                ~seed ()
             in
             (* -j 1: the sequential round-robin islands of Section 7.2;
                -j N>1: one scheduler executor per island, ring-buffer
                migration *)
             let r =
-              if jobs > 1 then Hd_parallel.Saiga_par.run config h
-              else Hd_ga.Saiga_ghw.run config h
+              let within = within time_limit in
+              if jobs > 1 then Hd_parallel.Saiga_par.run ~within config h
+              else Hd_ga.Saiga_ghw.run ~within config h
             in
             Format.printf "SAIGA-ghw%s: width %d  (%d epochs, %d evaluations, %.2fs)@."
               (if jobs > 1 then Printf.sprintf " (%d islands, parallel)" jobs
@@ -236,13 +234,11 @@ let run input method_ ~jobs ~portfolio ~solvers time_limit seed population
               (Hd_core.Eval.tw_width ws sigma);
             Some sigma
         | `Sa ->
-            let config =
-              {
-                (Hd_ga.Local_search.default_config ~seed ()) with
-                Hd_ga.Local_search.time_limit;
-              }
+            let r =
+              Hd_ga.Local_search.sa_tw ~within:(within time_limit)
+                (Hd_ga.Local_search.default_config ~seed ())
+                g
             in
-            let r = Hd_ga.Local_search.sa_tw config g in
             Format.printf "SA-tw: width %d  (%d steps, %.2fs)@."
               r.Hd_ga.Local_search.best r.Hd_ga.Local_search.steps
               r.Hd_ga.Local_search.elapsed;
@@ -250,10 +246,10 @@ let run input method_ ~jobs ~portfolio ~solvers time_limit seed population
         | `Preprocess ->
             report_search "A*-tw+preprocess"
               (Hd_search.Preprocess.treewidth_with_preprocessing
-                 ~budget:(budget time_limit) ~seed g)
+                 ~within:(within time_limit) ~seed g)
         | `Fhw ->
             wkind := `Fhw;
-            let r = Hd_search.Bb_fhw.solve ~budget:(budget time_limit) ~seed h in
+            let r = Hd_search.Bb_fhw.solve ~within:(within time_limit) ~seed h in
             (match r.Hd_search.Bb_fhw.outcome_q with
             | Hd_search.Bb_fhw.Exact_q q ->
                 Format.printf "BB-fhw: fhw = %s (exact)  (visited %d, generated %d, %.2fs)@."
@@ -269,7 +265,8 @@ let run input method_ ~jobs ~portfolio ~solvers time_limit seed population
             wkind := `Ghw;
             (try
                let w, hd =
-                 Hd_search.Det_k_decomp.hypertree_width ?time_limit h
+                 Hd_search.Det_k_decomp.hypertree_width
+                   ~within:(within time_limit) h
                in
                Format.printf "det-k-decomp: hypertree width %d (valid %b)@." w
                  (Hd_search.Det_k_decomp.valid h hd);
@@ -288,7 +285,7 @@ let run input method_ ~jobs ~portfolio ~solvers time_limit seed population
             wkind := `Ghw;
             let report =
               Hd_search.Widths.analyze
-                ?time_limit:(Option.map (fun t -> t) time_limit)
+                ?within:(Option.map (fun t -> within (Some t)) time_limit)
                 ~seed h
             in
             Format.printf "%a@." Hd_search.Widths.pp report;

@@ -24,7 +24,7 @@ let evaluate name h =
   let ga = (Hd_ga.Ga_ghw.run ga_config h).Hd_ga.Ga_engine.best in
   let saiga = (Hd_ga.Saiga_ghw.run saiga_config h).Hd_ga.Saiga_ghw.best in
   let bb =
-    Hd_search.Bb_ghw.solve ~budget:{ St.time_limit = Some 5.0; max_states = None } h
+    Hd_search.Bb_ghw.solve ~within:(Hd_engine.Budget.create ~time_limit:5.0 ()) h
   in
   let lb = Hd_bounds.Lower_bounds.ghw ~rng h in
   let bb_str = Format.asprintf "%a" St.pp_outcome bb.St.outcome in

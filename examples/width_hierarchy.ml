@@ -19,16 +19,20 @@ let outcome = function
 
 let () =
   Printf.printf "%-12s %5s %5s | %7s %8s %8s %6s %8s\n" "instance" "V" "H"
-    "acyclic" "fhw(ub)" "ghw" "hw" "tw";
+    "acyclic" "fhw" "ghw" "hw" "tw";
   List.iter
     (fun name ->
       match Hd_instances.Hypergraphs.by_name name with
       | None -> failwith ("missing " ^ name)
       | Some h ->
-          let r = Widths.analyze ~time_limit:9.0 h in
-          Printf.printf "%-12s %5d %5d | %7b %8.2f %8s %6s %8s\n" name
+          let r =
+            Widths.analyze ~within:(Hd_engine.Budget.create ~time_limit:9.0 ()) h
+          in
+          Printf.printf "%-12s %5d %5d | %7b %8s %8s %6s %8s\n" name
             r.Widths.n_vertices r.Widths.n_hyperedges r.Widths.acyclic
-            r.Widths.fhw_upper (outcome r.Widths.ghw)
+            (Hd_lp.Rat.to_string r.Widths.fhw
+            ^ if r.Widths.fhw_exact then "*" else "")
+            (outcome r.Widths.ghw)
             (match r.Widths.hw with Some w -> string_of_int w ^ "*" | None -> "t/o")
             (outcome r.Widths.tw))
     [ "adder_15"; "adder_25"; "bridge_15"; "clique_10"; "grid2d_10"; "b06" ];

@@ -202,19 +202,12 @@ let ghw_width ?rng t sigma =
       (memoized t.greedy_memo (fun universe ->
            Set_cover.greedy_size ?rng { universe; hypergraph = h }))
 
-let ghw_width_exact ?cache t sigma =
+let ghw_width_exact t sigma =
   let h = hypergraph_exn t in
-  match cache with
-  | Some _ ->
-      (* caller-supplied table (the search engines share one across
-         workspaces): keep the historical Set_cover-level memo *)
-      ghw_of_sigma t sigma ~cover:(fun universe ->
-          Set_cover.exact_size ?cache { universe; hypergraph = h })
-  | None ->
-      ghw_of_sigma t sigma
-        ~cover:
-          (memoized t.exact_memo (fun universe ->
-               Set_cover.exact_size { universe; hypergraph = h }))
+  ghw_of_sigma t sigma
+    ~cover:
+      (memoized t.exact_memo (fun universe ->
+           Set_cover.exact_size { universe; hypergraph = h }))
 
 (* as [memoized], but for the Rat-valued LP memo with its own counters *)
 let rho_memoized table hypergraph universe =
@@ -249,8 +242,6 @@ let fhw_width_q t sigma =
     decr i
   done;
   !width
-
-let fhw_width t sigma = Hd_lp.Rat.to_float (fhw_width_q t sigma)
 
 let weighted_width t ~domain_sizes sigma =
   if Array.length domain_sizes <> t.n then

@@ -44,14 +44,12 @@ val tw_width : t -> Ordering.t -> int
     bag for the workspace's lifetime (see docs/PERFORMANCE.md). *)
 val ghw_width : ?rng:Random.State.t -> t -> Ordering.t -> int
 
-(** [ghw_width_exact ?cache t sigma] covers every bag exactly, so the
-    result is the width of [sigma] in the sense of Definition 17 —
-    the objective BB-ghw and A*-ghw optimise.  Without an explicit
-    [cache] the workspace's own exact-cover memo is used (same keying
-    as {!ghw_width}, separate table — greedy and exact sizes never
-    mix). *)
-val ghw_width_exact :
-  ?cache:(Hd_graph.Bitset.t, int) Hashtbl.t -> t -> Ordering.t -> int
+(** [ghw_width_exact t sigma] covers every bag exactly, so the result
+    is the width of [sigma] in the sense of Definition 17 — the
+    objective BB-ghw and A*-ghw optimise.  Covers are memoised in the
+    workspace's own exact-cover table (same keying as {!ghw_width},
+    separate table — greedy and exact sizes never mix). *)
+val ghw_width_exact : t -> Ordering.t -> int
 
 (** [reset_memo t] empties the workspace's set-cover memo tables.
     Useful when one long-lived workspace evaluates orderings of
@@ -75,10 +73,6 @@ val fhw_width_q : t -> Ordering.t -> Hd_lp.Rat.t
     Counts [lp.memo_hits]/[lp.memo_misses]. *)
 val rho_memoized :
   Hd_lp.Rat.t Bag_tbl.t -> Hd_hypergraph.Hypergraph.t -> Hd_graph.Bitset.t -> Hd_lp.Rat.t
-
-(** [fhw_width t sigma] is [Rat.to_float (fhw_width_q t sigma)] — for
-    display and legacy call sites only. *)
-val fhw_width : t -> Ordering.t -> float
 
 (** [weighted_width t ~domain_sizes sigma] is the triangulation weight
     of Section 4.5 (Larranaga et al.):

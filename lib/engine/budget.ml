@@ -16,6 +16,9 @@ type t = {
      any sibling, while a parent cancel still reaches every child *)
   parent : t option;
   inc : Incumbent.t option;
+  (* generated states summed over every ticker of a [pooled] budget;
+     [None]: each ticker is capped on its own count *)
+  pool : int Atomic.t option;
   (* nan until the first start/ticker; CAS so the earliest start wins
      when domains race *)
   started_at : float Atomic.t;
@@ -34,6 +37,7 @@ let create ?time_limit ?max_states ?incumbent () =
     flag = Atomic.make false;
     parent = None;
     inc = incumbent;
+    pool = None;
     started_at = Atomic.make Float.nan;
     slice_end = Atomic.make Float.nan;
     kids = Atomic.make [];
@@ -45,6 +49,11 @@ let of_spec ?incumbent (s : spec) =
 let time_limit b = b.time_limit
 let max_states b = b.max_states
 let incumbent b = b.inc
+
+let publish b ~witness w =
+  match b.inc with
+  | Some i -> ignore (Incumbent.offer_ub i ~witness w)
+  | None -> ()
 
 let start b =
   let cur = Atomic.get b.started_at in
@@ -78,6 +87,14 @@ let rec cancelled b =
      | None -> false)
   || (match b.parent with Some p -> cancelled p | None -> false)
 
+(* a copy shares every mutable cell (clock, flag, slice, kids), so the
+   view is the same budget with one more counter; without a state cap
+   there is nothing to pool and no atomic traffic *)
+let pooled b =
+  match b.max_states with
+  | None -> b
+  | Some _ -> { b with pool = Some (Atomic.make 0) }
+
 let rec push_kid parent child =
   let cur = Atomic.get parent.kids in
   if not (Atomic.compare_and_set parent.kids cur (child :: cur)) then
@@ -95,6 +112,7 @@ let sub ?(stages = 1) b =
       flag = Atomic.make false;
       parent = Some b;
       inc = None;
+      pool = None;
       started_at = Atomic.make Float.nan;
       slice_end = b.slice_end;
       kids = Atomic.make [];
@@ -166,7 +184,9 @@ let ticker b =
 let budget tk = tk.budget
 let ticker_elapsed tk = Clock.now () -. tk.t0
 let tick_visited tk = tk.visited <- tk.visited + 1
-let tick_generated tk = tk.generated <- tk.generated + 1
+let tick_generated tk =
+  tk.generated <- tk.generated + 1;
+  match tk.budget.pool with Some n -> Atomic.incr n | None -> ()
 let visited tk = tk.visited
 let generated tk = tk.generated
 
@@ -191,7 +211,10 @@ let out_of_budget tk =
   ||
   let b = tk.budget in
   let states_hit =
-    match b.max_states with Some m -> tk.generated > m | None -> false
+    match (b.max_states, b.pool) with
+    | Some m, Some n -> Atomic.get n > m
+    | Some m, None -> tk.generated > m
+    | None, _ -> false
   in
   let cancel_hit = cancelled b in
   let time_hit =

@@ -2,8 +2,8 @@
     cap, one cooperative cancellation token.
 
     Every solver entry point in the tree (A*/BB searches, det-k-decomp,
-    the GA/SA/SAIGA drivers, the portfolio) runs under a [Budget.t].
-    The budget carries
+    the GA/SA/SAIGA drivers) takes exactly one limit: a [Budget.t],
+    passed as [?within].  The budget carries
 
     - an optional wall-clock limit, measured from the budget's {e
       start} (first use), not its creation — reported [elapsed] times
@@ -11,7 +11,8 @@
     - an optional cap on generated states / evaluations;
     - a cancellation flag shared with any number of sub-budgets, and
       optionally an {!Hd_core.Incumbent.t} whose own cancellation and
-      closure are honoured too.
+      closure are honoured too: a solver publishes its bounds there,
+      and a target is a lower bound raised on it.
 
     Solvers do not poll the budget directly; they create a {!ticker}
     and call {!out_of_budget} on every step.  The ticker amortizes
@@ -20,8 +21,10 @@
     (one GA generation per check) shrink it back to one, keeping
     deadline precision at a few milliseconds either way. *)
 
-(** The passive description of a budget — what callers configure.
-    [Hd_search.Search_types.budget] is an alias of this type. *)
+(** The passive description of a budget — what callers configure at
+    orchestration boundaries (portfolio, corpus sweep, query planner,
+    server protocol, CLIs).  Solver entry points take a running {!t}
+    instead; [of_spec] converts. *)
 type spec = {
   time_limit : float option;  (** wall-clock seconds *)
   max_states : int option;  (** cap on generated states *)
@@ -44,6 +47,10 @@ val spec_of : t -> spec
 val time_limit : t -> float option
 val max_states : t -> int option
 val incumbent : t -> Hd_core.Incumbent.t option
+
+(** [publish b ~witness w] offers the upper bound [w], realised by the
+    ordering [witness], to [b]'s incumbent; a no-op without one. *)
+val publish : t -> witness:int array -> int -> unit
 
 (** [start b] starts the clock if it has not started yet (first call
     wins; later calls are no-ops).  Creating a {!ticker} starts the
@@ -82,6 +89,14 @@ val cancelled : t -> bool
     pass the work's own incumbent explicitly if it has one.  The state
     cap is inherited as-is. *)
 val sub : ?stages:int -> t -> t
+
+(** [pooled b] is [b] with one state count shared by all its tickers:
+    the state cap bounds their total instead of each ticker's own
+    count.  Clock, cancellation and incumbent are [b]'s.  Parallel
+    solvers that run one ticker per worker use it; a portfolio does
+    not, so each racer keeps its own cap.  [b] itself when it has no
+    state cap. *)
+val pooled : t -> t
 
 (** {2 Time-slicing support}
 

@@ -19,8 +19,6 @@ type config = {
   crossover : Crossover.t;
   mutation : Mutation.t;
   max_iterations : int;
-  time_limit : float option;
-  target : int option;
   seed : int;
 }
 
@@ -32,8 +30,6 @@ let default_config ?(population_size = 2000) ?(max_iterations = 2000)
     crossover = Crossover.POS;
     mutation = Mutation.ISM;
     max_iterations;
-    time_limit = None;
-    target = None;
     seed;
   }
 
@@ -145,23 +141,10 @@ module Population = struct
     end
 end
 
-let run ?incumbent ?within config ~n_genes ~eval =
+let run ?(within = Hd_engine.Budget.create ()) config ~n_genes ~eval =
   Obs.with_span "ga.run" @@ fun () ->
-  (* the run is governed by an engine budget: either the caller's
-     [within] (portfolio / block-split sub-budget) or a private one
-     built from [config.time_limit].  The clock starts here, not at
-     config creation. *)
-  let budget =
-    match within with
-    | Some b -> b
-    | None -> Hd_engine.Budget.create ?time_limit:config.time_limit ?incumbent ()
-  in
-  let tk = Hd_engine.Budget.ticker budget in
-  let incumbent =
-    match incumbent with
-    | Some _ as i -> i
-    | None -> Hd_engine.Budget.incumbent budget
-  in
+  (* the clock starts here, not at config creation *)
+  let tk = Hd_engine.Budget.ticker within in
   (* every fitness evaluation ticks the budget, so deadlines and state
      caps are noticed mid-generation at eval granularity *)
   let eval s =
@@ -174,34 +157,17 @@ let run ?incumbent ?within config ~n_genes ~eval =
     Population.init rng ~n_genes ~size:(max 2 config.population_size) ~eval
   in
   (* when racing in a portfolio, publish every best-so-far as a shared
-     upper bound and stop as soon as an exact racer settles the instance;
-     the incumbent never influences evolution, so results are identical
-     with and without one as long as the run is not cut short *)
+     upper bound; the budget stops the run once the incumbent closes *)
   let publish () =
-    match incumbent with
-    | None -> ()
-    | Some inc ->
-        let f, ind = Population.best pop in
-        ignore (Hd_core.Incumbent.offer_ub inc ~witness:ind f)
-  in
-  let stop_requested () =
-    match incumbent with
-    | None -> false
-    | Some inc ->
-        Hd_core.Incumbent.cancelled inc || Hd_core.Incumbent.closed inc
+    let f, ind = Population.best pop in
+    Hd_engine.Budget.publish within ~witness:ind f
   in
   publish ();
   let improvements = ref [ (0, fst (Population.best pop)) ] in
-  let reached_target best =
-    match config.target with Some t -> best <= t | None -> false
-  in
-  let out_of_time () = Hd_engine.Budget.out_of_budget tk in
   let iteration = ref 0 in
   while
     !iteration < config.max_iterations
-    && (not (reached_target (fst (Population.best pop))))
-    && (not (out_of_time ()))
-    && not (stop_requested ())
+    && not (Hd_engine.Budget.out_of_budget tk)
   do
     incr iteration;
     let before = fst (Population.best pop) in

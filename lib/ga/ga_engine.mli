@@ -23,8 +23,6 @@ type config = {
   crossover : Crossover.t;  (** recombination operator (Section 6.1.2) *)
   mutation : Mutation.t;  (** mutation operator (Section 6.1.3) *)
   max_iterations : int;  (** generation cap *)
-  time_limit : float option;  (** wall-clock seconds *)
-  target : int option;  (** stop as soon as this fitness is reached *)
   seed : int;  (** PRNG seed; equal seeds give equal runs *)
 }
 
@@ -47,21 +45,18 @@ type report = {
     best fitness found.  [eval] must be a pure function of the
     permutation (up to its own internal randomness).
 
-    [incumbent] plugs the engine into an hd_parallel portfolio: every
-    best-so-far fitness is offered as a shared upper bound (with its
-    permutation as witness — only meaningful when the fitness {e is} a
-    width), and the run stops early once the incumbent closes or is
-    cancelled.  The incumbent never influences evolution, so a run that
-    is not cut short is identical with and without one.
-
-    [within] runs the evolution under a caller-supplied engine budget
-    (deadline, state cap per fitness evaluation, cooperative
-    cancellation) instead of a private one built from
-    [config.time_limit]; the budget's own incumbent is used when
-    [incumbent] is absent.  In both cases the clock starts when [run]
-    is entered, never earlier. *)
+    [within] is the run's one engine budget (default: unlimited):
+    deadline, state cap per fitness evaluation, cooperative
+    cancellation, and the clock starts when [run] is entered, never
+    earlier.  When the budget carries an incumbent (an hd_parallel
+    portfolio), every best-so-far fitness is offered to it as a shared
+    upper bound, with its permutation as witness — only meaningful
+    when the fitness {e is} a width — and the run stops once the
+    incumbent closes or is cancelled.  A target fitness is a lower
+    bound raised on that incumbent ({!Hd_core.Incumbent.raise_lb}).
+    The incumbent never influences evolution, so a run that is not cut
+    short is identical with and without one. *)
 val run :
-  ?incumbent:Hd_core.Incumbent.t ->
   ?within:Hd_engine.Budget.t ->
   config ->
   n_genes:int ->

@@ -1,6 +1,6 @@
-let run ?incumbent ?within config h =
+let run ?within config h =
   let ws = Suffix_eval.of_hypergraph ~seed:(config.Ga_engine.seed lxor 0x5c) h in
-  Ga_engine.run ?incumbent ?within config
+  Ga_engine.run ?within config
     ~n_genes:(Hd_hypergraph.Hypergraph.n_vertices h)
     ~eval:(Suffix_eval.width ws)
 

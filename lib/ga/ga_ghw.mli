@@ -7,14 +7,12 @@
     (Figure 7.1 / 7.2), ties broken at random. *)
 
 val run :
-  ?incumbent:Hd_core.Incumbent.t ->
   ?within:Hd_engine.Budget.t ->
   Ga_engine.config ->
   Hd_hypergraph.Hypergraph.t ->
   Ga_engine.report
-(** [incumbent] shares the width upper bound with racing solvers and
-    [within] supplies an engine budget overriding the config's time
-    limit; see {!Ga_engine.run}. *)
+(** [within] is the run's budget; its incumbent, if any, receives the
+    width upper bounds.  See {!Ga_engine.run}. *)
 
 (** [decomposition ?cover h report] materialises the witness GHD;
     covering the bags exactly (the default) may improve on the greedy

@@ -1,10 +1,10 @@
-let run ?incumbent ?within config g =
+let run ?within config g =
   let ws = Suffix_eval.of_graph g in
-  Ga_engine.run ?incumbent ?within config ~n_genes:(Hd_graph.Graph.n g)
+  Ga_engine.run ?within config ~n_genes:(Hd_graph.Graph.n g)
     ~eval:(Suffix_eval.width ws)
 
-let run_hypergraph ?incumbent ?within config h =
-  run ?incumbent ?within config (Hd_hypergraph.Hypergraph.primal h)
+let run_hypergraph ?within config h =
+  run ?within config (Hd_hypergraph.Hypergraph.primal h)
 
 let decomposition g (report : Ga_engine.report) =
   Hd_core.Tree_decomposition.of_ordering g report.Ga_engine.best_individual
@@ -16,4 +16,6 @@ let run_weighted config g ~domain_sizes =
       (Float.round
          (64.0 *. Hd_core.Eval.weighted_width ws ~domain_sizes sigma))
   in
+  (* the default budget has no incumbent: the weight is not a width,
+     so it must never be published as a bound *)
   Ga_engine.run config ~n_genes:(Hd_graph.Graph.n g) ~eval

@@ -6,19 +6,16 @@
     the treewidth and [best_individual] a witness ordering. *)
 
 val run :
-  ?incumbent:Hd_core.Incumbent.t ->
   ?within:Hd_engine.Budget.t ->
   Ga_engine.config ->
   Hd_graph.Graph.t ->
   Ga_engine.report
-(** [incumbent] shares the width upper bound with racing solvers and
-    [within] supplies an engine budget overriding the config's time
-    limit; see {!Ga_engine.run}. *)
+(** [within] is the run's budget; its incumbent, if any, receives the
+    width upper bounds.  See {!Ga_engine.run}. *)
 
 (** [run_hypergraph config h] bounds [tw(h)] via the primal graph
     (Lemma 1). *)
 val run_hypergraph :
-  ?incumbent:Hd_core.Incumbent.t ->
   ?within:Hd_engine.Budget.t ->
   Ga_engine.config ->
   Hd_hypergraph.Hypergraph.t ->
@@ -32,6 +29,7 @@ val decomposition :
 (** [run_weighted config g ~domain_sizes] minimises the Section 4.5
     triangulation weight instead of the width — the original objective
     of the Bayesian-network GA the paper builds on.  The integer
-    fitness is the weight in units of 1/64 bits. *)
+    fitness is the weight in units of 1/64 bits; the run is bounded by
+    [config.max_iterations] alone. *)
 val run_weighted :
   Ga_engine.config -> Hd_graph.Graph.t -> domain_sizes:int array -> Ga_engine.report

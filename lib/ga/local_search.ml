@@ -1,3 +1,5 @@
+module B = Hd_engine.Budget
+
 type config = {
   max_steps : int;
   initial_temperature : float;
@@ -5,8 +7,6 @@ type config = {
   move : Mutation.t;
   restarts : int;
   seed : int;
-  time_limit : float option;
-  target : int option;
 }
 
 let default_config ?(max_steps = 20_000) ?(seed = 0x10ca1) () =
@@ -17,8 +17,6 @@ let default_config ?(max_steps = 20_000) ?(seed = 0x10ca1) () =
     move = Mutation.ISM;
     restarts = 5;
     seed;
-    time_limit = None;
-    target = None;
   }
 
 type report = {
@@ -29,46 +27,29 @@ type report = {
   elapsed : float;
 }
 
-type driver = { ticker : Hd_engine.Budget.ticker; config : config }
+(* A search's clock [d] is a ticker on its budget, created — and hence
+   started — only when the search runs, never at config creation. *)
 
-(* The driver's clock is an engine budget ticker, created — and hence
-   started — only when a search function actually runs.  (An earlier
-   version stamped the wall clock at driver creation, so a driver
-   built ahead of time burnt budget while idle.) *)
-let make_driver ?within config =
-  let budget =
-    match within with
-    | Some b -> b
-    | None -> Hd_engine.Budget.create ?time_limit:config.time_limit ()
-  in
-  { ticker = Hd_engine.Budget.ticker budget; config }
-
-let out_of_time d = Hd_engine.Budget.out_of_budget d.ticker
-let elapsed d = Hd_engine.Budget.ticker_elapsed d.ticker
-let evaluations d = Hd_engine.Budget.generated d.ticker
-
-let reached_target d best =
-  match d.config.target with Some t -> best <= t | None -> false
+(* an improvement goes to the budget's incumbent, if any, whose closing
+   (a racer's lower bound, or a target) then stops the search *)
+let improved d f sigma = B.publish (B.budget d) ~witness:sigma f
 
 let evaluate d eval sigma =
-  Hd_engine.Budget.tick_generated d.ticker;
-  Hd_engine.Budget.check d.ticker;
+  B.tick_generated d;
+  B.check d;
   eval sigma
 
-let simulated_annealing ?within config ~n_genes ~eval =
-  let d = make_driver ?within config in
+let simulated_annealing ?(within = B.create ()) config ~n_genes ~eval =
+  let d = B.ticker within in
   let rng = Random.State.make [| config.seed |] in
   let current = Hd_core.Ordering.random rng n_genes in
   let current_fitness = ref (evaluate d eval current) in
   let best = ref !current_fitness in
   let best_individual = ref (Array.copy current) in
+  improved d !best current;
   let temperature = ref config.initial_temperature in
   let step = ref 0 in
-  while
-    !step < config.max_steps
-    && (not (out_of_time d))
-    && not (reached_target d !best)
-  do
+  while !step < config.max_steps && not (B.out_of_budget d) do
     incr step;
     let candidate = Array.copy current in
     Mutation.apply config.move rng candidate;
@@ -83,7 +64,8 @@ let simulated_annealing ?within config ~n_genes ~eval =
       current_fitness := fitness;
       if fitness < !best then begin
         best := fitness;
-        best_individual := Array.copy candidate
+        best_individual := Array.copy candidate;
+        improved d fitness candidate
       end
     end;
     temperature := !temperature *. config.cooling
@@ -92,12 +74,12 @@ let simulated_annealing ?within config ~n_genes ~eval =
     best = !best;
     best_individual = !best_individual;
     steps = !step;
-    evaluations = evaluations d;
-    elapsed = elapsed d;
+    evaluations = B.generated d;
+    elapsed = B.ticker_elapsed d;
   }
 
-let iterated_local_search ?within config ~n_genes ~eval =
-  let d = make_driver ?within config in
+let iterated_local_search ?(within = B.create ()) config ~n_genes ~eval =
+  let d = B.ticker within in
   let rng = Random.State.make [| config.seed |] in
   let best = ref max_int in
   let best_individual = ref (Hd_core.Ordering.random rng n_genes) in
@@ -105,13 +87,13 @@ let iterated_local_search ?within config ~n_genes ~eval =
   let descend sigma =
     (* first-improvement hill climbing with a step budget *)
     let fitness = ref (evaluate d eval sigma) in
+    improved d !fitness sigma;
     let stale = ref 0 in
     let patience = max 50 (n_genes * 4) in
     while
       !stale < patience
       && !steps < config.max_steps
-      && (not (out_of_time d))
-      && not (reached_target d !fitness)
+      && not (B.out_of_budget d)
     do
       incr steps;
       let candidate = Array.copy sigma in
@@ -120,7 +102,8 @@ let iterated_local_search ?within config ~n_genes ~eval =
       if f < !fitness then begin
         Array.blit candidate 0 sigma 0 n_genes;
         fitness := f;
-        stale := 0
+        stale := 0;
+        improved d f sigma
       end
       else incr stale
     done;
@@ -131,8 +114,7 @@ let iterated_local_search ?within config ~n_genes ~eval =
   while
     !restart < config.restarts
     && !steps < config.max_steps
-    && (not (out_of_time d))
-    && not (reached_target d !best)
+    && not (B.out_of_budget d)
   do
     incr restart;
     let fitness = descend sigma in
@@ -149,8 +131,8 @@ let iterated_local_search ?within config ~n_genes ~eval =
     best = !best;
     best_individual = !best_individual;
     steps = !steps;
-    evaluations = evaluations d;
-    elapsed = elapsed d;
+    evaluations = B.generated d;
+    elapsed = B.ticker_elapsed d;
   }
 
 let sa_tw ?within config g =

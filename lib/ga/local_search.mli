@@ -15,8 +15,6 @@ type config = {
   move : Mutation.t;
   restarts : int;  (** for iterated local search *)
   seed : int;
-  time_limit : float option;
-  target : int option;
 }
 
 val default_config : ?max_steps:int -> ?seed:int -> unit -> config
@@ -32,10 +30,14 @@ type report = {
 (** [simulated_annealing config ~n_genes ~eval] minimises [eval] by
     Metropolis acceptance over mutation moves with geometric cooling.
 
-    All four entry points accept [within], an engine budget (deadline,
-    state cap per evaluation, cooperative cancellation) that overrides
-    [config.time_limit].  The clock starts when the search starts —
-    never at config or driver creation. *)
+    All four entry points take [within], the run's one engine budget
+    (default: unlimited): deadline, state cap per evaluation and
+    cooperative cancellation.  The clock starts when the search starts
+    — never at config or driver creation.  When the budget carries an
+    incumbent, every improvement is offered to it (with its
+    permutation as witness, so the fitness should be a width) and the
+    search stops once it closes; a target fitness is a lower bound
+    raised on that incumbent. *)
 val simulated_annealing :
   ?within:Hd_engine.Budget.t ->
   config -> n_genes:int -> eval:(int array -> int) -> report

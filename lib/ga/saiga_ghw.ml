@@ -11,8 +11,6 @@ type config = {
   crossover : Crossover.t;
   mutation : Mutation.t;
   tau : float;
-  time_limit : float option;
-  target : int option;
   seed : int;
 }
 
@@ -26,8 +24,6 @@ let default_config ?(n_islands = 4) ?(island_population = 100)
     crossover = Crossover.POS;
     mutation = Mutation.ISM;
     tau = 0.3;
-    time_limit = None;
-    target = None;
     seed;
   }
 
@@ -80,19 +76,9 @@ let random_params rng =
     tournament_size = 2 + Random.State.int rng 3;
   }
 
-let run ?incumbent ?within config h =
+let run ?(within = Hd_engine.Budget.create ()) config h =
   Obs.with_span "saiga_ghw.run" @@ fun () ->
-  let budget =
-    match within with
-    | Some b -> b
-    | None -> Hd_engine.Budget.create ?time_limit:config.time_limit ?incumbent ()
-  in
-  let tk = Hd_engine.Budget.ticker budget in
-  let incumbent =
-    match incumbent with
-    | Some _ as i -> i
-    | None -> Hd_engine.Budget.incumbent budget
-  in
+  let tk = Hd_engine.Budget.ticker within in
   let n_genes = Hd_hypergraph.Hypergraph.n_vertices h in
   let k = max 1 config.n_islands in
   let rngs =
@@ -128,33 +114,13 @@ let run ?incumbent ?within config h =
       (max_int, [||])
       islands
   in
-  let reached_target () =
-    match config.target with
-    | Some t -> fst (global_best ()) <= t
-    | None -> false
-  in
   let publish () =
-    match incumbent with
-    | None -> ()
-    | Some inc ->
-        let f, ind = global_best () in
-        if Array.length ind > 0 then
-          ignore (Hd_core.Incumbent.offer_ub inc ~witness:ind f)
-  in
-  let stop_requested () =
-    match incumbent with
-    | None -> false
-    | Some inc ->
-        Hd_core.Incumbent.cancelled inc || Hd_core.Incumbent.closed inc
+    let f, ind = global_best () in
+    if Array.length ind > 0 then Hd_engine.Budget.publish within ~witness:ind f
   in
   publish ();
   let epoch = ref 0 in
-  while
-    !epoch < config.max_epochs
-    && (not (out_of_time ()))
-    && (not (reached_target ()))
-    && not (stop_requested ())
-  do
+  while !epoch < config.max_epochs && not (out_of_time ()) do
     incr epoch;
     Obs.Counter.incr c_epochs;
     (* evolve every island for one epoch *)

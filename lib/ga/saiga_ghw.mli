@@ -26,8 +26,6 @@ type config = {
   crossover : Crossover.t;
   mutation : Mutation.t;
   tau : float;  (** log-normal parameter mutation strength *)
-  time_limit : float option;
-  target : int option;
   seed : int;
 }
 
@@ -51,14 +49,13 @@ type report = {
 }
 
 val run :
-  ?incumbent:Hd_core.Incumbent.t ->
   ?within:Hd_engine.Budget.t ->
   config ->
   Hd_hypergraph.Hypergraph.t ->
   report
-(** [incumbent] shares the ghw upper bound with racing solvers and
-    stops the run once it closes or is cancelled; [within] supplies an
-    engine budget that overrides [config.time_limit]; see
+(** [within] is the run's one budget, shared by every island; its
+    incumbent, if any, receives the ghw upper bound after every epoch
+    and stops the run once it closes or is cancelled.  See
     {!Ga_engine.run}. *)
 
 (** {2 Self-adaptation primitives}

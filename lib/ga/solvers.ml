@@ -13,44 +13,27 @@ let outcome_of b ub =
       if lb >= ub then S.Exact ub else S.Bounds { lb; ub }
   | None -> S.Bounds { lb = 0; ub }
 
-let publish b ~witness w =
-  match B.incumbent b with
-  | Some inc -> ignore (Incumbent.offer_ub inc ~witness w)
-  | None -> ()
-
 (* Effort caps: under a deadline the budget is the real stop, so the
    iteration caps are set out of reach; with an unlimited budget they
    fall back to the moderate defaults so `--solver ga-tw` without a
    time limit still terminates. *)
 let ga_config ?seed ~default_seed b =
   let deadline = B.time_limit b <> None in
-  {
-    (Ga_engine.default_config ~population_size:300
-       ~max_iterations:(if deadline then 100_000 else 100)
-       ~seed:(Option.value seed ~default:default_seed) ())
-    with
-    Ga_engine.time_limit = None;
-  }
+  Ga_engine.default_config ~population_size:300
+    ~max_iterations:(if deadline then 100_000 else 100)
+    ~seed:(Option.value seed ~default:default_seed) ()
 
 let sa_config ?seed ~default_seed b =
   let deadline = B.time_limit b <> None in
-  {
-    (Local_search.default_config
-       ~max_steps:(if deadline then max_int else 20_000)
-       ~seed:(Option.value seed ~default:default_seed) ())
-    with
-    Local_search.time_limit = None;
-  }
+  Local_search.default_config
+    ~max_steps:(if deadline then max_int else 20_000)
+    ~seed:(Option.value seed ~default:default_seed) ()
 
 let saiga_config ?seed ~default_seed b =
   let deadline = B.time_limit b <> None in
-  {
-    (Saiga_ghw.default_config ~n_islands:4 ~island_population:60
-       ~max_epochs:(if deadline then 10_000 else 40)
-       ~seed:(Option.value seed ~default:default_seed) ())
-    with
-    Saiga_ghw.time_limit = None;
-  }
+  Saiga_ghw.default_config ~n_islands:4 ~island_population:60
+    ~max_epochs:(if deadline then 10_000 else 40)
+    ~seed:(Option.value seed ~default:default_seed) ()
 
 let ga_result b (r : Ga_engine.report) =
   {
@@ -102,8 +85,6 @@ let ensure () =
                 (sa_config ?seed ~default_seed:0x10ca1 b)
                 (S.primal_of p)
             in
-            publish b ~witness:r.Local_search.best_individual
-              r.Local_search.best;
             {
               S.outcome = outcome_of b r.Local_search.best;
               visited = r.Local_search.steps;
@@ -124,8 +105,6 @@ let ensure () =
                 (sa_config ?seed ~default_seed:0x10ca2 b)
                 (S.hypergraph_of p)
             in
-            publish b ~witness:r.Local_search.best_individual
-              r.Local_search.best;
             {
               S.outcome = outcome_of b r.Local_search.best;
               visited = r.Local_search.steps;

@@ -178,7 +178,12 @@ module Make (C : Bag_cost.S) = struct
         drain ();
         if Incumbent.closed sh.inc || Incumbent.cancelled sh.inc then
           Atomic.set sh.halt true
-        else if Budget.out_of_budget tk then Atomic.set sh.halt true
+        else if
+          (* an idle worker leaves its ticker alone: cheap empty spins
+             would widen the polling stride until the first expansions
+             after them overran the deadline *)
+          (not (Pq.is_empty pq)) && Budget.out_of_budget tk
+        then Atomic.set sh.halt true
         else begin
           (match pop_live () with
           | Some node ->
@@ -187,7 +192,11 @@ module Make (C : Bag_cost.S) = struct
               (* a goal is a local minimum, not the global one: its
                  bound is published, and pruning drains the other
                  frontiers *)
-              ignore (Search.expand s node ~push:route)
+              ignore (Search.expand s node ~push:route);
+              (* a budget stop inside [expand] drops the remaining
+                 children: halt before this worker can go idle, or an
+                 all-idle check would call the cut frontier exhausted *)
+              if Budget.out_of_budget tk then Atomic.set sh.halt true
           | None ->
               flush_all ();
               if not !idle then begin
@@ -259,7 +268,8 @@ module Make (C : Bag_cost.S) = struct
               {
                 w;
                 inc;
-                budget = b;
+                (* one state cap for the whole search, not per worker *)
+                budget = Budget.pooled b;
                 rings =
                   Array.init w (fun _ ->
                       Array.init w (fun _ -> Ring.create ring_capacity));

@@ -24,8 +24,11 @@
     check, the frontier is exhausted and the incumbent upper bound is
     the exact width.  The root counts as in flight until its owner
     queues it, so a worker that starts first cannot mistake the empty
-    frontier for an exhausted one.  On budget exhaustion the result
-    degrades to the incumbent bounds, exactly like the sequential A*.
+    frontier for an exhausted one.  The budget's state cap bounds the
+    states all workers generate together.  On budget exhaustion the
+    result degrades to the incumbent bounds, exactly like the
+    sequential A*: a worker whose expansion the budget cut halts the
+    search before it can go idle.
 
     With a sequential scheduler (0 workers) the solve runs entirely on
     the calling domain and is deterministic for a fixed seed.

@@ -109,7 +109,8 @@ let members_of ~budget ~inc ~seed roster problem =
             .Solver.outcome ))
     roster
 
-let run_roster ?jobs ?(budget = Search_types.no_budget) ~seed roster problem =
+let run_roster ?jobs ?(budget = { Budget.time_limit = None; max_states = None })
+    ~seed roster problem =
   ensure_registry ();
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let inc = Incumbent.create () in

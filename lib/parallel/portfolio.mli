@@ -39,7 +39,7 @@ val default_jobs : unit -> int
 
 val solve_tw :
   ?jobs:int ->
-  ?budget:Hd_search.Search_types.budget ->
+  ?budget:Hd_engine.Budget.spec ->
   ?seed:int ->
   Hd_graph.Graph.t ->
   t
@@ -52,14 +52,14 @@ val solve_tw :
 
 val solve_ghw :
   ?jobs:int ->
-  ?budget:Hd_search.Search_types.budget ->
+  ?budget:Hd_engine.Budget.spec ->
   ?seed:int ->
   Hd_hypergraph.Hypergraph.t ->
   t
 
 val solve_named :
   ?jobs:int ->
-  ?budget:Hd_search.Search_types.budget ->
+  ?budget:Hd_engine.Budget.spec ->
   ?seed:int ->
   names:string list ->
   Hd_engine.Solver.problem ->

@@ -1,5 +1,4 @@
 module Hypergraph = Hd_hypergraph.Hypergraph
-module Incumbent = Hd_core.Incumbent
 module Ga_engine = Hd_ga.Ga_engine
 module Saiga_ghw = Hd_ga.Saiga_ghw
 module Obs = Hd_obs.Obs
@@ -12,24 +11,13 @@ let c_dropped = Obs.Counter.make "parallel.saiga.migrants_dropped"
    control parameters, so the receiver can orient as well as inject *)
 type migrant = { fitness : int; individual : int array; params : Ga_engine.params }
 
-let run ?incumbent ?within (config : Saiga_ghw.config) h =
+let run ?(within = Hd_engine.Budget.create ()) (config : Saiga_ghw.config) h =
   Obs.with_span "saiga_par.run" @@ fun () ->
-  let budget =
-    match within with
-    | Some b -> b
-    | None -> Hd_engine.Budget.create ?time_limit:config.time_limit ?incumbent ()
-  in
-  Hd_engine.Budget.start budget;
+  Hd_engine.Budget.start within;
+  (* one state cap for all islands together *)
+  let within = Hd_engine.Budget.pooled within in
   let n_genes = Hypergraph.n_vertices h in
   let k = max 1 config.n_islands in
-  let inc =
-    match incumbent with
-    | Some i -> i
-    | None -> (
-        match Hd_engine.Budget.incumbent budget with
-        | Some i -> i
-        | None -> Incumbent.create ())
-  in
   (* one inbox per island; migrants flow along the directed ring
      i -> i+1, so each ring has exactly one producer (island i) and one
      consumer (island i+1): the SPSC contract Ring requires *)
@@ -37,8 +25,9 @@ let run ?incumbent ?within (config : Saiga_ghw.config) h =
   let island i =
     let rng = Random.State.make [| config.seed; i |] in
     (* each island runs its own ticker on the shared budget, so the
-       deadline is global while the amortized clock stays domain-local *)
-    let tk = Hd_engine.Budget.ticker budget in
+       deadline and state cap are global while the amortized clock
+       stays domain-local *)
+    let tk = Hd_engine.Budget.ticker within in
     (* per-island evaluator: suffix-reuse workspaces (and their
        set-cover memo tables) hold mutable scratch and must never be
        shared across domains — each island builds its own inside its
@@ -57,20 +46,10 @@ let run ?incumbent ?within (config : Saiga_ghw.config) h =
         ~size:(max 2 config.island_population)
         ~eval
     in
-    let out_of_time () = Hd_engine.Budget.out_of_budget tk in
+    let stop () = Hd_engine.Budget.out_of_budget tk in
     let publish () =
       let f, ind = Ga_engine.Population.best pop in
-      if Array.length ind > 0 then
-        ignore (Incumbent.offer_ub inc ~witness:ind f)
-    in
-    let stop () =
-      out_of_time ()
-      || Incumbent.cancelled inc
-      || Incumbent.closed inc
-      ||
-      match config.target with
-      | Some t -> fst (Ga_engine.Population.best pop) <= t
-      | None -> false
+      if Array.length ind > 0 then Hd_engine.Budget.publish within ~witness:ind f
     in
     publish ();
     let epoch = ref 0 in
@@ -114,7 +93,7 @@ let run ?incumbent ?within (config : Saiga_ghw.config) h =
       !params )
   in
   (* one executor per island (the joining caller is the last one):
-     islands synchronise only through the rings and the incumbent *)
+     islands synchronise only through the rings and the budget *)
   let results =
     Scheduler.with_scheduler ~workers:(k - 1) (fun s ->
         Scheduler.map_array s island (Array.init k Fun.id))
@@ -131,6 +110,6 @@ let run ?incumbent ?within (config : Saiga_ghw.config) h =
     epochs = Array.fold_left (fun acc (_, _, e, _, _) -> max acc e) 0 results;
     evaluations =
       Array.fold_left (fun acc (_, _, _, ev, _) -> acc + ev) 0 results;
-    elapsed = Hd_engine.Budget.elapsed budget;
+    elapsed = Hd_engine.Budget.elapsed within;
     final_params = Array.map (fun (_, _, _, _, p) -> p) results;
   }

@@ -17,21 +17,22 @@
 
     The run is {e not} bitwise-deterministic across executions — the
     migrant arrival schedule depends on domain timing — but every
-    published width is a sound ghw upper bound, and an [incumbent]
-    collects the islands' improvements for portfolio use exactly as in
-    {!Hd_ga.Saiga_ghw.run}.  With [n_islands = 1] the scheduler has no
-    workers, so no domain is spawned and the run degenerates to a
-    single self-adapting GA on the caller. *)
+    published width is a sound ghw upper bound, and the budget's
+    incumbent, when it has one, collects the islands' improvements for
+    portfolio use exactly as in {!Hd_ga.Saiga_ghw.run}.  With
+    [n_islands = 1] the scheduler has no workers, so no domain is
+    spawned and the run degenerates to a single self-adapting GA on
+    the caller. *)
 
 val run :
-  ?incumbent:Hd_core.Incumbent.t ->
   ?within:Hd_engine.Budget.t ->
   Hd_ga.Saiga_ghw.config ->
   Hd_hypergraph.Hypergraph.t ->
   Hd_ga.Saiga_ghw.report
 (** [run config h] runs [config.n_islands] islands at once and returns
     the merged report: best over islands, summed evaluations, maximal
-    epoch count, every island's final parameter vector.  [within]
-    supplies an engine budget (overriding [config.time_limit]) shared
-    by all islands — each runs its own amortized ticker against the
-    common deadline and cancellation flag. *)
+    epoch count, every island's final parameter vector.  [within] is
+    the run's one budget (default: unlimited), shared by all islands —
+    each runs its own amortized ticker against the common deadline and
+    cancellation flag, and the state cap bounds the islands'
+    evaluations together ({!Hd_engine.Budget.pooled}). *)

@@ -1,6 +1,5 @@
 module Acyclicity = Hd_hypergraph.Acyclicity
 module Ghd = Hd_core.Ghd
-module St = Hd_search.Search_types
 module Obs = Hd_obs.Obs
 
 (* Observability: bag materialisation and answers; the semijoin passes
@@ -38,7 +37,9 @@ let total_tuples rels =
 (* ------------------------------------------------------------------ *)
 
 let ordering_for ~method_ ~jobs ~seed ~time_limit h =
-  let budget = St.with_time time_limit in
+  let budget =
+    { Hd_engine.Budget.time_limit = Some time_limit; max_states = None }
+  in
   let min_fill () =
     Hd_core.Ordering_heuristics.min_fill_hypergraph
       (Random.State.make [| seed |])

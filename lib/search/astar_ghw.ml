@@ -1,6 +1,5 @@
 module Search = Ordering_search.Make (Bag_cost.Ghw)
 
-let solve ?budget ?within ?dedup ?incumbent ?(seed = 0xa5a) h =
+let solve ?within ?dedup ?(seed = 0xa5a) h =
   Hd_obs.Obs.with_span "astar_ghw.solve" @@ fun () ->
-  Ordering_search.int_result
-    (Search.astar ?budget ?within ?incumbent ?dedup ~seed h)
+  Ordering_search.int_result (Search.astar ?within ?dedup ~seed h)

@@ -12,12 +12,9 @@
     default seed is [0xa5a]. *)
 
 val solve :
-  ?budget:Search_types.budget ->
   ?within:Hd_engine.Budget.t ->
   ?dedup:bool ->
-  ?incumbent:Hd_core.Incumbent.t ->
   ?seed:int ->
   Hd_hypergraph.Hypergraph.t ->
   Search_types.result
-(** [incumbent] shares bounds with racing solvers (hd_parallel
-    portfolio), exactly as in {!Astar_tw.solve}. *)
+(** [within] is the run's budget, exactly as in {!Astar_tw.solve}. *)

@@ -15,36 +15,31 @@
     count minus one, whichever is larger.  The default seed is
     [0x7ea]. *)
 
-(** [solve ?budget ?dedup ?seed g] computes the treewidth of [g].
+(** [solve ?within ?dedup ?seed g] computes the treewidth of [g].
 
     [dedup] additionally merges states that eliminated the same vertex
     set (an extension over the paper, off by default; see the
     [astar-dedup] ablation).  [seed] fixes the randomised tie-breaking
-    of the bound heuristics.  [incumbent] shares bounds with racing
-    solvers (hd_parallel portfolio): the search prunes against the
-    shared upper bound, publishes its own improvements and frontier
-    lower bounds, returns [Exact] as soon as the incumbent closes and
-    [Bounds] when it is cancelled.  [within] attaches the run to an
-    already-running {!Hd_engine.Budget.t} (deadline, state cap,
-    cancellation flag and — unless [incumbent] overrides it — the
-    budget's incumbent), taking precedence over [budget]; every solver
-    entry point in the tree accepts the same pair. *)
+    of the bound heuristics.  [within] is the run's one
+    {!Hd_engine.Budget.t} (default: unlimited): deadline, state cap,
+    cancellation and, when it carries one, the incumbent shared with
+    racing solvers (hd_parallel portfolio).  The search prunes against
+    the shared upper bound, publishes its own improvements and
+    frontier lower bounds, and returns [Bounds] once the budget runs
+    out or its incumbent closes.  Every solver entry point in the tree
+    takes the same [within]. *)
 val solve :
-  ?budget:Search_types.budget ->
   ?within:Hd_engine.Budget.t ->
   ?dedup:bool ->
-  ?incumbent:Hd_core.Incumbent.t ->
   ?seed:int ->
   Hd_graph.Graph.t ->
   Search_types.result
 
-(** [solve_hypergraph ?budget ?dedup ?seed h] is treewidth of [h]'s
+(** [solve_hypergraph ?within ?dedup ?seed h] is treewidth of [h]'s
     primal graph, which by Lemma 1 is the treewidth of [h]. *)
 val solve_hypergraph :
-  ?budget:Search_types.budget ->
   ?within:Hd_engine.Budget.t ->
   ?dedup:bool ->
-  ?incumbent:Hd_core.Incumbent.t ->
   ?seed:int ->
   Hd_hypergraph.Hypergraph.t ->
   Search_types.result

@@ -11,9 +11,9 @@ type result_q = {
   ordering : int array option;
 }
 
-let solve ?budget ?within ?(seed = 0xfa3) h =
+let solve ?within ?(seed = 0xfa3) h =
   Hd_obs.Obs.with_span "bb_fhw.solve" @@ fun () ->
-  let r = Search.bb ?budget ?within ~seed h in
+  let r = Search.bb ?within ~seed h in
   {
     outcome_q =
       (match r.outcome with

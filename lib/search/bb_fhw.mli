@@ -31,11 +31,10 @@ type result_q = {
 }
 
 (** [solve h] computes the exact fhw of [h] (every vertex must lie in
-    some hyperedge).  Budgets behave as in {!Bb_ghw.solve}; the shared
-    int {!Hd_core.Incumbent} (when [within] carries one) receives
-    [ceil] of the rational bounds. *)
+    some hyperedge).  The budget behaves as in {!Bb_ghw.solve}; the
+    shared int {!Hd_core.Incumbent} (when [within] carries one)
+    receives [ceil] of the rational bounds. *)
 val solve :
-  ?budget:Search_types.budget ->
   ?within:Hd_engine.Budget.t ->
   ?seed:int ->
   Hd_hypergraph.Hypergraph.t ->

@@ -20,12 +20,9 @@ type cover_mode =
   | `Greedy  (** greedy covers: faster, upper bounds only (ablation) *) ]
 
 val solve :
-  ?budget:Search_types.budget ->
   ?within:Hd_engine.Budget.t ->
-  ?incumbent:Hd_core.Incumbent.t ->
   ?seed:int ->
   ?cover:cover_mode ->
   Hd_hypergraph.Hypergraph.t ->
   Search_types.result
-(** [incumbent] shares bounds with racing solvers (hd_parallel
-    portfolio), exactly as in {!Bb_tw.solve}. *)
+(** [within] is the run's budget, exactly as in {!Bb_tw.solve}. *)

@@ -9,14 +9,14 @@
     default seed is [0xb0b]. *)
 
 (** [use_pr2] and [use_reductions] (both on by default) exist for the
-    pruning ablation bench.  [incumbent] shares bounds with racing
-    solvers (hd_parallel portfolio): pruning reads the shared upper
-    bound, every improvement is published with its witness, and the
-    search stops early when the incumbent closes or is cancelled. *)
+    pruning ablation bench.  [within] is the run's one budget (default:
+    unlimited); when it carries an incumbent the search shares bounds
+    with racing solvers (hd_parallel portfolio): pruning reads the
+    shared upper bound, every improvement is published with its
+    witness, and the search stops early when the incumbent closes or
+    is cancelled. *)
 val solve :
-  ?budget:Search_types.budget ->
   ?within:Hd_engine.Budget.t ->
-  ?incumbent:Hd_core.Incumbent.t ->
   ?seed:int ->
   ?use_pr2:bool ->
   ?use_reductions:bool ->
@@ -24,9 +24,7 @@ val solve :
   Search_types.result
 
 val solve_hypergraph :
-  ?budget:Search_types.budget ->
   ?within:Hd_engine.Budget.t ->
-  ?incumbent:Hd_core.Incumbent.t ->
   ?seed:int ->
   Hd_hypergraph.Hypergraph.t ->
   Search_types.result

@@ -226,16 +226,8 @@ let decide ?within h ~k =
       in
       Some (Ghd.make ~td ~lambda:(Array.of_list (List.rev !lambdas)))
 
-let hypertree_width ?upper ?time_limit ?within h =
+let hypertree_width ?upper ?within h =
   let cap = Option.value upper ~default:(max 1 (Hypergraph.n_edges h)) in
-  let within =
-    match within with
-    | Some _ as b -> b
-    | None ->
-        Option.map
-          (fun s -> Hd_engine.Budget.create ~time_limit:s ())
-          time_limit
-  in
   (* ghw lower-bounds hw, so start the iteration there *)
   let start = max 1 (Hd_bounds.Lower_bounds.ghw h) in
   let rec go k =

@@ -37,14 +37,13 @@ exception Timeout
 val decide :
   ?within:Hd_engine.Budget.t -> Hd_hypergraph.Hypergraph.t -> k:int -> t option
 
-(** [hypertree_width ?upper ?time_limit ?within h] is [hw h] with a
-    witness, found by trying k upward from the tw-ksc lower bound;
-    [upper] (default: number of hyperedges) caps the search.  [within]
-    takes precedence over [time_limit].
+(** [hypertree_width ?upper ?within h] is [hw h] with a witness,
+    found by trying k upward from the tw-ksc lower bound; [upper]
+    (default: number of hyperedges) caps the search and [within]
+    (default: unlimited) bounds the whole run.
     @raise Timeout when the budget expires. *)
 val hypertree_width :
   ?upper:int ->
-  ?time_limit:float ->
   ?within:Hd_engine.Budget.t ->
   Hd_hypergraph.Hypergraph.t ->
   int * t

@@ -160,13 +160,9 @@ module Make (C : Bag_cost.S) = struct
 
   (* Runs [body] on a fresh searcher after the shared prologue: prepare
      the input, settle trivial problems, publish the initial bounds. *)
-  let run ?(budget = Search_types.no_budget) ?within ?incumbent ~seed input
-      body =
+  let run ?(within = Budget.create ()) ~seed input body =
     let p = C.prepare input in
-    let ticker =
-      Budget.ticker
-        (match within with Some b -> b | None -> Budget.of_spec budget)
-    in
+    let ticker = Budget.ticker within in
     let finish outcome ordering =
       {
         outcome;
@@ -182,12 +178,9 @@ module Make (C : Bag_cost.S) = struct
         let rng = Random.State.make [| seed |] in
         let ub_sigma, ub0, lb0 = C.initial p rng in
         let inc =
-          match incumbent with
+          match Budget.incumbent within with
           | Some i -> i
-          | None -> (
-              match Option.bind within Budget.incumbent with
-              | Some i -> i
-              | None -> Incumbent.create ())
+          | None -> Incumbent.create ()
         in
         ignore (Incumbent.offer_ub inc ~witness:ub_sigma (C.ceil ub0));
         ignore (Incumbent.raise_lb inc (C.ceil lb0));
@@ -202,14 +195,20 @@ module Make (C : Bag_cost.S) = struct
           let outcome = body s in
           finish outcome (witness s)
 
-  let bb ?budget ?within ?incumbent ?use_pr2 ?use_reductions ~seed input =
-    run ?budget ?within ?incumbent ~seed input @@ fun s ->
+  (* BB's one stop rule.  The budget also ends when its incumbent
+     closes, which proves the upper bound optimal: that stop is
+     [Closed]. *)
+  let stop_if_out s =
+    if Budget.out_of_budget s.ticker then
+      raise (if closed s then Closed else Out_of_budget)
+
+  let bb ?within ?use_pr2 ?use_reductions ~seed input =
+    run ?within ~seed input @@ fun s ->
     let path = ref [] in
     (* depth-first over elimination choices; [g] is the cost of the
        partial ordering, [f_floor] the inherited f of the parent *)
     let rec branch ~g ~f_floor ~reduced =
-      if Budget.out_of_budget s.ticker || Incumbent.cancelled s.inc then
-        raise Out_of_budget;
+      stop_if_out s;
       if closed s then raise Closed;
       Budget.tick_visited s.ticker;
       Obs.Counter.incr Search_util.c_expanded;
@@ -227,6 +226,9 @@ module Make (C : Bag_cost.S) = struct
         let degree = Elim_graph.degree s.eg in
         List.iter
           (fun v ->
+            (* checked per child, not only per expansion: a run of
+               pruned children never reaches the check above *)
+            stop_if_out s;
             Budget.tick_generated s.ticker;
             Obs.Counter.incr Search_util.c_generated;
             let g' = C.max g (C.bag s.oracle s.eg v) in
@@ -319,8 +321,8 @@ module Make (C : Bag_cost.S) = struct
       false
     end
 
-  let astar ?budget ?within ?incumbent ?(dedup = false) ~seed input =
-    run ?budget ?within ?incumbent ~seed input @@ fun s ->
+  let astar ?within ?(dedup = false) ~seed input =
+    run ?within ~seed input @@ fun s ->
     let root = root s.lb in
     (* the root is a long-lived value, so using it as the queue's
        slot-clearing dummy retains nothing *)
@@ -342,11 +344,13 @@ module Make (C : Bag_cost.S) = struct
       in
       if not dominated then Pq.push queue node
     in
+    (* the budget test comes before the exhaustion test: a budget stop
+       inside [expand] drops children, so an empty queue then proves
+       nothing *)
     let rec search () =
       if closed s then Exact (ub s)
+      else if Budget.out_of_budget s.ticker then bounds s
       else if Pq.is_empty queue then exhausted s
-      else if Budget.out_of_budget s.ticker || Incumbent.cancelled s.inc then
-        bounds s
       else
         let node = Pq.pop queue in
         if not (below s node.f) then begin

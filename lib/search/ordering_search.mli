@@ -40,16 +40,14 @@ module Make (C : Bag_cost.S) : sig
       an exact cost.  [use_pr2] and [use_reductions] (both on by
       default) exist for the pruning ablation.
 
-      Every search takes the same budget arguments: [within] attaches
-      it to an already-running {!Hd_engine.Budget.t} (deadline, state
-      cap, cancellation and, unless [incumbent] overrides it, the
-      budget's incumbent) and takes precedence over [budget].  The
-      search returns [Exact] as soon as the incumbent closes and
-      [Bounds] when it is cancelled. *)
+      Every search runs under one {!Hd_engine.Budget.t}, [within]
+      (default: a fresh unlimited budget).  It carries the deadline,
+      the state cap, cancellation and the incumbent the search shares
+      bounds through; a budget without one gets a private incumbent.
+      The search stops once the budget runs out, which includes its
+      incumbent closing or being cancelled. *)
   val bb :
-    ?budget:Search_types.budget ->
     ?within:Hd_engine.Budget.t ->
-    ?incumbent:Hd_core.Incumbent.t ->
     ?use_pr2:bool ->
     ?use_reductions:bool ->
     seed:int ->
@@ -61,9 +59,7 @@ module Make (C : Bag_cost.S) : sig
       exhausted budget it is the reported one.  [dedup] merges states
       that eliminated the same vertex set (off by default). *)
   val astar :
-    ?budget:Search_types.budget ->
     ?within:Hd_engine.Budget.t ->
-    ?incumbent:Hd_core.Incumbent.t ->
     ?dedup:bool ->
     seed:int ->
     C.input ->

@@ -29,7 +29,7 @@ let reduce ?(lb = 0) g =
     low = !low;
   }
 
-let treewidth_with_preprocessing ?(budget = no_budget) ?within ?seed g =
+let treewidth_with_preprocessing ?within ?seed g =
   let n = Graph.n g in
   let rng_lb =
     Hd_bounds.Lower_bounds.treewidth
@@ -37,7 +37,7 @@ let treewidth_with_preprocessing ?(budget = no_budget) ?within ?seed g =
       g
   in
   let { reduced; eliminated; low } = reduce ~lb:rng_lb g in
-  let inner = Astar_tw.solve ~budget ?within ?seed reduced in
+  let inner = Astar_tw.solve ?within ?seed reduced in
   let outcome =
     match inner.outcome with
     | Exact w -> Exact (max w low)

@@ -33,11 +33,11 @@ type result = {
     strongly-almost-simplicial reductions. *)
 val reduce : ?lb:int -> Hd_graph.Graph.t -> result
 
-(** [treewidth_with_preprocessing ?budget ?seed g] reduces, then runs
-    A*-tw on the kernel and recombines: the result equals [tw g], with
-    a witness ordering over the original vertices. *)
+(** [treewidth_with_preprocessing ?within ?seed g] reduces, then runs
+    A*-tw on the kernel under [within] and recombines: the result
+    equals [tw g], with a witness ordering over the original
+    vertices. *)
 val treewidth_with_preprocessing :
-  ?budget:Search_types.budget ->
   ?within:Hd_engine.Budget.t ->
   ?seed:int ->
   Hd_graph.Graph.t ->

@@ -1,6 +1,5 @@
-(* The canonical definitions moved to Hd_engine.Solver / Hd_engine.Budget
-   when the engine became the shared spine; these equations keep every
-   historical call site compiling unchanged. *)
+(* The canonical definitions live in Hd_engine.Solver; these equations
+   let search code name them locally. *)
 
 type outcome = Hd_engine.Solver.outcome =
   | Exact of int
@@ -14,13 +13,6 @@ type result = Hd_engine.Solver.result = {
   ordering : int array option;
 }
 
-type budget = Hd_engine.Budget.spec = {
-  time_limit : float option;
-  max_states : int option;
-}
-
-let no_budget = { time_limit = None; max_states = None }
-let with_time seconds = { time_limit = Some seconds; max_states = None }
 let value = Hd_engine.Solver.value
 
 let pp_outcome ppf = function

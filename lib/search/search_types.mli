@@ -1,10 +1,10 @@
-(** Shared result and budget types of the exact-search algorithms.
+(** Shared result types of the exact-search algorithms.
 
     These are thin aliases of the engine's canonical types
-    ({!Hd_engine.Solver.outcome}, {!Hd_engine.Solver.result},
-    {!Hd_engine.Budget.spec}): a value of one type {e is} a value of
-    the other, so search code and engine code interoperate without
-    conversions. *)
+    ({!Hd_engine.Solver.outcome}, {!Hd_engine.Solver.result}): a value
+    of one type {e is} a value of the other, so search code and engine
+    code interoperate without conversions.  Budgets are the engine's
+    own {!Hd_engine.Budget.t}. *)
 
 (** How a search ended. *)
 type outcome = Hd_engine.Solver.outcome =
@@ -21,19 +21,6 @@ type result = Hd_engine.Solver.result = {
       (** an elimination ordering realising the best width found, when
           one was reached *)
 }
-
-(** Resource limits for a search run — the passive description;
-    solvers turn it into a running {!Hd_engine.Budget.t}. *)
-type budget = Hd_engine.Budget.spec = {
-  time_limit : float option;  (** wall-clock seconds *)
-  max_states : int option;  (** cap on generated states *)
-}
-
-(** No limits: the search runs to completion. *)
-val no_budget : budget
-
-(** [with_time seconds] is a budget limited only by wall-clock time. *)
-val with_time : float -> budget
 
 (** [value outcome] is the proved optimum or the upper bound. *)
 val value : outcome -> int

@@ -15,9 +15,7 @@ let heuristic ~default_seed ~width ordering_of ?seed b p =
     let sigma = ordering_of rng p in
     (width rng p sigma, sigma)
   in
-  (match B.incumbent b with
-  | Some inc -> ignore (Incumbent.offer_ub inc ~witness:sigma w)
-  | None -> ());
+  B.publish b ~witness:sigma w;
   {
     S.outcome = S.Bounds { lb = 0; ub = w };
     visited = 0;

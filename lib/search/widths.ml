@@ -12,10 +12,10 @@ type report = {
   fhw : Rat.t;
   fhw_exact : bool;
   hw : int option;
-  fhw_upper : float;
 }
 
-let analyze ?(time_limit = 10.0) ?(seed = 1) h =
+let analyze ?(within = Hd_engine.Budget.create ~time_limit:10.0 ()) ?(seed = 1)
+    h =
   Solvers.ensure ();
   let primal = Hypergraph.primal h in
   let acyclic = Hd_hypergraph.Acyclicity.is_acyclic h in
@@ -24,11 +24,10 @@ let analyze ?(time_limit = 10.0) ?(seed = 1) h =
      early stage leaves unspent (an instant tw on a small kernel, say)
      rolls over to the harder ghw/fhw/hw questions instead of being
      discarded *)
-  let total = Hd_engine.Budget.create ~time_limit () in
-  Hd_engine.Budget.start total;
+  Hd_engine.Budget.start within;
   let stage name stages p =
     Hd_engine.Engine.run_by_name ~seed name
-      (Hd_engine.Budget.sub ~stages total)
+      (Hd_engine.Budget.sub ~stages within)
       p
   in
   let tw = (stage "astar-tw" 4 (Hd_engine.Solver.Graph primal)).outcome in
@@ -37,7 +36,7 @@ let analyze ?(time_limit = 10.0) ?(seed = 1) h =
      the point of the exercise *)
   let fhw, fhw_exact =
     match
-      (Bb_fhw.solve ~within:(Hd_engine.Budget.sub ~stages:2 total) ~seed h)
+      (Bb_fhw.solve ~within:(Hd_engine.Budget.sub ~stages:2 within) ~seed h)
         .outcome_q
     with
     | Bb_fhw.Exact_q q -> (q, true)
@@ -58,7 +57,6 @@ let analyze ?(time_limit = 10.0) ?(seed = 1) h =
     fhw;
     fhw_exact;
     hw;
-    fhw_upper = Rat.to_float fhw;
   }
 
 let pp ppf r =

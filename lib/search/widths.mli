@@ -20,14 +20,14 @@ type report = {
           bound *)
   fhw_exact : bool;
   hw : int option;  (** hypertree width via det-k-decomp, [None] on timeout *)
-  fhw_upper : float;
-      (** [Rat.to_float fhw] — kept for historical call sites; use
-          [fhw] for decisions *)
 }
 
-(** [analyze ?time_limit ?seed h] computes the report; [time_limit]
-    (default 10s) is split across the exact searches. *)
+(** [analyze ?within ?seed h] computes the report; the budget [within]
+    (default: a fresh 10s one) is split across the exact searches. *)
 val analyze :
-  ?time_limit:float -> ?seed:int -> Hd_hypergraph.Hypergraph.t -> report
+  ?within:Hd_engine.Budget.t ->
+  ?seed:int ->
+  Hd_hypergraph.Hypergraph.t ->
+  report
 
 val pp : Format.formatter -> report -> unit

@@ -9,7 +9,7 @@ let () =
     | Some g -> g
     | None -> failwith "grid4 instance missing"
   in
-  let budget = { St.time_limit = Some 5.0; max_states = None } in
+  let budget = { Hd_engine.Budget.time_limit = Some 5.0; max_states = None } in
   let r = Hd_parallel.Portfolio.solve_tw ~jobs:2 ~budget ~seed:1 g in
   Format.printf "portfolio smoke: grid4 %a@." Hd_parallel.Portfolio.pp r;
   match r.Hd_parallel.Portfolio.outcome with

@@ -234,8 +234,8 @@ let test_fhw_clique () =
      rho* = 3; smaller bags stay below *)
   let h = Hypergraph.of_graph (Graph.complete 6) in
   let ws = Eval.of_hypergraph h in
-  let fhw = Eval.fhw_width ws (Ordering.identity 6) in
-  Alcotest.(check (float 1e-6)) "K6 fhw" 3.0 fhw
+  let fhw = Eval.fhw_width_q ws (Ordering.identity 6) in
+  check "K6 fhw" true (Hd_lp.Rat.equal fhw (Hd_lp.Rat.of_int 3))
 
 let prop_fhw_le_ghw =
   QCheck.Test.make ~count:60 ~name:"fhw_width <= ghw_width_exact"
@@ -251,8 +251,9 @@ let prop_fhw_le_ghw =
       let h = Hypergraph.create ~n edges in
       let ws = Eval.of_hypergraph h in
       let sigma = Ordering.random rng n in
-      Eval.fhw_width ws sigma
-      <= float_of_int (Eval.ghw_width_exact ws sigma) +. 1e-6)
+      Hd_lp.Rat.compare_int (Eval.fhw_width_q ws sigma)
+        (Eval.ghw_width_exact ws sigma)
+      <= 0)
 
 
 

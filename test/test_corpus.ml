@@ -174,7 +174,7 @@ let test_manifest_scan () =
 (* sweeps: determinism, skips, roster validation                       *)
 (* ------------------------------------------------------------------ *)
 
-let deterministic_budget = { Hd_search.Search_types.time_limit = None; max_states = Some 2000 }
+let deterministic_budget = { Hd_engine.Budget.time_limit = None; max_states = Some 2000 }
 
 let small_instances () =
   let texts =

@@ -158,9 +158,9 @@ let test_budget_sub_own_cancel_flag () =
   | S.Bounds _ -> Alcotest.fail "uncancelled blocks must still solve exactly")
 
 let test_spec_equation () =
-  (* Search_types.budget is literally Budget.spec: the historical
-     record syntax keeps working across the whole search layer *)
-  let spec = { Hd_search.Search_types.time_limit = Some 1.5; max_states = Some 7 } in
+  (* a passive spec (what orchestration boundaries take) becomes the
+     running budget solver entry points take, limits intact *)
+  let spec = { B.time_limit = Some 1.5; max_states = Some 7 } in
   let b = B.of_spec spec in
   check "time_limit carried" true (B.time_limit b = Some 1.5);
   check "max_states carried" true (B.max_states b = Some 7)
@@ -297,6 +297,64 @@ let test_all_solvers_sound_under_tiny_budget () =
       | _ -> ())
     (S.all ())
 
+(* Budget adherence over the whole registry: every solver stops within
+   a few deadlines of its budget, and a state cap holds to one batch.
+   circuit_03 of the bundled corpus is large enough that no exact
+   solver finishes in 0.1s. *)
+let test_registry_budget_adherence () =
+  ensure_registry ();
+  Hd_parallel.Par_solvers.ensure ();
+  let h =
+    match List.assoc_opt "csp-synth" (Hd_instances.Mini_corpus.collections ()) with
+    | Some files -> Hd_hypergraph.Hg_format.parse_string (List.assoc "circuit_03.hg" files)
+    | None -> Alcotest.fail "csp-synth missing"
+  in
+  let n = Hypergraph.n_vertices h in
+  let problem (s : S.t) =
+    match s.S.kind with
+    | S.Tw -> S.Graph (Hypergraph.primal h)
+    | S.Ghw | S.Fhw | S.Hw -> S.Hypergraph h
+  in
+  let run s b = Engine.run ~blocks:false ~seed:1 s b (problem s) in
+  let prefix p name =
+    String.length name >= String.length p
+    && String.sub name 0 (String.length p) = p
+  in
+  (* the most states a solver generates past the cap: one population
+     for the GAs (Hd_ga.Solvers: 300 individuals; SAIGA 4 islands of
+     60), one node's children per executor for HDA-star, whose workers
+     each finish the expansion they are in, and a single state for the
+     sequential searches and SA, which check the budget before every
+     child or step *)
+  let batch (s : S.t) =
+    let name = s.S.name in
+    if prefix "ga-" name then 300
+    else if prefix "saiga" name then 4 * 60
+    else if Filename.check_suffix name "-par" then
+      n * (Hd_parallel.Scheduler.size (Hd_parallel.Scheduler.shared ()) + 1)
+    else 1
+  in
+  let cap = 200 in
+  List.iter
+    (fun (s : S.t) ->
+      let _, secs =
+        Hd_engine.Clock.time @@ fun () -> run s (B.create ~time_limit:0.1 ())
+      in
+      check
+        (Printf.sprintf "%s returns within 0.6s of a 0.1s deadline (%.3fs)"
+           s.S.name secs)
+        true (secs < 0.6);
+      (* det-k-decomp ticks no states: a state cap cannot stop it *)
+      if s.S.name <> "hw-det-k" then begin
+        let r = run s (B.create ~max_states:cap ()) in
+        check
+          (Printf.sprintf "%s: generated %d <= %d + %d" s.S.name r.S.generated
+             cap (batch s))
+          true
+          (r.S.generated <= cap + batch s)
+      end)
+    (S.all ())
+
 (* a random hypergraph on [n] vertices with n to 3n - 1 edges of two
    or three vertices (dense enough that the initial bounds often leave
    the exact searches work to do), every vertex in some edge *)
@@ -346,6 +404,50 @@ let prop_cross_solver_bounds =
             (fun (kind', (_, ub)) -> kind <> kind' || lb <= ub)
             bounds)
         bounds)
+
+(* A state cap can stop an A* inside an expansion, dropping children
+   the queue never sees: an empty queue afterwards proves nothing, so
+   the capped A*s and a single-worker HDA-star may call a width exact
+   only when it is the true one.  Tiny caps on random instances whose
+   initial upper bound is often not optimal make the cut common. *)
+let test_capped_astar_exact_is_true () =
+  ensure_registry ();
+  Hd_parallel.Scheduler.with_scheduler ~workers:0 @@ fun sched ->
+  for seed = 0 to 249 do
+    let h = random_hypergraph seed (5 + (seed mod 5)) in
+    let run name within p = (Engine.run_by_name ~seed:1 name within p).S.outcome in
+    let truth name p =
+      match run name (B.create ()) p with
+      | S.Exact w -> w
+      | S.Bounds _ -> Alcotest.fail "an unlimited A* must finish"
+    in
+    let g = S.Graph (Hypergraph.primal h) and hg = S.Hypergraph h in
+    let tw = truth "astar-tw" g and ghw = truth "astar-ghw" hg in
+    for cap = 0 to 2 do
+      let within () = B.create ~max_states:cap () in
+      List.iter
+        (fun (label, truth, outcome) ->
+          match outcome with
+          | S.Exact w when w <> truth ->
+              Alcotest.failf "%s, seed %d, cap %d: Exact %d, width is %d" label
+                seed cap w truth
+          | _ -> ())
+        [
+          ("astar-tw", tw, run "astar-tw" (within ()) g);
+          ("astar-ghw", ghw, run "astar-ghw" (within ()) hg);
+          ("astar-ghw-dedup", ghw, run "astar-ghw-dedup" (within ()) hg);
+          ( "hdastar tw",
+            tw,
+            (Hd_parallel.Hdastar.solve_tw ~sched ~within:(within ())
+               (Hypergraph.primal h))
+              .S.outcome );
+          ( "hdastar ghw",
+            ghw,
+            (Hd_parallel.Hdastar.solve_ghw ~sched ~within:(within ()) h)
+              .S.outcome );
+        ]
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Decompose-by-blocks: engine results vs monolithic                   *)
@@ -507,16 +609,12 @@ let test_blocks_cancel_under_runner () =
 (* ------------------------------------------------------------------ *)
 
 let test_local_search_clock_starts_at_run () =
-  let config =
-    {
-      (Hd_ga.Local_search.default_config ~max_steps:200 ~seed:3 ()) with
-      Hd_ga.Local_search.time_limit = Some 0.2;
-    }
-  in
-  (* if the limit counted from config creation this sleep would exhaust
+  let config = Hd_ga.Local_search.default_config ~max_steps:200 ~seed:3 () in
+  let within = B.create ~time_limit:0.2 () in
+  (* if the limit counted from budget creation this sleep would exhaust
      it and the run would do no steps at all *)
   Unix.sleepf 0.25;
-  let r = Hd_ga.Local_search.sa_tw config (Graph.grid 3 3) in
+  let r = Hd_ga.Local_search.sa_tw ~within config (Graph.grid 3 3) in
   check "steps ran after the sleep" true (r.Hd_ga.Local_search.steps > 0);
   check "elapsed excludes pre-run time" true
     (r.Hd_ga.Local_search.elapsed < 0.2)
@@ -684,6 +782,27 @@ let test_one_join_kernel () =
     "bottom_up_order defined only in lib/query/join_tree.ml" []
     (sources_mentioning ~exempt ("let bottom_up" ^ "_order") [ "../lib" ])
 
+let test_one_budget_per_entry_point () =
+  (* solver entry points take one running Budget.t, [?within]; a
+     passive spec stays at orchestration boundaries such as the
+     portfolio, and GA configs carry no limits of their own *)
+  let interfaces paths = List.filter (fun p -> Filename.check_suffix p ".mli") paths in
+  let exempt path = Filename.check_suffix path "lib/parallel/portfolio.mli" in
+  List.iter
+    (fun needle ->
+      Alcotest.(check (list string))
+        (needle ^ " in no solver interface") []
+        (interfaces
+           (sources_mentioning ~exempt needle
+              [ "../lib/search"; "../lib/ga"; "../lib/parallel" ])))
+    [ "?incumbent" ^ ":"; "?budget" ^ ":"; "?time_limit" ^ ":" ];
+  List.iter
+    (fun field ->
+      Alcotest.(check (list string))
+        (field ^ " in no lib/ga config") []
+        (sources_mentioning ~exempt:(fun _ -> false) field [ "../lib/ga" ]))
+    [ "time_limit" ^ " :"; "target" ^ " :" ]
+
 let () =
   Alcotest.run "hd_engine"
     [
@@ -721,6 +840,10 @@ let () =
           Alcotest.test_case "unknown name" `Quick test_run_by_name_unknown;
           Alcotest.test_case "all solvers, tiny budget" `Slow
             test_all_solvers_sound_under_tiny_budget;
+          Alcotest.test_case "budget adherence" `Slow
+            test_registry_budget_adherence;
+          Alcotest.test_case "capped A* exact only when true" `Quick
+            test_capped_astar_exact_is_true;
           QCheck_alcotest.to_alcotest prop_cross_solver_bounds;
         ] );
       ( "engine",
@@ -757,5 +880,7 @@ let () =
           Alcotest.test_case "one join kernel" `Quick test_one_join_kernel;
           Alcotest.test_case "one ordering search" `Quick
             test_one_ordering_search;
+          Alcotest.test_case "one budget per entry point" `Quick
+            test_one_budget_per_entry_point;
         ] );
     ]

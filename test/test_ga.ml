@@ -12,6 +12,12 @@ module Local_search = Hd_ga.Local_search
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* a budget whose run stops once the best fitness reaches [target]:
+   the target is a lower bound on the budget's incumbent, which closes
+   when the run publishes a fitness that low *)
+let with_target target =
+  Hd_engine.Budget.create ~incumbent:(Hd_core.Incumbent.create ~lb:target ()) ()
+
 (* --- operators preserve permutations --- *)
 
 let perm_gen = QCheck.Gen.(pair (2 -- 20) int)
@@ -81,10 +87,10 @@ let test_engine_finds_sorted_minimum () =
     done;
     !count
   in
-  let config =
-    { (small_config ~max_iterations:150 ()) with Ga_engine.target = Some 0 }
+  let config = small_config ~max_iterations:150 () in
+  let report =
+    Ga_engine.run ~within:(with_target 0) config ~n_genes:8 ~eval:inversions
   in
-  let report = Ga_engine.run config ~n_genes:8 ~eval:inversions in
   check_int "inversion minimum found" 0 report.Ga_engine.best;
   check "witness is identity" true
     (report.Ga_engine.best_individual = Ordering.identity 8)
@@ -179,31 +185,26 @@ let test_saiga () =
 let test_saiga_target_stops () =
   let h = Hypergraph.create ~n:4 [ [ 0; 1; 2; 3 ] ] in
   let config =
-    {
-      (Saiga_ghw.default_config ~n_islands:2 ~island_population:10
-         ~epoch_length:2 ~max_epochs:50 ())
-      with
-      Saiga_ghw.target = Some 1;
-    }
+    Saiga_ghw.default_config ~n_islands:2 ~island_population:10
+      ~epoch_length:2 ~max_epochs:50 ()
   in
-  let report = Saiga_ghw.run config h in
+  let report = Saiga_ghw.run ~within:(with_target 1) config h in
   check_int "hits width 1" 1 report.Saiga_ghw.best;
   check "stops early" true (report.Saiga_ghw.epochs <= 2)
 
 
 
 let test_engine_time_limit () =
-  let config =
-    { (small_config ~max_iterations:1_000_000 ()) with
-      Ga_engine.time_limit = Some 0.2 }
-  in
+  let config = small_config ~max_iterations:1_000_000 () in
   let slow_eval sigma =
     ignore (Array.fold_left ( + ) 0 sigma);
     Array.length sigma
   in
   let report, elapsed =
     Hd_engine.Clock.time @@ fun () ->
-    Ga_engine.run config ~n_genes:30 ~eval:slow_eval
+    Ga_engine.run
+      ~within:(Hd_engine.Budget.create ~time_limit:0.2 ())
+      config ~n_genes:30 ~eval:slow_eval
   in
   check "stopped by time" true (elapsed < 5.0);
   check "ran some iterations" true (report.Ga_engine.iterations > 0)
@@ -264,11 +265,10 @@ let test_ils () =
 let test_sa_target_stops () =
   (* on K5 every ordering has width 4, so the target is met at the
      initial evaluation and no step runs *)
-  let config =
-    { (Local_search.default_config ~max_steps:1_000_000 ()) with
-      Local_search.target = Some 4 }
+  let config = Local_search.default_config ~max_steps:1_000_000 () in
+  let report =
+    Local_search.sa_tw ~within:(with_target 4) config (Graph.complete 5)
   in
-  let report = Local_search.sa_tw config (Graph.complete 5) in
   check_int "target reached" 4 report.Local_search.best;
   check_int "stopped immediately" 0 report.Local_search.steps
 

@@ -140,7 +140,7 @@ let test_small_instances_solvable () =
   | Some h ->
       let result =
         Hd_search.Bb_ghw.solve
-          ~budget:{ Hd_search.Search_types.time_limit = Some 5.0; max_states = None }
+          ~within:(Hd_engine.Budget.create ~time_limit:5.0 ())
           h
       in
       let ub =

@@ -424,7 +424,7 @@ let exact_width name (r : Portfolio.t) =
    width at -j 1, -j 2 and -j 8 — exact members prove the same optimum
    whatever the interleaving *)
 let test_portfolio_determinism () =
-  let budget = { St.time_limit = Some 120.0; max_states = None } in
+  let budget = { Hd_engine.Budget.time_limit = Some 120.0; max_states = None } in
   List.iter
     (fun (name, expected) ->
       let g = graph name in
@@ -440,7 +440,7 @@ let test_portfolio_determinism () =
     [ ("queen5_5", 18); ("myciel4", 10); ("grid4", 4) ]
 
 let test_portfolio_report_shape () =
-  let budget = { St.time_limit = Some 60.0; max_states = None } in
+  let budget = { Hd_engine.Budget.time_limit = Some 60.0; max_states = None } in
   let r = Portfolio.solve_tw ~jobs:3 ~budget ~seed:7 (graph "grid4") in
   check_int "domains = members raced" 3 r.Portfolio.domains;
   check_int "member report per member" 3 (List.length r.Portfolio.members);
@@ -456,7 +456,7 @@ let test_portfolio_report_shape () =
   | None -> ()
 
 let test_portfolio_ghw () =
-  let budget = { St.time_limit = Some 60.0; max_states = None } in
+  let budget = { Hd_engine.Budget.time_limit = Some 60.0; max_states = None } in
   let h = hypergraph "adder_15" in
   let r = Portfolio.solve_ghw ~jobs:2 ~budget ~seed:5 h in
   check_int "adder_15 ghw" 2 (exact_width "adder_15" r)

@@ -99,7 +99,7 @@ let test_astar_budget () =
   (* a zero-state budget forces the anytime path *)
   let g = Graph.grid 5 5 in
   let result =
-    Astar_tw.solve ~budget:{ St.time_limit = None; max_states = Some 5 } g
+    Astar_tw.solve ~within:(Hd_engine.Budget.create ~max_states:5 ()) g
   in
   (match result.St.outcome with
   | St.Bounds { lb; ub } ->
@@ -511,15 +511,21 @@ let prop_preprocess_agrees =
 
 let test_widths_analyze () =
   let h = Hypergraph.create ~n:6 [ [ 0; 1; 2 ]; [ 0; 4; 5 ]; [ 2; 3; 4 ] ] in
-  let r = Hd_search.Widths.analyze ~time_limit:10.0 h in
+  let r =
+    Hd_search.Widths.analyze
+      ~within:(Hd_engine.Budget.create ~time_limit:10.0 ()) h
+  in
   check "not acyclic" false r.Hd_search.Widths.acyclic;
   check_int "tw" 2 (match r.Hd_search.Widths.tw with St.Exact w -> w | _ -> -1);
   check_int "ghw" 2 (match r.Hd_search.Widths.ghw with St.Exact w -> w | _ -> -1);
   Alcotest.(check (option int)) "hw" (Some 2) r.Hd_search.Widths.hw;
-  check "fhw <= ghw" true (r.Hd_search.Widths.fhw_upper <= 2.0 +. 1e-6);
+  check "fhw <= ghw" true (Hd_lp.Rat.compare_int r.Hd_search.Widths.fhw 2 <= 0);
   (* an acyclic instance: every width is 1 *)
   let a = Hypergraph.create ~n:4 [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ] ] in
-  let ra = Hd_search.Widths.analyze ~time_limit:10.0 a in
+  let ra =
+    Hd_search.Widths.analyze
+      ~within:(Hd_engine.Budget.create ~time_limit:10.0 ()) a
+  in
   check "acyclic" true ra.Hd_search.Widths.acyclic;
   check_int "acyclic ghw" 1
     (match ra.Hd_search.Widths.ghw with St.Exact w -> w | _ -> -1);
@@ -528,11 +534,11 @@ let test_widths_analyze () =
 
 let test_ghw_budget_states () =
   let h = Hypergraph.of_graph (Graph.grid 4 4) in
-  let tight = { St.time_limit = None; max_states = Some 3 } in
-  (match (Bb_ghw.solve ~budget:tight h).St.outcome with
+  let tight () = Hd_engine.Budget.create ~max_states:3 () in
+  (match (Bb_ghw.solve ~within:(tight ()) h).St.outcome with
   | St.Bounds { lb; ub } -> check "bb bounds ordered" true (lb <= ub)
   | St.Exact _ -> () (* initial bounds may already close it *));
-  match (Astar_ghw.solve ~budget:tight h).St.outcome with
+  match (Astar_ghw.solve ~within:(tight ()) h).St.outcome with
   | St.Bounds { lb; ub } -> check "a* bounds ordered" true (lb <= ub)
   | St.Exact _ -> ()
 
@@ -592,11 +598,13 @@ let test_obs_counters_deterministic () =
   in
   (* a state budget (not a time limit) keeps the trajectory — and so
      every counter — identical across the two runs *)
-  let budget = { St.time_limit = None; max_states = Some 20000 } in
   let snapshot () =
     Obs.enable ();
     Obs.reset ();
-    ignore (Astar_tw.solve ~budget ~seed:7 g);
+    ignore
+      (Astar_tw.solve
+         ~within:(Hd_engine.Budget.create ~max_states:20000 ())
+         ~seed:7 g);
     let value name =
       match
         List.find_opt (fun c -> Obs.Counter.name c = name) (Obs.Counter.all ())
@@ -678,29 +686,32 @@ module Hdastar = Hd_parallel.Hdastar
    per-width searches the core replaced, so any drift in pruning,
    bounds or child order shows here.  A*-tw and HDA*-tw are recorded on
    the core's A* flow, which offers one completion per expanded state
-   where the old A*-tw offered one per generated child. *)
+   where the old A*-tw offered one per generated child.  A state cap
+   stops every search one generated state past it: BB checks its
+   budget before each child, so a run of pruned children can no longer
+   carry it further. *)
 let trajectory_pins =
   [
-    ("b06", "bb-tw", "[9,14]", 140, 411);
-    ("b06", "bb-ghw", "[3,6]", 72, 411);
-    ("b06", "bb-ghw-greedy", "[3,7]", 65, 404);
-    ("b06", "fhw-bb", "[5/2,6]", 72, 421);
+    ("b06", "bb-tw", "[9,14]", 140, 401);
+    ("b06", "bb-ghw", "[3,6]", 72, 401);
+    ("b06", "bb-ghw-greedy", "[3,7]", 65, 401);
+    ("b06", "fhw-bb", "[5/2,6]", 72, 401);
     ("b06", "astar-ghw", "[3,7]", 39, 401);
     ("b06", "astar-tw", "[9,14]", 73, 401);
     ("b06", "hdastar-ghw", "[3,7]", 39, 401);
     ("b06", "hdastar-tw", "[9,14]", 110, 401);
-    ("grid3d_4", "bb-tw", "[11,19]", 65, 404);
-    ("grid3d_4", "bb-ghw", "[4,8]", 54, 404);
+    ("grid3d_4", "bb-tw", "[11,19]", 65, 401);
+    ("grid3d_4", "bb-ghw", "[4,8]", 54, 401);
     ("grid3d_4", "bb-ghw-greedy", "[4,8]", 41, 401);
-    ("grid3d_4", "fhw-bb", "[3,7]", 41, 405);
+    ("grid3d_4", "fhw-bb", "[3,7]", 41, 401);
     ("grid3d_4", "astar-ghw", "[4,8]", 24, 401);
     ("grid3d_4", "astar-tw", "[13,19]", 25, 401);
     ("grid3d_4", "hdastar-ghw", "[4,8]", 24, 401);
     ("grid3d_4", "hdastar-tw", "[11,19]", 38, 401);
-    ("grid2d_10", "bb-tw", "[6,14]", 81, 419);
-    ("grid2d_10", "bb-ghw", "[3,9]", 164, 402);
-    ("grid2d_10", "bb-ghw-greedy", "[3,9]", 137, 402);
-    ("grid2d_10", "fhw-bb", "[7/3,15/2]", 88, 410);
+    ("grid2d_10", "bb-tw", "[6,14]", 81, 401);
+    ("grid2d_10", "bb-ghw", "[3,9]", 164, 401);
+    ("grid2d_10", "bb-ghw-greedy", "[3,9]", 137, 401);
+    ("grid2d_10", "fhw-bb", "[7/3,15/2]", 88, 401);
     ("grid2d_10", "astar-ghw", "[3,9]", 11, 401);
     ("grid2d_10", "astar-tw", "[6,16]", 17, 401);
     ("grid2d_10", "hdastar-ghw", "[3,9]", 11, 401);
@@ -708,7 +719,7 @@ let trajectory_pins =
     ("bridge_3", "bb-tw", "6 (exact)", 0, 0);
     ("bridge_3", "bb-ghw", "3 (exact)", 24, 108);
     ("bridge_3", "bb-ghw-greedy", "[3,3]", 23, 107);
-    ("bridge_3", "fhw-bb", "[7/3,19/7]", 176, 419);
+    ("bridge_3", "fhw-bb", "[7/3,19/7]", 176, 401);
     ("bridge_3", "astar-ghw", "3 (exact)", 22, 113);
     ("bridge_3", "astar-tw", "6 (exact)", 0, 0);
     ("bridge_3", "hdastar-ghw", "3 (exact)", 22, 113);
@@ -721,26 +732,28 @@ let pinned_run instance solver =
     else Option.get (Hd_instances.Hypergraphs.by_name instance)
   in
   let g = Hypergraph.primal h in
-  let budget = { St.time_limit = None; max_states = Some 400 } in
+  (* a fresh budget per run: a started budget keeps its clock *)
+  let within () = Hd_engine.Budget.create ~max_states:400 () in
   let int (r : St.result) =
     (Format.asprintf "%a" St.pp_outcome r.St.outcome, r.visited, r.generated)
   in
   let hdastar solve =
     Hd_parallel.Scheduler.with_scheduler ~workers:0 (fun sched ->
-        int (solve sched (Hd_engine.Budget.of_spec budget)))
+        int (solve sched (within ())))
   in
   match solver with
-  | "bb-tw" -> int (Bb_tw.solve ~budget ~seed:1 g)
-  | "bb-ghw" -> int (Bb_ghw.solve ~budget ~seed:1 h)
-  | "bb-ghw-greedy" -> int (Bb_ghw.solve ~budget ~cover:`Greedy ~seed:1 h)
-  | "astar-ghw" -> int (Astar_ghw.solve ~budget ~seed:1 h)
-  | "astar-tw" -> int (Astar_tw.solve ~budget ~seed:1 g)
+  | "bb-tw" -> int (Bb_tw.solve ~within:(within ()) ~seed:1 g)
+  | "bb-ghw" -> int (Bb_ghw.solve ~within:(within ()) ~seed:1 h)
+  | "bb-ghw-greedy" ->
+      int (Bb_ghw.solve ~within:(within ()) ~cover:`Greedy ~seed:1 h)
+  | "astar-ghw" -> int (Astar_ghw.solve ~within:(within ()) ~seed:1 h)
+  | "astar-tw" -> int (Astar_tw.solve ~within:(within ()) ~seed:1 g)
   | "hdastar-ghw" ->
       hdastar (fun sched within -> Hdastar.solve_ghw ~sched ~within ~seed:1 h)
   | "hdastar-tw" ->
       hdastar (fun sched within -> Hdastar.solve_tw ~sched ~within ~seed:1 g)
   | "fhw-bb" ->
-      let r = Bb_fhw.solve ~budget ~seed:1 h in
+      let r = Bb_fhw.solve ~within:(within ()) ~seed:1 h in
       let q = Hd_lp.Rat.to_string in
       ( (match r.Bb_fhw.outcome_q with
         | Bb_fhw.Exact_q w -> q w ^ " (exact)"
