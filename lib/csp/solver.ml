@@ -76,8 +76,7 @@ let solve_with_ghd csp ghd =
   let h = Csp.hypergraph csp in
   if not (Ghd.valid h ghd) then
     invalid_arg "Solver.solve_with_ghd: not a GHD of the CSP";
-  let ghd = Ghd.complete h ghd in
-  solve_tree csp (Join_tree.of_ghd ghd (Array.get (edge_relations csp h)))
+  solve_tree csp (Join_tree.of_ghd h ghd (edge_relations csp h))
 
 let solve ?solver ?time_limit csp ~strategy ~seed =
   let h = Csp.hypergraph csp in

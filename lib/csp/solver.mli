@@ -8,10 +8,14 @@
       constraint in a bag containing its scope, solve each bag
       subproblem by join + cartesian extension with the domains of
       the bag variables left uncovered (cost O(d^(w+1))).
-    - {!solve_with_ghd} completes the GHD (Lemma 2) and computes each
-      node's relation as the projection onto chi(p) of the join of the
-      lambda(p) constraint relations (cost O(|I|^(k+1) log |I|) for
-      width k — this is where small ghw pays off).
+    - {!solve_with_ghd} computes each node's relation as the
+      projection onto chi(p) of a connected join of constraints
+      covering chi(p), among them every constraint inside chi(p)
+      ({!Hd_query.Join_tree.of_ghd}; this implies completion, Lemma 2).
+      The join keeps a cover of chi(p) of at most |lambda(p)|
+      constraints, so the relation is a subset of the projection of
+      their join (cost O(|I|^(k+1) log |I|) for width k — this is
+      where small ghw pays off).
 
     Variables outside every bag (impossible for decompositions of the
     CSP's own hypergraph) would be left at their first domain value. *)

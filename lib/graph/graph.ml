@@ -92,8 +92,15 @@ let min_degree g =
   done;
   !best
 
-let components g =
-  let seen = Bitset.create g.size in
+let components ?within g =
+  let seen =
+    match within with
+    | None -> Bitset.create g.size
+    | Some vs ->
+        let outside = Bitset.full g.size in
+        Bitset.diff_into ~src:vs ~dst:outside;
+        outside
+  in
   let component root =
     let stack = ref [ root ] in
     let acc = ref [] in

@@ -65,7 +65,9 @@ val min_degree : t -> int
     (the empty graph counts as connected). *)
 val is_connected : t -> bool
 
-(** [components g] lists the connected components as vertex lists. *)
-val components : t -> int list list
+(** [components ?within g] lists the connected components as sorted
+    vertex lists; with [within], those of the subgraph induced by the
+    vertices of [within]. *)
+val components : ?within:Bitset.t -> t -> int list list
 
 val pp : Format.formatter -> t -> unit

@@ -1,6 +1,8 @@
 module Td = Hd_core.Tree_decomposition
 module Ghd = Hd_core.Ghd
 module Bitset = Hd_graph.Bitset
+module Graph = Hd_graph.Graph
+module Hypergraph = Hd_hypergraph.Hypergraph
 module Obs = Hd_obs.Obs
 
 (* Observability: semijoin passes and the enumeration's tuple-producing
@@ -9,6 +11,10 @@ module Obs = Hd_obs.Obs
 let c_reduce_semijoins = Obs.Counter.make "query.reduce_semijoins"
 let c_enum_rows = Obs.Counter.make "query.enum_rows"
 let c_enum_dead_ends = Obs.Counter.make "query.enum_dead_ends"
+
+(* bags materialised through a cross product: no atom path joins the
+   bag's atoms *)
+let c_bag_products = Obs.Counter.make "query.bag_products"
 
 type t = { rels : Qrelation.t array; parent : int array }
 
@@ -73,13 +79,122 @@ let bag ?par rels ~scope =
   | [] -> Qrelation.make ~scope:[||] [ [||] ]
   | _ -> Colexec.join_project ?par rels ~scope
 
-let of_ghd ?par ghd rel_of_edge =
+(* Bag plans.  Atoms are the hyperedges of the query hypergraph, the
+   vertices of its dual graph [dual]: two atoms are adjacent when they
+   share a variable. *)
+
+(* the inner atoms of a shortest atom path from component [comp] to
+   another atom of [s], by breadth-first search over all atoms *)
+let connector dual comp s =
+  let from = Array.make (Graph.n dual) (-2) in
+  List.iter (fun a -> from.(a) <- -1) comp;
+  let rec path a acc =
+    if from.(a) = -1 then acc else path from.(a) (a :: acc)
+  in
+  let queue = Queue.of_seq (List.to_seq comp) in
+  let rec bfs () =
+    Option.bind (Queue.take_opt queue) (fun a ->
+        let next =
+          List.filter (fun b -> from.(b) = -2) (Graph.neighbors dual a)
+        in
+        if List.exists (Bitset.mem s) next then Some (path a [])
+        else begin
+          List.iter
+            (fun b ->
+              from.(b) <- a;
+              Queue.add b queue)
+            next;
+          bfs ()
+        end)
+  in
+  bfs ()
+
+(* join order: the smallest atom, then always the smallest atom sharing
+   a variable with those joined so far (the smallest remaining one when
+   none does) *)
+let connected_order atoms dual s =
+  let size a = Qrelation.cardinality atoms.(a) in
+  let smallest l =
+    List.fold_left (fun b a -> if size a < size b then a else b) (List.hd l) l
+  in
+  let rec go joined = function
+    | [] -> List.rev joined
+    | rest ->
+        let near =
+          List.filter
+            (fun a -> List.exists (Graph.mem_edge dual a) joined)
+            rest
+        in
+        let a = smallest (if near = [] then rest else near) in
+        go (a :: joined) (List.filter (( <> ) a) rest)
+  in
+  go [] s
+
+(* the atoms node [chi]/[lambda] joins, in join order: S = lambda plus
+   every atom inside chi, joined up by connector paths, less the atoms
+   reaching outside chi (largest first) that connectedness does not
+   need and that leave a cover of chi of at most |lambda| atoms in S.
+   That cover starts as lambda; one of its atoms leaves it only for a
+   remaining atom holding all of its chi-variables.  So the bag is
+   within the chi-projection of a join of at most |lambda| atoms *)
+let bag_plan atoms dual ~chi ~lambda =
+  let scope a = Qrelation.scope atoms.(a) in
+  let inside a = Array.for_all (Bitset.mem chi) (scope a) in
+  let s = Bitset.create (Graph.n dual) in
+  Array.iteri (fun a _ -> if inside a then Bitset.add s a) atoms;
+  Array.iter (Bitset.add s) lambda;
+  let n_comps () = List.length (Graph.components ~within:s dual) in
+  let rec connect added =
+    match Graph.components ~within:s dual with
+    | _ :: _ :: _ as comps -> (
+        match List.find_map (fun c -> connector dual c s) comps with
+        | Some path ->
+            List.iter (Bitset.add s) path;
+            connect (path @ added)
+        | None -> added)
+    | _ -> added
+  in
+  let connectors = connect [] in
+  let n = n_comps () in
+  let cover = Bitset.create (Graph.n dual) in
+  Array.iter (Bitset.add cover) lambda;
+  (* a remaining atom of S standing in for cover atom [a] *)
+  let substitute a =
+    let needed = List.filter (Bitset.mem chi) (Array.to_list (scope a)) in
+    List.find_opt
+      (fun b -> List.for_all (fun v -> Array.mem v (scope b)) needed)
+      (Bitset.elements s)
+  in
+  let size a = Qrelation.cardinality atoms.(a) in
+  connectors @ List.filter (fun a -> not (inside a)) (Array.to_list lambda)
+  |> List.stable_sort (fun a b -> compare (size b) (size a))
+  |> List.iter (fun a ->
+         Bitset.remove s a;
+         let droppable =
+           n_comps () <= n
+           && ((not (Bitset.mem cover a))
+              ||
+              match substitute a with
+              | Some b ->
+                  Bitset.remove cover a;
+                  Bitset.add cover b;
+                  true
+              | None -> false)
+         in
+         if not droppable then Bitset.add s a);
+  if n > 1 then Obs.Counter.incr c_bag_products;
+  connected_order atoms dual (Bitset.elements s)
+
+let of_ghd ?par h ghd atoms =
   let td = ghd.Ghd.td in
+  let dual = Hypergraph.dual h in
   let rels =
     Array.init (Td.n_nodes td) (fun p ->
+        let chi = Td.bag td p in
+        let plan = bag_plan atoms dual ~chi ~lambda:ghd.Ghd.lambda.(p) in
         bag ?par
-          (List.map rel_of_edge (Array.to_list ghd.Ghd.lambda.(p)))
-          ~scope:(Array.of_list (Bitset.elements (Td.bag td p))))
+          (List.map (Array.get atoms) plan)
+          ~scope:(Array.of_list (Bitset.elements chi)))
   in
   { rels; parent = td.Td.parent }
 

@@ -10,6 +10,7 @@
     {!Colexec.Keysum}, and enumeration walks {!Colexec.Index}es.
 
     Counters: [query.reduce_semijoins] (semijoin passes),
+    [query.bag_products] (bags {!of_ghd} built through a product),
     [query.enum_rows] and [query.enum_dead_ends] (enumeration work —
     after full reduction the enumeration is backtrack-free, so
     [query.enum_dead_ends] stays 0); the kernel's own
@@ -33,12 +34,31 @@ val is_join_tree : t -> bool
     every relation. *)
 val bag : ?par:Hd_parallel.Scheduler.t -> Qrelation.t list -> scope:int array -> Qrelation.t
 
-(** [of_ghd ?par ghd rel_of_edge] materialises one relation per node of
-    [ghd]: the {!bag} of its lambda-label edges' relations onto its
-    chi-label.  [ghd] should be complete (Lemma 2) so every edge
-    relation is enforced unprojected somewhere. *)
+(** [of_ghd ?par h ghd atoms] materialises one relation per node [p]
+    of [ghd], a GHD of [h]; [atoms.(e)] is the relation of hyperedge
+    [e], its scope the edge's variables.  Node [p] gets the {!bag} onto
+    chi(p) of an atom set S(p): lambda(p) plus every atom whose
+    variables lie inside chi(p), joined up by shortest atom paths
+    (breadth-first over the dual graph of [h]) where those leave it
+    disconnected, less the atoms reaching outside chi(p), largest
+    first, that neither connectedness nor a cover of chi(p) of at most
+    |lambda(p)| atoms needs.  That cover starts as lambda(p); an atom
+    leaves it only for a remaining atom holding all of its
+    chi-variables.  S(p) is joined smallest relation first, in
+    connected order.  A bag whose S(p) no atom path connects is a cross
+    product and counts in [query.bag_products].
+
+    Every atom is joined at every node containing its variables, which
+    implies completion (Lemma 2): [ghd] need not be complete.  Each bag
+    holds the chi-projection of every answer and lies within the
+    chi-projection of its cover's join, so it has at most ‖D‖^width
+    rows. *)
 val of_ghd :
-  ?par:Hd_parallel.Scheduler.t -> Hd_core.Ghd.t -> (int -> Qrelation.t) -> t
+  ?par:Hd_parallel.Scheduler.t ->
+  Hd_hypergraph.Hypergraph.t ->
+  Hd_core.Ghd.t ->
+  Qrelation.t array ->
+  t
 
 (** {1 Semijoin programs over selection vectors} *)
 

@@ -1,5 +1,6 @@
 module Acyclicity = Hd_hypergraph.Acyclicity
 module Ghd = Hd_core.Ghd
+module Td = Hd_core.Tree_decomposition
 module Obs = Hd_obs.Obs
 
 (* Observability: bag materialisation and answers; the semijoin passes
@@ -90,13 +91,17 @@ let plan ?par ~method_ ~jobs ~seed ~time_limit ~ordering h atom_rels =
           Obs.with_span "query.decompose" @@ fun () ->
           ordering_for ~method_ ~jobs ~seed ~time_limit h
     in
-    let ghd = Ghd.of_ordering h sigma ~cover:`Exact in
-    (* completion (Lemma 2) enforces every atom unprojected at some
-       node *)
-    let ghd = Ghd.complete h ghd in
+    (* a bag inside a neighbour's is folded into it; every atom is
+       joined at each bag holding its variables, which implies
+       completion (Lemma 2) *)
+    let ghd =
+      Ghd.of_tree_decomposition h
+        (Td.simplify (Td.of_ordering_hypergraph h sigma))
+        ~cover:`Exact
+    in
     let tree =
       Obs.with_span "query.materialize" @@ fun () ->
-      Join_tree.of_ghd ?par ghd (Array.get atom_rels)
+      Join_tree.of_ghd ?par h ghd atom_rels
     in
     Array.iter observe_bag tree.Join_tree.rels;
     (tree, Ghd.width ghd, false)

@@ -6,10 +6,11 @@
     + when it is alpha-acyclic, take the GYO join tree directly (one
       node per atom, ghw 1); otherwise compute an elimination ordering
       (min-fill, BB-ghw, or the {!Hd_parallel.Portfolio} race,
-      depending on [method_]), build a GHD with exact set-cover labels
-      and complete it (Lemma 2);
-    + materialise one relation per node: the hash join of the node's
-      lambda-label atoms projected onto its bag;
+      depending on [method_]), fold every bag contained in a
+      neighbour's, and build a GHD with exact set-cover labels;
+    + materialise one relation per node: the join of a connected atom
+      set covering the node's bag, projected onto the bag
+      ({!Join_tree.of_ghd}; the reported width stays lambda's);
     + semijoin-reduce the tree bottom-up (and, except in boolean mode,
       top-down), after which the tree is globally consistent;
     + enumerate answers backtrack-free, project onto the head

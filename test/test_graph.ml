@@ -48,7 +48,12 @@ let test_components () =
     (Graph.components g);
   Graph.add_edge g 1 2;
   Graph.add_edge g 3 4;
-  check "connected" true (Graph.is_connected g)
+  check "connected" true (Graph.is_connected g);
+  (* the path 0-1-2-3-4 without vertex 2 falls apart *)
+  Alcotest.(check (list (list int)))
+    "components within"
+    [ [ 0; 1 ]; [ 3; 4 ] ]
+    (Graph.components ~within:(Bitset.of_list 5 [ 0; 1; 3; 4 ]) g)
 
 let test_eliminate_restore () =
   (* the worked example of Figure 5.2: eliminating a vertex connects

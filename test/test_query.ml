@@ -31,16 +31,24 @@ let db_of_edges edges =
 
 let triangle_q = Cq.parse_string "ans(X,Y,Z) :- e(X,Y), e(Y,Z), e(Z,X)."
 let two_hop_q = Cq.parse_string "ans(X,Z) :- e(X,Y), e(Y,Z)."
+let four_cycle_q =
+  Cq.parse_string "ans(W,X,Y,Z) :- e(W,X), e(X,Y), e(Y,Z), e(Z,W)."
 
-(* a graph whose only triangles are a->b->c->a, plus a long pendant
-   chain of non-triangle edges *)
-let triangle_plus_chain k =
-  let chain =
-    List.init k (fun i ->
-        ( (if i = 0 then "c" else Printf.sprintf "p%d" (i - 1)),
-          Printf.sprintf "p%d" i ))
+let five_cycle_q =
+  Cq.parse_string "ans(A,B,C,D,E) :- e(A,B), e(B,C), e(C,D), e(D,E), e(E,A)."
+
+(* a directed cycle through [cycle]'s vertices, plus a long pendant
+   chain of non-cycle edges hanging off its last vertex: the graph's
+   only cycles of that length are the cycle's rotations *)
+let cycle_plus_chain cycle k =
+  let n = List.length cycle in
+  let vertex i =
+    if i < 0 then List.nth cycle (n - 1) else Printf.sprintf "p%d" i
   in
-  [ ("a", "b"); ("b", "c"); ("c", "a") ] @ chain
+  let chain = List.init k (fun i -> (vertex (i - 1), vertex i)) in
+  List.mapi (fun i u -> (u, List.nth cycle ((i + 1) mod n))) cycle @ chain
+
+let triangle_plus_chain = cycle_plus_chain [ "a"; "b"; "c" ]
 
 let modes_agree ?(methods = [ Y.Auto; Y.Min_fill ]) db q =
   let expected = sorted (Bf.answers db q) in
@@ -375,19 +383,30 @@ let prop_matches_brute_force =
       Cq.parse_string "ans(X) :- e(X,Y), e(Y,X).";
       Cq.parse_string
         "ans(W,Z) :- e(W,X), e(X,Y), e(Y,Z), e(Z,W), e(W,Y).";
+      (* cycles whose bags need connector atoms or a product *)
+      four_cycle_q;
+      five_cycle_q;
+      Cq.parse_string "ans(W,X,Y,Z) :- e(W,X), e(X,Y), e(Y,Z), e(Z,W), e(W,Y).";
+      (* two relations of unequal size *)
+      Cq.parse_string
+        "ans(A,B,C,D,E) :- e(A,B), f(B,C), e(C,D), f(D,E), e(E,A).";
     ]
   in
   QCheck.Test.make ~count:60 ~name:"hd_query = brute force on random graphs"
     QCheck.(make QCheck.Gen.(pair (2 -- 6) int))
     (fun (n, seed) ->
       let rng = Random.State.make [| n; seed |] in
-      let m = 1 + Random.State.int rng 14 in
-      let edges =
+      let random_edges m =
         List.init m (fun _ ->
-            ( Printf.sprintf "v%d" (Random.State.int rng n),
-              Printf.sprintf "v%d" (Random.State.int rng n) ))
+            [|
+              Printf.sprintf "v%d" (Random.State.int rng n);
+              Printf.sprintf "v%d" (Random.State.int rng n);
+            |])
       in
-      let db = db_of_edges edges in
+      let m = 1 + Random.State.int rng 14 in
+      let db = Db.create () in
+      Db.add db ~name:"e" (random_edges m);
+      Db.add db ~name:"f" (random_edges (2 * m));
       List.for_all
         (fun q ->
           let expected = sorted (Bf.answers db q) in
@@ -400,6 +419,110 @@ let prop_matches_brute_force =
                  = (expected <> []))
             [ Y.Auto; Y.Min_fill ])
         queries)
+
+(* a complete digraph on [n] vertices, no loops *)
+let complete_digraph n =
+  List.concat
+    (List.init n (fun u ->
+         List.filter_map
+           (fun v ->
+             if u = v then None
+             else Some (Printf.sprintf "v%d" u, Printf.sprintf "v%d" v))
+           (List.init n Fun.id)))
+
+(* a random digraph on [n] vertices, out-degree [k] (repeats merged) *)
+let sparse_digraph n k =
+  let rng = Random.State.make [| n; k |] in
+  List.concat
+    (List.init n (fun u ->
+         List.init k (fun _ ->
+             ( Printf.sprintf "v%d" u,
+               Printf.sprintf "v%d" (Random.State.int rng n) ))))
+
+let products_counted f =
+  Obs.enable ();
+  Obs.reset ();
+  let x = f () in
+  let n = Obs.Counter.value (Obs.Counter.make "query.bag_products") in
+  Obs.disable ();
+  (x, n)
+
+(* a GHD of [h] with bags [bags] (vertex lists), parents [parent] and
+   labels [lambda], materialised over [atoms] *)
+let join_tree_of h ~bags ~parent ~lambda atoms =
+  let n = Hd_hypergraph.Hypergraph.n_vertices h in
+  let td =
+    Hd_core.Tree_decomposition.make
+      ~bags:(Array.map (Hd_graph.Bitset.of_list n) bags)
+      ~parent
+  in
+  let ghd = Hd_core.Ghd.make ~td ~lambda in
+  check "valid GHD" true (Hd_core.Ghd.valid h ghd);
+  Hd_query.Join_tree.of_ghd h ghd atoms
+
+(* connected bag plans: a bag joins lambda, the atoms inside it and
+   connecting atom paths, so it is a product only where no atom path
+   exists; an outside lambda atom leaves it only for an atom that
+   holds all of its bag variables, so the bag keeps its width bound *)
+let test_bag_products () =
+  let products db ?ordering q =
+    let r, n =
+      products_counted (fun () -> Y.run ?ordering ~mode:Y.Count db q)
+    in
+    check_int "count = brute force" (Bf.count db q) r.Y.count;
+    n
+  in
+  let sparse = db_of_edges (sparse_digraph 24 2) in
+  check_int "5-cycle, sparse: no products" 0 (products sparse five_cycle_q);
+  (* dense, eliminated around the cycle: the bag {A,D,E} joins the
+     path D-E-F-A rather than e(D,E) x e(F,A) *)
+  let six_cycle_q =
+    Cq.parse_string
+      "ans(A,B,C,D,E,F) :- e(A,B), e(B,C), e(C,D), e(D,E), e(E,F), e(F,A)."
+  in
+  let dense = db_of_edges (complete_digraph 5) in
+  check_int "6-cycle, complete: no products" 0
+    (products dense ~ordering:[| 0; 1; 2; 3; 4; 5 |] six_cycle_q);
+  (* lambda = {r(A,B,C,X)} on the bag {A,B,C}, whose inside atoms
+     e1(A,B), e2(B,C) cover it with two atoms: r stays in the join, so
+     the bag is r's one-row projection, not the 101-row e1 x_B e2 *)
+  let h =
+    Hd_hypergraph.Hypergraph.create ~n:4 [ [ 0; 1; 2; 3 ]; [ 0; 1 ]; [ 1; 2 ] ]
+  in
+  let fan row = [| 1; 1 |] :: List.init 10 row in
+  let atoms =
+    [|
+      Qrelation.make ~scope:[| 0; 1; 2; 3 |] [ [| 1; 1; 1; 1 |] ];
+      Qrelation.make ~scope:[| 0; 1 |] (fan (fun i -> [| i; 0 |]));
+      Qrelation.make ~scope:[| 1; 2 |] (fan (fun j -> [| 0; j |]));
+    |]
+  in
+  let t, n =
+    products_counted (fun () ->
+        join_tree_of h
+          ~bags:[| [ 0; 1; 2 ]; [ 0; 1; 2; 3 ] |]
+          ~parent:[| 1; -1 |]
+          ~lambda:[| [| 0 |]; [| 0 |] |]
+          atoms)
+  in
+  check_int "no products" 0 n;
+  check_int "bag within lambda's projection" 1
+    (Qrelation.cardinality t.Hd_query.Join_tree.rels.(0));
+  check_int "one solution" 1 (Hd_query.Join_tree.count_solutions t);
+  (* two atoms sharing no variable: their bag is a product *)
+  let h = Hd_hypergraph.Hypergraph.create ~n:2 [ [ 0 ]; [ 1 ] ] in
+  let unary k =
+    Qrelation.make ~scope:[| k |] (List.init (3 - k) (fun i -> [| i |]))
+  in
+  let t, n =
+    products_counted (fun () ->
+        join_tree_of h ~bags:[| [ 0; 1 ] |] ~parent:[| -1 |]
+          ~lambda:[| [| 0; 1 |] |]
+          [| unary 0; unary 1 |])
+  in
+  check_int "disconnected bag: one product" 1 n;
+  check_int "3 x 2 rows" 6
+    (Qrelation.cardinality t.Hd_query.Join_tree.rels.(0))
 
 (* two-relation query from the issue statement *)
 let test_two_relations () =
@@ -672,18 +795,18 @@ let test_atom_cache () =
 (* ------------------------------------------------------------------ *)
 
 let test_enumeration_no_dead_work () =
-  (* only 3 answers (the rotations of the one triangle), but a long
+  (* only 4 answers (the rotations of the one 4-cycle), but a long
      pendant chain inflates the raw e relation and hence the
      unreduced bags -- the enumeration must still be backtrack-free *)
-  let db = db_of_edges (triangle_plus_chain 40) in
+  let db = db_of_edges (cycle_plus_chain [ "a"; "b"; "c"; "d" ] 40) in
   Obs.enable ();
   Obs.reset ();
-  let r = Y.run ~mode:Y.Answers db triangle_q in
+  let r = Y.run ~mode:Y.Answers db four_cycle_q in
   let value name = Obs.Counter.value (Obs.Counter.make name) in
   let dead = value "query.enum_dead_ends" in
   let rows = value "query.enum_rows" in
   Obs.disable ();
-  check_int "three triangles" 3 r.Y.count;
+  check_int "four rotations" 4 r.Y.count;
   check "semijoins ran" true (r.Y.stats.Y.semijoins > 0);
   check "reduction shrank the bags" true
     (r.Y.stats.Y.tuples_after_reduction < r.Y.stats.Y.tuples_materialized);
@@ -747,6 +870,7 @@ let () =
             test_projection_and_constants;
           Alcotest.test_case "empty results" `Quick test_empty_results;
           Alcotest.test_case "two relations" `Quick test_two_relations;
+          Alcotest.test_case "connected bag plans" `Quick test_bag_products;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_matches_brute_force ] );
       ( "observability",
