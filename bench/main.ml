@@ -635,7 +635,7 @@ let extension_hw scale =
               in
               assert (Hd_search.Det_k_decomp.valid h hd);
               Printf.sprintf "%d*" hw
-            with Hd_search.Det_k_decomp.Timeout -> "t/o")
+            with Hd_search.Det_k_decomp.Timeout _ -> "t/o")
       in
       let ghw = Hd_search.Bb_ghw.solve ~within:(within scale) ~seed:1 h in
       let fhw =
@@ -1369,45 +1369,72 @@ let corpus scale =
             failures;
           exit_code := 3)
 
-(* the fhw column of the widths experiment at the CI scale (-states
-   3000), and the LP pivots it took on the single-phase dual simplex;
-   the two-phase primal simplex it replaced took 13,963 pivots for the
-   same 901 solves.  The widths are fixed; pivots may drop, never rise *)
+(* the fhw and hw columns of the widths experiment at the CI scale
+   (-states 3000), the LP pivots they took on the single-phase dual
+   simplex (the two-phase primal simplex it replaced took 13,963 for
+   the same 901 solves), and det-k's work: the separators it tried
+   (fixed: the enumeration prune may only skip subsets that cannot
+   cover the connector) and the enumeration steps it walked to find
+   them (1,041,894 before the prune).  The widths and the tried
+   separators are fixed; pivots and steps may drop, never rise *)
 let widths_gate_states = 3000
 let widths_baseline_pivots = 7_996
+let widths_baseline_separators = 10_416
+let widths_baseline_enum_steps = 60_935
 
-let widths_baseline_fhw =
+let widths_baseline =
   [
-    ("csp-synth/grid2d_02", "1*"); ("cq-mini/path_02", "1*");
-    ("csp-synth/clique_03", "3/2*"); ("cq-mini/cycle_03", "3/2*");
-    ("cq-mini/triangle", "3/2*"); ("cq-mini/path_03", "1*");
-    ("cq-mini/star_03", "1*"); ("csp-synth/grid3d_02", "4/3*");
-    ("cq-mini/cycle_04", "2*"); ("cq-mini/path_04", "1*");
-    ("cq-mini/snowflake_02", "1*"); ("cq-mini/square_chord", "3/2*");
-    ("cq-mini/wide_3x4", "3/2*"); ("csp-synth/clique_04", "2*");
-    ("cq-mini/cycle_05", "2*"); ("cq-mini/star_05", "1*");
-    ("cq-mini/cycle_06", "2*"); ("cq-mini/path_06", "1*");
-    ("cq-mini/snowflake_03", "1*"); ("cq-mini/grid_2x3", "2*");
-    ("cq-mini/tree_d3", "1*"); ("csp-synth/adder_01", "5/3*");
-    ("csp-synth/clique_05", "5/2*"); ("csp-synth/grid2d_04", "9/4*");
-    ("cq-mini/cycle_08", "2*"); ("cq-mini/wide_4x5", "2*");
-    ("cq-mini/path_08", "1*"); ("cq-mini/star_08", "1*");
-    ("csp-synth/clique_06", "3*"); ("cq-mini/path_10", "1*");
-    ("cq-mini/grid_3x3", "2*"); ("csp-synth/bridge_01", "19/7*");
-    ("cq-mini/wide_5x6", "2*"); ("csp-synth/adder_02", "5/3*");
-    ("csp-synth/clique_07", "7/2*"); ("csp-synth/clique_08", "4*");
-    ("csp-synth/grid2d_06", "[7/3,7/2]"); ("csp-synth/adder_03", "5/3*");
-    ("csp-synth/bridge_02", "19/7*"); ("csp-synth/circuit_00", "3*");
-    ("csp-synth/adder_04", "5/3*");
+    ("csp-synth/grid2d_02", "1*", "1*");
+    ("cq-mini/path_02", "1*", "1*");
+    ("csp-synth/clique_03", "3/2*", "2*");
+    ("cq-mini/cycle_03", "3/2*", "2*");
+    ("cq-mini/triangle", "3/2*", "2*");
+    ("cq-mini/path_03", "1*", "1*");
+    ("cq-mini/star_03", "1*", "1*");
+    ("csp-synth/grid3d_02", "4/3*", "2*");
+    ("cq-mini/cycle_04", "2*", "2*");
+    ("cq-mini/path_04", "1*", "1*");
+    ("cq-mini/snowflake_02", "1*", "1*");
+    ("cq-mini/square_chord", "3/2*", "2*");
+    ("cq-mini/wide_3x4", "3/2*", "2*");
+    ("csp-synth/clique_04", "2*", "2*");
+    ("cq-mini/cycle_05", "2*", "2*");
+    ("cq-mini/star_05", "1*", "1*");
+    ("cq-mini/cycle_06", "2*", "2*");
+    ("cq-mini/path_06", "1*", "1*");
+    ("cq-mini/snowflake_03", "1*", "1*");
+    ("cq-mini/grid_2x3", "2*", "2*");
+    ("cq-mini/tree_d3", "1*", "1*");
+    ("csp-synth/adder_01", "5/3*", "2*");
+    ("csp-synth/clique_05", "5/2*", "3*");
+    ("csp-synth/grid2d_04", "9/4*", "3*");
+    ("cq-mini/cycle_08", "2*", "2*");
+    ("cq-mini/wide_4x5", "2*", "2*");
+    ("cq-mini/path_08", "1*", "1*");
+    ("cq-mini/star_08", "1*", "1*");
+    ("csp-synth/clique_06", "3*", "3*");
+    ("cq-mini/path_10", "1*", "1*");
+    ("cq-mini/grid_3x3", "2*", "2*");
+    ("csp-synth/bridge_01", "19/7*", "3*");
+    ("cq-mini/wide_5x6", "2*", "2*");
+    ("csp-synth/adder_02", "5/3*", "2*");
+    ("csp-synth/clique_07", "7/2*", "4*");
+    ("csp-synth/clique_08", "4*", "4*");
+    ("csp-synth/grid2d_06", "[7/3,7/2]", "4*");
+    ("csp-synth/adder_03", "5/3*", "2*");
+    ("csp-synth/bridge_02", "19/7*", "3*");
+    ("csp-synth/circuit_00", "3*", "3*");
+    ("csp-synth/adder_04", "5/3*", "2*");
   ]
 
 (* the full width ladder -- tw / ghw / fhw (exact rational) / hw --
    side by side on the corpus instances with |V| + |E| <= 50, recorded
-   as BENCH_report.json's "widths" section (schema hd_lp/widths/2).
+   as BENCH_report.json's "widths" section (schema hd_lp/widths/3).
    CI smokes this under a -states budget so the numbers are
    machine-independent, and at -states 3000 the run fails (exit 1)
-   unless the fhw column equals the recorded one and the LP took at
-   most the recorded pivots *)
+   unless the fhw and hw columns equal the recorded ones, det-k tried
+   exactly the recorded separators, and the LP pivots and det-k
+   enumeration steps stay at most the recorded counts *)
 let widths scale =
   header "Widths -- tw / ghw / fhw / hw ladder on the smallest corpus instances";
   Hd_search.Solvers.ensure ();
@@ -1420,6 +1447,8 @@ let widths scale =
   in
   let counter name = Obs.Counter.value (Obs.Counter.make name) in
   let solves_before = counter "lp.solves" and pivots_before = counter "lp.pivots" in
+  let separators_before = counter "detk.separators"
+  and steps_before = counter "detk.enum_steps" in
   Printf.printf "%-20s %4s %4s | %8s %8s %10s %8s | %8s\n" "instance" "V" "H"
     "tw" "ghw" "fhw" "hw" "time";
   let rows =
@@ -1456,7 +1485,7 @@ let widths scale =
           (outcome_string tw.Hd_engine.Solver.outcome)
           (outcome_string ghw.Hd_engine.Solver.outcome)
           fhw_str hw_str secs;
-        ( (name, fhw_str),
+        ( (name, fhw_str, hw_str),
           Obs.Json.Obj
             [
               ("instance", Obs.Json.String name);
@@ -1473,31 +1502,51 @@ let widths scale =
       smallest
   in
   let solves = counter "lp.solves" - solves_before
-  and pivots = counter "lp.pivots" - pivots_before in
-  let fhw_column = List.map fst rows and rows = List.map snd rows in
-  Printf.printf "\nlp: %d solves, %d pivots" solves pivots;
+  and pivots = counter "lp.pivots" - pivots_before
+  and separators = counter "detk.separators" - separators_before
+  and steps = counter "detk.enum_steps" - steps_before in
+  let columns = List.map fst rows and rows = List.map snd rows in
+  Printf.printf "\nlp: %d solves, %d pivots; det-k: %d separators, %d steps"
+    solves pivots separators steps;
   let gate =
     if scale.states <> Some widths_gate_states then begin
       Printf.printf " (gated at -states %d only)\n" widths_gate_states;
       "report-only"
     end
     else begin
-      Printf.printf " (recorded: at most %d pivots)\n" widths_baseline_pivots;
-      let fhw_ok =
-        List.sort compare fhw_column = List.sort compare widths_baseline_fhw
+      Printf.printf
+        " (recorded: at most %d pivots; %d separators, at most %d steps)\n"
+        widths_baseline_pivots widths_baseline_separators
+        widths_baseline_enum_steps;
+      let columns_ok =
+        List.sort compare columns = List.sort compare widths_baseline
       in
-      if not fhw_ok then begin
-        Printf.printf "FAIL: the fhw column differs from the recorded one at\n";
+      if not columns_ok then begin
+        Printf.printf
+          "FAIL: the fhw or hw column differs from the recorded one at\n";
         List.iter
-          (fun (i, f) ->
-            if not (List.mem (i, f) widths_baseline_fhw) then
-              Printf.printf "  %s: %s\n" i f)
-          fhw_column
+          (fun ((i, f, w) as row) ->
+            if not (List.mem row widths_baseline) then
+              Printf.printf "  %s: fhw %s, hw %s\n" i f w)
+          columns
       end;
-      if pivots > widths_baseline_pivots then
-        Printf.printf "FAIL: %d LP pivots, recorded at most %d\n" pivots
-          widths_baseline_pivots;
-      if fhw_ok && pivots <= widths_baseline_pivots then "pass"
+      let failures =
+        List.filter_map
+          (fun (bad, msg) -> if bad then Some msg else None)
+          [
+            ( pivots > widths_baseline_pivots,
+              Printf.sprintf "%d LP pivots, recorded at most %d" pivots
+                widths_baseline_pivots );
+            ( separators <> widths_baseline_separators,
+              Printf.sprintf "det-k tried %d separators, recorded %d"
+                separators widths_baseline_separators );
+            ( steps > widths_baseline_enum_steps,
+              Printf.sprintf "%d det-k enumeration steps, recorded at most %d"
+                steps widths_baseline_enum_steps );
+          ]
+      in
+      List.iter (Printf.printf "FAIL: %s\n") failures;
+      if columns_ok && failures = [] then "pass"
       else begin
         exit_code := 1;
         "fail"
@@ -1507,7 +1556,7 @@ let widths scale =
   set_widths_section
     (Obs.Json.Obj
        [
-         ("schema", Obs.Json.String "hd_lp/widths/2");
+         ("schema", Obs.Json.String "hd_lp/widths/3");
          ("instances", Obs.Json.List rows);
          ( "lp",
            Obs.Json.Obj
@@ -1515,6 +1564,14 @@ let widths scale =
                ("lp.solves", Obs.Json.Int solves);
                ("lp.pivots", Obs.Json.Int pivots);
                ("recorded_pivots", Obs.Json.Int widths_baseline_pivots);
+             ] );
+         ( "detk",
+           Obs.Json.Obj
+             [
+               ("detk.separators", Obs.Json.Int separators);
+               ("recorded_separators", Obs.Json.Int widths_baseline_separators);
+               ("detk.enum_steps", Obs.Json.Int steps);
+               ("recorded_enum_steps", Obs.Json.Int widths_baseline_enum_steps);
              ] );
          ("gate", Obs.Json.String gate);
        ])

@@ -278,7 +278,7 @@ let run input method_ ~jobs ~portfolio ~solvers time_limit seed population
                      ~n_edges:(Hypergraph.n_edges h) hd;
                    Format.printf "wrote %s (.ghd format)@." path
                | None -> ()
-             with Hd_search.Det_k_decomp.Timeout ->
+             with Hd_search.Det_k_decomp.Timeout _ ->
                Format.printf "det-k-decomp: time limit exceeded@.");
             None
         | `Analyze ->

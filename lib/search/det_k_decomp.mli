@@ -24,13 +24,19 @@
     holds. *)
 type t = Hd_core.Ghd.t
 
-(** Raised when the budget expires mid-search: the question "hw <= k?"
-    is then unanswered (a [None] would wrongly claim hw > k). *)
-exception Timeout
+(** [Timeout lb] is raised when the budget expires mid-search: the
+    question "hw <= k?" is then unanswered (a [None] would wrongly
+    claim hw > k).  [lb] is the lower bound proved before the stop:
+    for {!hypertree_width}, the k it was deciding, since every smaller
+    k was refuted or lies below the ghw bound it starts from; for
+    {!decide}, the trivial 1. *)
+exception Timeout of int
 
 (** [decide ?within h ~k] finds a hypertree decomposition of width at
     most [k], or [None] when [hw h > k].  [within] bounds the run
-    (deadline, state cap, cooperative cancellation).
+    (deadline, state cap, cooperative cancellation); its state unit is
+    one expanded (component, connector) subproblem, while memo hits
+    and components of at most [k] edges are free.
     @raise Timeout when the budget expires or is cancelled.
     @raise Invalid_argument when some vertex of [h] lies in no
     hyperedge or [k < 1]. *)
@@ -40,13 +46,20 @@ val decide :
 (** [hypertree_width ?upper ?within h] is [hw h] with a witness,
     found by trying k upward from the tw-ksc lower bound; [upper]
     (default: number of hyperedges) caps the search and [within]
-    (default: unlimited) bounds the whole run.
+    (default: unlimited) bounds the whole run: one ticker and one
+    bitset index serve every k.
     @raise Timeout when the budget expires. *)
 val hypertree_width :
   ?upper:int ->
   ?within:Hd_engine.Budget.t ->
   Hd_hypergraph.Hypergraph.t ->
   int * t
+
+(** [search ?upper tk h] is {!hypertree_width} on a ticker the caller
+    made from its budget, so that [Hd_engine.Budget.generated tk]
+    afterwards counts the subproblems the run expanded. *)
+val search :
+  ?upper:int -> Hd_engine.Budget.ticker -> Hd_hypergraph.Hypergraph.t -> int * t
 
 (** [descendant_condition_holds h ghd] checks condition 4 alone: for
     every node [p], [var(lambda p)] intersected with the vertices

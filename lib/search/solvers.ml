@@ -41,12 +41,12 @@ let fhw_width_ceil _rng p sigma =
 let det_k ?seed b p =
   ignore seed;
   let h = S.hypergraph_of p in
+  let tk = B.ticker b in
   let r, secs =
     Hd_engine.Clock.time @@ fun () ->
-    match Det_k_decomp.hypertree_width ~within:b h with
+    match Det_k_decomp.search tk h with
     | w, _hd -> S.Exact w
-    | exception Det_k_decomp.Timeout ->
-        let lb = max 1 (Hd_bounds.Lower_bounds.ghw h) in
+    | exception Det_k_decomp.Timeout lb ->
         S.Bounds { lb; ub = max lb (max 1 (Hd_hypergraph.Hypergraph.n_edges h)) }
   in
   (match (r, B.incumbent b) with
@@ -54,7 +54,8 @@ let det_k ?seed b p =
       ignore (Incumbent.offer_ub inc w);
       ignore (Incumbent.raise_lb inc w)
   | _ -> ());
-  { S.outcome = r; visited = 0; generated = 0; elapsed = secs; ordering = None }
+  { S.outcome = r; visited = 0; generated = B.generated tk; elapsed = secs;
+    ordering = None }
 
 let registered = ref false
 

@@ -324,8 +324,8 @@ let test_registry_budget_adherence () =
      for the GAs (Hd_ga.Solvers: 300 individuals; SAIGA 4 islands of
      60), one node's children per executor for HDA-star, whose workers
      each finish the expansion they are in, and a single state for the
-     sequential searches and SA, which check the budget before every
-     child or step *)
+     sequential searches, det-k and SA, which check the budget before
+     every child, subproblem or step *)
   let batch (s : S.t) =
     let name = s.S.name in
     if prefix "ga-" name then 300
@@ -344,15 +344,12 @@ let test_registry_budget_adherence () =
         (Printf.sprintf "%s returns within 0.6s of a 0.1s deadline (%.3fs)"
            s.S.name secs)
         true (secs < 0.6);
-      (* det-k-decomp ticks no states: a state cap cannot stop it *)
-      if s.S.name <> "hw-det-k" then begin
-        let r = run s (B.create ~max_states:cap ()) in
-        check
-          (Printf.sprintf "%s: generated %d <= %d + %d" s.S.name r.S.generated
-             cap (batch s))
-          true
-          (r.S.generated <= cap + batch s)
-      end)
+      let r = run s (B.create ~max_states:cap ()) in
+      check
+        (Printf.sprintf "%s: generated %d <= %d + %d" s.S.name r.S.generated
+           cap (batch s))
+        true
+        (r.S.generated <= cap + batch s))
     (S.all ())
 
 (* a random hypergraph on [n] vertices with n to 3n - 1 edges of two
