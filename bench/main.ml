@@ -1326,12 +1326,28 @@ let engine scale =
   in
   set_engine_section (Obs.Json.Obj [ ("instances", Obs.Json.List entries) ])
 
+(* the search and set-cover work of the corpus sweep at the CI scale
+   (-states 4000), the same at -j 1 and -j 2: the per-state bounds and
+   the greedy cover may get cheaper, but they must leave every expanded
+   and generated state, and every cover call, where it was *)
+let corpus_gate_states = 4000
+
+let corpus_baseline_counters =
+  [
+    ("search.nodes_expanded", 6_599);
+    ("search.nodes_generated", 58_012);
+    ("setcover.exact_calls", 5_674);
+    ("setcover.greedy_calls", 18_306);
+  ]
+
 (* HyperBench-style corpus sweep (hd_corpus): materialise the bundled
    mini-corpus under _corpus/, race a ghw roster over every instance in
    parallel, and record the width / time / winner table plus the
    ghw<=5 coverage histogram as BENCH_report.json's "corpus" section.
-   With -baseline FILE, diff the fresh sweep against a previous report
-   and fail the run (exit 3) on width regressions or >2x slowdowns. *)
+   At -states 4000 the run fails (exit 1) unless the gated counters
+   equal the recorded ones.  With -baseline FILE, diff the fresh sweep
+   against a previous report and fail the run (exit 3) on width
+   regressions or >2x slowdowns. *)
 let corpus scale =
   header
     (Printf.sprintf "Corpus -- mini-HyperBench sweep, -j %d, %s" scale.jobs
@@ -1342,12 +1358,57 @@ let corpus scale =
   Printf.printf "materialised %d instances under _corpus/ (collections: %s)\n"
     (List.length entries)
     (String.concat ", " (Hd_corpus.Manifest.bundled_collections ()));
+  let counter name = Obs.Counter.value (Obs.Counter.make name) in
+  let before = List.map (fun (name, _) -> counter name) corpus_baseline_counters in
   let report =
     Hd_corpus.Sweep.sweep ~jobs:scale.jobs ~budget:(budget scale) ~seed:1
       entries
   in
+  let counts =
+    List.map2
+      (fun (name, recorded) b -> (name, counter name - b, recorded))
+      corpus_baseline_counters before
+  in
   Hd_corpus.Sweep.print report;
-  set_corpus_section (Hd_corpus.Sweep.to_json report);
+  Printf.printf "\n%s"
+    (String.concat ", "
+       (List.map (fun (name, n, _) -> Printf.sprintf "%s %d" name n) counts));
+  let gate =
+    if scale.states <> Some corpus_gate_states then begin
+      Printf.printf " (gated at -states %d only)\n" corpus_gate_states;
+      "report-only"
+    end
+    else begin
+      Printf.printf " (recorded: %s)\n"
+        (String.concat ", "
+           (List.map (fun (_, _, r) -> string_of_int r) counts));
+      let failures = List.filter (fun (_, n, r) -> n <> r) counts in
+      List.iter
+        (fun (name, n, r) ->
+          Printf.printf "FAIL: %s is %d, recorded %d\n" name n r)
+        failures;
+      if failures = [] then "pass"
+      else begin
+        exit_code := 1;
+        "fail"
+      end
+    end
+  in
+  let section =
+    match Hd_corpus.Sweep.to_json report with
+    | Obs.Json.Obj fields ->
+        Obs.Json.Obj
+          (fields
+          @ [
+              ( "counters",
+                Obs.Json.Obj
+                  (List.map (fun (name, n, _) -> (name, Obs.Json.Int n)) counts)
+              );
+              ("gate", Obs.Json.String gate);
+            ])
+    | _ -> assert false (* a sweep report is an object *)
+  in
+  set_corpus_section section;
   match scale.baseline with
   | None -> ()
   | Some path -> (

@@ -6,114 +6,87 @@ let default_rng = lazy (Random.State.make [| 0x5eed |])
 
 let get_rng = function Some rng -> rng | None -> Lazy.force default_rng
 
-let degeneracy g =
-  let cg = Contract_graph.of_graph g in
-  let lb = ref 0 in
-  (* no randomness needed: any minimum-degree vertex gives the same
-     bound value *)
-  let rng = Random.State.make [| 0 |] in
-  while Contract_graph.n_alive cg > 0 do
-    let v = Contract_graph.min_degree_vertex cg ~rng in
-    lb := max !lb (Contract_graph.degree cg v);
-    Contract_graph.remove cg v
-  done;
-  !lb
-
-(* Shared driver for the two contraction bounds: [pick] selects the
-   vertex whose degree is recorded, after which it is contracted into
-   its minimum-degree neighbour (or removed when isolated). *)
-let contraction_bound_on ?rng make_cg ~pick =
-  let rng = get_rng rng in
-  let cg = make_cg () in
+(* The one contraction kernel behind every bound here: while a vertex
+   is live, [pick] one and record its degree, then contract it into its
+   minimum-degree neighbour, or delete it when it is isolated or
+   [contract] is false.  [pick] finding no vertex (gamma_R on a clique)
+   records the clique's treewidth, size - 1, and ends the run.  Returns
+   the largest value recorded. *)
+let contract_down ?(contract = true) cg ~rng ~pick =
   let lb = ref 0 in
   while Contract_graph.n_alive cg > 0 do
-    match pick cg rng with
+    match pick cg ~rng with
     | None ->
-        (* no recordable vertex remains (gamma_R on a clique): finish by
-           noting a clique of size s has treewidth s - 1 *)
         lb := max !lb (Contract_graph.n_alive cg - 1);
-        List.iter (Contract_graph.remove cg) (Contract_graph.alive_list cg)
+        Contract_graph.clear cg
     | Some v ->
-        lb := max !lb (Contract_graph.degree cg v);
-        if Contract_graph.degree cg v = 0 then Contract_graph.remove cg v
+        let d = Contract_graph.degree cg v in
+        lb := max !lb d;
+        if d = 0 || not contract then Contract_graph.remove cg v
         else
           let u = Contract_graph.min_degree_neighbor cg v ~rng in
           Contract_graph.contract cg u v
   done;
   !lb
 
-let minor_min_width_on ?rng make_cg =
-  contraction_bound_on ?rng make_cg ~pick:(fun cg rng ->
-      Some (Contract_graph.min_degree_vertex cg ~rng))
+let min_degree cg ~rng = Some (Contract_graph.min_degree_vertex cg ~rng)
+
+let degeneracy g =
+  (* no randomness needed: any minimum-degree vertex gives the same
+     bound value *)
+  contract_down ~contract:false (Contract_graph.of_graph g)
+    ~rng:(Random.State.make [| 0 |]) ~pick:min_degree
 
 let minor_min_width ?rng g =
-  minor_min_width_on ?rng (fun () -> Contract_graph.of_graph g)
-
-let minor_gamma_r_on ?rng make_cg =
-  contraction_bound_on ?rng make_cg ~pick:(fun cg rng ->
-      (* first vertex in ascending degree order not adjacent to all of
-         its predecessors; on a clique no such vertex exists *)
-      let by_degree =
-        Contract_graph.alive_list cg
-        |> List.map (fun v -> (Contract_graph.degree cg v, Random.State.bits rng, v))
-        |> List.sort compare
-        |> List.map (fun (_, _, v) -> v)
-      in
-      let rec find preceding = function
-        | [] -> None
-        | v :: rest ->
-            if List.for_all (fun u -> Contract_graph.mem_edge cg v u) preceding
-            then find (v :: preceding) rest
-            else Some v
-      in
-      find [] by_degree)
+  contract_down (Contract_graph.of_graph g) ~rng:(get_rng rng) ~pick:min_degree
 
 let minor_gamma_r ?rng g =
-  minor_gamma_r_on ?rng (fun () -> Contract_graph.of_graph g)
+  contract_down (Contract_graph.of_graph g) ~rng:(get_rng rng)
+    ~pick:Contract_graph.gamma_vertex
 
 let best_over_trials ?rng ~trials f =
   let rng = get_rng rng in
   let rec go i acc = if i >= trials then acc else go (i + 1) (max acc (f rng)) in
   go 0 0
 
-let treewidth ?rng ?(trials = 3) g =
+(* each trial runs minor-gamma_R, then minor-min-width — the order the
+   random draws follow — each on a fresh copy [load] writes into [cg] *)
+let treewidth_on ?rng ?(trials = 3) cg ~load =
   best_over_trials ?rng ~trials (fun rng ->
-      max (minor_min_width ~rng g) (minor_gamma_r ~rng g))
+      load cg;
+      let gamma = contract_down cg ~rng ~pick:Contract_graph.gamma_vertex in
+      load cg;
+      max (contract_down cg ~rng ~pick:min_degree) gamma)
 
-(* snapshot the live part of the elimination graph directly — no Graph
-   materialisation on the search's hot path *)
-let treewidth_of_elim ?rng ?(trials = 3) eg =
-  let make_cg () = Contract_graph.of_elim_graph ~t_elim:eg in
-  best_over_trials ?rng ~trials (fun rng ->
-      max (minor_min_width_on ~rng make_cg) (minor_gamma_r_on ~rng make_cg))
+let treewidth ?rng ?trials g =
+  treewidth_on ?rng ?trials
+    (Contract_graph.create (Graph.n g))
+    ~load:(fun cg -> Contract_graph.load_graph cg g)
 
-let tw_ksc_width_on ?rng ?(trials = 3) ~max_edge_size make_cg =
+let treewidth_of_elim ?rng ?trials ~workspace eg =
+  treewidth_on ?rng ?trials workspace ~load:(fun cg ->
+      Contract_graph.load_elim_graph cg eg)
+
+(* the minor-min-width run with each recorded degree d converted through
+   the k-set-cover bound ceil((d + 1) / k): that bound is monotone in d,
+   so converting the largest degree suffices *)
+let tw_ksc_width_on ?rng ?(trials = 3) ~max_edge_size cg ~load =
   let k = max 1 max_edge_size in
-  let bound_of d = (d + 1 + k - 1) / k in
   best_over_trials ?rng ~trials (fun rng ->
-      (* run the minor-min-width contraction but convert each recorded
-         degree through the k-set-cover bound *)
-      let cg = make_cg () in
-      let lb = ref 0 in
-      while Contract_graph.n_alive cg > 0 do
-        let v = Contract_graph.min_degree_vertex cg ~rng in
-        lb := max !lb (bound_of (Contract_graph.degree cg v));
-        if Contract_graph.degree cg v = 0 then Contract_graph.remove cg v
-        else
-          let u = Contract_graph.min_degree_neighbor cg v ~rng in
-          Contract_graph.contract cg u v
-      done;
-      !lb)
+      load cg;
+      if Contract_graph.n_alive cg = 0 then 0
+      else (contract_down cg ~rng ~pick:min_degree + k) / k)
 
 let tw_ksc_width ?rng ?trials ~max_edge_size g =
-  tw_ksc_width_on ?rng ?trials ~max_edge_size (fun () ->
-      Contract_graph.of_graph g)
+  tw_ksc_width_on ?rng ?trials ~max_edge_size
+    (Contract_graph.create (Graph.n g))
+    ~load:(fun cg -> Contract_graph.load_graph cg g)
 
 let ghw ?rng ?trials h =
   tw_ksc_width ?rng ?trials
     ~max_edge_size:(Hd_hypergraph.Hypergraph.max_edge_size h)
     (Hd_hypergraph.Hypergraph.primal h)
 
-let ghw_of_elim ?rng ?trials ~max_edge_size eg =
-  tw_ksc_width_on ?rng ?trials ~max_edge_size (fun () ->
-      Contract_graph.of_elim_graph ~t_elim:eg)
+let ghw_of_elim ?rng ?trials ~workspace ~max_edge_size eg =
+  tw_ksc_width_on ?rng ?trials ~max_edge_size workspace ~load:(fun cg ->
+      Contract_graph.load_elim_graph cg eg)

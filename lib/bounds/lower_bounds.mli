@@ -17,7 +17,12 @@
     GHW bound: {!tw_ksc_width} (Figure 8.1) combines a treewidth bound
     with the k-set-cover bound: a clique minor of size [d + 1] forces a
     bag of [d + 1] vertices, which no GHD can cover with fewer than
-    [ceil((d + 1) / k)] hyperedges of size at most [k]. *)
+    [ceil((d + 1) / k)] hyperedges of size at most [k].
+
+    All of them run one contraction kernel over a
+    {!Hd_graph.Contract_graph}.  The [_of_elim] variants take the
+    caller's workspace and reload it from the elimination graph on each
+    call, so a search pays no allocation per state. *)
 
 (** [degeneracy g] is the MMD bound on [tw(g)]. *)
 val degeneracy : Hd_graph.Graph.t -> int
@@ -34,10 +39,16 @@ val minor_gamma_r : ?rng:Random.State.t -> Hd_graph.Graph.t -> int
     the combined bound A*-tw uses. *)
 val treewidth : ?rng:Random.State.t -> ?trials:int -> Hd_graph.Graph.t -> int
 
-(** [treewidth_of_elim ?rng ?trials eg] applies {!treewidth} to the live
-    part of an elimination graph — the [h]-value of a search state. *)
+(** [treewidth_of_elim ?rng ?trials ~workspace eg] applies {!treewidth}
+    to the live part of an elimination graph — the [h]-value of a search
+    state — loading it into [workspace] (of capacity
+    [Elim_graph.capacity eg]) for each run. *)
 val treewidth_of_elim :
-  ?rng:Random.State.t -> ?trials:int -> Hd_graph.Elim_graph.t -> int
+  ?rng:Random.State.t ->
+  ?trials:int ->
+  workspace:Hd_graph.Contract_graph.t ->
+  Hd_graph.Elim_graph.t ->
+  int
 
 (** [tw_ksc_width ?rng ?trials ~max_edge_size g] is the GHW lower bound
     of Figure 8.1 applied to the primal(-minor) graph [g] of a
@@ -49,12 +60,13 @@ val tw_ksc_width :
 (** [ghw ?rng ?trials h] is [tw_ksc_width] on [h]'s primal graph. *)
 val ghw : ?rng:Random.State.t -> ?trials:int -> Hd_hypergraph.Hypergraph.t -> int
 
-(** [ghw_of_elim ?rng ?trials ~max_edge_size eg] is the GHW bound for
-    the remaining hypergraph during search, computed on the live primal
-    minor [eg]. *)
+(** [ghw_of_elim ?rng ?trials ~workspace ~max_edge_size eg] is the GHW
+    bound for the remaining hypergraph during search, computed on the
+    live primal minor [eg] loaded into [workspace]. *)
 val ghw_of_elim :
   ?rng:Random.State.t ->
   ?trials:int ->
+  workspace:Hd_graph.Contract_graph.t ->
   max_edge_size:int ->
   Hd_graph.Elim_graph.t ->
   int

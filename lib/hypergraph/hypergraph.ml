@@ -4,6 +4,7 @@ module Graph = Hd_graph.Graph
 type t = {
   size : int;
   hyperedges : int array array;
+  edge_bits : Bitset.t array; (* hyperedge -> its vertex set *)
   incidence : int list array; (* vertex -> hyperedge indices, ascending *)
   vertex_names : string array option;
   edge_names : string array option;
@@ -34,7 +35,15 @@ let create ?vertex_names ?edge_names ~n edges =
   for i = Array.length hyperedges - 1 downto 0 do
     Array.iter (fun v -> incidence.(v) <- i :: incidence.(v)) hyperedges.(i)
   done;
-  { size = n; hyperedges; incidence; vertex_names; edge_names }
+  let edge_bits =
+    Array.map
+      (fun e ->
+        let s = Bitset.create n in
+        Array.iter (Bitset.add s) e;
+        s)
+      hyperedges
+  in
+  { size = n; hyperedges; edge_bits; incidence; vertex_names; edge_names }
 
 let n_vertices h = h.size
 let n_edges h = Array.length h.hyperedges
@@ -42,10 +51,8 @@ let edge h i = h.hyperedges.(i)
 let edge_list h i = Array.to_list h.hyperedges.(i)
 let edges h = Array.to_list (Array.map Array.to_list h.hyperedges)
 
-let edge_set h i =
-  let s = Bitset.create h.size in
-  Array.iter (Bitset.add s) h.hyperedges.(i);
-  s
+let edge_bits h i = h.edge_bits.(i)
+let edge_set h i = Bitset.copy h.edge_bits.(i)
 
 let incident h v = h.incidence.(v)
 

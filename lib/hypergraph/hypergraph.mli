@@ -26,6 +26,10 @@ val edge_list : t -> int -> int list
     order. *)
 val edges : t -> int list list
 
+(** [edge_bits h i] is hyperedge [i] as a bitset of capacity
+    [n_vertices h], built once by {!create} (do not mutate). *)
+val edge_bits : t -> int -> Hd_graph.Bitset.t
+
 (** [edge_set h i] is hyperedge [i] as a bitset (a fresh copy). *)
 val edge_set : t -> int -> Hd_graph.Bitset.t
 

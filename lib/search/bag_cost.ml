@@ -1,6 +1,7 @@
 module Bitset = Hd_graph.Bitset
 module Graph = Hd_graph.Graph
 module Elim_graph = Hd_graph.Elim_graph
+module Contract_graph = Hd_graph.Contract_graph
 module Hypergraph = Hd_hypergraph.Hypergraph
 module Set_cover = Hd_setcover.Set_cover
 module Lower_bounds = Hd_bounds.Lower_bounds
@@ -67,12 +68,17 @@ module Tw = struct
     in
     (ub_sigma, ub, Lower_bounds.treewidth ~rng g)
 
-  type oracle = Random.State.t
+  (* [workspace] is this searcher's own contraction graph, reloaded for
+     every minor bound *)
+  type oracle = { rng : Random.State.t; workspace : Contract_graph.t }
 
-  let oracle _ rng = rng
+  let oracle g rng = { rng; workspace = Contract_graph.create (Graph.n g) }
   let bag _ eg v = Elim_graph.degree eg v
   let live _ eg = Elim_graph.n_alive eg - 1
-  let minor_lb rng eg = Lower_bounds.treewidth_of_elim ~rng ~trials:1 eg
+
+  let minor_lb o eg =
+    Lower_bounds.treewidth_of_elim ~rng:o.rng ~trials:1
+      ~workspace:o.workspace eg
 end
 
 (* ghw and fhw search the primal graph of the same reduced hypergraph *)
@@ -98,18 +104,21 @@ let live_set scratch eg =
   scratch
 
 (* [cache] memoises bag costs by bag content; [k] is the largest
-   hyperedge size the minor lower bound divides by *)
+   hyperedge size the minor lower bound divides by; [workspace] is the
+   searcher's own contraction graph for that bound *)
 type 'cache cover_oracle = {
   h : Hypergraph.t;
   cache : 'cache;
   rng : Random.State.t;
   scratch : Bitset.t;
+  workspace : Contract_graph.t;
   k : int;
 }
 
 let cover_oracle p rng ~cache ~k =
   let scratch = Bitset.create (max 1 (Hypergraph.n_vertices p.hg)) in
-  { h = p.hg; cache; rng; scratch; k }
+  let workspace = Contract_graph.create (Graph.n p.primal) in
+  { h = p.hg; cache; rng; scratch; workspace; k }
 
 module Ghw = struct
   include Int_cost
@@ -148,7 +157,8 @@ module Ghw = struct
     else Set_cover.greedy_size ~rng:o.rng (cover o (live_set o.scratch eg))
 
   let minor_lb o eg =
-    Lower_bounds.ghw_of_elim ~rng:o.rng ~trials:1 ~max_edge_size:o.k eg
+    Lower_bounds.ghw_of_elim ~rng:o.rng ~trials:1 ~workspace:o.workspace
+      ~max_edge_size:o.k eg
 end
 
 module Ghw_greedy = struct
@@ -204,5 +214,9 @@ module Fhw = struct
     else Eval.rho_memoized o.cache o.h (live_set o.scratch eg)
 
   let minor_lb o eg =
-    Rat.make (Lower_bounds.treewidth_of_elim ~rng:o.rng ~trials:1 eg + 1) o.k
+    let tw =
+      Lower_bounds.treewidth_of_elim ~rng:o.rng ~trials:1
+        ~workspace:o.workspace eg
+    in
+    Rat.make (tw + 1) o.k
 end

@@ -58,8 +58,10 @@ module type S = sig
   (** A heuristic ordering, its cost, and a lower bound on the width. *)
 
   type oracle
-  (** Per-search pricing state: caches, scratch space and the search's
-      random state. *)
+  (** Per-search pricing state: caches, scratch space (among it the
+      contraction workspace {!minor_lb} reloads on every call) and the
+      search's random state.  Never shared: each searcher, and each HDA*
+      worker, builds its own. *)
 
   val oracle : problem -> Random.State.t -> oracle
 

@@ -15,9 +15,9 @@ let c_enum_steps = Counter.make "detk.enum_steps"
 (* an in-construction decomposition node *)
 type node = { chi : Bitset.t; lambda : int list; children : node list }
 
-(* the hypergraph as bitsets, built once per run and shared by every k:
-   each edge's vertices, each vertex's edges and the last edge holding
-   it *)
+(* the hypergraph as bitsets, shared by every k: each edge's vertices
+   (the hypergraph's own sets), and, built once per run, each vertex's
+   edges and the last edge holding it *)
 type index = {
   n : int;
   m : int;
@@ -33,7 +33,7 @@ let index h =
   {
     n;
     m;
-    edge_vars = Array.init m (Hypergraph.edge_set h);
+    edge_vars = Array.init m (Hypergraph.edge_bits h);
     vertex_edges = Array.init n (fun v -> Bitset.of_list m (incident v));
     last_edge = Array.init n (fun v -> List.fold_left max (-1) (incident v));
     max_arity = Hypergraph.max_edge_size h;

@@ -44,8 +44,9 @@ type t = {
   cache : Cache.t;
   slice : float;
   m : Mutex.t;
-  jobs : (int, job) Hashtbl.t;
+  jobs : (int, job) Hashtbl.t;  (* live jobs: not yet read terminal *)
   mutable next_id : int;
+  mutable retired : int;
   mutable stopping : bool;
 }
 
@@ -111,6 +112,26 @@ let snapshot_locked (job : job) : snapshot =
     error = (match job.status with Failed msg -> Some msg | _ -> None);
     events;
   }
+
+let is_terminal (s : snapshot) =
+  match s.state with "done" | "cancelled" | "failed" -> true | _ -> false
+
+(* a job is retired once a caller has been handed its terminal
+   snapshot: nobody can ask for anything new about it *)
+let read_locked t (job : job) =
+  let s = snapshot_locked job in
+  if terminal job then begin
+    Hashtbl.remove t.jobs job.id;
+    t.retired <- t.retired + 1
+  end;
+  s
+
+let find_locked t id =
+  match Hashtbl.find_opt t.jobs id with
+  | Some job -> Ok job
+  | None when id >= 0 && id < t.next_id ->
+      Error (Printf.sprintf "job %d retired" id)
+  | None -> Error (Printf.sprintf "unknown job %d" id)
 
 let push_event (job : job) ev =
   job.events <- ev :: job.events;
@@ -212,6 +233,7 @@ let create ?(workers = 2) ?(slice = 0.05) ~cache () =
     m = Mutex.create ();
     jobs = Hashtbl.create 32;
     next_id = 0;
+    retired = 0;
     stopping = false;
   }
 
@@ -280,26 +302,28 @@ let submit t ~solver ~spec ?seed ?label ?(use_cache = true) ~signature problem =
               n_events = 0;
             }
       in
-      Hashtbl.replace t.jobs id job;
-      if not (terminal job) then Scheduler.resume t.sched (fun () -> turn t job);
-      snapshot_locked job)
+      (* a cache-served job is terminal in this very reply, so it is
+         retired without ever being stored *)
+      if not (terminal job) then begin
+        Hashtbl.replace t.jobs id job;
+        Scheduler.resume t.sched (fun () -> turn t job)
+      end;
+      read_locked t job)
 
-let poll t id =
-  locked t (fun () ->
-      Option.map snapshot_locked (Hashtbl.find_opt t.jobs id))
+let poll t id = locked t (fun () -> Result.map (read_locked t) (find_locked t id))
 
 let cancel t id =
   locked t (fun () ->
-      match Hashtbl.find_opt t.jobs id with
-      | None -> None
-      | Some job ->
+      Result.map
+        (fun job ->
           if not (terminal job) then begin
             job.cancel_requested <- true;
             (* the budget trips the incumbent too; the next ticker poll
                inside the running slice sees it and returns fast *)
             Budget.cancel job.budget
           end;
-          Some (snapshot_locked job))
+          read_locked t job)
+        (find_locked t id))
 
 (* Waiting polls rather than subscribes: terminal transitions happen on
    worker domains and a poll every 2ms is far below slice granularity. *)
@@ -307,15 +331,10 @@ let wait t id ~timeout =
   let deadline = Hd_engine.Clock.now () +. timeout in
   let rec go () =
     match poll t id with
-    | None -> None
-    | Some s ->
-        if s.state = "done" || s.state = "cancelled" || s.state = "failed"
-        then Some s
-        else if Hd_engine.Clock.now () >= deadline then Some s
-        else begin
-          Unix.sleepf 0.002;
-          go ()
-        end
+    | Ok s when (not (is_terminal s)) && Hd_engine.Clock.now () < deadline ->
+        Unix.sleepf 0.002;
+        go ()
+    | r -> r
   in
   go ()
 
@@ -329,9 +348,8 @@ let resolve_ordering t ~solver ~spec ?seed ?label ?(use_cache = true)
     submit t ~solver ~spec ?seed ?label ~use_cache ~signature problem
   in
   let snap =
-    match snap.state with
-    | "done" | "cancelled" | "failed" -> snap
-    | _ -> ( match wait t snap.id ~timeout with Some s -> s | None -> snap)
+    if is_terminal snap then snap
+    else match wait t snap.id ~timeout with Ok s -> s | Error _ -> snap
   in
   let ordering =
     match snap.result with Some r -> r.Solver.ordering | None -> None
@@ -359,6 +377,7 @@ let stats t =
           ("done", Obs.Json.Int !done_);
           ("cancelled", Obs.Json.Int !cancelled);
           ("failed", Obs.Json.Int !failed);
+          ("retired", Obs.Json.Int t.retired);
           ("workers", Obs.Json.Int (Scheduler.size t.sched));
           ("slice", Obs.Json.Float t.slice);
         ])

@@ -26,6 +26,12 @@
     bounds found so far.  Parked continuations are never dropped — a
     cancelled job is always driven to completion, so no fiber leaks.
 
+    A job is retired — dropped from the runner — once a caller has been
+    handed its terminal snapshot (by {!submit}, {!poll}, {!wait} or
+    {!cancel}); a cache-served submit is never stored.  Asking about a
+    retired id is an error naming it, so the runner's state stays
+    bounded by the jobs still in flight or unread.
+
     Every slice emits a ["server.slice"] {!Hd_obs.Obs.Tap} event and
     appends it to the job's pending-event list (capped; oldest dropped)
     drained by {!poll}.  Counters: [server.jobs_submitted],
@@ -80,18 +86,24 @@ val submit :
     [cached = true]) on a cache hit.
     @raise Invalid_argument after {!shutdown}. *)
 
-val poll : t -> int -> snapshot option
-(** [poll t id] is the job's current snapshot ([None] for unknown
-    ids), draining its pending events. *)
+val is_terminal : snapshot -> bool
+(** [is_terminal s] holds for the states ["done"], ["cancelled"] and
+    ["failed"]: the job will not change again, and handing [s] out
+    retired it. *)
 
-val cancel : t -> int -> snapshot option
+val poll : t -> int -> (snapshot, string) result
+(** [poll t id] is the job's current snapshot, draining its pending
+    events; [Error "job N retired"] once its terminal snapshot has
+    been returned, [Error "unknown job N"] for an id never issued. *)
+
+val cancel : t -> int -> (snapshot, string) result
 (** [cancel t id] requests cooperative cancellation (no-op on terminal
-    jobs) and returns the post-request snapshot. *)
+    jobs) and returns the post-request snapshot; errors as {!poll}. *)
 
-val wait : t -> int -> timeout:float -> snapshot option
+val wait : t -> int -> timeout:float -> (snapshot, string) result
 (** [wait t id ~timeout] blocks — polling, not subscribing — until the
     job is terminal or [timeout] seconds elapse, and returns the last
-    snapshot seen. *)
+    snapshot seen; errors as {!poll}. *)
 
 val resolve_ordering :
   t ->
@@ -114,7 +126,8 @@ val resolve_ordering :
     ([cached = true], zero slices). *)
 
 val stats : t -> Hd_obs.Obs.Json.t
-(** Scheduler-level stats object for the server's [stats] response. *)
+(** Scheduler-level stats object for the server's [stats] response:
+    live jobs by state, plus [submitted] and [retired] counts. *)
 
 val shutdown : t -> unit
 (** [shutdown t] cancels every live job and shuts the scheduler down;

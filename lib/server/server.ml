@@ -115,7 +115,8 @@ type session = {
   config : config;
   cache : Cache.t;
   jobs : Jobs.t;
-  (* per-job rendering context: solver name, ordering flag *)
+  (* per-job rendering context: solver name, ordering flag; dropped
+     with the job once its terminal snapshot is rendered *)
   meta : (int, string * bool) Hashtbl.t;
 }
 
@@ -147,7 +148,8 @@ let handle_submit session (s : Protocol.submit) =
               ?label:s.label ~use_cache:s.use_cache ~signature
               (Solver.Hypergraph h)
           in
-          Hashtbl.replace session.meta snap.Jobs.id (name, s.with_ordering);
+          if not (Jobs.is_terminal snap) then
+            Hashtbl.replace session.meta snap.Jobs.id (name, s.with_ordering);
           Protocol.ok "submit"
             (("hash", Json.String (Printf.sprintf "%016x" (Signature.hash signature)))
             :: snapshot_fields_with ~solver:name ~with_ordering:s.with_ordering
@@ -307,12 +309,13 @@ let handle_bulk session (b : Protocol.bulk) =
         | Sys_error msg -> Protocol.error msg)
 
 let render_snapshot session op = function
-  | None -> Protocol.error "unknown job id"
-  | Some snap ->
+  | Error msg -> Protocol.error msg
+  | Ok snap ->
       let solver, with_ordering =
         Option.value ~default:("", false)
           (Hashtbl.find_opt session.meta snap.Jobs.id)
       in
+      if Jobs.is_terminal snap then Hashtbl.remove session.meta snap.Jobs.id;
       Protocol.ok op (snapshot_fields_with ~solver ~with_ordering snap)
 
 let handle session req =

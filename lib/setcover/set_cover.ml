@@ -13,20 +13,20 @@ type problem = { universe : Bitset.t; hypergraph : Hypergraph.t }
 
 (* Hyperedges that can contribute to the cover: those meeting the
    universe.  Collected through the incidence lists so sparse bags stay
-   cheap. *)
+   cheap; the list runs from the last edge first met to the first. *)
 let candidate_edges problem =
-  let seen = Hashtbl.create 16 in
+  let h = problem.hypergraph in
+  let seen = Bitset.create (Hypergraph.n_edges h) in
   Bitset.fold
     (fun v acc ->
       List.fold_left
         (fun acc e ->
-          if Hashtbl.mem seen e then acc
+          if Bitset.mem seen e then acc
           else begin
-            Hashtbl.add seen e ();
+            Bitset.add seen e;
             e :: acc
           end)
-        acc
-        (Hypergraph.incident problem.hypergraph v))
+        acc (Hypergraph.incident h v))
     problem.universe []
 
 let check_coverable problem =
@@ -47,6 +47,7 @@ let covered_count problem edge uncovered =
 let greedy ?rng problem =
   Obs.Counter.incr c_greedy_calls;
   check_coverable problem;
+  let h = problem.hypergraph in
   let uncovered = Bitset.copy problem.universe in
   let candidates = candidate_edges problem in
   let chosen = ref [] in
@@ -54,7 +55,7 @@ let greedy ?rng problem =
     let best_gain = ref 0 and ties = ref 0 and pick = ref (-1) in
     List.iter
       (fun e ->
-        let gain = covered_count problem e uncovered in
+        let gain = Bitset.inter_cardinal (Hypergraph.edge_bits h e) uncovered in
         if gain > !best_gain then begin
           best_gain := gain;
           ties := 1;
@@ -69,9 +70,7 @@ let greedy ?rng problem =
       candidates;
     assert (!pick >= 0);
     chosen := !pick :: !chosen;
-    Array.iter
-      (fun v -> if Bitset.mem uncovered v then Bitset.remove uncovered v)
-      (Hypergraph.edge problem.hypergraph !pick)
+    Bitset.diff_into ~src:(Hypergraph.edge_bits h !pick) ~dst:uncovered
   done;
   List.rev !chosen
 
@@ -92,15 +91,14 @@ let is_cover problem chosen =
 (* Exact cover by depth-first branch and bound: branch on the uncovered
    vertex contained in the fewest candidate hyperedges (fail-first), try
    each hyperedge containing it, prune with the k-set-cover bound. *)
-let exact ?ub problem =
+let exact problem =
   Obs.Counter.incr c_exact_calls;
   check_coverable problem;
   let h = problem.hypergraph in
   let greedy_cover = greedy problem in
   let best = ref (Array.of_list greedy_cover) in
   let best_size = ref (List.length greedy_cover) in
-  let limit = match ub with None -> !best_size | Some u -> min u !best_size in
-  let cutoff = ref limit in
+  let cutoff = ref !best_size in
   let candidates = candidate_edges problem in
   let uncovered = Bitset.copy problem.universe in
   let chosen = ref [] in
@@ -162,9 +160,9 @@ let exact ?ub problem =
   branch 0;
   Array.to_list !best
 
-let exact_size ?cache ?ub problem =
+let exact_size ?cache problem =
   match cache with
-  | None -> List.length (exact ?ub problem)
+  | None -> List.length (exact problem)
   | Some table -> (
       match Hashtbl.find_opt table problem.universe with
       | Some size ->
@@ -172,9 +170,6 @@ let exact_size ?cache ?ub problem =
           size
       | None ->
           Obs.Counter.incr c_memo_misses;
-          (* only unbounded results are true optima; caching a
-             [ub]-truncated result would poison later queries *)
           let size = List.length (exact problem) in
-          ignore ub;
           Hashtbl.add table (Bitset.copy problem.universe) size;
           size)

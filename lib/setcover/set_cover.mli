@@ -9,32 +9,34 @@
     the search an exact method for generalized hypertree width. *)
 
 type problem = {
-  universe : Hd_graph.Bitset.t;  (** the vertices to cover *)
+  universe : Hd_graph.Bitset.t;
+      (** the vertices to cover, with capacity
+          [Hypergraph.n_vertices hypergraph] *)
   hypergraph : Hd_hypergraph.Hypergraph.t;
       (** the hyperedges available for covering *)
 }
 
 (** [greedy ?rng problem] covers the universe by repeatedly choosing a
     hyperedge containing the most still-uncovered vertices, ties broken
-    uniformly at random when [rng] is given (first index otherwise).
+    uniformly at random when [rng] is given (the first candidate
+    otherwise).  Gains are bitset intersections with each hyperedge's
+    {!Hd_hypergraph.Hypergraph.edge_bits}.
     Returns the chosen hyperedge indices.
     @raise Invalid_argument when some universe vertex lies in no
     hyperedge. *)
 val greedy : ?rng:Random.State.t -> problem -> int list
 
-(** [exact ?ub problem] is an optimal cover, found by branch and bound
-    seeded with the greedy solution.  [ub] prunes: if no cover smaller
-    than [ub] exists the greedy cover (possibly of size [>= ub]) is
-    returned.
+(** [exact problem] is an optimal cover, found by branch and bound
+    seeded with the greedy solution.
     @raise Invalid_argument when some universe vertex lies in no
     hyperedge. *)
-val exact : ?ub:int -> problem -> int list
+val exact : problem -> int list
 
-(** [exact_size ?cache ?ub problem] is [List.length (exact problem)],
-    with optional memoisation keyed on the universe — bags recur
-    massively across branch-and-bound states. *)
+(** [exact_size ?cache problem] is [List.length (exact problem)], with
+    optional memoisation keyed on the universe — bags recur massively
+    across branch-and-bound states. *)
 val exact_size :
-  ?cache:(Hd_graph.Bitset.t, int) Hashtbl.t -> ?ub:int -> problem -> int
+  ?cache:(Hd_graph.Bitset.t, int) Hashtbl.t -> problem -> int
 
 (** [greedy_size ?rng problem] is [List.length (greedy problem)]. *)
 val greedy_size : ?rng:Random.State.t -> problem -> int

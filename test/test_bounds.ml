@@ -116,12 +116,222 @@ let test_elim_snapshot_bound () =
   Hd_graph.Elim_graph.eliminate eg 0;
   Hd_graph.Elim_graph.eliminate eg 5;
   let rng1 = Random.State.make [| 9 |] in
-  let via_elim = Lb.treewidth_of_elim ~rng:rng1 ~trials:2 eg in
+  let workspace = Hd_graph.Contract_graph.create 16 in
+  let via_elim = Lb.treewidth_of_elim ~rng:rng1 ~trials:2 ~workspace eg in
   let rng2 = Random.State.make [| 9 |] in
   let via_graph =
     Lb.treewidth ~rng:rng2 ~trials:2 (Hd_graph.Elim_graph.to_graph eg)
   in
   check_int "snapshot = materialised" via_graph via_elim
+
+(* --- differential checks against the list-based contraction --- *)
+
+(* The contraction bounds as they ran before the degree-tracked kernel:
+   every step lists the live vertices or a neighbourhood and recounts
+   each degree.  Kept as the reference the kernel must match, value and
+   random draws alike. *)
+module Reference = struct
+  module Bitset = Hd_graph.Bitset
+  module Elim_graph = Hd_graph.Elim_graph
+
+  type cg = { adj : Bitset.t array; live : Bitset.t; mutable live_count : int }
+
+  let of_graph g =
+    let size = Graph.n g in
+    {
+      adj = Array.init size (fun v -> Bitset.copy (Graph.adjacency g v));
+      live = Bitset.full size;
+      live_count = size;
+    }
+
+  let of_elim_graph eg =
+    let size = Elim_graph.capacity eg in
+    {
+      adj = Array.init size (fun v -> Bitset.copy (Elim_graph.adjacency eg v));
+      live = Bitset.copy (Elim_graph.alive eg);
+      live_count = Elim_graph.n_alive eg;
+    }
+
+  let alive_list t = Bitset.elements t.live
+  let degree t v = Bitset.cardinal t.adj.(v)
+  let neighbors t v = Bitset.elements t.adj.(v)
+  let mem_edge t u v = u <> v && Bitset.mem t.adj.(u) v
+
+  let random_min vs ~key ~rng =
+    let best_key = ref max_int and count = ref 0 and pick = ref (-1) in
+    List.iter
+      (fun v ->
+        let k = key v in
+        if k < !best_key then begin
+          best_key := k;
+          count := 1;
+          pick := v
+        end
+        else if k = !best_key then begin
+          incr count;
+          if Random.State.int rng !count = 0 then pick := v
+        end)
+      vs;
+    if !pick < 0 then raise Not_found;
+    !pick
+
+  let min_degree_vertex t ~rng = random_min (alive_list t) ~key:(degree t) ~rng
+  let min_degree_neighbor t v ~rng = random_min (neighbors t v) ~key:(degree t) ~rng
+
+  let remove t v =
+    Bitset.iter (fun u -> Bitset.remove t.adj.(u) v) t.adj.(v);
+    Bitset.clear t.adj.(v);
+    Bitset.remove t.live v;
+    t.live_count <- t.live_count - 1
+
+  let contract t u v =
+    let merged = t.adj.(v) in
+    Bitset.iter (fun w -> Bitset.remove t.adj.(w) v) merged;
+    Bitset.remove t.live v;
+    t.live_count <- t.live_count - 1;
+    Bitset.remove merged u;
+    Bitset.union_into ~src:merged ~dst:t.adj.(u);
+    Bitset.iter (fun w -> Bitset.add t.adj.(w) u) merged;
+    Bitset.clear merged
+
+  let degeneracy g =
+    let cg = of_graph g in
+    let lb = ref 0 in
+    let rng = Random.State.make [| 0 |] in
+    while cg.live_count > 0 do
+      let v = min_degree_vertex cg ~rng in
+      lb := max !lb (degree cg v);
+      remove cg v
+    done;
+    !lb
+
+  let contraction_bound_on ~rng make_cg ~pick =
+    let cg = make_cg () in
+    let lb = ref 0 in
+    while cg.live_count > 0 do
+      match pick cg rng with
+      | None ->
+          lb := max !lb (cg.live_count - 1);
+          List.iter (remove cg) (alive_list cg)
+      | Some v ->
+          lb := max !lb (degree cg v);
+          if degree cg v = 0 then remove cg v
+          else
+            let u = min_degree_neighbor cg v ~rng in
+            contract cg u v
+    done;
+    !lb
+
+  let minor_min_width_on ~rng make_cg =
+    contraction_bound_on ~rng make_cg ~pick:(fun cg rng ->
+        Some (min_degree_vertex cg ~rng))
+
+  let minor_gamma_r_on ~rng make_cg =
+    contraction_bound_on ~rng make_cg ~pick:(fun cg rng ->
+        let by_degree =
+          alive_list cg
+          |> List.map (fun v -> (degree cg v, Random.State.bits rng, v))
+          |> List.sort compare
+          |> List.map (fun (_, _, v) -> v)
+        in
+        let rec find preceding = function
+          | [] -> None
+          | v :: rest ->
+              if List.for_all (fun u -> mem_edge cg v u) preceding then
+                find (v :: preceding) rest
+              else Some v
+        in
+        find [] by_degree)
+
+  let minor_min_width ~rng g = minor_min_width_on ~rng (fun () -> of_graph g)
+  let minor_gamma_r ~rng g = minor_gamma_r_on ~rng (fun () -> of_graph g)
+
+  let best_over_trials ~rng ~trials f =
+    let rec go i acc = if i >= trials then acc else go (i + 1) (max acc (f rng)) in
+    go 0 0
+
+  let treewidth_of_elim ~rng ~trials eg =
+    let make_cg () = of_elim_graph eg in
+    best_over_trials ~rng ~trials (fun rng ->
+        max (minor_min_width_on ~rng make_cg) (minor_gamma_r_on ~rng make_cg))
+
+  let ghw_of_elim ~rng ~trials ~max_edge_size eg =
+    let k = max 1 max_edge_size in
+    let bound_of d = (d + 1 + k - 1) / k in
+    best_over_trials ~rng ~trials (fun rng ->
+        let cg = of_elim_graph eg in
+        let lb = ref 0 in
+        while cg.live_count > 0 do
+          let v = min_degree_vertex cg ~rng in
+          lb := max !lb (bound_of (degree cg v));
+          if degree cg v = 0 then remove cg v
+          else
+            let u = min_degree_neighbor cg v ~rng in
+            contract cg u v
+        done;
+        !lb)
+end
+
+(* a random graph on [n] vertices, then a random elimination prefix of
+   [depth] vertices *)
+let random_elim_graph rng ~n ~density ~depth =
+  let g = Graph.create n in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Random.State.float rng 1.0 < density then Graph.add_edge g u v
+    done
+  done;
+  let eg = Hd_graph.Elim_graph.of_graph g in
+  for _ = 1 to min depth n do
+    let live = Array.of_list (Hd_graph.Elim_graph.alive_list eg) in
+    Hd_graph.Elim_graph.eliminate eg
+      live.(Random.State.int rng (Array.length live))
+  done;
+  (g, eg)
+
+(* [f] and [reference] agree on the value and leave equal random
+   states: the next draw from copies of both is the same *)
+let same_value_and_draws ~seed f reference =
+  let rng_a = Random.State.make [| seed |] and rng_b = Random.State.make [| seed |] in
+  let a = f rng_a and b = reference rng_b in
+  a = b
+  && Random.State.bits (Random.State.copy rng_a)
+     = Random.State.bits (Random.State.copy rng_b)
+
+let prop_kernel_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"contraction kernel = list-based reference (values and draws)"
+    QCheck.(
+      make
+        Gen.(
+          quad (1 -- 40) (float_range 0.05 0.9) (0 -- 20) (pair int (1 -- 3))))
+    (fun (n, density, depth, (seed, trials)) ->
+      let rng = Random.State.make [| seed; n |] in
+      let g, eg = random_elim_graph rng ~n ~density ~depth in
+      let rest = Hd_graph.Elim_graph.to_graph eg in
+      (* one workspace for every check: reloads must not leak state *)
+      let workspace = Hd_graph.Contract_graph.create n in
+      let k = 1 + (seed land 3) in
+      Lb.degeneracy g = Reference.degeneracy g
+      && Lb.degeneracy rest = Reference.degeneracy rest
+      && same_value_and_draws ~seed
+           (fun rng -> Lb.minor_min_width ~rng rest)
+           (fun rng -> Reference.minor_min_width ~rng rest)
+      && same_value_and_draws ~seed
+           (fun rng -> Lb.minor_gamma_r ~rng rest)
+           (fun rng -> Reference.minor_gamma_r ~rng rest)
+      && same_value_and_draws ~seed
+           (fun rng -> Lb.treewidth_of_elim ~rng ~trials ~workspace eg)
+           (fun rng -> Reference.treewidth_of_elim ~rng ~trials eg)
+      && same_value_and_draws ~seed
+           (fun rng ->
+             Lb.ghw_of_elim ~rng ~trials ~workspace ~max_edge_size:k eg)
+           (fun rng -> Reference.ghw_of_elim ~rng ~trials ~max_edge_size:k eg)
+      && same_value_and_draws ~seed
+           (fun rng -> Lb.treewidth ~rng ~trials rest)
+           (fun rng ->
+             Reference.treewidth_of_elim ~rng ~trials
+               (Hd_graph.Elim_graph.of_graph rest)))
 
 let () =
   Alcotest.run "bounds"
@@ -138,6 +348,11 @@ let () =
         [ Alcotest.test_case "matches materialised graph" `Quick test_elim_snapshot_bound ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_lb_le_ub; prop_ghw_lb_le_exact_eval; prop_degeneracy_le_mmw ]
+          [
+            prop_lb_le_ub;
+            prop_ghw_lb_le_exact_eval;
+            prop_degeneracy_le_mmw;
+            prop_kernel_matches_reference;
+          ]
       );
     ]

@@ -249,8 +249,8 @@ let test_jobs_two_jobs_interleave_on_one_worker () =
   in
   let a = submit_hg jobs ~solver ~spec:ga_spec (grid_hg 4 4) in
   let b = submit_hg jobs ~solver ~spec:ga_spec (grid_hg 3 5) in
-  let sa = Option.get (Jobs.wait jobs a.Jobs.id ~timeout:60.0) in
-  let sb = Option.get (Jobs.wait jobs b.Jobs.id ~timeout:60.0) in
+  let sa = Result.get_ok (Jobs.wait jobs a.Jobs.id ~timeout:60.0) in
+  let sb = Result.get_ok (Jobs.wait jobs b.Jobs.id ~timeout:60.0) in
   Obs.Tap.unsubscribe sub;
   check_str "job a done" "done" sa.Jobs.state;
   check_str "job b done" "done" sb.Jobs.state;
@@ -306,7 +306,7 @@ let test_jobs_cancel_inflight () =
   (* let it get some slices in, then cancel *)
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec spin () =
-    let s = Option.get (Jobs.poll jobs s0.Jobs.id) in
+    let s = Result.get_ok (Jobs.poll jobs s0.Jobs.id) in
     if s.Jobs.slices >= 2 || Unix.gettimeofday () > deadline then s
     else begin
       Unix.sleepf 0.002;
@@ -316,7 +316,7 @@ let test_jobs_cancel_inflight () =
   let running = spin () in
   check "got sliced before cancel" true (running.Jobs.slices >= 1);
   ignore (Jobs.cancel jobs s0.Jobs.id);
-  let final = Option.get (Jobs.wait jobs s0.Jobs.id ~timeout:30.0) in
+  let final = Result.get_ok (Jobs.wait jobs s0.Jobs.id ~timeout:30.0) in
   check_str "cancel lands" "cancelled" final.Jobs.state;
   check "terminal" true (terminal final);
   (* the parked continuation was resumed, not dropped: the solver
@@ -334,7 +334,7 @@ let test_jobs_cache_hit_on_isomorphic_resubmit () =
   let first =
     submit_hg jobs ~solver ~spec ~use_cache:true (hg cycle4_a)
   in
-  let s1 = Option.get (Jobs.wait jobs first.Jobs.id ~timeout:30.0) in
+  let s1 = Result.get_ok (Jobs.wait jobs first.Jobs.id ~timeout:30.0) in
   check_str "first solve done" "done" s1.Jobs.state;
   check "first solve not cached" false s1.Jobs.cached;
   let w1 =
@@ -362,6 +362,45 @@ let test_jobs_cache_hit_on_isomorphic_resubmit () =
       | None -> ())
   | None -> Alcotest.fail "cached job must carry a result");
   check "cache counted the hit" true (Cache.hits cache >= 1)
+
+(* a job leaves the runner once its terminal snapshot has been handed
+   out; later questions about it are errors naming the id, and a
+   cache-served submit is never stored at all *)
+let test_jobs_retire_after_terminal_read () =
+  ensure_registry ();
+  let solver = Option.get (S.find "bb-ghw") in
+  let cache = Cache.create () in
+  let jobs = Jobs.create ~workers:1 ~slice:0.01 ~cache () in
+  Fun.protect ~finally:(fun () -> Jobs.shutdown jobs) @@ fun () ->
+  let spec = { B.time_limit = Some 20.0; max_states = None } in
+  let retired () = jint (Jobs.stats jobs) "retired" in
+  let first = submit_hg jobs ~solver ~spec ~use_cache:true (hg cycle4_a) in
+  check_int "nothing retired while in flight" 0 (retired ());
+  let done_ = Result.get_ok (Jobs.wait jobs first.Jobs.id ~timeout:30.0) in
+  check_str "solve done" "done" done_.Jobs.state;
+  check_int "terminal read retires" 1 (retired ());
+  let msg = Printf.sprintf "job %d retired" first.Jobs.id in
+  let expect_retired what r =
+    match r with
+    | Error m -> check_str what msg m
+    | Ok _ -> Alcotest.fail (what ^ ": retired job still answered")
+  in
+  expect_retired "poll" (Jobs.poll jobs first.Jobs.id);
+  expect_retired "wait" (Jobs.wait jobs first.Jobs.id ~timeout:1.0);
+  expect_retired "cancel" (Jobs.cancel jobs first.Jobs.id);
+  let hit = submit_hg jobs ~solver ~spec ~use_cache:true (hg cycle4_b) in
+  check "resubmit served from cache" true hit.Jobs.cached;
+  check_int "cache-served submit retired at once" 2 (retired ());
+  check_str "cache-served id retired"
+    (Printf.sprintf "job %d retired" hit.Jobs.id)
+    (match Jobs.poll jobs hit.Jobs.id with Error m -> m | Ok _ -> "answered");
+  check_str "unknown id" "unknown job 99"
+    (match Jobs.poll jobs 99 with Error m -> m | Ok _ -> "answered");
+  let st = Jobs.stats jobs in
+  check_int "submitted" 2 (jint st "submitted");
+  check_int "no live job left" 0
+    (jint st "queued" + jint st "running" + jint st "done"
+   + jint st "cancelled" + jint st "failed")
 
 (* ------------------------------------------------------------------ *)
 (* The serve loop, end to end over a pipe pair                         *)
@@ -431,6 +470,12 @@ let test_serve_transcript () =
         send {|{"op":"poll","job":999}|};
         let e2 = recv () in
         check "unknown job flagged" false (jbool e2 "ok");
+        (* the wait above handed out job1's terminal snapshot *)
+        send (Printf.sprintf {|{"op":"poll","job":%d}|} job1);
+        let e3 = recv () in
+        check "retired job flagged" false (jbool e3 "ok");
+        check_str "retired job named" (Printf.sprintf "job %d retired" job1)
+          (jstr e3 "error");
         (* resubmit the renamed instance: answered from the cache *)
         send
           (Printf.sprintf
@@ -450,6 +495,8 @@ let test_serve_transcript () =
         let st = recv () in
         let cache = jget st "cache" in
         check "stats: cache hit recorded" true (jint cache "hits" >= 1);
+        check_int "stats: both jobs retired" 2
+          (jint (jget st "jobs") "retired");
         let counters = jget st "counters" in
         check "stats: server.cache_hits counter" true
           (jint counters "server.cache_hits" > hits_before);
@@ -592,6 +639,8 @@ let () =
             test_jobs_cancel_inflight;
           Alcotest.test_case "cache hit on isomorphic resubmit" `Slow
             test_jobs_cache_hit_on_isomorphic_resubmit;
+          Alcotest.test_case "retire after terminal read" `Slow
+            test_jobs_retire_after_terminal_read;
         ] );
       ( "serve",
         [

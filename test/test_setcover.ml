@@ -115,6 +115,82 @@ let prop_greedy_covers =
       let p = { Set_cover.universe = Bitset.of_list n universe; hypergraph = h } in
       Set_cover.is_cover p (Set_cover.greedy ~rng p))
 
+(* The greedy cover as it ran before the bitset gains: candidates
+   deduplicated through a hash table, gains counted by walking each
+   edge's vertex array.  Kept as the reference the bitset greedy must
+   match, cover and random draws alike. *)
+let reference_greedy ?rng (problem : Set_cover.problem) =
+  let h = problem.hypergraph in
+  let candidates =
+    let seen = Hashtbl.create 16 in
+    Bitset.fold
+      (fun v acc ->
+        List.fold_left
+          (fun acc e ->
+            if Hashtbl.mem seen e then acc
+            else begin
+              Hashtbl.add seen e ();
+              e :: acc
+            end)
+          acc (Hypergraph.incident h v))
+      problem.universe []
+  in
+  let covered_count e uncovered =
+    Array.fold_left
+      (fun n v -> if Bitset.mem uncovered v then n + 1 else n)
+      0 (Hypergraph.edge h e)
+  in
+  let uncovered = Bitset.copy problem.universe in
+  let chosen = ref [] in
+  while not (Bitset.is_empty uncovered) do
+    let best_gain = ref 0 and ties = ref 0 and pick = ref (-1) in
+    List.iter
+      (fun e ->
+        let gain = covered_count e uncovered in
+        if gain > !best_gain then begin
+          best_gain := gain;
+          ties := 1;
+          pick := e
+        end
+        else if gain = !best_gain && gain > 0 then begin
+          incr ties;
+          match rng with
+          | Some rng -> if Random.State.int rng !ties = 0 then pick := e
+          | None -> ()
+        end)
+      candidates;
+    chosen := !pick :: !chosen;
+    Array.iter (Bitset.remove uncovered) (Hypergraph.edge h !pick)
+  done;
+  List.rev !chosen
+
+let prop_greedy_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"bitset greedy = array-walk reference (cover and draws)"
+    QCheck.(make QCheck.Gen.(triple (1 -- 70) (1 -- 40) int))
+    (fun (n, m, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let edges =
+        List.init m (fun _ ->
+            let size = 1 + Random.State.int rng 6 in
+            List.init size (fun _ -> Random.State.int rng n))
+      in
+      let h = Hypergraph.create ~n edges in
+      (* a random subset of the coverable vertices *)
+      let universe =
+        List.filter
+          (fun v ->
+            Hypergraph.incident h v <> [] && Random.State.int rng 3 > 0)
+          (List.init n Fun.id)
+      in
+      let p = { Set_cover.universe = Bitset.of_list n universe; hypergraph = h } in
+      let rng_a = Random.State.make [| seed; 1 |]
+      and rng_b = Random.State.make [| seed; 1 |] in
+      Set_cover.greedy p = reference_greedy p
+      && Set_cover.greedy ~rng:rng_a p = reference_greedy ~rng:rng_b p
+      && Random.State.bits (Random.State.copy rng_a)
+         = Random.State.bits (Random.State.copy rng_b))
+
 (* --- fractional covers (exact rational) --- *)
 
 module Rat = Hd_lp.Rat
@@ -236,5 +312,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_exact_optimal; prop_greedy_covers; prop_fractional_bounds ] );
+          [
+            prop_exact_optimal;
+            prop_greedy_covers;
+            prop_fractional_bounds;
+            prop_greedy_matches_reference;
+          ] );
     ]
