@@ -1,4 +1,6 @@
-(* Table-printing and statistics helpers for the experiment harness. *)
+(* Shared pieces of the experiment harness: table printing, statistics,
+   the scale record, the report each experiment returns, and the one
+   gate every recorded figure goes through. *)
 
 module Obs = Hd_obs.Obs
 
@@ -90,74 +92,94 @@ let budget scale =
    its clock, so never share one across runs *)
 let within scale = Hd_engine.Budget.of_spec (budget scale)
 
-(* per-experiment hd_obs snapshots, collected by [record_table] and
-   written out as one BENCH_report.json at the end of the run *)
-let table_reports : (string * Obs.Json.t) list ref = ref []
+let graph name =
+  match Hd_instances.Graphs.by_name name with
+  | Some g -> g
+  | None -> failwith ("unknown graph instance " ^ name)
 
-let record_table name f =
+let hypergraph name =
+  match Hd_instances.Hypergraphs.by_name name with
+  | Some h -> h
+  | None -> failwith ("unknown hypergraph instance " ^ name)
+
+(* [counter_deltas names f] runs [f] and pairs each named hd_obs
+   counter with how much it grew while [f] ran *)
+let counter_deltas names f =
+  let value name = Obs.Counter.value (Obs.Counter.make name) in
+  let before = List.map value names in
+  let result = f () in
+  (result, List.map2 (fun name b -> (name, value name - b)) names before)
+
+(* what one experiment hands back: its top-level BENCH_report.json
+   section, if it has one, and its gate verdict *)
+type result = {
+  section : (string * Obs.Json.t) option;
+  verdict : string;  (** "pass", "fail" or "report-only" *)
+  regressed : bool;  (** a -baseline diff found a regression *)
+}
+
+(* the result of an experiment that only prints its table *)
+let printed = { section = None; verdict = "report-only"; regressed = false }
+
+let section ?(verdict = "report-only") ?(regressed = false) key json =
+  { section = Some (key, json); verdict; regressed }
+
+(* one recorded figure a gate holds a run to *)
+type check =
+  | Exact of string * int * int  (** name, recorded, measured *)
+  | At_most of string * int * int  (** name, recorded ceiling, measured *)
+  | Holds of bool * string  (** condition, message when it fails *)
+
+let failure = function
+  | Exact (name, recorded, n) when n <> recorded ->
+      Some (Printf.sprintf "%s is %d, recorded %d" name n recorded)
+  | At_most (name, recorded, n) when n > recorded ->
+      Some (Printf.sprintf "%s is %d, recorded at most %d" name n recorded)
+  | Holds (false, message) -> Some message
+  | Exact _ | At_most _ | Holds _ -> None
+
+(* the one pass/fail policy: an unenforced run only reports; an
+   enforced one prints a FAIL: line per broken check *)
+let gate ~enforced checks =
+  if not enforced then "report-only"
+  else
+    match List.filter_map failure checks with
+    | [] -> "pass"
+    | failures ->
+        List.iter (Printf.printf "FAIL: %s\n") failures;
+        "fail"
+
+(* 3 if a -baseline diff regressed, else 1 if a gate failed, else 0 *)
+let exit_status results =
+  if List.exists (fun r -> r.regressed) results then 3
+  else if List.exists (fun r -> r.verdict = "fail") results then 1
+  else 0
+
+(* run one experiment under hd_obs: its BENCH_report.json
+   "experiments" entry, and its result *)
+let record name f =
   Obs.enable ();
   Obs.reset ();
   let started = Hd_engine.Clock.now () in
-  Fun.protect
-    ~finally:(fun () ->
-      let elapsed = Hd_engine.Clock.now () -. started in
-      let snapshot =
-        Obs.Json.Obj
-          [
-            ("experiment", Obs.Json.String name);
-            ("wall_seconds", Obs.Json.Float elapsed);
-            ("report", Obs.report ());
-          ]
-      in
-      table_reports := (name, snapshot) :: !table_reports;
-      Obs.disable ())
-    f
+  let result = f () in
+  let elapsed = Hd_engine.Clock.now () -. started in
+  let snapshot =
+    Obs.Json.Obj
+      [
+        ("experiment", Obs.Json.String name);
+        ("wall_seconds", Obs.Json.Float elapsed);
+        ("report", Obs.report ());
+      ]
+  in
+  Obs.disable ();
+  (snapshot, result)
 
-(* the parallel and query experiments' summaries, reported as their own
-   top-level sections of BENCH_report.json when the experiments ran *)
-let parallel_section : Obs.Json.t option ref = ref None
-let set_parallel_section j = parallel_section := Some j
-let query_section : Obs.Json.t option ref = ref None
-let set_query_section j = query_section := Some j
-let ordering_section : Obs.Json.t option ref = ref None
-let set_ordering_section j = ordering_section := Some j
-let engine_section : Obs.Json.t option ref = ref None
-let set_engine_section j = engine_section := Some j
-let corpus_section : Obs.Json.t option ref = ref None
-let set_corpus_section j = corpus_section := Some j
-let widths_section : Obs.Json.t option ref = ref None
-let set_widths_section j = widths_section := Some j
-
-(* nonzero when a gating check failed (the corpus regression diff);
-   main exits with it after the report is written *)
-let exit_code = ref 0
-
-let write_bench_report ?(path = "BENCH_report.json") () =
+let write_bench_report ?(path = "BENCH_report.json") runs =
   let doc =
     Obs.Json.Obj
-      ([
-         ("schema", Obs.Json.String "hd_obs/bench/1");
-         ( "experiments",
-           Obs.Json.List (List.rev_map (fun (_, s) -> s) !table_reports) );
-       ]
-      @ (match !parallel_section with
-        | Some j -> [ ("parallel", j) ]
-        | None -> [])
-      @ (match !query_section with
-        | Some j -> [ ("query", j) ]
-        | None -> [])
-      @ (match !ordering_section with
-        | Some j -> [ ("ordering", j) ]
-        | None -> [])
-      @ (match !engine_section with
-        | Some j -> [ ("engine", j) ]
-        | None -> [])
-      @ (match !corpus_section with
-        | Some j -> [ ("corpus", j) ]
-        | None -> [])
-      @ match !widths_section with
-        | Some j -> [ ("widths", j) ]
-        | None -> [])
+      (("schema", Obs.Json.String "hd_obs/bench/1")
+      :: ("experiments", Obs.Json.List (List.map fst runs))
+      :: List.filter_map (fun (_, r) -> r.section) runs)
   in
   let oc = open_out path in
   Fun.protect
@@ -165,5 +187,4 @@ let write_bench_report ?(path = "BENCH_report.json") () =
     (fun () ->
       output_string oc (Obs.Json.to_string doc);
       output_char oc '\n');
-  Printf.printf "\nwrote %s (%d experiments)\n" path
-    (List.length !table_reports)
+  Printf.printf "\nwrote %s (%d experiments)\n" path (List.length runs)

@@ -31,70 +31,6 @@ let valid h ghd =
          Bitset.subset (Tree_decomposition.bag ghd.td i) vars)
        (Array.init (Tree_decomposition.n_nodes ghd.td) (fun i -> i))
 
-let witness_node h ghd e =
-  let edge = Hypergraph.edge h e in
-  let k = Tree_decomposition.n_nodes ghd.td in
-  let rec go i =
-    if i >= k then None
-    else
-      let bag = Tree_decomposition.bag ghd.td i in
-      if
-        Array.for_all (Bitset.mem bag) edge
-        && Array.exists (( = ) e) ghd.lambda.(i)
-      then Some i
-      else go (i + 1)
-  in
-  go 0
-
-let is_complete h ghd =
-  let rec go e =
-    e >= Hypergraph.n_edges h || (witness_node h ghd e <> None && go (e + 1))
-  in
-  go 0
-
-let complete h ghd =
-  let missing =
-    List.filter
-      (fun e -> witness_node h ghd e = None)
-      (List.init (Hypergraph.n_edges h) (fun e -> e))
-  in
-  if missing = [] then ghd
-  else begin
-    let k = Tree_decomposition.n_nodes ghd.td in
-    let extra = List.length missing in
-    let bags = Array.make (k + extra) (Bitset.create 0) in
-    let parent = Array.make (k + extra) (-1) in
-    for i = 0 to k - 1 do
-      bags.(i) <- Tree_decomposition.bag ghd.td i;
-      parent.(i) <- ghd.td.Tree_decomposition.parent.(i)
-    done;
-    let lambda = Array.make (k + extra) [||] in
-    Array.blit ghd.lambda 0 lambda 0 k;
-    List.iteri
-      (fun j e ->
-        (* hang a node labelled exactly by e under a node whose bag
-           contains e; condition 1 of the input guarantees one exists *)
-        let host =
-          let rec find i =
-            if i >= k then
-              invalid_arg "Ghd.complete: input violates condition 1"
-            else if
-              Array.for_all
-                (Bitset.mem (Tree_decomposition.bag ghd.td i))
-                (Hypergraph.edge h e)
-            then i
-            else find (i + 1)
-          in
-          find 0
-        in
-        let node = k + j in
-        bags.(node) <- Hypergraph.edge_set h e;
-        parent.(node) <- host;
-        lambda.(node) <- [| e |])
-      missing;
-    { td = Tree_decomposition.make ~bags ~parent; lambda }
-  end
-
 let cover_bag h bag ~cover =
   let problem = { Set_cover.universe = bag; hypergraph = h } in
   match cover with

@@ -30,16 +30,6 @@ val width : t -> int
 (** [valid h ghd] checks all three GHD conditions against [h]. *)
 val valid : Hd_hypergraph.Hypergraph.t -> t -> bool
 
-(** [is_complete h ghd] checks Definition 14: every hyperedge [e] has a
-    node [p] with [e] inside [chi(p)] and [e] a member of
-    [lambda(p)]. *)
-val is_complete : Hd_hypergraph.Hypergraph.t -> t -> bool
-
-(** [complete h ghd] applies Lemma 2: attach, for every hyperedge not
-    yet witnessed, a fresh child node labelled by exactly that
-    hyperedge.  Width is unchanged (unless the input had width 0). *)
-val complete : Hd_hypergraph.Hypergraph.t -> t -> t
-
 (** [of_ordering h sigma ~cover] runs bucket elimination along [sigma]
     and covers every bag with hyperedges of [h] according to [cover]
     (Section 2.5.2). *)

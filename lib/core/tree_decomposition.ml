@@ -54,8 +54,6 @@ let bag td i = td.bags.(i)
 let width td =
   Array.fold_left (fun acc b -> max acc (Bitset.cardinal b)) 0 td.bags - 1
 
-let is_leaf td i = children td i = []
-
 let edges td =
   let acc = ref [] in
   for i = Array.length td.parent - 1 downto 0 do

@@ -31,9 +31,6 @@ val bag : t -> int -> Hd_graph.Bitset.t
 (** [width td] is [max_i |bags.(i)| - 1]. *)
 val width : t -> int
 
-(** [is_leaf td i] holds when node [i] has no children. *)
-val is_leaf : t -> int -> bool
-
 (** [edges td] lists the tree edges [(child, parent)]. *)
 val edges : t -> (int * int) list
 

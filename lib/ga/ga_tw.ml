@@ -3,9 +3,6 @@ let run ?within config g =
   Ga_engine.run ?within config ~n_genes:(Hd_graph.Graph.n g)
     ~eval:(Suffix_eval.width ws)
 
-let run_hypergraph ?within config h =
-  run ?within config (Hd_hypergraph.Hypergraph.primal h)
-
 let decomposition g (report : Ga_engine.report) =
   Hd_core.Tree_decomposition.of_ordering g report.Ga_engine.best_individual
 

@@ -13,14 +13,6 @@ val run :
 (** [within] is the run's budget; its incumbent, if any, receives the
     width upper bounds.  See {!Ga_engine.run}. *)
 
-(** [run_hypergraph config h] bounds [tw(h)] via the primal graph
-    (Lemma 1). *)
-val run_hypergraph :
-  ?within:Hd_engine.Budget.t ->
-  Ga_engine.config ->
-  Hd_hypergraph.Hypergraph.t ->
-  Ga_engine.report
-
 (** [decomposition g report] materialises the witness tree
     decomposition. *)
 val decomposition :

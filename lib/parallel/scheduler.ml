@@ -34,7 +34,6 @@ let self t =
   | Some (s, i) when s == Obj.repr t -> Some i
   | _ -> None
 
-let on_worker t = self t <> None
 let size t = Array.length t.deques
 
 let tap_event fields =

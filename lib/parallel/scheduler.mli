@@ -73,9 +73,6 @@ val run_all : t -> (unit -> unit) list -> unit
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Fork/join map preserving order ({!run_all} underneath). *)
 
-val on_worker : t -> bool
-(** Whether the calling domain is one of [t]'s workers. *)
-
 val default_workers : unit -> int
 (** The process-wide worker-count default used by {!shared}:
     initially [Domain.recommended_domain_count () - 1]. *)

@@ -135,18 +135,6 @@ let test_ghd_example5 () =
   done;
   check_int "width 2 reachable" 2 !best
 
-let test_ghd_completion () =
-  let h = example5 () in
-  let sigma = Ordering.identity 6 in
-  let ghd = Ghd.of_ordering h sigma ~cover:`Exact in
-  let complete = Ghd.complete h ghd in
-  check "complete flag" true (Ghd.is_complete h complete);
-  check "still valid" true (Ghd.valid h complete);
-  check_int "width preserved" (Ghd.width ghd) (Ghd.width complete);
-  (* completion is idempotent *)
-  let again = Ghd.complete h complete in
-  check_int "idempotent" (Td.n_nodes complete.Ghd.td) (Td.n_nodes again.Ghd.td)
-
 let test_ghd_acyclic_width_1 () =
   (* an acyclic hypergraph (a join tree exists) has ghw 1; a path of
      overlapping hyperedges is acyclic *)
@@ -471,7 +459,6 @@ let () =
       ( "ghd",
         [
           Alcotest.test_case "example 5 width 2" `Quick test_ghd_example5;
-          Alcotest.test_case "completion" `Quick test_ghd_completion;
           Alcotest.test_case "acyclic width 1" `Quick test_ghd_acyclic_width_1;
         ] );
       ( "heuristics",
