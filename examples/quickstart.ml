@@ -37,7 +37,7 @@ let () =
 
   (* 3. Exact widths via the search algorithms. *)
   let tw =
-    match (Hd_search.Astar_tw.solve_hypergraph h).Hd_search.Search_types.outcome with
+    match (Hd_search.Astar_tw.solve (Hypergraph.primal h)).Hd_search.Search_types.outcome with
     | Hd_search.Search_types.Exact w -> w
     | Hd_search.Search_types.Bounds _ -> assert false
   in

@@ -2,9 +2,11 @@ module Graph = Hd_graph.Graph
 module Elim_graph = Hd_graph.Elim_graph
 module Contract_graph = Hd_graph.Contract_graph
 
-let default_rng = lazy (Random.State.make [| 0x5eed |])
-
-let get_rng = function Some rng -> rng | None -> Lazy.force default_rng
+(* a fresh state per call: a bound computed without [rng] depends on
+   its input alone, never on earlier calls in the process *)
+let get_rng = function
+  | Some rng -> rng
+  | None -> Random.State.make [| 0x5eed |]
 
 (* The one contraction kernel behind every bound here: while a vertex
    is live, [pick] one and record its degree, then contract it into its

@@ -14,7 +14,7 @@
       vertex, in ascending degree order, not adjacent to all its
       predecessors.
 
-    GHW bound: {!tw_ksc_width} (Figure 8.1) combines a treewidth bound
+    GHW bound: {!ghw}, tw-ksc-width (Figure 8.1), combines a treewidth bound
     with the k-set-cover bound: a clique minor of size [d + 1] forces a
     bag of [d + 1] vertices, which no GHD can cover with fewer than
     [ceil((d + 1) / k)] hyperedges of size at most [k].
@@ -23,6 +23,9 @@
     {!Hd_graph.Contract_graph}.  The [_of_elim] variants take the
     caller's workspace and reload it from the elimination graph on each
     call, so a search pays no allocation per state. *)
+
+(** Without [?rng], each call draws from a fresh state of one fixed
+    seed, so its bound depends on the input alone. *)
 
 (** [degeneracy g] is the MMD bound on [tw(g)]. *)
 val degeneracy : Hd_graph.Graph.t -> int
@@ -50,14 +53,10 @@ val treewidth_of_elim :
   Hd_graph.Elim_graph.t ->
   int
 
-(** [tw_ksc_width ?rng ?trials ~max_edge_size g] is the GHW lower bound
-    of Figure 8.1 applied to the primal(-minor) graph [g] of a
-    hypergraph with largest hyperedge size [max_edge_size]: the maximum
-    over the contraction sequence of [ceil((d + 1) / k)]. *)
-val tw_ksc_width :
-  ?rng:Random.State.t -> ?trials:int -> max_edge_size:int -> Hd_graph.Graph.t -> int
-
-(** [ghw ?rng ?trials h] is [tw_ksc_width] on [h]'s primal graph. *)
+(** [ghw ?rng ?trials h] is the tw-ksc-width GHW lower bound of
+    Figure 8.1 on [h]'s primal graph: with [k] the largest hyperedge
+    size, the maximum over the contraction sequence of
+    [ceil((d + 1) / k)]. *)
 val ghw : ?rng:Random.State.t -> ?trials:int -> Hd_hypergraph.Hypergraph.t -> int
 
 (** [ghw_of_elim ?rng ?trials ~workspace ~max_edge_size eg] is the GHW

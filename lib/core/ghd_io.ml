@@ -27,88 +27,9 @@ let to_string ~n_vertices ~n_edges ghd =
   Buffer.contents buf
 
 let parse_string text =
-  let n_bags = ref (-1) and n_vertices = ref 0 and n_edges = ref 0 in
-  let bags = ref [] and labels = ref [] and tree_edges = ref [] in
-  let handle lineno line =
-    let line = String.trim line in
-    if line = "" then ()
-    else
-      match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-      | "c" :: _ -> ()
-      | [ "s"; "ghd"; bags'; _width; vertices; edges ] ->
-          if !n_bags >= 0 then failwith "Ghd_io: duplicate solution line";
-          n_bags := int_of_string bags';
-          n_vertices := int_of_string vertices;
-          n_edges := int_of_string edges
-      | "b" :: id :: vs ->
-          bags :=
-            (int_of_string id - 1, List.map (fun v -> int_of_string v - 1) vs)
-            :: !bags
-      | "l" :: id :: es ->
-          labels :=
-            (int_of_string id - 1, List.map (fun e -> int_of_string e - 1) es)
-            :: !labels
-      | [ a; b ] ->
-          tree_edges := (int_of_string a - 1, int_of_string b - 1) :: !tree_edges
-      | _ -> failwith (Printf.sprintf "Ghd_io: bad line %d: %s" lineno line)
-  in
-  String.split_on_char '\n' text |> List.iteri handle;
-  if !n_bags < 0 then failwith "Ghd_io: missing solution line";
-  let k = !n_bags in
-  let bag_sets =
-    Array.init (max k 1) (fun _ -> Bitset.create (max !n_vertices 1))
-  in
-  List.iter
-    (fun (id, vs) ->
-      if id < 0 || id >= k then failwith "Ghd_io: bag id out of range";
-      List.iter
-        (fun v ->
-          if v < 0 || v >= !n_vertices then
-            failwith "Ghd_io: vertex out of range";
-          Bitset.add bag_sets.(id) v)
-        vs)
-    !bags;
-  let lambda = Array.make (max k 1) [||] in
-  List.iter
-    (fun (id, es) ->
-      if id < 0 || id >= k then failwith "Ghd_io: label id out of range";
-      List.iter
-        (fun e ->
-          if e < 0 || e >= !n_edges then
-            failwith "Ghd_io: hyperedge out of range")
-        es;
-      lambda.(id) <- Array.of_list es)
-    !labels;
-  (* root at bag 0 and orient the undirected tree edges by BFS, as
-     Td_io does *)
-  let adjacency = Array.make (max k 1) [] in
-  List.iter
-    (fun (a, b) ->
-      if a < 0 || a >= k || b < 0 || b >= k then
-        failwith "Ghd_io: edge endpoint out of range";
-      adjacency.(a) <- b :: adjacency.(a);
-      adjacency.(b) <- a :: adjacency.(b))
-    !tree_edges;
-  let parent = Array.make (max k 1) (-2) in
-  if k > 0 then begin
-    let queue = Queue.create () in
-    Queue.push 0 queue;
-    parent.(0) <- -1;
-    while not (Queue.is_empty queue) do
-      let i = Queue.pop queue in
-      List.iter
-        (fun j ->
-          if parent.(j) = -2 then begin
-            parent.(j) <- i;
-            Queue.push j queue
-          end)
-        adjacency.(i)
-    done;
-    Array.iteri
-      (fun i p -> if p = -2 then failwith (Printf.sprintf "Ghd_io: bag %d disconnected" (i + 1)))
-      parent
-  end;
-  let td = Tree_decomposition.make ~bags:bag_sets ~parent in
+  let td, labels = Td_io.read ~ghd:true text in
+  let lambda = Array.make (Tree_decomposition.n_nodes td) [||] in
+  List.iter (fun (b, es) -> lambda.(b) <- Array.of_list es) labels;
   Ghd.make ~td ~lambda
 
 let write_file path ~n_vertices ~n_edges ghd =

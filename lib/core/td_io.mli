@@ -16,8 +16,20 @@ val to_string : n_vertices:int -> Tree_decomposition.t -> string
 
 (** [parse_string text] parses a .td file into a decomposition (rooted
     at the first bag).
-    @raise Failure on malformed input or a disconnected edge set. *)
+    @raise Failure on malformed input, naming the offending line, or
+    the bag a disconnected edge set leaves out. *)
 val parse_string : string -> Tree_decomposition.t
+
+(** [read ~ghd text] is the one reader behind {!parse_string}
+    ([~ghd:false]) and [Ghd_io.parse_string] ([~ghd:true]): the
+    solution line comes first ([s td <bags> <width> <vertices>], or
+    [s ghd ...] with a trailing hyperedge count), then [b] lines, tree
+    edges and — for [.ghd] only — [l] lines, returned in file order as
+    (bag, hyperedges), both 0-based and range-checked.  The tree edges
+    must form a tree, rooted at the first bag.
+    @raise Failure as {!parse_string} does. *)
+val read :
+  ghd:bool -> string -> Tree_decomposition.t * (int * int list) list
 
 val write_file : string -> n_vertices:int -> Tree_decomposition.t -> unit
 val parse_file : string -> Tree_decomposition.t

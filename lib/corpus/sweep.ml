@@ -87,11 +87,14 @@ let solve_instance ~roster ~budget ~seed (collection, name, h) =
   let problem = S.Hypergraph h in
   let stages = List.length roster in
   let instance_budget = B.of_spec budget in
+  B.start instance_budget;
   let runs, seconds =
     Hd_engine.Clock.time @@ fun () ->
-    List.map
-      (fun solver_name ->
-        let share = B.sub ~stages instance_budget in
+    List.mapi
+      (fun i solver_name ->
+        (* cut at the member's start: earlier members' unspent time
+           rolls over to it *)
+        let share = B.sub ~stages:(stages - i) instance_budget in
         let r = Hd_engine.Engine.run_by_name ~seed solver_name share problem in
         let lb, ub = S.bounds_of r.S.outcome in
         let exact = match r.S.outcome with S.Exact _ -> true | _ -> false in

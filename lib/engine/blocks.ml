@@ -110,13 +110,7 @@ let split g =
 (* Sub-problem extraction                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* scratch global->local map, stamped per block *)
-let with_local_ids n bl f =
-  let local = Array.make n (-1) in
-  Array.iteri (fun i v -> local.(v) <- i) bl.vertices;
-  f local
-
-let induced_with_local g bl local =
+let induced_graph g bl local =
   let nb = Array.length bl.vertices in
   let sub = Graph.create nb in
   Array.iteri
@@ -129,9 +123,6 @@ let induced_with_local g bl local =
         (Graph.neighbors g v))
     bl.vertices;
   sub
-
-let induced g bl =
-  with_local_ids (Graph.n g) bl (fun local -> induced_with_local g bl local)
 
 (* the hyperedges lying entirely inside the block, relabelled: every
    hyperedge is a primal clique and hence inside exactly one block
@@ -186,204 +177,129 @@ let trivial_ub (s : Solver.t) p =
   | Solver.Ghw | Solver.Fhw | Solver.Hw ->
       max 1 (Hypergraph.n_edges (Solver.hypergraph_of p))
 
-(* Fork the per-block solves through the installed Exec runner.  Each
-   task gets its own scratch arrays and an equal-share sub-budget
-   (created up front: under state-only budgets these are identical to
-   the sequential path's, so results match it exactly; under time
-   budgets the shares are remaining/nb instead of the sequential
-   decreasing split).  The combine pass below mirrors the sequential
-   one, walking blocks in index order so stitching is deterministic
-   regardless of which domain solved what. *)
-let solve_par (r : Exec.runner) ?seed (s : Solver.t) (b : Budget.t) p g bls =
-  let (combined : Solver.result), secs =
-    Clock.time @@ fun () ->
-    let n = Graph.n g in
-    let bls = Array.of_list bls in
-    let nb = Array.length bls in
-    Obs.Counter.add c_blocks nb;
-    let subs = Array.map (fun _ -> Budget.sub ~stages:nb b) bls in
-    let results = Array.make nb None in
-    r.Exec.run_all
-      (List.init nb (fun i () ->
-           if not (Budget.cancelled b) then
-             Step.unsliced @@ fun () ->
-             let bl = bls.(i) in
-             let local = Array.make n (-1) in
-             Array.iteri (fun j v -> local.(v) <- j) bl.vertices;
-             let bg = induced_with_local g bl local in
-             let subp =
-               match p with
-               | Solver.Graph _ -> Solver.Graph bg
-               | Solver.Hypergraph h ->
-                   Solver.Hypergraph (induced_hypergraph h bl local)
-             in
-             results.(i) <- Some (bg, s.Solver.run ?seed subs.(i) subp)));
-    let visited = ref 0 and generated = ref 0 in
-    let lb = ref 0 and ub = ref 0 in
-    let all_exact = ref true in
-    let complete = ref true in
-    let sigma = ref (Some (Array.make n (-1))) in
-    let pos = ref (n - 1) in
-    Array.iteri
-      (fun i bl ->
-        match results.(i) with
-        | None ->
-            complete := false;
-            all_exact := false;
-            sigma := None
-        | Some (bg, res) ->
-            visited := !visited + res.Solver.visited;
-            generated := !generated + res.Solver.generated;
-            let l, u = Solver.bounds_of res.Solver.outcome in
-            lb := max !lb l;
-            ub := max !ub u;
-            (match res.Solver.outcome with
-            | Solver.Exact _ -> ()
-            | Solver.Bounds _ -> all_exact := false);
-            (match (res.Solver.ordering, !sigma) with
-            | Some bsigma, Some out
-              when Array.length bsigma = Array.length bl.vertices ->
-                let bsigma =
-                  if bl.attach >= 0 then reroot bg bsigma ~attach:bl.attach
-                  else bsigma
-                in
-                let stop = if bl.attach >= 0 then 1 else 0 in
-                for j = Array.length bsigma - 1 downto stop do
-                  out.(!pos) <- bl.vertices.(bsigma.(j));
-                  decr pos
-                done
-            | _ -> sigma := None))
-      bls;
-    if !pos >= 0 then sigma := None;
-    let ordering = !sigma in
-    let outcome =
-      if not !complete then begin
-        let fallback = max !lb (trivial_ub s p) in
-        Solver.Bounds { lb = !lb; ub = fallback }
-      end
-      else if !all_exact && !lb = !ub then Solver.Exact !ub
-      else Solver.Bounds { lb = min !lb !ub; ub = !ub }
-    in
-    (match Budget.incumbent b with
-    | None -> ()
-    | Some inc ->
-        (match (outcome, ordering) with
-        | (Solver.Exact w | Solver.Bounds { ub = w; _ }), Some wit ->
-            ignore (Incumbent.offer_ub inc ~witness:wit w)
-        | _ -> ());
-        let l, _ = Solver.bounds_of outcome in
-        ignore (Incumbent.raise_lb inc l));
-    {
-      Solver.outcome;
-      visited = !visited;
-      generated = !generated;
-      elapsed = 0.0;
-      ordering;
-    }
+(* every block's sub-problem in local ids, paired with its graph (the
+   witness re-rooting needs it), built through one scratch map on the
+   calling domain *)
+let block_problems p g bls =
+  let local = Array.make (Graph.n g) (-1) in
+  Array.map
+    (fun bl ->
+      Array.iteri (fun j v -> local.(v) <- j) bl.vertices;
+      let bg = induced_graph g bl local in
+      let subp =
+        match p with
+        | Solver.Graph _ -> Solver.Graph bg
+        | Solver.Hypergraph h ->
+            Solver.Hypergraph (induced_hypergraph h bl local)
+      in
+      Array.iter (fun v -> local.(v) <- -1) bl.vertices;
+      (bg, subp))
+    bls
+
+(* width = max over blocks; the witness is stitched back to front
+   (first elimination at index n-1), [None] once any block lacks one *)
+let combine (s : Solver.t) b p n bls problems results =
+  let visited = ref 0 and generated = ref 0 in
+  let lb = ref 0 and ub = ref 0 in
+  let all_exact = ref true in
+  (* true while every block was actually attempted *)
+  let complete = ref true in
+  let sigma = ref (Some (Array.make n (-1))) in
+  let pos = ref (n - 1) in
+  Array.iteri
+    (fun i bl ->
+      match results.(i) with
+      | None ->
+          complete := false;
+          all_exact := false;
+          sigma := None
+      | Some (r : Solver.result) -> (
+          visited := !visited + r.Solver.visited;
+          generated := !generated + r.Solver.generated;
+          let l, u = Solver.bounds_of r.Solver.outcome in
+          lb := max !lb l;
+          ub := max !ub u;
+          (match r.Solver.outcome with
+          | Solver.Exact _ -> ()
+          | Solver.Bounds _ -> all_exact := false);
+          match (r.Solver.ordering, !sigma) with
+          | Some bsigma, Some out
+            when Array.length bsigma = Array.length bl.vertices ->
+              let bsigma =
+                if bl.attach >= 0 then
+                  reroot (fst problems.(i)) bsigma ~attach:bl.attach
+                else bsigma
+              in
+              (* non-root blocks leave their attach vertex to the
+                 parent block, where it is eliminated later *)
+              let stop = if bl.attach >= 0 then 1 else 0 in
+              for j = Array.length bsigma - 1 downto stop do
+                out.(!pos) <- bl.vertices.(bsigma.(j));
+                decr pos
+              done
+          | _ -> sigma := None))
+    bls;
+  if !pos >= 0 then sigma := None;
+  let ordering = !sigma in
+  let outcome =
+    if not !complete then
+      Solver.Bounds { lb = !lb; ub = max !lb (trivial_ub s p) }
+    else if !all_exact && !lb = !ub then Solver.Exact !ub
+    else Solver.Bounds { lb = min !lb !ub; ub = !ub }
   in
-  { combined with Solver.elapsed = secs }
+  (* restore the portfolio contract: combined bounds and witness flow
+     to the caller's incumbent *)
+  (match Budget.incumbent b with
+  | None -> ()
+  | Some inc ->
+      (match (outcome, ordering) with
+      | (Solver.Exact w | Solver.Bounds { ub = w; _ }), Some wit ->
+          ignore (Incumbent.offer_ub inc ~witness:wit w)
+      | _ -> ());
+      let l, _ = Solver.bounds_of outcome in
+      ignore (Incumbent.raise_lb inc l));
+  {
+    Solver.outcome;
+    visited = !visited;
+    generated = !generated;
+    elapsed = 0.0;
+    ordering;
+  }
 
 let solve ?(split_blocks = true) ?seed (s : Solver.t) (b : Budget.t) p =
   Budget.start b;
   let g = Solver.primal_of p in
-  let bls = if split_blocks then split g else [] in
-  match bls with
+  match if split_blocks then split g else [] with
   | [] | [ _ ] ->
       Obs.Counter.incr c_block_skips;
       s.Solver.run ?seed b p
-  | bls when Exec.current () <> None && not (Budget.in_slice b) ->
-      (* a runner is installed and no slice deadline is armed on this
-         budget tree: blocks may leave this domain.  Inside a sliced
-         solve (the server's jobs) the sequential path below runs —
-         the Slice_expired handler lives on the slicing domain. *)
-      let r = Option.get (Exec.current ()) in
-      solve_par r ?seed s b p g bls
   | bls ->
       let (combined : Solver.result), secs =
         Clock.time @@ fun () ->
-        let n = Graph.n g in
-        let nb = List.length bls in
+        let bls = Array.of_list bls in
+        let nb = Array.length bls in
         Obs.Counter.add c_blocks nb;
-        let visited = ref 0 and generated = ref 0 in
-        let lb = ref 0 and ub = ref 0 in
-        let all_exact = ref true in
-        (* true while every block so far was actually attempted *)
-        let complete = ref true in
-        (* the stitched global ordering, filled back to front (first
-           elimination at index n-1); [None] once any block lacks one *)
-        let sigma = ref (Some (Array.make n (-1))) in
-        let pos = ref (n - 1) in
-        let local = Array.make n (-1) in
-        List.iteri
-          (fun i bl ->
-            if Budget.cancelled b then begin
-              complete := false;
-              all_exact := false;
-              sigma := None
-            end
-            else begin
-              Array.iteri (fun j v -> local.(v) <- j) bl.vertices;
-              let bg = induced_with_local g bl local in
-              let subp =
-                match p with
-                | Solver.Graph _ -> Solver.Graph bg
-                | Solver.Hypergraph h ->
-                    Solver.Hypergraph (induced_hypergraph h bl local)
-              in
-              let sub_budget = Budget.sub ~stages:(nb - i) b in
-              let r = s.Solver.run ?seed sub_budget subp in
-              visited := !visited + r.Solver.visited;
-              generated := !generated + r.Solver.generated;
-              let l, u = Solver.bounds_of r.Solver.outcome in
-              lb := max !lb l;
-              ub := max !ub u;
-              (match r.Solver.outcome with
-              | Solver.Exact _ -> ()
-              | Solver.Bounds _ -> all_exact := false);
-              (match (r.Solver.ordering, !sigma) with
-              | Some bsigma, Some out when Array.length bsigma = Array.length bl.vertices ->
-                  let bsigma =
-                    if bl.attach >= 0 then reroot bg bsigma ~attach:bl.attach
-                    else bsigma
-                  in
-                  (* non-root blocks leave their attach vertex to the
-                     parent block, where it is eliminated later *)
-                  let stop = if bl.attach >= 0 then 1 else 0 in
-                  for j = Array.length bsigma - 1 downto stop do
-                    out.(!pos) <- bl.vertices.(bsigma.(j));
-                    decr pos
-                  done
-              | _ -> sigma := None);
-              Array.iter (fun v -> local.(v) <- -1) bl.vertices
-            end)
-          bls;
-        if !pos >= 0 then sigma := None;
-        let ordering = !sigma in
-        let outcome =
-          if not !complete then begin
-            let fallback = max !lb (trivial_ub s p) in
-            Solver.Bounds { lb = !lb; ub = fallback }
-          end
-          else if !all_exact && !lb = !ub then Solver.Exact !ub
-          else Solver.Bounds { lb = min !lb !ub; ub = !ub }
+        let problems = block_problems p g bls in
+        let results = Array.make nb None in
+        (* block [i]'s share of the remaining time is cut when it
+           starts, so time an earlier block left unspent rolls over *)
+        let solve_block i =
+          if not (Budget.cancelled b) then
+            let sub = Budget.sub ~stages:(nb - i) b in
+            results.(i) <- Some (s.Solver.run ?seed sub (snd problems.(i)))
         in
-        (* restore the portfolio contract: combined bounds and witness
-           flow to the caller's incumbent *)
-        (match Budget.incumbent b with
-        | None -> ()
-        | Some inc ->
-            (match (outcome, ordering) with
-            | (Solver.Exact w | Solver.Bounds { ub = w; _ }), Some wit ->
-                ignore (Incumbent.offer_ub inc ~witness:wit w)
-            | _ -> ());
-            let l, _ = Solver.bounds_of outcome in
-            ignore (Incumbent.raise_lb inc l));
-        {
-          Solver.outcome;
-          visited = !visited;
-          generated = !generated;
-          elapsed = 0.0;
-          ordering;
-        }
+        (match Exec.current () with
+        | Some r when not (Budget.in_slice b) ->
+            (* blocks may leave this domain.  Inside a sliced solve
+               (the server's jobs) they stay in index order here: the
+               Slice_expired handler lives on the slicing domain *)
+            r.Exec.run_all
+              (List.init nb (fun i () ->
+                   Step.unsliced (fun () -> solve_block i)))
+        | _ ->
+            for i = 0 to nb - 1 do
+              solve_block i
+            done);
+        combine s b p (Graph.n g) bls problems results
       in
       { combined with Solver.elapsed = secs }

@@ -37,15 +37,18 @@ type block = {
     is a valid global elimination. *)
 val split : Hd_graph.Graph.t -> block list
 
-(** The subgraph of [g] induced by a block (in local vertex ids). *)
-val induced : Hd_graph.Graph.t -> block -> Hd_graph.Graph.t
-
 (** [solve solver budget problem] runs [solver] on every block of
     [problem] and recombines: width = max over blocks, [Exact] iff
     every block was solved exactly, witness orderings stitched at the
     cut vertices.  Instances with at most one block (and runs with
     [~split_blocks:false]) skip straight to the solver with [budget]
-    untouched.  Counters: [engine.blocks], [engine.block_skips]. *)
+    untouched.  Block [i] of [nb] gets [Budget.sub ~stages:(nb - i)],
+    cut when it starts.  With an {!Exec} runner installed and no slice
+    armed on [budget], the blocks are forked through the runner (each
+    under {!Step.unsliced}); otherwise they run in index order on the
+    calling domain.  Either way one combine pass, in index order,
+    stitches the result.  Counters: [engine.blocks],
+    [engine.block_skips]. *)
 val solve :
   ?split_blocks:bool ->
   ?seed:int ->

@@ -2,7 +2,6 @@ type runner = { run_all : (unit -> unit) list -> unit }
 
 let hook : runner option Atomic.t = Atomic.make None
 let install r = Atomic.set hook (Some r)
-let clear () = Atomic.set hook None
 let current () = Atomic.get hook
 
 let with_runner r f =

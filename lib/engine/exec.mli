@@ -5,8 +5,8 @@
     tiny runner interface here and the scheduler installs itself into
     it at startup.  {!Blocks.solve} forks its per-block solves through
     the installed runner; with no runner installed — the [-j1]
-    configuration — the purely sequential code path runs, untouched
-    and byte-identical to previous releases. *)
+    configuration — {!Blocks.solve} runs the blocks in index order on
+    the calling domain. *)
 
 type runner = {
   run_all : (unit -> unit) list -> unit;
@@ -16,9 +16,6 @@ type runner = {
 
 val install : runner -> unit
 (** Make [runner] the process-wide fork/join implementation. *)
-
-val clear : unit -> unit
-(** Remove the installed runner: back to strictly sequential. *)
 
 val current : unit -> runner option
 (** The installed runner, if any. *)

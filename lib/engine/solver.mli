@@ -5,7 +5,7 @@
     returns an anytime {!result}; solvers that can share bounds do so
     through the budget's incumbent.  The registry is one flat
     name-indexed table — the portfolio rosters, [Widths.analyze], the
-    bench harness and the [--solver] CLI flag all resolve strategies
+    bench harness and the [-m] CLI option all resolve strategies
     here instead of hard-wiring call sites.
 
     Registration happens in the libraries that own the algorithms

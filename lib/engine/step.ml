@@ -16,13 +16,10 @@ type 'a st =
 type 'a t = { budget : Budget.t; mutable st : 'a st; mutable slices : int }
 
 let make budget f = { budget; st = Fresh f; slices = 0 }
-let budget t = t.budget
 let slices t = t.slices
 
 let finished t =
   match t.st with Completed _ | Poisoned _ -> true | Fresh _ | Parked _ -> false
-
-let result t = match t.st with Completed v -> Some v | _ -> None
 
 (* One deep handler per task, installed by the first slice and kept
    across parks: [continue] re-enters it, so every later yield and the

@@ -30,8 +30,6 @@ type 'a outcome =
     unstarted task.  [f] does not run until the first {!slice}. *)
 val make : Budget.t -> (unit -> 'a) -> 'a t
 
-val budget : 'a t -> Budget.t
-
 (** [slice t ~seconds] runs [t] for at most [seconds] of compute time
     and returns [Done] or [Yielded].  On a finished task it returns
     the cached result; re-raises the computation's exception if it
@@ -43,9 +41,6 @@ val slices : 'a t -> int
 
 (** [finished t] holds once the computation returned or raised. *)
 val finished : 'a t -> bool
-
-(** The result, once [Done]. *)
-val result : 'a t -> 'a option
 
 (** [run_to_completion ~seconds t] slices until done — a sequential
     driver for tests and simple callers. *)

@@ -27,30 +27,25 @@ type report = {
   elapsed : float;
 }
 
-(** [simulated_annealing config ~n_genes ~eval] minimises [eval] by
-    Metropolis acceptance over mutation moves with geometric cooling.
-
-    All four entry points take [within], the run's one engine budget
+(** Every entry point takes [within], the run's one engine budget
     (default: unlimited): deadline, state cap per evaluation and
     cooperative cancellation.  The clock starts when the search starts
     — never at config or driver creation.  When the budget carries an
     incumbent, every improvement is offered to it (with its
     permutation as witness, so the fitness should be a width) and the
     search stops once it closes; a target fitness is a lower bound
-    raised on that incumbent. *)
-val simulated_annealing :
-  ?within:Hd_engine.Budget.t ->
-  config -> n_genes:int -> eval:(int array -> int) -> report
+    raised on that incumbent.
 
-(** [iterated_local_search config ~n_genes ~eval] runs first-improvement
+    [iterated_local_search config ~n_genes ~eval] runs first-improvement
     hill climbing to a local optimum, then perturbs (3 random moves)
     and repeats, keeping the best of [restarts] descents. *)
 val iterated_local_search :
   ?within:Hd_engine.Budget.t ->
   config -> n_genes:int -> eval:(int array -> int) -> report
 
-(** [sa_tw config g] is simulated annealing on the treewidth objective
-    (Figure 6.2). *)
+(** [sa_tw config g] is simulated annealing — Metropolis acceptance
+    over mutation moves with geometric cooling — on the treewidth
+    objective (Figure 6.2). *)
 val sa_tw : ?within:Hd_engine.Budget.t -> config -> Hd_graph.Graph.t -> report
 
 (** [sa_ghw config h] is simulated annealing on the greedy-cover ghw

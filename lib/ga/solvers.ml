@@ -15,7 +15,7 @@ let outcome_of b ub =
 
 (* Effort caps: under a deadline the budget is the real stop, so the
    iteration caps are set out of reach; with an unlimited budget they
-   fall back to the moderate defaults so `--solver ga-tw` without a
+   fall back to the moderate defaults so `-m ga-tw` without a
    time limit still terminates. *)
 let ga_config ?seed ~default_seed b =
   let deadline = B.time_limit b <> None in
@@ -29,11 +29,21 @@ let sa_config ?seed ~default_seed b =
     ~max_steps:(if deadline then max_int else 20_000)
     ~seed:(Option.value seed ~default:default_seed) ()
 
-let saiga_config ?seed ~default_seed b =
+let saiga ?(n_islands = 4) run ?seed b p =
   let deadline = B.time_limit b <> None in
-  Saiga_ghw.default_config ~n_islands:4 ~island_population:60
-    ~max_epochs:(if deadline then 10_000 else 40)
-    ~seed:(Option.value seed ~default:default_seed) ()
+  let config =
+    Saiga_ghw.default_config ~n_islands ~island_population:60
+      ~max_epochs:(if deadline then 10_000 else 40)
+      ~seed:(Option.value seed ~default:0x5a16a) ()
+  in
+  let r = run ?within:(Some b) config (S.hypergraph_of p) in
+  {
+    S.outcome = outcome_of b r.Saiga_ghw.best;
+    visited = r.Saiga_ghw.epochs;
+    generated = r.Saiga_ghw.evaluations;
+    elapsed = r.Saiga_ghw.elapsed;
+    ordering = Some r.Saiga_ghw.best_individual;
+  }
 
 let ga_result b (r : Ga_engine.report) =
   {
@@ -118,19 +128,6 @@ let ensure () =
         S.name = "saiga-ghw";
         kind = S.Ghw;
         doc = "self-adaptive island GA for ghw (Section 7.2)";
-        run =
-          (fun ?seed b p ->
-            let r =
-              Saiga_ghw.run ~within:b
-                (saiga_config ?seed ~default_seed:0x5a16a b)
-                (S.hypergraph_of p)
-            in
-            {
-              S.outcome = outcome_of b r.Saiga_ghw.best;
-              visited = r.Saiga_ghw.epochs;
-              generated = r.Saiga_ghw.evaluations;
-              elapsed = r.Saiga_ghw.elapsed;
-              ordering = Some r.Saiga_ghw.best_individual;
-            });
+        run = saiga Saiga_ghw.run;
       }
   end

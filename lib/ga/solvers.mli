@@ -10,3 +10,18 @@
     The exact searches live in [Hd_search.Solvers]. *)
 
 val ensure : unit -> unit
+
+(** [saiga ?n_islands run] is the [saiga-ghw] entry's solve with its
+    registry settings (60 individuals per island, [n_islands] islands,
+    default 4), with the islands driven by [run] — {!Saiga_ghw.run}
+    here, [Hd_parallel.Saiga_par.run] for [saiga-ghw-par]. *)
+val saiga :
+  ?n_islands:int ->
+  (?within:Hd_engine.Budget.t ->
+  Saiga_ghw.config ->
+  Hd_hypergraph.Hypergraph.t ->
+  Saiga_ghw.report) ->
+  ?seed:int ->
+  Hd_engine.Budget.t ->
+  Hd_engine.Solver.problem ->
+  Hd_engine.Solver.result

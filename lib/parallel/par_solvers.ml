@@ -21,5 +21,16 @@ let ensure () =
         run =
           (fun ?seed b p ->
             Hdastar.solve_ghw ~within:b ?seed (S.hypergraph_of p));
+      };
+    S.register
+      {
+        S.name = "saiga-ghw-par";
+        kind = S.Ghw;
+        doc = "saiga-ghw with one island per scheduler executor";
+        run =
+          (fun ?seed b p ->
+            Hd_ga.Solvers.saiga
+              ~n_islands:(Scheduler.default_workers () + 1)
+              Saiga_par.run ?seed b p);
       }
   end

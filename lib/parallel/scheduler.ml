@@ -115,7 +115,7 @@ let exec task =
   Obs.Counter.incr c_tasks;
   try task ()
   with e ->
-    (* raw [spawn]/[inject] closures own their errors; [run_all]
+    (* raw [resume] turns own their errors; [run_all]
        children catch before they reach here *)
     tap_event
       [
@@ -175,19 +175,6 @@ let inject t task =
   if sequential t then exec task
   else begin
     push_injector t task;
-    wake t
-  end
-
-let spawn t task =
-  if t.joined then invalid_arg "Scheduler.spawn: scheduler is shut down";
-  if sequential t then exec task
-  else begin
-    (match self t with
-    | Some i -> (
-        match Deque.push t.deques.(i) task with
-        | `Ok -> ()
-        | `Full -> push_injector t task)
-    | None -> push_injector t task);
     wake t
   end
 

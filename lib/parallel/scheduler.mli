@@ -13,8 +13,8 @@
     ({!Saiga_par}) and corpus sweeps ([Hd_corpus.Sweep]) fork/join
     their members on a private instance sized to the member count.
 
-    Two task shapes cover all of them: a plain [unit -> unit] closure
-    ({!spawn} / {!inject}), and a resumable turn ({!resume}) that
+    Two task shapes cover all of them: fork/join closures
+    ({!run_all}, {!map_array}), and a resumable turn ({!resume}) that
     re-enqueues itself at the back of the injector while it returns
     [`Again] — the building block for one-[Step.slice]-per-turn jobs.
 
@@ -25,7 +25,7 @@
     Counters: [parallel.tasks] (closures executed), [parallel.steals]
     (successful deque steals), [parallel.park_ns] (cumulative
     nanoseconds workers and joiners spent parked).  A ["scheduler"]
-    {!Hd_obs.Obs.Tap} stream reports [spawn]/[park]/[resume] events;
+    {!Hd_obs.Obs.Tap} stream reports [park]/[resume]/[drop] events;
     see docs/OBSERVABILITY.md. *)
 
 type t
@@ -45,17 +45,6 @@ val shutdown : t -> unit
 
 val with_scheduler : ?workers:int -> (t -> 'a) -> 'a
 (** [create] / run / [shutdown], exception-safe. *)
-
-val spawn : t -> (unit -> unit) -> unit
-(** Submit a closure.  From a worker of [t] it lands on that worker's
-    own deque (LIFO, cache-warm, stealable); from any other domain it
-    goes to the injector.  A closure that raises does not kill the
-    worker: the exception is dropped after a ["scheduler"] Tap event —
-    fork/join callers should use {!run_all}, which re-raises. *)
-
-val inject : t -> (unit -> unit) -> unit
-(** Submit at the back of the global FIFO regardless of the calling
-    domain — round-robin fairness for peers such as job slices. *)
 
 val resume : t -> (unit -> [ `Again | `Done ]) -> unit
 (** [resume t turn] injects a task that runs [turn ()] once per
@@ -89,4 +78,5 @@ val shared : unit -> t
 
 val install_engine_runner : t -> unit
 (** Point {!Hd_engine.Exec} at [t]: [Engine.run] block solves fork
-    through {!run_all} from then on.  [Exec.clear] undoes it. *)
+    through {!run_all} from then on.  [Exec.with_runner] scopes the same
+    hook to one computation instead. *)

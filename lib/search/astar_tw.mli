@@ -34,12 +34,3 @@ val solve :
   ?seed:int ->
   Hd_graph.Graph.t ->
   Search_types.result
-
-(** [solve_hypergraph ?within ?dedup ?seed h] is treewidth of [h]'s
-    primal graph, which by Lemma 1 is the treewidth of [h]. *)
-val solve_hypergraph :
-  ?within:Hd_engine.Budget.t ->
-  ?dedup:bool ->
-  ?seed:int ->
-  Hd_hypergraph.Hypergraph.t ->
-  Search_types.result

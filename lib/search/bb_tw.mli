@@ -22,9 +22,3 @@ val solve :
   ?use_reductions:bool ->
   Hd_graph.Graph.t ->
   Search_types.result
-
-val solve_hypergraph :
-  ?within:Hd_engine.Budget.t ->
-  ?seed:int ->
-  Hd_hypergraph.Hypergraph.t ->
-  Search_types.result

@@ -287,6 +287,77 @@ let prop_td_io_roundtrip =
       let td2 = Hd_core.Td_io.parse_string (Hd_core.Td_io.to_string ~n_vertices:n td) in
       Td.valid_for_graph g td2 && Td.width td2 = Td.width td)
 
+(* random token mutations of valid .td and .ghd texts: each either
+   parses or is rejected with a Failure naming a line or a bag *)
+let prop_io_mutations_located =
+  QCheck.Test.make ~count:500
+    ~name:"mutated .td/.ghd: parse or Failure naming line or bag"
+    QCheck.(make QCheck.Gen.(triple (1 -- 7) int bool))
+    (fun (n, seed, ghd) ->
+      let rng = Random.State.make [| seed |] in
+      let text =
+        let sigma = Ordering.random rng n in
+        if ghd then
+          let h =
+            Hypergraph.create ~n
+              (List.init (1 + Random.State.int rng 4) (fun _ ->
+                   List.init (1 + Random.State.int rng 3) (fun _ ->
+                       Random.State.int rng n))
+              @ [ List.init n Fun.id ])
+          in
+          Hd_core.Ghd_io.to_string ~n_vertices:n ~n_edges:(Hypergraph.n_edges h)
+            (Ghd.of_ordering h sigma ~cover:`Exact)
+        else
+          Hd_core.Td_io.to_string ~n_vertices:n
+            (Td.of_ordering (random_graph rng n 0.4) sigma)
+      in
+      let pick a = a.(Random.State.int rng (Array.length a)) in
+      let lines =
+        ref
+          (Array.of_list (String.split_on_char '\n' text)
+          |> Array.map (fun l -> Array.of_list (String.split_on_char ' ' l)))
+      in
+      for _ = 1 to 1 + Random.State.int rng 3 do
+        let ls = !lines in
+        let i = Random.State.int rng (Array.length ls) in
+        match Random.State.int rng 4 with
+        | 0 when Array.length ls.(i) > 0 ->
+            let toks = Array.copy ls.(i) in
+            toks.(Random.State.int rng (Array.length toks)) <-
+              pick [| "0"; "-1"; "1"; "2"; "7"; "99"; "x"; "s"; "b"; "l"; "td"; "ghd" |];
+            ls.(i) <- toks
+        | 1 when Array.length ls.(i) > 0 ->
+            let j = Random.State.int rng (Array.length ls.(i)) in
+            ls.(i) <- Array.append (Array.sub ls.(i) 0 j)
+                (Array.sub ls.(i) (j + 1) (Array.length ls.(i) - j - 1))
+        | 2 -> lines := Array.append ls [| ls.(i) |]
+        | _ ->
+            lines :=
+              Array.append (Array.sub ls 0 i)
+                (Array.sub ls (i + 1) (Array.length ls - i - 1))
+      done;
+      let mutated =
+        Array.to_list !lines
+        |> List.map (fun l -> String.concat " " (Array.to_list l))
+        |> String.concat "\n"
+      in
+      let located msg =
+        let has sub =
+          let n = String.length sub in
+          let rec at i =
+            i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1))
+          in
+          at 0
+        in
+        has "line " || has "bag "
+      in
+      match
+        if ghd then ignore (Hd_core.Ghd_io.parse_string mutated)
+        else ignore (Hd_core.Td_io.parse_string mutated)
+      with
+      | () -> true
+      | exception Failure msg -> located msg)
+
 (* --- simplification and export --- *)
 
 let test_simplify_path () =
@@ -496,7 +567,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_td_io_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_td_io_parse_errors;
         ]
-        @ List.map QCheck_alcotest.to_alcotest [ prop_td_io_roundtrip ] );
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_td_io_roundtrip; prop_io_mutations_located ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [

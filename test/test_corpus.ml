@@ -249,6 +249,46 @@ let test_sweep_skips_malformed () =
   let s = Sweep.summarise report in
   check_int "summary counts the skip" 1 s.Sweep.skipped_count
 
+(* probe members that return at once, recording the time share each
+   was handed: with nothing spent, the last member of the roster must
+   see (almost) the whole instance budget *)
+let test_sweep_shares_roll_over () =
+  let module S = Hd_engine.Solver in
+  let seen = Array.make 3 None in
+  let roster =
+    List.init 3 (fun i ->
+        let name = Printf.sprintf "probe-share-%d" i in
+        S.register
+          {
+            S.name;
+            kind = S.Ghw;
+            doc = "records its time share (test probe)";
+            run =
+              (fun ?seed:_ b _ ->
+                seen.(i) <- Hd_engine.Budget.time_limit b;
+                {
+                  S.outcome = S.Bounds { lb = 0; ub = 1 };
+                  visited = 0;
+                  generated = 0;
+                  elapsed = 0.0;
+                  ordering = None;
+                });
+          };
+        name)
+  in
+  (* one hyperedge: a single block, so each member gets its share as is *)
+  let h = Hypergraph.create ~n:3 [ [ 0; 1; 2 ] ] in
+  ignore
+    (Sweep.sweep_loaded ~jobs:1 ~roster
+       ~budget:{ Hd_engine.Budget.time_limit = Some 3.0; max_states = None }
+       [ ("probe", "edge", h) ]);
+  let share i =
+    match seen.(i) with Some t -> t | None -> Alcotest.failf "member %d unlimited" i
+  in
+  check "first member: a third" true (share 0 > 0.8 && share 0 <= 1.0);
+  check "last member: the whole remainder" true
+    (share 2 > 2.5 && share 2 <= 3.0)
+
 (* ------------------------------------------------------------------ *)
 (* the regression gate                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -387,6 +427,8 @@ let () =
             test_sweep_unknown_solver;
           Alcotest.test_case "malformed instances skipped" `Quick
             test_sweep_skips_malformed;
+          Alcotest.test_case "time shares roll over" `Quick
+            test_sweep_shares_roll_over;
         ] );
       ( "regression",
         [

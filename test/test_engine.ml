@@ -322,14 +322,19 @@ let test_registry_budget_adherence () =
   in
   (* the most states a solver generates past the cap: one population
      for the GAs (Hd_ga.Solvers: 300 individuals; SAIGA 4 islands of
-     60), one node's children per executor for HDA-star, whose workers
+     60, one island per executor for saiga-ghw-par), one node's
+     children per executor for HDA-star, whose workers
      each finish the expansion they are in, and a single state for the
      sequential searches, det-k and SA, which check the budget before
      every child, subproblem or step *)
   let batch (s : S.t) =
     let name = s.S.name in
     if prefix "ga-" name then 300
-    else if prefix "saiga" name then 4 * 60
+    else if prefix "saiga" name then
+      60
+      * (if Filename.check_suffix name "-par" then
+           Hd_parallel.Scheduler.default_workers () + 1
+         else 4)
     else if Filename.check_suffix name "-par" then
       n * (Hd_parallel.Scheduler.size (Hd_parallel.Scheduler.shared ()) + 1)
     else 1
@@ -703,6 +708,28 @@ let test_step_slices_whole_engine_run () =
   check "bounds sane" true (0 <= lb && lb <= ub && ub <= 15);
   check "solve actually got sliced" true (Step.slices step >= 2)
 
+let test_step_slices_blocks_under_runner () =
+  (* a sliced solve keeps its blocks on the slicing domain even with a
+     runner installed: forked blocks would run unsliced and never park.
+     Slicing moves no state, so the result equals an unsliced run's *)
+  ensure_registry ();
+  let chain = Hd_instances.Graphs.chain ~copies:3 (Graph.grid 4 4) in
+  check "multi-block instance" true
+    (List.length (Blocks.split chain) >= 3);
+  let solver = Option.get (S.find "ga-tw") in
+  let budget () = B.create ~max_states:2000 () in
+  let plain = Engine.run ~seed:1 solver (budget ()) (S.Graph chain) in
+  Hd_parallel.Scheduler.with_scheduler ~workers:2 (fun s ->
+      Hd_engine.Exec.with_runner (scheduler_runner s) (fun () ->
+          let b = budget () in
+          let step =
+            Step.make b (fun () -> Engine.run ~seed:1 solver b (S.Graph chain))
+          in
+          let r = Step.run_to_completion ~seconds:0.0 step in
+          check "parked at least twice" true (Step.slices step >= 3);
+          check "outcome = unsliced" true (r.S.outcome = plain.S.outcome);
+          check "witness = unsliced" true (r.S.ordering = plain.S.ordering)))
+
 (* ------------------------------------------------------------------ *)
 (* Source invariants: one clock, one domain spawner, one join kernel   *)
 (* ------------------------------------------------------------------ *)
@@ -863,6 +890,8 @@ let () =
             test_step_cancel_while_parked;
           Alcotest.test_case "slices a whole Engine.run" `Quick
             test_step_slices_whole_engine_run;
+          Alcotest.test_case "slices blocks with a runner installed" `Quick
+            test_step_slices_blocks_under_runner;
         ] );
       ( "local search",
         [

@@ -408,7 +408,8 @@ let test_par_solvers_registered () =
   Hd_parallel.Par_solvers.ensure ();
   let module S = Hd_engine.Solver in
   check "astar-tw-par registered" true (S.find "astar-tw-par" <> None);
-  check "astar-ghw-par registered" true (S.find "astar-ghw-par" <> None)
+  check "astar-ghw-par registered" true (S.find "astar-ghw-par" <> None);
+  check "saiga-ghw-par registered" true (S.find "saiga-ghw-par" <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Portfolio                                                           *)
