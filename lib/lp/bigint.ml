@@ -228,13 +228,6 @@ let gcd a b =
   let m = go (norm_mag a.mag) (norm_mag b.mag) in
   of_mag (if Array.length m = 0 then 0 else 1) m
 
-let to_float v =
-  let acc = ref 0.0 in
-  for i = Array.length v.mag - 1 downto 0 do
-    acc := (!acc *. float_of_int base) +. float_of_int v.mag.(i)
-  done;
-  float_of_int v.sign *. !acc
-
 let to_string v =
   if v.sign = 0 then "0"
   else begin

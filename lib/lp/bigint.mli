@@ -40,10 +40,6 @@ val gcd : t -> t -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-(** [to_float v] is the nearest float — display only, never used on a
-    decision path. *)
-val to_float : t -> float
-
 (** [to_string v] is the decimal representation. *)
 val to_string : t -> string
 

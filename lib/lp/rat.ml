@@ -101,7 +101,6 @@ let equal a b =
   | Big (an, ad), Big (bn, bd) -> Bigint.equal an bn && Bigint.equal ad bd
   | _ -> false
 
-let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 let compare_int v k = compare v (of_int k)
 
@@ -126,10 +125,6 @@ let floor = function
 let ceil = function
   | Small (n, d) -> if n <= 0 || n mod d = 0 then n / d else (n / d) + 1
   | Big _ as v -> to_int_exn "Rat.ceil" (Bigint.neg (floor_big (neg v)))
-
-let to_float = function
-  | Small (n, d) -> float_of_int n /. float_of_int d
-  | Big (n, d) -> Bigint.to_float n /. Bigint.to_float d
 
 let to_string = function
   | Small (n, 1) -> string_of_int n

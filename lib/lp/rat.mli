@@ -54,7 +54,6 @@ val inv : t -> t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val min : t -> t -> t
 val max : t -> t -> t
 
 (** [compare_int v k] is [compare v (of_int k)]. *)
@@ -65,9 +64,6 @@ val compare_int : t -> int -> int
 val floor : t -> int
 
 val ceil : t -> int
-
-(** Nearest float — display and reporting only, never a decision. *)
-val to_float : t -> float
 
 (** ["num/den"], or just ["num"] for integers. *)
 val to_string : t -> string

@@ -34,6 +34,7 @@ module type S = sig
   val oracle : problem -> Random.State.t -> oracle
   val bag : oracle -> Elim_graph.t -> int -> t
   val live : oracle -> Elim_graph.t -> t
+  val live_lb : oracle -> Elim_graph.t -> t
   val minor_lb : oracle -> Elim_graph.t -> t
 end
 
@@ -75,6 +76,7 @@ module Tw = struct
   let oracle g rng = { rng; workspace = Contract_graph.create (Graph.n g) }
   let bag _ eg v = Elim_graph.degree eg v
   let live _ eg = Elim_graph.n_alive eg - 1
+  let live_lb _ _ = 0
 
   let minor_lb o eg =
     Lower_bounds.treewidth_of_elim ~rng:o.rng ~trials:1
@@ -156,6 +158,10 @@ module Ghw = struct
     if Elim_graph.n_alive eg = 0 then 0
     else Set_cover.greedy_size ~rng:o.rng (cover o (live_set o.scratch eg))
 
+  (* [live] may draw from [rng]: a floor that skipped it would shift
+     every later draw *)
+  let live_lb _ _ = 0
+
   let minor_lb o eg =
     Lower_bounds.ghw_of_elim ~rng:o.rng ~trials:1 ~workspace:o.workspace
       ~max_edge_size:o.k eg
@@ -212,6 +218,18 @@ module Fhw = struct
   let live o eg =
     if Elim_graph.n_alive eg = 0 then Rat.zero
     else Eval.rho_memoized o.cache o.h (live_set o.scratch eg)
+
+  (* y_v = 1/k_live on every live vertex, with k_live the most live
+     vertices one hyperedge holds, is a feasible vertex packing: its
+     weight bounds rho*(live) from below by LP duality, without an LP *)
+  let live_lb o eg =
+    let live = Elim_graph.alive eg in
+    let k_live = ref 1 in
+    for e = 0 to Hypergraph.n_edges o.h - 1 do
+      k_live :=
+        Int.max !k_live (Bitset.inter_cardinal (Hypergraph.edge_bits o.h e) live)
+    done;
+    Rat.make (Bitset.cardinal live) !k_live
 
   let minor_lb o eg =
     let tw =

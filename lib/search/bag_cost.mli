@@ -72,17 +72,25 @@ module type S = sig
   (** The cost of all live vertices as one bag: every bag of every
       completion is a subset, so it bounds the best completion. *)
 
+  val live_lb : oracle -> Hd_graph.Elim_graph.t -> t
+  (** A cheap lower bound on {!live} that never draws from the
+      oracle's random state.  When it already reaches the upper bound,
+      the search takes it for the completion and skips [live]. *)
+
   val minor_lb : oracle -> Hd_graph.Elim_graph.t -> t
   (** A lower bound on the width of the live graph from its minors;
       called only with at least two live vertices. *)
 end
 
-(** Treewidth: a bag costs its size minus one.  Input: a graph. *)
+(** Treewidth: a bag costs its size minus one.  Input: a graph.  Its
+    [live] is O(1), so [live_lb] is [zero]. *)
 module Tw : S with type t = int and type input = Hd_graph.Graph.t
 
 (** Generalized hypertree width: a bag costs its minimum edge cover,
     memoised per run.  Input: a hypergraph with every vertex in some
-    hyperedge; subsumed hyperedges are dropped first. *)
+    hyperedge; subsumed hyperedges are dropped first.  [live_lb] is
+    [zero]: [live] breaks greedy ties with the random state, so skipping
+    it would shift every later draw. *)
 module Ghw : S with type t = int and type input = Hd_hypergraph.Hypergraph.t
 
 (** {!Ghw} with greedy covers: faster, but only upper bounds. *)
@@ -91,6 +99,8 @@ module Ghw_greedy :
 
 (** Fractional hypertree width: a bag costs its exact rational rho*
     ({!Hd_core.Eval.rho_memoized}); the lower bound is the fractional
-    k-set-cover bound [(tw + 1) / k] of a clique minor. *)
+    k-set-cover bound [(tw + 1) / k] of a clique minor.  [live_lb] is
+    the weight [|live| / k_live] of the uniform vertex packing, where
+    [k_live] is the most live vertices one hyperedge holds. *)
 module Fhw :
   S with type t = Hd_lp.Rat.t and type input = Hd_hypergraph.Hypergraph.t

@@ -129,6 +129,20 @@ module Make (C : Bag_cost.S) = struct
   let minor_lb s =
     if Elim_graph.n_alive s.eg <= 1 then C.zero else C.minor_lb s.oracle s.eg
 
+  (* The completion cost of the current state, past a path of cost [g].
+     A floor above [g] and at or above the upper bound decides what the
+     exact cost would: PR1 ignores both and the state branches on both.
+     Then [C.live] is skipped (search.live_lb_skips).  The [g] test
+     matters once a racer has lowered the shared bound to [g] or below
+     after the state was popped. *)
+  let completion s ~g =
+    let floor = C.live_lb s.oracle s.eg in
+    if C.compare floor g > 0 && not (below s floor) then begin
+      Obs.Counter.incr Search_util.c_live_lb_skips;
+      floor
+    end
+    else C.live s.oracle s.eg
+
   (* The vertices to branch on at the current state, and whether they
      come from a reduction rule.  [lb] bounds the width from below;
      [reduced] says the current state was itself reached by a
@@ -212,7 +226,7 @@ module Make (C : Bag_cost.S) = struct
       if closed s then raise Closed;
       Budget.tick_visited s.ticker;
       Obs.Counter.incr Search_util.c_expanded;
-      let completion = C.max g (C.live s.oracle s.eg) in
+      let completion = C.max g (completion s ~g) in
       offer s completion (fun () -> ordering ~n:s.n s.eg !path);
       (* a completion no better than g exists iff covering the rest at
          once already fits in g: then nothing below can improve *)
@@ -286,7 +300,7 @@ module Make (C : Bag_cost.S) = struct
     Budget.tick_visited s.ticker;
     Obs.Counter.incr Search_util.c_expanded;
     sync s node.rpath;
-    let completion = C.live s.oracle s.eg in
+    let completion = completion s ~g:node.g in
     let sigma () = ordering ~n:s.n s.eg node.rpath in
     if C.compare completion node.g <= 0 then begin
       offer s node.g sigma;

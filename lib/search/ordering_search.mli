@@ -6,7 +6,8 @@
     live graph, and [f = max (g, h, parent.f)].  The cost of all live
     vertices as one bag is a completion: it is offered as an upper
     bound (pruning rule PR1), and a state whose completion fits in [g]
-    is a goal.  Simplicial reduction forces single-child states;
+    is a goal.  Where the cost's cheap floor ({!Bag_cost.S.live_lb})
+    already reaches the upper bound, it stands in for the completion.  Simplicial reduction forces single-child states;
     almost-simplicial reduction and the adjacent case of PR2 apply to
     size-only costs only ({!Bag_cost.S.size_only}).
 

@@ -457,6 +457,89 @@ let prop_width_hierarchy =
       && hw <= (3 * ghw) + 1
       && Dkd.valid h hd)
 
+(* 3-9 vertices, hyperedges of 2-4 distinct vertices, every vertex
+   covered *)
+let random_cover_hypergraph rng =
+  let n = 3 + Random.State.int rng 7 in
+  let edge () =
+    let size = Int.min n (2 + Random.State.int rng 3) in
+    let rec pick acc =
+      if List.length acc = size then acc
+      else
+        let v = Random.State.int rng n in
+        pick (if List.mem v acc then acc else v :: acc)
+    in
+    pick []
+  in
+  let edges = List.init (1 + Random.State.int rng 6) (fun _ -> edge ()) in
+  let covered v = List.exists (List.mem v) edges in
+  let patches =
+    List.filter_map
+      (fun v -> if covered v then None else Some [ v; (v + 1) mod n ])
+      (List.init n Fun.id)
+  in
+  Hypergraph.create ~n (edges @ patches)
+
+(* The completion floor: [Fhw.live_lb] is the weight of the uniform
+   vertex packing 1/k_live on the live set, which must be feasible, so
+   by weak duality it never exceeds [Fhw.live]; the other costs have a
+   zero floor.  No floor may draw from the oracle's random state. *)
+let prop_live_floor =
+  QCheck.Test.make ~count:200
+    ~name:"live floor <= live, its uniform packing feasible"
+    QCheck.(make QCheck.Gen.int)
+    (fun seed ->
+      let module B = Hd_search.Bag_cost in
+      let module Elim_graph = Hd_graph.Elim_graph in
+      let module Bitset = Hd_graph.Bitset in
+      let rng = Random.State.make [| seed |] in
+      let h = random_cover_hypergraph rng in
+      let n = Hypergraph.n_vertices h in
+      let p = B.Fhw.prepare h in
+      let eg = Elim_graph.of_graph (B.Fhw.graph p) in
+      let order = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let t = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- t
+      done;
+      Array.iter (Elim_graph.eliminate eg)
+        (Array.sub order 0 (Random.State.int rng (n + 1)));
+      (* a floor priced by an oracle on a fresh random state, and
+         whether that state was left undrawn *)
+      let floor_of oracle live_lb =
+        let r = Random.State.make [| seed |] in
+        let next = Random.State.bits (Random.State.copy r) in
+        let floor = live_lb (oracle r) eg in
+        (floor, Random.State.bits r = next)
+      in
+      let zero_floor oracle live_lb = floor_of oracle live_lb = (0, true) in
+      let live = Elim_graph.alive eg in
+      let k_live =
+        List.fold_left
+          (fun k e ->
+            Int.max k (Bitset.inter_cardinal (Hypergraph.edge_bits h e) live))
+          1
+          (List.init (Hypergraph.n_edges h) Fun.id)
+      in
+      let packing =
+        List.map (fun v -> (v, Rat.make 1 k_live)) (Bitset.elements live)
+      in
+      let floor, undrawn = floor_of (B.Fhw.oracle p) B.Fhw.live_lb in
+      let exact = B.Fhw.live (B.Fhw.oracle p rng) eg in
+      undrawn
+      && Rat.compare floor exact <= 0
+      && Rat.equal floor (Rat.make (Bitset.cardinal live) k_live)
+      && Hd_setcover.Fractional.verify_packing
+           { Hd_setcover.Set_cover.universe = live; hypergraph = h }
+           packing
+      && zero_floor (B.Tw.oracle (B.Tw.prepare (B.Fhw.graph p))) B.Tw.live_lb
+      && zero_floor (B.Ghw.oracle (B.Ghw.prepare h)) B.Ghw.live_lb
+      && zero_floor
+           (B.Ghw_greedy.oracle (B.Ghw_greedy.prepare h))
+           B.Ghw_greedy.live_lb)
+
 (* --- .ghd witnesses: round-trip and corruption rejection --- *)
 
 let test_ghd_io_roundtrip () =
@@ -792,6 +875,14 @@ let trajectory_pins =
     ("bridge_3", "hdastar-tw", "6 (exact)", 0, 0)
   ]
 
+let fhw_pin (r : Bb_fhw.result_q) =
+  let q = Hd_lp.Rat.to_string in
+  ( (match r.Bb_fhw.outcome_q with
+    | Bb_fhw.Exact_q w -> q w ^ " (exact)"
+    | Bb_fhw.Bounds_q { lb; ub } -> Printf.sprintf "[%s,%s]" (q lb) (q ub)),
+    r.visited,
+    r.generated )
+
 let pinned_run instance solver =
   let h =
     if instance = "bridge_3" then Hd_instances.Hypergraphs.bridge 3
@@ -818,25 +909,46 @@ let pinned_run instance solver =
       hdastar (fun sched within -> Hdastar.solve_ghw ~sched ~within ~seed:1 h)
   | "hdastar-tw" ->
       hdastar (fun sched within -> Hdastar.solve_tw ~sched ~within ~seed:1 g)
-  | "fhw-bb" ->
-      let r = Bb_fhw.solve ~within:(within ()) ~seed:1 h in
-      let q = Hd_lp.Rat.to_string in
-      ( (match r.Bb_fhw.outcome_q with
-        | Bb_fhw.Exact_q w -> q w ^ " (exact)"
-        | Bb_fhw.Bounds_q { lb; ub } -> Printf.sprintf "[%s,%s]" (q lb) (q ub)),
-        r.visited,
-        r.generated )
+  | "fhw-bb" -> fhw_pin (Bb_fhw.solve ~within:(within ()) ~seed:1 h)
   | _ -> Alcotest.failf "no pinned solver %s" solver
 
+(* fhw-bb on the width ladder's one non-exact op, the bundled corpus
+   instance csp-synth/grid2d_06, at 4,000 states, seed 1.  Recorded
+   before a vertex packing could settle a completion without its LP:
+   that may only skip LPs, never move a state or a bound. *)
+let corpus_pins = [ ("csp-synth", "grid2d_06", 4000, "[7/3,7/2]", 971, 4001) ]
+
+let corpus_pinned_run collection name states =
+  let text =
+    List.assoc (name ^ ".hg")
+      (List.assoc collection (Hd_instances.Mini_corpus.collections ()))
+  in
+  fhw_pin
+    (Bb_fhw.solve
+       ~within:(Hd_engine.Budget.create ~max_states:states ())
+       ~seed:1
+       (Hd_hypergraph.Hg_format.parse_string text))
+
 let test_trajectory_pins () =
+  let check_row label (outcome, visited, generated) (o, v, g) =
+    Alcotest.(check string) (label "outcome") outcome o;
+    check_int (label "visited") visited v;
+    check_int (label "generated") generated g
+  in
   List.iter
     (fun (instance, solver, outcome, visited, generated) ->
-      let o, v, g = pinned_run instance solver in
-      let label what = Printf.sprintf "%s %s %s" instance solver what in
-      Alcotest.(check string) (label "outcome") outcome o;
-      check_int (label "visited") visited v;
-      check_int (label "generated") generated g)
-    trajectory_pins
+      check_row
+        (Printf.sprintf "%s %s %s" instance solver)
+        (outcome, visited, generated)
+        (pinned_run instance solver))
+    trajectory_pins;
+  List.iter
+    (fun (collection, name, states, outcome, visited, generated) ->
+      check_row
+        (Printf.sprintf "%s/%s fhw-bb at %d states %s" collection name states)
+        (outcome, visited, generated)
+        (corpus_pinned_run collection name states))
+    corpus_pins
 
 let () =
   Alcotest.run "search"
@@ -876,7 +988,7 @@ let () =
           Alcotest.test_case "memo hits counted" `Quick test_fhw_memo_counted;
         ]
         @ List.map QCheck_alcotest.to_alcotest
-            [ prop_fhw_bb_matches_brute; prop_width_hierarchy ] );
+            [ prop_fhw_bb_matches_brute; prop_width_hierarchy; prop_live_floor ] );
       ( "ghd io",
         [
           Alcotest.test_case "roundtrip" `Quick test_ghd_io_roundtrip;
