@@ -2,7 +2,7 @@
    (docs/PERFORMANCE.md), recorded as BENCH_report.json's "ordering"
    section: per-instance naive-vs-incremental wall times for min-fill
    and min-degree (plus MCS), the byte-identical check, and the
-   suffix-reuse / set-cover-memo counters of a GA-ghw run *)
+   evaluator's suffix-reuse / set-cover-memo counters of a GA-ghw run *)
 
 module Graph = Hd_graph.Graph
 module Ga_engine = Hd_ga.Ga_engine
@@ -70,8 +70,8 @@ let run scale =
   in
   let key_recomputes = List.assoc "ordering.key_recomputes" dirty
   and dirty_skips = List.assoc "ordering.dirty_skips" dirty in
-  (* GA generations through the suffix-reuse evaluator: the memo and
-     checkpoint counters the acceptance gate asserts on *)
+  (* GA generations through the evaluator's suffix reuse: the memo and
+     checkpoint counters the CI bench smoke asserts on *)
   let ga_instance = "grid2d_10" in
   let h = hypergraph ga_instance in
   let config =
@@ -81,13 +81,13 @@ let run scale =
   let (report, ga_secs), ga =
     counter_deltas
       [
-        "ga.suffix_reevals"; "ga.full_reevals"; "setcover.memo_hits";
+        "eval.suffix_reevals"; "eval.full_reevals"; "setcover.memo_hits";
         "setcover.memo_misses";
       ]
       (fun () -> time (fun () -> Hd_ga.Ga_ghw.run config h))
   in
-  let suffix = List.assoc "ga.suffix_reevals" ga
-  and full = List.assoc "ga.full_reevals" ga
+  let suffix = List.assoc "eval.suffix_reevals" ga
+  and full = List.assoc "eval.full_reevals" ga
   and hits = List.assoc "setcover.memo_hits" ga
   and misses = List.assoc "setcover.memo_misses" ga in
   Printf.printf

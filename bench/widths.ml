@@ -107,9 +107,10 @@ let run scale =
         let hw = run "hw-det-k" in
         let secs = Hd_engine.Clock.now () -. started in
         let fhw_str, fhw_exact =
-          match fhw.Hd_search.Bb_fhw.outcome_q with
-          | Hd_search.Bb_fhw.Exact_q q -> (Hd_lp.Rat.to_string q ^ "*", true)
-          | Hd_search.Bb_fhw.Bounds_q { lb; ub } ->
+          match fhw.Hd_search.Ordering_search.outcome with
+          | Hd_search.Ordering_search.Exact q ->
+              (Hd_lp.Rat.to_string q ^ "*", true)
+          | Hd_search.Ordering_search.Bounds { lb; ub } ->
               ( Printf.sprintf "[%s,%s]" (Hd_lp.Rat.to_string lb)
                   (Hd_lp.Rat.to_string ub),
                 false )

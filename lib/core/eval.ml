@@ -2,7 +2,11 @@ module Bitset = Hd_graph.Bitset
 module Graph = Hd_graph.Graph
 module Hypergraph = Hd_hypergraph.Hypergraph
 module Set_cover = Hd_setcover.Set_cover
+module Rat = Hd_lp.Rat
 module Obs = Hd_obs.Obs
+
+let c_suffix_reevals = Obs.Counter.make "eval.suffix_reevals"
+let c_full_reevals = Obs.Counter.make "eval.full_reevals"
 
 (* Same counter names as Set_cover's own memo (Obs counters are shared
    by name), so every set-cover memo in the system reports into one
@@ -26,188 +30,219 @@ module Bag_tbl = Hashtbl.Make (struct
   let hash = Bitset.fnv_hash
 end)
 
+(* The objective whose run recorded the checkpoints.  Weighted widths
+   depend on the domain sizes, so those are part of the owner. *)
+type owner = Nobody | Tw | Greedy | Exact | Fhw | Weighted of int array
+
+(* How the greedy cover of a memo miss breaks ties: with the caller's
+   rng, or with an rng seeded from (seed, bag hash), which makes a
+   bag's cover size a pure function of the bag. *)
+type ties = Caller | Seeded of int
+
 type t = {
   n : int;
-  base : int array array; (* original adjacency lists *)
+  base : Bitset.t array; (* original adjacency rows *)
   hypergraph : Hypergraph.t option;
-  (* reusable buffers *)
-  adj : int array array ref; (* growable working adjacency *)
-  len : int array; (* live prefix length of each working list *)
-  pos : int array; (* vertex -> position in current sigma *)
-  stamp : int array; (* dedup marks, versioned by clock *)
-  mutable clock : int;
-  bag : Bitset.t; (* scratch bag for set covering *)
+  ties : ties;
+  adj : Bitset.t array; (* working elimination-graph rows *)
+  bag : Bitset.t; (* {v} u N(v) of the current step *)
+  (* checkpoint j holds the rows after 2^j eliminations of [last];
+     [n_cps] of them are valid, all recorded by [owner] *)
+  last : int array;
+  mutable owner : owner;
+  mutable n_cps : int;
+  snaps : Bitset.t array array; (* allocated on first use *)
+  saved_int : int array; (* the width so far at each checkpoint *)
+  saved_q : Rat.t array;
+  saved_sum : float array;
   greedy_memo : int Bag_tbl.t; (* bag -> greedy cover size *)
   exact_memo : int Bag_tbl.t; (* bag -> optimal cover size *)
   (* bag -> exact rho*.  A separate, Rat-valued table: integral and
      fractional cover costs must never share memo entries — the same
      bag legitimately has rho* < exact cover size (triangle: 3/2 vs
      2), so a shared int table would corrupt one mode or the other. *)
-  frac_memo : Hd_lp.Rat.t Bag_tbl.t;
+  frac_memo : Rat.t Bag_tbl.t;
 }
 
-let make n base hypergraph =
+let make g hypergraph ties =
+  let n = Graph.n g in
+  (* checkpoints sit at 2^j < n eliminations *)
+  let levels =
+    let rec count j = if 1 lsl j < n then count (j + 1) else j in
+    count 0
+  in
   {
     n;
-    base;
+    base = Array.init n (fun v -> Bitset.copy (Graph.adjacency g v));
     hypergraph;
-    adj = ref (Array.map Array.copy base);
-    len = Array.make n 0;
-    pos = Array.make n 0;
-    stamp = Array.make n (-1);
-    clock = 0;
+    ties;
+    adj = Array.init n (fun _ -> Bitset.create n);
     bag = Bitset.create (max n 1);
+    last = Array.make n (-1);
+    owner = Nobody;
+    n_cps = 0;
+    snaps = Array.make levels [||];
+    saved_int = Array.make levels 0;
+    saved_q = Array.make levels Rat.zero;
+    saved_sum = Array.make levels 0.0;
     greedy_memo = Bag_tbl.create 512;
     exact_memo = Bag_tbl.create 512;
     frac_memo = Bag_tbl.create 512;
   }
 
-let reset_memo t =
-  Bag_tbl.reset t.greedy_memo;
-  Bag_tbl.reset t.exact_memo;
-  Bag_tbl.reset t.frac_memo
+let of_graph g = make g None Caller
 
-(* memoise [cover] on bag contents: the same bag recurs massively both
-   within one ordering's evaluation (bags of near-identical suffixes)
-   and across the orderings of a GA population or best_of sweep *)
-let memoized table cover universe =
-  match Bag_tbl.find_opt table universe with
-  | Some w ->
-      Obs.Counter.incr c_memo_hits;
-      w
-  | None ->
-      Obs.Counter.incr c_memo_misses;
-      let w = cover universe in
-      Bag_tbl.add table (Bitset.copy universe) w;
-      w
-
-let of_graph g =
-  let n = Graph.n g in
-  make n (Array.init n (fun v -> Array.of_list (Graph.neighbors g v))) None
-
-let of_hypergraph h =
-  let g = Hypergraph.primal h in
-  let n = Graph.n g in
-  make n
-    (Array.init n (fun v -> Array.of_list (Graph.neighbors g v)))
-    (Some h)
-
-let reset t sigma =
-  if Array.length sigma <> t.n then invalid_arg "Eval: ordering length mismatch";
-  let adj = !(t.adj) in
-  for v = 0 to t.n - 1 do
-    let b = t.base.(v) in
-    let k = Array.length b in
-    if Array.length adj.(v) < k then adj.(v) <- Array.copy b
-    else Array.blit b 0 adj.(v) 0 k;
-    t.len.(v) <- k
-  done;
-  Array.iteri (fun i v -> t.pos.(v) <- i) sigma
-
-let append t u x =
-  let adj = !(t.adj) in
-  let row = adj.(u) in
-  let k = t.len.(u) in
-  if k >= Array.length row then begin
-    let bigger = Array.make (max 8 (2 * Array.length row)) 0 in
-    Array.blit row 0 bigger 0 k;
-    adj.(u) <- bigger
-  end;
-  adj.(u).(k) <- x;
-  t.len.(u) <- k + 1
-
-(* Compute the elimination neighbourhood X of sigma.(i): the distinct
-   not-yet-eliminated entries of the working adjacency list.  Returns
-   |X| and leaves X's members stamped with the current clock; [collect]
-   receives each member once. *)
-let scan t i v ~collect =
-  t.clock <- t.clock + 1;
-  let adj = !(t.adj) in
-  let row = adj.(v) in
-  let size = ref 0 in
-  for j = 0 to t.len.(v) - 1 do
-    let x = row.(j) in
-    if t.pos.(x) < i && t.stamp.(x) <> t.clock then begin
-      t.stamp.(x) <- t.clock;
-      incr size;
-      collect x
-    end
-  done;
-  !size
-
-(* Propagate X (stamped, gathered in [members]) to the bucket of the
-   member eliminated next, i.e. with the largest position. *)
-let propagate t members =
-  match members with
-  | [] -> ()
-  | first :: _ ->
-      let u =
-        List.fold_left
-          (fun acc x -> if t.pos.(x) > t.pos.(acc) then x else acc)
-          first members
-      in
-      List.iter (fun x -> if x <> u then append t u x) members
-
-let tw_width t sigma =
-  reset t sigma;
-  let width = ref 0 in
-  let i = ref (t.n - 1) in
-  (* once width >= i, no later bag (of at most i vertices besides the
-     eliminated one... in fact at most i members) can increase it *)
-  while !width < !i do
-    let v = sigma.(!i) in
-    let members = ref [] in
-    let size = scan t !i v ~collect:(fun x -> members := x :: !members) in
-    if size > !width then width := size;
-    propagate t !members;
-    decr i
-  done;
-  !width
-
-let cover_width t cover v members =
-  Bitset.clear t.bag;
-  Bitset.add t.bag v;
-  List.iter (Bitset.add t.bag) members;
-  cover t.bag
-
-let ghw_of_sigma t sigma ~cover =
-  (match t.hypergraph with
-  | None -> invalid_arg "Eval.ghw_width: workspace lacks a hypergraph"
-  | Some _ -> ());
-  reset t sigma;
-  let width = ref 0 in
-  let i = ref (t.n - 1) in
-  (* a bag at step i has at most i + 1 vertices, hence cover size at
-     most i + 1 *)
-  while !i >= 0 && !width < !i + 1 do
-    let v = sigma.(!i) in
-    let members = ref [] in
-    let _size = scan t !i v ~collect:(fun x -> members := x :: !members) in
-    let w = cover_width t cover v !members in
-    if w > !width then width := w;
-    propagate t !members;
-    decr i
-  done;
-  !width
+let of_hypergraph ?seed h =
+  make (Hypergraph.primal h) (Some h)
+    (match seed with None -> Caller | Some s -> Seeded s)
 
 let hypergraph_exn t =
   match t.hypergraph with
   | Some h -> h
   | None -> invalid_arg "Eval: workspace lacks a hypergraph"
 
+(* One width objective: the price of a bag, how prices fold into the
+   result, and when no bag at position [i] or below can change it. *)
+type 'a objective = {
+  owner : owner;
+  price : Bitset.t -> 'a;
+  fold : 'a -> 'a -> 'a;
+  settled : 'a -> int -> bool;
+  zero : 'a;
+  saved : 'a array; (* the workspace's checkpoint accumulators *)
+}
+
+let save_rows t j =
+  if Array.length t.snaps.(j) = 0 then
+    t.snaps.(j) <- Array.init t.n (fun _ -> Bitset.create t.n);
+  Array.iteri (fun v row -> Bitset.blit ~src:row ~dst:t.snaps.(j).(v)) t.adj
+
+let load_rows t rows =
+  Array.iteri (fun v row -> Bitset.blit ~src:row ~dst:t.adj.(v)) rows
+
+let common_suffix t sigma =
+  let n = t.n in
+  let l = ref 0 in
+  while !l < n && sigma.(n - 1 - !l) = t.last.(n - 1 - !l) do
+    incr l
+  done;
+  !l
+
+(* The one elimination loop.  Eliminating [sigma.(i)] from [n-1] down
+   prices its bag {v} u N(v) and makes the bag a clique; the rows then
+   depend only on which vertices are gone, so the run resumes from the
+   deepest checkpoint of the same objective inside the suffix it shares
+   with the previous ordering, and records checkpoints at 1, 2, 4, ...
+   eliminations past it. *)
+let run t obj sigma =
+  let n = t.n in
+  if Array.length sigma <> n then invalid_arg "Eval: ordering length mismatch";
+  if t.owner <> obj.owner then begin
+    t.owner <- obj.owner;
+    t.n_cps <- 0
+  end;
+  let l = common_suffix t sigma in
+  while t.n_cps > 0 && 1 lsl (t.n_cps - 1) > l do
+    t.n_cps <- t.n_cps - 1
+  done;
+  let acc =
+    if t.n_cps > 0 then begin
+      Obs.Counter.incr c_suffix_reevals;
+      load_rows t t.snaps.(t.n_cps - 1);
+      ref obj.saved.(t.n_cps - 1)
+    end
+    else begin
+      Obs.Counter.incr c_full_reevals;
+      load_rows t t.base;
+      ref obj.zero
+    end
+  in
+  let i = ref (n - 1 - if t.n_cps > 0 then 1 lsl (t.n_cps - 1) else 0) in
+  (* the checkpoints recorded below belong to [sigma], even if pricing
+     a bag raises *)
+  Array.blit sigma 0 t.last 0 n;
+  while !i >= 0 && not (obj.settled !acc !i) do
+    let v = sigma.(!i) in
+    Bitset.blit ~src:t.adj.(v) ~dst:t.bag;
+    Bitset.add t.bag v;
+    acc := obj.fold !acc (obj.price t.bag);
+    Bitset.iter
+      (fun u ->
+        if u <> v then begin
+          Bitset.union_into ~src:t.bag ~dst:t.adj.(u);
+          Bitset.remove t.adj.(u) u;
+          Bitset.remove t.adj.(u) v
+        end)
+      t.bag;
+    Bitset.clear t.adj.(v);
+    if n - !i = 1 lsl t.n_cps && !i > 0 then begin
+      save_rows t t.n_cps;
+      obj.saved.(t.n_cps) <- !acc;
+      t.n_cps <- t.n_cps + 1
+    end;
+    decr i
+  done;
+  !acc
+
+(* memoise [cover] on bag contents: the same bag recurs massively both
+   within one ordering's evaluation (bags of near-identical suffixes)
+   and across the orderings of a GA population or best_of sweep *)
+let memoized table cover bag =
+  match Bag_tbl.find_opt table bag with
+  | Some w ->
+      Obs.Counter.incr c_memo_hits;
+      w
+  | None ->
+      Obs.Counter.incr c_memo_misses;
+      let w = cover bag in
+      Bag_tbl.add table (Bitset.copy bag) w;
+      w
+
+(* a bag at position i has at most i + 1 vertices, hence cover size
+   at most i + 1 *)
+let cover_objective t owner memo cover =
+  {
+    owner;
+    price = memoized memo cover;
+    fold = Int.max;
+    settled = (fun w i -> w >= i + 1);
+    zero = 0;
+    saved = t.saved_int;
+  }
+
+let tw_width t sigma =
+  run t
+    {
+      owner = Tw;
+      price = (fun bag -> Bitset.cardinal bag - 1);
+      fold = Int.max;
+      (* a bag at position i has at most i members besides the
+         eliminated vertex *)
+      settled = (fun w i -> w >= i);
+      zero = 0;
+      saved = t.saved_int;
+    }
+    sigma
+
 let ghw_width ?rng t sigma =
-  let h = hypergraph_exn t in
-  ghw_of_sigma t sigma
-    ~cover:
-      (memoized t.greedy_memo (fun universe ->
-           Set_cover.greedy_size ?rng { universe; hypergraph = h }))
+  let hypergraph = hypergraph_exn t in
+  run t
+    (cover_objective t Greedy t.greedy_memo (fun universe ->
+         let rng =
+           match t.ties with
+           | Caller -> rng
+           | Seeded seed ->
+               Some (Random.State.make [| seed; Bitset.fnv_hash universe |])
+         in
+         Set_cover.greedy_size ?rng { universe; hypergraph }))
+    sigma
 
 let ghw_width_exact t sigma =
-  let h = hypergraph_exn t in
-  ghw_of_sigma t sigma
-    ~cover:
-      (memoized t.exact_memo (fun universe ->
-           Set_cover.exact_size { universe; hypergraph = h }))
+  let hypergraph = hypergraph_exn t in
+  run t
+    (cover_objective t Exact t.exact_memo (fun universe ->
+         Set_cover.exact_size { universe; hypergraph }))
+    sigma
 
 (* as [memoized], but for the Rat-valued LP memo with its own counters *)
 let rho_memoized table hypergraph universe =
@@ -222,42 +257,39 @@ let rho_memoized table hypergraph universe =
       w
 
 let fhw_width_q t sigma =
-  let module Rat = Hd_lp.Rat in
   let h = hypergraph_exn t in
-  reset t sigma;
-  let width = ref Rat.zero in
-  let i = ref (t.n - 1) in
-  (* a bag at step i has at most i + 1 vertices, and rho* never exceeds
-     the bag size, so once width >= i + 1 no later bag can raise it *)
-  while !i >= 0 && Rat.compare_int !width (!i + 1) < 0 do
-    let v = sigma.(!i) in
-    let members = ref [] in
-    let _size = scan t !i v ~collect:(fun x -> members := x :: !members) in
-    Bitset.clear t.bag;
-    Bitset.add t.bag v;
-    List.iter (Bitset.add t.bag) !members;
-    let rho = rho_memoized t.frac_memo h t.bag in
-    if Rat.compare rho !width > 0 then width := rho;
-    propagate t !members;
-    decr i
-  done;
-  !width
+  run t
+    {
+      owner = Fhw;
+      price = rho_memoized t.frac_memo h;
+      fold = (fun a b -> if Rat.compare b a > 0 then b else a);
+      (* rho* never exceeds the bag size, at most i + 1 *)
+      settled = (fun w i -> Rat.compare_int w (i + 1) >= 0);
+      zero = Rat.zero;
+      saved = t.saved_q;
+    }
+    sigma
 
 let weighted_width t ~domain_sizes sigma =
   if Array.length domain_sizes <> t.n then
     invalid_arg "Eval.weighted_width: domain_sizes length mismatch";
-  reset t sigma;
-  let total = ref 0.0 in
-  for i = t.n - 1 downto 0 do
-    let v = sigma.(i) in
-    let product = ref (float_of_int domain_sizes.(v)) in
-    let members = ref [] in
-    let _size =
-      scan t i v ~collect:(fun x ->
-          members := x :: !members;
-          product := !product *. float_of_int domain_sizes.(x))
-    in
-    total := !total +. !product;
-    propagate t !members
-  done;
-  log !total /. log 2.0
+  let owner =
+    match t.owner with
+    | Weighted d when d = domain_sizes -> t.owner
+    | _ -> Weighted (Array.copy domain_sizes)
+  in
+  let total =
+    run t
+      {
+        owner;
+        price =
+          (fun bag ->
+            Bitset.fold (fun x p -> p *. float_of_int domain_sizes.(x)) bag 1.0);
+        fold = ( +. );
+        settled = (fun _ _ -> false);
+        zero = 0.0;
+        saved = t.saved_sum;
+      }
+      sigma
+  in
+  log total /. log 2.0

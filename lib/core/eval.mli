@@ -1,13 +1,22 @@
-(** Fast evaluation of elimination orderings.
+(** The one evaluator of elimination orderings.
 
-    These are the evaluation functions of the genetic algorithms:
-    Figure 6.2 (width of the tree decomposition bucket elimination would
-    build — the individual's fitness in GA-tw) and Figure 7.1 (width of
-    the generalized hypertree decomposition after greedy set covering —
-    the fitness in GA-ghw).  Both run the vertex-elimination recurrence
-    on adjacency lists with an early exit once the width reached cannot
-    be exceeded by the remaining steps, and reuse per-workspace buffers
-    so that millions of evaluations allocate almost nothing. *)
+    Every width an ordering induces is the largest (or, for the
+    weighted objective, the summed) price of the bags {v} u N(v) met
+    while eliminating [sigma.(n-1)], then [sigma.(n-2)], and so on:
+    Figure 6.2's GA-tw fitness prices a bag by its size, Figure 7.1's
+    GA-ghw fitness by a greedy set cover, and the exact searches by an
+    exact or fractional cover.  One loop runs all of them on bitset
+    rows with full fill (eliminating v makes {v} u N(v) a clique), so
+    the rows after k eliminations depend only on which k vertices are
+    gone.  A workspace therefore keeps checkpoints at 1, 2, 4, ...
+    eliminations of the previous ordering and resumes each call from
+    the deepest one inside the suffix it shares with that ordering
+    (counters [eval.suffix_reevals] / [eval.full_reevals]).  A
+    checkpoint belongs to the objective that recorded it: a call with
+    another objective starts from the base graph.  Each objective keeps
+    its early exit: tw stops once the width reaches the position, the
+    cover and fractional objectives once it reaches the position plus
+    one, the weighted objective never.  See docs/PERFORMANCE.md. *)
 
 type t
 
@@ -20,9 +29,14 @@ module Bag_tbl : Hashtbl.S with type key = Hd_graph.Bitset.t
     [g]. *)
 val of_graph : Hd_graph.Graph.t -> t
 
-(** [of_hypergraph h] is a workspace over [h]'s primal graph that also
-    knows [h]'s hyperedges, enabling {!ghw_width}. *)
-val of_hypergraph : Hd_hypergraph.Hypergraph.t -> t
+(** [of_hypergraph ?seed h] is a workspace over [h]'s primal graph
+    that also knows [h]'s hyperedges, enabling the cover objectives.
+    [seed] fixes the workspace's greedy tie policy for its lifetime:
+    without it {!ghw_width} breaks ties with the caller's rng; with it
+    every bag's ties use an rng seeded from [seed] and the bag's
+    {!Hd_graph.Bitset.fnv_hash}, so a bag's greedy cover size is a pure
+    function of the bag (the GA fitness). *)
+val of_hypergraph : ?seed:int -> Hd_hypergraph.Hypergraph.t -> t
 
 (** [tw_width t sigma] is the width of the tree decomposition derived
     from [sigma] — [Tree_decomposition.(width (of_ordering g sigma))],
@@ -31,8 +45,9 @@ val tw_width : t -> Ordering.t -> int
 
 (** [ghw_width ?rng t sigma] is the width of the generalized hypertree
     decomposition derived from [sigma] with greedy set covering of every
-    bag (ties broken via [rng]).  Requires a workspace built by
-    {!of_hypergraph}.
+    bag.  Requires a workspace built by {!of_hypergraph}.  Ties are
+    broken via [rng], unless the workspace was built with a [seed],
+    which then decides them and [rng] is ignored.
 
     Cover sizes are memoised per workspace, keyed by a canonical FNV
     hash of the bag contents ({!Hd_graph.Bitset.fnv_hash}): bags recur
@@ -50,12 +65,6 @@ val ghw_width : ?rng:Random.State.t -> t -> Ordering.t -> int
     workspace's own exact-cover table (same keying as {!ghw_width},
     separate table — greedy and exact sizes never mix). *)
 val ghw_width_exact : t -> Ordering.t -> int
-
-(** [reset_memo t] empties the workspace's set-cover memo tables.
-    Useful when one long-lived workspace evaluates orderings of
-    unrelated runs and table growth matters; hits/misses counters are
-    unaffected. *)
-val reset_memo : t -> unit
 
 (** [fhw_width_q t sigma] is the width of [sigma] under fractional edge
     covers: the largest fractional cover number rho* over the bags of

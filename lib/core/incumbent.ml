@@ -55,9 +55,3 @@ let closed t =
 
 let cancel t = Atomic.set t.cancelled true
 let cancelled t = Atomic.get t.cancelled
-
-let pp ppf t =
-  let s = Atomic.get t.state in
-  Format.fprintf ppf "[%d, %s]%s" s.lb
-    (if s.ub = max_int then "inf" else string_of_int s.ub)
-    (if Atomic.get t.cancelled then " cancelled" else "")

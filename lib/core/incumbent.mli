@@ -54,5 +54,3 @@ val cancel : t -> unit
     the portfolio once a winner finished, and by timeouts. *)
 
 val cancelled : t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -1,7 +1,7 @@
 let run ?within config g =
-  let ws = Suffix_eval.of_graph g in
+  let ws = Hd_core.Eval.of_graph g in
   Ga_engine.run ?within config ~n_genes:(Hd_graph.Graph.n g)
-    ~eval:(Suffix_eval.width ws)
+    ~eval:(Hd_core.Eval.tw_width ws)
 
 let decomposition g (report : Ga_engine.report) =
   Hd_core.Tree_decomposition.of_ordering g report.Ga_engine.best_individual

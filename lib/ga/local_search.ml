@@ -136,12 +136,12 @@ let iterated_local_search ?(within = B.create ()) config ~n_genes ~eval =
   }
 
 let sa_tw ?within config g =
-  let ws = Suffix_eval.of_graph g in
+  let ws = Hd_core.Eval.of_graph g in
   simulated_annealing ?within config ~n_genes:(Hd_graph.Graph.n g)
-    ~eval:(Suffix_eval.width ws)
+    ~eval:(Hd_core.Eval.tw_width ws)
 
 let sa_ghw ?within config h =
-  let ws = Suffix_eval.of_hypergraph ~seed:(config.seed lxor 0x9e) h in
+  let ws = Hd_core.Eval.of_hypergraph ~seed:(config.seed lxor 0x9e) h in
   simulated_annealing ?within config
     ~n_genes:(Hd_hypergraph.Hypergraph.n_vertices h)
-    ~eval:(Suffix_eval.width ws)
+    ~eval:(Hd_core.Eval.ghw_width ws)

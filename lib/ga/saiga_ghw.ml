@@ -84,15 +84,15 @@ let run ?(within = Hd_engine.Budget.create ()) config h =
   let rngs =
     Array.init k (fun i -> Random.State.make [| config.seed; i |])
   in
-  (* one suffix-reuse workspace per island: an island's checkpoint
-     cache only ever sees that island's orderings.  Every evaluation
-     ticks the shared budget, so deadlines are noticed mid-epoch. *)
+  (* one evaluator workspace per island: an island's checkpoints only
+     ever see that island's orderings.  Every evaluation ticks the
+     shared budget, so deadlines are noticed mid-epoch. *)
   let evals =
     Array.init k (fun i ->
         let ws =
-          Suffix_eval.of_hypergraph ~seed:(config.seed lxor 0x717 lxor i) h
+          Hd_core.Eval.of_hypergraph ~seed:(config.seed lxor 0x717 lxor i) h
         in
-        let width = Suffix_eval.width ws in
+        let width = Hd_core.Eval.ghw_width ws in
         fun sigma ->
           Hd_engine.Budget.tick_generated tk;
           Hd_engine.Budget.check tk;

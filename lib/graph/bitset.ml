@@ -142,8 +142,6 @@ let exists p s =
 
 let for_all p s = not (exists (fun i -> not (p i)) s)
 
-let hash s = Hashtbl.hash s.words
-
 (* FNV-1a over the elements in increasing order (iter is ordered), so
    the hash is canonical for the set's contents regardless of how the
    set was built.  The offset basis is the standard 64-bit one

@@ -73,9 +73,6 @@ val exists : (int -> bool) -> t -> bool
 (** [for_all p s] holds when every element of [s] satisfies [p]. *)
 val for_all : (int -> bool) -> t -> bool
 
-(** [hash s] is a content hash, suitable for use with [Hashtbl]. *)
-val hash : t -> int
-
 (** [fnv_hash s] is an FNV-1a hash of the elements of [s] in increasing
     order — a canonical content hash used to key set-cover memo tables
     on decomposition bags (docs/PERFORMANCE.md) and the hd_server

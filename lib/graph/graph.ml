@@ -130,11 +130,3 @@ let components ?within g =
   !comps
 
 let is_connected g = List.length (components g) <= 1
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>graph %d vertices %d edges@,%a@]" g.size
-    g.edge_count
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-       (fun ppf (u, v) -> Format.fprintf ppf "(%d,%d)" u v))
-    (edges g)

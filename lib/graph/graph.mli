@@ -69,5 +69,3 @@ val is_connected : t -> bool
     vertex lists; with [within], those of the subgraph induced by the
     vertices of [within]. *)
 val components : ?within:Bitset.t -> t -> int list list
-
-val pp : Format.formatter -> t -> unit

@@ -28,17 +28,17 @@ let run ?(within = Hd_engine.Budget.create ()) (config : Saiga_ghw.config) h =
        deadline and state cap are global while the amortized clock
        stays domain-local *)
     let tk = Hd_engine.Budget.ticker within in
-    (* per-island evaluator: suffix-reuse workspaces (and their
-       set-cover memo tables) hold mutable scratch and must never be
-       shared across domains — each island builds its own inside its
-       domain, so the memo needs no locking *)
+    (* per-island evaluator: workspaces (and their set-cover memo
+       tables) hold mutable scratch and must never be shared across
+       domains — each island builds its own inside its domain, so the
+       memo needs no locking *)
     let ws =
-      Hd_ga.Suffix_eval.of_hypergraph ~seed:(config.seed lxor 0x717 lxor i) h
+      Hd_core.Eval.of_hypergraph ~seed:(config.seed lxor 0x717 lxor i) h
     in
     let eval sigma =
       Hd_engine.Budget.tick_generated tk;
       Hd_engine.Budget.check tk;
-      Hd_ga.Suffix_eval.width ws sigma
+      Hd_core.Eval.ghw_width ws sigma
     in
     let params = ref (Saiga_ghw.random_params rng) in
     let pop =

@@ -14,35 +14,23 @@
     This is {!Ordering_search.Make.bb} over {!Bag_cost.Fhw}; the
     default seed is [0xfa3]. *)
 
-type outcome_q =
-  | Exact_q of Hd_lp.Rat.t  (** the exact fractional hypertree width *)
-  | Bounds_q of { lb : Hd_lp.Rat.t; ub : Hd_lp.Rat.t }
-      (** budget exhausted: fhw lies in [[lb, ub]]; [ub] is witnessed
-          by [ordering] *)
-
-type result_q = {
-  outcome_q : outcome_q;
-  visited : int;
-  generated : int;
-  elapsed : float;
-  ordering : int array option;
-      (** an elimination ordering whose maximum bag rho* equals the
-          reported upper bound *)
-}
-
 (** [solve h] computes the exact fhw of [h] (every vertex must lie in
-    some hyperedge).  The budget behaves as in {!Bb_ghw.solve}; the
-    shared int {!Hd_core.Incumbent} (when [within] carries one)
-    receives [ceil] of the rational bounds. *)
+    some hyperedge): [Exact q] is the fractional hypertree width, and
+    on an exhausted budget [Bounds { lb; ub }] brackets it, [ub]
+    witnessed by the result's ordering, whose largest bag rho* it is.
+    The budget behaves as in {!Bb_ghw.solve}; the shared int
+    {!Hd_core.Incumbent} (when [within] carries one) receives [ceil]
+    of the rational bounds. *)
 val solve :
   ?within:Hd_engine.Budget.t ->
   ?seed:int ->
   Hd_hypergraph.Hypergraph.t ->
-  result_q
+  Hd_lp.Rat.t Ordering_search.result
 
 (** [to_engine_result r] is [r] with rational bounds collapsed to
     their ceilings — the registry-facing view.  Sound under the
     engine's max-combining of block results since
     [ceil (max a b) = max (ceil a) (ceil b)]; the exact rational is
     recovered from [r.ordering] via {!Hd_core.Eval.fhw_width_q}. *)
-val to_engine_result : result_q -> Hd_engine.Solver.result
+val to_engine_result :
+  Hd_lp.Rat.t Ordering_search.result -> Hd_engine.Solver.result

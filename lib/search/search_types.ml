@@ -13,8 +13,6 @@ type result = Hd_engine.Solver.result = {
   ordering : int array option;
 }
 
-let value = Hd_engine.Solver.value
-
 let pp_outcome ppf = function
   | Exact w -> Format.fprintf ppf "%d (exact)" w
   | Bounds { lb; ub } -> Format.fprintf ppf "[%d,%d]" lb ub

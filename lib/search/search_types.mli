@@ -22,8 +22,5 @@ type result = Hd_engine.Solver.result = {
           one was reached *)
 }
 
-(** [value outcome] is the proved optimum or the upper bound. *)
-val value : outcome -> int
-
 (** [pp_outcome ppf o] prints ["w (exact)"] or ["[lb,ub]"]. *)
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -37,10 +37,10 @@ let analyze ?(within = Hd_engine.Budget.create ~time_limit:10.0 ()) ?(seed = 1)
   let fhw, fhw_exact =
     match
       (Bb_fhw.solve ~within:(Hd_engine.Budget.sub ~stages:2 within) ~seed h)
-        .outcome_q
+        .outcome
     with
-    | Bb_fhw.Exact_q q -> (q, true)
-    | Bb_fhw.Bounds_q { ub; _ } -> (ub, false)
+    | Ordering_search.Exact q -> (q, true)
+    | Ordering_search.Bounds { ub; _ } -> (ub, false)
   in
   let hw =
     match (stage "hw-det-k" 1 (Hd_engine.Solver.Hypergraph h)).outcome with

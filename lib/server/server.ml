@@ -62,7 +62,7 @@ let load_problem (source : Protocol.source) =
 
 (* --- responses ----------------------------------------------------- *)
 
-let snapshot_fields ?(with_ordering = false) (s : Jobs.snapshot) =
+let snapshot_fields ~solver ~with_ordering (s : Jobs.snapshot) =
   let base =
     [
       ("job", Json.Int s.id);
@@ -82,8 +82,7 @@ let snapshot_fields ?(with_ordering = false) (s : Jobs.snapshot) =
     | Some r ->
         [
           ( "result",
-            Protocol.result_json ~with_ordering ~cached:s.cached
-              ~solver:"" r );
+            Protocol.result_json ~with_ordering ~cached:s.cached ~solver r );
         ]
     | None -> []
   in
@@ -91,23 +90,6 @@ let snapshot_fields ?(with_ordering = false) (s : Jobs.snapshot) =
     match s.error with Some e -> [ ("error", Json.String e) ] | None -> []
   in
   base @ label @ result @ error
-
-(* The solver name is threaded separately because a snapshot does not
-   carry it; patch it into the rendered result. *)
-let snapshot_fields_with ~solver ?with_ordering s =
-  List.map
-    (function
-      | ("result", Json.Obj fields) ->
-          ( "result",
-            Json.Obj
-              (List.map
-                 (function
-                   | ("solver", Json.String _) ->
-                       ("solver", Json.String solver)
-                   | f -> f)
-                 fields) )
-      | f -> f)
-    (snapshot_fields ?with_ordering s)
 
 type outcome = [ `Eof | `Shutdown ]
 
@@ -119,6 +101,15 @@ type session = {
      with the job once its terminal snapshot is rendered *)
   meta : (int, string * bool) Hashtbl.t;
 }
+
+(* a request's budget: its own limits, else the session defaults *)
+let budget_spec config ~time_limit ~max_states =
+  {
+    Budget.time_limit =
+      (match time_limit with None -> config.default_time_limit | t -> t);
+    max_states =
+      (match max_states with None -> config.default_max_states | m -> m);
+  }
 
 let handle_submit session (s : Protocol.submit) =
   let name = Option.value ~default:session.config.default_solver s.solver in
@@ -132,16 +123,8 @@ let handle_submit session (s : Protocol.submit) =
       | Ok h ->
           let signature = Signature.of_hypergraph h in
           let spec =
-            {
-              Budget.time_limit =
-                (match s.time_limit with
-                | Some _ as t -> t
-                | None -> session.config.default_time_limit);
-              max_states =
-                (match s.max_states with
-                | Some _ as m -> m
-                | None -> session.config.default_max_states);
-            }
+            budget_spec session.config ~time_limit:s.time_limit
+              ~max_states:s.max_states
           in
           let snap =
             Jobs.submit session.jobs ~solver ~spec ?seed:s.seed
@@ -152,7 +135,7 @@ let handle_submit session (s : Protocol.submit) =
             Hashtbl.replace session.meta snap.Jobs.id (name, s.with_ordering);
           Protocol.ok "submit"
             (("hash", Json.String (Printf.sprintf "%016x" (Signature.hash signature)))
-            :: snapshot_fields_with ~solver:name ~with_ordering:s.with_ordering
+            :: snapshot_fields ~solver:name ~with_ordering:s.with_ordering
                  snap))
 
 (* --- bulk: N CQs over one shared instance -------------------------- *)
@@ -192,16 +175,8 @@ let handle_bulk session (b : Protocol.bulk) =
               b.cqs
           in
           let spec =
-            {
-              Budget.time_limit =
-                (match b.bulk_time_limit with
-                | Some _ as t -> t
-                | None -> session.config.default_time_limit);
-              max_states =
-                (match b.bulk_max_states with
-                | Some _ as m -> m
-                | None -> session.config.default_max_states);
-            }
+            budget_spec session.config ~time_limit:b.bulk_time_limit
+              ~max_states:b.bulk_max_states
           in
           let wait_timeout =
             match spec.Budget.time_limit with
@@ -316,7 +291,7 @@ let render_snapshot session op = function
           (Hashtbl.find_opt session.meta snap.Jobs.id)
       in
       if Jobs.is_terminal snap then Hashtbl.remove session.meta snap.Jobs.id;
-      Protocol.ok op (snapshot_fields_with ~solver ~with_ordering snap)
+      Protocol.ok op (snapshot_fields ~solver ~with_ordering snap)
 
 let handle session req =
   match req with

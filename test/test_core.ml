@@ -119,6 +119,70 @@ let prop_eval_matches_td =
       done;
       !ok)
 
+(* One workspace walked through a chain of swap and insertion
+   mutations, with the objectives interleaved on it: every call must
+   equal the same call on a fresh workspace, whatever checkpoint it
+   resumed from or whichever objective recorded the last ones. *)
+let prop_eval_reuse_matches_fresh =
+  QCheck.Test.make ~count:150 ~name:"Eval reused = fresh"
+    QCheck.(make QCheck.Gen.(triple (1 -- 12) int int))
+    (fun (n, gseed, seed) ->
+      let rng = Random.State.make [| gseed |] in
+      let edges =
+        List.init (1 + Random.State.int rng n) (fun _ ->
+            List.init (1 + Random.State.int rng 4) (fun _ ->
+                Random.State.int rng n))
+        @ List.init n (fun v -> [ v ])
+      in
+      let h = Hypergraph.create ~n edges in
+      let g = Hypergraph.primal h in
+      (* two weightings: a checkpoint of one must not serve the other *)
+      let weights =
+        Array.init 2 (fun _ -> Array.init n (fun _ -> 1 + Random.State.int rng 3))
+      in
+      let ws = Eval.of_hypergraph ~seed:11 h in
+      let agree sigma objective =
+        let fresh = Eval.of_hypergraph ~seed:11 h in
+        match objective with
+        | 0 ->
+            let w = Eval.tw_width ws sigma in
+            w = Eval.tw_width fresh sigma
+            && w = Td.width (Td.of_ordering g sigma)
+        | 1 -> Eval.ghw_width ws sigma = Eval.ghw_width fresh sigma
+        | 2 -> Eval.ghw_width_exact ws sigma = Eval.ghw_width_exact fresh sigma
+        | 3 ->
+            Hd_lp.Rat.equal (Eval.fhw_width_q ws sigma)
+              (Eval.fhw_width_q fresh sigma)
+        | k ->
+            let domain_sizes = weights.(k - 4) in
+            Eval.weighted_width ws ~domain_sizes sigma
+            = Eval.weighted_width fresh ~domain_sizes sigma
+      in
+      let rng = Random.State.make [| seed |] in
+      let sigma = Ordering.random rng n in
+      let ok = ref true in
+      for _ = 1 to 12 do
+        (* a swap or an insertion at random positions keeps a
+           random-length suffix *)
+        let i = Random.State.int rng n and j = Random.State.int rng n in
+        (if Random.State.bool rng then begin
+           let x = sigma.(i) in
+           sigma.(i) <- sigma.(j);
+           sigma.(j) <- x
+         end
+         else
+           let x = sigma.(i) in
+           if i < j then Array.blit sigma (i + 1) sigma i (j - i)
+           else Array.blit sigma j sigma (j + 1) (i - j);
+           sigma.(j) <- x);
+        (* one or two objectives per ordering: a repeat of the last
+           objective resumes, a switch starts from the base graph *)
+        for _ = 1 to 1 + Random.State.int rng 2 do
+          ok := !ok && agree sigma (Random.State.int rng 6)
+        done
+      done;
+      !ok)
+
 (* --- generalized hypertree decompositions --- *)
 
 let test_ghd_example5 () =
@@ -476,19 +540,24 @@ let test_setcover_memo_hits () =
   with_obs @@ fun () ->
   let h = example5 () in
   let ws = Eval.of_hypergraph h in
-  let sigma = Ordering.identity (Hypergraph.n_vertices h) in
+  (* 5 and 3 are not adjacent, so eliminating them in either order
+     yields the same bags; sigma' shares every bag of sigma but no
+     suffix, so its evaluation cannot resume and must price each bag
+     through the memo *)
+  let sigma = [| 0; 1; 2; 4; 3; 5 |] and sigma' = [| 0; 1; 2; 4; 5; 3 |] in
   let w1 = Eval.ghw_width ws sigma in
   let misses_after_first = counter "setcover.memo_misses" in
-  let w2 = Eval.ghw_width ws sigma in
+  let w2 = Eval.ghw_width ws sigma' in
   check_int "memoised width unchanged" w1 w2;
   check "first eval misses" true (misses_after_first > 0);
+  check_int "second eval starts from the base graph" 2
+    (counter "eval.full_reevals");
   check "second eval hits" true (counter "setcover.memo_hits" > 0);
   check_int "second eval adds no misses" misses_after_first
     (counter "setcover.memo_misses");
-  Eval.reset_memo ws;
-  ignore (Eval.ghw_width ws sigma);
-  check "reset_memo forces recomputation" true
-    (counter "setcover.memo_misses" > misses_after_first)
+  check_int "memoised width again" w1 (Eval.ghw_width ws sigma');
+  check_int "a repeat resumes from a checkpoint" 1
+    (counter "eval.suffix_reevals")
 
 let test_memo_no_integral_frac_collision () =
   (* regression: integral and fractional cover costs must live in
@@ -574,6 +643,7 @@ let () =
           [
             prop_td_of_ordering_valid;
             prop_eval_matches_td;
+            prop_eval_reuse_matches_fresh;
             prop_ghd_valid;
             prop_eval_ghw_matches;
             prop_fhw_le_ghw;

@@ -352,11 +352,12 @@ let test_descendant_condition_detects () =
 
 module Bb_fhw = Hd_search.Bb_fhw
 module Rat = Hd_lp.Rat
+module Ordering_search = Hd_search.Ordering_search
 
-let exact_q_of (r : Bb_fhw.result_q) =
-  match r.Bb_fhw.outcome_q with
-  | Bb_fhw.Exact_q q -> q
-  | Bb_fhw.Bounds_q { lb; ub } ->
+let exact_q_of (r : Rat.t Ordering_search.result) =
+  match r.outcome with
+  | Ordering_search.Exact q -> q
+  | Ordering_search.Bounds { lb; ub } ->
       Alcotest.failf "expected exact fhw, got [%s,%s]" (Rat.to_string lb)
         (Rat.to_string ub)
 
@@ -406,7 +407,7 @@ let test_fhw_triangle () =
     | Hd_engine.Solver.Exact w -> w
     | Hd_engine.Solver.Bounds _ -> -1);
   (* the exact rational is recoverable from the witness ordering *)
-  match r.Bb_fhw.ordering with
+  match r.Ordering_search.ordering with
   | None -> Alcotest.fail "expected a witness ordering"
   | Some sigma ->
       let ws = Eval.of_hypergraph h in
@@ -431,7 +432,7 @@ let test_fhw_memo_counted () =
   in
   let hits = value "lp.memo_hits" and misses = value "lp.memo_misses" in
   Hd_obs.Obs.disable ();
-  check "search branched" true (r.Bb_fhw.visited > 0);
+  check "search branched" true (r.Ordering_search.visited > 0);
   check "memo hits counted" true (hits > 0);
   check "one LP per miss" true (misses = value "lp.solves")
 
@@ -703,8 +704,9 @@ let test_bb_ghw_greedy_mode () =
       check_int "short-circuit exact" exact w
 
 let test_outcome_helpers () =
-  check_int "value exact" 4 (St.value (St.Exact 4));
-  check_int "value bounds" 7 (St.value (St.Bounds { lb = 3; ub = 7 }));
+  check_int "value exact" 4 (Hd_engine.Solver.value (St.Exact 4));
+  check_int "value bounds" 7
+    (Hd_engine.Solver.value (St.Bounds { lb = 3; ub = 7 }));
   Alcotest.(check string) "pp exact" "4 (exact)"
     (Format.asprintf "%a" St.pp_outcome (St.Exact 4));
   Alcotest.(check string) "pp bounds" "[3,7]"
@@ -875,11 +877,11 @@ let trajectory_pins =
     ("bridge_3", "hdastar-tw", "6 (exact)", 0, 0)
   ]
 
-let fhw_pin (r : Bb_fhw.result_q) =
+let fhw_pin (r : Hd_lp.Rat.t Ordering_search.result) =
   let q = Hd_lp.Rat.to_string in
-  ( (match r.Bb_fhw.outcome_q with
-    | Bb_fhw.Exact_q w -> q w ^ " (exact)"
-    | Bb_fhw.Bounds_q { lb; ub } -> Printf.sprintf "[%s,%s]" (q lb) (q ub)),
+  ( (match r.outcome with
+    | Ordering_search.Exact w -> q w ^ " (exact)"
+    | Ordering_search.Bounds { lb; ub } -> Printf.sprintf "[%s,%s]" (q lb) (q ub)),
     r.visited,
     r.generated )
 
