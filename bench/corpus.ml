@@ -12,7 +12,25 @@ let corpus_baseline_counters =
     ("search.nodes_generated", 58_012);
     ("setcover.exact_calls", 5_674);
     ("setcover.greedy_calls", 18_306);
+    ("setcover.exact_nodes", 516_577);
   ]
+
+(* the words the -j 1 sweep allocates at the gate scale: minor words
+   (the exact cover's per-node garbage was most of them) and words
+   allocated straight into the major heap (major minus promoted: bucket
+   arrays over 256 words).  Gc.counters sees the calling domain only,
+   so the minor-words ceiling (measured, plus 5%) holds at -j 1 alone;
+   it keeps the allocation, and with it server-stream's RSS headroom,
+   from drifting back *)
+let corpus_minor_words_ceiling = 56_000_000
+
+let allocation f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let result = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  ( result,
+    int_of_float (minor1 -. minor0),
+    int_of_float (major1 -. major0 -. (promoted1 -. promoted0)) )
 
 (* HyperBench-style corpus sweep (hd_corpus): materialise the bundled
    mini-corpus under _corpus/, race a ghw roster over every instance in
@@ -32,7 +50,8 @@ let run scale =
   Printf.printf "materialised %d instances under _corpus/ (collections: %s)\n"
     (List.length entries)
     (String.concat ", " (Hd_corpus.Manifest.bundled_collections ()));
-  let report, counts =
+  let (report, counts), minor_words, direct_major_words =
+    allocation @@ fun () ->
     counter_deltas (List.map fst corpus_baseline_counters) @@ fun () ->
     Hd_corpus.Sweep.sweep ~jobs:scale.jobs ~budget:(budget scale) ~seed:1
       entries
@@ -47,11 +66,23 @@ let run scale =
          (String.concat ", "
             (List.map (fun (_, r) -> string_of_int r) corpus_baseline_counters))
      else Printf.sprintf "(gated at -states %d only)" corpus_gate_states);
+  let gated_words = enforced && scale.jobs = 1 in
+  Printf.printf "gc.minor_words %d, gc.direct_major_words %d %s\n" minor_words
+    direct_major_words
+    (if gated_words then
+       Printf.sprintf "(minor words recorded at most %d)"
+         corpus_minor_words_ceiling
+     else
+       Printf.sprintf "(gated at -j 1 -states %d only)" corpus_gate_states);
   let verdict =
     gate ~enforced
       (List.map2
          (fun (name, recorded) (_, n) -> Exact (name, recorded, n))
-         corpus_baseline_counters counts)
+         corpus_baseline_counters counts
+      @
+      if gated_words then
+        [ At_most ("gc.minor_words", corpus_minor_words_ceiling, minor_words) ]
+      else [])
   in
   let json =
     match Hd_corpus.Sweep.to_json report with
@@ -61,7 +92,13 @@ let run scale =
           @ [
               ( "counters",
                 Obs.Json.Obj
-                  (List.map (fun (name, n) -> (name, Obs.Json.Int n)) counts) );
+                  (List.map
+                     (fun (name, n) -> (name, Obs.Json.Int n))
+                     (counts
+                     @ [
+                         ("gc.minor_words", minor_words);
+                         ("gc.direct_major_words", direct_major_words);
+                       ])) );
               ("gate", Obs.Json.String verdict);
             ])
     | _ -> assert false (* a sweep report is an object *)

@@ -85,9 +85,12 @@ let make g hypergraph ties =
     saved_int = Array.make levels 0;
     saved_q = Array.make levels Rat.zero;
     saved_sum = Array.make levels 0.0;
-    greedy_memo = Bag_tbl.create 512;
-    exact_memo = Bag_tbl.create 512;
-    frac_memo = Bag_tbl.create 512;
+    (* memo tables start small and grow on demand: a bucket array over
+       256 words goes straight to the major heap, and most workspaces
+       price few distinct bags (docs/PERFORMANCE.md, section 11) *)
+    greedy_memo = Bag_tbl.create 64;
+    exact_memo = Bag_tbl.create 64;
+    frac_memo = Bag_tbl.create 64;
   }
 
 let of_graph g = make g None Caller

@@ -71,7 +71,7 @@ module Make (C : Bag_cost.S) = struct
       Search.searcher p ~ticker:tk ~inc:sh.inc ~rng ~ub ~lb:root.Search.f
     in
     let pq = Pq.create ~compare:Search.compare_nodes ~dummy:root in
-    let seen : (Bitset.t, C.t) Hashtbl.t = Hashtbl.create 1024 in
+    let seen : (Bitset.t, C.t) Hashtbl.t = Hashtbl.create 64 in
     let out = Array.make sh.w [] in
     let out_n = Array.make sh.w 0 in
     let ebits = Bitset.create n in

@@ -146,7 +146,7 @@ module Ghw = struct
   type oracle = (Bitset.t, int) Hashtbl.t cover_oracle
 
   let oracle p rng =
-    cover_oracle p rng ~cache:(Hashtbl.create 4096)
+    cover_oracle p rng ~cache:(Hashtbl.create 64)
       ~k:(Hypergraph.max_edge_size p.hg)
 
   let cover o universe = { Set_cover.universe; hypergraph = o.h }
@@ -211,7 +211,7 @@ module Fhw = struct
   type oracle = Rat.t Eval.Bag_tbl.t cover_oracle
 
   let oracle p rng =
-    cover_oracle p rng ~cache:(Eval.Bag_tbl.create 4096) ~k:(k p)
+    cover_oracle p rng ~cache:(Eval.Bag_tbl.create 64) ~k:(k p)
 
   let bag o eg v = Eval.rho_memoized o.cache o.h (bag_set o.scratch eg v)
 

@@ -82,7 +82,7 @@ let decide_on ix tk h ~k =
   let check_budget () = if Budget.out_of_budget tk then raise (Timeout 1) in
   (* failed (component, connector) pairs; successes are never
      recomputed because the recursion stops at the first success *)
-  let failed : (Bitset.t * Bitset.t, unit) Hashtbl.t = Hashtbl.create 1024 in
+  let failed : (Bitset.t * Bitset.t, unit) Hashtbl.t = Hashtbl.create 64 in
   let rec decompose comp connector =
     if Bitset.cardinal comp <= k then
       (* base: one node holding the whole component *)

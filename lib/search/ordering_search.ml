@@ -342,7 +342,7 @@ module Make (C : Bag_cost.S) = struct
        slot-clearing dummy retains nothing *)
     let queue = Pq.create ~compare:compare_nodes ~dummy:root in
     Pq.push queue root;
-    let seen : (Bitset.t, C.t) Hashtbl.t = Hashtbl.create 4096 in
+    let seen : (Bitset.t, C.t) Hashtbl.t = Hashtbl.create 64 in
     let push node =
       let dominated =
         dedup

@@ -6,6 +6,7 @@ module Obs = Hd_obs.Obs
    searches, and the memo table is their main accelerator. *)
 let c_greedy_calls = Obs.Counter.make "setcover.greedy_calls"
 let c_exact_calls = Obs.Counter.make "setcover.exact_calls"
+let c_exact_nodes = Obs.Counter.make "setcover.exact_nodes"
 let c_memo_hits = Obs.Counter.make "setcover.memo_hits"
 let c_memo_misses = Obs.Counter.make "setcover.memo_misses"
 
@@ -13,7 +14,7 @@ type problem = { universe : Bitset.t; hypergraph : Hypergraph.t }
 
 (* Hyperedges that can contribute to the cover: those meeting the
    universe.  Collected through the incidence lists so sparse bags stay
-   cheap; the list runs from the last edge first met to the first. *)
+   cheap; the array runs from the last edge first met to the first. *)
 let candidate_edges problem =
   let h = problem.hypergraph in
   let seen = Bitset.create (Hypergraph.n_edges h) in
@@ -28,6 +29,7 @@ let candidate_edges problem =
           end)
         acc (Hypergraph.incident h v))
     problem.universe []
+  |> Array.of_list
 
 let check_coverable problem =
   Bitset.iter
@@ -37,42 +39,39 @@ let check_coverable problem =
           (Printf.sprintf "Set_cover: vertex %d lies in no hyperedge" v))
     problem.universe
 
-let covered_count problem edge uncovered =
-  let count = ref 0 in
-  Array.iter
-    (fun v -> if Bitset.mem uncovered v then incr count)
-    (Hypergraph.edge problem.hypergraph edge);
-  !count
-
-let greedy ?rng problem =
+(* the greedy cover over [candidate_edges problem], which [exact]
+   computes once for its seed and its branch and bound *)
+let greedy_over ?rng problem candidates =
   Obs.Counter.incr c_greedy_calls;
-  check_coverable problem;
   let h = problem.hypergraph in
   let uncovered = Bitset.copy problem.universe in
-  let candidates = candidate_edges problem in
   let chosen = ref [] in
   while not (Bitset.is_empty uncovered) do
     let best_gain = ref 0 and ties = ref 0 and pick = ref (-1) in
-    List.iter
-      (fun e ->
-        let gain = Bitset.inter_cardinal (Hypergraph.edge_bits h e) uncovered in
-        if gain > !best_gain then begin
-          best_gain := gain;
-          ties := 1;
-          pick := e
-        end
-        else if gain = !best_gain && gain > 0 then begin
-          incr ties;
-          match rng with
-          | Some rng -> if Random.State.int rng !ties = 0 then pick := e
-          | None -> ()
-        end)
-      candidates;
+    for i = 0 to Array.length candidates - 1 do
+      let e = candidates.(i) in
+      let gain = Bitset.inter_cardinal (Hypergraph.edge_bits h e) uncovered in
+      if gain > !best_gain then begin
+        best_gain := gain;
+        ties := 1;
+        pick := e
+      end
+      else if gain = !best_gain && gain > 0 then begin
+        incr ties;
+        match rng with
+        | Some rng -> if Random.State.int rng !ties = 0 then pick := e
+        | None -> ()
+      end
+    done;
     assert (!pick >= 0);
     chosen := !pick :: !chosen;
     Bitset.diff_into ~src:(Hypergraph.edge_bits h !pick) ~dst:uncovered
   done;
   List.rev !chosen
+
+let greedy ?rng problem =
+  check_coverable problem;
+  greedy_over ?rng problem (candidate_edges problem)
 
 let greedy_size ?rng problem = List.length (greedy ?rng problem)
 
@@ -89,76 +88,107 @@ let is_cover problem chosen =
   Bitset.subset problem.universe covered
 
 (* Exact cover by depth-first branch and bound: branch on the uncovered
-   vertex contained in the fewest candidate hyperedges (fail-first), try
-   each hyperedge containing it, prune with the k-set-cover bound. *)
+   vertex contained in the fewest hyperedges (fail-first, lowest id on
+   ties), try each hyperedge containing it best gain first (lowest id
+   on ties), and prune with the k-set-cover bound on the best gain any
+   candidate still offers.  A node at depth d branches only while
+   d + 1 < cutoff <= the greedy seed's size, so every buffer is sized
+   once per call by that seed and the search allocates nothing per
+   node: one uncovered set, one chosen edge and one ranked row per
+   depth. *)
 let exact problem =
   Obs.Counter.incr c_exact_calls;
   check_coverable problem;
   let h = problem.hypergraph in
-  let greedy_cover = greedy problem in
-  let best = ref (Array.of_list greedy_cover) in
-  let best_size = ref (List.length greedy_cover) in
-  let cutoff = ref !best_size in
   let candidates = candidate_edges problem in
-  let uncovered = Bitset.copy problem.universe in
-  let chosen = ref [] in
+  let seed = greedy_over problem candidates in
+  let levels = max 1 (List.length seed) in
+  let best = Array.of_list seed and best_size = ref (List.length seed) in
+  (* the universe sorted by (degree, id), keyed degree * n + id: its
+     first uncovered vertex is the pivot; [width] is the top degree *)
+  let n = Bitset.capacity problem.universe in
+  let order =
+    Bitset.fold
+      (fun v acc -> (List.length (Hypergraph.incident h v) * n) + v :: acc)
+      problem.universe []
+    |> Array.of_list
+  in
+  Array.sort Int.compare order;
+  let width =
+    if Array.length order = 0 then 0 else order.(Array.length order - 1) / n
+  in
+  Array.iteri (fun i key -> order.(i) <- key mod n) order;
+  let uncovered = Array.init levels (fun _ -> Bitset.create n) in
+  Bitset.blit ~src:problem.universe ~dst:uncovered.(0);
+  let chosen = Array.make levels 0 in
+  let ranked = Array.make (levels * width) 0 in
+  let gains = Array.make (levels * width) 0 in
+  (* inserts the listed edges into row [base] of [ranked] by (gain
+     desc, id asc), after the [k] already there; returns the row's
+     length *)
+  let rec rank unc base k = function
+    | [] -> k
+    | e :: rest ->
+        let gain = Bitset.inter_cardinal (Hypergraph.edge_bits h e) unc in
+        let j = ref (base + k) in
+        while
+          !j > base
+          && (gains.(!j - 1) < gain
+             || (gains.(!j - 1) = gain && ranked.(!j - 1) > e))
+        do
+          gains.(!j) <- gains.(!j - 1);
+          ranked.(!j) <- ranked.(!j - 1);
+          decr j
+        done;
+        gains.(!j) <- gain;
+        ranked.(!j) <- e;
+        rank unc base (k + 1) rest
+  in
+  let nodes = ref 0 in
   let rec branch depth =
-    if Bitset.is_empty uncovered then begin
-      if depth < !cutoff then begin
-        best := Array.of_list !chosen;
-        best_size := depth;
-        cutoff := depth
+    incr nodes;
+    let unc = uncovered.(depth) in
+    if Bitset.is_empty unc then begin
+      if depth < !best_size then begin
+        for i = 0 to depth - 1 do
+          best.(i) <- chosen.(depth - 1 - i)
+        done;
+        best_size := depth
       end
     end
-    else
-      let remaining = Bitset.cardinal uncovered in
-      (* every further set covers at most the best gain any candidate
-         still offers — much sharper than the static max-edge-size bound
-         once the leftover vertices are scattered *)
-      let max_gain =
-        List.fold_left
-          (fun acc e -> max acc (covered_count problem e uncovered))
-          1 candidates
-      in
+    else begin
+      let max_gain = ref 1 in
+      for i = 0 to Array.length candidates - 1 do
+        max_gain :=
+          Int.max !max_gain
+            (Bitset.inter_cardinal
+               (Hypergraph.edge_bits h candidates.(i))
+               unc)
+      done;
       let lb =
-        cover_size_lower_bound ~universe_size:remaining ~max_set_size:max_gain
+        cover_size_lower_bound ~universe_size:(Bitset.cardinal unc)
+          ~max_set_size:!max_gain
       in
-      if depth + lb < !cutoff then begin
-        (* fail-first: pick the uncovered vertex with fewest options *)
-        let pivot = ref (-1) and pivot_options = ref max_int in
-        Bitset.iter
-          (fun v ->
-            let options = List.length (Hypergraph.incident h v) in
-            if options < !pivot_options then begin
-              pivot := v;
-              pivot_options := options
-            end)
-          uncovered;
-        (* try the pivot's hyperedges best-gain first: the greedy-like
-           branch tightens the cutoff early and prunes the rest *)
-        let ranked =
-          Hypergraph.incident h !pivot
-          |> List.map (fun e -> (-covered_count problem e uncovered, e))
-          |> List.sort compare
-        in
-        List.iter
-          (fun (neg_gain, e) ->
-            if -neg_gain > 0 then begin
-              let newly =
-                Array.to_list (Hypergraph.edge h e)
-                |> List.filter (Bitset.mem uncovered)
-              in
-              List.iter (Bitset.remove uncovered) newly;
-              chosen := e :: !chosen;
-              branch (depth + 1);
-              chosen := List.tl !chosen;
-              List.iter (Bitset.add uncovered) newly
-            end)
-          ranked
+      if depth + lb < !best_size then begin
+        let p = ref 0 in
+        while not (Bitset.mem unc order.(!p)) do
+          incr p
+        done;
+        let base = depth * width in
+        let k = rank unc base 0 (Hypergraph.incident h order.(!p)) in
+        let child = uncovered.(depth + 1) in
+        for i = base to base + k - 1 do
+          Bitset.blit ~src:unc ~dst:child;
+          Bitset.diff_into ~src:(Hypergraph.edge_bits h ranked.(i)) ~dst:child;
+          chosen.(depth) <- ranked.(i);
+          branch (depth + 1)
+        done
       end
+    end
   in
   branch 0;
-  Array.to_list !best
+  Obs.Counter.add c_exact_nodes !nodes;
+  List.init !best_size (Array.get best)
 
 let exact_size ?cache problem =
   match cache with

@@ -27,7 +27,10 @@ type problem = {
 val greedy : ?rng:Random.State.t -> problem -> int list
 
 (** [exact problem] is an optimal cover, found by branch and bound
-    seeded with the greedy solution.
+    seeded with the greedy solution: the greedy cover in choice order
+    when nothing smaller exists, else the first smallest cover found,
+    last chosen hyperedge first.  Adds its branch nodes to the
+    [setcover.exact_nodes] counter.
     @raise Invalid_argument when some universe vertex lies in no
     hyperedge. *)
 val exact : problem -> int list

@@ -191,6 +191,122 @@ let prop_greedy_matches_reference =
       && Random.State.bits (Random.State.copy rng_a)
          = Random.State.bits (Random.State.copy rng_b))
 
+(* The exact cover as it ran before the bitset kernel: the uncovered
+   set edited in place, gains counted by walking each edge's vertex
+   array, the pivot's edges ranked through a sorted list.  Kept as the
+   reference the kernel must match, cover list and branch nodes alike;
+   returns both. *)
+let reference_exact (problem : Set_cover.problem) =
+  let h = problem.hypergraph in
+  let covered_count edge uncovered =
+    let count = ref 0 in
+    Array.iter
+      (fun v -> if Bitset.mem uncovered v then incr count)
+      (Hypergraph.edge h edge);
+    !count
+  in
+  let greedy_cover = reference_greedy problem in
+  let best = ref (Array.of_list greedy_cover) in
+  let best_size = ref (List.length greedy_cover) in
+  let cutoff = ref !best_size in
+  let candidates =
+    let seen = Bitset.create (Hypergraph.n_edges h) in
+    Bitset.fold
+      (fun v acc ->
+        List.fold_left
+          (fun acc e ->
+            if Bitset.mem seen e then acc
+            else begin
+              Bitset.add seen e;
+              e :: acc
+            end)
+          acc (Hypergraph.incident h v))
+      problem.universe []
+  in
+  let uncovered = Bitset.copy problem.universe in
+  let chosen = ref [] in
+  let nodes = ref 0 in
+  let rec branch depth =
+    incr nodes;
+    if Bitset.is_empty uncovered then begin
+      if depth < !cutoff then begin
+        best := Array.of_list !chosen;
+        best_size := depth;
+        cutoff := depth
+      end
+    end
+    else
+      let remaining = Bitset.cardinal uncovered in
+      let max_gain =
+        List.fold_left
+          (fun acc e -> max acc (covered_count e uncovered))
+          1 candidates
+      in
+      let lb =
+        Set_cover.cover_size_lower_bound ~universe_size:remaining
+          ~max_set_size:max_gain
+      in
+      if depth + lb < !cutoff then begin
+        let pivot = ref (-1) and pivot_options = ref max_int in
+        Bitset.iter
+          (fun v ->
+            let options = List.length (Hypergraph.incident h v) in
+            if options < !pivot_options then begin
+              pivot := v;
+              pivot_options := options
+            end)
+          uncovered;
+        let ranked =
+          Hypergraph.incident h !pivot
+          |> List.map (fun e -> (-covered_count e uncovered, e))
+          |> List.sort compare
+        in
+        List.iter
+          (fun (neg_gain, e) ->
+            if -neg_gain > 0 then begin
+              let newly =
+                Array.to_list (Hypergraph.edge h e)
+                |> List.filter (Bitset.mem uncovered)
+              in
+              List.iter (Bitset.remove uncovered) newly;
+              chosen := e :: !chosen;
+              branch (depth + 1);
+              chosen := List.tl !chosen;
+              List.iter (Bitset.add uncovered) newly
+            end)
+          ranked
+      end
+  in
+  branch 0;
+  (Array.to_list !best, !nodes)
+
+let c_exact_nodes = Hd_obs.Obs.Counter.make "setcover.exact_nodes"
+
+let prop_exact_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"bitset exact = list-based reference (cover and nodes)"
+    QCheck.(make QCheck.Gen.(triple (1 -- 40) (1 -- 25) int))
+    (fun (n, m, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let edges =
+        List.init m (fun _ ->
+            let size = 1 + Random.State.int rng 6 in
+            List.init size (fun _ -> Random.State.int rng n))
+      in
+      let h = Hypergraph.create ~n edges in
+      let universe =
+        List.filter
+          (fun v ->
+            Hypergraph.incident h v <> [] && Random.State.int rng 4 > 0)
+          (List.init n Fun.id)
+      in
+      let p = { Set_cover.universe = Bitset.of_list n universe; hypergraph = h } in
+      Hd_obs.Obs.enable ();
+      let before = Hd_obs.Obs.Counter.value c_exact_nodes in
+      let cover = Set_cover.exact p in
+      let nodes = Hd_obs.Obs.Counter.value c_exact_nodes - before in
+      (cover, nodes) = reference_exact p)
+
 (* --- fractional covers (exact rational) --- *)
 
 module Rat = Hd_lp.Rat
@@ -317,5 +433,6 @@ let () =
             prop_greedy_covers;
             prop_fractional_bounds;
             prop_greedy_matches_reference;
+            prop_exact_matches_reference;
           ] );
     ]
