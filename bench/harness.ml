@@ -46,10 +46,10 @@ let summarise ~runs f =
     secs = !secs;
   }
 
-let outcome_string (o : Hd_search.Search_types.outcome) =
+let outcome_string (o : Hd_engine.Solver.outcome) =
   match o with
-  | Hd_search.Search_types.Exact w -> Printf.sprintf "%d*" w
-  | Hd_search.Search_types.Bounds { lb; ub } -> Printf.sprintf "[%d,%d]" lb ub
+  | Exact w -> Printf.sprintf "%d*" w
+  | Bounds { lb; ub } -> Printf.sprintf "[%d,%d]" lb ub
 
 (* scale parameters chosen on the command line *)
 type scale = {
@@ -91,6 +91,14 @@ let budget scale =
 (* a fresh running budget for one solver call: a started budget keeps
    its clock, so never share one across runs *)
 let within scale = Hd_engine.Budget.of_spec (budget scale)
+
+(* the registry entry [name] once on [problem] with seed 1, without the
+   engine's block split: the tables run the searches the CLI runs *)
+let entry name scale problem =
+  Hd_search.Solvers.ensure ();
+  match Hd_engine.Solver.find name with
+  | Some s -> s.run ~seed:1 (within scale) problem
+  | None -> invalid_arg ("no solver " ^ name)
 
 let graph name =
   match Hd_instances.Graphs.by_name name with

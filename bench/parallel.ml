@@ -10,7 +10,6 @@
    >= 4 cores running -j >= 4 -- everywhere else (CI's -j 2 smoke job,
    laptops) the speedup column is report-only. *)
 
-module St = Hd_search.Search_types
 open Harness
 
 let run scale =
@@ -85,18 +84,17 @@ let run scale =
       let name = if scale.full then "queen5_5" else "myciel4" in
       let g = graph name in
       let seq, t1 =
-        time (fun () ->
-            Hd_search.Astar_tw.solve ~within:(within scale) ~seed:1 g)
+        time (fun () -> entry "astar-tw" scale (Sv.Graph g))
       in
       let par, t2 =
         time (fun () ->
-            Hd_parallel.Hdastar.solve_tw ~sched
-              ~within:(within scale)
-              ~seed:1 g)
+            Hd_search.Solvers.of_int
+              (Hd_parallel.Hdastar.solve_tw ~sched ~within:(within scale)
+                 ~seed:1 g))
       in
       let notes =
-        match (seq.St.outcome, par.Sv.outcome) with
-        | St.Exact a, Sv.Exact b ->
+        match (seq.Sv.outcome, par.Sv.outcome) with
+        | Sv.Exact a, Sv.Exact b ->
             check_same "hdastar" "width" (a = b);
             outcome_string par.Sv.outcome
         | _ -> "budget-capped"
@@ -105,7 +103,7 @@ let run scale =
         ~extra:
           [
             ("outcome", Obs.Json.String (outcome_string par.Sv.outcome));
-            ("outcome_j1", Obs.Json.String (outcome_string seq.St.outcome));
+            ("outcome_j1", Obs.Json.String (outcome_string seq.Sv.outcome));
           ]
         t1 t2
     in

@@ -5,7 +5,7 @@
 
 module Graph = Hd_graph.Graph
 module Hypergraph = Hd_hypergraph.Hypergraph
-module St = Hd_search.Search_types
+module Solver = Hd_engine.Solver
 module Ga_engine = Hd_ga.Ga_engine
 open Harness
 
@@ -37,7 +37,7 @@ let table_5_1 scale =
       let g = graph name in
       let lb, ub = initial_bounds_tw g 1 in
       let result, secs =
-        time (fun () -> Hd_search.Astar_tw.solve ~within:(within scale) ~seed:1 g)
+        time (fun () -> entry "astar-tw" scale (Solver.Graph g))
       in
       let paper_a, paper_q, paper_b =
         match List.find_opt (fun (n, _, _, _) -> n = name) Paper.table_5_1 with
@@ -46,7 +46,7 @@ let table_5_1 scale =
       in
       Printf.printf "%-12s %5d %7d | %4d %4d %10s %7.2fs | %8s %8s %6s\n" name
         (Graph.n g) (Graph.m g) lb ub
-        (outcome_string result.St.outcome)
+        (outcome_string result.Solver.outcome)
         secs paper_a paper_q paper_b)
     instances
 
@@ -59,11 +59,11 @@ let table_5_2 scale =
       let g = graph name in
       let lb, ub = initial_bounds_tw g 1 in
       let result, secs =
-        time (fun () -> Hd_search.Astar_tw.solve ~within:(within scale) ~seed:1 g)
+        time (fun () -> entry "astar-tw" scale (Solver.Graph g))
       in
       Printf.printf "%-8s %5d %5d | %4d %4d %10s %7.2fs | %8s\n" name
         (Graph.n g) (Graph.m g) lb ub
-        (outcome_string result.St.outcome)
+        (outcome_string result.Solver.outcome)
         secs paper)
     Paper.table_5_2
 
@@ -303,7 +303,7 @@ let table_7_2 scale =
 (* Tables 8.1 / 9.1: BB-ghw and A*-ghw                                 *)
 (* ------------------------------------------------------------------ *)
 
-let exact_ghw_table title solve scale =
+let exact_ghw_table title solver scale =
   header title;
   Printf.printf "(%s)\n\n" Paper.truncated_note;
   Printf.printf "%-12s %5s %5s | %4s %4s %10s %8s %9s\n" "hypergraph" "V" "H"
@@ -316,22 +316,22 @@ let exact_ghw_table title solve scale =
       let ws = Hd_core.Eval.of_hypergraph h in
       let sigma = Hd_core.Ordering_heuristics.min_fill_hypergraph rng h in
       let ub = Hd_core.Eval.ghw_width ~rng ws sigma in
-      let result, secs = time (fun () -> solve ~within:(within scale) h) in
+      let result, secs =
+        time (fun () -> entry solver scale (Solver.Hypergraph h))
+      in
       Printf.printf "%-12s %5d %5d | %4d %4d %10s %7.2fs %9d\n" name
         (Hypergraph.n_vertices h) (Hypergraph.n_edges h) lb ub
-        (outcome_string result.St.outcome)
-        secs result.St.visited)
+        (outcome_string result.Solver.outcome)
+        secs result.Solver.visited)
     (ghw_instances scale)
 
 let table_8_1 scale =
   exact_ghw_table "Table 8.1/8.2 -- BB-ghw (exact bag covers, tw-ksc-width lb)"
-    (fun ~within h -> Hd_search.Bb_ghw.solve ~within ~seed:1 h)
-    scale
+    "bb-ghw" scale
 
 let table_9_1 scale =
   exact_ghw_table "Table 9.1/9.2 -- A*-ghw (best-first, anytime lower bounds)"
-    (fun ~within h -> Hd_search.Astar_ghw.solve ~within ~seed:1 h)
-    scale
+    "astar-ghw" scale
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2 series: the worked example                                 *)
@@ -378,17 +378,15 @@ let ablation_setcover scale =
     (fun name ->
       let h = hypergraph name in
       let exact, t1 =
-        time (fun () ->
-            Hd_search.Bb_ghw.solve ~within:(within scale) ~seed:1 ~cover:`Exact h)
+        time (fun () -> entry "bb-ghw" scale (Solver.Hypergraph h))
       in
       let greedy, t2 =
-        time (fun () ->
-            Hd_search.Bb_ghw.solve ~within:(within scale) ~seed:1 ~cover:`Greedy h)
+        time (fun () -> entry "bb-ghw-greedy" scale (Solver.Hypergraph h))
       in
       Printf.printf "%-12s | %12s %7.2fs | %12s %7.2fs\n" name
-        (outcome_string exact.St.outcome)
+        (outcome_string exact.Solver.outcome)
         t1
-        (outcome_string greedy.St.outcome)
+        (outcome_string greedy.Solver.outcome)
         t2)
     [ "adder_15"; "bridge_15"; "clique_10"; "clique_15"; "b06" ]
 
@@ -400,17 +398,16 @@ let ablation_dedup scale =
     (fun name ->
       let g = graph name in
       let plain, t1 =
-        time (fun () -> Hd_search.Astar_tw.solve ~within:(within scale) ~seed:1 g)
+        time (fun () -> entry "astar-tw" scale (Solver.Graph g))
       in
       let dedup, t2 =
-        time (fun () ->
-            Hd_search.Astar_tw.solve ~within:(within scale) ~dedup:true ~seed:1 g)
+        time (fun () -> entry "astar-tw-dedup" scale (Solver.Graph g))
       in
       Printf.printf "%-12s | %10s %9d %7.2fs | %10s %9d %7.2fs\n" name
-        (outcome_string plain.St.outcome)
-        plain.St.visited t1
-        (outcome_string dedup.St.outcome)
-        dedup.St.visited t2)
+        (outcome_string plain.Solver.outcome)
+        plain.Solver.visited t1
+        (outcome_string dedup.Solver.outcome)
+        dedup.Solver.visited t2)
     [ "queen5_5"; "queen6_6"; "grid5"; "grid6"; "myciel4" ]
 
 let ablation_pruning scale =
@@ -420,21 +417,16 @@ let ablation_pruning scale =
   List.iter
     (fun name ->
       let g = graph name in
-      let both = Hd_search.Bb_tw.solve ~within:(within scale) ~seed:1 g in
-      let no_pr2 =
-        Hd_search.Bb_tw.solve ~within:(within scale) ~seed:1 ~use_pr2:false g
-      in
-      let no_red =
-        Hd_search.Bb_tw.solve ~within:(within scale) ~seed:1
-          ~use_reductions:false g
-      in
+      let both = entry "bb-tw" scale (Solver.Graph g) in
+      let no_pr2 = entry "bb-tw-nopr2" scale (Solver.Graph g) in
+      let no_red = entry "bb-tw-noreduce" scale (Solver.Graph g) in
       Printf.printf "%-10s | %10s %9d | %10s %9d | %10s %9d\n" name
-        (outcome_string both.St.outcome)
-        both.St.visited
-        (outcome_string no_pr2.St.outcome)
-        no_pr2.St.visited
-        (outcome_string no_red.St.outcome)
-        no_red.St.visited)
+        (outcome_string both.Solver.outcome)
+        both.Solver.visited
+        (outcome_string no_pr2.Solver.outcome)
+        no_pr2.Solver.visited
+        (outcome_string no_red.Solver.outcome)
+        no_red.Solver.visited)
     [ "queen5_5"; "grid5"; "myciel4"; "grid6" ]
 
 let ablation_lb scale =
@@ -578,7 +570,7 @@ let extension_hw scale =
               Printf.sprintf "%d*" hw
             with Hd_search.Det_k_decomp.Timeout _ -> "t/o")
       in
-      let ghw = Hd_search.Bb_ghw.solve ~within:(within scale) ~seed:1 h in
+      let ghw = entry "bb-ghw" scale (Solver.Hypergraph h) in
       let fhw =
         let rng = Random.State.make [| 1 |] in
         let sigma = Hd_core.Ordering_heuristics.min_fill_hypergraph rng h in
@@ -587,7 +579,7 @@ let extension_hw scale =
       in
       Printf.printf "%-12s %4d %4d | %6s %10s %8s %7.2fs\n" name
         (Hypergraph.n_vertices h) (Hypergraph.n_edges h) hw_result
-        (outcome_string ghw.St.outcome) fhw secs)
+        (outcome_string ghw.Solver.outcome) fhw secs)
     [ "adder_15"; "adder_25"; "adder_50"; "bridge_15"; "clique_10" ]
 
 (* preprocessing payoff on near-chordal instances *)
@@ -599,12 +591,10 @@ let extension_preprocess scale =
     (fun name ->
       let g = graph name in
       let plain, t1 =
-        time (fun () -> Hd_search.Astar_tw.solve ~within:(within scale) ~seed:1 g)
+        time (fun () -> entry "astar-tw" scale (Solver.Graph g))
       in
       let pre, t2 =
-        time (fun () ->
-            Hd_search.Preprocess.treewidth_with_preprocessing
-              ~within:(within scale) ~seed:1 g)
+        time (fun () -> entry "preprocess-tw" scale (Solver.Graph g))
       in
       let kernel =
         let r =
@@ -614,9 +604,9 @@ let extension_preprocess scale =
         Graph.n g - List.length r.Hd_search.Preprocess.eliminated
       in
       Printf.printf "%-12s | %10s %7.2fs | %10s %7.2fs %9d\n" name
-        (outcome_string plain.St.outcome)
+        (outcome_string plain.Solver.outcome)
         t1
-        (outcome_string pre.St.outcome)
+        (outcome_string pre.Solver.outcome)
         t2 kernel)
     [ "anna"; "david"; "jean"; "miles250"; "zeroin.i.1"; "queen5_5" ]
 
@@ -629,11 +619,11 @@ let scaling scale =
     (fun name ->
       let h = hypergraph name in
       let result, secs =
-        time (fun () -> Hd_search.Bb_ghw.solve ~within:(within scale) ~seed:1 h)
+        time (fun () -> entry "bb-ghw" scale (Solver.Hypergraph h))
       in
       Printf.printf "%-12s %5d %5d | %10s %7.2fs\n" name
         (Hypergraph.n_vertices h) (Hypergraph.n_edges h)
-        (outcome_string result.St.outcome)
+        (outcome_string result.Solver.outcome)
         secs)
     [ "adder_15"; "adder_25"; "adder_50"; "adder_75"; "adder_99";
       "bridge_15"; "bridge_25"; "bridge_50"; "bridge_75"; "bridge_99" ]

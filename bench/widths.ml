@@ -103,7 +103,9 @@ let run scale =
         let started = Hd_engine.Clock.now () in
         let tw = run "astar-tw" in
         let ghw = run "bb-ghw" in
-        let fhw = Hd_search.Bb_fhw.solve ~within:(within scale) ~seed:1 h in
+        let fhw =
+          Hd_search.Ordering_search.Fhw.bb ~within:(within scale) ~seed:1 h
+        in
         let hw = run "hw-det-k" in
         let secs = Hd_engine.Clock.now () -. started in
         let fhw_str, fhw_exact =

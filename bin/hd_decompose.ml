@@ -5,7 +5,7 @@ module Graph = Hd_graph.Graph
 module Hypergraph = Hd_hypergraph.Hypergraph
 module Td = Hd_core.Tree_decomposition
 module Ghd = Hd_core.Ghd
-module St = Hd_search.Search_types
+module Solver = Hd_engine.Solver
 
 type input = G of Graph.t | H of Hypergraph.t
 
@@ -30,14 +30,14 @@ let primal_of = function G g -> g | H h -> Hypergraph.primal h
 let budget time_limit = { Hd_engine.Budget.time_limit; max_states = None }
 let within time_limit = Hd_engine.Budget.create ?time_limit ()
 
-let report_search label (result : St.result) =
+let report_search label (result : Solver.result) =
   Format.printf "%s: %a  (visited %d, generated %d, %.2fs)@." label
-    St.pp_outcome result.St.outcome result.St.visited result.St.generated
-    result.St.elapsed;
-  result.St.ordering
+    Solver.pp_outcome result.Solver.outcome result.Solver.visited
+    result.Solver.generated result.Solver.elapsed;
+  result.Solver.ordering
 
 let report_portfolio label (r : Hd_parallel.Portfolio.t) =
-  Format.printf "%s: %a  (%d domains%s, %.2fs)@." label St.pp_outcome
+  Format.printf "%s: %a  (%d domains%s, %.2fs)@." label Solver.pp_outcome
     r.Hd_parallel.Portfolio.outcome r.Hd_parallel.Portfolio.domains
     (match r.Hd_parallel.Portfolio.winner with
     | Some w -> ", won by " ^ w
@@ -46,7 +46,7 @@ let report_portfolio label (r : Hd_parallel.Portfolio.t) =
   List.iter
     (fun (m : Hd_parallel.Portfolio.member_report) ->
       Format.printf "  %-16s %a  (%.2fs)@." m.Hd_parallel.Portfolio.member
-        St.pp_outcome m.Hd_parallel.Portfolio.outcome
+        Solver.pp_outcome m.Hd_parallel.Portfolio.outcome
         m.Hd_parallel.Portfolio.elapsed)
     r.Hd_parallel.Portfolio.members;
   r.Hd_parallel.Portfolio.ordering
@@ -100,7 +100,7 @@ let witness ~time_limit ~print_decomposition ~output g h kind outcome ordering =
     Format.printf "wrote %s (PACE .td format)@." path
   in
   match (kind, outcome, ordering) with
-  | Hd_engine.Solver.Hw, St.Exact w, _ -> (
+  | Hd_engine.Solver.Hw, Solver.Exact w, _ -> (
       match
         Hd_search.Det_k_decomp.decide ~within:(within time_limit) h ~k:w
       with
@@ -118,7 +118,7 @@ let witness ~time_limit ~print_decomposition ~output g h kind outcome ordering =
       | None -> Format.printf "det-k-decomp: no decomposition of width %d@." w
       | exception Hd_search.Det_k_decomp.Timeout _ ->
           Format.printf "det-k-decomp: time limit exceeded@.")
-  | Hd_engine.Solver.Hw, St.Bounds _, _ | _, _, None -> ()
+  | Hd_engine.Solver.Hw, Solver.Bounds _, _ | _, _, None -> ()
   | Hd_engine.Solver.Tw, _, Some sigma ->
       let td = Td.of_ordering g sigma in
       Format.printf "witness tree decomposition: width %d, valid %b@."
@@ -225,7 +225,7 @@ let run input names ~jobs ~portfolio time_limit seed print_decomposition output 
                 Hd_engine.Engine.run_by_name ~seed name (within time_limit)
                   problem
               in
-              witness kind r.St.outcome (report_search name r)
+              witness kind r.Solver.outcome (report_search name r)
           | names ->
               let r =
                 Hd_parallel.Portfolio.solve_named

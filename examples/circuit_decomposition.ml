@@ -6,7 +6,6 @@
    Run with: dune exec examples/circuit_decomposition.exe *)
 
 module Hypergraph = Hd_hypergraph.Hypergraph
-module St = Hd_search.Search_types
 
 let ga_config =
   Hd_ga.Ga_engine.default_config ~population_size:60 ~max_iterations:120
@@ -24,10 +23,13 @@ let evaluate name h =
   let ga = (Hd_ga.Ga_ghw.run ga_config h).Hd_ga.Ga_engine.best in
   let saiga = (Hd_ga.Saiga_ghw.run saiga_config h).Hd_ga.Saiga_ghw.best in
   let bb =
-    Hd_search.Bb_ghw.solve ~within:(Hd_engine.Budget.create ~time_limit:5.0 ()) h
+    Hd_search.Solvers.of_int
+      (Hd_search.Ordering_search.Ghw.bb
+         ~within:(Hd_engine.Budget.create ~time_limit:5.0 ())
+         ~seed:1 h)
   in
   let lb = Hd_bounds.Lower_bounds.ghw ~rng h in
-  let bb_str = Format.asprintf "%a" St.pp_outcome bb.St.outcome in
+  let bb_str = Format.asprintf "%a" Hd_engine.Solver.pp_outcome bb.outcome in
   Format.printf "%-12s %4d %4d | %8d %6d %6d %12s %6d@." name
     (Hypergraph.n_vertices h) (Hypergraph.n_edges h) min_fill ga saiga bb_str
     lb

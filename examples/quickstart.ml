@@ -36,16 +36,13 @@ let () =
   assert (Ghd.valid h ghd);
 
   (* 3. Exact widths via the search algorithms. *)
+  let exact (r : int Hd_search.Ordering_search.result) =
+    match r.outcome with Exact w -> w | Bounds _ -> assert false
+  in
   let tw =
-    match (Hd_search.Astar_tw.solve (Hypergraph.primal h)).Hd_search.Search_types.outcome with
-    | Hd_search.Search_types.Exact w -> w
-    | Hd_search.Search_types.Bounds _ -> assert false
+    exact (Hd_search.Ordering_search.Tw.astar ~seed:1 (Hypergraph.primal h))
   in
-  let ghw =
-    match (Hd_search.Bb_ghw.solve h).Hd_search.Search_types.outcome with
-    | Hd_search.Search_types.Exact w -> w
-    | Hd_search.Search_types.Bounds _ -> assert false
-  in
+  let ghw = exact (Hd_search.Ordering_search.Ghw.bb ~seed:1 h) in
   Format.printf "treewidth(H) = %d, ghw(H) = %d (Figure 2.6/2.7 report 2/2)@.@."
     tw ghw;
 

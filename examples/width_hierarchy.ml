@@ -11,11 +11,11 @@
    Run with: dune exec examples/width_hierarchy.exe *)
 
 module Widths = Hd_search.Widths
-module St = Hd_search.Search_types
+module Solver = Hd_engine.Solver
 
 let outcome = function
-  | St.Exact w -> Printf.sprintf "%d*" w
-  | St.Bounds { lb; ub } -> Printf.sprintf "[%d,%d]" lb ub
+  | Solver.Exact w -> Printf.sprintf "%d*" w
+  | Solver.Bounds { lb; ub } -> Printf.sprintf "[%d,%d]" lb ub
 
 let () =
   Printf.printf "%-12s %5s %5s | %7s %8s %8s %6s %8s\n" "instance" "V" "H"

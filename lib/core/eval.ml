@@ -8,9 +8,8 @@ module Obs = Hd_obs.Obs
 let c_suffix_reevals = Obs.Counter.make "eval.suffix_reevals"
 let c_full_reevals = Obs.Counter.make "eval.full_reevals"
 
-(* Same counter names as Set_cover's own memo (Obs counters are shared
-   by name), so every set-cover memo in the system reports into one
-   pair of counters. *)
+(* Every integral cover memo in the system (greedy and exact, here and
+   in the exact searches' bag oracles) reports into this one pair. *)
 let c_memo_hits = Obs.Counter.make "setcover.memo_hits"
 let c_memo_misses = Obs.Counter.make "setcover.memo_misses"
 
@@ -190,23 +189,31 @@ let run t obj sigma =
 (* memoise [cover] on bag contents: the same bag recurs massively both
    within one ordering's evaluation (bags of near-identical suffixes)
    and across the orderings of a GA population or best_of sweep *)
-let memoized table cover bag =
+let memoized table cover ctx bag =
   match Bag_tbl.find_opt table bag with
   | Some w ->
       Obs.Counter.incr c_memo_hits;
       w
   | None ->
       Obs.Counter.incr c_memo_misses;
-      let w = cover bag in
+      let w = cover ctx bag in
       Bag_tbl.add table (Bitset.copy bag) w;
       w
 
+let exact_size hypergraph universe =
+  Set_cover.exact_size { universe; hypergraph }
+
+(* [exact_size] is a constant closure: a search pricing every bag
+   through here allocates nothing per lookup *)
+let exact_memoized table hypergraph bag =
+  memoized table exact_size hypergraph bag
+
 (* a bag at position i has at most i + 1 vertices, hence cover size
    at most i + 1 *)
-let cover_objective t owner memo cover =
+let cover_objective t owner price =
   {
     owner;
-    price = memoized memo cover;
+    price;
     fold = Int.max;
     settled = (fun w i -> w >= i + 1);
     zero = 0;
@@ -227,24 +234,22 @@ let tw_width t sigma =
     }
     sigma
 
+let greedy_size t hypergraph rng universe =
+  let rng =
+    match t.ties with
+    | Caller -> rng
+    | Seeded seed ->
+        Some (Random.State.make [| seed; Bitset.fnv_hash universe |])
+  in
+  Set_cover.greedy_size ?rng { universe; hypergraph }
+
 let ghw_width ?rng t sigma =
-  let hypergraph = hypergraph_exn t in
-  run t
-    (cover_objective t Greedy t.greedy_memo (fun universe ->
-         let rng =
-           match t.ties with
-           | Caller -> rng
-           | Seeded seed ->
-               Some (Random.State.make [| seed; Bitset.fnv_hash universe |])
-         in
-         Set_cover.greedy_size ?rng { universe; hypergraph }))
-    sigma
+  let cover = greedy_size t (hypergraph_exn t) in
+  run t (cover_objective t Greedy (memoized t.greedy_memo cover rng)) sigma
 
 let ghw_width_exact t sigma =
-  let hypergraph = hypergraph_exn t in
   run t
-    (cover_objective t Exact t.exact_memo (fun universe ->
-         Set_cover.exact_size { universe; hypergraph }))
+    (cover_objective t Exact (exact_memoized t.exact_memo (hypergraph_exn t)))
     sigma
 
 (* as [memoized], but for the Rat-valued LP memo with its own counters *)

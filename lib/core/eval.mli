@@ -76,6 +76,14 @@ val ghw_width_exact : t -> Ordering.t -> int
     fractional costs never share entries. *)
 val fhw_width_q : t -> Ordering.t -> Hd_lp.Rat.t
 
+(** [exact_memoized table h bag] is the minimum number of [h]'s
+    hyperedges covering [bag], looked up in (or, copying [bag], added
+    to) [table] — the memo behind {!ghw_width_exact}, exposed for
+    searches that price bags themselves.  Counts
+    [setcover.memo_hits]/[setcover.memo_misses]. *)
+val exact_memoized :
+  int Bag_tbl.t -> Hd_hypergraph.Hypergraph.t -> Hd_graph.Bitset.t -> int
+
 (** [rho_memoized table h bag] is rho* of [bag] over [h]'s hyperedges,
     looked up in (or, copying [bag], added to) [table] — the memo behind
     {!fhw_width_q}, exposed for searches that price bags themselves.

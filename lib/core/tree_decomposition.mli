@@ -42,11 +42,6 @@ val valid_for_graph : Hd_graph.Graph.t -> t -> bool
     hypergraph [h]. *)
 val valid_for_hypergraph : Hd_hypergraph.Hypergraph.t -> t -> bool
 
-(** [connectedness_holds ~n td] checks condition 2 alone: for every
-    vertex in [0 .. n - 1], the nodes whose bags contain it induce a
-    connected subtree. *)
-val connectedness_holds : n:int -> t -> bool
-
 (** [of_ordering g sigma] runs vertex elimination (Figure 2.12,
     equivalently bucket elimination, Figure 2.10) on graph [g] along
     [sigma], eliminating [sigma.(n-1)] first.  Node [i] of the result is

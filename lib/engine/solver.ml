@@ -52,3 +52,7 @@ let n_vertices = function
 
 let value = function Exact w -> w | Bounds { ub; _ } -> ub
 let bounds_of = function Exact w -> (w, w) | Bounds { lb; ub } -> (lb, ub)
+
+let pp_outcome ppf = function
+  | Exact w -> Format.fprintf ppf "%d (exact)" w
+  | Bounds { lb; ub } -> Format.fprintf ppf "[%d,%d]" lb ub

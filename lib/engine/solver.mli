@@ -11,8 +11,8 @@
     Registration happens in the libraries that own the algorithms
     ([Hd_search.Solvers.ensure ()] and [Hd_ga.Solvers.ensure ()]);
     this module only holds the table.  The [outcome] and [result]
-    types are the canonical definitions that
-    [Hd_search.Search_types] re-exports. *)
+    types are the int view every registry entry reports; the searches'
+    own cost-typed results become it in [Hd_search.Solvers]. *)
 
 (** How a run ended. *)
 type outcome =
@@ -79,3 +79,6 @@ val value : outcome -> int
 
 (** [(lb, ub)]; equal on [Exact]. *)
 val bounds_of : outcome -> int * int
+
+(** [pp_outcome ppf o] prints ["w (exact)"] or ["[lb,ub]"]. *)
+val pp_outcome : Format.formatter -> outcome -> unit

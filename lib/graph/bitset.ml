@@ -51,12 +51,16 @@ let cardinal s = Array.fold_left (fun acc w -> acc + popcount_word w) 0 s.words
 
 let is_empty s = Array.for_all (fun w -> w = 0) s.words
 
+(* a loop, not a local recursive function: bag tables call this on
+   every hit, and a closure would allocate each time *)
 let equal a b =
   assert (a.capacity = b.capacity);
-  let rec go i =
-    i >= Array.length a.words || (a.words.(i) = b.words.(i) && go (i + 1))
-  in
-  go 0
+  let n = Array.length a.words in
+  let i = ref 0 in
+  while !i < n && a.words.(!i) = b.words.(!i) do
+    incr i
+  done;
+  !i = n
 
 let subset a b =
   assert (a.capacity = b.capacity);
@@ -152,9 +156,20 @@ let for_all p s = not (exists (fun i -> not (p i)) s)
    the result non-negative. *)
 let fnv_offset_basis = 0xbf29ce484222325 lor (1 lsl 62)
 
+(* [iter]'s loop inlined: no closure, so hashing a bag allocates
+   nothing *)
 let fnv_hash s =
   let h = ref fnv_offset_basis in
-  iter (fun i -> h := (!h lxor i) * 0x100000001b3) s;
+  for wi = 0 to Array.length s.words - 1 do
+    let w = ref s.words.(wi) in
+    let base = wi * bits_per_word in
+    while !w <> 0 do
+      let lsb = !w land - !w in
+      let i = base + Array.unsafe_get ctz_table (lsb land max_int mod 67) in
+      h := (!h lxor i) * 0x100000001b3;
+      w := !w land (!w - 1)
+    done
+  done;
   !h land max_int
 
 let of_list n xs =

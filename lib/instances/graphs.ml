@@ -93,7 +93,12 @@ let geometric ~seed ~n ~target_m =
 
 (* interval graph whose interval length is tuned by binary search to
    land near [target_m] edges; the result is chordal with treewidth
-   equal to the deepest overlap minus one *)
+   equal to the deepest overlap minus one.  It stands in for two DIMACS
+   families: book character co-occurrence graphs are interval-like
+   (characters appear in contiguous stretches of the narrative, which
+   gives anna/david/huck/jean their low treewidths), and the
+   register-interference graphs of straight-line code are interval
+   graphs of live ranges, with treewidth the register pressure. *)
 let interval_graph_raw rng ~n ~length =
   let intervals =
     Array.init n (fun _ ->
@@ -120,11 +125,6 @@ let interval_graph ~seed ~n ~target_m =
   in
   search 0.0 1.0 20
 
-(* Book character co-occurrence graphs are interval-like: characters
-   appear in contiguous stretches of the narrative, and the low
-   treewidths of anna/david/huck/jean come from that structure. *)
-let book_like ~seed ~n ~target_m = interval_graph ~seed ~n ~target_m
-
 let leighton_like ~seed ~n ~target_m ~clique_size =
   let rng = Random.State.make [| seed |] in
   let g = Graph.create n in
@@ -136,10 +136,6 @@ let leighton_like ~seed ~n ~target_m ~clique_size =
       members
   done;
   g
-
-(* register-interference graphs of straight-line code are interval
-   graphs (live ranges); their treewidth is the register pressure *)
-let register_like ~seed ~n ~target_m = interval_graph ~seed ~n ~target_m
 
 (* name, |V|, |E| as the paper's tables report them; several DIMACS
    .col files (queen, miles, the book graphs) list every edge in both
@@ -192,12 +188,12 @@ let catalogue :
       fun () -> random_gnp ~seed:(seed_of "DSJC250.5") ~n:250 ~p:0.5 );
     ( "DSJC250.9", 250, 27897,
       fun () -> random_gnp ~seed:(seed_of "DSJC250.9") ~n:250 ~p:0.9 );
-    ("anna", 138, 986, fun () -> book_like ~seed:(seed_of "anna") ~n:138 ~target_m:493);
-    ("david", 87, 812, fun () -> book_like ~seed:(seed_of "david") ~n:87 ~target_m:406);
-    ("huck", 74, 602, fun () -> book_like ~seed:(seed_of "huck") ~n:74 ~target_m:301);
-    ("jean", 80, 508, fun () -> book_like ~seed:(seed_of "jean") ~n:80 ~target_m:254);
-    ("homer", 561, 3258, fun () -> book_like ~seed:(seed_of "homer") ~n:561 ~target_m:1629);
-    ("games120", 120, 1276, fun () -> book_like ~seed:(seed_of "games120") ~n:120 ~target_m:638);
+    ("anna", 138, 986, fun () -> interval_graph ~seed:(seed_of "anna") ~n:138 ~target_m:493);
+    ("david", 87, 812, fun () -> interval_graph ~seed:(seed_of "david") ~n:87 ~target_m:406);
+    ("huck", 74, 602, fun () -> interval_graph ~seed:(seed_of "huck") ~n:74 ~target_m:301);
+    ("jean", 80, 508, fun () -> interval_graph ~seed:(seed_of "jean") ~n:80 ~target_m:254);
+    ("homer", 561, 3258, fun () -> interval_graph ~seed:(seed_of "homer") ~n:561 ~target_m:1629);
+    ("games120", 120, 1276, fun () -> interval_graph ~seed:(seed_of "games120") ~n:120 ~target_m:638);
     ( "miles250", 128, 774,
       fun () -> geometric ~seed:(seed_of "miles250") ~n:128 ~target_m:387 );
     ( "miles500", 128, 2340,
@@ -233,23 +229,23 @@ let catalogue :
       fun () ->
         leighton_like ~seed:(seed_of "le450_25d") ~n:450 ~target_m:17425 ~clique_size:25 );
     ( "mulsol.i.1", 197, 3925,
-      fun () -> register_like ~seed:(seed_of "mulsol.i.1") ~n:197 ~target_m:3925 );
+      fun () -> interval_graph ~seed:(seed_of "mulsol.i.1") ~n:197 ~target_m:3925 );
     ( "mulsol.i.2", 188, 3885,
-      fun () -> register_like ~seed:(seed_of "mulsol.i.2") ~n:188 ~target_m:3885 );
+      fun () -> interval_graph ~seed:(seed_of "mulsol.i.2") ~n:188 ~target_m:3885 );
     ( "mulsol.i.5", 186, 3973,
-      fun () -> register_like ~seed:(seed_of "mulsol.i.5") ~n:186 ~target_m:3973 );
+      fun () -> interval_graph ~seed:(seed_of "mulsol.i.5") ~n:186 ~target_m:3973 );
     ( "zeroin.i.2", 211, 3541,
-      fun () -> register_like ~seed:(seed_of "zeroin.i.2") ~n:211 ~target_m:3541 );
+      fun () -> interval_graph ~seed:(seed_of "zeroin.i.2") ~n:211 ~target_m:3541 );
     ( "zeroin.i.3", 206, 3540,
-      fun () -> register_like ~seed:(seed_of "zeroin.i.3") ~n:206 ~target_m:3540 );
+      fun () -> interval_graph ~seed:(seed_of "zeroin.i.3") ~n:206 ~target_m:3540 );
     ( "fpsol2.i.2", 451, 8691,
-      fun () -> register_like ~seed:(seed_of "fpsol2.i.2") ~n:451 ~target_m:8691 );
+      fun () -> interval_graph ~seed:(seed_of "fpsol2.i.2") ~n:451 ~target_m:8691 );
     ( "fpsol2.i.3", 425, 8688,
-      fun () -> register_like ~seed:(seed_of "fpsol2.i.3") ~n:425 ~target_m:8688 );
+      fun () -> interval_graph ~seed:(seed_of "fpsol2.i.3") ~n:425 ~target_m:8688 );
     ( "inithx.i.2", 645, 13979,
-      fun () -> register_like ~seed:(seed_of "inithx.i.2") ~n:645 ~target_m:13979 );
+      fun () -> interval_graph ~seed:(seed_of "inithx.i.2") ~n:645 ~target_m:13979 );
     ( "inithx.i.3", 621, 13969,
-      fun () -> register_like ~seed:(seed_of "inithx.i.3") ~n:621 ~target_m:13969 );
+      fun () -> interval_graph ~seed:(seed_of "inithx.i.3") ~n:621 ~target_m:13969 );
     ( "school1", 385, 19095,
       fun () ->
         leighton_like ~seed:(seed_of "school1") ~n:385 ~target_m:19095 ~clique_size:14 );
@@ -257,11 +253,11 @@ let catalogue :
       fun () ->
         leighton_like ~seed:(seed_of "school1_nsh") ~n:352 ~target_m:14612 ~clique_size:14 );
     ( "zeroin.i.1", 211, 4100,
-      fun () -> register_like ~seed:(seed_of "zeroin.i.1") ~n:211 ~target_m:4100 );
+      fun () -> interval_graph ~seed:(seed_of "zeroin.i.1") ~n:211 ~target_m:4100 );
     ( "fpsol2.i.1", 496, 11654,
-      fun () -> register_like ~seed:(seed_of "fpsol2.i.1") ~n:496 ~target_m:11654 );
+      fun () -> interval_graph ~seed:(seed_of "fpsol2.i.1") ~n:496 ~target_m:11654 );
     ( "inithx.i.1", 864, 18707,
-      fun () -> register_like ~seed:(seed_of "inithx.i.1") ~n:864 ~target_m:18707 );
+      fun () -> interval_graph ~seed:(seed_of "inithx.i.1") ~n:864 ~target_m:18707 );
   ]
 
 let by_name name =

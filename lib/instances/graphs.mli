@@ -31,33 +31,16 @@ val chain : copies:int -> Hd_graph.Graph.t -> Hd_graph.Graph.t
     distribution. *)
 val random_gnp : seed:int -> n:int -> p:float -> Hd_graph.Graph.t
 
-(** [geometric ~seed ~n ~target_m] places [n] points uniformly in the
-    unit square and connects pairs closer than a radius tuned to reach
-    roughly [target_m] edges — the miles family's regime. *)
-val geometric : seed:int -> n:int -> target_m:int -> Hd_graph.Graph.t
-
-(** [book_like ~seed ~n ~target_m] is a random interval graph with the
-    interval length tuned to reach roughly [target_m] edges.  Book
-    character co-occurrence graphs (anna, david, homer, huck, jean)
-    are interval-like — characters live in contiguous narrative
-    stretches — which is what gives them their small treewidths. *)
-val book_like : seed:int -> n:int -> target_m:int -> Hd_graph.Graph.t
-
-(** [leighton_like ~seed ~n ~target_m ~clique_size] unions random
-    cliques until close to [target_m] edges — the le450 regime. *)
-val leighton_like :
-  seed:int -> n:int -> target_m:int -> clique_size:int -> Hd_graph.Graph.t
-
-(** [register_like ~seed ~n ~target_m] is a random interval graph:
-    register-interference graphs (fpsol2, inithx, mulsol, zeroin) are
-    interval graphs of live ranges, with treewidth equal to the
-    register pressure (clique number minus one). *)
-val register_like : seed:int -> n:int -> target_m:int -> Hd_graph.Graph.t
-
 (** [by_name name] resolves a Table 5.1/6.6 instance name — e.g.
     "queen5_5", "myciel4", "grid6", "DSJC125.1", "anna", "miles250",
     "le450_15a", "mulsol.i.1" — to the exact construction or its
-    documented stand-in. *)
+    documented stand-in: random interval graphs for the book graphs
+    (anna, david, homer, huck, jean; characters live in contiguous
+    narrative stretches), games120 and the register-interference graphs
+    (fpsol2, inithx, mulsol, zeroin; live ranges), random geometric
+    graphs for the miles family, and unions of random cliques for le450
+    and school1.  Every stand-in is tuned to roughly the original's
+    edge count. *)
 val by_name : string -> Hd_graph.Graph.t option
 
 (** [names] lists every instance [by_name] accepts, with the vertex and

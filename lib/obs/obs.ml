@@ -17,7 +17,6 @@
 let enabled = Atomic.make false
 let enable () = Atomic.set enabled true
 let disable () = Atomic.set enabled false
-let is_enabled () = Atomic.get enabled
 
 (* one lock for every registry: registration and report generation are
    cold paths, contention is irrelevant there *)

@@ -37,8 +37,6 @@ val disable : unit -> unit
 (** [disable ()] turns recording off.  Values accumulated so far are
     kept and still appear in {!report}. *)
 
-val is_enabled : unit -> bool
-(** [is_enabled ()] is [true] between {!enable} and {!disable}. *)
 
 (** {1 JSON}
 

@@ -2,11 +2,10 @@ module Graph = Hd_graph.Graph
 module Bitset = Hd_graph.Bitset
 module Incumbent = Hd_core.Incumbent
 module Budget = Hd_engine.Budget
-module Clock = Hd_engine.Clock
 module Step = Hd_engine.Step
-module Solver = Hd_engine.Solver
 module Search_util = Hd_search.Search_util
 module Bag_cost = Hd_search.Bag_cost
+module Ordering_search = Hd_search.Ordering_search
 module Pq = Hd_search.Pq
 module Obs = Hd_obs.Obs
 
@@ -60,16 +59,14 @@ let exhausted sh =
    the shared int incumbent, so a fractional cost would report ceilings;
    only treewidth and ghw are instantiated. *)
 module Make (C : Bag_cost.S) = struct
-  module Search = Hd_search.Ordering_search.Make (C)
+  module Search = Ordering_search.Make (C)
 
-  let run_worker sh ~me ~p ~seed ~ub ~root ~root_owner =
+  let run_worker sh ~me ~(st : Search.start) ~seed ~root ~root_owner =
     Step.unsliced @@ fun () ->
-    let n = Graph.n (C.graph p) in
+    let n = Graph.n (C.graph st.problem) in
     let rng = Random.State.make [| seed + (me * 0x9e37) |] in
     let tk = Budget.ticker sh.budget in
-    let s =
-      Search.searcher p ~ticker:tk ~inc:sh.inc ~rng ~ub ~lb:root.Search.f
-    in
+    let s = Search.searcher { st with ticker = tk; rng } in
     let pq = Pq.create ~compare:Search.compare_nodes ~dummy:root in
     let seen : (Bitset.t, C.t) Hashtbl.t = Hashtbl.create 64 in
     let out = Array.make sh.w [] in
@@ -224,84 +221,52 @@ module Make (C : Bag_cost.S) = struct
     leave_idle ();
     sh.stats.(me) <- (Budget.visited tk, Budget.generated tk)
 
-  let solve ~sched ~within ~seed input =
-    let p = C.prepare input in
-    match C.trivial p with
-    | Some w ->
+  let solve ~sched ?within ~seed input =
+    let visited = ref 0 and generated = ref 0 in
+    let r =
+      Search.run ?within ~seed input @@ fun st ->
+      let w = min max_workers (Scheduler.size sched + 1) in
+      let sh =
         {
-          Solver.outcome = Solver.Exact (C.ceil w);
-          visited = 0;
-          generated = 0;
-          elapsed = 0.0;
-          ordering = Some (Array.init (Graph.n (C.graph p)) Fun.id);
+          w;
+          inc = st.inc;
+          (* one state cap for the whole search, not per worker *)
+          budget = Budget.pooled (Budget.budget st.ticker);
+          rings =
+            Array.init w (fun _ ->
+                Array.init w (fun _ -> Ring.create ring_capacity));
+          (* the root counts as in flight until its owner queues it: a
+             worker that comes online first must not find the frontier
+             exhausted *)
+          in_flight = Atomic.make 1;
+          idlers = Atomic.make 0;
+          started = Atomic.make 0;
+          activity = Atomic.make 0;
+          halt = Atomic.make false;
+          stats = Array.make w (0, 0);
         }
-    | None ->
-        let b = match within with Some b -> b | None -> Budget.create () in
-        Budget.start b;
-        let inc =
-          match Budget.incumbent b with
-          | Some i -> i
-          | None -> Incumbent.create ()
-        in
-        let result, secs =
-          Clock.time @@ fun () ->
-          let ub_sigma, ub0, lb0 = C.initial p (Random.State.make [| seed |]) in
-          ignore (Incumbent.offer_ub inc ~witness:ub_sigma (C.ceil ub0));
-          ignore (Incumbent.raise_lb inc (C.ceil lb0));
-          let finish ~visited ~generated =
-            let lb, ub = Incumbent.bounds inc in
-            let ordering =
-              match Incumbent.witness inc with
-              | Some w -> Some w
-              | None -> Some ub_sigma
-            in
-            let outcome =
-              if Incumbent.closed inc then Solver.Exact ub
-              else Solver.Bounds { lb = min lb ub; ub }
-            in
-            { Solver.outcome; visited; generated; elapsed = 0.0; ordering }
-          in
-          if Incumbent.closed inc then finish ~visited:0 ~generated:0
-          else begin
-            let w = min max_workers (Scheduler.size sched + 1) in
-            let sh =
-              {
-                w;
-                inc;
-                (* one state cap for the whole search, not per worker *)
-                budget = Budget.pooled b;
-                rings =
-                  Array.init w (fun _ ->
-                      Array.init w (fun _ -> Ring.create ring_capacity));
-                (* the root counts as in flight until its owner
-                   queues it: a worker that comes online first must
-                   not find the frontier exhausted *)
-                in_flight = Atomic.make 1;
-                idlers = Atomic.make 0;
-                started = Atomic.make 0;
-                activity = Atomic.make 0;
-                halt = Atomic.make false;
-                stats = Array.make w (0, 0);
-              }
-            in
-            let root = Search.root lb0 in
-            (* the empty eliminated set hashes to a fixed owner; worker 0
-               is the caller and always starts, so make it the owner —
-               the search is live even while pool workers are busy
-               elsewhere *)
-            let root_owner = 0 in
-            Scheduler.run_all sched
-              (List.init w (fun me () ->
-                   run_worker sh ~me ~p ~seed ~ub:(ub_sigma, ub0) ~root
-                     ~root_owner));
-            let visited = Array.fold_left (fun a (v, _) -> a + v) 0 sh.stats in
-            let generated =
-              Array.fold_left (fun a (_, g) -> a + g) 0 sh.stats
-            in
-            finish ~visited ~generated
-          end
-        in
-        { result with Solver.elapsed = secs }
+      in
+      let root = Search.root st.lb in
+      (* the empty eliminated set hashes to a fixed owner; worker 0 is
+         the caller and always starts, so make it the owner — the
+         search is live even while pool workers are busy elsewhere *)
+      let root_owner = 0 in
+      Scheduler.run_all sched
+        (List.init w (fun me () ->
+             run_worker sh ~me ~st ~seed ~root ~root_owner));
+      Array.iter
+        (fun (v, g) ->
+          visited := !visited + v;
+          generated := !generated + g)
+        sh.stats;
+      (* the shared incumbent holds the search's verdict *)
+      let lb, ub = Incumbent.bounds st.inc in
+      ( (if Incumbent.closed st.inc then Exact (C.of_int ub)
+         else Bounds { lb = C.of_int (min lb ub); ub = C.of_int ub }),
+        Option.value (Incumbent.witness st.inc) ~default:(fst st.ub) )
+    in
+    (* the workers' tickers counted the states, not the prologue's *)
+    { r with visited = !visited; generated = !generated }
 end
 
 module Tw = Make (Bag_cost.Tw)
@@ -311,8 +276,8 @@ let scheduler = function Some s -> s | None -> Scheduler.shared ()
 
 let solve_tw ?sched ?within ?(seed = 0x7ea) g =
   Obs.with_span "hdastar.solve_tw" @@ fun () ->
-  Tw.solve ~sched:(scheduler sched) ~within ~seed g
+  Tw.solve ~sched:(scheduler sched) ?within ~seed g
 
 let solve_ghw ?sched ?within ?(seed = 0xa5a) h =
   Obs.with_span "hdastar.solve_ghw" @@ fun () ->
-  Ghw.solve ~sched:(scheduler sched) ~within ~seed h
+  Ghw.solve ~sched:(scheduler sched) ?within ~seed h

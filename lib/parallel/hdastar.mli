@@ -42,16 +42,20 @@ val solve_tw :
   ?within:Hd_engine.Budget.t ->
   ?seed:int ->
   Hd_graph.Graph.t ->
-  Hd_engine.Solver.result
+  int Hd_search.Ordering_search.result
 (** Exact treewidth by distributed best-first search over elimination
-    prefixes — the parallel counterpart of [Astar_tw.solve].  [sched]
-    defaults to {!Scheduler.shared}. *)
+    prefixes — the parallel counterpart of
+    {!Hd_search.Ordering_search.Tw.astar}, entered through the same
+    prologue ({!Hd_search.Ordering_search.Make.run}).  Its visited and
+    generated states are summed over the workers.  [sched] defaults to
+    {!Scheduler.shared}, [seed] to [0x7ea]. *)
 
 val solve_ghw :
   ?sched:Scheduler.t ->
   ?within:Hd_engine.Budget.t ->
   ?seed:int ->
   Hd_hypergraph.Hypergraph.t ->
-  Hd_engine.Solver.result
+  int Hd_search.Ordering_search.result
 (** Exact generalized hypertree width, the parallel counterpart of
-    [Astar_ghw.solve].  Each worker keeps its own cover oracle. *)
+    {!Hd_search.Ordering_search.Ghw.astar}.  Each worker keeps its own
+    cover oracle.  [seed] defaults to [0xa5a]. *)

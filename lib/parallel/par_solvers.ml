@@ -11,7 +11,9 @@ let ensure () =
         kind = S.Tw;
         doc = "hash-distributed parallel A* treewidth (HDA* on the scheduler)";
         run =
-          (fun ?seed b p -> Hdastar.solve_tw ~within:b ?seed (S.primal_of p));
+          (fun ?seed b p ->
+            Hd_search.Solvers.of_int
+              (Hdastar.solve_tw ~within:b ?seed (S.primal_of p)));
       };
     S.register
       {
@@ -20,7 +22,8 @@ let ensure () =
         doc = "hash-distributed parallel A* ghw (HDA* on the scheduler)";
         run =
           (fun ?seed b p ->
-            Hdastar.solve_ghw ~within:b ?seed (S.hypergraph_of p));
+            Hd_search.Solvers.of_int
+              (Hdastar.solve_ghw ~within:b ?seed (S.hypergraph_of p)));
       };
     S.register
       {

@@ -1,5 +1,4 @@
 module Incumbent = Hd_core.Incumbent
-module Search_types = Hd_search.Search_types
 module Engine = Hd_engine.Engine
 module Solver = Hd_engine.Solver
 module Budget = Hd_engine.Budget
@@ -10,12 +9,12 @@ let c_closed = Obs.Counter.make "parallel.portfolio.closed"
 
 type member_report = {
   member : string;
-  outcome : Search_types.outcome;
+  outcome : Solver.outcome;
   elapsed : float;
 }
 
 type t = {
-  outcome : Search_types.outcome;
+  outcome : Solver.outcome;
   ordering : int array option;
   winner : string option;
   members : member_report list;
@@ -35,7 +34,7 @@ let ensure_registry () =
    proved optimality, whoever it was *)
 let outcome_of inc =
   let lb, ub = Incumbent.bounds inc in
-  if lb >= ub then Search_types.Exact ub else Search_types.Bounds { lb; ub }
+  if lb >= ub then Solver.Exact ub else Solver.Bounds { lb; ub }
 
 (* Race the first [jobs] [members] sharing [inc], one fork/join task
    each on a scheduler with one executor per member (the joining caller
@@ -57,10 +56,10 @@ let race ~jobs ~inc members =
       else job ()
     in
     (match outcome with
-    | Search_types.Exact _ ->
+    | Solver.Exact _ ->
         (* first exact finisher is the winner *)
         ignore (Atomic.compare_and_set winner None (Some name))
-    | Search_types.Bounds _ -> ());
+    | Solver.Bounds _ -> ());
     { member = name; outcome; elapsed = Hd_engine.Clock.now () -. t0 }
   in
   Obs.Counter.add c_members n;
@@ -71,8 +70,8 @@ let race ~jobs ~inc members =
   in
   let outcome = outcome_of inc in
   (match outcome with
-  | Search_types.Exact _ -> Obs.Counter.incr c_closed
-  | Search_types.Bounds _ -> ());
+  | Solver.Exact _ -> Obs.Counter.incr c_closed
+  | Solver.Bounds _ -> ());
   {
     outcome;
     ordering = Incumbent.witness inc;
@@ -156,7 +155,7 @@ let solve_named ?jobs ?budget ?(seed = 0x92f) ~names problem =
   run_roster ~jobs ?budget ~seed (List.map (fun n -> (n, n)) names) problem
 
 let pp ppf t =
-  Format.fprintf ppf "%a on %d domain%s" Search_types.pp_outcome t.outcome
+  Format.fprintf ppf "%a on %d domain%s" Solver.pp_outcome t.outcome
     t.domains
     (if t.domains = 1 then "" else "s");
   match t.winner with

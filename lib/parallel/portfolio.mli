@@ -19,12 +19,12 @@
 
 type member_report = {
   member : string;  (** roster name, e.g. ["astar-tw"] *)
-  outcome : Hd_search.Search_types.outcome;
+  outcome : Hd_engine.Solver.outcome;
   elapsed : float;
 }
 
 type t = {
-  outcome : Hd_search.Search_types.outcome;
+  outcome : Hd_engine.Solver.outcome;
       (** the incumbent at the end of the race *)
   ordering : int array option;  (** witness achieving the upper bound *)
   winner : string option;

@@ -10,6 +10,8 @@ module Heuristics = Hd_core.Ordering_heuristics
 module Rat = Hd_lp.Rat
 
 module type S = sig
+  val name : string
+
   type t
 
   val compare : t -> t -> int
@@ -52,6 +54,7 @@ end
 module Tw = struct
   include Int_cost
 
+  let name = "tw"
   let size_only = true
   let exact = true
 
@@ -125,6 +128,7 @@ let cover_oracle p rng ~cache ~k =
 module Ghw = struct
   include Int_cost
 
+  let name = "ghw"
   let size_only = false
   let exact = true
 
@@ -143,15 +147,16 @@ module Ghw = struct
     in
     (ub_sigma, ub, Lower_bounds.ghw ~rng p.hg)
 
-  type oracle = (Bitset.t, int) Hashtbl.t cover_oracle
+  (* exact covers of bags, cached by bag content in Eval's cover memo
+     (counted as setcover.memo_hits/setcover.memo_misses) *)
+  type oracle = int Eval.Bag_tbl.t cover_oracle
 
   let oracle p rng =
-    cover_oracle p rng ~cache:(Hashtbl.create 64)
+    cover_oracle p rng ~cache:(Eval.Bag_tbl.create 64)
       ~k:(Hypergraph.max_edge_size p.hg)
 
   let cover o universe = { Set_cover.universe; hypergraph = o.h }
-  let bag o eg v =
-    Set_cover.exact_size ~cache:o.cache (cover o (bag_set o.scratch eg v))
+  let bag o eg v = Eval.exact_memoized o.cache o.h (bag_set o.scratch eg v)
 
   (* a greedy cover of the live set is a valid width for any completion *)
   let live o eg =
@@ -176,6 +181,8 @@ module Ghw_greedy = struct
 end
 
 module Fhw = struct
+  let name = "fhw"
+
   type t = Rat.t
 
   let compare = Rat.compare

@@ -13,6 +13,10 @@
     prices the bags of an {!Hd_graph.Elim_graph}. *)
 
 module type S = sig
+  val name : string
+  (** Names the searches' spans: [bb_<name>.solve] and
+      [astar_<name>.solve]. *)
+
   type t
   (** A bag cost; [compare]/[max]/[zero] order and combine them. *)
 
@@ -87,13 +91,15 @@ end
 module Tw : S with type t = int and type input = Hd_graph.Graph.t
 
 (** Generalized hypertree width: a bag costs its minimum edge cover,
-    memoised per run.  Input: a hypergraph with every vertex in some
-    hyperedge; subsumed hyperedges are dropped first.  [live_lb] is
+    memoised per run ({!Hd_core.Eval.exact_memoized}).  Input: a
+    hypergraph with every vertex in some hyperedge; subsumed hyperedges
+    are dropped first.  [live_lb] is
     [zero]: [live] breaks greedy ties with the random state, so skipping
     it would shift every later draw. *)
 module Ghw : S with type t = int and type input = Hd_hypergraph.Hypergraph.t
 
-(** {!Ghw} with greedy covers: faster, but only upper bounds. *)
+(** {!Ghw} with greedy covers: faster, but only upper bounds.  Its
+    [name] is {!Ghw}'s. *)
 module Ghw_greedy :
   S with type t = int and type input = Hd_hypergraph.Hypergraph.t
 

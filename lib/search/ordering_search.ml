@@ -15,18 +15,6 @@ type 'c result = {
   ordering : int array option;
 }
 
-let int_result (r : int result) : Search_types.result =
-  {
-    Search_types.outcome =
-      (match r.outcome with
-      | Exact w -> Search_types.Exact w
-      | Bounds { lb; ub } -> Search_types.Bounds { lb; ub });
-    visited = r.visited;
-    generated = r.generated;
-    elapsed = r.elapsed;
-    ordering = r.ordering;
-  }
-
 (* sigma's back is eliminated first: live vertices fill the front
    (eliminated last, in any order), then the path, most recent first,
    puts the first elimination at the very back *)
@@ -45,6 +33,15 @@ exception Out_of_budget
 exception Closed
 
 module Make (C : Bag_cost.S) = struct
+  type start = {
+    problem : C.problem;
+    ticker : Budget.ticker;
+    inc : Incumbent.t;
+    rng : Random.State.t;
+    ub : int array * C.t;
+    lb : C.t;
+  }
+
   type searcher = {
     n : int;
     ticker : Budget.ticker;
@@ -57,18 +54,19 @@ module Make (C : Bag_cost.S) = struct
     mutable lb : C.t;  (* the best lower bound this searcher proved *)
   }
 
-  let searcher p ~ticker ~inc ~rng ~ub:(best_sigma, best) ~lb =
-    let g = C.graph p in
+  let searcher st =
+    let g = C.graph st.problem in
+    let best_sigma, best = st.ub in
     {
       n = Graph.n g;
-      ticker;
-      inc;
-      oracle = C.oracle p rng;
+      ticker = st.ticker;
+      inc = st.inc;
+      oracle = C.oracle st.problem st.rng;
       eg = Elim_graph.of_graph g;
       at = [];
       best;
       best_sigma;
-      lb;
+      lb = st.lb;
     }
 
   (* The upper bound prunes against both the local exact best and the
@@ -172,8 +170,9 @@ module Make (C : Bag_cost.S) = struct
                s.eg []),
           false )
 
-  (* Runs [body] on a fresh searcher after the shared prologue: prepare
-     the input, settle trivial problems, publish the initial bounds. *)
+  (* The prologue of every search: prepare the input, settle trivial
+     problems, publish the initial bounds and settle a problem they
+     close; otherwise [body] searches from them. *)
   let run ?(within = Budget.create ()) ~seed input body =
     let p = C.prepare input in
     let ticker = Budget.ticker within in
@@ -205,9 +204,18 @@ module Make (C : Bag_cost.S) = struct
           finish (Exact (ub_of inc ub0))
             (witness_of inc ~best:ub0 ~sigma:ub_sigma)
         else
-          let s = searcher p ~ticker ~inc ~rng ~ub:(ub_sigma, ub0) ~lb in
-          let outcome = body s in
-          finish outcome (witness s)
+          let outcome, ordering =
+            body { problem = p; ticker; inc; rng; ub = (ub_sigma, ub0); lb }
+          in
+          finish outcome ordering
+
+  (* a sequential search: one searcher from the prologue's state *)
+  let run_searcher ?within ~seed ~span input body =
+    Obs.with_span span @@ fun () ->
+    run ?within ~seed input @@ fun st ->
+    let s = searcher st in
+    let outcome = body s in
+    (outcome, witness s)
 
   (* BB's one stop rule.  The budget also ends when its incumbent
      closes, which proves the upper bound optimal: that stop is
@@ -216,8 +224,11 @@ module Make (C : Bag_cost.S) = struct
     if Budget.out_of_budget s.ticker then
       raise (if closed s then Closed else Out_of_budget)
 
+  let bb_span = "bb_" ^ C.name ^ ".solve"
+  let astar_span = "astar_" ^ C.name ^ ".solve"
+
   let bb ?within ?use_pr2 ?use_reductions ~seed input =
-    run ?within ~seed input @@ fun s ->
+    run_searcher ?within ~seed ~span:bb_span input @@ fun s ->
     let path = ref [] in
     (* depth-first over elimination choices; [g] is the cost of the
        partial ordering, [f_floor] the inherited f of the parent *)
@@ -336,7 +347,7 @@ module Make (C : Bag_cost.S) = struct
     end
 
   let astar ?within ?(dedup = false) ~seed input =
-    run ?within ~seed input @@ fun s ->
+    run_searcher ?within ~seed ~span:astar_span input @@ fun s ->
     let root = root s.lb in
     (* the root is a long-lived value, so using it as the queue's
        slot-clearing dummy retains nothing *)
@@ -380,3 +391,8 @@ module Make (C : Bag_cost.S) = struct
     in
     search ()
 end
+
+module Tw = Make (Bag_cost.Tw)
+module Ghw = Make (Bag_cost.Ghw)
+module Ghw_greedy = Make (Bag_cost.Ghw_greedy)
+module Fhw = Make (Bag_cost.Fhw)

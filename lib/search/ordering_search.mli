@@ -14,8 +14,9 @@
     Bounds go through the shared int {!Hd_core.Incumbent}, so racing
     solvers see each other's improvements: costs are published as
     their ceiling, and each search also keeps its exact best.  The
-    entry points [Bb_tw], [Bb_ghw], [Bb_fhw], [Astar_tw], [Astar_ghw]
-    and [Hd_parallel.Hdastar] are instances. *)
+    paper's exact methods are the instances at the end of this module;
+    [Hd_parallel.Hdastar] distributes the A* over the same building
+    blocks, and [Solvers] registers them all under their names. *)
 
 (** How a search ended, in the cost's own type. *)
 type 'c outcome =
@@ -31,15 +32,13 @@ type 'c result = {
   ordering : int array option;  (** an ordering realising the upper bound *)
 }
 
-(** [int_result r] is [r] as the engine's result type. *)
-val int_result : int result -> Search_types.result
-
 module Make (C : Bag_cost.S) : sig
   (** [bb ~seed input] is depth-first branch and bound (Sections 4.4
       and 8): children in order of increasing degree, an anytime upper
       bound, and a proof of optimality when the tree is exhausted with
       an exact cost.  [use_pr2] and [use_reductions] (both on by
-      default) exist for the pruning ablation.
+      default) exist for the pruning ablation.  It runs in the span
+      [bb_<name>.solve], with [name] the cost's {!Bag_cost.S.name}.
 
       Every search runs under one {!Hd_engine.Budget.t}, [within]
       (default: a fresh unlimited budget).  It carries the deadline,
@@ -58,7 +57,8 @@ module Make (C : Bag_cost.S) : sig
   (** [astar ~seed input] is best-first search (Chapters 5 and 9).  The
       frontier minimum f is published as a lower bound, and on an
       exhausted budget it is the reported one.  [dedup] merges states
-      that eliminated the same vertex set (off by default). *)
+      that eliminated the same vertex set (off by default).  It runs in
+      the span [astar_<name>.solve]. *)
   val astar :
     ?within:Hd_engine.Budget.t ->
     ?dedup:bool ->
@@ -68,21 +68,38 @@ module Make (C : Bag_cost.S) : sig
 
   (** {2 Building blocks of a distributed A*} *)
 
+  (** Where a search starts once the prologue has run. *)
+  type start = {
+    problem : C.problem;
+    ticker : Hd_engine.Budget.ticker;  (** counts the result's states *)
+    inc : Hd_core.Incumbent.t;
+        (** the budget's incumbent, or a private one *)
+    rng : Random.State.t;  (** seeded from [seed], past the initial bounds *)
+    ub : int array * C.t;  (** the initial upper bound and its witness *)
+    lb : C.t;  (** the initial lower bound, raised to the incumbent's *)
+  }
+
+  (** [run ?within ~seed input body] is the prologue [bb] and [astar]
+      enter through.  It prepares [input], settles a trivial problem,
+      publishes the initial bounds on the incumbent and settles a
+      problem they close.  Otherwise [body] searches from the
+      {!start} and returns its outcome and witness ordering.  The
+      result counts the states of [start.ticker] and the seconds since
+      it was made. *)
+  val run :
+    ?within:Hd_engine.Budget.t ->
+    seed:int ->
+    C.input ->
+    (start -> C.t outcome * int array) ->
+    C.t result
+
   (** One searcher's state: its elimination graph, cost oracle, budget
       ticker and view of the shared incumbent. *)
   type searcher
 
-  (** [searcher p ~ticker ~inc ~rng ~ub:(sigma, cost) ~lb] starts at
-      the root with the known upper bound [cost], witnessed by
-      [sigma], and lower bound [lb]. *)
-  val searcher :
-    C.problem ->
-    ticker:Hd_engine.Budget.ticker ->
-    inc:Hd_core.Incumbent.t ->
-    rng:Random.State.t ->
-    ub:int array * C.t ->
-    lb:C.t ->
-    searcher
+  (** [searcher st] starts at the root with [st]'s bounds, ticker and
+      random state. *)
+  val searcher : start -> searcher
 
   (** [below s c]: a state of cost [c] can still improve on the upper
       bound. *)
@@ -109,3 +126,51 @@ module Make (C : Bag_cost.S) : sig
       completion fits in [g], and was offered) and has no children. *)
   val expand : searcher -> node -> push:(node -> unit) -> bool
 end
+
+(** {1 The paper's exact methods}
+
+    Each is the core over one {!Bag_cost}.  The registry entries in
+    [Solvers] fix their default seeds and ablation flags. *)
+
+(** Treewidth.  [Tw.astar] is A*-tw, the best-first exact algorithm of
+    Chapter 5: [g] is the width of the partial ordering, [h] a
+    minor-based lower bound on the treewidth of the remaining graph.
+    Simplicial and strongly almost simplicial reductions force
+    single-child states, pruning rule PR2 removes swap-equivalent
+    siblings, and states whose [f] reaches the min-fill upper bound are
+    discarded.  On an exhausted budget the largest [f] visited is a
+    treewidth lower bound (Section 5.3).  [Tw.bb] is BB-tw (Section
+    4.4): the same ingredients explored depth-first with an anytime
+    upper bound, as in QuickBB.  The completion of a state is its [g]
+    or the live vertex count minus one, whichever is larger. *)
+module Tw : module type of Make (Bag_cost.Tw)
+
+(** Generalized hypertree width (Chapters 8 and 9).  Chapter 3
+    licenses searching elimination orderings: some ordering, with
+    every bag's set cover solved exactly, realises ghw (Theorem 3).  A
+    state's [g] is the largest exact cover of a bag created so far, its
+    [h] the tw-ksc-width lower bound (Section 8.1) of the remaining
+    minor.  Simplicial reduction (Section 8.2), the non-adjacent case
+    of PR2 and the PR1 completion bound, which covers all remaining
+    vertices at once, shrink the tree (Section 8.3).  [Ghw.bb] is
+    BB-ghw.  [Ghw.astar] is A*-ghw, whose frontier f-value is a valid
+    ghw lower bound when the budget runs out: the anytime behaviour
+    Table 9.1 reports. *)
+module Ghw : module type of Make (Bag_cost.Ghw)
+
+(** {!Ghw} with greedy bag covers: upper bounds only, the set-cover
+    ablation.  Its spans are {!Ghw}'s. *)
+module Ghw_greedy : module type of Make (Bag_cost.Ghw_greedy)
+
+(** Exact fractional hypertree width.  The BB-ghw tree with every
+    integral cover replaced by the exact rational LP optimum rho*
+    ({!Hd_setcover.Fractional}): the minimum over orderings of the
+    largest bag rho* is fhw, because rho* is monotone under bag
+    inclusion.  Every pruning decision compares exact {!Hd_lp.Rat}
+    values, and the shared int incumbent receives their ceilings.  A
+    clique minor of [c] vertices forces a bag whose fractional cover
+    weighs at least [c/k] when hyperedges have at most [k] vertices.
+    [Fhw.bb]: [Exact q] is the fhw; on an exhausted budget
+    [Bounds { lb; ub }] brackets it, [ub] witnessed by the result's
+    ordering. *)
+module Fhw : module type of Make (Bag_cost.Fhw)

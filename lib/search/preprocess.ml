@@ -1,6 +1,6 @@
 module Graph = Hd_graph.Graph
 module Elim_graph = Hd_graph.Elim_graph
-open Search_types
+open Ordering_search
 
 type result = { reduced : Graph.t; eliminated : int list; low : int }
 
@@ -37,7 +37,9 @@ let treewidth_with_preprocessing ?within ?seed g =
       g
   in
   let { reduced; eliminated; low } = reduce ~lb:rng_lb g in
-  let inner = Astar_tw.solve ?within ?seed reduced in
+  let inner =
+    Tw.astar ?within ~seed:(Option.value seed ~default:0x7ea) reduced
+  in
   let outcome =
     match inner.outcome with
     | Exact w -> Exact (max w low)

@@ -16,7 +16,7 @@
     searches and heuristics can run on the (often much smaller) kernel.
     The searches already apply these rules dynamically; this module
     exposes them as a standalone preprocessor, plus a convenience
-    wrapper around {!Astar_tw}. *)
+    wrapper around A*-tw ({!Ordering_search.Tw.astar}). *)
 
 type result = {
   reduced : Hd_graph.Graph.t;
@@ -35,10 +35,11 @@ val reduce : ?lb:int -> Hd_graph.Graph.t -> result
 
 (** [treewidth_with_preprocessing ?within ?seed g] reduces, then runs
     A*-tw on the kernel under [within] and recombines: the result
-    equals [tw g], with a witness ordering over the original
-    vertices. *)
+    equals [tw g], with a witness ordering over the original vertices.
+    Without [seed] the lower bound draws from seed 1 and A*-tw from
+    [0x7ea], the [astar-tw] registry entry's default. *)
 val treewidth_with_preprocessing :
   ?within:Hd_engine.Budget.t ->
   ?seed:int ->
   Hd_graph.Graph.t ->
-  Search_types.result
+  int Ordering_search.result

@@ -5,8 +5,9 @@
 module Elim_graph = Hd_graph.Elim_graph
 module Obs = Hd_obs.Obs
 
-(* Observability counters shared by every ordering search; the
-   per-solver spans (e.g. "astar_tw.solve") tell the runs apart.
+(* Observability counters shared by every ordering search; the spans
+   each instance of Ordering_search.Make opens ("bb_<cost>.solve",
+   "astar_<cost>.solve") tell the runs apart.
    Registered here at module-init time so they appear in every report,
    even at 0.  Naming scheme: docs/OBSERVABILITY.md. *)
 let c_expanded = Obs.Counter.make "search.nodes_expanded"

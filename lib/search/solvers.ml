@@ -57,35 +57,73 @@ let det_k ?seed b p =
   { S.outcome = r; visited = 0; generated = B.generated tk; elapsed = secs;
     ordering = None }
 
+(* The search core reports in its cost type; the registry in ints.
+   These are the only two bridges between them. *)
+let of_int (r : int Ordering_search.result) =
+  {
+    S.outcome =
+      (match r.outcome with
+      | Exact w -> S.Exact w
+      | Bounds { lb; ub } -> S.Bounds { lb; ub });
+    visited = r.visited;
+    generated = r.generated;
+    elapsed = r.elapsed;
+    ordering = r.ordering;
+  }
+
+(* fhw reports its ceilings and keeps the witness ordering: the exact
+   rational is recovered from it with Eval.fhw_width_q *)
+let of_fhw (r : Hd_lp.Rat.t Ordering_search.result) =
+  let ceil = Hd_lp.Rat.ceil in
+  of_int
+    {
+      r with
+      outcome =
+        (match r.outcome with
+        | Exact q -> Exact (ceil q)
+        | Bounds { lb; ub } ->
+            let lb = max 0 (ceil lb) and ub = ceil ub in
+            if lb >= ub then Exact ub else Bounds { lb; ub });
+    }
+
+(* an ordering search as a registry entry, with its own default seed *)
+let search ~kind ~input ~result ~name ~doc ~default_seed solve =
+  register ~name ~kind ~doc (fun ?seed b p ->
+      result
+        (solve ~within:b ~seed:(Option.value seed ~default:default_seed)
+           (input p)))
+
 let registered = ref false
 
 let ensure () =
   if not !registered then begin
     registered := true;
-    let tw ~name ~doc run =
-      register ~name ~kind:S.Tw ~doc (fun ?seed b p ->
-          run ?seed ~within:b (S.primal_of p))
-    in
-    let ghw ~name ~doc run =
-      register ~name ~kind:S.Ghw ~doc (fun ?seed b p ->
-          run ?seed ~within:b (S.hypergraph_of p))
-    in
+    let tw = search ~kind:S.Tw ~input:S.primal_of ~result:of_int in
+    let ghw = search ~kind:S.Ghw ~input:S.hypergraph_of ~result:of_int in
+    let module O = Ordering_search in
     tw ~name:"astar-tw" ~doc:"best-first exact treewidth (Chapter 5)"
-      (fun ?seed ~within g -> Astar_tw.solve ~within ?seed g);
+      ~default_seed:0x7ea
+      (fun ~within ~seed g -> O.Tw.astar ~within ~seed g);
     tw ~name:"astar-tw-dedup"
       ~doc:"A*-tw merging states with equal eliminated sets"
-      (fun ?seed ~within g -> Astar_tw.solve ~within ~dedup:true ?seed g);
+      ~default_seed:0x7ea
+      (fun ~within ~seed g -> O.Tw.astar ~within ~dedup:true ~seed g);
     tw ~name:"bb-tw" ~doc:"depth-first branch and bound (Section 4.4)"
-      (fun ?seed ~within g -> Bb_tw.solve ~within ?seed g);
+      ~default_seed:0xb0b
+      (fun ~within ~seed g -> O.Tw.bb ~within ~seed g);
     tw ~name:"bb-tw-nopr2" ~doc:"BB-tw without pruning rule PR2 (ablation)"
-      (fun ?seed ~within g -> Bb_tw.solve ~within ~use_pr2:false ?seed g);
+      ~default_seed:0xb0b
+      (fun ~within ~seed g -> O.Tw.bb ~within ~use_pr2:false ~seed g);
     tw ~name:"bb-tw-noreduce"
       ~doc:"BB-tw without simplicial reductions (ablation)"
-      (fun ?seed ~within g -> Bb_tw.solve ~within ~use_reductions:false ?seed g);
-    tw ~name:"preprocess-tw"
+      ~default_seed:0xb0b
+      (fun ~within ~seed g -> O.Tw.bb ~within ~use_reductions:false ~seed g);
+    register ~name:"preprocess-tw" ~kind:S.Tw
       ~doc:"Bodlaender-style kernelization, then A*-tw on the kernel"
-      (fun ?seed ~within g ->
-        Preprocess.treewidth_with_preprocessing ~within ?seed g);
+      (fun ?seed b p ->
+        of_int
+          (Preprocess.treewidth_with_preprocessing ~within:b ?seed
+             (S.primal_of p)));
     register ~name:"min-fill" ~kind:S.Tw
       ~doc:"min-fill elimination ordering (upper bound only)"
       (heuristic ~default_seed:0x3f1 ~width:tw_width (fun rng p ->
@@ -99,24 +137,28 @@ let ensure () =
       (heuristic ~default_seed:0x3f3 ~width:tw_width (fun rng p ->
            Hd_core.Ordering_heuristics.max_cardinality rng (S.primal_of p)));
     ghw ~name:"astar-ghw" ~doc:"best-first exact ghw (Chapter 9)"
-      (fun ?seed ~within h -> Astar_ghw.solve ~within ?seed h);
+      ~default_seed:0xa5a
+      (fun ~within ~seed h -> O.Ghw.astar ~within ~seed h);
     ghw ~name:"astar-ghw-dedup"
       ~doc:"A*-ghw merging states with equal eliminated sets"
-      (fun ?seed ~within h -> Astar_ghw.solve ~within ~dedup:true ?seed h);
+      ~default_seed:0xa5a
+      (fun ~within ~seed h -> O.Ghw.astar ~within ~dedup:true ~seed h);
     ghw ~name:"bb-ghw" ~doc:"branch and bound for ghw (Chapter 8)"
-      (fun ?seed ~within h -> Bb_ghw.solve ~within ?seed h);
+      ~default_seed:0x6b6
+      (fun ~within ~seed h -> O.Ghw.bb ~within ~seed h);
     ghw ~name:"bb-ghw-greedy"
       ~doc:"BB-ghw with greedy covers (upper bounds only, ablation)"
-      (fun ?seed ~within h -> Bb_ghw.solve ~within ~cover:`Greedy ?seed h);
+      ~default_seed:0x6b6
+      (fun ~within ~seed h -> O.Ghw_greedy.bb ~within ~seed h);
     register ~name:"min-fill-ghw" ~kind:S.Ghw
       ~doc:"min-fill ordering with greedy covers (upper bound only)"
       (heuristic ~default_seed:0x3f4 ~width:ghw_width (fun rng p ->
            Hd_core.Ordering_heuristics.min_fill_hypergraph rng
              (S.hypergraph_of p)));
-    register ~name:"fhw-bb" ~kind:S.Fhw
+    search ~kind:S.Fhw ~input:S.hypergraph_of ~result:of_fhw ~name:"fhw-bb"
       ~doc:"branch and bound for exact fractional hypertree width (LP covers)"
-      (fun ?seed b p ->
-        Bb_fhw.to_engine_result (Bb_fhw.solve ~within:b ?seed (S.hypergraph_of p)));
+      ~default_seed:0xfa3
+      (fun ~within ~seed h -> O.Fhw.bb ~within ~seed h);
     register ~name:"fhw-min-fill" ~kind:S.Fhw
       ~doc:"min-fill ordering with exact LP covers (upper bound only)"
       (heuristic ~default_seed:0x3f5 ~width:fhw_width_ceil (fun rng p ->

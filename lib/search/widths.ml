@@ -1,14 +1,14 @@
 module Hypergraph = Hd_hypergraph.Hypergraph
 module Rat = Hd_lp.Rat
-open Search_types
+module Solver = Hd_engine.Solver
 
 type report = {
   n_vertices : int;
   n_hyperedges : int;
   primal_edges : int;
   acyclic : bool;
-  tw : outcome;
-  ghw : outcome;
+  tw : Solver.outcome;
+  ghw : Solver.outcome;
   fhw : Rat.t;
   fhw_exact : bool;
   hw : int option;
@@ -30,22 +30,23 @@ let analyze ?(within = Hd_engine.Budget.create ~time_limit:10.0 ()) ?(seed = 1)
       (Hd_engine.Budget.sub ~stages within)
       p
   in
-  let tw = (stage "astar-tw" 4 (Hd_engine.Solver.Graph primal)).outcome in
-  let ghw = (stage "bb-ghw" 3 (Hd_engine.Solver.Hypergraph h)).outcome in
+  let tw = (stage "astar-tw" 4 (Solver.Graph primal)).outcome in
+  let ghw = (stage "bb-ghw" 3 (Solver.Hypergraph h)).outcome in
   (* fhw natively, not through the int registry: the exact rational is
      the point of the exercise *)
   let fhw, fhw_exact =
     match
-      (Bb_fhw.solve ~within:(Hd_engine.Budget.sub ~stages:2 within) ~seed h)
+      (Ordering_search.Fhw.bb ~within:(Hd_engine.Budget.sub ~stages:2 within)
+         ~seed h)
         .outcome
     with
     | Ordering_search.Exact q -> (q, true)
     | Ordering_search.Bounds { ub; _ } -> (ub, false)
   in
   let hw =
-    match (stage "hw-det-k" 1 (Hd_engine.Solver.Hypergraph h)).outcome with
-    | Exact w -> Some w
-    | Bounds _ -> None
+    match (stage "hw-det-k" 1 (Solver.Hypergraph h)).outcome with
+    | Solver.Exact w -> Some w
+    | Solver.Bounds _ -> None
   in
   {
     n_vertices = Hypergraph.n_vertices h;
@@ -67,8 +68,8 @@ let pp ppf r =
      ghw:           %a@,\
      fhw:           %s%a@,\
      hw:            %s@]"
-    r.n_vertices r.n_hyperedges r.primal_edges r.acyclic pp_outcome r.tw
-    pp_outcome r.ghw
+    r.n_vertices r.n_hyperedges r.primal_edges r.acyclic Solver.pp_outcome r.tw
+    Solver.pp_outcome r.ghw
     (if r.fhw_exact then "" else "<= ")
     Rat.pp r.fhw
     (match r.hw with Some w -> string_of_int w | None -> "(timeout)")

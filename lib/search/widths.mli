@@ -12,8 +12,9 @@ type report = {
   n_hyperedges : int;
   primal_edges : int;
   acyclic : bool;  (** alpha-acyclic (GYO) — equivalent to ghw = 1 *)
-  tw : Search_types.outcome;  (** treewidth via A*-tw *)
-  ghw : Search_types.outcome;  (** generalized hypertree width via BB-ghw *)
+  tw : Hd_engine.Solver.outcome;  (** treewidth via A*-tw *)
+  ghw : Hd_engine.Solver.outcome;
+      (** generalized hypertree width via BB-ghw *)
   fhw : Hd_lp.Rat.t;
       (** fractional hypertree width via BB-fhw: the exact rational
           value when [fhw_exact], otherwise the best witnessed upper

@@ -3,12 +3,10 @@ module Hypergraph = Hd_hypergraph.Hypergraph
 module Obs = Hd_obs.Obs
 
 (* Observability: set-cover calls dominate the cost of the ghw
-   searches, and the memo table is their main accelerator. *)
+   searches.  Their memo lives in Hd_core.Eval, keyed by bag content. *)
 let c_greedy_calls = Obs.Counter.make "setcover.greedy_calls"
 let c_exact_calls = Obs.Counter.make "setcover.exact_calls"
 let c_exact_nodes = Obs.Counter.make "setcover.exact_nodes"
-let c_memo_hits = Obs.Counter.make "setcover.memo_hits"
-let c_memo_misses = Obs.Counter.make "setcover.memo_misses"
 
 type problem = { universe : Bitset.t; hypergraph : Hypergraph.t }
 
@@ -190,16 +188,4 @@ let exact problem =
   Obs.Counter.add c_exact_nodes !nodes;
   List.init !best_size (Array.get best)
 
-let exact_size ?cache problem =
-  match cache with
-  | None -> List.length (exact problem)
-  | Some table -> (
-      match Hashtbl.find_opt table problem.universe with
-      | Some size ->
-          Obs.Counter.incr c_memo_hits;
-          size
-      | None ->
-          Obs.Counter.incr c_memo_misses;
-          let size = List.length (exact problem) in
-          Hashtbl.add table (Bitset.copy problem.universe) size;
-          size)
+let exact_size problem = List.length (exact problem)

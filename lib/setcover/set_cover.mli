@@ -35,11 +35,10 @@ val greedy : ?rng:Random.State.t -> problem -> int list
     hyperedge. *)
 val exact : problem -> int list
 
-(** [exact_size ?cache problem] is [List.length (exact problem)], with
-    optional memoisation keyed on the universe — bags recur massively
-    across branch-and-bound states. *)
-val exact_size :
-  ?cache:(Hd_graph.Bitset.t, int) Hashtbl.t -> problem -> int
+(** [exact_size problem] is [List.length (exact problem)].  Callers
+    that price recurring bags memoise it by bag content
+    ([Hd_core.Eval.exact_memoized]). *)
+val exact_size : problem -> int
 
 (** [greedy_size ?rng problem] is [List.length (greedy problem)]. *)
 val greedy_size : ?rng:Random.State.t -> problem -> int

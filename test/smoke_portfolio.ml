@@ -1,7 +1,7 @@
 (* 5-second portfolio smoke test for the @runtest-quick alias: race the
    treewidth roster on grid4 and insist on the known optimum. *)
 
-module St = Hd_search.Search_types
+module Solver = Hd_engine.Solver
 
 let () =
   let g =
@@ -13,10 +13,10 @@ let () =
   let r = Hd_parallel.Portfolio.solve_tw ~jobs:2 ~budget ~seed:1 g in
   Format.printf "portfolio smoke: grid4 %a@." Hd_parallel.Portfolio.pp r;
   match r.Hd_parallel.Portfolio.outcome with
-  | St.Exact 4 -> ()
-  | St.Exact w ->
+  | Solver.Exact 4 -> ()
+  | Solver.Exact w ->
       Format.eprintf "expected width 4 on grid4, got %d@." w;
       exit 1
-  | St.Bounds { lb; ub } ->
+  | Solver.Bounds { lb; ub } ->
       Format.eprintf "portfolio failed to close grid4 in 5s: [%d,%d]@." lb ub;
       exit 1

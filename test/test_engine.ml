@@ -440,12 +440,14 @@ let test_capped_astar_exact_is_true () =
           ("astar-ghw-dedup", ghw, run "astar-ghw-dedup" (within ()) hg);
           ( "hdastar tw",
             tw,
-            (Hd_parallel.Hdastar.solve_tw ~sched ~within:(within ())
-               (Hypergraph.primal h))
+            (Hd_search.Solvers.of_int
+               (Hd_parallel.Hdastar.solve_tw ~sched ~within:(within ())
+                  (Hypergraph.primal h)))
               .S.outcome );
           ( "hdastar ghw",
             ghw,
-            (Hd_parallel.Hdastar.solve_ghw ~sched ~within:(within ()) h)
+            (Hd_search.Solvers.of_int
+               (Hd_parallel.Hdastar.solve_ghw ~sched ~within:(within ()) h))
               .S.outcome );
         ]
     done
@@ -793,7 +795,15 @@ let test_one_ordering_search () =
     "Elim_graph.restore_last only in lib/search/ordering_search.ml" []
     (sources_mentioning ~exempt
        ("Elim_graph.restore" ^ "_last")
-       [ "../lib/search"; "../lib/parallel" ])
+       [ "../lib/search"; "../lib/parallel" ]);
+  (* ... and every search, HDA-star too, enters through its prologue *)
+  List.iter
+    (fun step ->
+      Alcotest.(check (list string))
+        (step ^ " only in lib/search/ordering_search.ml") []
+        (sources_mentioning ~exempt step
+           [ "../lib/search"; "../lib/parallel" ]))
+    [ "C.prep" ^ "are"; "C.triv" ^ "ial"; "C.init" ^ "ial" ]
 
 let test_one_join_kernel () =
   (* CSP relations are Qrelations joined by Colexec; a boxed-key hash

@@ -154,9 +154,9 @@ let prop_ga_tw_ge_astar =
         done
       done;
       let exact =
-        match (Hd_search.Astar_tw.solve g).Hd_search.Search_types.outcome with
-        | Hd_search.Search_types.Exact w -> w
-        | Hd_search.Search_types.Bounds _ -> -1
+        match (Hd_search.Ordering_search.Tw.astar ~seed:1 g).outcome with
+        | Exact w -> w
+        | Bounds _ -> -1
       in
       let ga = (Ga_tw.run (small_config ()) g).Ga_engine.best in
       ga >= exact)

@@ -268,10 +268,10 @@ let prop_chordal_treewidth =
       | Some clique ->
           let tw =
             match
-              (Hd_search.Astar_tw.solve chordal).Hd_search.Search_types.outcome
+              (Hd_search.Ordering_search.Tw.astar ~seed:1 chordal).outcome
             with
-            | Hd_search.Search_types.Exact w -> w
-            | Hd_search.Search_types.Bounds _ -> -1
+            | Exact w -> w
+            | Bounds _ -> -1
           in
           tw = clique - 1)
 

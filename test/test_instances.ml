@@ -132,21 +132,19 @@ let test_small_instances_solvable () =
   (* the small family members are feasible for the exact methods *)
   (match Hypergraphs.by_name "clique_10" with
   | Some h -> (
-      match (Hd_search.Bb_ghw.solve h).Hd_search.Search_types.outcome with
-      | Hd_search.Search_types.Exact w -> check_int "clique_10 ghw" 5 w
-      | Hd_search.Search_types.Bounds _ -> Alcotest.fail "should be exact")
+      match (Hd_search.Ordering_search.Ghw.bb ~seed:1 h).outcome with
+      | Exact w -> check_int "clique_10 ghw" 5 w
+      | Bounds _ -> Alcotest.fail "should be exact")
   | None -> Alcotest.fail "clique_10 missing");
   match Hypergraphs.by_name "adder_15" with
   | Some h ->
       let result =
-        Hd_search.Bb_ghw.solve
+        Hd_search.Ordering_search.Ghw.bb
           ~within:(Hd_engine.Budget.create ~time_limit:5.0 ())
-          h
+          ~seed:1 h
       in
       let ub =
-        match result.Hd_search.Search_types.outcome with
-        | Hd_search.Search_types.Exact w -> w
-        | Hd_search.Search_types.Bounds { ub; _ } -> ub
+        match result.outcome with Exact w -> w | Bounds { ub; _ } -> ub
       in
       check "adder_15 ghw <= 3" true (ub <= 3)
   | None -> Alcotest.fail "adder_15 missing"

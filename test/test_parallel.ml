@@ -4,7 +4,8 @@
 
 module Graph = Hd_graph.Graph
 module Incumbent = Hd_core.Incumbent
-module St = Hd_search.Search_types
+module Solver = Hd_engine.Solver
+module Search = Hd_search.Ordering_search
 module Ring = Hd_parallel.Ring
 module Portfolio = Hd_parallel.Portfolio
 
@@ -349,10 +350,10 @@ let test_sched_cancel_isolation () =
 (* Hash-distributed A-star                                             *)
 (* ------------------------------------------------------------------ *)
 
-let exact_of name (r : St.result) =
-  match r.St.outcome with
-  | St.Exact w -> w
-  | St.Bounds { lb; ub } ->
+let exact_of name (r : int Search.result) =
+  match r.Search.outcome with
+  | Search.Exact w -> w
+  | Search.Bounds { lb; ub } ->
       Alcotest.failf "%s: expected exact, got [%d,%d]" name lb ub
 
 (* ISSUE acceptance: the distributed search proves the same optimum as
@@ -362,11 +363,11 @@ let test_hdastar_tw_matches_seq () =
   List.iter
     (fun name ->
       let g = graph name in
-      let expected = exact_of name (Hd_search.Astar_tw.solve ~seed:3 g) in
+      let expected = exact_of name (Search.Tw.astar ~seed:3 g) in
       Sched.with_scheduler ~workers:0 (fun s ->
           let r = Hdastar.solve_tw ~sched:s ~seed:3 g in
           check_int (name ^ " hdastar j1 width") expected (exact_of name r);
-          match r.St.ordering with
+          match r.Search.ordering with
           | Some sigma ->
               let ws = Hd_core.Eval.of_graph g in
               check_int
@@ -381,7 +382,7 @@ let test_hdastar_tw_matches_seq () =
 
 let test_hdastar_ghw_matches_seq () =
   let h = hypergraph "adder_15" in
-  let expected = exact_of "adder_15" (Hd_search.Astar_ghw.solve ~seed:5 h) in
+  let expected = exact_of "adder_15" (Search.Ghw.astar ~seed:5 h) in
   check_int "adder_15 seq ghw" 2 expected;
   Sched.with_scheduler ~workers:0 (fun s ->
       check_int "adder_15 hdastar j1" expected
@@ -397,11 +398,11 @@ let test_hdastar_budget_bounds () =
   Sched.with_scheduler ~workers:2 (fun s ->
       let b = Budget.create ~max_states:50 () in
       let r = Hdastar.solve_tw ~sched:s ~within:b ~seed:1 g in
-      match r.St.outcome with
-      | St.Bounds { lb; ub } ->
+      match r.Search.outcome with
+      | Search.Bounds { lb; ub } ->
           check "bounds sane" true (lb <= ub);
           check "ub from a real ordering" true (ub <= 24)
-      | St.Exact _ -> Alcotest.fail "50 states cannot close queen5_5")
+      | Search.Exact _ -> Alcotest.fail "50 states cannot close queen5_5")
 
 let test_par_solvers_registered () =
   Hd_parallel.Par_solvers.ensure ();
@@ -417,8 +418,8 @@ let test_par_solvers_registered () =
 
 let exact_width name (r : Portfolio.t) =
   match r.outcome with
-  | St.Exact w -> w
-  | St.Bounds { lb; ub } ->
+  | Solver.Exact w -> w
+  | Solver.Bounds { lb; ub } ->
       Alcotest.failf "%s: portfolio did not close, got [%d,%d]" name lb ub
 
 (* ISSUE acceptance: with fixed seeds the portfolio reports the same

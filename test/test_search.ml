@@ -3,19 +3,26 @@ module Hypergraph = Hd_hypergraph.Hypergraph
 module Ordering = Hd_core.Ordering
 module Eval = Hd_core.Eval
 module Ghd = Hd_core.Ghd
-module St = Hd_search.Search_types
-module Astar_tw = Hd_search.Astar_tw
-module Bb_tw = Hd_search.Bb_tw
-module Bb_ghw = Hd_search.Bb_ghw
-module Astar_ghw = Hd_search.Astar_ghw
+module Solver = Hd_engine.Solver
+module Ordering_search = Hd_search.Ordering_search
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* a registry entry with its default seed, as the CLI runs it *)
+let entry name ?(within = Hd_engine.Budget.create ()) problem =
+  Hd_search.Solvers.ensure ();
+  (Option.get (Solver.find name)).run within problem
+
+let astar_tw ?within g = entry "astar-tw" ?within (Solver.Graph g)
+let bb_tw g = entry "bb-tw" (Solver.Graph g)
+let astar_ghw ?within h = entry "astar-ghw" ?within (Solver.Hypergraph h)
+let bb_ghw ?within h = entry "bb-ghw" ?within (Solver.Hypergraph h)
+
 let exact_of result =
-  match result.St.outcome with
-  | St.Exact w -> w
-  | St.Bounds { lb; ub } ->
+  match result.Solver.outcome with
+  | Solver.Exact w -> w
+  | Solver.Bounds { lb; ub } ->
       Alcotest.failf "expected exact result, got [%d,%d]" lb ub
 
 let random_graph seed n p =
@@ -74,21 +81,21 @@ let brute_force_ghw h =
 (* --- A*-tw on graphs of known treewidth --- *)
 
 let test_astar_known () =
-  check_int "K5" 4 (exact_of (Astar_tw.solve (Graph.complete 5)));
-  check_int "C7" 2 (exact_of (Astar_tw.solve (Graph.cycle 7)));
-  check_int "P6" 1 (exact_of (Astar_tw.solve (Graph.path 6)));
-  check_int "grid3" 3 (exact_of (Astar_tw.solve (Graph.grid 3 3)));
-  check_int "grid4" 4 (exact_of (Astar_tw.solve (Graph.grid 4 4)))
+  check_int "K5" 4 (exact_of (astar_tw (Graph.complete 5)));
+  check_int "C7" 2 (exact_of (astar_tw (Graph.cycle 7)));
+  check_int "P6" 1 (exact_of (astar_tw (Graph.path 6)));
+  check_int "grid3" 3 (exact_of (astar_tw (Graph.grid 3 3)));
+  check_int "grid4" 4 (exact_of (astar_tw (Graph.grid 4 4)))
 
 let test_astar_trivial () =
-  check_int "empty" (-1) (exact_of (Astar_tw.solve (Graph.create 0)));
-  check_int "single" 0 (exact_of (Astar_tw.solve (Graph.create 1)));
-  check_int "two isolated" 0 (exact_of (Astar_tw.solve (Graph.create 2)))
+  check_int "empty" (-1) (exact_of (astar_tw (Graph.create 0)));
+  check_int "single" 0 (exact_of (astar_tw (Graph.create 1)));
+  check_int "two isolated" 0 (exact_of (astar_tw (Graph.create 2)))
 
 let test_astar_ordering_witness () =
   let g = Graph.grid 3 3 in
-  let result = Astar_tw.solve g in
-  match result.St.ordering with
+  let result = astar_tw g in
+  match result.Solver.ordering with
   | None -> Alcotest.fail "expected a witness ordering"
   | Some sigma ->
       check "perm" true (Ordering.is_permutation sigma);
@@ -99,66 +106,67 @@ let test_astar_budget () =
   (* a zero-state budget forces the anytime path *)
   let g = Graph.grid 5 5 in
   let result =
-    Astar_tw.solve ~within:(Hd_engine.Budget.create ~max_states:5 ()) g
+    astar_tw ~within:(Hd_engine.Budget.create ~max_states:5 ()) g
   in
-  (match result.St.outcome with
-  | St.Bounds { lb; ub } ->
+  (match result.Solver.outcome with
+  | Solver.Bounds { lb; ub } ->
       check "lb<=ub" true (lb <= ub);
       check "lb sane (grid5 tw=5)" true (lb <= 5 && ub >= 5)
-  | St.Exact w -> check_int "exact despite budget is fine" 5 w);
-  check "has ordering" true (result.St.ordering <> None)
+  | Solver.Exact w -> check_int "exact despite budget is fine" 5 w);
+  check "has ordering" true (result.Solver.ordering <> None)
 
 let prop_astar_matches_brute_force =
   QCheck.Test.make ~count:40 ~name:"A*-tw = brute force (n<=6)"
     QCheck.(make QCheck.Gen.(pair (2 -- 6) int))
     (fun (n, seed) ->
       let g = random_graph seed n 0.5 in
-      exact_of (Astar_tw.solve g) = brute_force_tw g)
+      exact_of (astar_tw g) = brute_force_tw g)
 
 let prop_astar_dedup_agrees =
   QCheck.Test.make ~count:25 ~name:"A*-tw dedup = A*-tw"
     QCheck.(make QCheck.Gen.(pair (2 -- 7) int))
     (fun (n, seed) ->
       let g = random_graph seed n 0.4 in
-      exact_of (Astar_tw.solve ~dedup:true g) = exact_of (Astar_tw.solve g))
+      exact_of (entry "astar-tw-dedup" (Solver.Graph g))
+      = exact_of (astar_tw g))
 
 (* --- BB-tw --- *)
 
 let test_bb_known () =
-  check_int "K6" 5 (exact_of (Bb_tw.solve (Graph.complete 6)));
-  check_int "C8" 2 (exact_of (Bb_tw.solve (Graph.cycle 8)));
-  check_int "grid4" 4 (exact_of (Bb_tw.solve (Graph.grid 4 4)))
+  check_int "K6" 5 (exact_of (bb_tw (Graph.complete 6)));
+  check_int "C8" 2 (exact_of (bb_tw (Graph.cycle 8)));
+  check_int "grid4" 4 (exact_of (bb_tw (Graph.grid 4 4)))
 
 let prop_bb_matches_astar =
   QCheck.Test.make ~count:30 ~name:"BB-tw = A*-tw"
     QCheck.(make QCheck.Gen.(pair (2 -- 7) int))
     (fun (n, seed) ->
       let g = random_graph seed n 0.45 in
-      exact_of (Bb_tw.solve g) = exact_of (Astar_tw.solve g))
+      exact_of (bb_tw g) = exact_of (astar_tw g))
 
 (* --- BB-ghw / A*-ghw --- *)
 
 let test_ghw_clique () =
   (* K6 as binary hypergraph: cover 6 vertices with 2-edges -> ghw 3 *)
   let h = Hypergraph.of_graph (Graph.complete 6) in
-  check_int "BB K6" 3 (exact_of (Bb_ghw.solve h));
-  check_int "A* K6" 3 (exact_of (Astar_ghw.solve h))
+  check_int "BB K6" 3 (exact_of (bb_ghw h));
+  check_int "A* K6" 3 (exact_of (astar_ghw h))
 
 let test_ghw_acyclic () =
   let h = Hypergraph.create ~n:6 [ [ 0; 1; 2 ]; [ 2; 3 ]; [ 3; 4; 5 ] ] in
-  check_int "BB acyclic" 1 (exact_of (Bb_ghw.solve h));
-  check_int "A* acyclic" 1 (exact_of (Astar_ghw.solve h))
+  check_int "BB acyclic" 1 (exact_of (bb_ghw h));
+  check_int "A* acyclic" 1 (exact_of (astar_ghw h))
 
 let test_ghw_example5 () =
   let h = Hypergraph.create ~n:6 [ [ 0; 1; 2 ]; [ 0; 4; 5 ]; [ 2; 3; 4 ] ] in
-  check_int "example 5 ghw" 2 (exact_of (Bb_ghw.solve h));
-  check_int "example 5 ghw (A*)" 2 (exact_of (Astar_ghw.solve h))
+  check_int "example 5 ghw" 2 (exact_of (bb_ghw h));
+  check_int "example 5 ghw (A*)" 2 (exact_of (astar_ghw h))
 
 let test_ghw_witness () =
   let h = Hypergraph.of_graph (Graph.cycle 6) in
-  let result = Bb_ghw.solve h in
+  let result = bb_ghw h in
   let w = exact_of result in
-  match result.St.ordering with
+  match result.Solver.ordering with
   | None -> Alcotest.fail "expected a witness ordering"
   | Some sigma ->
       let ghd = Ghd.of_ordering h sigma ~cover:`Exact in
@@ -184,14 +192,14 @@ let prop_ghw_bb_matches_brute =
     QCheck.(make QCheck.Gen.(pair (2 -- 6) int))
     (fun (n, seed) ->
       let h = random_hypergraph seed ~n in
-      exact_of (Bb_ghw.solve h) = brute_force_ghw h)
+      exact_of (bb_ghw h) = brute_force_ghw h)
 
 let prop_ghw_astar_matches_bb =
   QCheck.Test.make ~count:25 ~name:"A*-ghw = BB-ghw"
     QCheck.(make QCheck.Gen.(pair (2 -- 7) int))
     (fun (n, seed) ->
       let h = random_hypergraph seed ~n in
-      exact_of (Astar_ghw.solve h) = exact_of (Bb_ghw.solve h))
+      exact_of (astar_ghw h) = exact_of (bb_ghw h))
 
 let prop_ghw_le_tw_plus_one =
   (* ghw(H) <= tw(H) + 1: cover each bag vertex-by-vertex... more
@@ -200,8 +208,8 @@ let prop_ghw_le_tw_plus_one =
     QCheck.(make QCheck.Gen.(pair (2 -- 6) int))
     (fun (n, seed) ->
       let h = random_hypergraph seed ~n in
-      let tw = exact_of (Astar_tw.solve (Hypergraph.primal h)) in
-      let ghw = exact_of (Bb_ghw.solve h) in
+      let tw = exact_of (astar_tw (Hypergraph.primal h)) in
+      let ghw = exact_of (bb_ghw h) in
       ghw <= tw + 1)
 
 
@@ -212,7 +220,7 @@ let prop_ghw1_iff_acyclic =
     (fun (n, seed) ->
       let h = random_hypergraph seed ~n in
       let acyclic = Hd_hypergraph.Acyclicity.is_acyclic h in
-      let ghw = exact_of (Bb_ghw.solve h) in
+      let ghw = exact_of (bb_ghw h) in
       (ghw = 1) = acyclic)
 
 
@@ -319,7 +327,7 @@ let prop_ghw_le_hw =
     (fun (n, seed) ->
       let h = random_hypergraph seed ~n in
       let hw, hd = Dkd.hypertree_width h in
-      let ghw = exact_of (Bb_ghw.solve h) in
+      let ghw = exact_of (bb_ghw h) in
       ghw <= hw && Dkd.valid h hd)
 
 let prop_hw_le_tw_plus_one =
@@ -327,7 +335,7 @@ let prop_hw_le_tw_plus_one =
     QCheck.(make QCheck.Gen.(pair (2 -- 6) int))
     (fun (n, seed) ->
       let h = random_hypergraph seed ~n in
-      let tw = exact_of (Astar_tw.solve (Hypergraph.primal h)) in
+      let tw = exact_of (astar_tw (Hypergraph.primal h)) in
       let hw, _ = Dkd.hypertree_width h in
       hw <= tw + 1)
 
@@ -350,9 +358,7 @@ let test_descendant_condition_detects () =
 
 (* --- BB-fhw: exact fractional hypertree width --- *)
 
-module Bb_fhw = Hd_search.Bb_fhw
 module Rat = Hd_lp.Rat
-module Ordering_search = Hd_search.Ordering_search
 
 let exact_q_of (r : Rat.t Ordering_search.result) =
   match r.outcome with
@@ -392,9 +398,9 @@ let brute_force_fhw h =
 let test_fhw_triangle () =
   (* the separating instance: fhw = 3/2 strictly below ghw = hw = 2 *)
   let h = Hypergraph.create ~n:3 [ [ 0; 1 ]; [ 1; 2 ]; [ 0; 2 ] ] in
-  let r = Bb_fhw.solve ~seed:1 h in
+  let r = Ordering_search.Fhw.bb ~seed:1 h in
   check "triangle fhw = 3/2" true (Rat.equal (Rat.make 3 2) (exact_q_of r));
-  check_int "triangle ghw = 2" 2 (exact_of (Bb_ghw.solve h));
+  check_int "triangle ghw = 2" 2 (exact_of (bb_ghw h));
   (* the registry view reports the ceiling *)
   Hd_search.Solvers.ensure ();
   let via_registry =
@@ -420,7 +426,7 @@ let test_fhw_memo_counted () =
   let h = Hypergraph.of_graph (Graph.grid 4 4) in
   Hd_obs.Obs.enable ();
   Hd_obs.Obs.reset ();
-  let r = Bb_fhw.solve ~seed:1 h in
+  let r = Ordering_search.Fhw.bb ~seed:1 h in
   let value name =
     match
       List.find_opt
@@ -441,7 +447,9 @@ let prop_fhw_bb_matches_brute =
     QCheck.(make QCheck.Gen.(pair (2 -- 5) int))
     (fun (n, seed) ->
       let h = random_hypergraph seed ~n in
-      Rat.equal (exact_q_of (Bb_fhw.solve ~seed:1 h)) (brute_force_fhw h))
+      Rat.equal
+        (exact_q_of (Ordering_search.Fhw.bb ~seed:1 h))
+        (brute_force_fhw h))
 
 let prop_width_hierarchy =
   (* fhw <= ghw <= hw <= 3*ghw + 1 (the last from Adler, Gottlob &
@@ -450,8 +458,8 @@ let prop_width_hierarchy =
     QCheck.(make QCheck.Gen.(pair (2 -- 6) int))
     (fun (n, seed) ->
       let h = random_hypergraph seed ~n in
-      let fhw = exact_q_of (Bb_fhw.solve ~seed:1 h) in
-      let ghw = exact_of (Bb_ghw.solve h) in
+      let fhw = exact_q_of (Ordering_search.Fhw.bb ~seed:1 h) in
+      let ghw = exact_of (bb_ghw h) in
       let hw, hd = Dkd.hypertree_width h in
       Rat.compare_int fhw ghw <= 0
       && ghw <= hw
@@ -631,7 +639,8 @@ let test_preprocess_solve_known () =
   List.iter
     (fun (g, tw) ->
       check_int "preprocessed treewidth" tw
-        (exact_of (Prep.treewidth_with_preprocessing g)))
+        (exact_of
+           (Hd_search.Solvers.of_int (Prep.treewidth_with_preprocessing g))))
     [
       (Graph.complete 6, 5);
       (Graph.cycle 9, 2);
@@ -644,11 +653,13 @@ let prop_preprocess_agrees =
     QCheck.(make QCheck.Gen.(pair (2 -- 8) int))
     (fun (n, seed) ->
       let g = random_graph seed n 0.4 in
-      let direct = exact_of (Astar_tw.solve g) in
-      let result = Prep.treewidth_with_preprocessing g in
+      let direct = exact_of (astar_tw g) in
+      let result =
+        Hd_search.Solvers.of_int (Prep.treewidth_with_preprocessing g)
+      in
       exact_of result = direct
       &&
-      match result.St.ordering with
+      match result.Solver.ordering with
       | None -> false
       | Some sigma ->
           Ordering.is_permutation sigma
@@ -666,8 +677,9 @@ let test_widths_analyze () =
       ~within:(Hd_engine.Budget.create ~time_limit:10.0 ()) h
   in
   check "not acyclic" false r.Hd_search.Widths.acyclic;
-  check_int "tw" 2 (match r.Hd_search.Widths.tw with St.Exact w -> w | _ -> -1);
-  check_int "ghw" 2 (match r.Hd_search.Widths.ghw with St.Exact w -> w | _ -> -1);
+  let exact = function Solver.Exact w -> w | Solver.Bounds _ -> -1 in
+  check_int "tw" 2 (exact r.Hd_search.Widths.tw);
+  check_int "ghw" 2 (exact r.Hd_search.Widths.ghw);
   Alcotest.(check (option int)) "hw" (Some 2) r.Hd_search.Widths.hw;
   check "fhw <= ghw" true (Hd_lp.Rat.compare_int r.Hd_search.Widths.fhw 2 <= 0);
   (* an acyclic instance: every width is 1 *)
@@ -677,40 +689,39 @@ let test_widths_analyze () =
       ~within:(Hd_engine.Budget.create ~time_limit:10.0 ()) a
   in
   check "acyclic" true ra.Hd_search.Widths.acyclic;
-  check_int "acyclic ghw" 1
-    (match ra.Hd_search.Widths.ghw with St.Exact w -> w | _ -> -1);
+  check_int "acyclic ghw" 1 (exact ra.Hd_search.Widths.ghw);
   Alcotest.(check (option int)) "acyclic hw" (Some 1) ra.Hd_search.Widths.hw
 
 
 let test_ghw_budget_states () =
   let h = Hypergraph.of_graph (Graph.grid 4 4) in
   let tight () = Hd_engine.Budget.create ~max_states:3 () in
-  (match (Bb_ghw.solve ~within:(tight ()) h).St.outcome with
-  | St.Bounds { lb; ub } -> check "bb bounds ordered" true (lb <= ub)
-  | St.Exact _ -> () (* initial bounds may already close it *));
-  match (Astar_ghw.solve ~within:(tight ()) h).St.outcome with
-  | St.Bounds { lb; ub } -> check "a* bounds ordered" true (lb <= ub)
-  | St.Exact _ -> ()
+  (match (bb_ghw ~within:(tight ()) h).Solver.outcome with
+  | Solver.Bounds { lb; ub } -> check "bb bounds ordered" true (lb <= ub)
+  | Solver.Exact _ -> () (* initial bounds may already close it *));
+  match (astar_ghw ~within:(tight ()) h).Solver.outcome with
+  | Solver.Bounds { lb; ub } -> check "a* bounds ordered" true (lb <= ub)
+  | Solver.Exact _ -> ()
 
 let test_bb_ghw_greedy_mode () =
   (* greedy covers give an upper-bound-only method: the result must be
      a Bounds outcome whose ub dominates the exact optimum *)
   let h = Hypergraph.create ~n:6 [ [ 0; 1; 2 ]; [ 0; 4; 5 ]; [ 2; 3; 4 ] ] in
-  let exact = exact_of (Bb_ghw.solve h) in
-  match (Bb_ghw.solve ~cover:`Greedy h).St.outcome with
-  | St.Bounds { ub; _ } -> check "greedy ub >= exact" true (ub >= exact)
-  | St.Exact w ->
+  let exact = exact_of (bb_ghw h) in
+  match (entry "bb-ghw-greedy" (Solver.Hypergraph h)).Solver.outcome with
+  | Solver.Bounds { ub; _ } -> check "greedy ub >= exact" true (ub >= exact)
+  | Solver.Exact w ->
       (* initial lb = ub short-circuit may still prove exactness *)
       check_int "short-circuit exact" exact w
 
 let test_outcome_helpers () =
-  check_int "value exact" 4 (Hd_engine.Solver.value (St.Exact 4));
+  check_int "value exact" 4 (Solver.value (Solver.Exact 4));
   check_int "value bounds" 7
-    (Hd_engine.Solver.value (St.Bounds { lb = 3; ub = 7 }));
+    (Solver.value (Solver.Bounds { lb = 3; ub = 7 }));
   Alcotest.(check string) "pp exact" "4 (exact)"
-    (Format.asprintf "%a" St.pp_outcome (St.Exact 4));
+    (Format.asprintf "%a" Solver.pp_outcome (Solver.Exact 4));
   Alcotest.(check string) "pp bounds" "[3,7]"
-    (Format.asprintf "%a" St.pp_outcome (St.Bounds { lb = 3; ub = 7 }))
+    (Format.asprintf "%a" Solver.pp_outcome (Solver.Bounds { lb = 3; ub = 7 }))
 
 let test_det_k_timeout () =
   (* an already-passed deadline must raise, not answer *)
@@ -735,7 +746,7 @@ let prop_ghw_subsumption_invariant =
         List.filteri (fun i _ -> i mod 2 = 0) (Hypergraph.edges h)
       in
       let stressed = Hypergraph.create ~n (Hypergraph.edges h @ extra) in
-      exact_of (Bb_ghw.solve stressed) = exact_of (Bb_ghw.solve h))
+      exact_of (bb_ghw stressed) = exact_of (bb_ghw h))
 
 (* --- observability counters --- *)
 
@@ -753,7 +764,7 @@ let test_obs_counters_deterministic () =
     Obs.enable ();
     Obs.reset ();
     ignore
-      (Astar_tw.solve
+      (Ordering_search.Tw.astar
          ~within:(Hd_engine.Budget.create ~max_states:20000 ())
          ~seed:7 g);
     let value name =
@@ -893,25 +904,27 @@ let pinned_run instance solver =
   let g = Hypergraph.primal h in
   (* a fresh budget per run: a started budget keeps its clock *)
   let within () = Hd_engine.Budget.create ~max_states:400 () in
-  let int (r : St.result) =
-    (Format.asprintf "%a" St.pp_outcome r.St.outcome, r.visited, r.generated)
+  let int r =
+    let r = Hd_search.Solvers.of_int r in
+    (Format.asprintf "%a" Solver.pp_outcome r.outcome, r.visited, r.generated)
   in
   let hdastar solve =
     Hd_parallel.Scheduler.with_scheduler ~workers:0 (fun sched ->
         int (solve sched (within ())))
   in
   match solver with
-  | "bb-tw" -> int (Bb_tw.solve ~within:(within ()) ~seed:1 g)
-  | "bb-ghw" -> int (Bb_ghw.solve ~within:(within ()) ~seed:1 h)
+  | "bb-tw" -> int (Ordering_search.Tw.bb ~within:(within ()) ~seed:1 g)
+  | "bb-ghw" -> int (Ordering_search.Ghw.bb ~within:(within ()) ~seed:1 h)
   | "bb-ghw-greedy" ->
-      int (Bb_ghw.solve ~within:(within ()) ~cover:`Greedy ~seed:1 h)
-  | "astar-ghw" -> int (Astar_ghw.solve ~within:(within ()) ~seed:1 h)
-  | "astar-tw" -> int (Astar_tw.solve ~within:(within ()) ~seed:1 g)
+      int (Ordering_search.Ghw_greedy.bb ~within:(within ()) ~seed:1 h)
+  | "astar-ghw" ->
+      int (Ordering_search.Ghw.astar ~within:(within ()) ~seed:1 h)
+  | "astar-tw" -> int (Ordering_search.Tw.astar ~within:(within ()) ~seed:1 g)
   | "hdastar-ghw" ->
       hdastar (fun sched within -> Hdastar.solve_ghw ~sched ~within ~seed:1 h)
   | "hdastar-tw" ->
       hdastar (fun sched within -> Hdastar.solve_tw ~sched ~within ~seed:1 g)
-  | "fhw-bb" -> fhw_pin (Bb_fhw.solve ~within:(within ()) ~seed:1 h)
+  | "fhw-bb" -> fhw_pin (Ordering_search.Fhw.bb ~within:(within ()) ~seed:1 h)
   | _ -> Alcotest.failf "no pinned solver %s" solver
 
 (* fhw-bb on the width ladder's one non-exact op, the bundled corpus
@@ -926,10 +939,74 @@ let corpus_pinned_run collection name states =
       (List.assoc collection (Hd_instances.Mini_corpus.collections ()))
   in
   fhw_pin
-    (Bb_fhw.solve
+    (Ordering_search.Fhw.bb
        ~within:(Hd_engine.Budget.create ~max_states:states ())
        ~seed:1
        (Hd_hypergraph.Hg_format.parse_string text))
+
+(* The registry entries of the exact searches, run without a seed as
+   the CLI and the server run them: grid5 to the end, b06 capped at 400
+   states.  Each row is the entry, the span it opens and its outcome,
+   visited and generated states on each instance, recorded when every
+   entry still went through a per-solver wrapper module; they pin the
+   entries' default seeds and span names. *)
+let registry_pins =
+  [
+    ( "astar-tw",
+      "astar_tw.solve",
+      [ ("5 (exact)", 31, 107); ("[9,13]", 117, 401) ] );
+    ("bb-tw", "bb_tw.solve", [ ("5 (exact)", 32, 113); ("[9,14]", 133, 401) ]);
+    ( "astar-ghw",
+      "astar_ghw.solve",
+      [ ("3 (exact)", 20, 297); ("[3,7]", 39, 401) ] );
+    ("bb-ghw", "bb_ghw.solve", [ ("3 (exact)", 155, 819); ("[3,6]", 71, 401) ]);
+    ( "bb-ghw-greedy",
+      "bb_ghw.solve",
+      [ ("[3,3]", 64, 359); ("[3,7]", 67, 401) ] );
+    ( "fhw-bb",
+      "bb_fhw.solve",
+      [ ("3 (exact)", 468, 2307); ("[3,6]", 72, 401) ] );
+  ]
+
+let test_registry_pins () =
+  let problems =
+    [
+      ( "grid5",
+        Solver.Graph (Graph.grid 5 5),
+        fun () -> Hd_engine.Budget.create () );
+      ( "b06",
+        Solver.Hypergraph (Option.get (Hd_instances.Hypergraphs.by_name "b06")),
+        fun () -> Hd_engine.Budget.create ~max_states:400 () );
+    ]
+  in
+  let root_spans () =
+    match Hd_obs.Obs.Json.member "spans" (Hd_obs.Obs.report ()) with
+    | Some (Hd_obs.Obs.Json.List spans) ->
+        List.filter_map
+          (fun s ->
+            match Hd_obs.Obs.Json.member "name" s with
+            | Some (Hd_obs.Obs.Json.String name) -> Some name
+            | _ -> None)
+          spans
+    | _ -> []
+  in
+  List.iter
+    (fun (name, span, rows) ->
+      List.iter2
+        (fun (instance, problem, within) (outcome, visited, generated) ->
+          Hd_obs.Obs.enable ();
+          Hd_obs.Obs.reset ();
+          let r = entry name ~within:(within ()) problem in
+          let spans = root_spans () in
+          Hd_obs.Obs.disable ();
+          let label what = Printf.sprintf "%s %s %s" instance name what in
+          Alcotest.(check (list string)) (label "span") [ span ] spans;
+          Alcotest.(check string) (label "outcome") outcome
+            (Format.asprintf "%a" Solver.pp_outcome r.outcome);
+          check_int (label "visited") visited r.visited;
+          check_int (label "generated") generated r.generated)
+        problems rows)
+    registry_pins
 
 let test_trajectory_pins () =
   let check_row label (outcome, visited, generated) (o, v, g) =
@@ -974,7 +1051,10 @@ let () =
         [ Alcotest.test_case "known treewidths" `Quick test_bb_known ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_bb_matches_astar ] );
       ( "ordering",
-        [ Alcotest.test_case "trajectory pins" `Quick test_trajectory_pins ] );
+        [
+          Alcotest.test_case "trajectory pins" `Quick test_trajectory_pins;
+          Alcotest.test_case "registry pins" `Quick test_registry_pins;
+        ] );
       ( "robustness",
         [
           Alcotest.test_case "state budgets" `Quick test_ghw_budget_states;

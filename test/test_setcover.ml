@@ -56,14 +56,19 @@ let test_lower_bound () =
     (Set_cover.cover_size_lower_bound ~universe_size:0 ~max_set_size:3)
 
 let test_cache () =
-  let cache = Hashtbl.create 8 in
+  (* the exact searches' cover memo: one entry per bag content *)
+  let cache = Hd_core.Eval.Bag_tbl.create 8 in
   let p =
     problem ~n:4 ~edges:[ [ 0; 1 ]; [ 2; 3 ]; [ 1; 2 ] ] ~universe:[ 0; 1; 2; 3 ]
   in
-  let s1 = Set_cover.exact_size ~cache p in
-  let s2 = Set_cover.exact_size ~cache p in
+  let size () =
+    Hd_core.Eval.exact_memoized cache p.hypergraph (Bitset.copy p.universe)
+  in
+  let s1 = size () in
+  let s2 = size () in
   check_int "stable" s1 s2;
-  check_int "cached entries" 1 (Hashtbl.length cache)
+  check_int "exact" (Set_cover.exact_size p) s1;
+  check_int "cached entries" 1 (Hd_core.Eval.Bag_tbl.length cache)
 
 (* brute force optimum for small instances *)
 let brute_force p m =
