@@ -89,8 +89,11 @@ let budget scale =
       { Hd_engine.Budget.time_limit = Some scale.time_limit; max_states = None }
 
 (* a fresh running budget for one solver call: a started budget keeps
-   its clock, so never share one across runs *)
-let within scale = Hd_engine.Budget.of_spec (budget scale)
+   its clock, so never share one across runs.  [scheduler] is what the
+   call may fork onto; without one it stays on the calling domain *)
+let within ?scheduler scale =
+  let { Hd_engine.Budget.time_limit; max_states } = budget scale in
+  Hd_engine.Budget.create ?time_limit ?max_states ?scheduler ()
 
 (* the registry entry [name] once on [problem] with seed 1, without the
    engine's block split: the tables run the searches the CLI runs *)

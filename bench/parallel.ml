@@ -13,7 +13,7 @@
 open Harness
 
 let run scale =
-  let module Sched = Hd_parallel.Scheduler in
+  let module Sched = Hd_engine.Scheduler in
   let module Sv = Hd_engine.Solver in
   Hd_search.Solvers.ensure ();
   Hd_ga.Solvers.ensure ();
@@ -49,27 +49,22 @@ let run scale =
         @ extra) )
   in
   (* one scheduler serves all three layer races; its domains spawn
-     outside the timed regions, matching production where the shared
-     scheduler is created once per process *)
+     outside the timed regions, as the CLIs create theirs once per run
+     before the solve *)
   let blocks_row, hdastar_row, columnar_row =
     Sched.with_scheduler ~workers @@ fun sched ->
     (* layer "blocks": Engine.run forks the biconnected blocks of a
-       cut-vertex chain through the Exec runner hook *)
+       cut-vertex chain onto the scheduler its budget carries *)
     let blocks_row =
       let copies = max 6 (2 * jobs) in
       let chain = Hd_instances.Graphs.chain ~copies (graph "myciel4") in
-      let solve () =
+      let solve ?scheduler () =
         Hd_engine.Engine.run_by_name ~seed:1 "bb-tw"
-          (within scale)
+          (within ?scheduler scale)
           (Sv.Graph chain)
       in
       let seq, t1 = time solve in
-      let par, t2 =
-        time (fun () ->
-            Hd_engine.Exec.with_runner
-              { Hd_engine.Exec.run_all = (fun fns -> Sched.run_all sched fns) }
-              solve)
-      in
+      let par, t2 = time (solve ~scheduler:sched) in
       check_same "blocks" "outcome" (par.Sv.outcome = seq.Sv.outcome);
       check_same "blocks" "witness" (par.Sv.ordering = seq.Sv.ordering);
       row ~layer:"blocks"
@@ -89,7 +84,8 @@ let run scale =
       let par, t2 =
         time (fun () ->
             Hd_search.Solvers.of_int
-              (Hd_parallel.Hdastar.solve_tw ~sched ~within:(within scale)
+              (Hd_parallel.Hdastar.solve_tw
+                 ~within:(within ~scheduler:sched scale)
                  ~seed:1 g))
       in
       let notes =

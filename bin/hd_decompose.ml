@@ -26,9 +26,21 @@ let hypergraph_of = function G g -> Hypergraph.of_graph g | H h -> h
 let primal_of = function G g -> g | H h -> Hypergraph.primal h
 
 (* the portfolio and sweep take a passive spec; a single solver run
-   takes a fresh budget, built at each call so no clock is shared *)
+   takes a fresh budget, built at each call so no clock is shared, and
+   carrying the run's scheduler when there is one *)
 let budget time_limit = { Hd_engine.Budget.time_limit; max_states = None }
-let within time_limit = Hd_engine.Budget.create ?time_limit ()
+
+let within ?scheduler time_limit =
+  Hd_engine.Budget.create ?time_limit ?scheduler ()
+
+(* -j N > 1: one scheduler with N - 1 workers for this run, which the
+   budget hands to block solves and the -par solvers; -j 1 creates
+   none, so the run stays on this domain *)
+let with_jobs jobs f =
+  if jobs > 1 then
+    Hd_engine.Scheduler.with_scheduler ~workers:(jobs - 1) (fun s ->
+        f (Some s))
+  else f None
 
 let report_search label (result : Solver.result) =
   Format.printf "%s: %a  (visited %d, generated %d, %.2fs)@." label
@@ -148,14 +160,6 @@ let run input names ~jobs ~portfolio time_limit seed print_decomposition output 
       prerr_endline ("hd_decompose: " ^ msg);
       exit 2
   | Ok data -> (
-      (* -j sizes the shared work-stealing scheduler (before first
-         use) and lets Engine.run fork biconnected blocks through it;
-         the -par solver variants pick the same instance up *)
-      if jobs > 1 then begin
-        Hd_parallel.Scheduler.set_default_workers (jobs - 1);
-        Hd_parallel.Scheduler.install_engine_runner
-          (Hd_parallel.Scheduler.shared ())
-      end;
       let g = primal_of data in
       let h = hypergraph_of data in
       Format.printf "input: %d vertices, %d hyperedges (primal: %d edges)@."
@@ -163,9 +167,11 @@ let run input names ~jobs ~portfolio time_limit seed print_decomposition output 
       let witness = witness ~time_limit ~print_decomposition ~output g h in
       match names with
       | [ "analyze" ] ->
+          with_jobs jobs @@ fun scheduler ->
           Format.printf "%a@." Hd_search.Widths.pp
             (Hd_search.Widths.analyze
-               ?within:(Option.map (fun t -> within (Some t)) time_limit)
+               ?within:
+                 (Option.map (fun t -> within ?scheduler (Some t)) time_limit)
                ~seed h)
       | [ "bounds" ] ->
           let rng = Random.State.make [| seed |] in
@@ -222,7 +228,9 @@ let run input names ~jobs ~portfolio time_limit seed print_decomposition output 
           match names with
           | [ name ] ->
               let r =
-                Hd_engine.Engine.run_by_name ~seed name (within time_limit)
+                with_jobs jobs @@ fun scheduler ->
+                Hd_engine.Engine.run_by_name ~seed name
+                  (within ?scheduler time_limit)
                   problem
               in
               witness kind r.Solver.outcome (report_search name r)
@@ -276,10 +284,10 @@ let jobs =
     & opt int 1
     & info [ "j"; "jobs" ]
         ~doc:
-          "Worker domains: biconnected blocks solved at once, portfolio \
-           members raced by $(b,--portfolio) or several $(b,-m) names, \
-           islands of $(b,-m saiga-ghw-par).  1 (the default) stays \
-           sequential.")
+          "Worker domains: biconnected blocks solved at once, HDA* workers \
+           and islands of the $(b,-par) solvers, portfolio members raced \
+           by $(b,--portfolio) or several $(b,-m) names.  1 (the default) \
+           stays sequential.")
 
 let portfolio =
   Arg.(

@@ -32,15 +32,14 @@ let load_db data =
    decomposition per isomorphism class of cyclic query structure
    (canonical signatures, orderings replayed through the canonical
    relabelling), report per-query and amortised timings *)
-(* -j > 1: size the shared work-stealing scheduler once and run the
-   columnar passes partitioned-parallel on it (results are
+(* -j > 1: one work-stealing scheduler with jobs - 1 workers for the
+   run, and the columnar passes partitioned-parallel on it (results are
    byte-identical to -j 1) *)
-let par_of_jobs jobs =
-  if jobs > 1 then begin
-    Hd_parallel.Scheduler.set_default_workers (jobs - 1);
-    Some (Hd_parallel.Scheduler.shared ())
-  end
-  else None
+let with_par jobs f =
+  if jobs > 1 then
+    Hd_engine.Scheduler.with_scheduler ~workers:(jobs - 1) (fun s ->
+        f (Some s))
+  else f None
 
 let run_batch batch_file data mode method_ jobs seed time_limit limit =
   let qs = Cq.parse_multi_file batch_file in
@@ -49,7 +48,7 @@ let run_batch batch_file data mode method_ jobs seed time_limit limit =
     exit 2
   end;
   let db = load_db data in
-  let par = par_of_jobs jobs in
+  with_par jobs @@ fun par ->
   (* canonical signature key -> ordering in canonical vertex ids *)
   let orderings : (string, int array) Hashtbl.t = Hashtbl.create 16 in
   let decompositions = ref 0 and reused = ref 0 in
@@ -167,8 +166,8 @@ let run query_file query_string batch data mode method_ jobs seed time_limit
   else begin
     let r, elapsed =
       Hd_engine.Clock.time @@ fun () ->
-      Y.run ~method_ ~jobs ~seed ~time_limit ?par:(par_of_jobs jobs)
-        ~mode db q
+      with_par jobs @@ fun par ->
+      Y.run ~method_ ~jobs ~seed ~time_limit ?par ~mode db q
     in
     (match mode with
     | Y.Answers -> print_truncated r.Y.answers

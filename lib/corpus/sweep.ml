@@ -130,8 +130,8 @@ let sweep_loaded ?(jobs = 1) ?(roster = default_roster)
            (String.concat ", " (S.names ()))));
   let solve = solve_instance ~roster ~budget ~seed in
   let rows =
-    Hd_parallel.Scheduler.with_scheduler ~workers:(jobs - 1) (fun s ->
-        Hd_parallel.Scheduler.map_array s solve (Array.of_list instances))
+    Hd_engine.Scheduler.with_scheduler ~workers:(jobs - 1) (fun s ->
+        Hd_engine.Scheduler.map_array s solve (Array.of_list instances))
     |> Array.to_list
   in
   { roster; jobs = max 1 jobs; budget; rows; skipped }

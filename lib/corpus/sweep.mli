@@ -5,9 +5,9 @@
     or already-loaded hypergraphs), a {e roster} of named solvers from
     the {!Hd_engine.Solver} registry, and a per-instance
     {!Hd_engine.Budget} spec.  Instances fan out as fork/join tasks
-    ({!Hd_parallel.Scheduler.map_array}) on a scheduler sized to
-    [jobs]; within one instance the roster members run as sequential
-    time trials
+    ({!Hd_engine.Scheduler.map_array}) on a private scheduler sized to
+    [jobs], and instance budgets carry no scheduler; within one
+    instance the roster members run as sequential time trials
     under {!Hd_engine.Budget.sub} shares of the instance budget (equal
     splits, unspent time rolling over), each through
     {!Hd_engine.Engine.run} — so block splitting and the whole anytime

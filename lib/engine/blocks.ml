@@ -288,12 +288,12 @@ let solve ?(split_blocks = true) ?seed (s : Solver.t) (b : Budget.t) p =
             let sub = Budget.sub ~stages:(nb - i) b in
             results.(i) <- Some (s.Solver.run ?seed sub (snd problems.(i)))
         in
-        (match Exec.current () with
-        | Some r when not (Budget.in_slice b) ->
+        (match Budget.scheduler b with
+        | Some sched when not (Budget.in_slice b) ->
             (* blocks may leave this domain.  Inside a sliced solve
                (the server's jobs) they stay in index order here: the
                Slice_expired handler lives on the slicing domain *)
-            r.Exec.run_all
+            Scheduler.run_all sched
               (List.init nb (fun i () ->
                    Step.unsliced (fun () -> solve_block i)))
         | _ ->

@@ -16,6 +16,9 @@ type t = {
      any sibling, while a parent cancel still reaches every child *)
   parent : t option;
   inc : Incumbent.t option;
+  (* the scheduler this run may fork onto; subs and pooled views
+     inherit it, so blocks within blocks share one set of domains *)
+  sched : Scheduler.t option;
   (* generated states summed over every ticker of a [pooled] budget;
      [None]: each ticker is capped on its own count *)
   pool : int Atomic.t option;
@@ -30,13 +33,14 @@ type t = {
   kids : t list Atomic.t;
 }
 
-let create ?time_limit ?max_states ?incumbent () =
+let create ?time_limit ?max_states ?incumbent ?scheduler () =
   {
     time_limit;
     max_states;
     flag = Atomic.make false;
     parent = None;
     inc = incumbent;
+    sched = scheduler;
     pool = None;
     started_at = Atomic.make Float.nan;
     slice_end = Atomic.make Float.nan;
@@ -49,6 +53,7 @@ let of_spec ?incumbent (s : spec) =
 let time_limit b = b.time_limit
 let max_states b = b.max_states
 let incumbent b = b.inc
+let scheduler b = b.sched
 
 let publish b ~witness w =
   match b.inc with
@@ -60,21 +65,18 @@ let start b =
   if Float.is_nan cur then
     ignore (Atomic.compare_and_set b.started_at cur (Clock.now ()))
 
-let started b = not (Float.is_nan (Atomic.get b.started_at))
-
 let elapsed b =
   let s = Atomic.get b.started_at in
   if Float.is_nan s then 0.0 else Clock.now () -. s
 
-(* clamped at 0: past the deadline, portfolio members and sub stages
-   created from this budget must see an empty share, not inherit a
-   [Some negative] limit that would never trip their tickers *)
+(* seconds left before the deadline; clamped at 0: past the deadline,
+   sub stages created from this budget must see an empty share, not
+   inherit a [Some negative] limit that would never trip their
+   tickers *)
 let remaining b =
   match b.time_limit with
   | None -> None
   | Some limit -> Some (Float.max 0.0 (limit -. elapsed b))
-
-let spec_of b = { time_limit = remaining b; max_states = b.max_states }
 
 let cancel b =
   Atomic.set b.flag true;
@@ -112,6 +114,7 @@ let sub ?(stages = 1) b =
       flag = Atomic.make false;
       parent = Some b;
       inc = None;
+      sched = b.sched;
       pool = None;
       started_at = Atomic.make Float.nan;
       slice_end = b.slice_end;

@@ -12,7 +12,12 @@
     - a cancellation flag shared with any number of sub-budgets, and
       optionally an {!Hd_core.Incumbent.t} whose own cancellation and
       closure are honoured too: a solver publishes its bounds there,
-      and a target is a lower bound raised on it.
+      and a target is a lower bound raised on it;
+    - optionally the {!Scheduler.t} the run may fork onto.  Block
+      solves ({!Blocks.solve}), HDA* and [saiga-ghw-par] read it here;
+      without one they run on the calling domain, so a budget built
+      without a scheduler gives the same result at any core count.
+      Sub-budgets and {!pooled} views inherit it.
 
     Solvers do not poll the budget directly; they create a {!ticker}
     and call {!out_of_budget} on every step.  The ticker amortizes
@@ -34,19 +39,23 @@ type t
 
 (** [create ()] makes a fresh, unstarted budget. *)
 val create :
-  ?time_limit:float -> ?max_states:int -> ?incumbent:Hd_core.Incumbent.t ->
-  unit -> t
+  ?time_limit:float ->
+  ?max_states:int ->
+  ?incumbent:Hd_core.Incumbent.t ->
+  ?scheduler:Scheduler.t ->
+  unit ->
+  t
 
 (** [of_spec spec] is [create] from a {!spec}. *)
 val of_spec : ?incumbent:Hd_core.Incumbent.t -> spec -> t
 
-(** The limits as a {!spec}; [time_limit] is the {e remaining} time
-    when the budget has started. *)
-val spec_of : t -> spec
-
 val time_limit : t -> float option
 val max_states : t -> int option
 val incumbent : t -> Hd_core.Incumbent.t option
+
+(** The scheduler given to {!create}, inherited by {!sub} and
+    {!pooled}; [None] means the run stays on the calling domain. *)
+val scheduler : t -> Scheduler.t option
 
 (** [publish b ~witness w] offers the upper bound [w], realised by the
     ordering [witness], to [b]'s incumbent; a no-op without one. *)
@@ -57,17 +66,8 @@ val publish : t -> witness:int array -> int -> unit
     budget implicitly. *)
 val start : t -> unit
 
-(** [started b] holds once the clock is running. *)
-val started : t -> bool
-
 (** Seconds since [start]; [0.] on an unstarted budget. *)
 val elapsed : t -> float
-
-(** Seconds left before the deadline ([None] when unlimited).  On an
-    unstarted budget this is the full limit; clamped at [0.] once the
-    deadline has passed, so specs and sub-budgets derived after expiry
-    carry an empty share rather than a negative limit. *)
-val remaining : t -> float option
 
 (** [cancel b] trips [b]'s own cancellation flag — observed by every
     sub-budget below it — and cancels the attached incumbent, if any.
@@ -87,12 +87,14 @@ val cancelled : t -> bool
     cancelled child stops only itself) and does {e not} inherit [b]'s
     incumbent (bounds from one sub-problem must not prune another);
     pass the work's own incumbent explicitly if it has one.  The state
-    cap is inherited as-is. *)
+    cap and the scheduler are inherited as-is.  A sub cut after the
+    deadline has passed gets a time limit of [0.], never a negative
+    one. *)
 val sub : ?stages:int -> t -> t
 
 (** [pooled b] is [b] with one state count shared by all its tickers:
     the state cap bounds their total instead of each ticker's own
-    count.  Clock, cancellation and incumbent are [b]'s.  Parallel
+    count.  Clock, cancellation, incumbent and scheduler are [b]'s.  Parallel
     solvers that run one ticker per worker use it; a portfolio does
     not, so each racer keeps its own cap.  [b] itself when it has no
     state cap. *)

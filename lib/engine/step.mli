@@ -12,7 +12,7 @@
     crediting the parked wall-clock time back to the budget, so a
     sliced solve's deadline measures {e compute} time, not queue time.
     This is what lets hd_server interleave many concurrent jobs on the
-    workers of one [Hd_parallel.Scheduler] (docs/SERVER.md).
+    workers of one {!Scheduler} (docs/SERVER.md).
 
     Constraints: a task is driven by one scheduler at a time (slices
     may hop domains, the continuation is one-shot), and the computation

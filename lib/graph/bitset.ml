@@ -64,11 +64,12 @@ let equal a b =
 
 let subset a b =
   assert (a.capacity = b.capacity);
-  let rec go i =
-    i >= Array.length a.words
-    || (a.words.(i) land lnot b.words.(i) = 0 && go (i + 1))
-  in
-  go 0
+  let n = Array.length a.words in
+  let i = ref 0 in
+  while !i < n && a.words.(!i) land lnot b.words.(!i) = 0 do
+    incr i
+  done;
+  !i = n
 
 let union_into ~src ~dst =
   assert (src.capacity = dst.capacity);

@@ -2,6 +2,7 @@ module Graph = Hd_graph.Graph
 module Bitset = Hd_graph.Bitset
 module Incumbent = Hd_core.Incumbent
 module Budget = Hd_engine.Budget
+module Scheduler = Hd_engine.Scheduler
 module Step = Hd_engine.Step
 module Search_util = Hd_search.Search_util
 module Bag_cost = Hd_search.Bag_cost
@@ -221,11 +222,18 @@ module Make (C : Bag_cost.S) = struct
     leave_idle ();
     sh.stats.(me) <- (Budget.visited tk, Budget.generated tk)
 
-  let solve ~sched ?within ~seed input =
+  let solve ?within ~seed input =
     let visited = ref 0 and generated = ref 0 in
     let r =
       Search.run ?within ~seed input @@ fun st ->
-      let w = min max_workers (Scheduler.size sched + 1) in
+      (* the budget's scheduler, if any, lends its domains; without one
+         the lone worker runs inline *)
+      let sched = Budget.scheduler (Budget.budget st.ticker) in
+      let w =
+        match sched with
+        | Some s -> min max_workers (Scheduler.size s + 1)
+        | None -> 1
+      in
       let sh =
         {
           w;
@@ -251,9 +259,12 @@ module Make (C : Bag_cost.S) = struct
          the caller and always starts, so make it the owner — the
          search is live even while pool workers are busy elsewhere *)
       let root_owner = 0 in
-      Scheduler.run_all sched
-        (List.init w (fun me () ->
-             run_worker sh ~me ~st ~seed ~root ~root_owner));
+      let workers =
+        List.init w (fun me () -> run_worker sh ~me ~st ~seed ~root ~root_owner)
+      in
+      (match sched with
+      | Some s -> Scheduler.run_all s workers
+      | None -> List.iter (fun f -> f ()) workers);
       Array.iter
         (fun (v, g) ->
           visited := !visited + v;
@@ -272,12 +283,8 @@ end
 module Tw = Make (Bag_cost.Tw)
 module Ghw = Make (Bag_cost.Ghw)
 
-let scheduler = function Some s -> s | None -> Scheduler.shared ()
+let solve_tw ?within ?(seed = 0x7ea) g =
+  Obs.with_span "hdastar.solve_tw" @@ fun () -> Tw.solve ?within ~seed g
 
-let solve_tw ?sched ?within ?(seed = 0x7ea) g =
-  Obs.with_span "hdastar.solve_tw" @@ fun () ->
-  Tw.solve ~sched:(scheduler sched) ?within ~seed g
-
-let solve_ghw ?sched ?within ?(seed = 0xa5a) h =
-  Obs.with_span "hdastar.solve_ghw" @@ fun () ->
-  Ghw.solve ~sched:(scheduler sched) ?within ~seed h
+let solve_ghw ?within ?(seed = 0xa5a) h =
+  Obs.with_span "hdastar.solve_ghw" @@ fun () -> Ghw.solve ?within ~seed h

@@ -1,10 +1,11 @@
 (** Hash-distributed A* — HDA-star — for exact treewidth and ghw.
 
-    The open list is partitioned across W workers (the {!Scheduler}'s
-    domains plus the calling one) by owner-computes hashing: a state
-    belongs to worker [Bitset.fnv_hash (eliminated set) mod W], so
-    duplicate elimination sets always land on the same worker and its
-    local [seen] table deduplicates them without any shared structure.
+    The open list is partitioned across W workers (the domains of the
+    budget's {!Hd_engine.Scheduler}, plus the calling one) by
+    owner-computes hashing: a state belongs to worker
+    [Bitset.fnv_hash (eliminated set) mod W], so duplicate elimination
+    sets always land on the same worker and its local [seen] table
+    deduplicates them without any shared structure.
     Generated states owned elsewhere travel in batches over SPSC
     {!Ring}s; a full ring degrades gracefully — the sender keeps the
     state locally, which costs dedup precision, never soundness.
@@ -30,15 +31,16 @@
     sequential A*: a worker whose expansion the budget cut halts the
     search before it can go idle.
 
-    With a sequential scheduler (0 workers) the solve runs entirely on
-    the calling domain and is deterministic for a fixed seed.
+    The scheduler comes from the budget ({!Hd_engine.Budget.scheduler}).
+    A budget without one (or one with 0 workers) runs a single worker
+    entirely on the calling domain: W = 1, deterministic for a fixed
+    seed at any core count.
 
     Counters: [hdastar.messages] (states shipped cross-worker),
     [hdastar.batches] (ring pushes), [hdastar.ring_full] (local
     fallbacks), plus the shared [search.*] family. *)
 
 val solve_tw :
-  ?sched:Scheduler.t ->
   ?within:Hd_engine.Budget.t ->
   ?seed:int ->
   Hd_graph.Graph.t ->
@@ -47,11 +49,10 @@ val solve_tw :
     prefixes — the parallel counterpart of
     {!Hd_search.Ordering_search.Tw.astar}, entered through the same
     prologue ({!Hd_search.Ordering_search.Make.run}).  Its visited and
-    generated states are summed over the workers.  [sched] defaults to
-    {!Scheduler.shared}, [seed] to [0x7ea]. *)
+    generated states are summed over the workers.  [seed] defaults to
+    [0x7ea]. *)
 
 val solve_ghw :
-  ?sched:Scheduler.t ->
   ?within:Hd_engine.Budget.t ->
   ?seed:int ->
   Hd_hypergraph.Hypergraph.t ->

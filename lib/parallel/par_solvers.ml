@@ -1,4 +1,6 @@
 module S = Hd_engine.Solver
+module Budget = Hd_engine.Budget
+module Scheduler = Hd_engine.Scheduler
 
 let registered = ref false
 
@@ -32,8 +34,11 @@ let ensure () =
         doc = "saiga-ghw with one island per scheduler executor";
         run =
           (fun ?seed b p ->
-            Hd_ga.Solvers.saiga
-              ~n_islands:(Scheduler.default_workers () + 1)
-              Saiga_par.run ?seed b p);
+            let n_islands =
+              match Budget.scheduler b with
+              | Some s -> Scheduler.size s + 1
+              | None -> 1
+            in
+            Hd_ga.Solvers.saiga ~n_islands Saiga_par.run ?seed b p);
       }
   end

@@ -2,6 +2,7 @@ module Incumbent = Hd_core.Incumbent
 module Engine = Hd_engine.Engine
 module Solver = Hd_engine.Solver
 module Budget = Hd_engine.Budget
+module Scheduler = Hd_engine.Scheduler
 module Obs = Hd_obs.Obs
 
 let c_members = Obs.Counter.make "parallel.portfolio.members"

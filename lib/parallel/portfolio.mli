@@ -1,6 +1,9 @@
 (** Portfolio search: race complementary solvers against one shared
-    {!Hd_core.Incumbent.t}, as the fork/join tasks of a {!Scheduler}
-    with one executor per member (its workers plus the caller).
+    {!Hd_core.Incumbent.t}, as the fork/join tasks of a private
+    {!Hd_engine.Scheduler} with one executor per member (its workers
+    plus the caller).  Member budgets carry no scheduler, so blocks and
+    the [-par] solvers inside a member run on that member's
+    executor.
 
     For treewidth the roster is A*-tw, BB-tw and GA-tw (then ablation
     variants and reseeded GAs up to 8 members); for ghw it is A*-ghw,

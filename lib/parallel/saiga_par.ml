@@ -1,6 +1,7 @@
 module Hypergraph = Hd_hypergraph.Hypergraph
 module Ga_engine = Hd_ga.Ga_engine
 module Saiga_ghw = Hd_ga.Saiga_ghw
+module Scheduler = Hd_engine.Scheduler
 module Obs = Hd_obs.Obs
 
 let c_epochs = Obs.Counter.make "parallel.saiga.epochs"

@@ -3,10 +3,10 @@
 
     The sequential {!Hd_ga.Saiga_ghw} interleaves its islands
     round-robin and migrates at epoch barriers; here the islands are
-    the fork/join tasks of a {!Scheduler} with [n_islands - 1] workers
-    (the calling domain is the last executor), so every island runs its
-    epochs at its own pace.  Migration follows a
-    {e directed} ring — island [i] offers its best (individual,
+    the fork/join tasks of a private {!Hd_engine.Scheduler} with
+    [n_islands - 1] workers (the calling domain is the last executor),
+    so every island runs its epochs at its own pace.  Migration follows
+    a {e directed} ring — island [i] offers its best (individual,
     fitness, parameter vector) to island [i + 1 mod k] through a
     single-producer single-consumer {!Ring} — and is entirely
     non-blocking: a full inbox drops the migrant, an empty inbox skips

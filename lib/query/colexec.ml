@@ -23,7 +23,7 @@ let all_rows r = Array.init (Qrelation.cardinality r) Fun.id
 (* Partitioned-parallel probe loops                                    *)
 (* ------------------------------------------------------------------ *)
 
-module Sched = Hd_parallel.Scheduler
+module Sched = Hd_engine.Scheduler
 
 (* Chunk boundaries are a function of the probe count and the grain
    alone — never of the worker count or the interleaving — and chunk

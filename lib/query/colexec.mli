@@ -41,7 +41,7 @@ val all_rows : Qrelation.t -> sel
     result is byte-identical to the sequential scan at any worker
     count. *)
 val semijoin :
-  ?par:Hd_parallel.Scheduler.t ->
+  ?par:Hd_engine.Scheduler.t ->
   probe:Qrelation.t * sel * int array ->
   build:Qrelation.t * sel * int array ->
   unit ->
@@ -58,7 +58,7 @@ val semijoin :
     @raise Not_found when [scope] mentions an attribute absent from
     every relation. *)
 val join_project :
-  ?par:Hd_parallel.Scheduler.t ->
+  ?par:Hd_engine.Scheduler.t ->
   Qrelation.t list ->
   scope:int array ->
   Qrelation.t

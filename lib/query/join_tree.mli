@@ -32,7 +32,7 @@ val is_join_tree : t -> bool
     one-row nullary relation.
     @raise Not_found when [scope] mentions an attribute absent from
     every relation. *)
-val bag : ?par:Hd_parallel.Scheduler.t -> Qrelation.t list -> scope:int array -> Qrelation.t
+val bag : ?par:Hd_engine.Scheduler.t -> Qrelation.t list -> scope:int array -> Qrelation.t
 
 (** [of_ghd ?par h ghd atoms] materialises one relation per node [p]
     of [ghd], a GHD of [h]; [atoms.(e)] is the relation of hyperedge
@@ -54,7 +54,7 @@ val bag : ?par:Hd_parallel.Scheduler.t -> Qrelation.t list -> scope:int array ->
     chi-projection of its cover's join, so it has at most ‖D‖^width
     rows. *)
 val of_ghd :
-  ?par:Hd_parallel.Scheduler.t ->
+  ?par:Hd_engine.Scheduler.t ->
   Hd_hypergraph.Hypergraph.t ->
   Hd_core.Ghd.t ->
   Qrelation.t array ->
@@ -73,7 +73,7 @@ val start : t -> state
     [full] (default [true]), the top-down pass, after which every
     selected row takes part in at least one full solution.  [false]
     as soon as some node's selection empties (no solution). *)
-val reduce : ?par:Hd_parallel.Scheduler.t -> ?full:bool -> state -> bool
+val reduce : ?par:Hd_engine.Scheduler.t -> ?full:bool -> state -> bool
 
 (** [semijoins st] is the number of semijoins performed so far. *)
 val semijoins : state -> int
@@ -99,9 +99,9 @@ val iter : state -> n_vars:int -> (int array -> unit) -> unit
     pass, then a top-down read-off of one solution (variables in no
     scope stay [min_int]); [None] when there is none.  Assumes the
     connectedness condition. *)
-val solve : ?par:Hd_parallel.Scheduler.t -> t -> n_vars:int -> int array option
+val solve : ?par:Hd_engine.Scheduler.t -> t -> n_vars:int -> int array option
 
 (** [count_solutions ?par t] counts the full assignments to the
     variables in [t]'s scopes by sum-product over the tree.  Assumes
     the connectedness condition. *)
-val count_solutions : ?par:Hd_parallel.Scheduler.t -> t -> int
+val count_solutions : ?par:Hd_engine.Scheduler.t -> t -> int

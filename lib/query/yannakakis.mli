@@ -74,7 +74,7 @@ val run :
   ?seed:int ->
   ?time_limit:float ->
   ?ordering:int array ->
-  ?par:Hd_parallel.Scheduler.t ->
+  ?par:Hd_engine.Scheduler.t ->
   mode:mode ->
   Db.t ->
   Cq.t ->

@@ -4,7 +4,7 @@ module Budget = Hd_engine.Budget
 module Step = Hd_engine.Step
 module Engine = Hd_engine.Engine
 module Incumbent = Hd_core.Incumbent
-module Scheduler = Hd_parallel.Scheduler
+module Scheduler = Hd_engine.Scheduler
 
 let c_submitted = Obs.Counter.make "server.jobs_submitted"
 let c_completed = Obs.Counter.make "server.jobs_completed"

@@ -1,19 +1,20 @@
 (** The hd_server job runner: many concurrent solves time-sliced over
-    a {!Hd_parallel.Scheduler}.
+    a {!Hd_engine.Scheduler} the runner owns.
 
     Each submitted instance becomes a job wrapping an [Engine.run]
     call in a resumable {!Hd_engine.Step.t}, submitted to the
-    scheduler as a resumable turn ({!Hd_parallel.Scheduler.resume}).
+    scheduler as a resumable turn ({!Hd_engine.Scheduler.resume}).
     Each turn runs {e one} slice of one job — park on
     [Budget.Slice_expired], re-enqueue at the back of the scheduler's
     FIFO, move on — so two in-flight jobs both make progress even on a
     single worker, and a newly submitted job never waits behind an
     unbounded solve.  Parked time is credited back to the job's
     budget, so a ["time_limit"] bounds compute time, not queue time.
-    Because the jobs share the scheduler's domains with every other
-    parallel layer, a bulk query evaluation can hand the same instance
-    to [Yannakakis.run ?par] (see {!scheduler}) without
-    oversubscribing the machine.
+    Job budgets carry no scheduler ({!Hd_engine.Budget.scheduler}), so
+    a job's blocks and [-par] solvers stay on the domain running its
+    slice.  A bulk query evaluation hands the runner's instance to
+    [Yannakakis.run ?par] (see {!scheduler}), so it shares the jobs'
+    domains without oversubscribing the machine.
 
     Submissions consult the {!Cache} first (unless [use_cache] is
     false): a hit births the job already [done] with the cached result
@@ -67,7 +68,7 @@ val create : ?workers:int -> ?slice:float -> cache:Cache.t -> unit -> t
     @raise Invalid_argument when [workers < 1] or [slice] is negative
     or not finite. *)
 
-val scheduler : t -> Hd_parallel.Scheduler.t
+val scheduler : t -> Hd_engine.Scheduler.t
 (** The underlying scheduler, so request handlers (bulk query
     evaluation) can run their own parallel work on the same domains. *)
 

@@ -171,6 +171,23 @@ let prop_inter_cardinal =
       in
       Bitset.inter_cardinal a b = List.length inter)
 
+(* capacities inside one word, at its last bit, exactly one word and
+   across four words; [ys] also takes a prefix of [xs], so that true
+   answers are common *)
+let prop_subset =
+  QCheck.Test.make ~count:400 ~name:"subset = list-based reference"
+    QCheck.(
+      make
+        Gen.(
+          oneofl [ 1; 63; 64; 200 ] >>= fun n ->
+          map3
+            (fun xs ys k ->
+              (n, xs, ys @ List.filteri (fun i _ -> i < k) xs))
+            (int_list_gen n) (int_list_gen n) (0 -- 30)))
+    (fun (n, xs, ys) ->
+      let a = Bitset.of_list n xs and b = Bitset.of_list n ys in
+      Bitset.subset a b = List.for_all (fun x -> List.mem x ys) xs)
+
 let () =
   Alcotest.run "bitset"
     [
@@ -196,5 +213,6 @@ let () =
             prop_mem_matches_list;
             prop_iter_agrees;
             prop_inter_cardinal;
+            prop_subset;
           ] );
     ]

@@ -48,10 +48,10 @@ let test_budget_starts_on_run () =
      from the first start/ticker, not from construction *)
   let b = B.create ~time_limit:10.0 () in
   Unix.sleepf 0.05;
-  check "not started by create" false (B.started b);
-  check "elapsed 0 before start" true (B.elapsed b = 0.0);
-  B.start b;
-  check "started" true (B.started b);
+  check "elapsed 0 before the first ticker" true (B.elapsed b = 0.0);
+  ignore (B.ticker b);
+  Unix.sleepf 0.001;
+  check "clock runs after the first ticker" true (B.elapsed b > 0.0);
   check "sleep before start not counted" true (B.elapsed b < 0.04)
 
 let test_budget_sub_rollover () =
@@ -111,21 +111,17 @@ let test_ticker_cancellation_counter () =
   Obs.disable ()
 
 let test_budget_remaining_clamped () =
-  (* regression: past the deadline, [remaining] (and the spec derived
-     from it) used to go negative, so a sub-budget cut after expiry got
-     a *negative* time limit — later arithmetic treated it as slack *)
+  (* regression: past the deadline, the remaining time used to go
+     negative, so a sub-budget cut after expiry got a *negative* time
+     limit — later arithmetic treated it as slack *)
   let b = B.create ~time_limit:0.01 () in
   B.start b;
   Unix.sleepf 0.03;
-  (match B.remaining b with
-  | Some r -> check "remaining clamped at 0" true (r = 0.0)
-  | None -> Alcotest.fail "timed budget must report remaining time");
-  (match (B.spec_of b).B.time_limit with
-  | Some t -> check "spec_of clamped at 0" true (t = 0.0)
-  | None -> Alcotest.fail "timed budget must report a spec limit");
-  (* unstarted budgets still report the full limit *)
+  check "sub after expiry gets 0s" true (B.time_limit (B.sub b) = Some 0.0);
+  (* a sub of an unstarted budget still gets the full limit *)
   let fresh = B.create ~time_limit:5.0 () in
-  check "unstarted reports full limit" true (B.remaining fresh = Some 5.0)
+  check "unstarted: sub gets the full limit" true
+    (B.time_limit (B.sub fresh) = Some 5.0)
 
 let test_budget_sub_own_cancel_flag () =
   (* regression: sub-budgets used to share the parent's cancellation
@@ -156,6 +152,20 @@ let test_budget_sub_own_cancel_flag () =
   (match r.S.outcome with
   | S.Exact w -> check_int "two triangles: tw 2 after sibling cancel" 2 w
   | S.Bounds _ -> Alcotest.fail "uncancelled blocks must still solve exactly")
+
+let test_budget_scheduler_inherited () =
+  (* blocks within blocks fork onto the one scheduler of the run: subs
+     and pooled views carry the parent's, and a fresh budget none *)
+  check "fresh budget: no scheduler" true (B.scheduler (B.create ()) = None);
+  Hd_engine.Scheduler.with_scheduler ~workers:0 (fun s ->
+      let same b =
+        match B.scheduler b with Some s' -> s' == s | None -> false
+      in
+      let b = B.create ~max_states:10 ~scheduler:s () in
+      check "create keeps it" true (same b);
+      check "sub inherits it" true (same (B.sub ~stages:2 b));
+      check "pooled inherits it" true (same (B.pooled b));
+      check "sub of sub inherits it" true (same (B.sub (B.sub b))))
 
 let test_spec_equation () =
   (* a passive spec (what orchestration boundaries take) becomes the
@@ -320,6 +330,13 @@ let test_registry_budget_adherence () =
     String.length name >= String.length p
     && String.sub name 0 (String.length p) = p
   in
+  (* the -par entries run on the scheduler the budget lends them *)
+  Hd_engine.Scheduler.with_scheduler ~workers:1 @@ fun sched ->
+  let executors b =
+    match B.scheduler b with
+    | Some s -> Hd_engine.Scheduler.size s + 1
+    | None -> 1
+  in
   (* the most states a solver generates past the cap: one population
      for the GAs (Hd_ga.Solvers: 300 individuals; SAIGA 4 islands of
      60, one island per executor for saiga-ghw-par), one node's
@@ -327,34 +344,32 @@ let test_registry_budget_adherence () =
      each finish the expansion they are in, and a single state for the
      sequential searches, det-k and SA, which check the budget before
      every child, subproblem or step *)
-  let batch (s : S.t) =
+  let batch (s : S.t) b =
     let name = s.S.name in
     if prefix "ga-" name then 300
     else if prefix "saiga" name then
-      60
-      * (if Filename.check_suffix name "-par" then
-           Hd_parallel.Scheduler.default_workers () + 1
-         else 4)
-    else if Filename.check_suffix name "-par" then
-      n * (Hd_parallel.Scheduler.size (Hd_parallel.Scheduler.shared ()) + 1)
+      60 * if Filename.check_suffix name "-par" then executors b else 4
+    else if Filename.check_suffix name "-par" then n * executors b
     else 1
   in
   let cap = 200 in
   List.iter
     (fun (s : S.t) ->
       let _, secs =
-        Hd_engine.Clock.time @@ fun () -> run s (B.create ~time_limit:0.1 ())
+        Hd_engine.Clock.time @@ fun () ->
+        run s (B.create ~time_limit:0.1 ~scheduler:sched ())
       in
       check
         (Printf.sprintf "%s returns within 0.6s of a 0.1s deadline (%.3fs)"
            s.S.name secs)
         true (secs < 0.6);
-      let r = run s (B.create ~max_states:cap ()) in
+      let b = B.create ~max_states:cap ~scheduler:sched () in
+      let r = run s b in
       check
         (Printf.sprintf "%s: generated %d <= %d + %d" s.S.name r.S.generated
-           cap (batch s))
+           cap (batch s b))
         true
-        (r.S.generated <= cap + batch s))
+        (r.S.generated <= cap + batch s b))
     (S.all ())
 
 (* a random hypergraph on [n] vertices with n to 3n - 1 edges of two
@@ -414,7 +429,6 @@ let prop_cross_solver_bounds =
    initial upper bound is often not optimal make the cut common. *)
 let test_capped_astar_exact_is_true () =
   ensure_registry ();
-  Hd_parallel.Scheduler.with_scheduler ~workers:0 @@ fun sched ->
   for seed = 0 to 249 do
     let h = random_hypergraph seed (5 + (seed mod 5)) in
     let run name within p = (Engine.run_by_name ~seed:1 name within p).S.outcome in
@@ -441,13 +455,13 @@ let test_capped_astar_exact_is_true () =
           ( "hdastar tw",
             tw,
             (Hd_search.Solvers.of_int
-               (Hd_parallel.Hdastar.solve_tw ~sched ~within:(within ())
+               (Hd_parallel.Hdastar.solve_tw ~within:(within ())
                   (Hypergraph.primal h)))
               .S.outcome );
           ( "hdastar ghw",
             ghw,
             (Hd_search.Solvers.of_int
-               (Hd_parallel.Hdastar.solve_ghw ~sched ~within:(within ()) h))
+               (Hd_parallel.Hdastar.solve_ghw ~within:(within ()) h))
               .S.outcome );
         ]
     done
@@ -553,60 +567,55 @@ let prop_blocks_equal_mono_ghw =
 (* Blocks through the work-stealing scheduler                          *)
 (* ------------------------------------------------------------------ *)
 
-let scheduler_runner s =
-  { Hd_engine.Exec.run_all = (fun fns -> Hd_parallel.Scheduler.run_all s fns) }
-
 let test_blocks_parallel_identical () =
-  (* with a scheduler runner installed, Engine.run forks the
-     biconnected blocks as concurrent tasks — and the full result
-     (outcome, stitched witness, state counts) is byte-identical to the
+  (* with a scheduler in its budget, Engine.run forks the biconnected
+     blocks as concurrent tasks — and the full result (outcome,
+     stitched witness, state counts) is byte-identical to the
      sequential driver, the -j1 acceptance bar of the refactor *)
   ensure_registry ();
   let chain = Hd_instances.Graphs.chain ~copies:3 (Hd_instances.Graphs.queen 4) in
-  let solve budget () =
-    Engine.run_by_name ~seed:1 "bb-tw" (budget ()) (S.Graph chain)
+  let solve budget =
+    Engine.run_by_name ~seed:1 "bb-tw" budget (S.Graph chain)
   in
   let compare_runs budget =
-    let seq = solve budget () in
+    let seq = solve (budget None) in
     let par =
-      Hd_parallel.Scheduler.with_scheduler ~workers:2 (fun s ->
-          Hd_engine.Exec.with_runner (scheduler_runner s) (solve budget))
+      Hd_engine.Scheduler.with_scheduler ~workers:2 (fun s ->
+          solve (budget (Some s)))
     in
     check "outcome identical" true (par.S.outcome = seq.S.outcome);
     check "witness identical" true (par.S.ordering = seq.S.ordering);
     check_int "visited identical" seq.S.visited par.S.visited;
     check_int "generated identical" seq.S.generated par.S.generated
   in
-  compare_runs (fun () -> B.create ());
+  compare_runs (fun scheduler -> B.create ?scheduler ());
   (* also under a state-capped budget: the equal upfront sub shares
      make the parallel split deterministic there too *)
-  compare_runs (fun () -> B.create ~max_states:200_000 ())
+  compare_runs (fun scheduler -> B.create ~max_states:200_000 ?scheduler ())
 
 let test_blocks_cancel_under_runner () =
-  (* the PR 7 sibling-cancel regression, now through the scheduler:
+  (* the sibling-cancel regression, now through the scheduler:
      cancelling one sub of the parent budget must not leak into the
      concurrently-forked block solves *)
   ensure_registry ();
   let g =
     Graph.of_edges 5 [ (0, 1); (1, 2); (0, 2); (2, 3); (3, 4); (4, 2) ]
   in
-  Hd_parallel.Scheduler.with_scheduler ~workers:2 (fun s ->
-      Hd_engine.Exec.with_runner (scheduler_runner s) (fun () ->
-          let parent = B.create () in
-          B.cancel (B.sub parent);
-          let r = Engine.run_by_name ~seed:1 "bb-tw" parent (S.Graph g) in
-          (match r.S.outcome with
-          | S.Exact w ->
-              check_int "two triangles: tw 2 under concurrent blocks" 2 w
-          | S.Bounds _ ->
-              Alcotest.fail "sibling cancel must not kill concurrent blocks");
-          (* a cancelled parent, by contrast, reaches every forked task *)
-          let dead = B.create () in
-          B.cancel dead;
-          let r = Engine.run_by_name ~seed:1 "bb-tw" dead (S.Graph g) in
-          match r.S.outcome with
-          | S.Exact _ -> Alcotest.fail "cancelled parent must not prove exactness"
-          | S.Bounds _ -> ()))
+  Hd_engine.Scheduler.with_scheduler ~workers:2 (fun s ->
+      let parent = B.create ~scheduler:s () in
+      B.cancel (B.sub parent);
+      let r = Engine.run_by_name ~seed:1 "bb-tw" parent (S.Graph g) in
+      (match r.S.outcome with
+      | S.Exact w -> check_int "two triangles: tw 2 under concurrent blocks" 2 w
+      | S.Bounds _ ->
+          Alcotest.fail "sibling cancel must not kill concurrent blocks");
+      (* a cancelled parent, by contrast, reaches every forked task *)
+      let dead = B.create ~scheduler:s () in
+      B.cancel dead;
+      let r = Engine.run_by_name ~seed:1 "bb-tw" dead (S.Graph g) in
+      match r.S.outcome with
+      | S.Exact _ -> Alcotest.fail "cancelled parent must not prove exactness"
+      | S.Bounds _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Local search: the clock starts at run, not before                   *)
@@ -711,26 +720,27 @@ let test_step_slices_whole_engine_run () =
   check "solve actually got sliced" true (Step.slices step >= 2)
 
 let test_step_slices_blocks_under_runner () =
-  (* a sliced solve keeps its blocks on the slicing domain even with a
-     runner installed: forked blocks would run unsliced and never park.
-     Slicing moves no state, so the result equals an unsliced run's *)
+  (* a sliced solve keeps its blocks on the slicing domain even when
+     its budget carries a scheduler: forked blocks would run unsliced
+     and never park.  Slicing moves no state, so the result equals an
+     unsliced run's *)
   ensure_registry ();
   let chain = Hd_instances.Graphs.chain ~copies:3 (Graph.grid 4 4) in
   check "multi-block instance" true
     (List.length (Blocks.split chain) >= 3);
   let solver = Option.get (S.find "ga-tw") in
-  let budget () = B.create ~max_states:2000 () in
-  let plain = Engine.run ~seed:1 solver (budget ()) (S.Graph chain) in
-  Hd_parallel.Scheduler.with_scheduler ~workers:2 (fun s ->
-      Hd_engine.Exec.with_runner (scheduler_runner s) (fun () ->
-          let b = budget () in
-          let step =
-            Step.make b (fun () -> Engine.run ~seed:1 solver b (S.Graph chain))
-          in
-          let r = Step.run_to_completion ~seconds:0.0 step in
-          check "parked at least twice" true (Step.slices step >= 3);
-          check "outcome = unsliced" true (r.S.outcome = plain.S.outcome);
-          check "witness = unsliced" true (r.S.ordering = plain.S.ordering)))
+  let plain =
+    Engine.run ~seed:1 solver (B.create ~max_states:2000 ()) (S.Graph chain)
+  in
+  Hd_engine.Scheduler.with_scheduler ~workers:2 (fun s ->
+      let b = B.create ~max_states:2000 ~scheduler:s () in
+      let step =
+        Step.make b (fun () -> Engine.run ~seed:1 solver b (S.Graph chain))
+      in
+      let r = Step.run_to_completion ~seconds:0.0 step in
+      check "parked at least twice" true (Step.slices step >= 3);
+      check "outcome = unsliced" true (r.S.outcome = plain.S.outcome);
+      check "witness = unsliced" true (r.S.ordering = plain.S.ordering))
 
 (* ------------------------------------------------------------------ *)
 (* Source invariants: one clock, one domain spawner, one join kernel   *)
@@ -779,9 +789,9 @@ let test_no_direct_clock_reads () =
 let test_one_domain_spawner () =
   (* every multi-domain layer runs on the work-stealing scheduler, so a
      second pool cannot creep back in beside it *)
-  let exempt path = Filename.check_suffix path "lib/parallel/scheduler.ml" in
+  let exempt path = Filename.check_suffix path "lib/engine/scheduler.ml" in
   Alcotest.(check (list string))
-    "Domain.spawn only in lib/parallel/scheduler.ml" []
+    "Domain.spawn only in lib/engine/scheduler.ml" []
     (sources_mentioning ~exempt ("Domain." ^ "spawn") [ "../lib"; "../bin" ])
 
 let test_one_ordering_search () =
@@ -859,6 +869,8 @@ let () =
           Alcotest.test_case "cancellation counter" `Quick
             test_ticker_cancellation_counter;
           Alcotest.test_case "spec equation" `Quick test_spec_equation;
+          Alcotest.test_case "scheduler inherited" `Quick
+            test_budget_scheduler_inherited;
         ] );
       ( "blocks",
         [

@@ -146,8 +146,8 @@ let test_ring_spsc_stream () =
 (* Work-stealing deque                                                 *)
 (* ------------------------------------------------------------------ *)
 
-module Deque = Hd_parallel.Deque
-module Sched = Hd_parallel.Scheduler
+module Deque = Hd_engine.Deque
+module Sched = Hd_engine.Scheduler
 module Hdastar = Hd_parallel.Hdastar
 module Budget = Hd_engine.Budget
 
@@ -356,48 +356,51 @@ let exact_of name (r : int Search.result) =
   | Search.Bounds { lb; ub } ->
       Alcotest.failf "%s: expected exact, got [%d,%d]" name lb ub
 
-(* ISSUE acceptance: the distributed search proves the same optimum as
-   the sequential A*, at 0 workers (deterministic inline mode) and at
-   2 workers, and its witness actually achieves the width *)
+(* a budget that lends HDA-star a 2-worker scheduler: three workers *)
+let on_two_workers f =
+  Sched.with_scheduler ~workers:2 (fun s -> f (Budget.create ~scheduler:s ()))
+
+(* the distributed search proves the same optimum as the sequential
+   A*, without a scheduler (one worker inline, the deterministic mode)
+   and with a 2-worker one, and its witness actually achieves the
+   width *)
 let test_hdastar_tw_matches_seq () =
   List.iter
     (fun name ->
       let g = graph name in
       let expected = exact_of name (Search.Tw.astar ~seed:3 g) in
-      Sched.with_scheduler ~workers:0 (fun s ->
-          let r = Hdastar.solve_tw ~sched:s ~seed:3 g in
-          check_int (name ^ " hdastar j1 width") expected (exact_of name r);
-          match r.Search.ordering with
-          | Some sigma ->
-              let ws = Hd_core.Eval.of_graph g in
-              check_int
-                (name ^ " witness achieves width")
-                expected
-                (Hd_core.Eval.tw_width ws sigma)
-          | None -> Alcotest.failf "%s: no witness ordering" name);
-      Sched.with_scheduler ~workers:2 (fun s ->
+      (let r = Hdastar.solve_tw ~seed:3 g in
+       check_int (name ^ " hdastar j1 width") expected (exact_of name r);
+       match r.Search.ordering with
+       | Some sigma ->
+           let ws = Hd_core.Eval.of_graph g in
+           check_int
+             (name ^ " witness achieves width")
+             expected
+             (Hd_core.Eval.tw_width ws sigma)
+       | None -> Alcotest.failf "%s: no witness ordering" name);
+      on_two_workers (fun within ->
           check_int (name ^ " hdastar j3 width") expected
-            (exact_of name (Hdastar.solve_tw ~sched:s ~seed:3 g))))
+            (exact_of name (Hdastar.solve_tw ~within ~seed:3 g))))
     [ "grid4"; "myciel3"; "grid5" ]
 
 let test_hdastar_ghw_matches_seq () =
   let h = hypergraph "adder_15" in
   let expected = exact_of "adder_15" (Search.Ghw.astar ~seed:5 h) in
   check_int "adder_15 seq ghw" 2 expected;
-  Sched.with_scheduler ~workers:0 (fun s ->
-      check_int "adder_15 hdastar j1" expected
-        (exact_of "adder_15" (Hdastar.solve_ghw ~sched:s ~seed:5 h)));
-  Sched.with_scheduler ~workers:2 (fun s ->
+  check_int "adder_15 hdastar j1" expected
+    (exact_of "adder_15" (Hdastar.solve_ghw ~seed:5 h));
+  on_two_workers (fun within ->
       check_int "adder_15 hdastar j3" expected
-        (exact_of "adder_15" (Hdastar.solve_ghw ~sched:s ~seed:5 h)))
+        (exact_of "adder_15" (Hdastar.solve_ghw ~within ~seed:5 h)))
 
 (* on an exhausted state budget the distributed search degrades to the
    incumbent bounds, like the sequential solver *)
 let test_hdastar_budget_bounds () =
   let g = graph "queen5_5" in
   Sched.with_scheduler ~workers:2 (fun s ->
-      let b = Budget.create ~max_states:50 () in
-      let r = Hdastar.solve_tw ~sched:s ~within:b ~seed:1 g in
+      let b = Budget.create ~max_states:50 ~scheduler:s () in
+      let r = Hdastar.solve_tw ~within:b ~seed:1 g in
       match r.Search.outcome with
       | Search.Bounds { lb; ub } ->
           check "bounds sane" true (lb <= ub);
@@ -411,6 +414,27 @@ let test_par_solvers_registered () =
   check "astar-tw-par registered" true (S.find "astar-tw-par" <> None);
   check "astar-ghw-par registered" true (S.find "astar-ghw-par" <> None);
   check "saiga-ghw-par registered" true (S.find "saiga-ghw-par" <> None)
+
+(* without a scheduler in the budget the -par entries run one worker
+   (or one island) on the calling domain: two runs agree in outcome,
+   counts and witness, whatever the machine's core count *)
+let test_par_entries_deterministic () =
+  Hd_parallel.Par_solvers.ensure ();
+  let module S = Hd_engine.Solver in
+  let p = S.Graph (graph "queen5_5") in
+  List.iter
+    (fun (name, within) ->
+      let run () = Hd_engine.Engine.run_by_name ~seed:1 name (within ()) p in
+      let a = run () and b = run () in
+      check (name ^ " outcome") true (a.S.outcome = b.S.outcome);
+      check_int (name ^ " visited") a.S.visited b.S.visited;
+      check_int (name ^ " generated") a.S.generated b.S.generated;
+      check (name ^ " ordering") true (a.S.ordering = b.S.ordering))
+    [
+      ("astar-tw-par", fun () -> Budget.create ());
+      ("astar-ghw-par", fun () -> Budget.create ());
+      ("saiga-ghw-par", fun () -> Budget.create ~max_states:3000 ());
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Portfolio                                                           *)
@@ -559,6 +583,8 @@ let () =
             test_hdastar_budget_bounds;
           Alcotest.test_case "par solvers registered" `Quick
             test_par_solvers_registered;
+          Alcotest.test_case "par entries deterministic without a scheduler"
+            `Slow test_par_entries_deterministic;
         ] );
       ( "portfolio",
         [

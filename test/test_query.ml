@@ -653,7 +653,7 @@ let test_colexec_parallel_identical () =
     ~finally:(fun () -> Cx.set_grain Cx.default_grain)
     (fun () ->
       Cx.set_grain 8;
-      Hd_parallel.Scheduler.with_scheduler ~workers:3 (fun s ->
+      Hd_engine.Scheduler.with_scheduler ~workers:3 (fun s ->
           let rng = Random.State.make [| 11 |] in
           let rows n k =
             List.init n (fun _ ->

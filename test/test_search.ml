@@ -908,10 +908,6 @@ let pinned_run instance solver =
     let r = Hd_search.Solvers.of_int r in
     (Format.asprintf "%a" Solver.pp_outcome r.outcome, r.visited, r.generated)
   in
-  let hdastar solve =
-    Hd_parallel.Scheduler.with_scheduler ~workers:0 (fun sched ->
-        int (solve sched (within ())))
-  in
   match solver with
   | "bb-tw" -> int (Ordering_search.Tw.bb ~within:(within ()) ~seed:1 g)
   | "bb-ghw" -> int (Ordering_search.Ghw.bb ~within:(within ()) ~seed:1 h)
@@ -920,10 +916,10 @@ let pinned_run instance solver =
   | "astar-ghw" ->
       int (Ordering_search.Ghw.astar ~within:(within ()) ~seed:1 h)
   | "astar-tw" -> int (Ordering_search.Tw.astar ~within:(within ()) ~seed:1 g)
-  | "hdastar-ghw" ->
-      hdastar (fun sched within -> Hdastar.solve_ghw ~sched ~within ~seed:1 h)
-  | "hdastar-tw" ->
-      hdastar (fun sched within -> Hdastar.solve_tw ~sched ~within ~seed:1 g)
+  (* a budget without a scheduler: one HDA-star worker on this domain,
+     the deterministic mode these counts pin *)
+  | "hdastar-ghw" -> int (Hdastar.solve_ghw ~within:(within ()) ~seed:1 h)
+  | "hdastar-tw" -> int (Hdastar.solve_tw ~within:(within ()) ~seed:1 g)
   | "fhw-bb" -> fhw_pin (Ordering_search.Fhw.bb ~within:(within ()) ~seed:1 h)
   | _ -> Alcotest.failf "no pinned solver %s" solver
 
