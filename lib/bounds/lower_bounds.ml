@@ -2,11 +2,15 @@ module Graph = Hd_graph.Graph
 module Elim_graph = Hd_graph.Elim_graph
 module Contract_graph = Hd_graph.Contract_graph
 
-(* a fresh state per call: a bound computed without [rng] depends on
-   its input alone, never on earlier calls in the process *)
+(* a fresh copy of one pristine state per call: a bound computed
+   without [rng] depends on its input alone, never on earlier calls in
+   the process.  [pristine] is only ever copied, so domains share it
+   safely. *)
+let pristine = Random.State.make [| 0x5eed |]
+
 let get_rng = function
   | Some rng -> rng
-  | None -> Random.State.make [| 0x5eed |]
+  | None -> Random.State.copy pristine
 
 (* The one contraction kernel behind every bound here: while a vertex
    is live, [pick] one and record its degree, then contract it into its

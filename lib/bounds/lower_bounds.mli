@@ -24,8 +24,11 @@
     caller's workspace and reload it from the elimination graph on each
     call, so a search pays no allocation per state. *)
 
-(** Without [?rng], each call draws from a fresh state of one fixed
-    seed, so its bound depends on the input alone. *)
+(** Without [?rng], each call breaks its ties with a fresh copy of one
+    fixed random state, so its bound depends on the input alone: the
+    ordering searches call the [_of_elim] variants this way and
+    memoise the bound by live set ([Bag_cost.S.minor_lb]).
+    With [?rng], the draws advance the caller's state. *)
 
 (** [degeneracy g] is the MMD bound on [tw(g)]. *)
 val degeneracy : Hd_graph.Graph.t -> int
@@ -45,7 +48,8 @@ val treewidth : ?rng:Random.State.t -> ?trials:int -> Hd_graph.Graph.t -> int
 (** [treewidth_of_elim ?rng ?trials ~workspace eg] applies {!treewidth}
     to the live part of an elimination graph — the [h]-value of a search
     state — loading it into [workspace] (of capacity
-    [Elim_graph.capacity eg]) for each run. *)
+    [Elim_graph.capacity eg]) for each run.  The bound depends only on
+    the live graph, never on the workspace's earlier contents. *)
 val treewidth_of_elim :
   ?rng:Random.State.t ->
   ?trials:int ->

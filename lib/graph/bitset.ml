@@ -124,6 +124,23 @@ let iter f s =
     done
   done
 
+(* [iter]'s word walk resumed at [i]: a caller's plain loop over
+   [next] allocates no closure *)
+let next s i =
+  if i >= s.capacity then -1
+  else
+    let wi = ref (i / bits_per_word) in
+    let w = ref (s.words.(!wi) land (-1 lsl (i mod bits_per_word))) in
+    let last = Array.length s.words - 1 in
+    while !w = 0 && !wi < last do
+      incr wi;
+      w := s.words.(!wi)
+    done;
+    if !w = 0 then -1
+    else
+      (!wi * bits_per_word)
+      + Array.unsafe_get ctz_table (!w land - !w land max_int mod 67)
+
 let fold f s init =
   let acc = ref init in
   iter (fun i -> acc := f i !acc) s;

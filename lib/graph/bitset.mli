@@ -58,6 +58,12 @@ val inter_cardinal : t -> t -> int
 (** [iter f s] applies [f] to the elements of [s] in increasing order. *)
 val iter : (int -> unit) -> t -> unit
 
+(** [next s i] is the smallest element of [s] at or above [i], or [-1]
+    when there is none.  [i] may be [capacity s].  A loop
+    [v := next s (v + 1)] visits the elements in increasing order
+    without allocating, unlike {!iter} with a closure. *)
+val next : t -> int -> int
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
 (** [elements s] lists the elements of [s] in increasing order. *)

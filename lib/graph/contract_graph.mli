@@ -47,7 +47,8 @@ val min_degree_neighbor : t -> int -> rng:Random.State.t -> int
     live vertices by degree, ties by one [Random.State.bits rng] key per
     vertex (drawn in ascending vertex order), then by id; the result is
     the first vertex not adjacent to all of its predecessors.  [None]
-    when the live graph is a clique. *)
+    when the live graph is a clique.  Every key is drawn, but the order
+    is taken one minimum at a time, only as far as the result. *)
 val gamma_vertex : t -> rng:Random.State.t -> int option
 
 (** [contract t u v] contracts the edge [{u, v}]: [v]'s neighbours are

@@ -51,6 +51,28 @@ module Int_cost = struct
   let integral = true
 end
 
+(* The minor bounds are pure: without [~rng], each call breaks its
+   contraction ties with a fresh copy of one fixed state
+   (Lower_bounds).  And the graph left after eliminating a vertex set
+   is the same for every elimination order.  So the bound is a
+   function of the live set, and a searcher prices each live set once
+   (docs/PERFORMANCE.md, "Pure lower bounds").  The live set is the
+   elimination graph's own: the key is copied on insert.  A table that
+   reaches [minor_memo_cap] entries starts over, which bounds a long
+   search's memory and changes no bound. *)
+let minor_memo_cap = 1 lsl 16
+
+let memo_minor minors compute o eg =
+  let live = Elim_graph.alive eg in
+  match Eval.Bag_tbl.find_opt minors live with
+  | Some c -> c
+  | None ->
+      let c = compute o eg in
+      if Eval.Bag_tbl.length minors >= minor_memo_cap then
+        Eval.Bag_tbl.reset minors;
+      Eval.Bag_tbl.add minors (Bitset.copy live) c;
+      c
+
 module Tw = struct
   include Int_cost
 
@@ -72,18 +94,24 @@ module Tw = struct
     in
     (ub_sigma, ub, Lower_bounds.treewidth ~rng g)
 
-  (* [workspace] is this searcher's own contraction graph, reloaded for
-     every minor bound *)
-  type oracle = { rng : Random.State.t; workspace : Contract_graph.t }
+  (* [minors] memoises the minor bound by live set; [workspace] is this
+     searcher's own contraction graph, reloaded on every miss *)
+  type oracle = { workspace : Contract_graph.t; minors : int Eval.Bag_tbl.t }
 
-  let oracle g rng = { rng; workspace = Contract_graph.create (Graph.n g) }
+  let oracle g _ =
+    {
+      workspace = Contract_graph.create (Graph.n g);
+      minors = Eval.Bag_tbl.create 64;
+    }
+
   let bag _ eg v = Elim_graph.degree eg v
   let live _ eg = Elim_graph.n_alive eg - 1
   let live_lb _ _ = 0
 
-  let minor_lb o eg =
-    Lower_bounds.treewidth_of_elim ~rng:o.rng ~trials:1
-      ~workspace:o.workspace eg
+  let minor o eg =
+    Lower_bounds.treewidth_of_elim ~trials:1 ~workspace:o.workspace eg
+
+  let minor_lb o eg = memo_minor o.minors minor o eg
 end
 
 (* ghw and fhw search the primal graph of the same reduced hypergraph *)
@@ -108,22 +136,32 @@ let live_set scratch eg =
   Bitset.blit ~src:(Elim_graph.alive eg) ~dst:scratch;
   scratch
 
-(* [cache] memoises bag costs by bag content; [k] is the largest
-   hyperedge size the minor lower bound divides by; [workspace] is the
-   searcher's own contraction graph for that bound *)
-type 'cache cover_oracle = {
+(* [cache] memoises bag costs by bag content and [minors] the minor
+   lower bound by live set; [k] is the largest hyperedge size that bound
+   divides by; [workspace] is the searcher's own contraction graph for
+   it.  [rng] serves the greedy covers alone. *)
+type 'c cover_oracle = {
   h : Hypergraph.t;
-  cache : 'cache;
+  cache : 'c Eval.Bag_tbl.t;
+  minors : 'c Eval.Bag_tbl.t;
   rng : Random.State.t;
   scratch : Bitset.t;
   workspace : Contract_graph.t;
   k : int;
 }
 
-let cover_oracle p rng ~cache ~k =
+let cover_oracle p rng ~k =
   let scratch = Bitset.create (max 1 (Hypergraph.n_vertices p.hg)) in
   let workspace = Contract_graph.create (Graph.n p.primal) in
-  { h = p.hg; cache; rng; scratch; workspace; k }
+  {
+    h = p.hg;
+    cache = Eval.Bag_tbl.create 64;
+    minors = Eval.Bag_tbl.create 64;
+    rng;
+    scratch;
+    workspace;
+    k;
+  }
 
 module Ghw = struct
   include Int_cost
@@ -149,11 +187,9 @@ module Ghw = struct
 
   (* exact covers of bags, cached by bag content in Eval's cover memo
      (counted as setcover.memo_hits/setcover.memo_misses) *)
-  type oracle = int Eval.Bag_tbl.t cover_oracle
+  type oracle = int cover_oracle
 
-  let oracle p rng =
-    cover_oracle p rng ~cache:(Eval.Bag_tbl.create 64)
-      ~k:(Hypergraph.max_edge_size p.hg)
+  let oracle p rng = cover_oracle p rng ~k:(Hypergraph.max_edge_size p.hg)
 
   let cover o universe = { Set_cover.universe; hypergraph = o.h }
   let bag o eg v = Eval.exact_memoized o.cache o.h (bag_set o.scratch eg v)
@@ -167,9 +203,11 @@ module Ghw = struct
      every later draw *)
   let live_lb _ _ = 0
 
-  let minor_lb o eg =
-    Lower_bounds.ghw_of_elim ~rng:o.rng ~trials:1 ~workspace:o.workspace
+  let minor o eg =
+    Lower_bounds.ghw_of_elim ~trials:1 ~workspace:o.workspace
       ~max_edge_size:o.k eg
+
+  let minor_lb o eg = memo_minor o.minors minor o eg
 end
 
 module Ghw_greedy = struct
@@ -215,10 +253,9 @@ module Fhw = struct
 
   (* rho* of bags, cached by bag content in Eval's LP memo (counted as
      lp.memo_hits/lp.memo_misses) *)
-  type oracle = Rat.t Eval.Bag_tbl.t cover_oracle
+  type oracle = Rat.t cover_oracle
 
-  let oracle p rng =
-    cover_oracle p rng ~cache:(Eval.Bag_tbl.create 64) ~k:(k p)
+  let oracle p rng = cover_oracle p rng ~k:(k p)
 
   let bag o eg v = Eval.rho_memoized o.cache o.h (bag_set o.scratch eg v)
 
@@ -238,10 +275,11 @@ module Fhw = struct
     done;
     Rat.make (Bitset.cardinal live) !k_live
 
-  let minor_lb o eg =
+  let minor o eg =
     let tw =
-      Lower_bounds.treewidth_of_elim ~rng:o.rng ~trials:1
-        ~workspace:o.workspace eg
+      Lower_bounds.treewidth_of_elim ~trials:1 ~workspace:o.workspace eg
     in
     Rat.make (tw + 1) o.k
+
+  let minor_lb o eg = memo_minor o.minors minor o eg
 end

@@ -63,9 +63,10 @@ module type S = sig
 
   type oracle
   (** Per-search pricing state: caches, scratch space (among it the
-      contraction workspace {!minor_lb} reloads on every call) and the
-      search's random state.  Never shared: each searcher, and each HDA*
-      worker, builds its own. *)
+      contraction workspace {!minor_lb} reloads on every miss) and the
+      search's random state, which only greedy covers draw from.
+      Never shared: each searcher, and each HDA* worker, builds its
+      own. *)
 
   val oracle : problem -> Random.State.t -> oracle
 
@@ -83,7 +84,13 @@ module type S = sig
 
   val minor_lb : oracle -> Hd_graph.Elim_graph.t -> t
   (** A lower bound on the width of the live graph from its minors;
-      called only with at least two live vertices. *)
+      called only with at least two live vertices.  A pure function of
+      the live set: its contraction ties come from a fresh copy of one
+      fixed random state ({!Hd_bounds.Lower_bounds}), never from the
+      oracle's, and the graph left after eliminating a vertex set is
+      the same for every elimination order.  So the oracle memoises it
+      by live set, and neither a hit nor a miss moves any other
+      draw. *)
 end
 
 (** Treewidth: a bag costs its size minus one.  Input: a graph.  Its

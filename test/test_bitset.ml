@@ -93,7 +93,8 @@ let prop_mem_matches_list =
 
 (* iter is the kernel under set-cover and eval; after the ctz rewrite
    it must agree exactly with elements and mem, including bits at word
-   boundaries (0, 62, 63, 64, 125, 126) *)
+   boundaries (0, 62, 63, 64, 125, 126); [next] from every start,
+   capacity included, is the first element at or above it *)
 let prop_iter_agrees =
   QCheck.Test.make ~count:300 ~name:"iter = elements = mem (ctz correctness)"
     QCheck.(make QCheck.Gen.(list_size (0 -- 40) (0 -- 199)))
@@ -107,7 +108,13 @@ let prop_iter_agrees =
       && List.for_all (fun i -> Bitset.mem s i) via_iter
       && List.for_all
            (fun i -> List.mem i via_iter = Bitset.mem s i)
-           (List.init n Fun.id))
+           (List.init n Fun.id)
+      && List.for_all
+           (fun i ->
+             Bitset.next s i
+             = Option.value ~default:(-1)
+                 (List.find_opt (fun x -> x >= i) via_iter))
+           (List.init (n + 1) Fun.id))
 
 let test_iter_word_boundaries () =
   (* every single-bit set over a 3-word range iterates exactly itself *)
