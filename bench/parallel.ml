@@ -84,7 +84,7 @@ let run scale =
       let par, t2 =
         time (fun () ->
             Hd_search.Solvers.of_int
-              (Hd_parallel.Hdastar.solve_tw
+              (Hd_parallel.Hdastar.Tw.solve
                  ~within:(within ~scheduler:sched scale)
                  ~seed:1 g))
       in

@@ -18,8 +18,14 @@ let load ~instance ~graph_file ~hypergraph_file =
           match Hd_instances.Hypergraphs.by_name name with
           | Some h -> Ok (H h)
           | None -> Error (Printf.sprintf "unknown instance %S" name)))
-  | None, Some path, None -> Ok (G (Hd_graph.Dimacs.parse_file path))
-  | None, None, Some path -> Ok (H (Hd_hypergraph.Hg_format.parse_file path))
+  | None, Some path, None -> (
+      try Ok (G (Hd_graph.Dimacs.parse_file path)) with
+      | Failure msg -> Error (path ^ ": " ^ msg)
+      | Sys_error msg -> Error msg)
+  | None, None, Some path -> (
+      (* the format's errors name the file and line *)
+      try Ok (H (Hd_hypergraph.Hg_format.parse_file path))
+      with Failure msg | Sys_error msg -> Error msg)
   | _ -> Error "give exactly one of --instance, --graph, --hypergraph"
 
 let hypergraph_of = function G g -> Hypergraph.of_graph g | H h -> h

@@ -39,68 +39,76 @@ let audit_fractional_width h td =
     (Rat.to_string q) certified;
   if not certified then exit 1
 
+(* hypertree decomposition witness: GHD conditions + special condition,
+   as det-k-decomp's output must satisfy *)
+let check_ghd h fhw ghd =
+  let td = ghd.Ghd.td in
+  let ghd_ok =
+    Hd_obs.Obs.with_span "validate.check" @@ fun () -> Ghd.valid h ghd
+  in
+  let special_ok =
+    Hd_obs.Obs.with_span "validate.special" @@ fun () ->
+    Hd_search.Det_k_decomp.special_condition_holds h ghd
+  in
+  Format.printf
+    "bags: %d@.width: %d (hypertree width of witness)@.valid ghd: %b@.special \
+     condition: %b@.valid hypertree decomposition: %b@."
+    (Td.n_nodes td) (Ghd.width ghd) ghd_ok special_ok (ghd_ok && special_ok);
+  if fhw then audit_fractional_width h td;
+  ghd_ok && special_ok
+
+let check_td h fhw td =
+  let valid =
+    Hd_obs.Obs.with_span "validate.check" @@ fun () ->
+    Td.valid_for_hypergraph h td
+  in
+  Format.printf "bags: %d@.width: %d@.valid tree decomposition: %b@."
+    (Td.n_nodes td) (Td.width td) valid;
+  if fhw then audit_fractional_width h td;
+  valid
+
+let input_error msg =
+  prerr_endline ("hd_validate: " ^ msg);
+  exit 2
+
+let load instance graph_file hypergraph_file =
+  match (instance, graph_file, hypergraph_file) with
+  | Some name, None, None -> (
+      match Hd_instances.Graphs.by_name name with
+      | Some g -> Hypergraph.of_graph g
+      | None -> (
+          match Hd_instances.Hypergraphs.by_name name with
+          | Some h -> h
+          | None -> input_error ("unknown instance " ^ name)))
+  | None, Some path, None -> (
+      try Hypergraph.of_graph (Hd_graph.Dimacs.parse_file path)
+      with Failure msg -> input_error (path ^ ": " ^ msg))
+  | None, None, Some path -> Hd_hypergraph.Hg_format.parse_file path
+  | _ -> input_error "give exactly one of --instance, --graph, --hypergraph"
+
 let run instance graph_file hypergraph_file td_file fhw stats =
   if stats <> None then Hd_obs.Obs.enable ();
   let h =
-    match (instance, graph_file, hypergraph_file) with
-    | Some name, None, None -> (
-        match Hd_instances.Graphs.by_name name with
-        | Some g -> Hypergraph.of_graph g
-        | None -> (
-            match Hd_instances.Hypergraphs.by_name name with
-            | Some h -> h
-            | None ->
-                prerr_endline ("hd_validate: unknown instance " ^ name);
-                exit 2))
-    | None, Some path, None -> Hypergraph.of_graph (Hd_graph.Dimacs.parse_file path)
-    | None, None, Some path -> Hd_hypergraph.Hg_format.parse_file path
-    | _ ->
-        prerr_endline
-          "hd_validate: give exactly one of --instance, --graph, --hypergraph";
-        exit 2
+    try load instance graph_file hypergraph_file
+    with Failure msg | Sys_error msg -> input_error msg
   in
-  let is_ghd = Filename.check_suffix td_file ".ghd" in
+  let witness =
+    try
+      if Filename.check_suffix td_file ".ghd" then
+        let ghd = Hd_core.Ghd_io.parse_file td_file in
+        (ghd.Ghd.td, ghd.Ghd.lambda, fun () -> check_ghd h fhw ghd)
+      else
+        let td = Hd_core.Td_io.parse_file td_file in
+        (td, [||], fun () -> check_td h fhw td)
+    with Failure msg | Invalid_argument msg | Sys_error msg -> input_error msg
+  in
   let valid =
-    if is_ghd then begin
-      (* hypertree decomposition witness: GHD conditions + special
-         condition, as det-k-decomp's output must satisfy *)
-      let ghd =
-        try Hd_core.Ghd_io.parse_file td_file
-        with Failure msg | Invalid_argument msg | Sys_error msg ->
-          prerr_endline ("hd_validate: " ^ msg);
-          exit 2
-      in
-      let td = ghd.Ghd.td in
-      let ghd_ok =
-        Hd_obs.Obs.with_span "validate.check" @@ fun () -> Ghd.valid h ghd
-      in
-      let special_ok =
-        Hd_obs.Obs.with_span "validate.special" @@ fun () ->
-        Hd_search.Det_k_decomp.special_condition_holds h ghd
-      in
-      Format.printf
-        "bags: %d@.width: %d (hypertree width of witness)@.valid ghd: %b@.special \
-         condition: %b@.valid hypertree decomposition: %b@."
-        (Td.n_nodes td) (Ghd.width ghd) ghd_ok special_ok (ghd_ok && special_ok);
-      if fhw then audit_fractional_width h td;
-      ghd_ok && special_ok
-    end
-    else begin
-      let td =
-        try Hd_core.Td_io.parse_file td_file
-        with Failure msg | Sys_error msg ->
-          prerr_endline ("hd_validate: " ^ msg);
-          exit 2
-      in
-      let valid =
-        Hd_obs.Obs.with_span "validate.check" @@ fun () ->
-        Td.valid_for_hypergraph h td
-      in
-      Format.printf "bags: %d@.width: %d@.valid tree decomposition: %b@."
-        (Td.n_nodes td) (Td.width td) valid;
-      if fhw then audit_fractional_width h td;
-      valid
-    end
+    let td, lambda, check = witness in
+    match Hd_core.Td_io.mismatch h td ~lambda with
+    | Some msg ->
+        Format.printf "witness does not match the instance: %s@." msg;
+        false
+    | None -> check ()
   in
   (match stats with
   | Some path -> (

@@ -143,3 +143,17 @@ let parse_file path =
   let text = really_input_string ic len in
   close_in ic;
   parse_string text
+
+let mismatch h (td : Tree_decomposition.t) ~lambda =
+  let n = Hd_hypergraph.Hypergraph.n_vertices h
+  and m = Hd_hypergraph.Hypergraph.n_edges h in
+  (* [read] sizes every bag by the header's vertex count *)
+  match Array.find_opt (fun b -> Bitset.capacity b <> max n 1) td.bags with
+  | Some b ->
+      Some
+        (Printf.sprintf "its bags range over %d vertices, the instance has %d"
+           (Bitset.capacity b) n)
+  | None ->
+      if Array.exists (Array.exists (fun e -> e >= m)) lambda then
+        Some (Printf.sprintf "it names a hyperedge past the instance's %d" m)
+      else None

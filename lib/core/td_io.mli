@@ -33,3 +33,14 @@ val read :
 
 val write_file : string -> n_vertices:int -> Tree_decomposition.t -> unit
 val parse_file : string -> Tree_decomposition.t
+
+(** [mismatch h td ~lambda] says how a parsed witness was written for
+    another instance than [h]: its header's vertex count, which every
+    bag ranges over, is not [h]'s, or its hyperedge labels [lambda]
+    ([[||]] for a [.td]) name a hyperedge [h] lacks.  [None] when it
+    fits: the validity checks index [h] by the witness's ids. *)
+val mismatch :
+  Hd_hypergraph.Hypergraph.t ->
+  Tree_decomposition.t ->
+  lambda:int array array ->
+  string option

@@ -1,26 +1,50 @@
 let parse_string text =
   let graph = ref None in
   let pending = ref [] in
-  let handle_line lineno line =
+  let fail lineno fmt =
+    Printf.ksprintf
+      (fun msg -> failwith (Printf.sprintf "Dimacs: line %d: %s" lineno msg))
+      fmt
+  in
+  let int lineno what s =
+    match int_of_string_opt s with
+    | Some i -> i
+    | None -> fail lineno "%s %S is not an integer" what s
+  in
+  (* endpoints are 1-based; an edge read before the problem line is
+     checked against it once it comes *)
+  let add g (lineno, u, v) =
+    let n = Graph.n g in
+    List.iter
+      (fun x ->
+        if x < 1 || x > n then fail lineno "vertex %d is not in 1..%d" x n)
+      [ u; v ];
+    Graph.add_edge g (u - 1) (v - 1)
+  in
+  let handle_line i line =
+    let lineno = i + 1 in
     let line = String.trim line in
     if line = "" then ()
     else
       match String.split_on_char ' ' line |> List.filter (( <> ) "") with
       | "c" :: _ -> ()
-      | [ "p"; ("edge" | "edges" | "col"); n; _m ] -> (
+      | [ "p"; ("edge" | "edges" | "col"); n; m ] -> (
           match !graph with
-          | Some _ -> failwith "Dimacs: duplicate problem line"
+          | Some _ -> fail lineno "duplicate problem line"
           | None ->
-              let g = Graph.create (int_of_string n) in
-              List.iter (fun (u, v) -> Graph.add_edge g u v) !pending;
+              let n = int lineno "vertex count" n in
+              if n < 0 then fail lineno "vertex count %d is negative" n;
+              ignore (int lineno "edge count" m);
+              let g = Graph.create n in
+              List.iter (add g) (List.rev !pending);
               pending := [];
               graph := Some g)
       | [ "e"; u; v ] -> (
-          let u = int_of_string u - 1 and v = int_of_string v - 1 in
+          let e = (lineno, int lineno "vertex" u, int lineno "vertex" v) in
           match !graph with
-          | Some g -> Graph.add_edge g u v
-          | None -> pending := (u, v) :: !pending)
-      | _ -> failwith (Printf.sprintf "Dimacs: bad line %d: %s" lineno line)
+          | Some g -> add g e
+          | None -> pending := e :: !pending)
+      | _ -> fail lineno "bad line: %s" line
   in
   String.split_on_char '\n' text |> List.iteri handle_line;
   match !graph with

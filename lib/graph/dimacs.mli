@@ -6,7 +6,10 @@
     with [c]. *)
 
 (** [parse_string s] parses DIMACS text.
-    @raise Failure on malformed input. *)
+    @raise Failure ["Dimacs: line N: ..."] on malformed input: a bad
+    line, a non-integer count or endpoint, a negative vertex count, an
+    endpoint outside [1..n] (also on edges before the problem line) or
+    a second problem line; and when the problem line is missing. *)
 val parse_string : string -> Graph.t
 
 (** [parse_file path] parses the DIMACS file at [path]. *)

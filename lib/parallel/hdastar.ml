@@ -62,17 +62,19 @@ let exhausted sh =
 module Make (C : Bag_cost.S) = struct
   module Search = Ordering_search.Make (C)
 
-  let run_worker sh ~me ~(st : Search.start) ~seed ~root ~root_owner =
+  let run_worker sh ~me ~(st : Search.start) ~seed ~root =
     Step.unsliced @@ fun () ->
     let n = Graph.n (C.graph st.problem) in
-    let rng = Random.State.make [| seed + (me * 0x9e37) |] in
+    (* worker 0 draws what the sequential A* would *)
+    let rng =
+      if me = 0 then st.rng else Random.State.make [| seed + (me * 0x9e37) |]
+    in
     let tk = Budget.ticker sh.budget in
     let s = Search.searcher { st with ticker = tk; rng } in
     let pq = Pq.create ~compare:Search.compare_nodes ~dummy:root in
     let seen : (Bitset.t, C.t) Hashtbl.t = Hashtbl.create 64 in
     let out = Array.make sh.w [] in
     let out_n = Array.make sh.w 0 in
-    let ebits = Bitset.create n in
     let idle = ref false in
     let empty_rounds = ref 0 in
     let leave_idle () =
@@ -83,14 +85,21 @@ module Make (C : Bag_cost.S) = struct
       end;
       empty_rounds := 0
     in
-    let insert_local (node : Search.node) =
-      let key = Bitset.of_list n node.rpath in
+    let insert key (node : Search.node) =
       match Hashtbl.find_opt seen key with
       | Some g_seen when C.compare g_seen node.g <= 0 ->
           Obs.Counter.incr Search_util.c_duplicates
       | _ ->
           Hashtbl.replace seen key node.g;
           Pq.push pq node
+    in
+    (* states that arrived, or could not leave: no longer in flight *)
+    let take batch =
+      Array.iter
+        (fun (nd : Search.node) ->
+          insert (Bitset.of_list n nd.rpath) nd;
+          Atomic.decr sh.in_flight)
+        batch
     in
     let flush dst =
       if out_n.(dst) > 0 then begin
@@ -105,11 +114,7 @@ module Make (C : Bag_cost.S) = struct
           (* receiver's inbox is full: keep the states; dedup precision
              degrades, soundness does not *)
           Obs.Counter.incr c_ring_full;
-          Array.iter
-            (fun nd ->
-              insert_local nd;
-              Atomic.decr sh.in_flight)
-            batch
+          take batch
         end
       end
     in
@@ -119,12 +124,10 @@ module Make (C : Bag_cost.S) = struct
       done
     in
     let route (node : Search.node) =
-      Bitset.clear ebits;
-      List.iter (Bitset.add ebits) node.rpath;
-      let hash = Bitset.fnv_hash ebits in
+      let key = Bitset.of_list n node.rpath in
       let mask = Atomic.get sh.started in
-      let dst = nth_member mask (hash mod popcount mask) in
-      if dst = me then insert_local node
+      let dst = nth_member mask (Bitset.fnv_hash key mod popcount mask) in
+      if dst = me then insert key node
       else begin
         Atomic.incr sh.in_flight;
         out.(dst) <- node :: out.(dst);
@@ -140,37 +143,17 @@ module Make (C : Bag_cost.S) = struct
             | None -> ()
             | Some batch ->
                 leave_idle ();
-                Array.iter
-                  (fun nd ->
-                    insert_local nd;
-                    Atomic.decr sh.in_flight)
-                  batch;
+                take batch;
                 go ()
           in
           go ()
       done
     in
-    let rec pop_live () =
-      if Pq.is_empty pq then None
-      else
-        let node = Pq.pop pq in
-        if not (Search.below s node.Search.f) then begin
-          Obs.Counter.incr Search_util.c_stale;
-          pop_live ()
-        end
-        else Some node
-    in
-    (* go live; the root's owner seeds its own queue *)
-    let rec register () =
-      let cur = Atomic.get sh.started in
-      if not (Atomic.compare_and_set sh.started cur (cur lor (1 lsl me))) then
-        register ()
-    in
-    register ();
-    if me = root_owner then begin
-      insert_local root;
-      Atomic.decr sh.in_flight
-    end;
+    (* go live (each worker adds its own bit once); worker 0 is the
+       caller and always starts, so it owns the root: the search is
+       live even while pool workers are busy elsewhere *)
+    ignore (Atomic.fetch_and_add sh.started (1 lsl me));
+    if me = 0 then take [| root |];
     let rec loop () =
       if not (Atomic.get sh.halt) then begin
         drain ();
@@ -183,13 +166,15 @@ module Make (C : Bag_cost.S) = struct
           (not (Pq.is_empty pq)) && Budget.out_of_budget tk
         then Atomic.set sh.halt true
         else begin
-          (match pop_live () with
+          (match Search.pop_live s pq with
           | Some node ->
               leave_idle ();
               Atomic.incr sh.activity;
-              (* a goal is a local minimum, not the global one: its
-                 bound is published, and pruning drains the other
-                 frontiers *)
+              (* a lone worker's minimum f is the global one, a lower
+                 bound that closes the search at a goal, as in the
+                 sequential A*; among several, a goal only publishes
+                 its bound, and pruning drains the other frontiers *)
+              if sh.w = 1 then Search.raise_lb s node.f;
               ignore (Search.expand s node ~push:route);
               (* a budget stop inside [expand] drops the remaining
                  children: halt before this worker can go idle, or an
@@ -222,7 +207,10 @@ module Make (C : Bag_cost.S) = struct
     leave_idle ();
     sh.stats.(me) <- (Budget.visited tk, Budget.generated tk)
 
+  let span = "hdastar.solve_" ^ C.name
+
   let solve ?within ~seed input =
+    Obs.with_span span @@ fun () ->
     let visited = ref 0 and generated = ref 0 in
     let r =
       Search.run ?within ~seed input @@ fun st ->
@@ -255,21 +243,12 @@ module Make (C : Bag_cost.S) = struct
         }
       in
       let root = Search.root st.lb in
-      (* the empty eliminated set hashes to a fixed owner; worker 0 is
-         the caller and always starts, so make it the owner — the
-         search is live even while pool workers are busy elsewhere *)
-      let root_owner = 0 in
-      let workers =
-        List.init w (fun me () -> run_worker sh ~me ~st ~seed ~root ~root_owner)
-      in
+      let workers = List.init w (fun me () -> run_worker sh ~me ~st ~seed ~root) in
       (match sched with
       | Some s -> Scheduler.run_all s workers
       | None -> List.iter (fun f -> f ()) workers);
-      Array.iter
-        (fun (v, g) ->
-          visited := !visited + v;
-          generated := !generated + g)
-        sh.stats;
+      visited := Array.fold_left (fun a (v, _) -> a + v) 0 sh.stats;
+      generated := Array.fold_left (fun a (_, g) -> a + g) 0 sh.stats;
       (* the shared incumbent holds the search's verdict *)
       let lb, ub = Incumbent.bounds st.inc in
       ( (if Incumbent.closed st.inc then Exact (C.of_int ub)
@@ -282,9 +261,3 @@ end
 
 module Tw = Make (Bag_cost.Tw)
 module Ghw = Make (Bag_cost.Ghw)
-
-let solve_tw ?within ?(seed = 0x7ea) g =
-  Obs.with_span "hdastar.solve_tw" @@ fun () -> Tw.solve ?within ~seed g
-
-let solve_ghw ?within ?(seed = 0xa5a) h =
-  Obs.with_span "hdastar.solve_ghw" @@ fun () -> Ghw.solve ?within ~seed h

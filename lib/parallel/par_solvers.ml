@@ -1,32 +1,23 @@
 module S = Hd_engine.Solver
 module Budget = Hd_engine.Budget
 module Scheduler = Hd_engine.Scheduler
+module Solvers = Hd_search.Solvers
 
 let registered = ref false
 
 let ensure () =
   if not !registered then begin
     registered := true;
-    S.register
-      {
-        S.name = "astar-tw-par";
-        kind = S.Tw;
-        doc = "hash-distributed parallel A* treewidth (HDA* on the scheduler)";
-        run =
-          (fun ?seed b p ->
-            Hd_search.Solvers.of_int
-              (Hdastar.solve_tw ~within:b ?seed (S.primal_of p)));
-      };
-    S.register
-      {
-        S.name = "astar-ghw-par";
-        kind = S.Ghw;
-        doc = "hash-distributed parallel A* ghw (HDA* on the scheduler)";
-        run =
-          (fun ?seed b p ->
-            Hd_search.Solvers.of_int
-              (Hdastar.solve_ghw ~within:b ?seed (S.hypergraph_of p)));
-      };
+    Solvers.search ~kind:S.Tw ~input:S.primal_of ~result:Solvers.of_int
+      ~name:"astar-tw-par"
+      ~doc:"hash-distributed A* treewidth (HDA*; one worker: deduplicating A*-tw)"
+      ~default_seed:0x7ea
+      (fun ~within ~seed g -> Hdastar.Tw.solve ~within ~seed g);
+    Solvers.search ~kind:S.Ghw ~input:S.hypergraph_of ~result:Solvers.of_int
+      ~name:"astar-ghw-par"
+      ~doc:"hash-distributed A* ghw (HDA*; one worker: deduplicating A*-ghw)"
+      ~default_seed:0xa5a
+      (fun ~within ~seed h -> Hdastar.Ghw.solve ~within ~seed h);
     S.register
       {
         S.name = "saiga-ghw-par";

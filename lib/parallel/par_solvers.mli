@@ -10,6 +10,7 @@
     ([Scheduler.size s + 1]), parallel SAIGA one island per executor.
     Without a scheduler both run a single worker or island on the
     calling domain, so their result does not depend on the machine's
-    core count.  Idempotent. *)
+    core count; one HDA* worker is the deduplicating A*.  Default seeds
+    are [astar-tw]'s [0x7ea] and [astar-ghw]'s [0xa5a].  Idempotent. *)
 
 val ensure : unit -> unit

@@ -25,11 +25,12 @@ type t = {
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* every roster member comes from the engine's solver registry; both
+(* every roster member comes from the engine's solver registry; the
    provider libraries register here before any lookup *)
 let ensure_registry () =
   Hd_search.Solvers.ensure ();
-  Hd_ga.Solvers.ensure ()
+  Hd_ga.Solvers.ensure ();
+  Par_solvers.ensure ()
 
 (* the incumbent read back as an outcome: closed means some racer
    proved optimality, whoever it was *)
@@ -117,13 +118,14 @@ let run_roster ?jobs ?(budget = { Budget.time_limit = None; max_states = None })
   race ~jobs ~inc (members_of ~budget ~inc ~seed roster problem)
 
 (* ordered by expected usefulness: the first [jobs] entries run; the
-   [-b]/[-c] labels are reseeded copies of the same registered solver *)
+   [-b]/[-c] labels are reseeded copies of the same registered solver;
+   member budgets carry no scheduler, so an [-par] A* is one worker *)
 let tw_roster =
   [
     ("astar-tw", "astar-tw");
     ("bb-tw", "bb-tw");
     ("ga-tw", "ga-tw");
-    ("astar-tw-dedup", "astar-tw-dedup");
+    ("astar-tw-par", "astar-tw-par");
     ("bb-tw-nopr2", "bb-tw-nopr2");
     ("ga-tw-b", "ga-tw");
     ("bb-tw-noreduce", "bb-tw-noreduce");
@@ -135,7 +137,7 @@ let ghw_roster =
     ("astar-ghw", "astar-ghw");
     ("bb-ghw", "bb-ghw");
     ("saiga-ghw", "saiga-ghw");
-    ("astar-ghw-dedup", "astar-ghw-dedup");
+    ("astar-ghw-par", "astar-ghw-par");
     ("ga-ghw", "ga-ghw");
     ("bb-ghw-greedy", "bb-ghw-greedy");
     ("saiga-ghw-b", "saiga-ghw");

@@ -1,6 +1,5 @@
 module Graph = Hd_graph.Graph
 module Elim_graph = Hd_graph.Elim_graph
-module Bitset = Hd_graph.Bitset
 module Incumbent = Hd_core.Incumbent
 module Budget = Hd_engine.Budget
 module Obs = Hd_obs.Obs
@@ -346,48 +345,39 @@ module Make (C : Bag_cost.S) = struct
       false
     end
 
-  let astar ?within ?(dedup = false) ~seed input =
+  (* the first state that can still improve on the upper bound; the
+     ones before it went stale when the bound improved after their push *)
+  let rec pop_live s queue =
+    if Pq.is_empty queue then None
+    else
+      let node = Pq.pop queue in
+      if below s node.f then Some node
+      else begin
+        Obs.Counter.incr Search_util.c_stale;
+        pop_live s queue
+      end
+
+  let astar ?within ~seed input =
     run_searcher ?within ~seed ~span:astar_span input @@ fun s ->
     let root = root s.lb in
     (* the root is a long-lived value, so using it as the queue's
        slot-clearing dummy retains nothing *)
     let queue = Pq.create ~compare:compare_nodes ~dummy:root in
-    Pq.push queue root;
-    let seen : (Bitset.t, C.t) Hashtbl.t = Hashtbl.create 64 in
-    let push node =
-      let dominated =
-        dedup
-        &&
-        let key = Elim_graph.alive s.eg in
-        match Hashtbl.find_opt seen key with
-        | Some g_seen when C.compare g_seen node.g <= 0 ->
-            Obs.Counter.incr Search_util.c_duplicates;
-            true
-        | _ ->
-            Hashtbl.replace seen (Bitset.copy key) node.g;
-            false
-      in
-      if not dominated then Pq.push queue node
-    in
+    let push = Pq.push queue in
+    push root;
     (* the budget test comes before the exhaustion test: a budget stop
        inside [expand] drops children, so an empty queue then proves
        nothing *)
     let rec search () =
       if closed s then Exact (ub s)
       else if Budget.out_of_budget s.ticker then bounds s
-      else if Pq.is_empty queue then exhausted s
       else
-        let node = Pq.pop queue in
-        if not (below s node.f) then begin
-          (* stale entry: the upper bound improved since the push *)
-          Obs.Counter.incr Search_util.c_stale;
-          search ()
-        end
-        else begin
-          (* the frontier minimum f is a sound global lower bound *)
-          raise_lb s node.f;
-          if expand s node ~push then Exact node.g else search ()
-        end
+        match pop_live s queue with
+        | None -> exhausted s
+        | Some node ->
+            (* the frontier minimum f is a sound global lower bound *)
+            raise_lb s node.f;
+            if expand s node ~push then Exact node.g else search ()
     in
     search ()
 end

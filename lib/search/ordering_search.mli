@@ -16,7 +16,8 @@
     their ceiling, and each search also keeps its exact best.  The
     paper's exact methods are the instances at the end of this module;
     [Hd_parallel.Hdastar] distributes the A* over the same building
-    blocks, and [Solvers] registers them all under their names. *)
+    blocks, on one worker as the deduplicating A*; [Solvers]
+    registers them all under their names. *)
 
 (** How a search ended, in the cost's own type. *)
 type 'c outcome =
@@ -56,15 +57,11 @@ module Make (C : Bag_cost.S) : sig
 
   (** [astar ~seed input] is best-first search (Chapters 5 and 9).  The
       frontier minimum f is published as a lower bound, and on an
-      exhausted budget it is the reported one.  [dedup] merges states
-      that eliminated the same vertex set (off by default).  It runs in
-      the span [astar_<name>.solve]. *)
-  val astar :
-    ?within:Hd_engine.Budget.t ->
-    ?dedup:bool ->
-    seed:int ->
-    C.input ->
-    C.t result
+      exhausted budget it is the reported one.  States that eliminated
+      the same vertex set are not merged: the deduplicating A* is
+      [Hd_parallel.Hdastar] on one worker.  It runs in the span
+      [astar_<name>.solve]. *)
+  val astar : ?within:Hd_engine.Budget.t -> seed:int -> C.input -> C.t result
 
   (** {2 Building blocks of a distributed A*} *)
 
@@ -105,6 +102,10 @@ module Make (C : Bag_cost.S) : sig
       bound. *)
   val below : searcher -> C.t -> bool
 
+  (** [raise_lb s c] publishes [c] as a lower bound if it is higher:
+      sound only for the minimum f of the whole frontier. *)
+  val raise_lb : searcher -> C.t -> unit
+
   type node = {
     rpath : int list;  (** eliminated vertices, most recent first *)
     g : C.t;
@@ -118,6 +119,10 @@ module Make (C : Bag_cost.S) : sig
 
   val compare_nodes : node -> node -> int
   (** Smallest [f] first, deeper first among equal [f]. *)
+
+  (** [pop_live s queue] pops [queue] up to its first node with
+      [below s node.f], dropping (and counting) the stale ones. *)
+  val pop_live : searcher -> node Pq.t -> node option
 
   (** [expand s node ~push] expands [node], which the caller popped
       with [below s node.f]: it ticks the budget, offers the node's

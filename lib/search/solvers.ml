@@ -104,10 +104,6 @@ let ensure () =
     tw ~name:"astar-tw" ~doc:"best-first exact treewidth (Chapter 5)"
       ~default_seed:0x7ea
       (fun ~within ~seed g -> O.Tw.astar ~within ~seed g);
-    tw ~name:"astar-tw-dedup"
-      ~doc:"A*-tw merging states with equal eliminated sets"
-      ~default_seed:0x7ea
-      (fun ~within ~seed g -> O.Tw.astar ~within ~dedup:true ~seed g);
     tw ~name:"bb-tw" ~doc:"depth-first branch and bound (Section 4.4)"
       ~default_seed:0xb0b
       (fun ~within ~seed g -> O.Tw.bb ~within ~seed g);
@@ -139,10 +135,6 @@ let ensure () =
     ghw ~name:"astar-ghw" ~doc:"best-first exact ghw (Chapter 9)"
       ~default_seed:0xa5a
       (fun ~within ~seed h -> O.Ghw.astar ~within ~seed h);
-    ghw ~name:"astar-ghw-dedup"
-      ~doc:"A*-ghw merging states with equal eliminated sets"
-      ~default_seed:0xa5a
-      (fun ~within ~seed h -> O.Ghw.astar ~within ~dedup:true ~seed h);
     ghw ~name:"bb-ghw" ~doc:"branch and bound for ghw (Chapter 8)"
       ~default_seed:0x6b6
       (fun ~within ~seed h -> O.Ghw.bb ~within ~seed h);

@@ -341,6 +341,29 @@ let test_td_io_parse_errors () =
        false
      with Failure _ -> true)
 
+(* a witness written for another instance is reported, never indexed
+   into the instance: a 3-vertex .td against grid3, a 9-vertex .ghd
+   against adder_15, and the same .ghd against a 9-vertex instance with
+   fewer hyperedges than its labels name *)
+let test_td_io_mismatch () =
+  let mismatch h td ~lambda = Hd_core.Td_io.mismatch h td ~lambda <> None in
+  let grid3 = Hypergraph.of_graph (Graph.grid 3 3) in
+  let small = Hd_core.Td_io.parse_string "s td 1 1 3\nb 1 1\n" in
+  check "3-vertex td vs grid3" true (mismatch grid3 small ~lambda:[||]);
+  let ghd =
+    Hd_core.Ghd_io.parse_string
+      (Hd_core.Ghd_io.to_string ~n_vertices:9
+         ~n_edges:(Hypergraph.n_edges grid3)
+         (Ghd.of_ordering grid3 (Ordering.identity 9) ~cover:`Exact))
+  in
+  let lambda = ghd.Ghd.lambda in
+  check "grid3 ghd vs grid3" false (mismatch grid3 ghd.Ghd.td ~lambda);
+  let adder = Option.get (Hd_instances.Hypergraphs.by_name "adder_15") in
+  check "9-vertex ghd vs adder_15" true (mismatch adder ghd.Ghd.td ~lambda);
+  let one_edge = Hypergraph.create ~n:9 [ List.init 9 Fun.id ] in
+  check "labels past the instance's hyperedges" true
+    (mismatch one_edge ghd.Ghd.td ~lambda)
+
 let prop_td_io_roundtrip =
   QCheck.Test.make ~count:80 ~name:"PACE roundtrip preserves the decomposition"
     QCheck.(make QCheck.Gen.(triple (1 -- 10) int int))
@@ -635,6 +658,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_td_io_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_td_io_parse_errors;
+          Alcotest.test_case "foreign witness" `Quick test_td_io_mismatch;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_td_io_roundtrip; prop_io_mutations_located ] );

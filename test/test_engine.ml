@@ -429,6 +429,7 @@ let prop_cross_solver_bounds =
    initial upper bound is often not optimal make the cut common. *)
 let test_capped_astar_exact_is_true () =
   ensure_registry ();
+  Hd_parallel.Par_solvers.ensure ();
   for seed = 0 to 249 do
     let h = random_hypergraph seed (5 + (seed mod 5)) in
     let run name within p = (Engine.run_by_name ~seed:1 name within p).S.outcome in
@@ -451,17 +452,18 @@ let test_capped_astar_exact_is_true () =
         [
           ("astar-tw", tw, run "astar-tw" (within ()) g);
           ("astar-ghw", ghw, run "astar-ghw" (within ()) hg);
-          ("astar-ghw-dedup", ghw, run "astar-ghw-dedup" (within ()) hg);
+          ("astar-tw-par", tw, run "astar-tw-par" (within ()) g);
+          ("astar-ghw-par", ghw, run "astar-ghw-par" (within ()) hg);
           ( "hdastar tw",
             tw,
             (Hd_search.Solvers.of_int
-               (Hd_parallel.Hdastar.solve_tw ~within:(within ())
+               (Hd_parallel.Hdastar.Tw.solve ~within:(within ()) ~seed:0x7ea
                   (Hypergraph.primal h)))
               .S.outcome );
           ( "hdastar ghw",
             ghw,
             (Hd_search.Solvers.of_int
-               (Hd_parallel.Hdastar.solve_ghw ~within:(within ()) h))
+               (Hd_parallel.Hdastar.Ghw.solve ~within:(within ()) ~seed:0xa5a h))
               .S.outcome );
         ]
     done

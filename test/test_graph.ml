@@ -148,6 +148,35 @@ let test_dimacs_parse () =
   check_int "m" 2 (Graph.m g);
   check "edge" true (Graph.mem_edge g 0 1)
 
+(* malformed input fails with a located [Failure], never an assertion
+   or an index error: endpoints out of range (also before the problem
+   line), negative or non-integer counts, non-integer endpoints *)
+let test_dimacs_malformed () =
+  List.iter
+    (fun (text, line) ->
+      match Dimacs.parse_string text with
+      | _ -> Alcotest.failf "accepted %S" text
+      | exception Failure msg ->
+          let prefix = Printf.sprintf "Dimacs: line %d: " line in
+          check (Printf.sprintf "%S -> %s" text msg) true
+            (String.starts_with ~prefix msg))
+    [
+      ("p edge 3 1\ne 1 5\n", 2);
+      ("p edge -2 0\n", 1);
+      ("e 0 1\np edge 3 1\n", 1);
+      ("e 2 4\np edge 3 1\n", 1);
+      ("p edge 3 1\ne 1 x\n", 2);
+      ("p edge x 1\n", 1);
+      ("p edge 3 y\n", 1);
+      ("p edge 3 1\np edge 3 1\n", 2);
+      ("p edge 3 1\nq 1 2\n", 2);
+    ];
+  check "missing problem line" true
+    (try
+       ignore (Dimacs.parse_string "e 1 2\n");
+       false
+     with Failure _ -> true)
+
 (* property: eliminating a vertex makes its old neighbourhood a clique *)
 let prop_elimination_clique =
   QCheck.Test.make ~count:100 ~name:"elimination creates clique"
@@ -407,6 +436,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip;
           Alcotest.test_case "parse" `Quick test_dimacs_parse;
+          Alcotest.test_case "malformed" `Quick test_dimacs_malformed;
         ] );
       ( "chordal",
         [

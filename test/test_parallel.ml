@@ -369,7 +369,7 @@ let test_hdastar_tw_matches_seq () =
     (fun name ->
       let g = graph name in
       let expected = exact_of name (Search.Tw.astar ~seed:3 g) in
-      (let r = Hdastar.solve_tw ~seed:3 g in
+      (let r = Hdastar.Tw.solve ~seed:3 g in
        check_int (name ^ " hdastar j1 width") expected (exact_of name r);
        match r.Search.ordering with
        | Some sigma ->
@@ -381,7 +381,7 @@ let test_hdastar_tw_matches_seq () =
        | None -> Alcotest.failf "%s: no witness ordering" name);
       on_two_workers (fun within ->
           check_int (name ^ " hdastar j3 width") expected
-            (exact_of name (Hdastar.solve_tw ~within ~seed:3 g))))
+            (exact_of name (Hdastar.Tw.solve ~within ~seed:3 g))))
     [ "grid4"; "myciel3"; "grid5" ]
 
 let test_hdastar_ghw_matches_seq () =
@@ -389,10 +389,10 @@ let test_hdastar_ghw_matches_seq () =
   let expected = exact_of "adder_15" (Search.Ghw.astar ~seed:5 h) in
   check_int "adder_15 seq ghw" 2 expected;
   check_int "adder_15 hdastar j1" expected
-    (exact_of "adder_15" (Hdastar.solve_ghw ~seed:5 h));
+    (exact_of "adder_15" (Hdastar.Ghw.solve ~seed:5 h));
   on_two_workers (fun within ->
       check_int "adder_15 hdastar j3" expected
-        (exact_of "adder_15" (Hdastar.solve_ghw ~within ~seed:5 h)))
+        (exact_of "adder_15" (Hdastar.Ghw.solve ~within ~seed:5 h)))
 
 (* on an exhausted state budget the distributed search degrades to the
    incumbent bounds, like the sequential solver *)
@@ -400,7 +400,7 @@ let test_hdastar_budget_bounds () =
   let g = graph "queen5_5" in
   Sched.with_scheduler ~workers:2 (fun s ->
       let b = Budget.create ~max_states:50 ~scheduler:s () in
-      let r = Hdastar.solve_tw ~within:b ~seed:1 g in
+      let r = Hdastar.Tw.solve ~within:b ~seed:1 g in
       match r.Search.outcome with
       | Search.Bounds { lb; ub } ->
           check "bounds sane" true (lb <= ub);

@@ -12,6 +12,7 @@ let check_int = Alcotest.(check int)
 (* a registry entry with its default seed, as the CLI runs it *)
 let entry name ?(within = Hd_engine.Budget.create ()) problem =
   Hd_search.Solvers.ensure ();
+  Hd_parallel.Par_solvers.ensure ();
   (Option.get (Solver.find name)).run within problem
 
 let astar_tw ?within g = entry "astar-tw" ?within (Solver.Graph g)
@@ -122,12 +123,14 @@ let prop_astar_matches_brute_force =
       let g = random_graph seed n 0.5 in
       exact_of (astar_tw g) = brute_force_tw g)
 
+(* the budget has no scheduler: one HDA-star worker, the A* that merges
+   states with equal eliminated sets *)
 let prop_astar_dedup_agrees =
   QCheck.Test.make ~count:25 ~name:"A*-tw dedup = A*-tw"
     QCheck.(make QCheck.Gen.(pair (2 -- 7) int))
     (fun (n, seed) ->
       let g = random_graph seed n 0.4 in
-      exact_of (entry "astar-tw-dedup" (Solver.Graph g))
+      exact_of (entry "astar-tw-par" (Solver.Graph g))
       = exact_of (astar_tw g))
 
 (* --- BB-tw --- *)
@@ -968,7 +971,10 @@ module Hdastar = Hd_parallel.Hdastar
    budget before each child, so a run of pruned children can no longer
    carry it further.  The tw and ghw rows' state counts were recorded
    again when the minor bounds stopped drawing from the search's random
-   state: that moves the later greedy-cover draws, never an outcome. *)
+   state: that moves the later greedy-cover draws, never an outcome.
+   HDA*-tw's grid3d_4 lower bound rose from 11 to 13, with the same
+   states, when its lone worker began raising the bound at every pop as
+   the sequential A* does. *)
 let trajectory_pins =
   [
     ("b06", "bb-tw", "[9,14]", 138, 401);
@@ -986,7 +992,7 @@ let trajectory_pins =
     ("grid3d_4", "astar-ghw", "[4,8]", 24, 401);
     ("grid3d_4", "astar-tw", "[13,19]", 27, 401);
     ("grid3d_4", "hdastar-ghw", "[4,8]", 24, 401);
-    ("grid3d_4", "hdastar-tw", "[11,19]", 27, 401);
+    ("grid3d_4", "hdastar-tw", "[13,19]", 27, 401);
     ("grid2d_10", "bb-tw", "[6,14]", 82, 401);
     ("grid2d_10", "bb-ghw", "[3,9]", 164, 401);
     ("grid2d_10", "bb-ghw-greedy", "[3,9]", 127, 401);
@@ -1035,8 +1041,8 @@ let pinned_run instance solver =
   | "astar-tw" -> int (Ordering_search.Tw.astar ~within:(within ()) ~seed:1 g)
   (* a budget without a scheduler: one HDA-star worker on this domain,
      the deterministic mode these counts pin *)
-  | "hdastar-ghw" -> int (Hdastar.solve_ghw ~within:(within ()) ~seed:1 h)
-  | "hdastar-tw" -> int (Hdastar.solve_tw ~within:(within ()) ~seed:1 g)
+  | "hdastar-ghw" -> int (Hdastar.Ghw.solve ~within:(within ()) ~seed:1 h)
+  | "hdastar-tw" -> int (Hdastar.Tw.solve ~within:(within ()) ~seed:1 g)
   | "fhw-bb" -> fhw_pin (Ordering_search.Fhw.bb ~within:(within ()) ~seed:1 h)
   | _ -> Alcotest.failf "no pinned solver %s" solver
 
@@ -1046,16 +1052,67 @@ let pinned_run instance solver =
    that may only skip LPs, never move a state or a bound. *)
 let corpus_pins = [ ("csp-synth", "grid2d_06", 4000, "[7/3,7/2]", 971, 4001) ]
 
+let corpus_instance collection name =
+  Hd_hypergraph.Hg_format.parse_string
+    (List.assoc (name ^ ".hg")
+       (List.assoc collection (Hd_instances.Mini_corpus.collections ())))
+
 let corpus_pinned_run collection name states =
-  let text =
-    List.assoc (name ^ ".hg")
-      (List.assoc collection (Hd_instances.Mini_corpus.collections ()))
-  in
   fhw_pin
     (Ordering_search.Fhw.bb
        ~within:(Hd_engine.Budget.create ~max_states:states ())
        ~seed:1
-       (Hd_hypergraph.Hg_format.parse_string text))
+       (corpus_instance collection name))
+
+(* The deduplicating A*s on every csp-synth instance their prologue does
+   not settle, at 4,000 states and seed 1, on a budget without a
+   scheduler: one HDA-star worker.  Each row is the line of the
+   sequential A* with a [seen] table that the one-worker HDA-star
+   replaced, so the worker must draw from the prologue's random state
+   and raise the lower bound at every pop as that A* did.  Ten rows
+   (bridge_05, bridge_06, circuit_01 ghw by draws; grid2d_08, grid3d_04,
+   circuit_02 to circuit_05 by lower bound) differed while it did
+   neither. *)
+let dedup_pins =
+  [
+    ("bridge_03", "ghw", "3 (exact)", 23, 121);
+    ("bridge_05", "ghw", "3 (exact)", 41, 295);
+    ("bridge_06", "ghw", "3 (exact)", 50, 409);
+    ("bridge_08", "ghw", "3 (exact)", 68, 691);
+    ("grid2d_04", "ghw", "3 (exact)", 1, 8);
+    ("grid2d_06", "tw", "7 (exact)", 3, 21);
+    ("grid2d_06", "ghw", "4 (exact)", 415, 3375);
+    ("grid2d_08", "tw", "[7,11]", 614, 4001);
+    ("grid2d_08", "ghw", "[3,6]", 389, 4001);
+    ("grid3d_04", "tw", "[14,19]", 478, 4001);
+    ("grid3d_04", "ghw", "[4,8]", 280, 4001);
+    ("circuit_00", "ghw", "3 (exact)", 27, 167);
+    ("circuit_01", "tw", "8 (exact)", 6, 6);
+    ("circuit_01", "ghw", "3 (exact)", 75, 456);
+    ("circuit_02", "tw", "10 (exact)", 1366, 3293);
+    ("circuit_02", "ghw", "[3,5]", 538, 4001);
+    ("circuit_03", "tw", "[9,12]", 720, 4001);
+    ("circuit_03", "ghw", "[3,7]", 475, 4001);
+    ("circuit_04", "tw", "[10,11]", 963, 4001);
+    ("circuit_04", "ghw", "[3,6]", 712, 4001);
+    ("circuit_05", "tw", "[11,17]", 663, 4001);
+    ("circuit_05", "ghw", "[3,8]", 548, 4001);
+  ]
+
+let dedup_pinned_run name width =
+  let h = corpus_instance "csp-synth" name in
+  let problem =
+    if width = "tw" then Solver.Graph (Hypergraph.primal h)
+    else Solver.Hypergraph h
+  in
+  Hd_search.Solvers.ensure ();
+  Hd_parallel.Par_solvers.ensure ();
+  let r =
+    (Option.get (Solver.find ("astar-" ^ width ^ "-par"))).run ~seed:1
+      (Hd_engine.Budget.create ~max_states:4000 ())
+      problem
+  in
+  (Format.asprintf "%a" Solver.pp_outcome r.outcome, r.visited, r.generated)
 
 (* The registry entries of the exact searches, run without a seed as
    the CLI and the server run them: grid5 to the end, b06 capped at 400
@@ -1143,7 +1200,14 @@ let test_trajectory_pins () =
         (Printf.sprintf "%s/%s fhw-bb at %d states %s" collection name states)
         (outcome, visited, generated)
         (corpus_pinned_run collection name states))
-    corpus_pins
+    corpus_pins;
+  List.iter
+    (fun (name, width, outcome, visited, generated) ->
+      check_row
+        (Printf.sprintf "csp-synth/%s astar-%s-par at 4000 states %s" name width)
+        (outcome, visited, generated)
+        (dedup_pinned_run name width))
+    dedup_pins
 
 let () =
   Alcotest.run "search"
