@@ -7,8 +7,7 @@ open Harness
 
 let run scale =
   header "Engine -- monolithic vs decompose-by-blocks";
-  Hd_search.Solvers.ensure ();
-  Hd_ga.Solvers.ensure ();
+  Hd_parallel.Registry.ensure ();
   let cases =
     [
       (* biconnected: the split pass must cost nothing *)

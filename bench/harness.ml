@@ -98,8 +98,7 @@ let within ?scheduler scale =
 (* the registry entry [name] once on [problem] with seed 1, without the
    engine's block split: the tables run the searches the CLI runs *)
 let entry name scale problem =
-  Hd_search.Solvers.ensure ();
-  Hd_parallel.Par_solvers.ensure ();
+  Hd_parallel.Registry.ensure ();
   match Hd_engine.Solver.find name with
   | Some s -> s.run ~seed:1 (within scale) problem
   | None -> invalid_arg ("no solver " ^ name)

@@ -15,8 +15,7 @@ open Harness
 let run scale =
   let module Sched = Hd_engine.Scheduler in
   let module Sv = Hd_engine.Solver in
-  Hd_search.Solvers.ensure ();
-  Hd_ga.Solvers.ensure ();
+  Hd_parallel.Registry.ensure ();
   let cores = Domain.recommended_domain_count () in
   let jobs = max 1 scale.jobs in
   let workers = max 1 (jobs - 1) in

@@ -72,7 +72,7 @@ let widths_baseline =
    det-k enumeration steps stay at most the recorded counts *)
 let run scale =
   header "Widths -- tw / ghw / fhw / hw ladder on the smallest corpus instances";
-  Hd_search.Solvers.ensure ();
+  Hd_parallel.Registry.ensure ();
   let entries = Hd_corpus.Manifest.ensure_all ~root:"_corpus" in
   let loaded, _skipped = Hd_corpus.Sweep.load entries in
   let smallest =

@@ -69,11 +69,6 @@ let report_portfolio label (r : Hd_parallel.Portfolio.t) =
     r.Hd_parallel.Portfolio.members;
   r.Hd_parallel.Portfolio.ordering
 
-let ensure_registry () =
-  Hd_search.Solvers.ensure ();
-  Hd_ga.Solvers.ensure ();
-  Hd_parallel.Par_solvers.ensure ()
-
 (* --corpus DIR: sweep every instance file under DIR (or materialise a
    bundled collection by name) instead of decomposing one input *)
 let run_corpus ~dir ~solvers ~jobs ~time_limit ~seed =
@@ -350,7 +345,7 @@ let stats =
 let main instance instance_pos graph_file hypergraph_file method_ jobs
     portfolio corpus time_limit seed print_decomposition list_flag
     list_solvers_flag output stats =
-  ensure_registry ();
+  Hd_parallel.Registry.ensure ();
   let names =
     match method_ with
     | None -> []
@@ -359,27 +354,17 @@ let main instance instance_pos graph_file hypergraph_file method_ jobs
         |> List.filter (fun n -> n <> "")
   in
   if list_solvers_flag then begin
-    (* grouped by the width measure each solver optimises *)
-    let all = Hd_engine.Solver.all () in
+    (* the table is grouped by the width measure each solver optimises:
+       a header opens each group *)
+    let last = ref None in
     List.iter
-      (fun kind ->
-        match
-          List.filter (fun s -> s.Hd_engine.Solver.kind = kind) all
-        with
-        | [] -> ()
-        | members ->
-            Printf.printf "%s:\n" (Hd_engine.Solver.kind_name kind);
-            List.iter
-              (fun (s : Hd_engine.Solver.t) ->
-                Printf.printf "  %-16s %s\n" s.Hd_engine.Solver.name
-                  s.Hd_engine.Solver.doc)
-              members)
-      [
-        Hd_engine.Solver.Tw;
-        Hd_engine.Solver.Ghw;
-        Hd_engine.Solver.Fhw;
-        Hd_engine.Solver.Hw;
-      ]
+      (fun (s : Solver.t) ->
+        if !last <> Some s.kind then begin
+          last := Some s.kind;
+          Printf.printf "%s:\n" (Solver.kind_name s.kind)
+        end;
+        Printf.printf "  %-16s %s\n" s.name s.doc)
+      (Solver.all ())
   end
   else if list_flag then begin
     print_endline "graphs:";

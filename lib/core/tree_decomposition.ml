@@ -194,22 +194,6 @@ let simplify td =
     make ~bags:new_bags ~parent:new_parent
   end
 
-let to_dot ?(name = "td") td =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "graph %s {\n  node [shape=box];\n" name);
-  Array.iteri
-    (fun i b ->
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d [label=\"{%s}\"];\n" i
-           (String.concat "," (List.map string_of_int (Bitset.elements b)))))
-    td.bags;
-  Array.iteri
-    (fun i p ->
-      if p >= 0 then Buffer.add_string buf (Printf.sprintf "  n%d -- n%d;\n" i p))
-    td.parent;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
 let pp ppf td =
   Format.fprintf ppf "@[<v>tree decomposition: %d nodes, width %d" (n_nodes td)
     (width td);

@@ -60,8 +60,4 @@ val of_ordering_hypergraph : Hd_hypergraph.Hypergraph.t -> Ordering.t -> t
     typically shrink a lot.  Idempotent. *)
 val simplify : t -> t
 
-(** [to_dot ?name td] renders the decomposition in Graphviz dot format,
-    one record-shaped node per bag. *)
-val to_dot : ?name:string -> t -> string
-
 val pp : Format.formatter -> t -> unit

@@ -50,10 +50,6 @@ let default_roster = [ "min-fill-ghw"; "bb-ghw"; "astar-ghw" ]
 
 let default_budget = { B.time_limit = Some 5.0; max_states = None }
 
-let ensure_registries () =
-  Hd_search.Solvers.ensure ();
-  Hd_ga.Solvers.ensure ()
-
 let load entries =
   let loaded = ref [] and skipped = ref [] in
   List.iter
@@ -120,7 +116,7 @@ let solve_instance ~roster ~budget ~seed (collection, name, h) =
 let sweep_loaded ?(jobs = 1) ?(roster = default_roster)
     ?(budget = default_budget) ?(seed = 1) ?(skipped = []) instances =
   if roster = [] then invalid_arg "Sweep.sweep_loaded: empty roster";
-  ensure_registries ();
+  Hd_parallel.Registry.ensure ();
   (match List.filter (fun n -> S.find n = None) roster with
   | [] -> ()
   | missing ->

@@ -78,25 +78,10 @@ let solve_with_ghd csp ghd =
     invalid_arg "Solver.solve_with_ghd: not a GHD of the CSP";
   solve_tree csp (Join_tree.of_ghd h ghd (edge_relations csp h))
 
-let solve ?solver ?time_limit csp ~strategy ~seed =
+let solve csp ~strategy ~seed =
   let h = Csp.hypergraph csp in
   let rng = Random.State.make [| seed |] in
-  let sigma =
-    (* [solver] picks a registered engine solver for the decomposition
-       ordering (the caller links and registers the provider library);
-       the default stays the dependency-free min-fill heuristic *)
-    match solver with
-    | None -> Hd_core.Ordering_heuristics.min_fill_hypergraph rng h
-    | Some name -> (
-        let r =
-          Hd_engine.Engine.run_by_name ~seed name
-            (Hd_engine.Budget.create ?time_limit ())
-            (Hd_engine.Solver.Hypergraph h)
-        in
-        match r.Hd_engine.Solver.ordering with
-        | Some sigma -> sigma
-        | None -> Hd_core.Ordering_heuristics.min_fill_hypergraph rng h)
-  in
+  let sigma = Hd_core.Ordering_heuristics.min_fill_hypergraph rng h in
   match strategy with
   | `Td -> solve_with_td csp (Td.of_ordering_hypergraph h sigma)
   | `Ghd ->

@@ -31,20 +31,13 @@ val solve_with_td :
     constraint hypergraph. *)
 val solve_with_ghd : Csp.t -> Hd_core.Ghd.t -> int array option
 
-(** [solve csp ~strategy] decomposes the CSP's hypergraph with a greedy
-    ordering heuristic and solves.  [`Td] solves via a tree
-    decomposition, [`Ghd] via a generalized hypertree decomposition.
-
-    [solver] names a registered engine solver (see
-    {!Hd_engine.Solver}) whose witness ordering replaces the min-fill
-    default — the caller must have registered it, e.g. via
-    [Hd_search.Solvers.ensure].  [time_limit] bounds that solver's run.
-    When the named solver returns no ordering the min-fill fallback is
-    used.
-    @raise Invalid_argument on an unknown solver name. *)
+(** [solve csp ~strategy ~seed] decomposes the CSP's hypergraph along
+    a min-fill ordering (ties broken by [seed]) and solves.  [`Td]
+    solves via a tree decomposition, [`Ghd] via a generalized
+    hypertree decomposition.  A caller that wants a better ordering
+    runs an engine solver itself and hands the decomposition to
+    {!solve_with_td} or {!solve_with_ghd}. *)
 val solve :
-  ?solver:string ->
-  ?time_limit:float ->
   Csp.t ->
   strategy:[ `Td | `Ghd ] ->
   seed:int ->

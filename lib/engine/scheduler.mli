@@ -10,7 +10,12 @@
     ({!Budget.scheduler}): biconnected block solves ({!Blocks.solve}),
     the HDA* [-par] solvers ([Hd_parallel.Hdastar]) and [saiga-ghw-par]
     read it there, and a budget without one runs them on the calling
-    domain.  Partitioned columnar query passes ([Hd_query.Colexec]) take
+    domain.  Solve tasks forked through {!run_all} — blocks, and HDA*'s
+    workers when the budget lends a scheduler — run under
+    [Step.unsliced], because a slice deadline armed on another domain
+    must not park them; a solve run inline on the calling domain, such
+    as HDA*'s lone worker without a scheduler, parks on its slice like
+    any sequential solver.  Partitioned columnar query passes ([Hd_query.Colexec]) take
     an instance as [?par].  The server's time-sliced jobs
     ([Hd_server.Jobs]), portfolio races ([Hd_parallel.Portfolio]),
     parallel SAIGA ([Hd_parallel.Saiga_par]) and corpus sweeps

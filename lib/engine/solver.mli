@@ -4,15 +4,18 @@
     A registered solver takes a {!Budget.t} and a {!problem} and
     returns an anytime {!result}; solvers that can share bounds do so
     through the budget's incumbent.  The registry is one flat
-    name-indexed table — the portfolio rosters, [Widths.analyze], the
-    bench harness and the [-m] CLI option all resolve strategies
-    here instead of hard-wiring call sites.
+    name-indexed table — the portfolio rosters, corpus sweeps, the
+    server, the bench harness and the [-m] CLI option all resolve
+    strategies here instead of hard-wiring call sites.
 
-    Registration happens in the libraries that own the algorithms
-    ([Hd_search.Solvers.ensure ()] and [Hd_ga.Solvers.ensure ()]);
-    this module only holds the table.  The [outcome] and [result]
-    types are the int view every registry entry reports; the searches'
-    own cost-typed results become it in [Hd_search.Solvers]. *)
+    The libraries that own the algorithms only build their entries
+    ([Hd_search.Solvers.all], [Hd_ga.Solvers.all]); one function,
+    [Hd_parallel.Registry.ensure], registers all of them and the
+    parallel variants, so every front door that calls it sees every
+    solver.  This module only holds the table.  The [outcome] and
+    [result] types are the int view every registry entry reports; the
+    searches' own cost-typed results become it in
+    [Hd_search.Solvers]. *)
 
 (** How a run ended. *)
 type outcome =

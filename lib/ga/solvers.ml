@@ -54,80 +54,72 @@ let ga_result b (r : Ga_engine.report) =
     ordering = Some r.Ga_engine.best_individual;
   }
 
-let registered = ref false
-
-let ensure () =
-  if not !registered then begin
-    registered := true;
-    S.register
-      {
-        S.name = "ga-tw";
-        kind = S.Tw;
-        doc = "genetic algorithm for treewidth upper bounds (Chapter 6)";
-        run =
-          (fun ?seed b p ->
-            ga_result b
-              (Ga_tw.run ~within:b
-                 (ga_config ?seed ~default_seed:0x9a b)
-                 (S.primal_of p)));
-      };
-    S.register
-      {
-        S.name = "ga-ghw";
-        kind = S.Ghw;
-        doc = "genetic algorithm for ghw upper bounds (Section 7.1)";
-        run =
-          (fun ?seed b p ->
-            ga_result b
-              (Ga_ghw.run ~within:b
-                 (ga_config ?seed ~default_seed:0x9b b)
-                 (S.hypergraph_of p)));
-      };
-    S.register
-      {
-        S.name = "sa-tw";
-        kind = S.Tw;
-        doc = "simulated annealing on the treewidth objective";
-        run =
-          (fun ?seed b p ->
-            let r =
-              Local_search.sa_tw ~within:b
-                (sa_config ?seed ~default_seed:0x10ca1 b)
-                (S.primal_of p)
-            in
-            {
-              S.outcome = outcome_of b r.Local_search.best;
-              visited = r.Local_search.steps;
-              generated = r.Local_search.evaluations;
-              elapsed = r.Local_search.elapsed;
-              ordering = Some r.Local_search.best_individual;
-            });
-      };
-    S.register
-      {
-        S.name = "sa-ghw";
-        kind = S.Ghw;
-        doc = "simulated annealing on the greedy-cover ghw objective";
-        run =
-          (fun ?seed b p ->
-            let r =
-              Local_search.sa_ghw ~within:b
-                (sa_config ?seed ~default_seed:0x10ca2 b)
-                (S.hypergraph_of p)
-            in
-            {
-              S.outcome = outcome_of b r.Local_search.best;
-              visited = r.Local_search.steps;
-              generated = r.Local_search.evaluations;
-              elapsed = r.Local_search.elapsed;
-              ordering = Some r.Local_search.best_individual;
-            });
-      };
-    S.register
-      {
-        S.name = "saiga-ghw";
-        kind = S.Ghw;
-        doc = "self-adaptive island GA for ghw (Section 7.2)";
-        run = saiga Saiga_ghw.run;
-      }
-  end
+let all =
+  [
+    {
+      S.name = "ga-tw";
+      kind = S.Tw;
+      doc = "genetic algorithm for treewidth upper bounds (Chapter 6)";
+      run =
+        (fun ?seed b p ->
+          ga_result b
+            (Ga_tw.run ~within:b
+               (ga_config ?seed ~default_seed:0x9a b)
+               (S.primal_of p)));
+    };
+    {
+      S.name = "ga-ghw";
+      kind = S.Ghw;
+      doc = "genetic algorithm for ghw upper bounds (Section 7.1)";
+      run =
+        (fun ?seed b p ->
+          ga_result b
+            (Ga_ghw.run ~within:b
+               (ga_config ?seed ~default_seed:0x9b b)
+               (S.hypergraph_of p)));
+    };
+    {
+      S.name = "sa-tw";
+      kind = S.Tw;
+      doc = "simulated annealing on the treewidth objective";
+      run =
+        (fun ?seed b p ->
+          let r =
+            Local_search.sa_tw ~within:b
+              (sa_config ?seed ~default_seed:0x10ca1 b)
+              (S.primal_of p)
+          in
+    {
+            S.outcome = outcome_of b r.Local_search.best;
+            visited = r.Local_search.steps;
+            generated = r.Local_search.evaluations;
+            elapsed = r.Local_search.elapsed;
+            ordering = Some r.Local_search.best_individual;
+          });
+    };
+    {
+      S.name = "sa-ghw";
+      kind = S.Ghw;
+      doc = "simulated annealing on the greedy-cover ghw objective";
+      run =
+        (fun ?seed b p ->
+          let r =
+            Local_search.sa_ghw ~within:b
+              (sa_config ?seed ~default_seed:0x10ca2 b)
+              (S.hypergraph_of p)
+          in
+    {
+            S.outcome = outcome_of b r.Local_search.best;
+            visited = r.Local_search.steps;
+            generated = r.Local_search.evaluations;
+            elapsed = r.Local_search.elapsed;
+            ordering = Some r.Local_search.best_individual;
+          });
+    };
+    {
+      S.name = "saiga-ghw";
+      kind = S.Ghw;
+      doc = "self-adaptive island GA for ghw (Section 7.2)";
+      run = saiga Saiga_ghw.run;
+    };
+  ]

@@ -1,15 +1,17 @@
-(** Registration of the metaheuristics in the engine's solver table.
+(** The metaheuristics as engine solver entries.
 
-    [ensure ()] registers (idempotently): [ga-tw], [sa-tw] (treewidth);
-    [ga-ghw], [sa-ghw], [saiga-ghw] (generalized hypertree width).  All
-    run as anytime solvers against the supplied budget: when it has a
-    deadline the iteration caps are effectively unbounded and the
-    deadline is the stop; without one, moderate default effort caps
-    keep the run finite.  Lower bounds are read back from the budget's
-    shared incumbent when present (a metaheuristic proves none itself).
-    The exact searches live in [Hd_search.Solvers]. *)
+    {!all} lists, in order: [ga-tw], [ga-ghw], [sa-tw], [sa-ghw],
+    [saiga-ghw] ([-tw]: treewidth, [-ghw]: generalized hypertree
+    width).  This module registers nothing:
+    [Hd_parallel.Registry.ensure] puts them into the table, with the
+    exact searches of [Hd_search.Solvers].  All run as anytime solvers
+    against the supplied budget: when it has a deadline the iteration
+    caps are effectively unbounded and the deadline is the stop;
+    without one, moderate default effort caps keep the run finite.
+    Lower bounds are read back from the budget's shared incumbent when
+    present (a metaheuristic proves none itself). *)
 
-val ensure : unit -> unit
+val all : Hd_engine.Solver.t list
 
 (** [saiga ?n_islands run] is the [saiga-ghw] entry's solve with its
     registry settings (60 individuals per island, [n_islands] islands,

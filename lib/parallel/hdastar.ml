@@ -63,7 +63,6 @@ module Make (C : Bag_cost.S) = struct
   module Search = Ordering_search.Make (C)
 
   let run_worker sh ~me ~(st : Search.start) ~seed ~root =
-    Step.unsliced @@ fun () ->
     let n = Graph.n (C.graph st.problem) in
     (* worker 0 draws what the sequential A* would *)
     let rng =
@@ -244,8 +243,12 @@ module Make (C : Bag_cost.S) = struct
       in
       let root = Search.root st.lb in
       let workers = List.init w (fun me () -> run_worker sh ~me ~st ~seed ~root) in
+      (* workers forked onto executors must not park on a slice armed
+         on another domain; the lone inline worker parks like any
+         sequential search, so a server slice can yield it *)
       (match sched with
-      | Some s -> Scheduler.run_all s workers
+      | Some s ->
+          Scheduler.run_all s (List.map (fun f () -> Step.unsliced f) workers)
       | None -> List.iter (fun f -> f ()) workers);
       visited := Array.fold_left (fun a (v, _) -> a + v) 0 sh.stats;
       generated := Array.fold_left (fun a (_, g) -> a + g) 0 sh.stats;

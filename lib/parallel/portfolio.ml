@@ -25,13 +25,6 @@ type t = {
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* every roster member comes from the engine's solver registry; the
-   provider libraries register here before any lookup *)
-let ensure_registry () =
-  Hd_search.Solvers.ensure ();
-  Hd_ga.Solvers.ensure ();
-  Par_solvers.ensure ()
-
 (* the incumbent read back as an outcome: closed means some racer
    proved optimality, whoever it was *)
 let outcome_of inc =
@@ -112,7 +105,7 @@ let members_of ~budget ~inc ~seed roster problem =
 
 let run_roster ?jobs ?(budget = { Budget.time_limit = None; max_states = None })
     ~seed roster problem =
-  ensure_registry ();
+  Registry.ensure ();
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let inc = Incumbent.create () in
   race ~jobs ~inc (members_of ~budget ~inc ~seed roster problem)

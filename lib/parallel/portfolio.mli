@@ -68,9 +68,9 @@ val solve_named :
   Hd_engine.Solver.problem ->
   t
 (** [solve_named ~names problem] races an ad-hoc roster: each name is
-    resolved in the engine's solver registry (after registering the
-    hd_search, hd_ga and {!Par_solvers} entries).  [jobs] defaults to
-    the number of names, so every requested solver actually runs.
+    resolved in the engine's solver registry (filled by
+    {!Registry.ensure}).  [jobs] defaults to the number of names, so
+    every requested solver actually runs.
     @raise Invalid_argument on an unknown name, listing the registered
     ones. *)
 

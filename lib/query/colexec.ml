@@ -28,28 +28,22 @@ module Sched = Hd_engine.Scheduler
 (* Chunk boundaries are a function of the probe count and the grain
    alone — never of the worker count or the interleaving — and chunk
    outputs are concatenated in chunk order, so a parallel pass is
-   byte-identical to the sequential scan at any [-j].  The grain is a
-   process-wide knob only so tests can force multi-chunk runs on tiny
-   inputs. *)
-let default_grain = 2048
-let grain_cell = Atomic.make default_grain
-let set_grain g = Atomic.set grain_cell (max 1 g)
-let grain () = Atomic.get grain_cell
+   byte-identical to the sequential scan at any [-j]. *)
+let grain = 2048
 
 (* [chunked par n scan] runs [scan lo hi] over deterministic chunks of
    [0, n) and returns the per-chunk results in chunk order.  Falls back
    to one inline chunk when [par] is absent, sequential, or the input
    is below the grain. *)
 let chunked (par : Sched.t option) n (scan : int -> int -> 'a) : 'a array =
-  let g = grain () in
   match par with
-  | Some s when Sched.size s > 0 && n > g ->
-      let nc = (n + g - 1) / g in
+  | Some s when Sched.size s > 0 && n > grain ->
+      let nc = (n + grain - 1) / grain in
       let out = Array.make nc None in
       Sched.run_all s
         (List.init nc (fun c () ->
-             let lo = c * g in
-             out.(c) <- Some (scan lo (min n (lo + g)))));
+             let lo = c * grain in
+             out.(c) <- Some (scan lo (min n (lo + grain)))));
       Array.map
         (function Some v -> v | None -> failwith "Colexec.chunked: lost chunk")
         out
@@ -299,7 +293,7 @@ let join_mat ?par a (b : Qrelation.t) =
     cols.(j) <- col
   in
   (match par with
-  | Some s when Sched.size s > 0 && ka + kp > 1 && n > grain () ->
+  | Some s when Sched.size s > 0 && ka + kp > 1 && n > grain ->
       Sched.run_all s (List.init (ka + kp) (fun j () -> fill j))
   | _ ->
       for j = 0 to ka + kp - 1 do

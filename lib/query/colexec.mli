@@ -35,11 +35,11 @@ val all_rows : Qrelation.t -> sel
     shared attributes in the same order.  The build side is
     radix-partitioned once; probing allocates nothing per row.
 
-    With [par] the probe side is scanned in parallel chunks on the
-    scheduler.  Chunk boundaries depend only on the probe count and
-    {!set_grain}, and chunk outputs concatenate in chunk order, so the
-    result is byte-identical to the sequential scan at any worker
-    count. *)
+    With [par] a probe side above 2048 rows is scanned in parallel
+    chunks of 2048 rows on the scheduler.  Chunk boundaries depend only
+    on the probe count, and chunk outputs concatenate in chunk order,
+    so the result is byte-identical to the sequential scan at any
+    worker count. *)
 val semijoin :
   ?par:Hd_engine.Scheduler.t ->
   probe:Qrelation.t * sel * int array ->
@@ -62,13 +62,6 @@ val join_project :
   Qrelation.t list ->
   scope:int array ->
   Qrelation.t
-
-(** [set_grain g] sets the minimum per-chunk probe count for the
-    parallel paths (default 2048); tests lower it to force multi-chunk
-    runs on small inputs. *)
-val set_grain : int -> unit
-
-val default_grain : int
 
 (** Chained int-hash index over a selection, keyed on a column subset:
     the backbone of backtrack-free enumeration over selection

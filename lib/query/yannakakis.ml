@@ -51,7 +51,7 @@ let ordering_for ~method_ ~jobs ~seed ~time_limit h =
   | Bb_ghw -> (
       (* through the engine: block-split the query hypergraph first,
          then run the registered BB-ghw on each biconnected piece *)
-      Hd_search.Solvers.ensure ();
+      Hd_parallel.Registry.ensure ();
       let r =
         Hd_engine.Engine.run_by_name ~seed "bb-ghw"
           (Hd_engine.Budget.of_spec budget)

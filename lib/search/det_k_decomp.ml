@@ -241,7 +241,7 @@ let search ?upper tk h =
 let hypertree_width ?upper ?(within = Budget.create ()) h =
   search ?upper (Budget.ticker within) h
 
-let descendant_condition_holds h ghd =
+let special_condition_holds h ghd =
   let td = ghd.Ghd.td in
   let k = Td.n_nodes td in
   let n = Hypergraph.n_vertices h in
@@ -272,7 +272,4 @@ let descendant_condition_holds h ghd =
   in
   check 0
 
-(* the literature's other name for condition 4 *)
-let special_condition_holds = descendant_condition_holds
-
-let valid h hd = Ghd.valid h hd && descendant_condition_holds h hd
+let valid h hd = Ghd.valid h hd && special_condition_holds h hd

@@ -61,14 +61,11 @@ val hypertree_width :
 val search :
   ?upper:int -> Hd_engine.Budget.ticker -> Hd_hypergraph.Hypergraph.t -> int * t
 
-(** [descendant_condition_holds h ghd] checks condition 4 alone: for
-    every node [p], [var(lambda p)] intersected with the vertices
-    occurring in [p]'s subtree is contained in [chi p]. *)
-val descendant_condition_holds : Hd_hypergraph.Hypergraph.t -> Hd_core.Ghd.t -> bool
-
-(** The literature's other name for the descendant condition —
-    [special_condition_holds = descendant_condition_holds].  This is
-    the check [hd_validate] runs on [.ghd] witnesses. *)
+(** [special_condition_holds h ghd] checks condition 4 alone, the
+    special (or descendant) condition: for every node [p],
+    [var(lambda p)] intersected with the vertices occurring in [p]'s
+    subtree is contained in [chi p].  This is the check [hd_validate]
+    runs on [.ghd] witnesses. *)
 val special_condition_holds : Hd_hypergraph.Hypergraph.t -> Hd_core.Ghd.t -> bool
 
 (** [valid h hd] checks all four hypertree decomposition conditions. *)

@@ -16,8 +16,8 @@
     their ceiling, and each search also keeps its exact best.  The
     paper's exact methods are the instances at the end of this module;
     [Hd_parallel.Hdastar] distributes the A* over the same building
-    blocks, on one worker as the deduplicating A*; [Solvers]
-    registers them all under their names. *)
+    blocks, on one worker as the deduplicating A*; [Solvers] wraps
+    them all as named solver entries. *)
 
 (** How a search ended, in the cost's own type. *)
 type 'c outcome =

@@ -2,7 +2,7 @@ module B = Hd_engine.Budget
 module S = Hd_engine.Solver
 module Incumbent = Hd_core.Incumbent
 
-let register ~name ~kind ~doc run = S.register { S.name; kind; doc; run }
+let entry ~name ~kind ~doc run = { S.name; kind; doc; run }
 
 (* a quick one-shot ordering heuristic as an anytime solver: evaluate
    the ordering, publish it, report Bounds (no lower bound proved) *)
@@ -88,19 +88,16 @@ let of_fhw (r : Hd_lp.Rat.t Ordering_search.result) =
 
 (* an ordering search as a registry entry, with its own default seed *)
 let search ~kind ~input ~result ~name ~doc ~default_seed solve =
-  register ~name ~kind ~doc (fun ?seed b p ->
+  entry ~name ~kind ~doc (fun ?seed b p ->
       result
         (solve ~within:b ~seed:(Option.value seed ~default:default_seed)
            (input p)))
 
-let registered = ref false
-
-let ensure () =
-  if not !registered then begin
-    registered := true;
-    let tw = search ~kind:S.Tw ~input:S.primal_of ~result:of_int in
-    let ghw = search ~kind:S.Ghw ~input:S.hypergraph_of ~result:of_int in
-    let module O = Ordering_search in
+let all =
+  let tw = search ~kind:S.Tw ~input:S.primal_of ~result:of_int in
+  let ghw = search ~kind:S.Ghw ~input:S.hypergraph_of ~result:of_int in
+  let module O = Ordering_search in
+  [
     tw ~name:"astar-tw" ~doc:"best-first exact treewidth (Chapter 5)"
       ~default_seed:0x7ea
       (fun ~within ~seed g -> O.Tw.astar ~within ~seed g);
@@ -114,21 +111,21 @@ let ensure () =
       ~doc:"BB-tw without simplicial reductions (ablation)"
       ~default_seed:0xb0b
       (fun ~within ~seed g -> O.Tw.bb ~within ~use_reductions:false ~seed g);
-    register ~name:"preprocess-tw" ~kind:S.Tw
+    entry ~name:"preprocess-tw" ~kind:S.Tw
       ~doc:"Bodlaender-style kernelization, then A*-tw on the kernel"
       (fun ?seed b p ->
         of_int
           (Preprocess.treewidth_with_preprocessing ~within:b ?seed
              (S.primal_of p)));
-    register ~name:"min-fill" ~kind:S.Tw
+    entry ~name:"min-fill" ~kind:S.Tw
       ~doc:"min-fill elimination ordering (upper bound only)"
       (heuristic ~default_seed:0x3f1 ~width:tw_width (fun rng p ->
            Hd_core.Ordering_heuristics.min_fill rng (S.primal_of p)));
-    register ~name:"min-degree" ~kind:S.Tw
+    entry ~name:"min-degree" ~kind:S.Tw
       ~doc:"min-degree elimination ordering (upper bound only)"
       (heuristic ~default_seed:0x3f2 ~width:tw_width (fun rng p ->
            Hd_core.Ordering_heuristics.min_degree rng (S.primal_of p)));
-    register ~name:"mcs" ~kind:S.Tw
+    entry ~name:"mcs" ~kind:S.Tw
       ~doc:"maximum-cardinality-search ordering (upper bound only)"
       (heuristic ~default_seed:0x3f3 ~width:tw_width (fun rng p ->
            Hd_core.Ordering_heuristics.max_cardinality rng (S.primal_of p)));
@@ -142,7 +139,7 @@ let ensure () =
       ~doc:"BB-ghw with greedy covers (upper bounds only, ablation)"
       ~default_seed:0x6b6
       (fun ~within ~seed h -> O.Ghw_greedy.bb ~within ~seed h);
-    register ~name:"min-fill-ghw" ~kind:S.Ghw
+    entry ~name:"min-fill-ghw" ~kind:S.Ghw
       ~doc:"min-fill ordering with greedy covers (upper bound only)"
       (heuristic ~default_seed:0x3f4 ~width:ghw_width (fun rng p ->
            Hd_core.Ordering_heuristics.min_fill_hypergraph rng
@@ -151,11 +148,11 @@ let ensure () =
       ~doc:"branch and bound for exact fractional hypertree width (LP covers)"
       ~default_seed:0xfa3
       (fun ~within ~seed h -> O.Fhw.bb ~within ~seed h);
-    register ~name:"fhw-min-fill" ~kind:S.Fhw
+    entry ~name:"fhw-min-fill" ~kind:S.Fhw
       ~doc:"min-fill ordering with exact LP covers (upper bound only)"
       (heuristic ~default_seed:0x3f5 ~width:fhw_width_ceil (fun rng p ->
            Hd_core.Ordering_heuristics.min_fill_hypergraph rng
              (S.hypergraph_of p)));
-    register ~name:"hw-det-k" ~kind:S.Hw
-      ~doc:"det-k-decomp: exact hypertree width (Gottlob & Samer)" det_k
-  end
+    entry ~name:"hw-det-k" ~kind:S.Hw
+      ~doc:"det-k-decomp: exact hypertree width (Gottlob & Samer)" det_k;
+  ]

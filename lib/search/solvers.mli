@@ -1,18 +1,16 @@
-(** Registration of the exact searches and ordering heuristics in the
-    engine's solver table.
+(** The exact searches and ordering heuristics as engine solver
+    entries.
 
-    [ensure ()] registers (idempotently): [astar-tw], [bb-tw],
-    [bb-tw-nopr2], [bb-tw-noreduce], [preprocess-tw], [min-fill],
-    [min-degree], [mcs] (treewidth); [astar-ghw], [bb-ghw],
-    [bb-ghw-greedy], [min-fill-ghw] (generalized hypertree width);
-    [fhw-bb], [fhw-min-fill] (fractional hypertree width, as ceilings);
-    [hw-det-k] (hypertree width).  The GA family lives in
-    [Hd_ga.Solvers], and the A*s that merge states with equal
-    eliminated sets, [astar-tw-par] and [astar-ghw-par], in
-    [Hd_parallel.Par_solvers].  Call it before resolving names via
-    {!Hd_engine.Solver.find} or {!Hd_engine.Engine.run_by_name}.
+    {!all} lists, in order: [astar-tw], [bb-tw], [bb-tw-nopr2],
+    [bb-tw-noreduce], [preprocess-tw], [min-fill], [min-degree], [mcs]
+    (treewidth); [astar-ghw], [bb-ghw], [bb-ghw-greedy],
+    [min-fill-ghw] (generalized hypertree width); [fhw-bb],
+    [fhw-min-fill] (fractional hypertree width, as ceilings);
+    [hw-det-k] (hypertree width).  This module registers nothing:
+    [Hd_parallel.Registry.ensure] puts these entries into the table,
+    with the GA family of [Hd_ga.Solvers] and the parallel variants.
 
-    The exact searches are the {!Ordering_search} instances, registered
+    The exact searches are the {!Ordering_search} instances, wrapped
     directly.  Without a [seed], each entry uses its own:
 
     - [astar-tw]: [Tw.astar], seed [0x7ea];
@@ -25,16 +23,16 @@
       max-combining of blocks; the exact rational is recovered from
       the witness ordering with {!Hd_core.Eval.fhw_width_q}. *)
 
-val ensure : unit -> unit
+val all : Hd_engine.Solver.t list
 
-(** [search ~kind ~input ~result ~name ~doc ~default_seed solve]
-    registers [result (solve ~within ~seed (input p))] as [name], with
+(** [search ~kind ~input ~result ~name ~doc ~default_seed solve] is the
+    entry [name] running [result (solve ~within ~seed (input p))], with
     the caller's seed or [default_seed]. *)
 val search :
   kind:Hd_engine.Solver.kind -> input:(Hd_engine.Solver.problem -> 'i) ->
   result:('r -> Hd_engine.Solver.result) -> name:string -> doc:string ->
   default_seed:int -> (within:Hd_engine.Budget.t -> seed:int -> 'i -> 'r) ->
-  unit
+  Hd_engine.Solver.t
 
 (** [of_int r] is the search core's int result as the registry's: the
     one conversion between the two types. *)

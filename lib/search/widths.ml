@@ -16,7 +16,6 @@ type report = {
 
 let analyze ?(within = Hd_engine.Budget.create ~time_limit:10.0 ()) ?(seed = 1)
     h =
-  Solvers.ensure ();
   let primal = Hypergraph.primal h in
   let acyclic = Hd_hypergraph.Acyclicity.is_acyclic h in
   (* the ladder stages run under [sub]-budgets of one common clock:
@@ -26,9 +25,8 @@ let analyze ?(within = Hd_engine.Budget.create ~time_limit:10.0 ()) ?(seed = 1)
      discarded *)
   Hd_engine.Budget.start within;
   let stage name stages p =
-    Hd_engine.Engine.run_by_name ~seed name
-      (Hd_engine.Budget.sub ~stages within)
-      p
+    let solver = List.find (fun (s : Solver.t) -> s.name = name) Solvers.all in
+    Hd_engine.Engine.run ~seed solver (Hd_engine.Budget.sub ~stages within) p
   in
   let tw = (stage "astar-tw" 4 (Solver.Graph primal)).outcome in
   let ghw = (stage "bb-ghw" 3 (Solver.Hypergraph h)).outcome in

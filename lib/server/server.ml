@@ -31,9 +31,7 @@ let default_config =
     default_max_states = None;
   }
 
-let ensure_registry () =
-  Hd_search.Solvers.ensure ();
-  Hd_ga.Solvers.ensure ()
+let ensure_registry = Hd_parallel.Registry.ensure
 
 (* --- loading problems --------------------------------------------- *)
 

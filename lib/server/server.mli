@@ -35,8 +35,8 @@ val default_config : config
     default time limit, no state cap. *)
 
 val ensure_registry : unit -> unit
-(** Force registration of every solver library ([Hd_search],
-    [Hd_ga]) — [serve] calls it; exposed for tests and embedders. *)
+(** {!Hd_parallel.Registry.ensure}: fill the solver table with every
+    solver — [serve] calls it; exposed for tests and embedders. *)
 
 type outcome = [ `Eof | `Shutdown ]
 

@@ -471,24 +471,6 @@ let prop_simplify_sound =
       && Td.width small = Td.width td
       && Td.n_nodes small <= Td.n_nodes td)
 
-let test_to_dot () =
-  let g = Graph.path 3 in
-  let td = Td.of_ordering g (Ordering.identity 3) in
-  let dot = Td.to_dot ~name:"p3" td in
-  check "has graph decl" true
-    (String.length dot > 10 && String.sub dot 0 8 = "graph p3");
-  (* one node line per bag, one edge line per tree edge *)
-  let count_substring needle =
-    let rec go i acc =
-      if i + String.length needle > String.length dot then acc
-      else if String.sub dot i (String.length needle) = needle then
-        go (i + 1) (acc + 1)
-      else go (i + 1) acc
-    in
-    go 0 0
-  in
-  check_int "edges" (Td.n_nodes td - 1) (count_substring " -- ")
-
 (* --- incremental heuristics vs the naive reference --- *)
 
 module Obs = Hd_obs.Obs
@@ -651,7 +633,6 @@ let () =
       ( "simplify",
         [
           Alcotest.test_case "path" `Quick test_simplify_path;
-          Alcotest.test_case "to_dot" `Quick test_to_dot;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_simplify_sound ] );
       ( "pace io",

@@ -388,8 +388,6 @@ let test_regression_sweep_roundtrip () =
     (List.length (Regression.diff ~baseline:wrapped ~current:section ()))
 
 let () =
-  Hd_search.Solvers.ensure ();
-  Hd_ga.Solvers.ensure ();
   Alcotest.run "hd_corpus"
     [
       ( "parsing",

@@ -18,10 +18,6 @@ module Obs = Hd_obs.Obs
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let ensure_registry () =
-  Hd_search.Solvers.ensure ();
-  Hd_ga.Solvers.ensure ()
-
 (* ------------------------------------------------------------------ *)
 (* Clock                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -140,7 +136,7 @@ let test_budget_sub_own_cancel_flag () =
   (* end to end: block solving still succeeds after a sibling cancel —
      two triangles joined at a cut vertex split into two blocks, each
      solved under its own sub of the same parent *)
-  ensure_registry ();
+  Hd_parallel.Registry.ensure ();
   let g =
     Graph.of_edges 5 [ (0, 1); (1, 2); (0, 2); (2, 3); (3, 4); (2, 4) ]
   in
@@ -244,16 +240,16 @@ let test_split_covers_vertices () =
 (* ------------------------------------------------------------------ *)
 
 let test_registry_idempotent () =
-  ensure_registry ();
+  Hd_parallel.Registry.ensure ();
   let names = S.names () in
-  ensure_registry ();
+  Hd_parallel.Registry.ensure ();
   check "double ensure keeps the roster" true (names = S.names ());
   check "astar-tw present" true (S.find "astar-tw" <> None);
   check "saiga-ghw present" true (S.find "saiga-ghw" <> None);
   check "unknown absent" true (S.find "no-such-solver" = None)
 
 let test_run_by_name_unknown () =
-  ensure_registry ();
+  Hd_parallel.Registry.ensure ();
   check "unknown name raises" true
     (try
        ignore
@@ -272,7 +268,7 @@ let test_run_by_name_unknown () =
 let test_all_solvers_sound_under_tiny_budget () =
   (* every registered solver must return quickly under a 50ms deadline
      with consistent bounds and a witness no better than it claims *)
-  ensure_registry ();
+  Hd_parallel.Registry.ensure ();
   let g = Hd_instances.Graphs.grid 3 in
   let h = Hypergraph.of_graph g in
   List.iter
@@ -312,8 +308,7 @@ let test_all_solvers_sound_under_tiny_budget () =
    circuit_03 of the bundled corpus is large enough that no exact
    solver finishes in 0.1s. *)
 let test_registry_budget_adherence () =
-  ensure_registry ();
-  Hd_parallel.Par_solvers.ensure ();
+  Hd_parallel.Registry.ensure ();
   let h =
     match List.assoc_opt "csp-synth" (Hd_instances.Mini_corpus.collections ()) with
     | Some files -> Hd_hypergraph.Hg_format.parse_string (List.assoc "circuit_03.hg" files)
@@ -400,8 +395,7 @@ let prop_cross_solver_bounds =
   QCheck.Test.make ~count:200 ~name:"every lb <= every ub of the same width"
     QCheck.(triple (int_bound 10_000) (int_range 3 7) (int_range 1 20))
     (fun (seed, n, max_states) ->
-      ensure_registry ();
-      Hd_parallel.Par_solvers.ensure ();
+      Hd_parallel.Registry.ensure ();
       let h = random_hypergraph seed n in
       let bounds =
         List.map
@@ -428,8 +422,7 @@ let prop_cross_solver_bounds =
    only when it is the true one.  Tiny caps on random instances whose
    initial upper bound is often not optimal make the cut common. *)
 let test_capped_astar_exact_is_true () =
-  ensure_registry ();
-  Hd_parallel.Par_solvers.ensure ();
+  Hd_parallel.Registry.ensure ();
   for seed = 0 to 249 do
     let h = random_hypergraph seed (5 + (seed mod 5)) in
     let run name within p = (Engine.run_by_name ~seed:1 name within p).S.outcome in
@@ -478,7 +471,7 @@ let value_of = function
   | S.Bounds _ -> Alcotest.fail "expected an exact outcome on a tiny instance"
 
 let test_blocks_chain_tw () =
-  ensure_registry ();
+  Hd_parallel.Registry.ensure ();
   let core = Hd_instances.Graphs.queen 4 in
   let chain = Hd_instances.Graphs.chain ~copies:3 core in
   let solo =
@@ -515,7 +508,7 @@ let prop_blocks_equal_mono_tw =
   QCheck.Test.make ~count:8 ~name:"blocks: tw(chain) = tw(core), split = mono"
     QCheck.(pair (int_bound 1000) (int_range 2 3))
     (fun (seed, copies) ->
-      ensure_registry ();
+      Hd_parallel.Registry.ensure ();
       let core = Hd_instances.Graphs.random_gnp ~seed ~n:6 ~p:0.5 in
       let chain = Hd_instances.Graphs.chain ~copies core in
       let run ?blocks p =
@@ -542,7 +535,7 @@ let prop_blocks_equal_mono_ghw =
   QCheck.Test.make ~count:6 ~name:"blocks: ghw(chain) = ghw(core), split = mono"
     QCheck.(int_bound 1000)
     (fun seed ->
-      ensure_registry ();
+      Hd_parallel.Registry.ensure ();
       let core = Hd_instances.Graphs.random_gnp ~seed ~n:5 ~p:0.6 in
       (* of_graph gives one 2-vertex hyperedge per graph edge, so an
          isolated vertex would lie in no hyperedge — not a valid ghw
@@ -574,7 +567,7 @@ let test_blocks_parallel_identical () =
      blocks as concurrent tasks — and the full result (outcome,
      stitched witness, state counts) is byte-identical to the
      sequential driver, the -j1 acceptance bar of the refactor *)
-  ensure_registry ();
+  Hd_parallel.Registry.ensure ();
   let chain = Hd_instances.Graphs.chain ~copies:3 (Hd_instances.Graphs.queen 4) in
   let solve budget =
     Engine.run_by_name ~seed:1 "bb-tw" budget (S.Graph chain)
@@ -599,7 +592,7 @@ let test_blocks_cancel_under_runner () =
   (* the sibling-cancel regression, now through the scheduler:
      cancelling one sub of the parent budget must not leak into the
      concurrently-forked block solves *)
-  ensure_registry ();
+  Hd_parallel.Registry.ensure ();
   let g =
     Graph.of_edges 5 [ (0, 1); (1, 2); (0, 2); (2, 3); (3, 4); (4, 2) ]
   in
@@ -706,7 +699,7 @@ let test_step_slices_whole_engine_run () =
   (* the integration the server relies on: Engine.run (with block
      splitting and sub-budgets) parks and resumes transparently,
      because every sub shares the root's slice deadline cell *)
-  ensure_registry ();
+  Hd_parallel.Registry.ensure ();
   (* grids are heuristically closed for bb-tw (root lb = min-fill ub),
      which would finish without a single ticker poll; the GA polls on
      every fitness evaluation, so a state cap guarantees a long,
@@ -726,7 +719,7 @@ let test_step_slices_blocks_under_runner () =
      its budget carries a scheduler: forked blocks would run unsliced
      and never park.  Slicing moves no state, so the result equals an
      unsliced run's *)
-  ensure_registry ();
+  Hd_parallel.Registry.ensure ();
   let chain = Hd_instances.Graphs.chain ~copies:3 (Graph.grid 4 4) in
   check "multi-block instance" true
     (List.length (Blocks.split chain) >= 3);
@@ -743,6 +736,27 @@ let test_step_slices_blocks_under_runner () =
       check "parked at least twice" true (Step.slices step >= 3);
       check "outcome = unsliced" true (r.S.outcome = plain.S.outcome);
       check "witness = unsliced" true (r.S.ordering = plain.S.ordering))
+
+let test_step_slices_hdastar_worker () =
+  (* a budget without a scheduler runs HDA*'s one worker inline, as
+     every server job does: it parks on the slice deadline like the
+     sequential A*, and slicing moves no state *)
+  Hd_parallel.Registry.ensure ();
+  let h =
+    Hd_hypergraph.Hg_format.parse_string
+      (List.assoc "circuit_03.hg"
+         (List.assoc "csp-synth" (Hd_instances.Mini_corpus.collections ())))
+  in
+  let solver = Option.get (S.find "astar-ghw-par") in
+  let run b = Engine.run ~seed:1 solver b (S.Hypergraph h) in
+  let plain = run (B.create ~max_states:2000 ()) in
+  let b = B.create ~max_states:2000 () in
+  let step = Step.make b (fun () -> run b) in
+  let r = Step.run_to_completion ~seconds:0.0 step in
+  check "parked at least once" true (Step.slices step >= 2);
+  check "outcome = unsliced" true (r.S.outcome = plain.S.outcome);
+  check_int "visited = unsliced" plain.S.visited r.S.visited;
+  check_int "generated = unsliced" plain.S.generated r.S.generated
 
 (* ------------------------------------------------------------------ *)
 (* Source invariants: one clock, one domain spawner, one join kernel   *)
@@ -795,6 +809,19 @@ let test_one_domain_spawner () =
   Alcotest.(check (list string))
     "Domain.spawn only in lib/engine/scheduler.ml" []
     (sources_mentioning ~exempt ("Domain." ^ "spawn") [ "../lib"; "../bin" ])
+
+let test_one_solver_registrar () =
+  (* which solvers exist is decided in one place, so no front door can
+     see a subset of the table *)
+  let exempt path = Filename.check_suffix path "lib/parallel/registry.ml" in
+  Alcotest.(check (list string))
+    "Solver.register only in lib/parallel/registry.ml" []
+    (sources_mentioning ~exempt ("Solver." ^ "register") [ "../lib"; "../bin" ]
+    |> List.filter (fun p -> Filename.check_suffix p ".ml"));
+  Alcotest.(check (list string))
+    "no aliased S.register under lib/ and bin/" []
+    (sources_mentioning ~exempt:(fun _ -> false) ("S." ^ "register")
+       [ "../lib"; "../bin" ])
 
 let test_one_ordering_search () =
   (* tw, ghw and fhw differ only in their Bag_cost: one module walks
@@ -916,6 +943,8 @@ let () =
             test_step_slices_whole_engine_run;
           Alcotest.test_case "slices blocks with a runner installed" `Quick
             test_step_slices_blocks_under_runner;
+          Alcotest.test_case "slices HDA*'s inline worker" `Quick
+            test_step_slices_hdastar_worker;
         ] );
       ( "local search",
         [
@@ -927,6 +956,8 @@ let () =
           Alcotest.test_case "no direct clock reads" `Quick
             test_no_direct_clock_reads;
           Alcotest.test_case "one domain spawner" `Quick test_one_domain_spawner;
+          Alcotest.test_case "one solver registrar" `Quick
+            test_one_solver_registrar;
           Alcotest.test_case "one join kernel" `Quick test_one_join_kernel;
           Alcotest.test_case "one ordering search" `Quick
             test_one_ordering_search;

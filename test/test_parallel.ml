@@ -408,8 +408,8 @@ let test_hdastar_budget_bounds () =
       | Search.Exact _ -> Alcotest.fail "50 states cannot close queen5_5")
 
 let test_par_solvers_registered () =
-  Hd_parallel.Par_solvers.ensure ();
-  Hd_parallel.Par_solvers.ensure ();
+  Hd_parallel.Registry.ensure ();
+  Hd_parallel.Registry.ensure ();
   let module S = Hd_engine.Solver in
   check "astar-tw-par registered" true (S.find "astar-tw-par" <> None);
   check "astar-ghw-par registered" true (S.find "astar-ghw-par" <> None);
@@ -419,7 +419,7 @@ let test_par_solvers_registered () =
    (or one island) on the calling domain: two runs agree in outcome,
    counts and witness, whatever the machine's core count *)
 let test_par_entries_deterministic () =
-  Hd_parallel.Par_solvers.ensure ();
+  Hd_parallel.Registry.ensure ();
   let module S = Hd_engine.Solver in
   let p = S.Graph (graph "queen5_5") in
   List.iter

@@ -643,54 +643,62 @@ let test_colexec_index_keysum () =
   check_int "keysum 2" 3 (Cx.Keysum.find ks [| 2 |]);
   check_int "keysum missing" 0 (Cx.Keysum.find ks [| 42 |])
 
-(* ISSUE acceptance: the partitioned-parallel columnar passes are
-   byte-identical to the sequential ones — chunk boundaries depend only
-   on the probe count and the grain, outputs concatenate in chunk
-   order.  The grain is forced tiny so even these small relations run
-   multi-chunk. *)
+(* the partitioned-parallel columnar passes are byte-identical to the
+   sequential ones — chunk boundaries depend only on the probe count,
+   outputs concatenate in chunk order.  Every probe side here is above
+   the 2,048-row chunk, so each parallel call runs several chunks,
+   counted as scheduler tasks. *)
 let test_colexec_parallel_identical () =
-  Fun.protect
-    ~finally:(fun () -> Cx.set_grain Cx.default_grain)
-    (fun () ->
-      Cx.set_grain 8;
-      Hd_engine.Scheduler.with_scheduler ~workers:3 (fun s ->
-          let rng = Random.State.make [| 11 |] in
-          let rows n k =
-            List.init n (fun _ ->
-                Array.init k (fun _ -> Random.State.int rng 40))
-          in
-          let a = qr [| 0; 1 |] (rows 300 2) in
-          let b = qr [| 1; 2 |] (rows 200 2) in
-          let seq_sel =
-            Cx.semijoin
-              ~probe:(a, Cx.all_rows a, [| 1 |])
-              ~build:(b, Cx.all_rows b, [| 0 |])
-              ()
-          in
-          let par_sel =
+  Obs.enable ();
+  let tasks = Obs.Counter.make "parallel.tasks" in
+  let chunked label f =
+    let before = Obs.Counter.value tasks in
+    let v = f () in
+    check (label ^ " ran several chunks") true
+      (Obs.Counter.value tasks - before >= 2);
+    v
+  in
+  Hd_engine.Scheduler.with_scheduler ~workers:3 (fun s ->
+      let rng = Random.State.make [| 11 |] in
+      let key () = Random.State.int rng 40 in
+      (* a's first column keeps its 5,000 rows distinct *)
+      let a = qr [| 0; 1 |] (List.init 5000 (fun i -> [| i; key () |])) in
+      let b = qr [| 1; 2 |] (List.init 200 (fun _ -> [| key (); key () |])) in
+      let seq_sel =
+        Cx.semijoin
+          ~probe:(a, Cx.all_rows a, [| 1 |])
+          ~build:(b, Cx.all_rows b, [| 0 |])
+          ()
+      in
+      let par_sel =
+        chunked "semijoin" (fun () ->
             Cx.semijoin ~par:s
               ~probe:(a, Cx.all_rows a, [| 1 |])
               ~build:(b, Cx.all_rows b, [| 0 |])
-              ()
+              ())
+      in
+      check "parallel semijoin byte-identical" true (seq_sel = par_sel);
+      let seq_j = Cx.join_project [ a; b ] ~scope:[| 0; 2 |] in
+      let par_j =
+        chunked "join-project" (fun () ->
+            Cx.join_project ~par:s [ a; b ] ~scope:[| 0; 2 |])
+      in
+      check "parallel join-project byte-identical" true
+        (Qrelation.rows seq_j = Qrelation.rows par_j);
+      (* end to end through Yannakakis: same answers, same counts,
+         same reduction stats *)
+      let db = db_of_edges (triangle_plus_chain 3000) in
+      List.iter
+        (fun q ->
+          let seq_r = Y.run ~mode:Y.Answers db q in
+          let par_r =
+            chunked "Yannakakis" (fun () -> Y.run ~par:s ~mode:Y.Answers db q)
           in
-          check "parallel semijoin byte-identical" true (seq_sel = par_sel);
-          let seq_j = Cx.join_project [ a; b ] ~scope:[| 0; 2 |] in
-          let par_j = Cx.join_project ~par:s [ a; b ] ~scope:[| 0; 2 |] in
-          check "parallel join-project byte-identical" true
-            (Qrelation.rows seq_j = Qrelation.rows par_j);
-          (* end to end through Yannakakis: same answers, same counts,
-             same reduction stats *)
-          let db = db_of_edges (triangle_plus_chain 60) in
-          List.iter
-            (fun q ->
-              let seq_r = Y.run ~mode:Y.Answers db q in
-              let par_r = Y.run ~par:s ~mode:Y.Answers db q in
-              check_answers "parallel answers identical"
-                (sorted seq_r.Y.answers) (sorted par_r.Y.answers);
-              check_int "parallel count identical" seq_r.Y.count par_r.Y.count;
-              check "parallel stats identical" true
-                (seq_r.Y.stats = par_r.Y.stats))
-            [ triangle_q; two_hop_q ]))
+          check_answers "parallel answers identical" (sorted seq_r.Y.answers)
+            (sorted par_r.Y.answers);
+          check_int "parallel count identical" seq_r.Y.count par_r.Y.count;
+          check "parallel stats identical" true (seq_r.Y.stats = par_r.Y.stats))
+        [ triangle_q; two_hop_q ])
 
 (* the columnar engine agrees with brute force -- same answer
    multiset, Count and Boolean results, and a query.answers counter

@@ -11,8 +11,7 @@ let check_int = Alcotest.(check int)
 
 (* a registry entry with its default seed, as the CLI runs it *)
 let entry name ?(within = Hd_engine.Budget.create ()) problem =
-  Hd_search.Solvers.ensure ();
-  Hd_parallel.Par_solvers.ensure ();
+  Hd_parallel.Registry.ensure ();
   (Option.get (Solver.find name)).run within problem
 
 let astar_tw ?within g = entry "astar-tw" ?within (Solver.Graph g)
@@ -287,7 +286,7 @@ let test_hw_corpus_decide () =
 let test_hw_state_budget () =
   (* det-k ticks one state per expanded subproblem, so a state cap
      stops it; a timeout keeps the k refuted before it *)
-  Hd_search.Solvers.ensure ();
+  Hd_parallel.Registry.ensure ();
   let h = corpus_instance "grid2d_08" in
   let r, secs =
     Hd_engine.Clock.time @@ fun () ->
@@ -353,7 +352,7 @@ let test_descendant_condition_detects () =
     let sigma = Ordering.random rng 6 in
     let ghd = Ghd.of_ordering h sigma ~cover:`Exact in
     (* the checker must at least run and be consistent with validity *)
-    ignore (Dkd.descendant_condition_holds h ghd);
+    ignore (Dkd.special_condition_holds h ghd);
     if not (Ghd.valid h ghd) then ok := false
   done;
   check "ghds remain valid" true !ok
@@ -405,7 +404,7 @@ let test_fhw_triangle () =
   check "triangle fhw = 3/2" true (Rat.equal (Rat.make 3 2) (exact_q_of r));
   check_int "triangle ghw = 2" 2 (exact_of (bb_ghw h));
   (* the registry view reports the ceiling *)
-  Hd_search.Solvers.ensure ();
+  Hd_parallel.Registry.ensure ();
   let via_registry =
     Hd_engine.Engine.run_by_name ~seed:1 "fhw-bb"
       (Hd_engine.Budget.create ())
@@ -1105,8 +1104,7 @@ let dedup_pinned_run name width =
     if width = "tw" then Solver.Graph (Hypergraph.primal h)
     else Solver.Hypergraph h
   in
-  Hd_search.Solvers.ensure ();
-  Hd_parallel.Par_solvers.ensure ();
+  Hd_parallel.Registry.ensure ();
   let r =
     (Option.get (Solver.find ("astar-" ^ width ^ "-par"))).run ~seed:1
       (Hd_engine.Budget.create ~max_states:4000 ())

@@ -509,6 +509,72 @@ let test_serve_transcript () =
   in
   check "serve returned Shutdown" true (outcome = `Shutdown)
 
+(* the parallel registry entries are served like any other: the
+   [solvers] reply lists them, and a submit naming one runs its lone
+   worker (or island) inline under the job's slices to a witness no
+   wider than its upper bound *)
+let test_serve_parallel_solvers () =
+  let config =
+    {
+      Server.default_config with
+      Server.workers = 2;
+      slice = 0.01;
+      default_time_limit = Some 20.0;
+    }
+  in
+  let text = Hg_format.to_string (grid_hg 3 4) in
+  let h = hg text in
+  let eval = Hd_core.Eval.of_hypergraph h in
+  let (), outcome =
+    with_server ~config (fun send recv ->
+        send {|{"op":"solvers"}|};
+        let names =
+          match jget (recv ()) "solvers" with
+          | J.List l -> List.map (fun s -> jstr s "name") l
+          | v -> Alcotest.failf "solvers not a list: %s" (J.to_compact v)
+        in
+        List.iter
+          (fun name ->
+            check (name ^ " listed") true (List.mem name names);
+            send
+              (J.to_compact
+                 (J.Obj
+                    [
+                      ("op", J.String "submit");
+                      ("hypergraph", J.String text);
+                      ("solver", J.String name);
+                      ("max_states", J.Int 2000);
+                      ("cache", J.Bool false);
+                      ("ordering", J.Bool true);
+                    ]));
+            let r = recv () in
+            check (name ^ " submit ok") true (jbool r "ok");
+            send
+              (Printf.sprintf {|{"op":"wait","job":%d,"timeout":30}|}
+                 (jint r "job"));
+            let w = recv () in
+            check_str (name ^ " done") "done" (jstr w "state");
+            let res = jget w "result" in
+            check_str (name ^ " echoed") name (jstr res "solver");
+            match jget res "ordering" with
+            | J.List l ->
+                let sigma =
+                  Array.of_list
+                    (List.map
+                       (function
+                         | J.Int v -> v
+                         | v -> Alcotest.failf "vertex %s" (J.to_compact v))
+                       l)
+                in
+                check (name ^ " witness width <= ub") true
+                  (Hd_core.Eval.ghw_width_exact eval sigma <= jint res "ub")
+            | v -> Alcotest.failf "no witness ordering: %s" (J.to_compact v))
+          [ "astar-ghw-par"; "saiga-ghw-par" ];
+        send {|{"op":"shutdown"}|};
+        ignore (recv ()))
+  in
+  check "serve returned Shutdown" true (outcome = `Shutdown)
+
 (* the bulk op end to end: N isomorphic cyclic queries over one CSV
    instance share exactly one decomposition through the cache, and the
    answer counts match the in-process brute-force oracle *)
@@ -646,6 +712,8 @@ let () =
         [
           Alcotest.test_case "transcript" `Slow test_serve_transcript;
           Alcotest.test_case "bulk transcript" `Slow test_serve_bulk;
+          Alcotest.test_case "parallel solvers" `Slow
+            test_serve_parallel_solvers;
           Alcotest.test_case "eof" `Quick test_serve_eof_closes;
         ] );
     ]
