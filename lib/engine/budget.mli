@@ -14,7 +14,7 @@
       closure are honoured too: a solver publishes its bounds there,
       and a target is a lower bound raised on it;
     - optionally the {!Scheduler.t} the run may fork onto.  Block
-      solves ({!Blocks.solve}), HDA* and [saiga-ghw-par] read it here;
+      solves ({!Blocks.solve}), HDA* and the SAIGA islands read it here;
       without one they run on the calling domain, so a budget built
       without a scheduler gives the same result at any core count.
       Sub-budgets and {!pooled} views inherit it.

@@ -8,19 +8,19 @@
     creates one owns it and hands it down explicitly.  A solve finds
     the scheduler it may fork onto in its running budget
     ({!Budget.scheduler}): biconnected block solves ({!Blocks.solve}),
-    the HDA* [-par] solvers ([Hd_parallel.Hdastar]) and [saiga-ghw-par]
-    read it there, and a budget without one runs them on the calling
-    domain.  Solve tasks forked through {!run_all} — blocks, and HDA*'s
+    the HDA* [-par] solvers ([Hd_parallel.Hdastar]) and the SAIGA
+    islands ([Hd_ga.Saiga_ghw]) read it there, and a budget without one
+    runs them on the calling domain.  Solve tasks forked through {!run_all} — blocks, and HDA*'s
     workers when the budget lends a scheduler — run under
     [Step.unsliced], because a slice deadline armed on another domain
     must not park them; a solve run inline on the calling domain, such
     as HDA*'s lone worker without a scheduler, parks on its slice like
     any sequential solver.  Partitioned columnar query passes ([Hd_query.Colexec]) take
     an instance as [?par].  The server's time-sliced jobs
-    ([Hd_server.Jobs]), portfolio races ([Hd_parallel.Portfolio]),
-    parallel SAIGA ([Hd_parallel.Saiga_par]) and corpus sweeps
-    ([Hd_corpus.Sweep]) fork/join their members on a private instance
-    sized to the member count.
+    ([Hd_server.Jobs]), portfolio races ([Hd_parallel.Portfolio]) and
+    corpus sweeps ([Hd_corpus.Sweep]) fork/join their members on a
+    private instance sized to the member count; they are the only
+    creators of one under [lib/], and no solver owns a pool.
 
     Two task shapes cover all of them: fork/join closures
     ({!run_all}, {!map_array}), and a resumable turn ({!resume}) that

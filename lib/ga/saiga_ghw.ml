@@ -78,17 +78,21 @@ let random_params rng =
 
 let run ?(within = Hd_engine.Budget.create ()) config h =
   Obs.with_span "saiga_ghw.run" @@ fun () ->
-  let tk = Hd_engine.Budget.ticker within in
+  (* one state cap for all islands together, one ticker each *)
+  let within = Hd_engine.Budget.pooled within in
   let n_genes = Hd_hypergraph.Hypergraph.n_vertices h in
   let k = max 1 config.n_islands in
   let rngs =
     Array.init k (fun i -> Random.State.make [| config.seed; i |])
   in
-  (* one evaluator workspace per island: an island's checkpoints only
-     ever see that island's orderings.  Every evaluation ticks the
-     shared budget, so deadlines are noticed mid-epoch. *)
+  (* tickers and evaluator workspaces are single-domain, and an
+     island's epoch may run on any executor: each island owns one of
+     each, so its checkpoints only ever see its own orderings.  Every
+     evaluation ticks the budget, so deadlines are noticed mid-epoch. *)
+  let tickers = Array.init k (fun _ -> Hd_engine.Budget.ticker within) in
   let evals =
     Array.init k (fun i ->
+        let tk = tickers.(i) in
         let ws =
           Hd_core.Eval.of_hypergraph ~seed:(config.seed lxor 0x717 lxor i) h
         in
@@ -105,7 +109,16 @@ let run ?(within = Hd_engine.Budget.create ()) config h =
           ~size:(max 2 config.island_population)
           ~eval:evals.(i))
   in
-  let out_of_time () = Hd_engine.Budget.out_of_budget tk in
+  let out_of_time () = Array.exists Hd_engine.Budget.out_of_budget tickers in
+  (* one island's epoch touches only that island's state *)
+  let evolve i () =
+    for _ = 1 to config.epoch_length do
+      if not (Hd_engine.Budget.out_of_budget tickers.(i)) then
+        Ga_engine.Population.step islands.(i) ~params:params.(i)
+          ~crossover:config.crossover ~mutation:config.mutation
+          ~eval:evals.(i) rngs.(i)
+    done
+  in
   let global_best () =
     Array.fold_left
       (fun (bf, bi) island ->
@@ -123,17 +136,19 @@ let run ?(within = Hd_engine.Budget.create ()) config h =
   while !epoch < config.max_epochs && not (out_of_time ()) do
     incr epoch;
     Obs.Counter.incr c_epochs;
-    (* evolve every island for one epoch *)
-    Array.iteri
-      (fun i island ->
-        for _ = 1 to config.epoch_length do
-          if not (out_of_time ()) then
-            Ga_engine.Population.step island ~params:params.(i)
-              ~crossover:config.crossover ~mutation:config.mutation
-              ~eval:evals.(i) rngs.(i)
-        done)
-      islands;
-    (* neighbour orientation and migration on the ring *)
+    (* evolve every island for one epoch.  Islands may leave this
+       domain; inside a sliced solve they stay here, in island order,
+       because the Slice_expired handler lives on the slicing domain *)
+    (match Hd_engine.Budget.scheduler within with
+    | Some sched when not (Hd_engine.Budget.in_slice within) ->
+        Hd_engine.Scheduler.run_all sched
+          (List.init k (fun i () -> Hd_engine.Step.unsliced (evolve i)))
+    | _ ->
+        for i = 0 to k - 1 do
+          evolve i ()
+        done);
+    (* the epoch barrier: neighbour orientation and migration on the
+       ring, on the caller *)
     let fitness = Array.map (fun isl -> fst (Ga_engine.Population.best isl)) islands in
     let next_params = Array.copy params in
     for i = 0 to k - 1 do
@@ -161,6 +176,6 @@ let run ?(within = Hd_engine.Budget.create ()) config h =
       Array.fold_left
         (fun acc isl -> acc + Ga_engine.Population.evaluations isl)
         0 islands;
-    elapsed = Hd_engine.Budget.ticker_elapsed tk;
+    elapsed = Hd_engine.Budget.ticker_elapsed tickers.(0);
     final_params = params;
   }

@@ -12,6 +12,10 @@
     keep exploring — no hand tuning required, the property Table 7.2
     demonstrates.
 
+    {!run} is the tree's one island driver: the [saiga-ghw] registry
+    entry runs it with four islands, [saiga-ghw-par] with one island
+    per executor of the budget's scheduler.
+
     The paper's pages describing the exact orientation arithmetic are
     not in the supplied text; the reconstruction here (documented in
     DESIGN.md) moves each parameter halfway toward the better
@@ -56,22 +60,17 @@ val run :
 (** [within] is the run's one budget, shared by every island; its
     incumbent, if any, receives the ghw upper bound after every epoch
     and stops the run once it closes or is cancelled.  See
-    {!Ga_engine.run}. *)
+    {!Ga_engine.run}.
 
-(** {2 Self-adaptation primitives}
-
-    Exposed for the domain-parallel island driver
-    ({e Hd_parallel.Saiga_par}), which re-implements only the epoch
-    loop and migration topology, not the adaptation arithmetic. *)
-
-val random_params : Random.State.t -> Ga_engine.params
-(** Fresh random control-parameter vector (Section 7.2.3). *)
-
-val orient : Ga_engine.params -> Ga_engine.params -> Ga_engine.params
-(** [orient own better] moves [own] halfway toward [better]
-    (Section 7.2.5). *)
-
-val mutate_params :
-  Random.State.t -> float -> Ga_engine.params -> Ga_engine.params
-(** [mutate_params rng tau p] log-normally perturbs every component of
-    [p] (Section 7.2.4). *)
+    Each epoch evolves the islands as one task per island.  When
+    [within] carries a scheduler ({!Hd_engine.Budget.scheduler}) and
+    no slice is armed on it, the tasks fork onto it with
+    {!Hd_engine.Scheduler.run_all} under {!Hd_engine.Step.unsliced};
+    otherwise they run on the caller in island order.  Orientation,
+    migration and self-adaptation happen on the caller at the epoch
+    barrier.  Every island owns its ticker on
+    [Hd_engine.Budget.pooled within], so the state cap bounds all
+    islands' evaluations together.  An island's epoch depends only on
+    that island's state, so the report is the same with or without a
+    scheduler and at any worker count, unless a deadline,
+    cancellation or the shared state cap cuts the run mid-epoch. *)

@@ -29,14 +29,14 @@ let sa_config ?seed ~default_seed b =
     ~max_steps:(if deadline then max_int else 20_000)
     ~seed:(Option.value seed ~default:default_seed) ()
 
-let saiga ?(n_islands = 4) run ?seed b p =
+let saiga ~n_islands ?seed b p =
   let deadline = B.time_limit b <> None in
   let config =
     Saiga_ghw.default_config ~n_islands ~island_population:60
       ~max_epochs:(if deadline then 10_000 else 40)
       ~seed:(Option.value seed ~default:0x5a16a) ()
   in
-  let r = run ?within:(Some b) config (S.hypergraph_of p) in
+  let r = Saiga_ghw.run ~within:b config (S.hypergraph_of p) in
   {
     S.outcome = outcome_of b r.Saiga_ghw.best;
     visited = r.Saiga_ghw.epochs;
@@ -120,6 +120,6 @@ let all =
       S.name = "saiga-ghw";
       kind = S.Ghw;
       doc = "self-adaptive island GA for ghw (Section 7.2)";
-      run = saiga Saiga_ghw.run;
+      run = saiga ~n_islands:4;
     };
   ]

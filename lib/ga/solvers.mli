@@ -13,16 +13,13 @@
 
 val all : Hd_engine.Solver.t list
 
-(** [saiga ?n_islands run] is the [saiga-ghw] entry's solve with its
-    registry settings (60 individuals per island, [n_islands] islands,
-    default 4), with the islands driven by [run] — {!Saiga_ghw.run}
-    here, [Hd_parallel.Saiga_par.run] for [saiga-ghw-par]. *)
+(** [saiga ~n_islands] is the [saiga-ghw] entry's solve with its
+    registry settings (60 individuals per island) on [n_islands]
+    islands: 4 for [saiga-ghw], one per scheduler executor for
+    [saiga-ghw-par].  Either forks its islands onto the budget's
+    scheduler when it has one ({!Saiga_ghw.run}). *)
 val saiga :
-  ?n_islands:int ->
-  (?within:Hd_engine.Budget.t ->
-  Saiga_ghw.config ->
-  Hd_hypergraph.Hypergraph.t ->
-  Saiga_ghw.report) ->
+  n_islands:int ->
   ?seed:int ->
   Hd_engine.Budget.t ->
   Hd_engine.Solver.problem ->

@@ -1,3 +1,7 @@
+(* 65,536 vertices make a 512 MiB adjacency matrix; the largest
+   bundled instance has 893 *)
+let max_vertices = 65_536
+
 let parse_string text =
   let graph = ref None in
   let pending = ref [] in
@@ -34,6 +38,9 @@ let parse_string text =
           | None ->
               let n = int lineno "vertex count" n in
               if n < 0 then fail lineno "vertex count %d is negative" n;
+              if n > max_vertices then
+                fail lineno "vertex count %d exceeds the maximum %d" n
+                  max_vertices;
               ignore (int lineno "edge count" m);
               let g = Graph.create n in
               List.iter (add g) (List.rev !pending);

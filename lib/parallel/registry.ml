@@ -26,7 +26,7 @@ let par =
             | Some s -> Scheduler.size s + 1
             | None -> 1
           in
-          Hd_ga.Solvers.saiga ~n_islands Saiga_par.run ?seed b p);
+          Hd_ga.Solvers.saiga ~n_islands ?seed b p);
     };
   ]
 

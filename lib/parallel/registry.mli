@@ -4,7 +4,7 @@
     heuristics of [Hd_search.Solvers.all], the metaheuristics of
     [Hd_ga.Solvers.all], and the parallel variants: [astar-tw-par] and
     [astar-ghw-par], the {!Hdastar} hash-distributed searches, and
-    [saiga-ghw-par], {!Saiga_par} with the [saiga-ghw] registry
+    [saiga-ghw-par], [Hd_ga.Saiga_ghw] with the [saiga-ghw] registry
     settings.  The table lists them grouped by kind (tw, ghw, fhw,
     hw), in that order within each kind — the order
     [hd_decompose --list-solvers] prints and the server's [solvers]
@@ -16,8 +16,9 @@
 
     The parallel variants size themselves from the scheduler of the
     budget they run under ({!Hd_engine.Budget.scheduler}): HDA* runs
-    one worker per executor ([Scheduler.size s + 1]), parallel SAIGA
-    one island per executor.  Without a scheduler both run a single
+    one worker per executor ([Scheduler.size s + 1]), [saiga-ghw-par]
+    one island per executor, and both fork onto that scheduler rather
+    than spawn their own.  Without a scheduler both run a single
     worker or island on the calling domain, so their result does not
     depend on the machine's core count; one HDA* worker is the
     deduplicating A*.  Their default seeds are [astar-tw]'s [0x7ea],

@@ -2,10 +2,10 @@
 
     Exactly one domain may push and exactly one domain may pop (they
     can be the same).  Both operations are constant-time, non-blocking
-    and allocation-free apart from the [Some] cell.  The parallel SAIGA
-    islands use one ring per directed ring edge: a full inbox drops the
-    migrant, an empty inbox skips migration — no island ever waits on a
-    neighbour, which is what makes the topology deadlock-free.
+    and allocation-free apart from the [Some] cell.  HDA* ({!Hdastar})
+    keeps one ring per ordered pair of workers for the states it
+    hashes to another worker; a full ring leaves the batch with its
+    sender, so no worker ever blocks on a peer.
 
     Memory-model note: the payload is written into a per-slot
     [Atomic.t] {e before} the tail counter is advanced, and read after

@@ -768,7 +768,9 @@ let contains ~sub s =
   go 0
 
 (* the .ml/.mli files under [dirs] (source trees this test declares as
-   deps) that mention [needle], skipping paths [exempt] accepts *)
+   deps) that mention [needle], skipping paths [exempt] accepts.  The
+   dirs are relative to _build/default/test, where dune runs the suite;
+   a missing one fails the test rather than scanning nothing *)
 let sources_mentioning ~exempt needle dirs =
   let offenders = ref [] in
   let rec walk dir =
@@ -788,7 +790,13 @@ let sources_mentioning ~exempt needle dirs =
         end)
       (Sys.readdir dir)
   in
-  List.iter (fun d -> if Sys.file_exists d then walk d) dirs;
+  List.iter
+    (fun d ->
+      if not (Sys.file_exists d && Sys.is_directory d) then
+        Alcotest.failf "source directory %s not found from %s" d
+          (Sys.getcwd ());
+      walk d)
+    dirs;
   !offenders
 
 (* the needles are split so this file does not match itself *)
@@ -809,6 +817,21 @@ let test_one_domain_spawner () =
   Alcotest.(check (list string))
     "Domain.spawn only in lib/engine/scheduler.ml" []
     (sources_mentioning ~exempt ("Domain." ^ "spawn") [ "../lib"; "../bin" ])
+
+let test_no_solver_owns_a_pool () =
+  (* a solve forks onto the scheduler its budget carries; only the
+     orchestrators that size a pool to their members create one *)
+  let owners =
+    [ "lib/corpus/sweep.ml"; "lib/parallel/portfolio.ml"; "lib/server/jobs.ml" ]
+  in
+  let exempt path = List.exists (Filename.check_suffix path) owners in
+  List.iter
+    (fun needle ->
+      Alcotest.(check (list string))
+        (needle ^ " only in " ^ String.concat ", " owners) []
+        (sources_mentioning ~exempt needle [ "../lib" ]
+        |> List.filter (fun p -> Filename.check_suffix p ".ml")))
+    [ "Scheduler.with" ^ "_scheduler"; "Scheduler.cre" ^ "ate" ]
 
 let test_one_solver_registrar () =
   (* which solvers exist is decided in one place, so no front door can
@@ -956,6 +979,8 @@ let () =
           Alcotest.test_case "no direct clock reads" `Quick
             test_no_direct_clock_reads;
           Alcotest.test_case "one domain spawner" `Quick test_one_domain_spawner;
+          Alcotest.test_case "no solver owns a pool" `Quick
+            test_no_solver_owns_a_pool;
           Alcotest.test_case "one solver registrar" `Quick
             test_one_solver_registrar;
           Alcotest.test_case "one join kernel" `Quick test_one_join_kernel;

@@ -170,6 +170,10 @@ let test_dimacs_malformed () =
       ("p edge 3 y\n", 1);
       ("p edge 3 1\np edge 3 1\n", 2);
       ("p edge 3 1\nq 1 2\n", 2);
+      (* too many vertices: rejected before the matrix is allocated *)
+      (Printf.sprintf "p edge %d 0\n" (Dimacs.max_vertices + 1), 1);
+      (Printf.sprintf "c huge\np edge %d 1\n" max_int, 2);
+      ("e 1 2\np edge 4000000000 1\n", 2);
     ];
   check "missing problem line" true
     (try

@@ -519,25 +519,71 @@ let test_portfolio_member_exception () =
 
 module Saiga_ghw = Hd_ga.Saiga_ghw
 
-(* every ordering of K6 has the full clique as a bag, covered by no
-   fewer than 3 edges: ghw 3 whatever the islands' schedule *)
-let saiga_k6 n_islands =
-  let h = Hd_hypergraph.Hypergraph.of_graph (Graph.complete 6) in
-  let config =
-    Saiga_ghw.default_config ~n_islands ~island_population:20 ~epoch_length:5
-      ~max_epochs:8 ~seed:3 ()
+module Obs = Hd_obs.Obs
+
+let saiga_config n_islands =
+  Saiga_ghw.default_config ~n_islands ~island_population:20 ~epoch_length:5
+    ~max_epochs:8 ~seed:3 ()
+
+(* [saiga ?workers n h] runs the one island driver, on a budget
+   carrying a scheduler of [workers] workers when given *)
+let saiga ?workers n_islands h =
+  let run within = Saiga_ghw.run ~within (saiga_config n_islands) h in
+  let r =
+    match workers with
+    | None -> run (Budget.create ())
+    | Some workers ->
+        Sched.with_scheduler ~workers (fun s ->
+            run (Budget.create ~scheduler:s ()))
   in
-  let r = Hd_parallel.Saiga_par.run config h in
-  check_int "K6 ghw" 3 r.Saiga_ghw.best;
   check "witness is a permutation" true
     (Hd_core.Ordering.is_permutation r.Saiga_ghw.best_individual);
   check_int "one parameter vector per island" n_islands
-    (Array.length r.Saiga_ghw.final_params)
+    (Array.length r.Saiga_ghw.final_params);
+  r
 
-let test_saiga_par_islands () = saiga_k6 3
+(* every ordering of K6 has the full clique as a bag, covered by no
+   fewer than 3 edges: ghw 3 whatever the islands' schedule *)
+let saiga_k6 ?workers n_islands =
+  let h = Hd_hypergraph.Hypergraph.of_graph (Graph.complete 6) in
+  check_int "K6 ghw" 3 (saiga ?workers n_islands h).Saiga_ghw.best
 
-(* one island runs inline on the caller (a scheduler with no workers) *)
-let test_saiga_par_single_island () = saiga_k6 1
+(* the islands fork onto the budget's scheduler *)
+let test_saiga_islands () = saiga_k6 ~workers:2 3
+
+(* one island runs inline on the caller (no scheduler) *)
+let test_saiga_single_island () = saiga_k6 1
+
+(* an island's epoch reads only that island's state and the barrier
+   runs on the caller, so with no deadline and no state cap the worker
+   count cannot change the report.  On adder_15 the islands differ and
+   migrate, so the barrier's orientation shows in the final params *)
+let test_saiga_deterministic_across_workers () =
+  List.iter
+    (fun (name, h, migrates) ->
+      let base = saiga 3 h in
+      List.iter
+        (fun workers ->
+          Obs.enable ();
+          Obs.reset ();
+          let r =
+            Fun.protect ~finally:Obs.disable (fun () -> saiga ~workers 3 h)
+          in
+          let label what = Printf.sprintf "%s %s at %d workers" name what workers in
+          check (label "forked islands") true
+            (Obs.Counter.value (Obs.Counter.make "parallel.tasks") >= 3);
+          check_int (label "best") base.Saiga_ghw.best r.Saiga_ghw.best;
+          check_int (label "evaluations") base.evaluations r.evaluations;
+          check_int (label "epochs") base.epochs r.epochs;
+          check (label "witness") true (base.best_individual = r.best_individual);
+          check (label "final params") true (base.final_params = r.final_params);
+          check (label "migrated") migrates
+            (Obs.Counter.value (Obs.Counter.make "ga.migrations") > 0))
+        [ 1; 3 ])
+    [
+      ("K6", Hd_hypergraph.Hypergraph.of_graph (Graph.complete 6), false);
+      ("adder_15", hypergraph "adder_15", true);
+    ]
 
 let () =
   Alcotest.run "hd_parallel"
@@ -597,8 +643,10 @@ let () =
         ] );
       ( "saiga",
         [
-          Alcotest.test_case "three islands on K6" `Quick test_saiga_par_islands;
+          Alcotest.test_case "three islands on K6" `Quick test_saiga_islands;
           Alcotest.test_case "one island inline" `Quick
-            test_saiga_par_single_island;
+            test_saiga_single_island;
+          Alcotest.test_case "deterministic across workers" `Quick
+            test_saiga_deterministic_across_workers;
         ] );
     ]
