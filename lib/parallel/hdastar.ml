@@ -158,14 +158,13 @@ module Make (C : Bag_cost.S) = struct
         drain ();
         if Incumbent.closed sh.inc || Incumbent.cancelled sh.inc then
           Atomic.set sh.halt true
-        else if
-          (* an idle worker leaves its ticker alone: cheap empty spins
-             would widen the polling stride until the first expansions
-             after them overran the deadline *)
-          (not (Pq.is_empty pq)) && Budget.out_of_budget tk
-        then Atomic.set sh.halt true
         else begin
-          (match Search.pop_live s pq with
+          (* an idle worker leaves its ticker alone, which [pop_live]
+             polls: cheap empty spins would widen the polling stride
+             until the first expansions after them overran the
+             deadline *)
+          (match if Pq.is_empty pq then None else Search.pop_live s pq with
+          | exception Ordering_search.Out_of_budget -> Atomic.set sh.halt true
           | Some node ->
               leave_idle ();
               Atomic.incr sh.activity;

@@ -38,6 +38,7 @@ module type S = sig
   val live : oracle -> Elim_graph.t -> t
   val live_lb : oracle -> Elim_graph.t -> t
   val minor_lb : oracle -> Elim_graph.t -> t
+  val minor_memo : oracle -> Bitset.t -> t option
 end
 
 module Int_cost = struct
@@ -59,7 +60,8 @@ end
    (docs/PERFORMANCE.md, "Pure lower bounds").  The live set is the
    elimination graph's own: the key is copied on insert.  A table that
    reaches [minor_memo_cap] entries starts over, which bounds a long
-   search's memory and changes no bound. *)
+   search's memory and changes no bound.  Each miss runs one
+   contraction bound: search.minor_bounds counts them. *)
 let minor_memo_cap = 1 lsl 16
 
 let memo_minor minors compute o eg =
@@ -67,6 +69,7 @@ let memo_minor minors compute o eg =
   match Eval.Bag_tbl.find_opt minors live with
   | Some c -> c
   | None ->
+      Hd_obs.Obs.Counter.incr Search_util.c_minor_bounds;
       let c = compute o eg in
       if Eval.Bag_tbl.length minors >= minor_memo_cap then
         Eval.Bag_tbl.reset minors;
@@ -112,6 +115,7 @@ module Tw = struct
     Lower_bounds.treewidth_of_elim ~trials:1 ~workspace:o.workspace eg
 
   let minor_lb o eg = memo_minor o.minors minor o eg
+  let minor_memo o live = Eval.Bag_tbl.find_opt o.minors live
 end
 
 (* ghw and fhw search the primal graph of the same reduced hypergraph *)
@@ -208,6 +212,7 @@ module Ghw = struct
       ~max_edge_size:o.k eg
 
   let minor_lb o eg = memo_minor o.minors minor o eg
+  let minor_memo o live = Eval.Bag_tbl.find_opt o.minors live
 end
 
 module Ghw_greedy = struct
@@ -282,4 +287,5 @@ module Fhw = struct
     Rat.make (tw + 1) o.k
 
   let minor_lb o eg = memo_minor o.minors minor o eg
+  let minor_memo o live = Eval.Bag_tbl.find_opt o.minors live
 end

@@ -91,6 +91,11 @@ module type S = sig
       the same for every elimination order.  So the oracle memoises it
       by live set, and neither a hit nor a miss moves any other
       draw. *)
+
+  val minor_memo : oracle -> Hd_graph.Bitset.t -> t option
+  (** [minor_memo o live] is the {!minor_lb} of the live set [live] if
+      [o] has memoised it.  A* looks a popped state's bound up here
+      before it moves its elimination graph to the state. *)
 end
 
 (** Treewidth: a bag costs its size minus one.  Input: a graph.  Its

@@ -1,4 +1,5 @@
 module Graph = Hd_graph.Graph
+module Bitset = Hd_graph.Bitset
 module Elim_graph = Hd_graph.Elim_graph
 module Incumbent = Hd_core.Incumbent
 module Budget = Hd_engine.Budget
@@ -48,6 +49,8 @@ module Make (C : Bag_cost.S) = struct
     oracle : C.oracle;
     eg : Elim_graph.t;
     mutable at : int list;  (* the path [eg] is at, oldest first *)
+    all : Bitset.t;  (* every vertex *)
+    live : Bitset.t;  (* scratch: a popped state's live set *)
     mutable best : C.t;  (* the best cost this searcher witnessed *)
     mutable best_sigma : int array;
     mutable lb : C.t;  (* the best lower bound this searcher proved *)
@@ -63,6 +66,8 @@ module Make (C : Bag_cost.S) = struct
       oracle = C.oracle st.problem st.rng;
       eg = Elim_graph.of_graph g;
       at = [];
+      all = Bitset.full (Graph.n g);
+      live = Bitset.create (Graph.n g);
       best;
       best_sigma;
       lb = st.lb;
@@ -275,16 +280,20 @@ module Make (C : Bag_cost.S) = struct
   (* A* states are partial orderings.  They carry their path, most
      recent first: children share their parent's tail, and the path
      can travel between domains (HDA-star) where a parent pointer into
-     another worker's frontier could not. *)
+     another worker's frontier could not.  A state is pushed before its
+     minor bound is added to [f] ([priced] false), and priced when it
+     reaches the top of the queue ([pop_live]). *)
   type node = {
     rpath : int list;
     g : C.t;
     f : C.t;
     depth : int;
     reduced : bool;
+    priced : bool;
   }
 
-  let root f = { rpath = []; g = C.zero; f; depth = 0; reduced = true }
+  let root f =
+    { rpath = []; g = C.zero; f; depth = 0; reduced = true; priced = true }
 
   (* smallest f first; among equal f prefer deeper states, which reach
      goals sooner once the frontier sits at the optimum (Section 5.3) *)
@@ -320,41 +329,72 @@ module Make (C : Bag_cost.S) = struct
       offer s (C.max node.g completion) sigma;
       let last = match node.rpath with v :: _ -> v | [] -> -1 in
       let kids, reduced = children s ~lb:node.f ~reduced:node.reduced ~last in
+      (* children go out unpriced: most are never popped, so their
+         minor bound waits until one is *)
       List.iter
         (fun v ->
           if not (Budget.out_of_budget s.ticker) then begin
             Budget.tick_generated s.ticker;
             Obs.Counter.incr Search_util.c_generated;
             let g = C.max node.g (C.bag s.oracle s.eg v) in
-            if below s g then begin
-              Elim_graph.eliminate s.eg v;
-              let f = C.max (C.max g (minor_lb s)) node.f in
-              if below s f then
-                push
-                  {
-                    rpath = v :: node.rpath;
-                    g;
-                    f;
-                    depth = node.depth + 1;
-                    reduced;
-                  };
-              Elim_graph.restore_last s.eg
-            end
+            let f = C.max g node.f in
+            if below s f then
+              push
+                {
+                  rpath = v :: node.rpath;
+                  g;
+                  f;
+                  depth = node.depth + 1;
+                  reduced;
+                  priced = false;
+                }
           end)
         kids;
       false
     end
 
-  (* the first state that can still improve on the upper bound; the
-     ones before it went stale when the bound improved after their push *)
+  (* The first state that can still improve on the upper bound,
+     priced.  An unpriced state on top gets its minor bound, a function
+     of its live set alone, so its f becomes the one eager pricing gives
+     it; if that f rose, the state goes back into the queue.  Every
+     other state's f is at most its priced one, so the state returned
+     is the frontier minimum under priced f-values.  Dropped (stale):
+     states whose f no longer improves on the bound, because the bound
+     improved after their push or their minor bound reaches it.  The
+     budget is polled before every pop, so before every bound priced,
+     and a stop raises [Out_of_budget]: a budget stop inside [expand]
+     drops children, so an empty queue then proves nothing. *)
   let rec pop_live s queue =
+    if Budget.out_of_budget s.ticker then raise Out_of_budget;
     if Pq.is_empty queue then None
     else
       let node = Pq.pop queue in
-      if below s node.f then Some node
-      else begin
+      if not (below s node.f) then begin
         Obs.Counter.incr Search_util.c_stale;
         pop_live s queue
+      end
+      else if node.priced then Some node
+      else begin
+        (* a memo hit needs no graph: most states are priced that way,
+           and moving the graph to each of them costs more than the
+           lookup *)
+        Bitset.blit ~src:s.all ~dst:s.live;
+        List.iter (Bitset.remove s.live) node.rpath;
+        let minor =
+          match C.minor_memo s.oracle s.live with
+          | Some c -> c
+          | None ->
+              sync s node.rpath;
+              minor_lb s
+        in
+        let f = C.max node.f minor in
+        let node' = { node with f; priced = true } in
+        if C.compare f node.f = 0 then Some node'
+        else begin
+          if below s f then Pq.push queue node'
+          else Obs.Counter.incr Search_util.c_stale;
+          pop_live s queue
+        end
       end
 
   let astar ?within ~seed input =
@@ -365,12 +405,8 @@ module Make (C : Bag_cost.S) = struct
     let queue = Pq.create ~compare:compare_nodes ~dummy:root in
     let push = Pq.push queue in
     push root;
-    (* the budget test comes before the exhaustion test: a budget stop
-       inside [expand] drops children, so an empty queue then proves
-       nothing *)
     let rec search () =
       if closed s then Exact (ub s)
-      else if Budget.out_of_budget s.ticker then bounds s
       else
         match pop_live s queue with
         | None -> exhausted s
@@ -379,7 +415,9 @@ module Make (C : Bag_cost.S) = struct
             raise_lb s node.f;
             if expand s node ~push then Exact node.g else search ()
     in
-    search ()
+    match search () with
+    | outcome -> outcome
+    | exception Out_of_budget -> if closed s then Exact (ub s) else bounds s
 end
 
 module Tw = Make (Bag_cost.Tw)

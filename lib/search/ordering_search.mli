@@ -3,8 +3,10 @@
 
     A state is a partial elimination ordering.  Its [g] is the largest
     bag cost on the path, its [h] the cost's minor lower bound on the
-    live graph, and [f = max (g, h, parent.f)].  The cost of all live
-    vertices as one bag is a completion: it is offered as an upper
+    live graph, and [f = max (g, h, parent.f)].  BB prices [h] before
+    it descends into a child; A* prices it when the state reaches the
+    top of its queue, since most states it generates are never popped.
+    The cost of all live vertices as one bag is a completion: it is offered as an upper
     bound (pruning rule PR1), and a state whose completion fits in [g]
     is a goal.  Where the cost's cheap floor ({!Bag_cost.S.live_lb})
     already reaches the upper bound, it stands in for the completion.  Simplicial reduction forces single-child states;
@@ -32,6 +34,9 @@ type 'c result = {
   elapsed : float;  (** wall-clock seconds *)
   ordering : int array option;  (** an ordering realising the upper bound *)
 }
+
+(** Raised by [Make.pop_live] when the budget runs out. *)
+exception Out_of_budget
 
 module Make (C : Bag_cost.S) : sig
   (** [bb ~seed input] is depth-first branch and bound (Sections 4.4
@@ -112,23 +117,31 @@ module Make (C : Bag_cost.S) : sig
     f : C.t;
     depth : int;
     reduced : bool;  (** reached by a reduction rule *)
+    priced : bool;  (** [f] includes the state's minor bound *)
   }
 
   val root : C.t -> node
-  (** The empty ordering with f-value [lb]. *)
+  (** The empty ordering with f-value [lb], priced. *)
 
   val compare_nodes : node -> node -> int
   (** Smallest [f] first, deeper first among equal [f]. *)
 
   (** [pop_live s queue] pops [queue] up to its first node with
-      [below s node.f], dropping (and counting) the stale ones. *)
+      [below s node.f] and returns it priced.  An unpriced node on top
+      gets its minor bound; if that raises its [f], it goes back into
+      the queue.  So the node returned has the smallest priced [f] of
+      the queue, a lower bound for {!raise_lb}.  Nodes that cannot
+      improve on the bound are dropped (search.stale_pops).  The
+      budget is polled before every pop: a stop raises
+      {!Out_of_budget}, and [None] means the queue is empty. *)
   val pop_live : searcher -> node Pq.t -> node option
 
   (** [expand s node ~push] expands [node], which the caller popped
-      with [below s node.f]: it ticks the budget, offers the node's
-      completion and passes every child that can still improve on the
-      bound to [push].  It returns [true] when [node] is a goal (its
-      completion fits in [g], and was offered) and has no children. *)
+      with {!pop_live}: it ticks the budget, offers the node's
+      completion and passes to [push], unpriced, every child whose bag
+      cost can still improve on the bound.  It returns [true] when
+      [node] is a goal (its completion fits in [g], and was offered)
+      and has no children. *)
   val expand : searcher -> node -> push:(node -> unit) -> bool
 end
 

@@ -20,6 +20,7 @@ let c_reductions = Obs.Counter.make "search.reductions_applied"
 let c_ub_improved = Obs.Counter.make "search.ub_improvements"
 let c_lb_improved = Obs.Counter.make "search.lb_improvements"
 let c_live_lb_skips = Obs.Counter.make "search.live_lb_skips"
+let c_minor_bounds = Obs.Counter.make "search.minor_bounds"
 
 (* Pruning rule PR 2 (Section 4.4.5).  The graph [eg] is positioned
    just after eliminating some vertex [v]; [swap_equivalent eg u] holds

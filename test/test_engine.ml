@@ -419,8 +419,11 @@ let prop_cross_solver_bounds =
 (* A state cap can stop an A* inside an expansion, dropping children
    the queue never sees: an empty queue afterwards proves nothing, so
    the capped A*s and a single-worker HDA-star may call a width exact
-   only when it is the true one.  Tiny caps on random instances whose
-   initial upper bound is often not optimal make the cut common. *)
+   only when it is the true one, and their bounds must bracket it.
+   Tiny caps on random instances whose initial upper bound is often
+   not optimal make the cut common; caps up to 40 let many children be
+   pushed unpriced and priced out at a later pop, so a budget stop can
+   also land while the queue is being priced. *)
 let test_capped_astar_exact_is_true () =
   Hd_parallel.Registry.ensure ();
   for seed = 0 to 249 do
@@ -433,7 +436,7 @@ let test_capped_astar_exact_is_true () =
     in
     let g = S.Graph (Hypergraph.primal h) and hg = S.Hypergraph h in
     let tw = truth "astar-tw" g and ghw = truth "astar-ghw" hg in
-    for cap = 0 to 2 do
+    for cap = 0 to 40 do
       let within () = B.create ~max_states:cap () in
       List.iter
         (fun (label, truth, outcome) ->
@@ -441,6 +444,9 @@ let test_capped_astar_exact_is_true () =
           | S.Exact w when w <> truth ->
               Alcotest.failf "%s, seed %d, cap %d: Exact %d, width is %d" label
                 seed cap w truth
+          | S.Bounds { lb; ub } when lb > truth || ub < truth ->
+              Alcotest.failf "%s, seed %d, cap %d: [%d,%d], width is %d" label
+                seed cap lb ub truth
           | _ -> ())
         [
           ("astar-tw", tw, run "astar-tw" (within ()) g);
