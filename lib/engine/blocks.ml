@@ -283,23 +283,12 @@ let solve ?(split_blocks = true) ?seed (s : Solver.t) (b : Budget.t) p =
         let results = Array.make nb None in
         (* block [i]'s share of the remaining time is cut when it
            starts, so time an earlier block left unspent rolls over *)
-        let solve_block i =
+        let solve_block i () =
           if not (Budget.cancelled b) then
             let sub = Budget.sub ~stages:(nb - i) b in
             results.(i) <- Some (s.Solver.run ?seed sub (snd problems.(i)))
         in
-        (match Budget.scheduler b with
-        | Some sched when not (Budget.in_slice b) ->
-            (* blocks may leave this domain.  Inside a sliced solve
-               (the server's jobs) they stay in index order here: the
-               Slice_expired handler lives on the slicing domain *)
-            Scheduler.run_all sched
-              (List.init nb (fun i () ->
-                   Step.unsliced (fun () -> solve_block i)))
-        | _ ->
-            for i = 0 to nb - 1 do
-              solve_block i
-            done);
+        Step.run_all b (List.init nb solve_block);
         combine s b p (Graph.n g) bls problems results
       in
       { combined with Solver.elapsed = secs }

@@ -43,11 +43,11 @@ val split : Hd_graph.Graph.t -> block list
     cut vertices.  Instances with at most one block (and runs with
     [~split_blocks:false]) skip straight to the solver with [budget]
     untouched.  Block [i] of [nb] gets [Budget.sub ~stages:(nb - i)],
-    cut when it starts.  When [budget] carries a scheduler
-    ({!Budget.scheduler}) and no slice is armed on it, the blocks are
-    forked through {!Scheduler.run_all} (each under {!Step.unsliced});
-    otherwise they run in index order on the calling domain.  Either way one combine pass, in index order,
-    stitches the result.  Counters: [engine.blocks],
+    cut when it starts.  The block solves go through {!Step.run_all},
+    the one fork rule: they fork onto the budget's scheduler when it
+    carries one and no slice is armed, and otherwise run in index order
+    on the calling domain.  Either way one combine pass, in index
+    order, stitches the result.  Counters: [engine.blocks],
     [engine.block_skips]. *)
 val solve :
   ?split_blocks:bool ->

@@ -14,10 +14,11 @@
       closure are honoured too: a solver publishes its bounds there,
       and a target is a lower bound raised on it;
     - optionally the {!Scheduler.t} the run may fork onto.  Block
-      solves ({!Blocks.solve}), HDA* and the SAIGA islands read it here;
-      without one they run on the calling domain, so a budget built
-      without a scheduler gives the same result at any core count.
-      Sub-budgets and {!pooled} views inherit it.
+      solves ({!Blocks.solve}), HDA* and the SAIGA islands fork onto
+      it through {!Step.run_all}; without one they run on the calling
+      domain, so a budget built without a scheduler gives the same
+      result at any core count.  Sub-budgets and {!pooled} views
+      inherit it.
 
     Solvers do not poll the budget directly; they create a {!ticker}
     and call {!out_of_budget} on every step.  The ticker amortizes
@@ -121,10 +122,10 @@ val begin_slice : t -> until:float -> unit
 val end_slice : t -> unit
 
 (** [in_slice b] is true while a slice deadline is armed on [b] (or
-    anywhere in its sub-budget tree — the cell is shared).  Parallel
-    layers check this before forking: a solve running under a
-    {!Step.slice} must stay on its own domain, because the
-    [Slice_expired] handler lives there. *)
+    anywhere in its sub-budget tree — the cell is shared).  It is
+    Step's hook: the fork rule ({!Step.run_all}) reads it so that a
+    solve running under a {!Step.slice} stays on its own domain, where
+    the [Slice_expired] handler lives. *)
 val in_slice : t -> bool
 
 (** [credit_pause b seconds] shifts the start times of [b] and every

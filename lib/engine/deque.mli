@@ -6,10 +6,9 @@
     operations are lock-free; the only blocking anywhere in the
     scheduler is the parking condition variable in {!Scheduler}.
 
-    Memory-model note: every slot is its own [Atomic.t] (like
-    [Hd_parallel.Ring]), so a thief that wins the CAS on [top] is
-    guaranteed to have read the element the owner published — the slot
-    write happens-before the [bottom] publication, which happens-before
+    Memory-model note: every slot is its own [Atomic.t], so a thief
+    that wins the CAS on [top] is guaranteed to have read the element
+    the owner published — the slot write happens-before the [bottom] publication, which happens-before
     the thief's [top] read.  The buffer does not grow: {!push} reports
     [`Full] and the {!Scheduler} overflows into its global injector
     queue instead, which keeps the hot path allocation-free. *)

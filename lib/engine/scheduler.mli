@@ -9,14 +9,11 @@
     the scheduler it may fork onto in its running budget
     ({!Budget.scheduler}): biconnected block solves ({!Blocks.solve}),
     the HDA* [-par] solvers ([Hd_parallel.Hdastar]) and the SAIGA
-    islands ([Hd_ga.Saiga_ghw]) read it there, and a budget without one
-    runs them on the calling domain.  Solve tasks forked through {!run_all} — blocks, and HDA*'s
-    workers when the budget lends a scheduler — run under
-    [Step.unsliced], because a slice deadline armed on another domain
-    must not park them; a solve run inline on the calling domain, such
-    as HDA*'s lone worker without a scheduler, parks on its slice like
-    any sequential solver.  Partitioned columnar query passes ([Hd_query.Colexec]) take
-    an instance as [?par].  The server's time-sliced jobs
+    islands ([Hd_ga.Saiga_ghw]) fork through {!Step.run_all}, the one
+    fork rule: a budget without a scheduler, or with a slice armed,
+    runs them on the calling domain, where they park on the slice like
+    any sequential solver.  Partitioned columnar query passes
+    ([Hd_query.Colexec]) take an instance as [?par].  The server's time-sliced jobs
     ([Hd_server.Jobs]), portfolio races ([Hd_parallel.Portfolio]) and
     corpus sweeps ([Hd_corpus.Sweep]) fork/join their members on a
     private instance sized to the member count; they are the only

@@ -79,6 +79,22 @@ let unsliced f =
           | _ -> None);
     }
 
+(* the one fork rule: work leaves this domain only when the budget
+   lends a scheduler and no slice is armed, because the Slice_expired
+   handler lives on the slicing domain *)
+let fork_onto b =
+  match Budget.scheduler b with
+  | Some s when not (Budget.in_slice b) -> Some s
+  | _ -> None
+
+let run_all b tasks =
+  match fork_onto b with
+  | Some s -> Scheduler.run_all s (List.map (fun f () -> unsliced f) tasks)
+  | None -> List.iter (fun f -> f ()) tasks
+
+let executors b =
+  match fork_onto b with Some s -> Scheduler.size s + 1 | None -> 1
+
 let rec run_to_completion ?(seconds = 0.05) t =
   match slice t ~seconds with
   | Done v -> v

@@ -18,7 +18,9 @@
     may hop domains, the continuation is one-shot), and the computation
     must poll its budget from the domain running the slice —
     single-domain solvers, which is every solver in the engine
-    registry.  Counters: [engine.slices], [engine.yields]. *)
+    registry: the parallel layers fork only through {!run_all}, which
+    keeps a sliced solve on its own domain.  Counters:
+    [engine.slices], [engine.yields]. *)
 
 type 'a t
 
@@ -46,11 +48,26 @@ val finished : 'a t -> bool
     driver for tests and simple callers. *)
 val run_to_completion : ?seconds:float -> 'a t -> 'a
 
-(** [unsliced f] runs [f ()] under a handler that resumes
-    {!Budget.Slice_expired} immediately instead of parking.  Scheduler
-    workers wrap foreign solver tasks in this: a task forked off a
-    sliced solve may poll a budget whose slice deadline is armed on
-    another domain, and without a handler that perform would be an
-    unhandled effect.  Inside [unsliced] the budget's time and state
-    limits still apply — only the yield is neutralised. *)
-val unsliced : (unit -> 'a) -> 'a
+(** {2 The fork rule}
+
+    Every layer that fans work out over the budget's scheduler — block
+    solves ({!Blocks.solve}), HDA*'s workers and the SAIGA islands —
+    goes through {!run_all}, so the rule is written once: tasks leave
+    the calling domain only when the budget carries a scheduler
+    ({!Budget.scheduler}) and no slice is armed on it.  A sliced solve keeps its work on the slicing
+    domain, where the [Slice_expired] handler lives, and parks like any
+    sequential solve. *)
+
+(** [run_all b tasks] runs every task to completion.  When the rule
+    above lets them fork, they are forked and joined on [b]'s
+    scheduler, each under a handler that resumes
+    {!Budget.Slice_expired} at once instead of parking (a forked task
+    may poll a budget whose slice is armed on another domain; its time
+    and state limits still apply).  Otherwise they run inline, in list
+    order. *)
+val run_all : Budget.t -> (unit -> unit) list -> unit
+
+(** [executors b] is the number of executors {!run_all} would use on
+    [b]: the scheduler's size plus the joining caller, or [1] without a
+    scheduler or under an armed slice. *)
+val executors : Budget.t -> int

@@ -136,17 +136,8 @@ let run ?(within = Hd_engine.Budget.create ()) config h =
   while !epoch < config.max_epochs && not (out_of_time ()) do
     incr epoch;
     Obs.Counter.incr c_epochs;
-    (* evolve every island for one epoch.  Islands may leave this
-       domain; inside a sliced solve they stay here, in island order,
-       because the Slice_expired handler lives on the slicing domain *)
-    (match Hd_engine.Budget.scheduler within with
-    | Some sched when not (Hd_engine.Budget.in_slice within) ->
-        Hd_engine.Scheduler.run_all sched
-          (List.init k (fun i () -> Hd_engine.Step.unsliced (evolve i)))
-    | _ ->
-        for i = 0 to k - 1 do
-          evolve i ()
-        done);
+    (* evolve every island for one epoch, forked or in island order *)
+    Hd_engine.Step.run_all within (List.init k evolve);
     (* the epoch barrier: neighbour orientation and migration on the
        ring, on the caller *)
     let fitness = Array.map (fun isl -> fst (Ga_engine.Population.best isl)) islands in

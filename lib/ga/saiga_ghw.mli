@@ -62,11 +62,10 @@ val run :
     and stops the run once it closes or is cancelled.  See
     {!Ga_engine.run}.
 
-    Each epoch evolves the islands as one task per island.  When
-    [within] carries a scheduler ({!Hd_engine.Budget.scheduler}) and
-    no slice is armed on it, the tasks fork onto it with
-    {!Hd_engine.Scheduler.run_all} under {!Hd_engine.Step.unsliced};
-    otherwise they run on the caller in island order.  Orientation,
+    Each epoch evolves the islands as one task per island, through
+    {!Hd_engine.Step.run_all}: the tasks fork onto [within]'s scheduler
+    when it carries one and no slice is armed, and otherwise run on
+    the caller in island order.  Orientation,
     migration and self-adaptation happen on the caller at the epoch
     barrier.  Every island owns its ticker on
     [Hd_engine.Budget.pooled within], so the state cap bounds all

@@ -53,10 +53,12 @@ let parse_string text =
           | None -> pending := e :: !pending)
       | _ -> fail lineno "bad line: %s" line
   in
-  String.split_on_char '\n' text |> List.iteri handle_line;
-  match !graph with
-  | Some g -> g
-  | None -> failwith "Dimacs: missing problem line"
+  let lines = String.split_on_char '\n' text in
+  List.iteri handle_line lines;
+  match (!graph, List.rev !pending) with
+  | Some g, _ -> g
+  | None, (lineno, _, _) :: _ -> fail lineno "edge line but no problem line"
+  | None, [] -> fail (List.length lines) "missing problem line"
 
 let parse_file path =
   let ic = open_in path in

@@ -15,7 +15,8 @@ val max_vertices : int
     line, a non-integer count or endpoint, a negative vertex count or
     one above {!max_vertices} (rejected before anything is allocated),
     an endpoint outside [1..n] (also on edges before the problem line)
-    or a second problem line; and when the problem line is missing. *)
+    or a second problem line; and when the problem line is missing
+    (the line of the first edge, or else the last line). *)
 val parse_string : string -> Graph.t
 
 (** [parse_file path] parses the DIMACS file at [path]. *)

@@ -2,7 +2,6 @@ module Graph = Hd_graph.Graph
 module Bitset = Hd_graph.Bitset
 module Incumbent = Hd_core.Incumbent
 module Budget = Hd_engine.Budget
-module Scheduler = Hd_engine.Scheduler
 module Step = Hd_engine.Step
 module Search_util = Hd_search.Search_util
 module Bag_cost = Hd_search.Bag_cost
@@ -12,17 +11,15 @@ module Obs = Hd_obs.Obs
 
 let c_messages = Obs.Counter.make "hdastar.messages"
 let c_batches = Obs.Counter.make "hdastar.batches"
-let c_ring_full = Obs.Counter.make "hdastar.ring_full"
 
 let batch_size = 64
-let ring_capacity = 256
 let max_workers = 62 (* started-mask bits *)
 
 type 'node shared = {
   w : int;
   inc : Incumbent.t;
   budget : Budget.t;
-  rings : 'node array Ring.t array array;  (* rings.(src).(dst) *)
+  inboxes : 'node array list Atomic.t array;  (* newest batch first *)
   in_flight : int Atomic.t;
   idlers : int Atomic.t;
   started : int Atomic.t;  (* bitmask of live workers *)
@@ -92,7 +89,7 @@ module Make (C : Bag_cost.S) = struct
           Hashtbl.replace seen key node.g;
           Pq.push pq node
     in
-    (* states that arrived, or could not leave: no longer in flight *)
+    (* states that arrived (and the root): no longer in flight *)
     let take batch =
       Array.iter
         (fun (nd : Search.node) ->
@@ -105,16 +102,16 @@ module Make (C : Bag_cost.S) = struct
         let batch = Array.of_list (List.rev out.(dst)) in
         out.(dst) <- [];
         out_n.(dst) <- 0;
-        if Ring.try_push sh.rings.(me).(dst) batch then begin
-          Obs.Counter.incr c_batches;
-          Obs.Counter.add c_messages (Array.length batch)
-        end
-        else begin
-          (* receiver's inbox is full: keep the states; dedup precision
-             degrades, soundness does not *)
-          Obs.Counter.incr c_ring_full;
-          take batch
-        end
+        (* a CAS cons: the push never fails, and the receiver takes
+           every batch *)
+        let inbox = sh.inboxes.(dst) in
+        let rec push () =
+          let old = Atomic.get inbox in
+          if not (Atomic.compare_and_set inbox old (batch :: old)) then push ()
+        in
+        push ();
+        Obs.Counter.incr c_batches;
+        Obs.Counter.add c_messages (Array.length batch)
       end
     in
     let flush_all () =
@@ -134,19 +131,15 @@ module Make (C : Bag_cost.S) = struct
         if out_n.(dst) >= batch_size then flush dst
       end
     in
+    (* take every batch in arrival order; read before swapping, so an
+       empty inbox costs no write to a line the senders share *)
     let drain () =
-      for src = 0 to sh.w - 1 do
-        if src <> me then
-          let rec go () =
-            match Ring.try_pop sh.rings.(src).(me) with
-            | None -> ()
-            | Some batch ->
-                leave_idle ();
-                take batch;
-                go ()
-          in
-          go ()
-      done
+      let inbox = sh.inboxes.(me) in
+      match Atomic.get inbox with
+      | [] -> ()
+      | _ :: _ ->
+          leave_idle ();
+          List.iter take (List.rev (Atomic.exchange inbox []))
     in
     (* go live (each worker adds its own bit once); worker 0 is the
        caller and always starts, so it owns the root: the search is
@@ -212,23 +205,18 @@ module Make (C : Bag_cost.S) = struct
     let visited = ref 0 and generated = ref 0 in
     let r =
       Search.run ?within ~seed input @@ fun st ->
-      (* the budget's scheduler, if any, lends its domains; without one
-         the lone worker runs inline *)
-      let sched = Budget.scheduler (Budget.budget st.ticker) in
-      let w =
-        match sched with
-        | Some s -> min max_workers (Scheduler.size s + 1)
-        | None -> 1
-      in
+      (* one worker per executor the fork rule grants: without a
+         scheduler, or under a slice, the lone worker runs inline and
+         parks like any sequential search *)
+      let b = Budget.budget st.ticker in
+      let w = min max_workers (Step.executors b) in
       let sh =
         {
           w;
           inc = st.inc;
           (* one state cap for the whole search, not per worker *)
-          budget = Budget.pooled (Budget.budget st.ticker);
-          rings =
-            Array.init w (fun _ ->
-                Array.init w (fun _ -> Ring.create ring_capacity));
+          budget = Budget.pooled b;
+          inboxes = Array.init w (fun _ -> Atomic.make []);
           (* the root counts as in flight until its owner queues it: a
              worker that comes online first must not find the frontier
              exhausted *)
@@ -241,14 +229,8 @@ module Make (C : Bag_cost.S) = struct
         }
       in
       let root = Search.root st.lb in
-      let workers = List.init w (fun me () -> run_worker sh ~me ~st ~seed ~root) in
-      (* workers forked onto executors must not park on a slice armed
-         on another domain; the lone inline worker parks like any
-         sequential search, so a server slice can yield it *)
-      (match sched with
-      | Some s ->
-          Scheduler.run_all s (List.map (fun f () -> Step.unsliced f) workers)
-      | None -> List.iter (fun f -> f ()) workers);
+      Step.run_all b
+        (List.init w (fun me () -> run_worker sh ~me ~st ~seed ~root));
       visited := Array.fold_left (fun a (v, _) -> a + v) 0 sh.stats;
       generated := Array.fold_left (fun a (_, g) -> a + g) 0 sh.stats;
       (* the shared incumbent holds the search's verdict *)

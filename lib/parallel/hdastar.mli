@@ -2,14 +2,15 @@
 
     The open list is partitioned across W workers (the domains of the
     budget's {!Hd_engine.Scheduler}, plus the calling one): a state
-    belongs to worker [Bitset.fnv_hash (eliminated set) mod W], so
-    equal eliminated sets meet on one worker, whose [seen] table merges
-    them.  States owned elsewhere travel in batches over SPSC {!Ring}s;
-    when a ring is full the sender keeps them, which costs dedup
-    precision, never soundness.  Every worker prunes on the shared
+    belongs to worker [Bitset.fnv_hash (eliminated set) mod W], so equal
+    eliminated sets meet on one worker, whose [seen] table merges them.
+    States owned elsewhere travel in batches of up to 64: each worker has
+    one inbox, a list that senders push batches onto with a
+    compare-and-set and that the owner empties with one exchange, taking
+    the batches in arrival order.  A push never fails, so no state stays
+    with a worker that does not own it.  Every worker prunes on the shared
     {!Hd_core.Incumbent}'s upper bound, and pops and expands with the
-    sequential A*'s own steps
-    ({!Hd_search.Ordering_search.Make.pop_live},
+    sequential A*'s own steps ({!Hd_search.Ordering_search.Make.pop_live},
     {!Hd_search.Ordering_search.Make.expand}), with its own elimination
     graph, cost oracle and random state.
 
@@ -23,19 +24,22 @@
     before it can go idle, so the result degrades to the incumbent
     bounds.
 
-    Without a scheduler in the budget ({!Hd_engine.Budget.scheduler})
-    one worker runs on the calling domain, deterministic for a fixed
-    seed.  That worker is the A* that merges states with equal
-    eliminated sets: it continues the prologue's random state, and as
-    its frontier is the whole frontier it raises the lower bound at
-    every pop ({!Hd_search.Ordering_search.Make.raise_lb}), which
-    closes the search at a goal.  With more workers worker 0 keeps the
-    prologue's random state, the others draw from their own seeds, and
-    a goal only publishes its bound.
+    The workers fork through {!Hd_engine.Step.run_all}, one per executor
+    it grants ({!Hd_engine.Step.executors}).  Without a scheduler in the
+    budget ({!Hd_engine.Budget.scheduler}), or under an armed
+    {!Hd_engine.Step.slice}, one worker runs on the calling domain,
+    deterministic for a fixed seed, and parks on the slice like the
+    sequential A*.  That worker is the A* that merges states with equal
+    eliminated sets: it continues the prologue's random state, and as its
+    frontier is the whole frontier it raises the lower bound at every pop
+    ({!Hd_search.Ordering_search.Make.raise_lb}), which closes the search
+    at a goal.  With more workers worker 0 keeps the prologue's random
+    state, the others draw from their own seeds, and a goal only publishes
+    its bound.
 
     Counters: [hdastar.messages] (states shipped cross-worker),
-    [hdastar.batches] (ring pushes), [hdastar.ring_full] (local
-    fallbacks), plus the shared [search.*] family. *)
+    [hdastar.batches] (inbox pushes), plus the shared [search.*]
+    family. *)
 
 (** [Tw.solve ~seed g] is the treewidth of [g], entered through the
     sequential A*'s prologue ({!Hd_search.Ordering_search.Make.run});

@@ -21,6 +21,9 @@ let par =
       doc = "saiga-ghw with one island per scheduler executor";
       run =
         (fun ?seed b p ->
+          (* the island count is a search parameter, not a fork
+             decision, so it ignores slices (unlike Step.executors):
+             a sliced run evolves the same islands as one without slices *)
           let n_islands =
             match Budget.scheduler b with
             | Some s -> Scheduler.size s + 1

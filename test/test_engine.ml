@@ -743,10 +743,8 @@ let test_step_slices_blocks_under_runner () =
       check "outcome = unsliced" true (r.S.outcome = plain.S.outcome);
       check "witness = unsliced" true (r.S.ordering = plain.S.ordering))
 
-let test_step_slices_hdastar_worker () =
-  (* a budget without a scheduler runs HDA*'s one worker inline, as
-     every server job does: it parks on the slice deadline like the
-     sequential A*, and slicing moves no state *)
+(* astar-ghw-par on csp-synth's circuit_03, run on a given budget *)
+let circuit_03_ghw_par () =
   Hd_parallel.Registry.ensure ();
   let h =
     Hd_hypergraph.Hg_format.parse_string
@@ -754,15 +752,36 @@ let test_step_slices_hdastar_worker () =
          (List.assoc "csp-synth" (Hd_instances.Mini_corpus.collections ())))
   in
   let solver = Option.get (S.find "astar-ghw-par") in
-  let run b = Engine.run ~seed:1 solver b (S.Hypergraph h) in
-  let plain = run (B.create ~max_states:2000 ()) in
-  let b = B.create ~max_states:2000 () in
+  fun b -> Engine.run ~seed:1 solver b (S.Hypergraph h)
+
+(* [run] sliced into zero-length slices on budget [b] parks at least
+   once, and slicing moves no state: the result equals [plain]'s *)
+let check_sliced_like_plain run b (plain : S.result) =
   let step = Step.make b (fun () -> run b) in
   let r = Step.run_to_completion ~seconds:0.0 step in
   check "parked at least once" true (Step.slices step >= 2);
   check "outcome = unsliced" true (r.S.outcome = plain.S.outcome);
   check_int "visited = unsliced" plain.S.visited r.S.visited;
   check_int "generated = unsliced" plain.S.generated r.S.generated
+
+let test_step_slices_hdastar_worker () =
+  (* a budget without a scheduler runs HDA*'s one worker inline: it
+     parks on the slice deadline like the sequential A* *)
+  let run = circuit_03_ghw_par () in
+  check_sliced_like_plain run
+    (B.create ~max_states:2000 ())
+    (run (B.create ~max_states:2000 ()))
+
+let test_step_slices_hdastar_under_runner () =
+  (* a sliced solve runs HDA*'s one worker inline even when its budget
+     carries a scheduler: forked workers would run unsliced and finish
+     in one slice *)
+  let run = circuit_03_ghw_par () in
+  let plain = run (B.create ~max_states:2000 ()) in
+  Hd_engine.Scheduler.with_scheduler ~workers:1 (fun s ->
+      check_sliced_like_plain run
+        (B.create ~max_states:2000 ~scheduler:s ())
+        plain)
 
 (* ------------------------------------------------------------------ *)
 (* Source invariants: one clock, one domain spawner, one join kernel   *)
@@ -838,6 +857,22 @@ let test_no_solver_owns_a_pool () =
         (sources_mentioning ~exempt needle [ "../lib" ]
         |> List.filter (fun p -> Filename.check_suffix p ".ml")))
     [ "Scheduler.with" ^ "_scheduler"; "Scheduler.cre" ^ "ate" ]
+
+let test_one_fork_rule () =
+  (* a solve leaves its domain only through Step.run_all, which keeps
+     a sliced solve inline; colexec takes a scheduler, not a budget *)
+  let only files needle =
+    let exempt path = List.exists (Filename.check_suffix path) files in
+    Alcotest.(check (list string))
+      (needle ^ " only in " ^ String.concat ", " files) []
+      (sources_mentioning ~exempt needle [ "../lib" ])
+  in
+  List.iter
+    (only [ "lib/engine/step.ml"; "lib/query/colexec.ml" ])
+    [ "Scheduler.run" ^ "_all"; "Sched.run" ^ "_all" ];
+  List.iter
+    (only [ "lib/engine/step.ml"; "lib/engine/budget.ml" ])
+    [ "Budget.in" ^ "_slice"; "unsl" ^ "iced" ]
 
 let test_one_solver_registrar () =
   (* which solvers exist is decided in one place, so no front door can
@@ -974,6 +1009,8 @@ let () =
             test_step_slices_blocks_under_runner;
           Alcotest.test_case "slices HDA*'s inline worker" `Quick
             test_step_slices_hdastar_worker;
+          Alcotest.test_case "slices HDA* with a runner installed" `Quick
+            test_step_slices_hdastar_under_runner;
         ] );
       ( "local search",
         [
@@ -987,6 +1024,7 @@ let () =
           Alcotest.test_case "one domain spawner" `Quick test_one_domain_spawner;
           Alcotest.test_case "no solver owns a pool" `Quick
             test_no_solver_owns_a_pool;
+          Alcotest.test_case "one fork rule" `Quick test_one_fork_rule;
           Alcotest.test_case "one solver registrar" `Quick
             test_one_solver_registrar;
           Alcotest.test_case "one join kernel" `Quick test_one_join_kernel;

@@ -150,7 +150,8 @@ let test_dimacs_parse () =
 
 (* malformed input fails with a located [Failure], never an assertion
    or an index error: endpoints out of range (also before the problem
-   line), negative or non-integer counts, non-integer endpoints *)
+   line), negative or non-integer counts, non-integer endpoints, a
+   missing problem line *)
 let test_dimacs_malformed () =
   List.iter
     (fun (text, line) ->
@@ -174,12 +175,56 @@ let test_dimacs_malformed () =
       (Printf.sprintf "p edge %d 0\n" (Dimacs.max_vertices + 1), 1);
       (Printf.sprintf "c huge\np edge %d 1\n" max_int, 2);
       ("e 1 2\np edge 4000000000 1\n", 2);
-    ];
-  check "missing problem line" true
-    (try
-       ignore (Dimacs.parse_string "e 1 2\n");
-       false
-     with Failure _ -> true)
+      (* no problem line: the first edge's line, or else the last *)
+      ("c p edge 3 1\ne 1 2\ne 2 3\n", 2);
+      ("c only a comment\n", 2);
+    ]
+
+(* fuzz: byte mutants of two DIMACS texts of grid4 — one as benchmark
+   files write it (comments, edges before the problem line, loose
+   spacing) and the writer's round-trip of it — either parse or fail
+   with a [Failure] that names a line; any other exception fails the
+   property.  The generator leans on the bytes the format is made of,
+   so mutants reach deep into the line grammar *)
+let prop_dimacs_mutants_fail_closed =
+  let loose =
+    "c grid4: a 4x4 grid\n\ne 1 2\np  edge 16 24\n"
+    ^ String.concat ""
+        (List.filter_map
+           (fun (u, v) ->
+             if (u, v) = (0, 1) then None
+             else Some (Printf.sprintf "e %d  %d\n" (u + 1) (v + 1)))
+           (Graph.edges (Graph.grid 4 4)))
+  in
+  let writer = Dimacs.to_string (Dimacs.parse_string loose) in
+  let gen =
+    let open QCheck.Gen in
+    let grammar = List.of_seq (String.to_seq " \n\t-+0123456789pecx_") in
+    let byte = oneof [ oneofl grammar; char ] in
+    let mutate text =
+      let len = String.length text in
+      int_range 0 2 >>= fun op ->
+      int_bound (max 0 (len - 1)) >>= fun i ->
+      byte >|= fun c ->
+      let before = String.sub text 0 i and after j = String.sub text j (len - j) in
+      match op with
+      | 0 -> before ^ String.make 1 c ^ after i
+      | 1 when len > 0 -> before ^ after (i + 1)
+      | _ when len > 0 -> before ^ String.make 1 c ^ after (i + 1)
+      | _ -> String.make 1 c
+    in
+    oneofl [ loose; writer ] >>= fun text ->
+    int_range 1 3 >>= fun k ->
+    let rec go k t = if k = 0 then pure t else mutate t >>= go (k - 1) in
+    go k text
+  in
+  QCheck.Test.make ~count:4000 ~name:"dimacs mutants parse or fail located"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun text ->
+      match Dimacs.parse_string text with
+      | _ -> true
+      | exception Failure msg ->
+          Scanf.sscanf_opt msg "Dimacs: line %u: " ignore <> None)
 
 (* property: eliminating a vertex makes its old neighbourhood a clique *)
 let prop_elimination_clique =
@@ -441,6 +486,9 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip;
           Alcotest.test_case "parse" `Quick test_dimacs_parse;
           Alcotest.test_case "malformed" `Quick test_dimacs_malformed;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            ~rand:(Random.State.make [| 4 |])
+            prop_dimacs_mutants_fail_closed;
         ] );
       ( "chordal",
         [

@@ -1,12 +1,11 @@
-(* hd_parallel: incumbent sharing, the SPSC ring, the work-stealing
-   scheduler, parallel SAIGA, and portfolio determinism across -j
+(* hd_parallel: incumbent sharing, the work-stealing scheduler,
+   HDA-star, parallel SAIGA, and portfolio determinism across -j
    values. *)
 
 module Graph = Hd_graph.Graph
 module Incumbent = Hd_core.Incumbent
 module Solver = Hd_engine.Solver
 module Search = Hd_search.Ordering_search
-module Ring = Hd_parallel.Ring
 module Portfolio = Hd_parallel.Portfolio
 
 let check = Alcotest.(check bool)
@@ -87,68 +86,13 @@ let test_incumbent_multicore () =
   check "no torn snapshot observed" false (Atomic.get torn)
 
 (* ------------------------------------------------------------------ *)
-(* Ring                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_ring_fifo () =
-  let r = Ring.create 4 in
-  check "fresh ring empty" true (Ring.is_empty r);
-  check "pop on empty" true (Ring.try_pop r = None);
-  for i = 1 to 4 do
-    check "push while space" true (Ring.try_push r i)
-  done;
-  check "push on full drops" false (Ring.try_push r 5);
-  check_int "length when full" 4 (Ring.length r);
-  check "fifo order" true (Ring.try_pop r = Some 1);
-  check "push after pop" true (Ring.try_push r 5);
-  List.iter
-    (fun expected -> check "fifo order" true (Ring.try_pop r = Some expected))
-    [ 2; 3; 4; 5 ];
-  check "drained" true (Ring.is_empty r)
-
-let test_ring_capacity () =
-  check_int "1 stays 1" 1 (Ring.capacity (Ring.create 1));
-  check_int "3 rounds to 4" 4 (Ring.capacity (Ring.create 3));
-  check_int "4 stays 4" 4 (Ring.capacity (Ring.create 4));
-  check_int "5 rounds to 8" 8 (Ring.capacity (Ring.create 5));
-  check "capacity 0 rejected" true
-    (try
-       ignore (Ring.create 0);
-       false
-     with Invalid_argument _ -> true)
-
-(* one producer domain, consumer on the main domain: every element
-   arrives exactly once and in order, across a ring much smaller than
-   the stream *)
-let test_ring_spsc_stream () =
-  let n = 10_000 in
-  let r = Ring.create 8 in
-  let producer () =
-    for i = 0 to n - 1 do
-      while not (Ring.try_push r i) do
-        Domain.cpu_relax ()
-      done
-    done
-  in
-  let d = Domain.spawn producer in
-  let received = ref 0 in
-  while !received < n do
-    match Ring.try_pop r with
-    | Some x ->
-        check_int "in-order delivery" !received x;
-        incr received
-    | None -> Domain.cpu_relax ()
-  done;
-  Domain.join d;
-  check "stream drained" true (Ring.is_empty r)
-
-(* ------------------------------------------------------------------ *)
 (* Work-stealing deque                                                 *)
 (* ------------------------------------------------------------------ *)
 
 module Deque = Hd_engine.Deque
 module Sched = Hd_engine.Scheduler
 module Hdastar = Hd_parallel.Hdastar
+module Obs = Hd_obs.Obs
 module Budget = Hd_engine.Budget
 
 let test_deque_owner_order () =
@@ -356,43 +300,62 @@ let exact_of name (r : int Search.result) =
   | Search.Bounds { lb; ub } ->
       Alcotest.failf "%s: expected exact, got [%d,%d]" name lb ub
 
-(* a budget that lends HDA-star a 2-worker scheduler: three workers *)
-let on_two_workers f =
-  Sched.with_scheduler ~workers:2 (fun s -> f (Budget.create ~scheduler:s ()))
+(* a budget that lends HDA-star a 2-worker scheduler: three workers,
+   which must trade states through their inboxes somewhere in [runs] *)
+let on_two_workers label runs =
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      Sched.with_scheduler ~workers:2 (fun s ->
+          List.iter (fun f -> f (Budget.create ~scheduler:s ())) runs));
+  check (label ^ " shipped states cross-worker") true
+    (Obs.Counter.value (Obs.Counter.make "hdastar.messages") > 0)
 
 (* the distributed search proves the same optimum as the sequential
    A*, without a scheduler (one worker inline, the deterministic mode)
    and with a 2-worker one, and its witness actually achieves the
-   width *)
+   width.  The small instances can close before the scheduler's
+   workers come online; queen5_5 runs long enough for them to trade *)
 let test_hdastar_tw_matches_seq () =
-  List.iter
-    (fun name ->
-      let g = graph name in
-      let expected = exact_of name (Search.Tw.astar ~seed:3 g) in
-      (let r = Hdastar.Tw.solve ~seed:3 g in
-       check_int (name ^ " hdastar j1 width") expected (exact_of name r);
-       match r.Search.ordering with
-       | Some sigma ->
-           let ws = Hd_core.Eval.of_graph g in
-           check_int
-             (name ^ " witness achieves width")
-             expected
-             (Hd_core.Eval.tw_width ws sigma)
-       | None -> Alcotest.failf "%s: no witness ordering" name);
-      on_two_workers (fun within ->
-          check_int (name ^ " hdastar j3 width") expected
-            (exact_of name (Hdastar.Tw.solve ~within ~seed:3 g))))
-    [ "grid4"; "myciel3"; "grid5" ]
+  on_two_workers "tw j3"
+    (List.map
+       (fun name ->
+         let g = graph name in
+         let expected = exact_of name (Search.Tw.astar ~seed:3 g) in
+         (let r = Hdastar.Tw.solve ~seed:3 g in
+          check_int (name ^ " hdastar j1 width") expected (exact_of name r);
+          match r.Search.ordering with
+          | Some sigma ->
+              let ws = Hd_core.Eval.of_graph g in
+              check_int
+                (name ^ " witness achieves width")
+                expected
+                (Hd_core.Eval.tw_width ws sigma)
+          | None -> Alcotest.failf "%s: no witness ordering" name);
+         fun within ->
+           check_int (name ^ " hdastar j3 width") expected
+             (exact_of name (Hdastar.Tw.solve ~within ~seed:3 g)))
+       [ "grid4"; "myciel3"; "grid5"; "queen5_5" ])
 
+(* adder_15 closes at the root; csp-synth's grid2d_06 takes a few
+   hundred states, enough for the three workers to trade some *)
 let test_hdastar_ghw_matches_seq () =
-  let h = hypergraph "adder_15" in
-  let expected = exact_of "adder_15" (Search.Ghw.astar ~seed:5 h) in
-  check_int "adder_15 seq ghw" 2 expected;
-  check_int "adder_15 hdastar j1" expected
-    (exact_of "adder_15" (Hdastar.Ghw.solve ~seed:5 h));
-  on_two_workers (fun within ->
-      check_int "adder_15 hdastar j3" expected
-        (exact_of "adder_15" (Hdastar.Ghw.solve ~within ~seed:5 h)))
+  let grid2d_06 =
+    Hd_hypergraph.Hg_format.parse_string
+      (List.assoc "grid2d_06.hg"
+         (List.assoc "csp-synth" (Hd_instances.Mini_corpus.collections ())))
+  in
+  on_two_workers "ghw j3"
+    (List.map
+       (fun (name, h, width) ->
+         let expected = exact_of name (Search.Ghw.astar ~seed:5 h) in
+         check_int (name ^ " seq ghw") width expected;
+         check_int (name ^ " hdastar j1") expected
+           (exact_of name (Hdastar.Ghw.solve ~seed:5 h));
+         fun within ->
+           check_int (name ^ " hdastar j3") expected
+             (exact_of name (Hdastar.Ghw.solve ~within ~seed:5 h)))
+       [ ("adder_15", hypergraph "adder_15", 2); ("grid2d_06", grid2d_06, 4) ])
 
 (* on an exhausted state budget the distributed search degrades to the
    incumbent bounds, like the sequential solver *)
@@ -519,7 +482,6 @@ let test_portfolio_member_exception () =
 
 module Saiga_ghw = Hd_ga.Saiga_ghw
 
-module Obs = Hd_obs.Obs
 
 let saiga_config n_islands =
   Saiga_ghw.default_config ~n_islands ~island_population:20 ~epoch_length:5
@@ -594,12 +556,6 @@ let () =
           Alcotest.test_case "witness freezing" `Quick test_incumbent_witness;
           Alcotest.test_case "cancellation" `Quick test_incumbent_cancel;
           Alcotest.test_case "multicore hammer" `Quick test_incumbent_multicore;
-        ] );
-      ( "ring",
-        [
-          Alcotest.test_case "fifo" `Quick test_ring_fifo;
-          Alcotest.test_case "capacity rounding" `Quick test_ring_capacity;
-          Alcotest.test_case "spsc stream" `Quick test_ring_spsc_stream;
         ] );
       ( "deque",
         [
