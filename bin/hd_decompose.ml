@@ -215,12 +215,8 @@ let run input names ~jobs ~portfolio time_limit seed print_decomposition output 
                     exit 2)
               names
           in
-          (* one kind for the whole race, else ghw covers *)
-          let kind =
-            match kinds with
-            | k :: rest when List.for_all (( = ) k) rest -> k
-            | _ -> Hd_engine.Solver.Ghw
-          in
+          (* a race computes one kind: Portfolio refuses a mix *)
+          let kind = List.hd kinds in
           let problem =
             match data with
             | G g -> Hd_engine.Solver.Graph g
@@ -237,9 +233,13 @@ let run input names ~jobs ~portfolio time_limit seed print_decomposition output 
               witness kind r.Solver.outcome (report_search name r)
           | names ->
               let r =
-                Hd_parallel.Portfolio.solve_named
-                  ?jobs:(if jobs > 1 then Some jobs else None)
-                  ~budget:(budget time_limit) ~seed ~names problem
+                try
+                  Hd_parallel.Portfolio.solve_named
+                    ?jobs:(if jobs > 1 then Some jobs else None)
+                    ~budget:(budget time_limit) ~seed ~names problem
+                with Invalid_argument msg ->
+                  prerr_endline ("hd_decompose: " ^ msg);
+                  exit 2
               in
               witness kind r.Hd_parallel.Portfolio.outcome
                 (report_portfolio "portfolio" r)))

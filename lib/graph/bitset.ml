@@ -141,6 +141,8 @@ let next s i =
       (!wi * bits_per_word)
       + Array.unsafe_get ctz_table (!w land - !w land max_int mod 67)
 
+let lowest_bit w = Array.unsafe_get ctz_table (w land -w land max_int mod 67)
+
 let fold f s init =
   let acc = ref init in
   iter (fun i -> acc := f i !acc) s;

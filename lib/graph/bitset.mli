@@ -91,6 +91,11 @@ val fnv_hash : t -> int
     from the same basis. *)
 val fnv_offset_basis : int
 
+(** [lowest_bit w] is the index of the lowest set bit of the non-zero
+    [int] [w], in O(1): the word-level step of {!iter}, for callers
+    that keep sets as raw words. *)
+val lowest_bit : int -> int
+
 (** [of_list n xs] is the set with capacity [n] containing [xs]. *)
 val of_list : int -> int list -> t
 

@@ -145,8 +145,26 @@ let solve_ghw ?jobs ?budget ?(seed = 0x91f) h =
   Obs.with_span "portfolio.solve_ghw" @@ fun () ->
   run_roster ?jobs ?budget ~seed ghw_roster (Solver.Hypergraph h)
 
+(* the members share one int incumbent, so they must compute one
+   width: a tw member's bound is no bound on ghw *)
+let check_one_kind names =
+  let kinds =
+    List.filter_map
+      (fun n -> Option.map (fun s -> (n, s.Solver.kind)) (Solver.find n))
+      names
+  in
+  match kinds with
+  | (_, k) :: rest when List.exists (fun (_, k') -> k' <> k) rest ->
+      let member (n, k) = Printf.sprintf "%s (%s)" n (Solver.kind_name k) in
+      invalid_arg
+        ("Portfolio: a race computes one width, but its members mix "
+        ^ String.concat ", " (List.map member kinds))
+  | _ -> ()
+
 let solve_named ?jobs ?budget ?(seed = 0x92f) ~names problem =
   Obs.with_span "portfolio.solve_named" @@ fun () ->
+  Registry.ensure ();
+  check_one_kind names;
   let jobs = match jobs with Some j -> j | None -> List.length names in
   run_roster ~jobs ?budget ~seed (List.map (fun n -> (n, n)) names) problem
 

@@ -72,6 +72,8 @@ val solve_named :
     {!Registry.ensure}).  [jobs] defaults to the number of names, so
     every requested solver actually runs.
     @raise Invalid_argument on an unknown name, listing the registered
-    ones. *)
+    ones, and when the members compute different widths (say [tw] and
+    [ghw]), naming each member with its kind: they would share one
+    incumbent, so one measure's bound would close the other's race. *)
 
 val pp : Format.formatter -> t -> unit

@@ -163,9 +163,9 @@ let parse_bulk j =
        })
 
 let parse line =
-  match Json.parse_opt line with
-  | None -> Error "malformed JSON"
-  | Some j -> (
+  match Json.parse line with
+  | exception Json.Parse_error msg -> Error ("malformed JSON: " ^ msg)
+  | j -> (
       match Json.member "op" j with
       | Some (Json.String op) -> (
           match op with

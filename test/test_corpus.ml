@@ -72,6 +72,30 @@ let test_malformed_cq () =
   expect_parse_failure (golden "malformed.cq")
     ~fragments:[ "malformed.cq"; "line 4"; "s" ]
 
+(* fuzz: byte mutants of good.hg and good.cq either parse or fail with
+   a [Failure] that names the reader, the source and a line; any other
+   exception fails the property *)
+let prop_mutants_fail_closed ~reader ~grammar ~seed parse =
+  let text = In_channel.with_open_bin (golden seed) In_channel.input_all in
+  let source = "fuzz-" ^ seed in
+  QCheck.Test.make ~count:2000
+    ~name:(Printf.sprintf "%s mutants parse or fail located" seed)
+    (Mutants.arbitrary ~grammar [ text ])
+    (fun text ->
+      match parse ~source text with
+      | _ -> true
+      | exception Failure msg ->
+          Scanf.sscanf_opt msg "%s@: %s@, line %u: " (fun r s _ -> r = reader && s = source)
+          = Some true)
+
+let prop_hg_mutants =
+  prop_mutants_fail_closed ~reader:"Hg_format" ~grammar:"(),.%_ \n\tabe12" ~seed:"good.hg"
+    (fun ~source text -> ignore (Hd_hypergraph.Hg_format.parse_string ~source text))
+
+let prop_cq_mutants =
+  prop_mutants_fail_closed ~reader:"Cq" ~grammar:"(),.:-%_\"' \nXYZrst" ~seed:"good.cq"
+    (fun ~source text -> ignore (Hd_query.Cq.parse_string ~source text))
+
 let test_name_of_path () =
   check_string "hg" "adder_05" (Corpus.name_of_path "/x/y/adder_05.hg");
   check_string "bare" "q1" (Corpus.name_of_path "q1")
@@ -400,7 +424,10 @@ let () =
           Alcotest.test_case "malformed.cq keeps line numbers" `Quick
             test_malformed_cq;
           Alcotest.test_case "name_of_path" `Quick test_name_of_path;
-        ] );
+        ]
+        @ List.map
+            (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 5 |]))
+            [ prop_hg_mutants; prop_cq_mutants ] );
       ( "mini-corpus",
         [
           Alcotest.test_case "all instances parse" `Quick

@@ -197,29 +197,8 @@ let prop_dimacs_mutants_fail_closed =
            (Graph.edges (Graph.grid 4 4)))
   in
   let writer = Dimacs.to_string (Dimacs.parse_string loose) in
-  let gen =
-    let open QCheck.Gen in
-    let grammar = List.of_seq (String.to_seq " \n\t-+0123456789pecx_") in
-    let byte = oneof [ oneofl grammar; char ] in
-    let mutate text =
-      let len = String.length text in
-      int_range 0 2 >>= fun op ->
-      int_bound (max 0 (len - 1)) >>= fun i ->
-      byte >|= fun c ->
-      let before = String.sub text 0 i and after j = String.sub text j (len - j) in
-      match op with
-      | 0 -> before ^ String.make 1 c ^ after i
-      | 1 when len > 0 -> before ^ after (i + 1)
-      | _ when len > 0 -> before ^ String.make 1 c ^ after (i + 1)
-      | _ -> String.make 1 c
-    in
-    oneofl [ loose; writer ] >>= fun text ->
-    int_range 1 3 >>= fun k ->
-    let rec go k t = if k = 0 then pure t else mutate t >>= go (k - 1) in
-    go k text
-  in
   QCheck.Test.make ~count:4000 ~name:"dimacs mutants parse or fail located"
-    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (Mutants.arbitrary ~grammar:" \n\t-+0123456789pecx_" [ loose; writer ])
     (fun text ->
       match Dimacs.parse_string text with
       | _ -> true

@@ -476,6 +476,26 @@ let test_portfolio_member_exception () =
      with Member_boom -> true);
   check "other member still reported" true (Atomic.get reported)
 
+(* members share one int incumbent, so a race of two measures would
+   report the first finisher's width as every member's exact width
+   (csp-synth adder_04, tw 4 and ghw 2, printed "bb-ghw 4 (exact)").
+   The race refuses the mix, naming each member's kind, before any
+   member runs *)
+let test_portfolio_mixed_kinds () =
+  let problem = Hd_engine.Solver.Hypergraph (hypergraph "adder_15") in
+  List.iter
+    (fun (names, mix) ->
+      match Portfolio.solve_named ~names problem with
+      | _ -> Alcotest.failf "%s: raced" (String.concat "," names)
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) "message"
+            ("Portfolio: a race computes one width, but its members mix " ^ mix)
+            msg)
+    [
+      ([ "astar-tw"; "bb-ghw" ], "astar-tw (tw), bb-ghw (ghw)");
+      ([ "bb-ghw"; "astar-tw" ], "bb-ghw (ghw), astar-tw (tw)");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Parallel SAIGA                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -594,6 +614,7 @@ let () =
             test_portfolio_determinism;
           Alcotest.test_case "report shape" `Quick test_portfolio_report_shape;
           Alcotest.test_case "ghw race" `Quick test_portfolio_ghw;
+          Alcotest.test_case "mixed kinds refused" `Quick test_portfolio_mixed_kinds;
           Alcotest.test_case "member exception re-raises" `Quick
             test_portfolio_member_exception;
         ] );

@@ -174,6 +174,17 @@ let test_protocol_parse () =
     match Protocol.parse s with Error _ -> true | Ok _ -> false
   in
   check "malformed json rejected" true (is_error "not json");
+  (* a located error: the reply names the offset where parsing failed,
+     here the end of a submit line cut short before its brace *)
+  let truncated = {|{"op":"submit","file":"test/corpus_golden/good.hg"|} in
+  (match Protocol.parse truncated with
+  | Error msg ->
+      let located = Printf.sprintf " at %d" (String.length truncated) in
+      check (Printf.sprintf "%S is a JSON error" msg) true
+        (String.starts_with ~prefix:"malformed JSON: " msg);
+      check (Printf.sprintf "%S ends %S" msg located) true
+        (String.ends_with ~suffix:located msg)
+  | Ok _ -> Alcotest.fail "truncated submit must not parse");
   check "missing op rejected" true (is_error {|{"job":1}|});
   check "unknown op rejected" true (is_error {|{"op":"frobnicate"}|});
   check "two sources rejected" true
@@ -181,6 +192,19 @@ let test_protocol_parse () =
   check "sourceless submit rejected" true (is_error {|{"op":"submit"}|});
   check "poll without job rejected" true (is_error {|{"op":"poll"}|});
   check "negative job rejected" true (is_error {|{"op":"poll","job":-1}|})
+
+(* fuzz: byte mutants of submit lines either parse or come back as an
+   [Error] to send in the reply; an exception would end the session *)
+let prop_protocol_mutants =
+  let seeds =
+    [
+      {|{"op":"submit","file":"test/corpus_golden/good.hg","solver":"bb-ghw","time_limit":1.5,"max_states":400,"seed":7,"ordering":true}|};
+      {|{"op":"submit","hypergraph":"e1(a,b),\ne2(b,c).","label":"p\u00e9","cache":false}|};
+    ]
+  in
+  QCheck.Test.make ~count:2000 ~name:"protocol mutants parse or answer an error"
+    (Mutants.arbitrary ~grammar:{|{}[]",:\ 0123456789.-+eEtrufalsn|} seeds)
+    (fun line -> match Protocol.parse line with Ok _ | Error _ -> true)
 
 let test_protocol_parse_bulk () =
   (match
@@ -696,6 +720,7 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_protocol_parse;
           Alcotest.test_case "parse bulk" `Quick test_protocol_parse_bulk;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 6 |]) prop_protocol_mutants;
         ] );
       ( "jobs",
         [
