@@ -47,9 +47,8 @@ let run scale =
          ]
         @ extra) )
   in
-  (* one scheduler serves all three layer races; its domains spawn
-     outside the timed regions, as the CLIs create theirs once per run
-     before the solve *)
+  (* one scheduler serves all three layer races; it starts worker
+     domains as each race forks, as the CLIs' schedulers do *)
   let blocks_row, hdastar_row, columnar_row =
     Sched.with_scheduler ~workers @@ fun sched ->
     (* layer "blocks": Engine.run forks the biconnected blocks of a

@@ -23,8 +23,9 @@ let load ~instance ~graph_file ~hypergraph_file =
       | Failure msg -> Error (path ^ ": " ^ msg)
       | Sys_error msg -> Error msg)
   | None, None, Some path -> (
-      (* the format's errors name the file and line *)
-      try Ok (H (Hd_hypergraph.Hg_format.parse_file path))
+      (* .hg or .cq, told apart by content; the errors name the file
+         and line *)
+      try Ok (H (Hd_corpus.Corpus.load_file path))
       with Failure msg | Sys_error msg -> Error msg)
   | _ -> Error "give exactly one of --instance, --graph, --hypergraph"
 
@@ -259,7 +260,7 @@ let graph_file =
   Arg.(value & opt (some file) None & info [ "graph" ] ~doc:"DIMACS graph file.")
 
 let hypergraph_file =
-  Arg.(value & opt (some file) None & info [ "hypergraph" ] ~doc:"Hypergraph file (atom format).")
+  Arg.(value & opt (some file) None & info [ "hypergraph" ] ~doc:"Hypergraph file: atom format (.hg) or a conjunctive query (.cq).")
 
 let method_ =
   Arg.(

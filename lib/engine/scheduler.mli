@@ -1,10 +1,17 @@
 (** The work-stealing task scheduler.
 
-    One instance owns a fixed set of worker domains, each draining its
-    own {!Deque} (LIFO for the owner, stolen FIFO by idle peers) plus a
-    global FIFO injector queue for external submissions and
-    fairness-sensitive resubmissions.  It is the tree's only source of
-    worker domains, and there is no process-wide instance: whoever
+    One instance owns a fixed number of worker slots, each with its own
+    {!Deque} (LIFO for the owner, stolen FIFO by peers), plus a global
+    FIFO injector queue for external submissions and
+    fairness-sensitive resubmissions.  Worker domains live only while
+    there is work: a push that leaves work queued starts a domain on a
+    free slot, and a worker that finds nothing to run spins for more
+    for about what a restart costs (300 us), then gives its slot back
+    and ends, so no domain waits parked between forks (a parked domain
+    still costs every minor collection a synchronisation,
+    docs/PERFORMANCE.md section 15).  Only a {!run_all} joiner parks,
+    while its children run elsewhere.  It is the tree's only source
+    of worker domains, and there is no process-wide instance: whoever
     creates one owns it and hands it down explicitly.  A solve finds
     the scheduler it may fork onto in its running budget
     ({!Budget.scheduler}): biconnected block solves ({!Blocks.solve}),
@@ -29,25 +36,33 @@
     byte-identical to a plain [List.iter].
 
     Counters: [parallel.tasks] (closures executed), [parallel.steals]
-    (successful deque steals), [parallel.park_ns] (cumulative
-    nanoseconds workers and joiners spent parked).  A ["scheduler"]
+    (successful deque steals), [parallel.worker_starts] (worker
+    domains spawned), [parallel.park_ns] (cumulative nanoseconds
+    {!run_all} joiners spent parked).  A ["scheduler"]
     {!Hd_obs.Obs.Tap} stream reports [park]/[resume]/[drop] events;
     see docs/OBSERVABILITY.md. *)
 
 type t
 
 val create : workers:int -> unit -> t
-(** [create ~workers ()] spawns [workers] domains (clamped at 0): the
-    caller sizes every instance, never the machine's core count.  With
-    [workers = 0] no domain is spawned and every submission runs on
-    the caller at the next join point. *)
+(** [create ~workers ()] makes [workers] worker slots (clamped at 0)
+    and spawns nothing: the caller sizes every instance, never the
+    machine's core count.  At most [workers] worker domains are alive
+    at once.  With [workers = 0] every submission runs on the caller
+    at the next join point. *)
 
 val size : t -> int
-(** Number of worker domains (0 in sequential mode). *)
+(** Number of worker slots (0 in sequential mode), live or not. *)
+
+val warm : t -> bool
+(** Whether a worker domain is running on some slot, busy or lingering
+    for more work: a fork made now needs no new domain, unless it
+    wants more executors than are running. *)
 
 val shutdown : t -> unit
-(** Drain outstanding tasks, then join every worker.  Idempotent.
-    Tasks injected after shutdown raise [Invalid_argument]. *)
+(** Wait until the queued tasks have run, and join every worker
+    domain.  Idempotent.  Tasks injected after shutdown raise
+    [Invalid_argument]. *)
 
 val with_scheduler : workers:int -> (t -> 'a) -> 'a
 (** [create] / run / [shutdown], exception-safe. *)

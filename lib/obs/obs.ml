@@ -463,19 +463,9 @@ module Span = struct
 
   (* Spans are strictly nested within one domain, so each domain owns a
      private tree and stack (no synchronisation on the hot path); the
-     trees of all domains that ever opened a span are merged by name
-     when a report is taken. *)
+     trees of the live domains, and the one tree the ended domains
+     folded theirs into, are merged by name when a report is taken. *)
   type ctx = { root : node; mutable stack : node list }
-
-  let contexts : ctx list ref = ref []
-
-  let key =
-    Domain.DLS.new_key (fun () ->
-        let ctx = { root = fresh_root (); stack = [] } in
-        locked (fun () -> contexts := ctx :: !contexts);
-        ctx)
-
-  let context () = Domain.DLS.get key
 
   let current ctx = match ctx.stack with node :: _ -> node | [] -> ctx.root
 
@@ -527,9 +517,33 @@ module Span = struct
       out;
     out
 
+  (* the live domains' contexts, newest first *)
+  let contexts : ctx list ref = ref []
+
+  (* the merged forest, in creation order, of every domain that has
+     ended: a domain folds its tree in here as it exits, so [contexts]
+     stays bounded by the domains alive at once however many come and
+     go.  Each fold builds fresh nodes, so a report that took the
+     forest under the lock merges it unchanged outside. *)
+  let retired : node list ref = ref []
+
+  let retire ctx =
+    locked @@ fun () ->
+    contexts := List.filter (fun c -> c != ctx) !contexts;
+    retired := merge_forests [ !retired; List.rev ctx.root.children ]
+
+  let key =
+    Domain.DLS.new_key (fun () ->
+        let ctx = { root = fresh_root (); stack = [] } in
+        locked (fun () -> contexts := ctx :: !contexts);
+        Domain.at_exit (fun () -> retire ctx);
+        ctx)
+
+  let context () = Domain.DLS.get key
+
   let merged () =
-    let ctxs = locked (fun () -> !contexts) in
-    merge_forests (List.rev_map (fun c -> List.rev c.root.children) ctxs)
+    let ctxs, gone = locked (fun () -> (!contexts, !retired)) in
+    merge_forests (List.rev_map (fun c -> List.rev c.root.children) ctxs @ [ gone ])
 end
 
 let with_span name f =
@@ -564,7 +578,10 @@ let reset () =
       ctx.Span.root.Span.calls <- 0;
       ctx.Span.root.Span.seconds <- 0.0;
       ctx.Span.stack <- [])
-    !Span.contexts
+    !Span.contexts;
+  Span.retired := []
+
+let span_domains () = locked (fun () -> List.length !Span.contexts)
 
 let sorted_names to_name xs =
   List.sort (fun a b -> compare (to_name a) (to_name b)) xs

@@ -184,6 +184,13 @@ val with_span : string -> (unit -> 'a) -> 'a
     its time recorded — even when [f] raises.  When recording is
     disabled this is exactly [f ()]. *)
 
+val span_domains : unit -> int
+(** [span_domains ()] is the number of live domains that hold a span
+    tree of their own.  A domain's tree folds into a shared one when
+    the domain ends, so this stays bounded by the domains alive at once
+    (a scheduler's slots plus its callers), however many start and end;
+    {!report} covers both. *)
+
 (** {1 Reset and reports} *)
 
 val reset : unit -> unit

@@ -31,13 +31,31 @@ module Sched = Hd_engine.Scheduler
    byte-identical to the sequential scan at any [-j]. *)
 let grain = 2048
 
+(* A pass above the grain forks onto a worker domain that is already
+   running ([Sched.warm]).  Starting one is paid only for a pass above
+   [fork_rows].  That value was picked from query-bulk runs at 4,096,
+   16,384 and 32,768 (docs/PERFORMANCE.md section 15): below 32,768
+   its bulk queries started workers for passes that did not repay
+   them. *)
+let fork_rows = 32_768
+
+(* whether a pass over [n] rows, [work] rows' worth of scanning
+   (default [n]), forks onto [par] *)
+let forks ?work (par : Sched.t option) n =
+  let work = Option.value work ~default:n in
+  match par with
+  | Some s when Sched.size s > 0 && n > grain && (work > fork_rows || Sched.warm s) ->
+      Some s
+  | _ -> None
+
 (* [chunked par n scan] runs [scan lo hi] over deterministic chunks of
    [0, n) and returns the per-chunk results in chunk order.  Falls back
-   to one inline chunk when [par] is absent, sequential, or the input
-   is below the grain. *)
+   to one inline chunk when [par] is absent or sequential, when the
+   input is within the grain, or when it is at most [fork_rows] and no
+   worker is running. *)
 let chunked (par : Sched.t option) n (scan : int -> int -> 'a) : 'a array =
-  match par with
-  | Some s when Sched.size s > 0 && n > grain ->
+  match forks par n with
+  | Some s ->
       let nc = (n + grain - 1) / grain in
       let out = Array.make nc None in
       Sched.run_all s
@@ -292,8 +310,8 @@ let join_mat ?par a (b : Qrelation.t) =
        done);
     cols.(j) <- col
   in
-  (match par with
-  | Some s when Sched.size s > 0 && ka + kp > 1 && n > grain ->
+  (match forks par n ~work:(n * (ka + kp)) with
+  | Some s when ka + kp > 1 ->
       Sched.run_all s (List.init (ka + kp) (fun j () -> fill j))
   | _ ->
       for j = 0 to ka + kp - 1 do

@@ -29,17 +29,25 @@ type sel = int array
 (** [all_rows r] selects every row of [r]. *)
 val all_rows : Qrelation.t -> sel
 
+(** Work, in rows scanned, above which a pass forks onto [?par] even
+    when no worker domain is running there.  A pass above the 2048-row
+    grain and at most [fork_rows] forks only onto a running worker
+    ({!Hd_engine.Scheduler.warm}): starting one costs it more than the
+    scan saves (docs/PERFORMANCE.md section 15). *)
+val fork_rows : int
+
 (** [semijoin ?par ~probe:(a, sa, pa) ~build:(b, sb, pb) ()] is the
     selection of [sa]'s rows whose values at columns [pa] match some
     [sb] row of [b] at columns [pb].  [pa] and [pb] must list the
     shared attributes in the same order.  The build side is
     radix-partitioned once; probing allocates nothing per row.
 
-    With [par] a probe side above 2048 rows is scanned in parallel
-    chunks of 2048 rows on the scheduler.  Chunk boundaries depend only
-    on the probe count, and chunk outputs concatenate in chunk order,
-    so the result is byte-identical to the sequential scan at any
-    worker count. *)
+    With [par] a probe side above {!fork_rows} rows, or above 2048
+    rows while a worker is running, is scanned in parallel chunks of
+    2048 rows on the scheduler.  Chunk boundaries depend only on the
+    probe count, and chunk outputs concatenate in chunk order, so the
+    result is byte-identical to the sequential scan at any worker
+    count. *)
 val semijoin :
   ?par:Hd_engine.Scheduler.t ->
   probe:Qrelation.t * sel * int array ->
@@ -52,7 +60,8 @@ val semijoin :
     are radix-partitioned hash joins building columnar intermediates;
     the projection dedups through an open chained int-hash, never
     boxing a key.  [par] parallelises the probe and column-gather
-    loops exactly as in {!semijoin} (the dedup projection stays
+    loops exactly as in {!semijoin}, where the column gather's work is
+    its cells, rows × output columns (the dedup projection stays
     sequential — its chained hash is order-sensitive).
     @raise Invalid_argument on an empty relation list;
     @raise Not_found when [scope] mentions an attribute absent from

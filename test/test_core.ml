@@ -374,15 +374,29 @@ let prop_td_io_roundtrip =
       let td2 = Hd_core.Td_io.parse_string (Hd_core.Td_io.to_string ~n_vertices:n td) in
       Td.valid_for_graph g td2 && Td.width td2 = Td.width td)
 
-(* random token mutations of valid .td and .ghd texts: each either
-   parses or is rejected with a Failure naming a line or a bag *)
+(* byte mutants (test/mutants) of valid .td and .ghd texts, and of
+   their line-level variants (each line duplicated, each line deleted,
+   so the duplicate-header and disconnected-bag paths stay in reach):
+   each either parses or is rejected with a Failure naming a line or a
+   bag *)
 let prop_io_mutations_located =
-  QCheck.Test.make ~count:500
-    ~name:"mutated .td/.ghd: parse or Failure naming line or bag"
-    QCheck.(make QCheck.Gen.(triple (1 -- 7) int bool))
-    (fun (n, seed, ghd) ->
-      let rng = Random.State.make [| seed |] in
-      let text =
+  let rng = Random.State.make [| 5 |] in
+  let line_variants text =
+    let lines = Array.of_list (String.split_on_char '\n' text) in
+    let n = Array.length lines in
+    let without i = List.filteri (fun j _ -> j <> i) (Array.to_list lines) in
+    let twice i =
+      List.concat (List.init n (fun j -> if j = i then [ lines.(j); lines.(j) ] else [ lines.(j) ]))
+    in
+    text
+    :: List.concat_map
+         (fun i -> [ String.concat "\n" (without i); String.concat "\n" (twice i) ])
+         (List.init n Fun.id)
+  in
+  let seeds ghd =
+    List.concat_map line_variants
+    @@ List.map
+      (fun n ->
         let sigma = Ordering.random rng n in
         if ghd then
           let h =
@@ -396,38 +410,20 @@ let prop_io_mutations_located =
             (Ghd.of_ordering h sigma ~cover:`Exact)
         else
           Hd_core.Td_io.to_string ~n_vertices:n
-            (Td.of_ordering (random_graph rng n 0.4) sigma)
-      in
-      let pick a = a.(Random.State.int rng (Array.length a)) in
-      let lines =
-        ref
-          (Array.of_list (String.split_on_char '\n' text)
-          |> Array.map (fun l -> Array.of_list (String.split_on_char ' ' l)))
-      in
-      for _ = 1 to 1 + Random.State.int rng 3 do
-        let ls = !lines in
-        let i = Random.State.int rng (Array.length ls) in
-        match Random.State.int rng 4 with
-        | 0 when Array.length ls.(i) > 0 ->
-            let toks = Array.copy ls.(i) in
-            toks.(Random.State.int rng (Array.length toks)) <-
-              pick [| "0"; "-1"; "1"; "2"; "7"; "99"; "x"; "s"; "b"; "l"; "td"; "ghd" |];
-            ls.(i) <- toks
-        | 1 when Array.length ls.(i) > 0 ->
-            let j = Random.State.int rng (Array.length ls.(i)) in
-            ls.(i) <- Array.append (Array.sub ls.(i) 0 j)
-                (Array.sub ls.(i) (j + 1) (Array.length ls.(i) - j - 1))
-        | 2 -> lines := Array.append ls [| ls.(i) |]
-        | _ ->
-            lines :=
-              Array.append (Array.sub ls 0 i)
-                (Array.sub ls (i + 1) (Array.length ls - i - 1))
-      done;
-      let mutated =
-        Array.to_list !lines
-        |> List.map (fun l -> String.concat " " (Array.to_list l))
-        |> String.concat "\n"
-      in
+            (Td.of_ordering (random_graph rng n 0.4) sigma))
+      [ 1; 3; 5; 7 ]
+  in
+  let td_seeds = seeds false and ghd_seeds = seeds true in
+  let grammar = "sbltdgh c-0123479 \n" in
+  QCheck.Test.make ~count:2000
+    ~name:"mutated .td/.ghd: parse or Failure naming line or bag"
+    (QCheck.make
+       ~print:(fun (ghd, text) -> Printf.sprintf "%s %S" (if ghd then "ghd" else "td") text)
+       QCheck.Gen.(
+         bool >>= fun ghd ->
+         map (fun text -> (ghd, text))
+           (Mutants.gen ~grammar (if ghd then ghd_seeds else td_seeds))))
+    (fun (ghd, mutated) ->
       let located msg =
         let has sub =
           let n = String.length sub in

@@ -290,6 +290,180 @@ let test_sched_cancel_isolation () =
       Budget.cancel parent;
       check "parent cancel reaches children" true (Budget.cancelled subs.(1)))
 
+let worker_starts () =
+  Obs.Counter.value (Obs.Counter.make "parallel.worker_starts")
+
+(* run [f] with Obs counting from zero *)
+let counted f =
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect ~finally:Obs.disable f
+
+let test_sched_lazy_start () =
+  counted @@ fun () ->
+  let s = Sched.create ~workers:2 () in
+  check_int "size is the slot count" 2 (Sched.size s);
+  check_int "no domain before the first task" 0 (worker_starts ());
+  Sched.shutdown s;
+  check_int "none after an idle shutdown" 0 (worker_starts ())
+
+(* how long a worker run dry spins for more work before it ends
+   (scheduler.ml's [linger_s]) *)
+let linger_s = 300e-6
+
+(* An external caller forks and injects ({!Sched.resume} turns that
+   finish at once) in bursts.  Each burst parks a blocker on one slot,
+   which holds it until the burst's last task has run, and times that
+   task's injection to land within 60 us of the moment the other
+   slot's worker, run dry, stops lingering and ends: a worker that
+   ended without looking again would strand it with both slots taken.
+   Every task runs exactly once, and at most two domains other than
+   the caller run tasks at once. *)
+let test_sched_bursts () =
+  counted @@ fun () ->
+  let bursts = 1000 in
+  let caller = Domain.self () in
+  let on_workers = Atomic.make 0 and most = Atomic.make 0 in
+  let task cell () =
+    let away = Domain.self () <> caller in
+    if away then begin
+      let n = Atomic.fetch_and_add on_workers 1 + 1 in
+      let rec raise_most () =
+        let m = Atomic.get most in
+        if n > m && not (Atomic.compare_and_set most m n) then raise_most ()
+      in
+      raise_most ()
+    end;
+    Atomic.incr cell;
+    if away then Atomic.decr on_workers
+  in
+  let rng = Random.State.make [| 37 |] in
+  let cells = ref [] in
+  let fresh () =
+    let c = Atomic.make 0 in
+    cells := c :: !cells;
+    c
+  in
+  let until ~what cond =
+    let deadline = Unix.gettimeofday () +. 2.0 in
+    while (not (cond ())) && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    if not (cond ()) then Alcotest.failf "%s never ran" what
+  in
+  Sched.with_scheduler ~workers:2 (fun s ->
+      let inject c =
+        Sched.resume s (fun () ->
+            task c ();
+            `Done)
+      in
+      for b = 1 to bursts do
+        Sched.run_all s (List.init (2 + (b mod 3)) (fun _ -> task (fresh ())));
+        let last = fresh () and first = fresh () and blocker = fresh () in
+        Sched.resume s (fun () ->
+            let deadline = Unix.gettimeofday () +. 2.0 in
+            while Atomic.get last = 0 && Unix.gettimeofday () < deadline do
+              Unix.sleepf 0.0001
+            done;
+            task blocker ();
+            `Done);
+        inject first;
+        until ~what:(Printf.sprintf "burst %d's first task" b) (fun () ->
+            Atomic.get first = 1);
+        let at =
+          Unix.gettimeofday () +. linger_s +. (Random.State.float rng 120e-6 -. 60e-6)
+        in
+        while Unix.gettimeofday () < at do
+          Domain.cpu_relax ()
+        done;
+        inject last;
+        until ~what:(Printf.sprintf "burst %d's last task" b) (fun () ->
+            Atomic.get last = 1 && Atomic.get blocker = 1)
+      done);
+  check "every task ran exactly once" true
+    (List.for_all (fun c -> Atomic.get c = 1) !cells);
+  check "at most two worker domains at once" true (Atomic.get most <= 2);
+  check "workers ended and restarted between bursts" true
+    (worker_starts () >= bursts / 4)
+
+(* Workers that open spans and end leave no span tree behind: each
+   ended domain's tree folds into the shared one, so over 1,000 bursts
+   the live trees stay bounded by the two slots plus the caller, and
+   the report still counts every task's span. *)
+let test_sched_span_trees_fold () =
+  counted @@ fun () ->
+  let bursts = 1000 and per = 3 in
+  let calls () =
+    match Obs.Json.member "spans" (Obs.report ()) with
+    | Some (Obs.Json.List spans) ->
+        List.fold_left
+          (fun acc -> function
+            | Obs.Json.Obj f
+              when List.assoc_opt "name" f = Some (Obs.Json.String "test.burst") -> (
+                match List.assoc_opt "calls" f with
+                | Some (Obs.Json.Int n) -> acc + n
+                | _ -> acc)
+            | _ -> acc)
+          0 spans
+    | _ -> Alcotest.fail "report has no spans list"
+  in
+  let most = ref 0 in
+  Sched.with_scheduler ~workers:2 (fun s ->
+      for _ = 1 to bursts do
+        Sched.run_all s
+          (List.init per (fun _ () ->
+               Obs.with_span "test.burst" (fun () -> Unix.sleepf 0.00005)));
+        Unix.sleepf (2. *. linger_s);
+        most := max !most (Obs.span_domains ())
+      done);
+  check "workers ended and restarted" true (worker_starts () >= bursts / 4);
+  check "live span trees within slots + caller" true (!most <= 3);
+  check "no span tree left once the scheduler is down" true
+    (Obs.span_domains () <= 1);
+  check_int "every task's span reported" (bursts * per) (calls ())
+
+(* shutdown waits for queued work and joins the domains running it;
+   afterwards a submission raises *)
+let test_sched_shutdown () =
+  counted @@ fun () ->
+  let s = Sched.create ~workers:2 () in
+  let ran = Atomic.make 0 in
+  for _ = 1 to 6 do
+    Sched.resume s (fun () ->
+        Unix.sleepf 0.003;
+        Atomic.incr ran;
+        `Done)
+  done;
+  Sched.shutdown s;
+  check_int "queued tasks ran before shutdown returned" 6 (Atomic.get ran);
+  check "a worker was started" true (worker_starts () >= 1);
+  check "a submission after shutdown raises" true
+    (try
+       Sched.resume s (fun () -> `Done);
+       false
+     with Invalid_argument _ -> true);
+  Sched.shutdown s
+
+(* workers:0 is List.iter: the same effects in the same order, nested
+   forks included, and no domain *)
+let test_sched_sequential_is_iter () =
+  counted @@ fun () ->
+  let trace fork =
+    let b = Buffer.create 64 in
+    let rec tasks depth =
+      List.init 3 (fun i () ->
+          Buffer.add_string b (Printf.sprintf "(%d.%d" depth i);
+          if depth < 2 then fork (tasks (depth + 1));
+          Buffer.add_char b ')')
+    in
+    fork (tasks 0);
+    Buffer.contents b
+  in
+  Sched.with_scheduler ~workers:0 (fun s ->
+      check "run_all at 0 workers is List.iter" true
+        (trace (Sched.run_all s) = trace (List.iter (fun f -> f ()))));
+  check_int "no domain in sequential mode" 0 (worker_starts ())
+
 (* ------------------------------------------------------------------ *)
 (* Hash-distributed A-star                                             *)
 (* ------------------------------------------------------------------ *)
@@ -594,6 +768,16 @@ let () =
           Alcotest.test_case "resumable turns" `Quick test_sched_resume_turns;
           Alcotest.test_case "cancel isolation" `Quick
             test_sched_cancel_isolation;
+          Alcotest.test_case "no domain before the first task" `Quick
+            test_sched_lazy_start;
+          Alcotest.test_case "bursts run every task once" `Quick
+            test_sched_bursts;
+          Alcotest.test_case "ended workers fold their span trees" `Quick
+            test_sched_span_trees_fold;
+          Alcotest.test_case "shutdown drains and joins" `Quick
+            test_sched_shutdown;
+          Alcotest.test_case "sequential mode is List.iter" `Quick
+            test_sched_sequential_is_iter;
         ] );
       ( "hdastar",
         [

@@ -646,8 +646,8 @@ let test_colexec_index_keysum () =
 (* the partitioned-parallel columnar passes are byte-identical to the
    sequential ones — chunk boundaries depend only on the probe count,
    outputs concatenate in chunk order.  Every probe side here is above
-   the 2,048-row chunk, so each parallel call runs several chunks,
-   counted as scheduler tasks. *)
+   {!Cx.fork_rows}, so each parallel call forks several 2,048-row
+   chunks, counted as scheduler tasks. *)
 let test_colexec_parallel_identical () =
   Obs.enable ();
   let tasks = Obs.Counter.make "parallel.tasks" in
@@ -661,8 +661,10 @@ let test_colexec_parallel_identical () =
   Hd_engine.Scheduler.with_scheduler ~workers:3 (fun s ->
       let rng = Random.State.make [| 11 |] in
       let key () = Random.State.int rng 40 in
-      (* a's first column keeps its 5,000 rows distinct *)
-      let a = qr [| 0; 1 |] (List.init 5000 (fun i -> [| i; key () |])) in
+      (* a's first column keeps its rows distinct *)
+      let a =
+        qr [| 0; 1 |] (List.init (Cx.fork_rows + 5000) (fun i -> [| i; key () |]))
+      in
       let b = qr [| 1; 2 |] (List.init 200 (fun _ -> [| key (); key () |])) in
       let seq_sel =
         Cx.semijoin
@@ -687,7 +689,7 @@ let test_colexec_parallel_identical () =
         (Qrelation.rows seq_j = Qrelation.rows par_j);
       (* end to end through Yannakakis: same answers, same counts,
          same reduction stats *)
-      let db = db_of_edges (triangle_plus_chain 3000) in
+      let db = db_of_edges (triangle_plus_chain (Cx.fork_rows + 3000)) in
       List.iter
         (fun q ->
           let seq_r = Y.run ~mode:Y.Answers db q in

@@ -442,17 +442,35 @@ let with_server ~config f =
         outcome)
   in
   let to_server = Unix.out_channel_of_descr req_w in
-  let from_server = Unix.in_channel_of_descr resp_r in
   let send line =
     output_string to_server line;
     output_char to_server '\n';
     flush to_server
   in
-  let recv () = J.parse (input_line from_server) in
+  (* replies are read off the descriptor with a deadline, so a request
+     that is never answered fails the test instead of hanging it *)
+  let pending = Buffer.create 4096 and chunk = Bytes.create 4096 in
+  let rec recv_line () =
+    let s = Buffer.contents pending in
+    match String.index_opt s '\n' with
+    | Some i ->
+        Buffer.clear pending;
+        Buffer.add_string pending (String.sub s (i + 1) (String.length s - i - 1));
+        String.sub s 0 i
+    | None -> (
+        match Unix.select [ resp_r ] [] [] 60.0 with
+        | [], _, _ -> Alcotest.fail "no reply within 60 s"
+        | _ ->
+            let k = Unix.read resp_r chunk 0 (Bytes.length chunk) in
+            if k = 0 then raise End_of_file;
+            Buffer.add_subbytes pending chunk 0 k;
+            recv_line ())
+  in
+  let recv () = J.parse (recv_line ()) in
   let result = f send recv in
   close_out_noerr to_server;
   let outcome = Domain.join server in
-  close_in_noerr from_server;
+  Unix.close resp_r;
   (result, outcome)
 
 let test_serve_transcript () =
@@ -693,6 +711,62 @@ let test_serve_bulk () =
   in
   check "serve returned Shutdown" true (outcome = `Shutdown)
 
+(* the serve loop under fuzz (a fixed seed): 600 byte mutants of
+   request lines (test/mutants) and a valid submit every 20 lines, so
+   the job scheduler's worker starts and ends along the way.  Every
+   non-blank line gets exactly one JSON reply, and stats answers after
+   the last one.  Blank lines are not requests and get none. *)
+let test_serve_mutants () =
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let config =
+    {
+      Server.default_config with
+      Server.workers = 1;
+      slice = 0.01;
+      default_time_limit = Some 2.0;
+      default_max_states = Some 400;
+    }
+  in
+  let submit =
+    Printf.sprintf {|{"op":"submit","hypergraph":"%s","solver":"bb-ghw","cache":false}|} cycle4_a
+  in
+  let seeds =
+    [
+      submit;
+      {|{"op":"submit","file":"test/corpus_golden/good.hg","solver":"bb-ghw","max_states":400,"ordering":true}|};
+      {|{"op":"submit","hypergraph":"e1(a,b),\ne2(b,c).","label":"p\u00e9","cache":false}|};
+      {|{"op":"poll","job":0}|};
+      {|{"op":"cancel","job":1}|};
+      {|{"op":"stats"}|};
+      {|{"op":"solvers"}|};
+    ]
+  in
+  let mutants =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 11 |]) ~n:600
+      (Mutants.gen ~grammar:{|{}[]",:\ 0123456789.-+eEtrufalsnop|} seeds)
+    |> List.map (String.map (function '\n' -> ' ' | c -> c))
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  let lines = List.concat (List.mapi (fun i l -> if i mod 20 = 0 then [ submit; l ] else [ l ]) mutants) in
+  let (), _ =
+    with_server ~config (fun send recv ->
+        List.iteri
+          (fun i line ->
+            send line;
+            match recv () with
+            | J.Obj fields when List.mem_assoc "ok" fields -> ()
+            | _ -> Alcotest.failf "line %d: reply without \"ok\"" i)
+          lines;
+        send {|{"op":"stats"}|};
+        let st = recv () in
+        check "stats answers after the fuzz" true (jbool st "ok");
+        ignore (jget st "jobs"))
+  in
+  check "the worker started and ended between jobs" true
+    (Obs.Counter.value (Obs.Counter.make "parallel.worker_starts") >= 2)
+
 let test_serve_eof_closes () =
   let config = { Server.default_config with Server.workers = 1 } in
   let (), outcome = with_server ~config (fun _send _recv -> ()) in
@@ -740,5 +814,6 @@ let () =
           Alcotest.test_case "parallel solvers" `Slow
             test_serve_parallel_solvers;
           Alcotest.test_case "eof" `Quick test_serve_eof_closes;
+          Alcotest.test_case "mutated request lines" `Slow test_serve_mutants;
         ] );
     ]
