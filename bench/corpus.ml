@@ -33,14 +33,6 @@ let corpus_baseline_counters =
    pop (30.0 M before) *)
 let corpus_minor_words_ceiling = 25_000_000
 
-let allocation f =
-  let minor0, promoted0, major0 = Gc.counters () in
-  let result = f () in
-  let minor1, promoted1, major1 = Gc.counters () in
-  ( result,
-    int_of_float (minor1 -. minor0),
-    int_of_float (major1 -. major0 -. (promoted1 -. promoted0)) )
-
 (* HyperBench-style corpus sweep (hd_corpus): materialise the bundled
    mini-corpus under _corpus/, race a ghw roster over every instance in
    parallel, and record the width / time / winner table plus the

@@ -20,6 +20,13 @@ let std_dev xs =
   in
   sqrt var
 
+let median xs =
+  match List.sort compare xs with
+  | [] -> 0.0
+  | sorted ->
+      let n = List.length sorted in
+      (List.nth sorted ((n - 1) / 2) +. List.nth sorted (n / 2)) /. 2.0
+
 let imin xs = List.fold_left min max_int xs
 let imax xs = List.fold_left max min_int xs
 let fmean xs = mean (List.map float_of_int xs)
@@ -120,6 +127,17 @@ let counter_deltas names f =
   let before = List.map value names in
   let result = f () in
   (result, List.map2 (fun name b -> (name, value name - b)) names before)
+
+(* [allocation f] runs [f] and adds the words it allocated in the
+   calling domain: minor words, and words allocated straight into the
+   major heap (major minus promoted: blocks over 256 words) *)
+let allocation f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let result = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  ( result,
+    int_of_float (minor1 -. minor0),
+    int_of_float (major1 -. major0 -. (promoted1 -. promoted0)) )
 
 (* what one experiment hands back: its top-level BENCH_report.json
    section, if it has one, and its gate verdict *)

@@ -3,6 +3,9 @@
    each race -j N against their sequential twin, every row sharing one
    schema {layer, instance, jobs, seconds_j1, seconds, speedup_vs_j1};
    the original portfolio race keeps its rows under layer "portfolio".
+   A scheduler layer's seconds are the median of -runs runs per column,
+   printed to three significant digits, so a row can show a change of
+   a few percent; the portfolio races run to their deadline once.
 
    Determinism is always hard: a parallel result that differs from its
    -j 1 twin fails the experiment on any machine.  The >= 1.5x speedup
@@ -25,6 +28,13 @@ let run scale =
   Printf.printf "%-10s %-14s | %8s | %8s | %7s  %s\n" "layer" "instance" "-j 1"
     (Printf.sprintf "-j %d" jobs)
     "speedup" "notes";
+  (* [timed f] runs [f] -runs times: the first run's result and the
+     median seconds *)
+  let timed f =
+    let runs = List.init (max 1 scale.runs) (fun _ -> time f) in
+    (fst (List.hd runs), median (List.map snd runs))
+  in
+  let seconds t = Printf.sprintf "%.3gs" t in
   let same_checks = ref [] in
   let check_same layer what same =
     same_checks :=
@@ -33,8 +43,8 @@ let run scale =
   in
   let row ?(extra = []) ?(notes = "") ~layer ~instance t1 t2 =
     let speedup = if t2 > 0.0 then t1 /. t2 else 1.0 in
-    Printf.printf "%-10s %-14s | %7.2fs | %7.2fs | %6.2fx  %s\n" layer instance
-      t1 t2 speedup notes;
+    Printf.printf "%-10s %-14s | %8s | %8s | %6.2fx  %s\n" layer instance
+      (seconds t1) (seconds t2) speedup notes;
     ( (layer, speedup),
       Obs.Json.Obj
         ([
@@ -61,8 +71,8 @@ let run scale =
           (within ?scheduler scale)
           (Sv.Graph chain)
       in
-      let seq, t1 = time solve in
-      let par, t2 = time (solve ~scheduler:sched) in
+      let seq, t1 = timed solve in
+      let par, t2 = timed (solve ~scheduler:sched) in
       check_same "blocks" "outcome" (par.Sv.outcome = seq.Sv.outcome);
       check_same "blocks" "witness" (par.Sv.ordering = seq.Sv.ordering);
       row ~layer:"blocks"
@@ -83,8 +93,8 @@ let run scale =
         Hd_search.Solvers.of_int
           (Hd_parallel.Hdastar.Tw.solve ~within:(within ?scheduler scale) ~seed:1 g)
       in
-      let seq, t1 = time solve in
-      let par, t2 = time (solve ~scheduler:sched) in
+      let seq, t1 = timed solve in
+      let par, t2 = timed (solve ~scheduler:sched) in
       let notes =
         match (seq.Sv.outcome, par.Sv.outcome) with
         | Sv.Exact a, Sv.Exact b ->
@@ -119,8 +129,8 @@ let run scale =
         Cq.parse_string ~source:"bench"
           "ans(X,Y,Z) :- e(X,Y), e(Y,Z), e(Z,X)."
       in
-      let seq, t1 = time (fun () -> Y.run ~mode:Y.Answers db q) in
-      let par, t2 = time (fun () -> Y.run ~par:sched ~mode:Y.Answers db q) in
+      let seq, t1 = timed (fun () -> Y.run ~mode:Y.Answers db q) in
+      let par, t2 = timed (fun () -> Y.run ~par:sched ~mode:Y.Answers db q) in
       check_same "columnar" "count" (par.Y.count = seq.Y.count);
       check_same "columnar" "answers" (par.Y.answers = seq.Y.answers);
       row ~layer:"columnar"
@@ -200,6 +210,7 @@ let run scale =
     (Obs.Json.Obj
        [
          ("jobs", Obs.Json.Int jobs);
+         ("runs", Obs.Json.Int (max 1 scale.runs));
          ("recommended_domains", Obs.Json.Int cores);
          ("layers", Obs.Json.List (List.map snd rows));
          ( "determinism",

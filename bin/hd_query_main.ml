@@ -118,7 +118,7 @@ let run_batch batch_file data mode method_ jobs seed time_limit limit =
     (1000.0 *. total_secs /. float_of_int (max 1 n))
     !decompositions !decomp_secs !reused
 
-let run query_file query_string batch data mode method_ jobs seed time_limit
+let answer query_file query_string batch data mode method_ jobs seed time_limit
     limit brute stats =
   if stats <> None then Hd_obs.Obs.enable ();
   match batch with
@@ -193,6 +193,17 @@ let run query_file query_string batch data mode method_ jobs seed time_limit
         prerr_endline ("hd_query: --stats: " ^ msg);
         exit 2)
   | None -> ()
+
+(* a query that cannot be answered (a count past max_int, a malformed
+   rule, a missing relation) fails closed with its message *)
+let run query_file query_string batch data mode method_ jobs seed time_limit
+    limit brute stats =
+  try
+    answer query_file query_string batch data mode method_ jobs seed
+      time_limit limit brute stats
+  with Failure msg ->
+    prerr_endline ("hd_query: " ^ msg);
+    exit 1
 
 open Cmdliner
 

@@ -39,23 +39,18 @@ let grain = 2048
    them. *)
 let fork_rows = 32_768
 
-(* whether a pass over [n] rows, [work] rows' worth of scanning
-   (default [n]), forks onto [par] *)
-let forks ?work (par : Sched.t option) n =
-  let work = Option.value work ~default:n in
+(* [chunked ?work par n scan] runs [scan lo hi] over deterministic
+   chunks of [0, n) and returns the per-chunk results in chunk order.
+   Falls back to one inline chunk when [par] is absent or sequential,
+   when the input is within the grain, or when the pass's [work]
+   (default [n]; a join-project counts bindings) is at most
+   [fork_rows] and no worker is running. *)
+let chunked ?(work = 0) (par : Sched.t option) n (scan : int -> int -> 'a) :
+    'a array =
   match par with
-  | Some s when Sched.size s > 0 && n > grain && (work > fork_rows || Sched.warm s) ->
-      Some s
-  | _ -> None
-
-(* [chunked par n scan] runs [scan lo hi] over deterministic chunks of
-   [0, n) and returns the per-chunk results in chunk order.  Falls back
-   to one inline chunk when [par] is absent or sequential, when the
-   input is within the grain, or when it is at most [fork_rows] and no
-   worker is running. *)
-let chunked (par : Sched.t option) n (scan : int -> int -> 'a) : 'a array =
-  match forks par n with
-  | Some s ->
+  | Some s
+    when Sched.size s > 0 && n > grain
+         && (max work n > fork_rows || Sched.warm s) ->
       let nc = (n + grain - 1) / grain in
       let out = Array.make nc None in
       Sched.run_all s
@@ -136,6 +131,7 @@ type partition = {
   starts : int array;
   rows : int array;
   hashes : int array;
+  occupied : int;  (* non-empty buckets *)
 }
 
 let partition r pos sel =
@@ -146,10 +142,12 @@ let partition r pos sel =
   let mask = nbuckets - 1 in
   let hs = Array.make n 0 in
   let counts = Array.make (nbuckets + 1) 0 in
+  let occupied = ref 0 in
   for s = 0 to n - 1 do
     let h = hash_cols cols pos sel.(s) in
     hs.(s) <- h;
     let b = bucket_of h mask in
+    if counts.(b + 1) = 0 then incr occupied;
     counts.(b + 1) <- counts.(b + 1) + 1
   done;
   for b = 1 to nbuckets do
@@ -164,13 +162,28 @@ let partition r pos sel =
     rows.(slot) <- sel.(s);
     hashes.(slot) <- hs.(s)
   done;
-  { mask; starts; rows; hashes }
+  { mask; starts; rows; hashes; occupied = !occupied }
 
 let[@inline] cols_equal_at (acols : int array array) i (bcols : int array array)
     jb =
   let k = Array.length acols in
   let rec go j = j >= k || (acols.(j).(i) = bcols.(j).(jb) && go (j + 1)) in
   go 0
+
+(* ------------------------------------------------------------------ *)
+(* Checked counts                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let count_overflow () =
+  failwith
+    (Printf.sprintf "count overflow: more than max_int (%d) solutions" max_int)
+
+let count_add a b =
+  let s = a + b in
+  if s < a then count_overflow () else s
+
+let count_mul a b =
+  if a <> 0 && b > max_int / a then count_overflow () else a * b
 
 (* ------------------------------------------------------------------ *)
 (* Selection-vector semijoin                                           *)
@@ -217,155 +230,250 @@ let semijoin ?par ~probe:(ra, sela, pa) ~build:(rb, selb, pb) () =
   result
 
 (* ------------------------------------------------------------------ *)
-(* Multiway join + projection (bag materialisation)                    *)
+(* Pipelined join-project                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* intermediate join result; columns may alias an input relation's
-   storage (never mutated) *)
-type mat = { scope : int array; cols : int array array; n : int }
+(* zero-allocation comparisons of columns [j] down to 0 at row [i]
+   against the values [env] holds at slots [keys] *)
+let rec key_eq (cols : int array array) i (env : int array) (keys : int array) j =
+  j < 0 || (cols.(j).(i) = env.(keys.(j)) && key_eq cols i env keys (j - 1))
 
-let mat_of_relation r =
-  {
-    scope = Qrelation.scope r;
-    cols = Qrelation.columns r;
-    n = Qrelation.cardinality r;
+let rec ivecs_eq (cols : Ivec.t array) i (env : int array) (keys : int array) j =
+  j < 0
+  || (cols.(j).Ivec.a.(i) = env.(keys.(j)) && ivecs_eq cols i env keys (j - 1))
+
+let hash_at (env : int array) (keys : int array) =
+  let h = ref 0x50b7f1 in
+  for j = 0 to Array.length keys - 1 do
+    h := mix !h env.(keys.(j))
+  done;
+  !h
+
+(* the table a join-project writes its projections into: distinct
+   tuples kept column-wise in first-occurrence order, found again
+   through a chained hash whose directory doubles with the table.
+   Without [dedup] (the projection keeps every attribute, so no two
+   bindings project alike) it only appends. *)
+module Distinct = struct
+  type t = {
+    dedup : bool;
+    cols : Ivec.t array;
+    hashes : Ivec.t;
+    next : Ivec.t;
+    mutable head : int array;
+    mutable n : int;
   }
 
-let mat_positions scope attrs =
-  Array.map
-    (fun a ->
-      let k = Array.length scope in
-      let rec go j =
-        if j >= k then raise Not_found
-        else if scope.(j) = a then j
-        else go (j + 1)
-      in
-      go 0)
-    attrs
+  (* [capacity]: the tuples expected, so a table sized for them is
+     not regrown; only a deduplicating table has a hash chain *)
+  let create ~dedup ~capacity k =
+    let chained = if dedup then capacity else 0 in
+    {
+      dedup;
+      cols = Array.init k (fun _ -> Ivec.create ~capacity ());
+      hashes = Ivec.create ~capacity:chained ();
+      next = Ivec.create ~capacity:chained ();
+      head = Array.make (if dedup then directory_size capacity else 0) (-1);
+      n = 0;
+    }
 
-let shared_attrs sa sb =
-  Array.of_list
-    (List.filter (fun v -> Array.exists (( = ) v) sb) (Array.to_list sa))
-
-let cols_at_mat a pos = Array.map (fun p -> a.cols.(p)) pos
-
-let join_mat ?par a (b : Qrelation.t) =
-  let b_scope = Qrelation.scope b in
-  let shared = shared_attrs a.scope b_scope in
-  let pa = mat_positions a.scope shared in
-  let pb = Qrelation.positions b shared in
-  let b_priv =
-    Array.of_list
-      (List.filter
-         (fun j -> not (Array.exists (( = ) j) pb))
-         (List.init (Array.length b_scope) Fun.id))
-  in
-  let out_scope =
-    Array.append a.scope (Array.map (fun j -> b_scope.(j)) b_priv)
-  in
-  let ka = Array.length a.scope and kp = Array.length b_priv in
-  let part = partition b pb (all_rows b) in
-  let acols = cols_at_mat a pa and bcols = cols_at b pb in
-  let bp_cols = cols_at b b_priv in
-  (* pairs of matching (left row, right row), found radix-wise over
-     deterministic probe chunks *)
-  let scan lo0 hi0 =
-    let li = Ivec.create () and ri = Ivec.create () in
-    for i = lo0 to hi0 - 1 do
-      let h = hash_cols a.cols pa i in
-      let bkt = bucket_of h part.mask in
-      let lo = part.starts.(bkt) and hi = part.starts.(bkt + 1) in
-      if lo = hi then Obs.Counter.incr c_radix_bucket_skips
-      else begin
-        Obs.Counter.incr c_radix_probes;
-        for e = lo to hi - 1 do
-          if part.hashes.(e) = h && cols_equal_at acols i bcols part.rows.(e)
-          then begin
-            Ivec.push li i;
-            Ivec.push ri part.rows.(e)
-          end
-        done
-      end
-    done;
-    (Ivec.to_array li, Ivec.to_array ri)
-  in
-  let pairs = chunked par a.n scan in
-  let li = Array.concat (Array.to_list (Array.map fst pairs)) in
-  let ri = Array.concat (Array.to_list (Array.map snd pairs)) in
-  let n = Array.length li in
-  Obs.Counter.add c_radix_join_tuples n;
-  (* column materialisation: one independent gather per output column *)
-  let cols = Array.make (ka + kp) [||] in
-  let fill j =
-    let col = Array.make n 0 in
-    (if j < ka then
-       let src = a.cols.(j) in
-       for t = 0 to n - 1 do
-         col.(t) <- src.(li.(t))
-       done
-     else
-       let src = bp_cols.(j - ka) in
-       for t = 0 to n - 1 do
-         col.(t) <- src.(ri.(t))
-       done);
-    cols.(j) <- col
-  in
-  (match forks par n ~work:(n * (ka + kp)) with
-  | Some s when ka + kp > 1 ->
-      Sched.run_all s (List.init (ka + kp) (fun j () -> fill j))
-  | _ ->
-      for j = 0 to ka + kp - 1 do
-        fill j
-      done);
-  { scope = out_scope; cols; n }
-
-(* dedup-project [m] onto [attrs] via an open chained hash over the
-   projected values, then freeze as a columnar relation *)
-let project_mat m attrs =
-  let ps = mat_positions m.scope attrs in
-  let pcols = cols_at_mat m ps in
-  let k = Array.length ps in
-  let nbuckets = directory_size (2 * m.n) in
-  let mask = nbuckets - 1 in
-  let head = Array.make nbuckets (-1) in
-  let next = Ivec.create () and keep = Ivec.create () and khash = Ivec.create () in
-  for i = 0 to m.n - 1 do
-    let h = hash_cols m.cols ps i in
-    let b = bucket_of h mask in
-    let slot = ref head.(b) in
-    let dup = ref false in
-    while (not !dup) && !slot <> -1 do
-      if
-        Ivec.get khash !slot = h
-        &&
-        let j0 = Ivec.get keep !slot in
-        let rec eq j = j >= k || (pcols.(j).(i) = pcols.(j).(j0) && eq (j + 1)) in
-        eq 0
-      then dup := true
-      else slot := Ivec.get next !slot
-    done;
-    if not !dup then begin
-      let s = Ivec.length keep in
-      Ivec.push keep i;
-      Ivec.push khash h;
-      Ivec.push next head.(b);
+  let rehash t =
+    let head = Array.make (2 * Array.length t.head) (-1) in
+    let mask = Array.length head - 1 in
+    for s = 0 to t.n - 1 do
+      let b = bucket_of (Ivec.get t.hashes s) mask in
+      Ivec.set t.next s head.(b);
       head.(b) <- s
+    done;
+    t.head <- head
+
+  (* whether the chain from [s] holds the tuple hashed [h] *)
+  let rec seen t h env proj s =
+    s >= 0
+    && ((Ivec.get t.hashes s = h
+        && ivecs_eq t.cols s env proj (Array.length proj - 1))
+       || seen t h env proj (Ivec.get t.next s))
+
+  let push t (env : int array) (proj : int array) =
+    for j = 0 to Array.length proj - 1 do
+      Ivec.push t.cols.(j) env.(proj.(j))
+    done;
+    t.n <- t.n + 1
+
+  (* adds the tuple [env.(proj.(0)), ..., env.(proj.(k-1))] unless it
+     is already there *)
+  let add t env proj =
+    if not t.dedup then push t env proj
+    else begin
+      let h = hash_at env proj in
+      let b = bucket_of h (Array.length t.head - 1) in
+      if not (seen t h env proj t.head.(b)) then begin
+        push t env proj;
+        Ivec.push t.hashes h;
+        Ivec.push t.next t.head.(b);
+        t.head.(b) <- t.n - 1;
+        if t.n > Array.length t.head then rehash t
+      end
     end
-  done;
-  let n = Ivec.length keep in
-  let cols =
-    Array.init k (fun j ->
-        let src = pcols.(j) in
-        Array.init n (fun t -> src.(Ivec.get keep t)))
-  in
-  Qrelation.of_columns_unchecked ~scope:(Array.copy attrs) cols ~n
+
+  (* appends [src]'s tuples not already in [t], in [src]'s order *)
+  let merge t src =
+    let k = Array.length src.cols in
+    let row = Array.make k 0 and proj = Array.init k Fun.id in
+    for s = 0 to src.n - 1 do
+      for j = 0 to k - 1 do
+        row.(j) <- Ivec.get src.cols.(j) s
+      done;
+      add t row proj
+    done
+
+  let to_relation t ~scope =
+    Qrelation.of_columns_unchecked ~scope:(Array.copy scope)
+      (Array.map Ivec.to_array t.cols)
+      ~n:t.n
+end
+
+(* the largest dedupe table a join-project allocates up front; a larger
+   output regrows it *)
+let max_capacity = 1 lsl 16
+
+(* a relation after the first: partitioned once on the attributes it
+   shares with the relations before it, whose environment slots are
+   [keys]; a match binds its other columns [fresh_cols] into the slots
+   [fresh] *)
+type step = {
+  part : partition;
+  kcols : int array array;
+  keys : int array;
+  fresh_cols : int array array;
+  fresh : int array;
+}
 
 let join_project ?par rels ~scope =
   match rels with
   | [] -> invalid_arg "Colexec.join_project: no relations"
-  | r :: rest ->
-      let m = List.fold_left (join_mat ?par) (mat_of_relation r) rest in
-      project_mat m scope
+  | (r0, sel0) :: rest ->
+      (* environment slots: every attribute in first-occurrence order *)
+      let attrs = Ivec.create () in
+      let slot_of a =
+        let rec go j =
+          if j >= Ivec.length attrs then -1
+          else if Ivec.get attrs j = a then j
+          else go (j + 1)
+        in
+        go 0
+      in
+      let bind r =
+        Array.map
+          (fun a ->
+            match slot_of a with
+            | -1 ->
+                Ivec.push attrs a;
+                Ivec.length attrs - 1
+            | j -> j)
+          (Qrelation.scope r)
+      in
+      let first_slots = bind r0 in
+      let steps =
+        Array.map
+          (fun (r, sel) ->
+            let columns = List.init (Qrelation.arity r) Fun.id in
+            let bound = Array.map slot_of (Qrelation.scope r) in
+            let shared =
+              Array.of_list (List.filter (fun j -> bound.(j) >= 0) columns)
+            and fresh =
+              Array.of_list (List.filter (fun j -> bound.(j) < 0) columns)
+            in
+            let slots = bind r in
+            {
+              part = partition r shared sel;
+              kcols = cols_at r shared;
+              keys = Array.map (Array.get slots) shared;
+              fresh_cols = cols_at r fresh;
+              fresh = Array.map (Array.get slots) fresh;
+            })
+          (Array.of_list rest)
+      in
+      let proj =
+        Array.map (fun a -> match slot_of a with -1 -> raise Not_found | j -> j) scope
+      in
+      let dedup = Array.length proj < Ivec.length attrs in
+      let n_attrs = Ivec.length attrs and n_steps = Array.length steps in
+      (* the bindings a pass makes, estimated: each step multiplies
+         them by its rows per occupied bucket.  [work] counts every
+         level (the descent's steps); [per_row] is the complete
+         bindings per first-relation row, which sizes the dedupe
+         table up to [max_capacity] *)
+      let n0 = Array.length sel0 in
+      let leaves, total =
+        Array.fold_left
+          (fun (level, total) st ->
+            let fanout =
+              float_of_int (Array.length st.part.rows)
+              /. float_of_int (max 1 st.part.occupied)
+            in
+            (level *. fanout, total +. (level *. fanout)))
+          (float_of_int n0, float_of_int n0)
+          steps
+      in
+      let work = if total >= float_of_int max_int then max_int else int_of_float total in
+      let per_row = leaves /. float_of_int (max 1 n0) in
+      let capacity rows =
+        int_of_float (Float.min (float_of_int max_capacity) (per_row *. float_of_int rows))
+      in
+      (* one descent per first-relation row, binding each later
+         relation's matches in row order: the bindings come in the
+         order of the left-deep join *)
+      let scan lo hi =
+        let out =
+          Distinct.create ~dedup
+            ~capacity:(capacity (hi - lo))
+            (Array.length proj)
+        in
+        let env = Array.make n_attrs 0 in
+        let probes = ref 0 and skips = ref 0 and tuples = ref 0 in
+        let rec descend d =
+          if d = n_steps then Distinct.add out env proj
+          else begin
+            let st = steps.(d) in
+            let part = st.part in
+            let h = hash_at env st.keys in
+            let b = bucket_of h part.mask in
+            let lo = part.starts.(b) and hi = part.starts.(b + 1) in
+            if lo = hi then incr skips
+            else begin
+              incr probes;
+              let last_key = Array.length st.keys - 1 in
+              for e = lo to hi - 1 do
+                let row = part.rows.(e) in
+                if part.hashes.(e) = h && key_eq st.kcols row env st.keys last_key
+                then begin
+                  incr tuples;
+                  for j = 0 to Array.length st.fresh - 1 do
+                    env.(st.fresh.(j)) <- st.fresh_cols.(j).(row)
+                  done;
+                  descend (d + 1)
+                end
+              done
+            end
+          end
+        in
+        let cols0 = Qrelation.columns r0 in
+        for s = lo to hi - 1 do
+          let row = sel0.(s) in
+          for j = 0 to Array.length first_slots - 1 do
+            env.(first_slots.(j)) <- cols0.(j).(row)
+          done;
+          descend 0
+        done;
+        Obs.Counter.add c_radix_probes !probes;
+        Obs.Counter.add c_radix_bucket_skips !skips;
+        Obs.Counter.add c_radix_join_tuples !tuples;
+        out
+      in
+      let outs = chunked ~work par n0 scan in
+      Array.iteri (fun c o -> if c > 0 then Distinct.merge outs.(0) o) outs;
+      Distinct.to_relation outs.(0) ~scope
 
 (* ------------------------------------------------------------------ *)
 (* Enumeration index: shared-key -> surviving row ids                  *)
@@ -474,7 +582,7 @@ module Keysum = struct
         else slot := Ivec.get t.next !slot
       done;
       if !found >= 0 then
-        Ivec.set t.sums !found (Ivec.get t.sums !found + weights.(s))
+        Ivec.set t.sums !found (count_add (Ivec.get t.sums !found) weights.(s))
       else begin
         let slot' = Ivec.length t.reprs in
         Ivec.push t.reprs i;

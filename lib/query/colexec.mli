@@ -15,13 +15,21 @@
       integer hash over the key columns, skip empty buckets outright,
       and verify candidates against the actual column values (collision
       -safe, zero allocation per probe);
+    - {b pipelined joins}: a join-project binds one row of each
+      relation at a time in a depth-first descent and writes only the
+      projection of a complete binding, so no join step is ever
+      materialised;
     - {b late materialisation}: enumeration walks selection vectors
       through chained int-hash {!Index}es and reads output values
       column-wise only when a full solution is emitted.
 
     Counters: [query.selvec_semijoins], [query.selvec_kept_rows],
-    [query.radix_partitions], [query.radix_probes],
-    [query.radix_bucket_skips], [query.radix_join_tuples]. *)
+    [query.radix_partitions], [query.radix_probes] (probes that found
+    a non-empty bucket: one per semijoin probe row, per partial binding
+    a join-project extends, per index or keysum lookup),
+    [query.radix_bucket_skips] (the probes that found none),
+    [query.radix_join_tuples] (join-project bindings past the first
+    relation: the rows the left-deep join's steps would hold). *)
 
 (** A selection vector: row ids of a base relation, ascending. *)
 type sel = int array
@@ -29,9 +37,10 @@ type sel = int array
 (** [all_rows r] selects every row of [r]. *)
 val all_rows : Qrelation.t -> sel
 
-(** Work, in rows scanned, above which a pass forks onto [?par] even
-    when no worker domain is running there.  A pass above the 2048-row
-    grain and at most [fork_rows] forks only onto a running worker
+(** Work above which a pass forks onto [?par] even when no worker
+    domain is running there: rows scanned for a semijoin, bindings
+    for a join-project.  A pass above the 2048-row grain and at most
+    [fork_rows] forks only onto a running worker
     ({!Hd_engine.Scheduler.warm}): starting one costs it more than the
     scan saves (docs/PERFORMANCE.md section 15). *)
 val fork_rows : int
@@ -55,22 +64,37 @@ val semijoin :
   unit ->
   sel
 
-(** [join_project ?par rels ~scope] is the natural join of [rels]
-    projected (with dedup) onto [scope] — bag materialisation.  Joins
-    are radix-partitioned hash joins building columnar intermediates;
-    the projection dedups through an open chained int-hash, never
-    boxing a key.  [par] parallelises the probe and column-gather
-    loops exactly as in {!semijoin}, where the column gather's work is
-    its cells, rows × output columns (the dedup projection stays
-    sequential — its chained hash is order-sensitive).
+(** [join_project ?par rels ~scope] is the natural join of the
+    selected rows of [rels] projected (with dedup) onto [scope]: bag
+    materialisation and distinct answers.  One pipelined pass: every
+    relation after the first is radix-partitioned once on the
+    attributes it shares with the relations before it, each selected
+    row of the first drives a depth-first descent that binds variables
+    in one environment array, and each complete binding's projection
+    goes straight into a chained int-hash dedupe table — no
+    intermediate relation, no boxed key.  Output rows come in
+    first-occurrence order of the left-deep join, relations joined in
+    list order and rows in selection order.
+
+    With [par] the first relation's selection is chunked as in
+    {!semijoin}, with the pass's work estimated in bindings (each
+    later relation multiplies them by its rows per occupied bucket);
+    chunk outputs merge in chunk order, so the result is
+    byte-identical to the sequential pass at any worker count.
     @raise Invalid_argument on an empty relation list;
     @raise Not_found when [scope] mentions an attribute absent from
     every relation. *)
 val join_project :
   ?par:Hd_engine.Scheduler.t ->
-  Qrelation.t list ->
+  (Qrelation.t * sel) list ->
   scope:int array ->
   Qrelation.t
+
+(** Checked arithmetic on non-negative counts: the sum or product, or
+    [Failure] naming the overflow where native ints would wrap. *)
+val count_add : int -> int -> int
+
+val count_mul : int -> int -> int
 
 (** Chained int-hash index over a selection, keyed on a column subset:
     the backbone of backtrack-free enumeration over selection
@@ -96,7 +120,7 @@ module Keysum : sig
 
   (** [build r ~pos ~sel ~weights] groups [sel]'s rows by their values
       at [pos]; [weights.(s)] is the weight of the row at selection
-      slot [s]. *)
+      slot [s].  Sums are {!count_add}ed. *)
   val build : Qrelation.t -> pos:int array -> sel:sel -> weights:int array -> t
 
   (** [find t key] is the accumulated weight of the rows keyed [key],

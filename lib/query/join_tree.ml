@@ -5,8 +5,8 @@ module Graph = Hd_graph.Graph
 module Hypergraph = Hd_hypergraph.Hypergraph
 module Obs = Hd_obs.Obs
 
-(* Observability: semijoin passes and the enumeration's tuple-producing
-   work.  After full reduction the enumeration is backtrack-free, so
+(* Observability: semijoin passes and [solve]'s descent.  After the
+   bottom-up pass that descent is backtrack-free, so
    query.enum_dead_ends stays 0 -- the test suite asserts this. *)
 let c_reduce_semijoins = Obs.Counter.make "query.reduce_semijoins"
 let c_enum_rows = Obs.Counter.make "query.enum_rows"
@@ -77,7 +77,10 @@ let is_join_tree t =
 let bag ?par rels ~scope =
   match rels with
   | [] -> Qrelation.make ~scope:[||] [ [||] ]
-  | _ -> Colexec.join_project ?par rels ~scope
+  | _ ->
+      Colexec.join_project ?par
+        (List.map (fun r -> (r, Colexec.all_rows r)) rels)
+        ~scope
 
 (* Bag plans.  Atoms are the hyperedges of the query hypergraph, the
    vertices of its dual graph [dual]: two atoms are adjacent when they
@@ -293,7 +296,7 @@ let count st =
             for x = 0 to k - 1 do
               key.(x) <- Qrelation.get r row pr.(x)
             done;
-            w.(s) <- w.(s) * Colexec.Keysum.find ks key
+            w.(s) <- Colexec.count_mul w.(s) (Colexec.Keysum.find ks key)
           done)
         children.(i);
       weights.(i) <- w)
@@ -301,11 +304,53 @@ let count st =
   let total = ref 1 in
   Array.iteri
     (fun i p ->
-      if p = -1 then total := !total * Array.fold_left ( + ) 0 weights.(i))
+      if p = -1 then
+        total :=
+          Colexec.count_mul !total
+            (Array.fold_left Colexec.count_add 0 weights.(i)))
     t.parent;
   !total
 
-(* backtrack-free enumeration over selection vectors: per node a
+(* the distinct projections onto [scope] of the full assignments, after
+   full reduction.  Then the join of any connected set of nodes is the
+   projection of the full assignments onto its variables, so only the
+   smallest subtree holding [scope] is joined: a leaf goes when its
+   one neighbour holds every [scope] variable it has (a node with no
+   neighbour left, when it has none), down to one node, and what stays
+   is joined top-down *)
+let project ?par st ~scope =
+  let t = st.tree in
+  let m = Array.length t.rels in
+  let kept = Array.make m true in
+  let neighbours i =
+    List.filter
+      (fun j -> kept.(j) && (t.parent.(i) = j || t.parent.(j) = i))
+      (List.init m Fun.id)
+  in
+  let prunable i =
+    let held v = Array.mem v scope in
+    let wanted = List.filter held (Array.to_list (Qrelation.scope t.rels.(i))) in
+    match neighbours i with
+    | [] -> wanted = []
+    | [ j ] -> List.for_all (fun v -> Array.mem v (Qrelation.scope t.rels.(j))) wanted
+    | _ -> false
+  in
+  let rec prune left =
+    if left > 1 then
+      match List.find_opt (fun i -> kept.(i) && prunable i) (List.init m Fun.id) with
+      | Some i ->
+          kept.(i) <- false;
+          prune (left - 1)
+      | None -> ()
+  in
+  prune m;
+  Colexec.join_project ?par
+    (Array.to_list (top_down_order t.parent)
+    |> List.filter_map (fun i ->
+           if kept.(i) then Some (t.rels.(i), st.sels.(i)) else None))
+    ~scope
+
+(* [solve]'s enumeration over selection vectors: per node a
    chained int-hash Index of the surviving rows on the parent-shared
    columns, probed with a reused scratch key; fresh variables are read
    straight out of the base columns (late materialisation) *)

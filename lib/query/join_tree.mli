@@ -7,12 +7,14 @@
     relation scope is its bag.  All passes run on the columnar kernel
     ({!Colexec}): semijoins shrink per-node {e selection vectors} over
     the unchanged bags, counting aggregates child weights through
-    {!Colexec.Keysum}, and enumeration walks {!Colexec.Index}es.
+    {!Colexec.Keysum}, distinct projections are one
+    {!Colexec.join_project} over the reduced selections, and {!solve}
+    walks {!Colexec.Index}es.
 
     Counters: [query.reduce_semijoins] (semijoin passes),
     [query.bag_products] (bags {!of_ghd} built through a product),
-    [query.enum_rows] and [query.enum_dead_ends] (enumeration work —
-    after full reduction the enumeration is backtrack-free, so
+    [query.enum_rows] and [query.enum_dead_ends] ({!solve}'s descent —
+    after the bottom-up pass it is backtrack-free, so
     [query.enum_dead_ends] stays 0); the kernel's own
     [query.selvec_*] / [query.radix_*] counters attribute the per-row
     work. *)
@@ -84,14 +86,22 @@ val surviving : state -> int
 (** [count st] is the number of distinct full assignments the selected
     rows admit: per-node weights accumulated children-first, one
     {!Colexec.Keysum} probe per row and child.  Correct on any
-    selection; {!reduce} only makes it cheaper. *)
+    selection; {!reduce} only makes it cheaper.
+    @raise Failure naming the overflow when the count exceeds
+    [max_int]. *)
 val count : state -> int
 
-(** [iter st ~n_vars f] calls [f env] for every full assignment of the
-    selected rows in depth-first pre-order; [env.(v)] is variable
-    [v]'s value, [min_int] for variables in no scope.  [env] is reused
-    between calls.  Backtrack-free after {!reduce}. *)
-val iter : state -> n_vars:int -> (int array -> unit) -> unit
+(** [project ?par st ~scope] is the set of distinct projections onto
+    [scope] of the full assignments the selected rows admit, in the
+    order {!Colexec.join_project} finds them.  [st] must be fully
+    reduced ({!reduce} returned [true]): then the join of any
+    connected set of nodes is the projection of the full assignments
+    onto its variables, so only the smallest subtree whose bags hold
+    [scope] is joined, top-down.  When one bag holds all of [scope]
+    that bag's selection alone gives the answer.
+    @raise Not_found when [scope] mentions a variable in no bag. *)
+val project :
+  ?par:Hd_engine.Scheduler.t -> state -> scope:int array -> Qrelation.t
 
 (** {1 Acyclic solving} *)
 
@@ -103,5 +113,6 @@ val solve : ?par:Hd_engine.Scheduler.t -> t -> n_vars:int -> int array option
 
 (** [count_solutions ?par t] counts the full assignments to the
     variables in [t]'s scopes by sum-product over the tree.  Assumes
-    the connectedness condition. *)
+    the connectedness condition.
+    @raise Failure as {!count}. *)
 val count_solutions : ?par:Hd_engine.Scheduler.t -> t -> int

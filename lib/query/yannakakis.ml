@@ -197,18 +197,21 @@ let run ?(method_ = Auto) ?(jobs = 1) ?(seed = 42) ?(time_limit = 10.0)
           Obs.Counter.add c_answers count;
           { mode; answers = []; count; nonempty = count > 0; stats = stats () }
       | Count | Answers ->
-          (* enumerate and deduplicate the head projections *)
-          let seen = Hashtbl.create 256 in
-          Join_tree.iter st ~n_vars (fun env ->
-              let proj = Array.map (fun v -> env.(v)) head_ids in
-              if not (Hashtbl.mem seen proj) then begin
-                Hashtbl.add seen proj ();
-                Obs.Counter.incr c_answers
-              end);
-          let count = Hashtbl.length seen in
+          (* distinct head projections, from the kernel: the head's
+             variables once each, then every head position reads its
+             variable's column *)
+          let scope = Array.of_list (List.sort_uniq compare (Array.to_list head_ids)) in
+          let distinct =
+            Obs.with_span "query.project" (fun () ->
+                Join_tree.project ?par st ~scope)
+          in
+          let count = Qrelation.cardinality distinct in
+          Obs.Counter.add c_answers count;
           let answers =
             if mode = Answers then
-              Hashtbl.fold (fun proj () acc -> Db.decode db proj :: acc) seen []
+              let cols = Qrelation.positions distinct head_ids in
+              List.init count (fun i ->
+                  Db.decode db (Array.map (Qrelation.get distinct i) cols))
             else []
           in
           { mode; answers; count; nonempty = count > 0; stats = stats () }

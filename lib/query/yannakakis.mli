@@ -13,15 +13,15 @@
       ({!Join_tree.of_ghd}; the reported width stays lambda's);
     + semijoin-reduce the tree bottom-up (and, except in boolean mode,
       top-down), after which the tree is globally consistent;
-    + enumerate answers backtrack-free, project onto the head
-      variables, and deduplicate — or count / decide without
+    + join the reduced bags that hold the head, projecting each
+      binding onto the head variables and deduplicating as it goes
+      ({!Join_tree.project}) — or count / decide without
       materialising any answer.
 
     Total cost is polynomial in [||D||^w + |answers|] for a width-[w]
-    plan; after the two semijoin passes the enumeration touches no
-    tuple that fails to extend to a full solution (the
-    [query.enum_dead_ends] counter stays 0 — asserted in the test
-    suite). *)
+    plan; after the two semijoin passes every binding the answer pass
+    extends reaches an answer, so its [query.radix_join_tuples] stay
+    within answers × bags — asserted in the test suite. *)
 
 type mode =
   | Answers  (** materialise the distinct answer set *)
@@ -63,11 +63,11 @@ type result = {
     evaluation and the server's bulk submit share one decomposition
     across many isomorphic queries this way; it is ignored on the
     acyclic [Auto] path, which needs no decomposition.  [par] runs the
-    columnar semijoin, join-probe and column-gather loops
-    partitioned-parallel on the given scheduler; results are
-    byte-identical to the sequential run (see {!Colexec.semijoin}).
-    @raise Failure on relations missing from [db] or arity
-    mismatches. *)
+    columnar semijoin and join-project passes partitioned-parallel on
+    the given scheduler; results are byte-identical to the sequential
+    run (see {!Colexec.semijoin}).
+    @raise Failure on relations missing from [db], arity mismatches,
+    or a count past [max_int]. *)
 val run :
   ?method_:method_ ->
   ?jobs:int ->

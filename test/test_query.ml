@@ -175,9 +175,13 @@ let nl_semijoin a b =
 (* decode a selection vector into the selected rows *)
 let rows_of_sel r sel = Array.to_list (Array.map (Qrelation.row r) sel)
 
+(* the join-project of whole relations, as a bag joins its atoms *)
+let join_all ?par rels ~scope =
+  Cx.join_project ?par (List.map (fun r -> (r, Cx.all_rows r)) rels) ~scope
+
 (* the same operators through the columnar kernel *)
 let cx_join a b =
-  Cx.join_project [ a; b ]
+  join_all [ a; b ]
     ~scope:(Array.append (Qrelation.scope a) (Array.of_list (private_attrs a b)))
 
 let cx_semijoin a b =
@@ -229,31 +233,78 @@ let test_qrelation_join_semijoin () =
 let test_qrelation_project_select () =
   let a = qr [| 0; 1 |] [ [| 1; 2 |]; [| 1; 3 |]; [| 2; 3 |] ] in
   check_int "project dedups" 2
-    (Qrelation.cardinality (Cx.join_project [ a ] ~scope:[| 0 |]));
+    (Qrelation.cardinality (join_all [ a ] ~scope:[| 0 |]));
   (* selection: a semijoin with a unary relation *)
   check_int "select" 2
     (Qrelation.cardinality (cx_semijoin a (qr [| 0 |] [ [| 1 |] ])));
   check "equal" true
     (Qrelation.equal a (qr [| 0; 1 |] [ [| 2; 3 |]; [| 1; 3 |]; [| 1; 2 |] ]))
 
+(* the nested-loop reference of a join-project: a left-deep fold of
+   [nl_join] projected onto [scope], first occurrences kept *)
+let nl_join_project rels ~scope =
+  let j = List.fold_left nl_join (List.hd rels) (List.tl rels) in
+  let ps = Array.map (fun v -> Option.get (pos_of (Qrelation.scope j) v)) scope in
+  qr scope
+    (List.map (fun row -> Array.map (Array.get row) ps) (Qrelation.rows j))
+
 (* the columnar kernel and the nested-loop reference implement the
-   same algebra *)
+   same algebra.  A join-project of 2-4 relations over attributes 0-4
+   (shared, private and disjoint ones, so cross products occur) on
+   random selections equals the reference row for row, in order, and
+   so does the same pass with a 3-worker scheduler *)
 let prop_colexec_matches_nested_loop =
   QCheck.Test.make ~count:200 ~name:"joins = nested loop"
     QCheck.(make QCheck.Gen.(pair int int))
     (fun (s1, s2) ->
       let rng = Random.State.make [| s1; s2 |] in
+      let int n = Random.State.int rng n in
       let mk scope =
         qr scope
-          (List.init
-             (Random.State.int rng 8)
-             (fun _ ->
-               Array.init (Array.length scope) (fun _ -> Random.State.int rng 3)))
+          (List.init (int 8) (fun _ -> Array.init (Array.length scope) (fun _ -> int 3)))
       in
       let a = mk [| 0; 1 |] and b = mk [| 1; 2 |] in
+      let random_subset l = List.filter (fun _ -> int 2 = 0) l in
+      let rels =
+        List.init
+          (2 + int 3)
+          (fun _ ->
+            let scope =
+              match random_subset [ 0; 1; 2; 3; 4 ] with
+              | [] -> [| int 5 |]
+              | l -> Array.of_list (List.filteri (fun i _ -> i < 3) l)
+            in
+            let r = mk scope in
+            let sel =
+              if int 3 = 0 then Cx.all_rows r
+              else
+                Array.of_list
+                  (random_subset (List.init (Qrelation.cardinality r) Fun.id))
+            in
+            (r, sel))
+      in
+      let union =
+        List.sort_uniq compare
+          (List.concat_map (fun (r, _) -> Array.to_list (Qrelation.scope r)) rels)
+      in
+      let scope =
+        List.map (fun v -> (int 100, v)) (random_subset union)
+        |> List.sort compare |> List.map snd |> Array.of_list
+      in
+      let expected =
+        nl_join_project
+          (List.map (fun (r, sel) -> qr (Qrelation.scope r) (rows_of_sel r sel)) rels)
+          ~scope
+      in
+      let same r =
+        Qrelation.scope r = scope && Qrelation.rows r = Qrelation.rows expected
+      in
       sorted (Qrelation.rows (cx_join a b)) = sorted (Qrelation.rows (nl_join a b))
       && sorted (Qrelation.rows (cx_semijoin a b))
-         = sorted (Qrelation.rows (nl_semijoin a b)))
+         = sorted (Qrelation.rows (nl_semijoin a b))
+      && same (Cx.join_project rels ~scope)
+      && Hd_engine.Scheduler.with_scheduler ~workers:3 (fun s ->
+             same (Cx.join_project ~par:s rels ~scope)))
 
 (* ------------------------------------------------------------------ *)
 (* Db loading                                                          *)
@@ -601,21 +652,21 @@ let test_colexec_edge_cases () =
 let test_colexec_join_project () =
   let a = qr [| 0; 1 |] [ [| 1; 2 |]; [| 1; 3 |]; [| 2; 3 |] ] in
   let b = qr [| 1; 2 |] [ [| 2; 5 |]; [| 3; 6 |] ] in
-  let j = Cx.join_project [ a; b ] ~scope:[| 0; 1; 2 |] in
+  let j = join_all [ a; b ] ~scope:[| 0; 1; 2 |] in
   check "join matches nested loop" true
     (sorted (Qrelation.rows j) = sorted (Qrelation.rows (nl_join a b)));
   (* projection dedups *)
-  let p = Cx.join_project [ a; b ] ~scope:[| 0 |] in
+  let p = join_all [ a; b ] ~scope:[| 0 |] in
   check "project dedups" true
     (sorted (Qrelation.rows p) = sorted [ [| 1 |]; [| 2 |] ]);
   (* disjoint scopes: cartesian product *)
   let c = qr [| 7 |] [ [| 9 |]; [| 8 |] ] in
   check_int "cartesian" 6
-    (Qrelation.cardinality (Cx.join_project [ a; c ] ~scope:[| 0; 1; 7 |]));
+    (Qrelation.cardinality (join_all [ a; c ] ~scope:[| 0; 1; 7 |]));
   (* empty operand *)
   check "empty operand" true
     (Qrelation.is_empty
-       (Cx.join_project [ a; qr [| 1; 2 |] [] ] ~scope:[| 0; 1 |]));
+       (join_all [ a; qr [| 1; 2 |] [] ] ~scope:[| 0; 1 |]));
   check "empty list rejected" true
     (match Cx.join_project [] ~scope:[| 0 |] with
     | _ -> false
@@ -680,13 +731,26 @@ let test_colexec_parallel_identical () =
               ())
       in
       check "parallel semijoin byte-identical" true (seq_sel = par_sel);
-      let seq_j = Cx.join_project [ a; b ] ~scope:[| 0; 2 |] in
+      let seq_j = join_all [ a; b ] ~scope:[| 0; 2 |] in
       let par_j =
         chunked "join-project" (fun () ->
-            Cx.join_project ~par:s [ a; b ] ~scope:[| 0; 2 |])
+            join_all ~par:s [ a; b ] ~scope:[| 0; 2 |])
       in
       check "parallel join-project byte-identical" true
         (Qrelation.rows seq_j = Qrelation.rows par_j);
+      (* a deeper descent, and projections whose duplicates span
+         chunks, so the chunk merge must drop them *)
+      let c = qr [| 2; 3 |] (List.init 60 (fun _ -> [| key (); key () |])) in
+      List.iter
+        (fun scope ->
+          let seq = join_all [ a; b; c ] ~scope in
+          let par =
+            chunked "three-way join-project" (fun () ->
+                join_all ~par:s [ a; b; c ] ~scope)
+          in
+          check "parallel three-way join-project byte-identical" true
+            (Qrelation.rows seq = Qrelation.rows par))
+        [ [| 0; 3 |]; [| 3 |] ];
       (* end to end through Yannakakis: same answers, same counts,
          same reduction stats *)
       let db = db_of_edges (triangle_plus_chain (Cx.fork_rows + 3000)) in
@@ -807,27 +871,96 @@ let test_atom_cache () =
 let test_enumeration_no_dead_work () =
   (* only 4 answers (the rotations of the one 4-cycle), but a long
      pendant chain inflates the raw e relation and hence the
-     unreduced bags -- the enumeration must still be backtrack-free *)
-  let db = db_of_edges (cycle_plus_chain [ "a"; "b"; "c"; "d" ] 40) in
+     unreduced bags -- the answer pass must still stay within the
+     answers *)
+  let edges = cycle_plus_chain [ "a"; "b"; "c"; "d" ] 40 in
+  let db = db_of_edges edges in
+  let value name = Obs.Counter.value (Obs.Counter.make name) in
   Obs.enable ();
   Obs.reset ();
+  (* Count with the whole head weighs the reduced tree without a join,
+     and shares Answers' plan, bags and semijoins: the join tuples
+     Answers adds are the answer pass's bindings *)
+  let (_ : Y.result) = Y.run ~mode:Y.Count db four_cycle_q in
+  let counted = value "query.radix_join_tuples" in
   let r = Y.run ~mode:Y.Answers db four_cycle_q in
-  let value name = Obs.Counter.value (Obs.Counter.make name) in
-  let dead = value "query.enum_dead_ends" in
-  let rows = value "query.enum_rows" in
-  Obs.disable ();
+  let bindings = value "query.radix_join_tuples" - (2 * counted) in
   check_int "four rotations" 4 r.Y.count;
   check "semijoins ran" true (r.Y.stats.Y.semijoins > 0);
   check "reduction shrank the bags" true
     (r.Y.stats.Y.tuples_after_reduction < r.Y.stats.Y.tuples_materialized);
-  (* full reduction makes enumeration backtrack-free: no probe misses *)
+  (* the answer pass joins fully reduced selections: its bindings are
+     bounded by answers x bags, never by the (much larger) non-answer
+     intermediate tuples *)
+  check "the answer pass joined bags" true (bindings >= r.Y.count);
+  check "answer bindings bounded by answers" true
+    (bindings <= r.Y.count * r.Y.stats.Y.bags);
+  check "answer bindings independent of chain length" true
+    (bindings < r.Y.stats.Y.tuples_materialized);
+  (* solve: after the bottom-up pass its descent reads one row per bag
+     and never dead-ends *)
+  let q = four_cycle_q in
+  let vars = Cq.variables q in
+  let var_id v =
+    let rec go i = if vars.(i) = v then i else go (i + 1) in
+    go 0
+  in
+  let h = Cq.hypergraph q in
+  let ghd =
+    Hd_core.Ghd.of_tree_decomposition h
+      (Hd_core.Tree_decomposition.simplify
+         (Hd_core.Tree_decomposition.of_ordering_hypergraph h
+            (Y.ordering_for ~method_:Y.Min_fill ~jobs:1 ~seed:42
+               ~time_limit:10.0 h)))
+      ~cover:`Exact
+  in
+  let atoms =
+    Array.of_list
+      (List.map (fun a -> Db.relation_for_atom db ~var_id a) q.Cq.body)
+  in
+  let t = Hd_query.Join_tree.of_ghd h ghd atoms in
+  Obs.reset ();
+  let solution = Hd_query.Join_tree.solve t ~n_vars:(Array.length vars) in
+  let dead = value "query.enum_dead_ends" in
+  let rows = value "query.enum_rows" in
+  Obs.disable ();
+  (match solution with
+  | None -> Alcotest.fail "the 4-cycle has a solution"
+  | Some env ->
+      let at v = (Db.decode db [| env.(var_id v) |]).(0) in
+      check "solution is a 4-cycle" true
+        (List.for_all
+           (fun a ->
+             match a.Cq.args with
+             | [| Cq.Var x; Cq.Var y |] -> List.mem (at x, at y) edges
+             | _ -> false)
+           q.Cq.body));
   check_int "no dead ends" 0 dead;
-  (* and the tuple-producing work is bounded by answers x bags, never
-     by the (much larger) non-answer intermediate tuples *)
-  check "enum work bounded by answers" true
-    (rows <= r.Y.count * r.Y.stats.Y.bags);
-  check "enum work independent of chain length" true
-    (rows < r.Y.stats.Y.tuples_materialized)
+  check_int "one row per bag" (Array.length t.Hd_query.Join_tree.rels) rows
+
+(* counts fail closed: a product of unary atoms over 32,768 values is
+   counted exactly up to 2^60, and 2^75 raises instead of wrapping *)
+let test_count_overflow () =
+  let db = Db.create () in
+  Db.add db ~name:"u" (List.init 32_768 (fun i -> [| string_of_int i |]));
+  let product k =
+    let vars = List.init k (Printf.sprintf "X%d") in
+    Cq.parse_string
+      (Printf.sprintf "ans(%s) :- %s." (String.concat "," vars)
+         (String.concat ", " (List.map (Printf.sprintf "u(%s)") vars)))
+  in
+  check_int "2^60 counted" (1 lsl 60) (Y.run ~mode:Y.Count db (product 4)).Y.count;
+  (match Y.run ~mode:Y.Count db (product 5) with
+  | _ -> Alcotest.fail "a 2^75 count must not wrap"
+  | exception Failure msg -> check "message names the overflow" true (contains msg "overflow"));
+  check_int "checked sum" max_int (Cx.count_add (max_int - 1) 1);
+  check "sum past max_int" true
+    (match Cx.count_add max_int 1 with _ -> false | exception Failure _ -> true);
+  check_int "checked product" (1 lsl 61) (Cx.count_mul (1 lsl 30) (1 lsl 31));
+  check "product past max_int" true
+    (match Cx.count_mul (1 lsl 31) (1 lsl 31) with
+    | _ -> false
+    | exception Failure _ -> true)
 
 let () =
   Alcotest.run "query"
@@ -879,6 +1012,8 @@ let () =
           Alcotest.test_case "projections and constants" `Quick
             test_projection_and_constants;
           Alcotest.test_case "empty results" `Quick test_empty_results;
+          Alcotest.test_case "counts fail closed on overflow" `Quick
+            test_count_overflow;
           Alcotest.test_case "two relations" `Quick test_two_relations;
           Alcotest.test_case "connected bag plans" `Quick test_bag_products;
         ]

@@ -635,6 +635,12 @@ let test_serve_bulk () =
   let oc = open_out (Filename.concat dir "e.csv") in
   output_string oc "a,b\nb,c\nc,a\nb,d\nd,e\ne,b\nc,d\nd,a\n";
   close_out oc;
+  (* 16 values: a product of 16 unary atoms counts 2^64 *)
+  let oc = open_out (Filename.concat dir "u.csv") in
+  for i = 0 to 15 do
+    Printf.fprintf oc "%d\n" i
+  done;
+  close_out oc;
   (* expected counts from the brute-force oracle *)
   let db = Hd_query.Db.create () in
   Hd_query.Db.load_dir db dir;
@@ -694,6 +700,19 @@ let test_serve_bulk () =
                 end)
               qs
         | _ -> Alcotest.fail "queries must be a list");
+        (* a count past max_int answers an error, not a wrapped number *)
+        let vars = List.init 16 (Printf.sprintf "X%d") in
+        send
+          (Printf.sprintf
+             {|{"op":"bulk","cqs":["p(%s) :- %s."],"data":"%s","mode":"count"}|}
+             (String.concat "," vars)
+             (String.concat ", " (List.map (Printf.sprintf "u(%s)") vars))
+             dir);
+        let r = recv () in
+        check "overflowing count refused" false (jbool r "ok");
+        let msg = jstr r "error" in
+        check "error names the overflow" true
+          (String.length msg >= 14 && String.sub msg 0 14 = "count overflow");
         (* the stats counters attribute the sharing *)
         send {|{"op":"stats"}|};
         let st = recv () in
