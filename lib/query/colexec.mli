@@ -90,6 +90,22 @@ val join_project :
   scope:int array ->
   Qrelation.t
 
+(** Distinct int tuples, column-wise in first-occurrence order:
+    {!join_project}'s output table and {!Db}'s load dedupe. *)
+module Distinct : sig
+  type t
+
+  (** [create ~dedup ~capacity k]: [k]-ary tuples, sized for
+      [capacity] of them; without [dedup] it only appends. *)
+  val create : dedup:bool -> capacity:int -> int -> t
+
+  (** [add t env proj] adds [env.(proj.(0)), ..., env.(proj.(k-1))]
+      unless it is already there. *)
+  val add : t -> int array -> int array -> unit
+
+  val to_relation : t -> scope:int array -> Qrelation.t
+end
+
 (** Checked arithmetic on non-negative counts: the sum or product, or
     [Failure] naming the overflow where native ints would wrap. *)
 val count_add : int -> int -> int

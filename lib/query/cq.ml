@@ -190,17 +190,11 @@ let parse_multi_file path = parse_multi_string ~source:path (read_file path)
 
 let parse_file path = parse_string ~source:path (read_file path)
 
+(* a scan of the few variables seen so far: no table per atom *)
 let atom_vars a =
-  let seen = Hashtbl.create 8 in
   let out = ref [] in
   Array.iter
-    (function
-      | Var v ->
-          if not (Hashtbl.mem seen v) then begin
-            Hashtbl.add seen v ();
-            out := v :: !out
-          end
-      | Const _ -> ())
+    (function Var v when not (List.mem v !out) -> out := v :: !out | _ -> ())
     a.args;
   Array.of_list (List.rev !out)
 

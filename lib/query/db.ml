@@ -1,25 +1,8 @@
-module Obs = Hd_obs.Obs
+module Distinct = Colexec.Distinct
 
-(* batch workloads re-derive the same atom relations (same predicate,
-   same constant/repetition pattern, same variable numbering) for
-   every query of the batch; the per-atom cache makes those re-uses
-   O(1) *)
-let c_atom_cache_hits = Obs.Counter.make "query.atom_cache_hits"
-let c_atom_cache_misses = Obs.Counter.make "query.atom_cache_misses"
+type t = { intern : Intern.t; rels : (string, Qrelation.t) Hashtbl.t }
 
-type t = {
-  intern : Intern.t;
-  rels : (string, Qrelation.t) Hashtbl.t;
-  (* atom signature -> filtered/projected relation; flushed on add *)
-  atom_cache : (string, Qrelation.t) Hashtbl.t;
-}
-
-let create () =
-  {
-    intern = Intern.create ();
-    rels = Hashtbl.create 16;
-    atom_cache = Hashtbl.create 32;
-  }
+let create () = { intern = Intern.create (); rels = Hashtbl.create 16 }
 
 let interner db = db.intern
 
@@ -30,76 +13,119 @@ let relation_names db =
 
 let base_scope k = Array.init k Fun.id
 
+let expects name k =
+  Printf.sprintf "Db.add: relation %S expects arity %d tuples" name k
+
+(* an open load into relation [name]: a dedupe table seeded with the
+   relation's rows so far, so later rows append in first-occurrence
+   order, and a reused row buffer that fields are interned into *)
+type load = { table : Distinct.t; row : int array; proj : int array }
+
+let open_load db ~name ~arity =
+  let table = Distinct.create ~dedup:true ~capacity:64 arity in
+  let row = Array.make arity 0 and proj = base_scope arity in
+  Option.iter
+    (fun r ->
+      if Qrelation.arity r <> arity then failwith (expects name (Qrelation.arity r));
+      for i = 0 to Qrelation.cardinality r - 1 do
+        Array.iteri (fun j col -> row.(j) <- col.(i)) (Qrelation.columns r);
+        Distinct.add table row proj
+      done)
+    (find db name);
+  { table; row; proj }
+
+let close_load db ~name l =
+  Hashtbl.replace db.rels name (Distinct.to_relation l.table ~scope:l.proj)
+
 let add db ~name rows =
-  Hashtbl.reset db.atom_cache;
-  let interned =
-    List.map (fun row -> Array.map (Intern.intern db.intern) row) rows
-  in
-  match (find db name, interned) with
-  | None, [] -> ()
-  | None, first :: _ ->
-      let k = Array.length first in
+  match rows with
+  | [] -> ()
+  | first :: _ ->
+      let existing = find db name in
+      let arity =
+        match existing with Some r -> Qrelation.arity r | None -> Array.length first
+      in
+      let l = open_load db ~name ~arity in
       List.iter
-        (fun row ->
-          if Array.length row <> k then
+        (fun fields ->
+          if Array.length fields <> arity then
             failwith
-              (Printf.sprintf "Db.add: relation %S: ragged tuple arities" name))
-        interned;
-      Hashtbl.replace db.rels name (Qrelation.make ~scope:(base_scope k) interned)
-  | Some r, _ ->
-      let k = Qrelation.arity r in
-      List.iter
-        (fun row ->
-          if Array.length row <> k then
-            failwith
-              (Printf.sprintf
-                 "Db.add: relation %S expects arity %d tuples" name k))
-        interned;
-      Hashtbl.replace db.rels name
-        (Qrelation.make ~scope:(base_scope k) (Qrelation.rows r @ interned))
-
-let split_line sep line =
-  String.split_on_char sep line |> List.map String.trim |> Array.of_list
-
-let strip_cr line =
-  let n = String.length line in
-  if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
+              (if Option.is_some existing then expects name arity
+               else Printf.sprintf "Db.add: relation %S: ragged tuple arities" name);
+          Array.iteri (fun j s -> l.row.(j) <- Intern.intern db.intern s) fields;
+          Distinct.add l.table l.row l.proj)
+        rows;
+      close_load db ~name l
 
 let name_of_path path =
   let base = Filename.basename path in
   try Filename.chop_extension base with Invalid_argument _ -> base
 
+(* the bytes [String.trim] drops *)
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* the file is read whole and each line split in place: a field is
+   trimmed and interned straight into the reused row buffer, so no line,
+   field list or row array outlives its line *)
 let load_file db ?name path =
+  Hd_obs.Obs.with_span "db.load" @@ fun () ->
   let name = match name with Some n -> n | None -> name_of_path path in
   let sep =
     if Filename.check_suffix (String.lowercase_ascii path) ".tsv" then '\t'
     else ','
   in
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rows = ref [] in
-      let arity = ref (-1) in
-      let lineno = ref 0 in
-      (try
-         while true do
-           let line = strip_cr (input_line ic) in
-           incr lineno;
-           let trimmed = String.trim line in
-           if trimmed <> "" && trimmed.[0] <> '#' then begin
-             let row = split_line sep line in
-             if !arity = -1 then arity := Array.length row
-             else if Array.length row <> !arity then
-               failwith
-                 (Printf.sprintf
-                    "Db: %s, line %d: expected %d fields, got %d" path
-                    !lineno !arity (Array.length row));
-             rows := row :: !rows
-           end
-         done
-       with End_of_file -> ());
-      add db ~name (List.rev !rows))
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let len = String.length text in
+  let load = ref None in
+  let pos = ref 0 and lineno = ref 0 in
+  while !pos < len do
+    let eol =
+      match String.index_from_opt text !pos '\n' with Some e -> e | None -> len
+    in
+    let stop = if eol > !pos && text.[eol - 1] = '\r' then eol - 1 else eol in
+    incr lineno;
+    let lead = ref !pos in
+    while !lead < stop && is_space text.[!lead] do
+      incr lead
+    done;
+    if !lead < stop && text.[!lead] <> '#' then begin
+      let fields = ref 1 in
+      for i = !pos to stop - 1 do
+        if text.[i] = sep then incr fields
+      done;
+      let l =
+        match !load with
+        | Some l -> l
+        | None ->
+            let l = open_load db ~name ~arity:!fields in
+            load := Some l;
+            l
+      in
+      let arity = Array.length l.row in
+      if !fields <> arity then
+        failwith
+          (Printf.sprintf "Db: %s, line %d: expected %d fields, got %d" path
+             !lineno arity !fields);
+      let field = ref 0 and start = ref !pos in
+      for i = !pos to stop do
+        if i = stop || text.[i] = sep then begin
+          let a = ref !start and b = ref i in
+          while !a < !b && is_space text.[!a] do
+            incr a
+          done;
+          while !b > !a && is_space text.[!b - 1] do
+            decr b
+          done;
+          l.row.(!field) <- Intern.intern db.intern (String.sub text !a (!b - !a));
+          incr field;
+          start := i + 1
+        end
+      done;
+      Distinct.add l.table l.row l.proj
+    end;
+    pos := eol + 1
+  done;
+  Option.iter (close_load db ~name) !load
 
 let load_dir db dir =
   let entries = Sys.readdir dir in
@@ -113,29 +139,13 @@ let load_dir db dir =
       then load_file db (Filename.concat dir entry))
     entries
 
-(* the derived relation is a function of the predicate and the
-   argument shape alone: constants by interned id, variables by their
-   assigned scope id (repetitions included) *)
-let atom_cache_key db ~var_id (atom : Cq.atom) =
-  let buf = Buffer.create 32 in
-  Buffer.add_string buf atom.Cq.pred;
-  Array.iter
-    (fun term ->
-      Buffer.add_char buf '|';
-      match term with
-      | Cq.Const c ->
-          Buffer.add_char buf 'c';
-          Buffer.add_string buf
-            (match Intern.find db.intern c with
-            | Some v -> string_of_int v
-            | None -> "?")
-      | Cq.Var v ->
-          Buffer.add_char buf 'v';
-          Buffer.add_string buf (string_of_int (var_id v)))
-    atom.Cq.args;
-  Buffer.contents buf
-
-let relation_for_atom_uncached db ~var_id (atom : Cq.atom) =
+(* An atom over distinct variables is its base relation's columns
+   under new attribute ids: a view sharing the arrays.  A constant or a
+   repeated variable selects rows into fresh columns, with no dedupe:
+   the base rows are distinct, and every position dropped is a
+   constant or a copy of a kept one.  Either way rows keep the base
+   relation's order. *)
+let relation_for_atom db ~var_id (atom : Cq.atom) =
   let base =
     match find db atom.Cq.pred with
     | Some r -> r
@@ -143,61 +153,42 @@ let relation_for_atom_uncached db ~var_id (atom : Cq.atom) =
         failwith
           (Printf.sprintf "Db: unknown relation %S in query" atom.Cq.pred)
   in
-  let k = Array.length atom.Cq.args in
+  let args = atom.Cq.args in
+  let k = Array.length args in
   if Qrelation.arity base <> k then
     failwith
       (Printf.sprintf "Db: relation %S has arity %d, query atom has arity %d"
          atom.Cq.pred (Qrelation.arity base) k);
-  (* per-position obligations: a constant to equal, or the position of
-     the variable's first occurrence to agree with *)
-  let first_pos = Hashtbl.create 8 in
-  let checks =
-    Array.to_list
-      (Array.mapi
-         (fun j term ->
-           match term with
-           | Cq.Const c -> (
-               match Intern.find db.intern c with
-               | Some v -> Some (j, `Const v)
-               | None -> Some (j, `Never))
-           | Cq.Var v -> (
-               match Hashtbl.find_opt first_pos v with
-               | Some j0 -> Some (j, `SameAs j0)
-               | None ->
-                   Hashtbl.add first_pos v j;
-                   None))
-         atom.Cq.args)
-    |> List.filter_map Fun.id
-  in
   let vars = Cq.atom_vars atom in
-  let var_cols = Array.map (fun v -> Hashtbl.find first_pos v) vars in
+  let first_pos v =
+    let rec go j = if args.(j) = Cq.Var v then j else go (j + 1) in
+    go 0
+  in
   let scope = Array.map var_id vars in
-  let out = ref [] in
-  for i = Qrelation.cardinality base - 1 downto 0 do
-    let ok =
-      List.for_all
-        (fun (j, oblig) ->
-          match oblig with
-          | `Const v -> Qrelation.get base i j = v
-          | `SameAs j0 -> Qrelation.get base i j = Qrelation.get base i j0
-          | `Never -> false)
-        checks
+  let kept = Array.map (fun v -> Qrelation.col base (first_pos v)) vars in
+  let n = Qrelation.cardinality base in
+  if Array.length vars = k then Qrelation.of_columns_unchecked ~scope kept ~n
+  else
+    (* a row matches when each position holds its constant's id ([-1]
+       for a constant the data lacks) or its variable's first value *)
+    let cols = Qrelation.columns base in
+    let checks =
+      Array.mapi
+        (fun j term ->
+          match term with
+          | Cq.Const c ->
+              let v = Option.value ~default:(-1) (Intern.find db.intern c) in
+              fun i -> cols.(j).(i) = v
+          | Cq.Var v ->
+              let j0 = first_pos v in
+              fun i -> cols.(j).(i) = cols.(j0).(i))
+        args
     in
-    if ok then
-      out := Array.map (fun j -> Qrelation.get base i j) var_cols :: !out
-  done;
-  Qrelation.make ~scope !out
-
-let relation_for_atom db ~var_id atom =
-  let key = atom_cache_key db ~var_id atom in
-  match Hashtbl.find_opt db.atom_cache key with
-  | Some r ->
-      Obs.Counter.incr c_atom_cache_hits;
-      r
-  | None ->
-      Obs.Counter.incr c_atom_cache_misses;
-      let r = relation_for_atom_uncached db ~var_id atom in
-      Hashtbl.replace db.atom_cache key r;
-      r
+    let matches i = Array.for_all (fun check -> check i) checks in
+    let sel = Array.of_seq (Seq.filter matches (Seq.init n Fun.id)) in
+    let m = Array.length sel in
+    Qrelation.of_columns_unchecked ~scope
+      (Array.map (fun col -> Array.init m (fun s -> col.(sel.(s)))) kept)
+      ~n:m
 
 let decode db row = Array.map (Intern.name db.intern) row

@@ -5,7 +5,9 @@
     from CSV ([,]-separated) or TSV (tab-separated) files, one file per
     relation (the relation is named after the file), one tuple per
     line; blank lines and [#] comment lines are skipped.  All constants
-    share one {!Intern.t}. *)
+    share one {!Intern.t}.  Fields are interned straight into columns,
+    deduplicated by {!Colexec.Distinct}: a base table holds its
+    distinct tuples in first-occurrence order. *)
 
 type t
 
@@ -14,7 +16,7 @@ val create : unit -> t
 val interner : t -> Intern.t
 
 (** [add db ~name rows] adds facts (string constants) to relation
-    [name], creating it or unioning with existing facts.
+    [name], creating it or appending the facts it does not hold yet.
     @raise Failure when [rows] disagree in arity with each other or
     with the existing relation. *)
 val add : t -> name:string -> string array list -> unit
@@ -39,6 +41,9 @@ val relation_names : t -> string list
     [atom]'s distinct variables with scope [var_id v] per variable
     (first-occurrence order — {!Cq.atom_vars}).  For a ground atom the
     scope is empty and the result is non-empty iff the fact holds.
+    Rows keep the base table's order.  An atom over distinct variables
+    is a view: it shares the base table's columns and costs O(arity);
+    any other atom selects its rows into fresh columns in one scan.
     @raise Failure on an unknown relation or an arity mismatch. *)
 val relation_for_atom : t -> var_id:(string -> int) -> Cq.atom -> Qrelation.t
 

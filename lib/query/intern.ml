@@ -1,13 +1,22 @@
+(* string keys compared with [String.equal]: the polymorphic table's
+   [compare] costs more than the hash on short constants *)
+module Tbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
-  ids : (string, int) Hashtbl.t;
+  ids : int Tbl.t;
   mutable names : string array;  (* names.(id), valid below [n] *)
   mutable n : int;
 }
 
-let create () = { ids = Hashtbl.create 256; names = Array.make 16 ""; n = 0 }
+let create () = { ids = Tbl.create 256; names = Array.make 16 ""; n = 0 }
 
 let intern t s =
-  match Hashtbl.find_opt t.ids s with
+  match Tbl.find_opt t.ids s with
   | Some id -> id
   | None ->
       let id = t.n in
@@ -18,10 +27,10 @@ let intern t s =
       end;
       t.names.(id) <- s;
       t.n <- id + 1;
-      Hashtbl.add t.ids s id;
+      Tbl.add t.ids s id;
       id
 
-let find t s = Hashtbl.find_opt t.ids s
+let find t s = Tbl.find_opt t.ids s
 
 let name t id =
   if id < 0 || id >= t.n then invalid_arg "Intern.name: unallocated id";

@@ -29,19 +29,6 @@ let row r i = Array.map (fun col -> col.(i)) r.cols
 let rows r =
   List.init r.n (row r)
 
-(* rows assumed distinct and of the right arity *)
-let of_rows_unchecked ~scope rows ~n =
-  let k = Array.length scope in
-  let cols = Array.init k (fun _ -> Array.make n 0) in
-  List.iteri
-    (fun i row ->
-      for j = 0 to k - 1 do
-        cols.(j).(i) <- row.(j)
-      done)
-    rows;
-  Obs.Histogram.observe h_relation_size n;
-  { scope; cols; n }
-
 (* columns assumed equal-length, rows distinct; scope not revalidated —
    the columnar kernel's materialisation entry point *)
 let of_columns_unchecked ~scope cols ~n =
@@ -52,19 +39,17 @@ let make ~scope rows =
   check_scope scope;
   let k = Array.length scope in
   let seen = Hashtbl.create (max 16 (List.length rows)) in
-  let deduped = ref [] in
-  let n = ref 0 in
-  List.iter
-    (fun row ->
-      if Array.length row <> k then
-        invalid_arg "Qrelation.make: tuple arity mismatch";
-      if not (Hashtbl.mem seen row) then begin
-        Hashtbl.add seen row ();
-        deduped := row :: !deduped;
-        incr n
-      end)
-    rows;
-  of_rows_unchecked ~scope (List.rev !deduped) ~n:!n
+  let distinct =
+    List.filter
+      (fun row ->
+        if Array.length row <> k then
+          invalid_arg "Qrelation.make: tuple arity mismatch";
+        (not (Hashtbl.mem seen row)) && (Hashtbl.add seen row (); true))
+      rows
+  in
+  of_columns_unchecked ~scope
+    (Array.init k (fun j -> Array.of_list (List.map (fun row -> row.(j)) distinct)))
+    ~n:(List.length distinct)
 
 let position r attr =
   let k = Array.length r.scope in
@@ -93,15 +78,3 @@ let equal a b =
   a.scope = b.scope
   && a.n = b.n
   && List.sort compare (rows a) = List.sort compare (rows b)
-
-let pp ppf r =
-  Format.fprintf ppf "@[<v>scope(%s): %d rows"
-    (String.concat "," (Array.to_list (Array.map string_of_int r.scope)))
-    r.n;
-  for i = 0 to min (r.n - 1) 19 do
-    Format.fprintf ppf "@,(%s)"
-      (String.concat ","
-         (Array.to_list (Array.map string_of_int (row r i))))
-  done;
-  if r.n > 20 then Format.fprintf ppf "@,...";
-  Format.fprintf ppf "@]"

@@ -6,7 +6,11 @@
     tuples stored column-wise.  Query values are interned constants
     ({!Intern}), so comparisons are integer comparisons.
 
-    Relations are immutable.  This module is storage only: joins,
+    Relations are immutable, and so are their columns: nothing writes
+    to a column once it is in a relation ({!Colexec} and {!Join_tree}
+    only read them, and keep selections in separate arrays), so
+    relations may share column arrays — {!Db}'s atom relations are
+    views of its base tables.  This module is storage only: joins,
     semijoins and projections are the columnar kernel's ({!Colexec},
     driven over join trees by {!Join_tree}). *)
 
@@ -21,8 +25,9 @@ val make : scope:int array -> int array list -> t
 (** [of_columns_unchecked ~scope cols ~n] wraps already-columnar data:
     [cols.(j).(i)] is row [i], column [j], rows assumed distinct,
     every column of length [n], [scope] assumed duplicate-free.  The
-    columnar kernel's ({!Colexec}) materialisation entry point — the
-    arrays are adopted, not copied, and must not be mutated after. *)
+    columnar kernel's ({!Colexec}) materialisation entry point and
+    {!Db}'s view constructor — the arrays are adopted, not copied, may
+    be shared with other relations, and must not be mutated after. *)
 val of_columns_unchecked : scope:int array -> int array array -> n:int -> t
 
 val scope : t -> int array
@@ -57,4 +62,3 @@ val position : t -> int -> int
 val positions : t -> int array -> int array
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

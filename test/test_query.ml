@@ -365,6 +365,160 @@ let test_db_load_errors () =
     | _ -> false
     | exception Failure _ -> true)
 
+let rows_of db name =
+  match Db.find db name with
+  | Some r -> List.map (Db.decode db) (Qrelation.rows r)
+  | None -> Alcotest.failf "missing relation %s" name
+
+let test_db_loader_lines () =
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "e.csv" in
+  write_file path "# edges\r\na, b\r\n\r\n  # indented comment\nb ,c\n\na,b\r\nc,a";
+  write_file (Filename.concat dir "t.tsv") "x\ty z\n\nx\ty z\r\nw\t\n";
+  let db = Db.create () in
+  Db.load_dir db dir;
+  (* CRLF, comments, blank lines and field whitespace are dropped, and
+     a duplicate line keeps its first occurrence *)
+  Alcotest.(check (list (array string))) "csv rows"
+    [ [| "a"; "b" |]; [| "b"; "c" |]; [| "c"; "a" |] ]
+    (rows_of db "e");
+  Alcotest.(check (list (array string))) "tsv rows"
+    [ [| "x"; "y z" |]; [| "w"; "" |] ]
+    (rows_of db "t");
+  (* a second file of the same relation appends what is new *)
+  let more = Filename.concat dir "more.txt" in
+  write_file more "c,a\nd,a\nb,c\nd,d\n";
+  Db.load_file db ~name:"e" more;
+  Alcotest.(check (list (array string))) "appended rows"
+    [ [| "a"; "b" |]; [| "b"; "c" |]; [| "c"; "a" |]; [| "d"; "a" |]; [| "d"; "d" |] ]
+    (rows_of db "e");
+  Db.add db ~name:"e" [ [| "e"; "e" |]; [| "a"; "b" |] ];
+  check_int "add appends" 6 (List.length (rows_of db "e"));
+  (* a file of another arity for the same relation is refused *)
+  write_file more "a,b,c\n";
+  (match Db.load_file db ~name:"e" more with
+  | () -> Alcotest.fail "expected an arity failure"
+  | exception Failure msg -> check "names the relation" true (contains msg "\"e\""));
+  (* a ragged row names the file and its line, counting skipped lines *)
+  let bad = Filename.concat dir "bad.csv" in
+  write_file bad "# header\r\na,b\r\n\r\nc,d,e\r\n";
+  match Db.load_file db bad with
+  | () -> Alcotest.fail "expected ragged-row failure"
+  | exception Failure msg ->
+      Alcotest.(check string) "message"
+        (Printf.sprintf "Db: %s, line 4: expected 2 fields, got 3" bad)
+        msg
+
+(* an atom over distinct variables shares its base table's columns;
+   constants and repeated variables select into fresh ones, and a
+   later add is seen by the next derivation *)
+let test_atom_views () =
+  let db = db_of_edges (triangle_plus_chain 3) in
+  let var_id = function "X" -> 7 | "Y" -> 3 | _ -> 5 in
+  let atom text = List.hd (Cq.parse_string ("ans() :- " ^ text ^ ".")).Cq.body in
+  let base = Option.get (Db.find db "e") in
+  let view = Db.relation_for_atom db ~var_id (atom "e(Y,X)") in
+  check "scope renamed" true (Qrelation.scope view = [| 3; 7 |]);
+  check "columns shared" true
+    (Qrelation.col view 0 == Qrelation.col base 0
+    && Qrelation.col view 1 == Qrelation.col base 1);
+  let sel = Db.relation_for_atom db ~var_id (atom "e(X,b)") in
+  check_int "selected rows" 1 (Qrelation.cardinality sel);
+  check "fresh column" true (Qrelation.col sel 0 != Qrelation.col base 0);
+  let r1 = Y.run ~mode:Y.Count db triangle_q in
+  Db.add db ~name:"e" [ [| "b"; "a" |]; [| "a"; "c" |]; [| "c"; "b" |] ];
+  let r2 = Y.run ~mode:Y.Count db triangle_q in
+  check_int "one triangle each way" 3 r1.Y.count;
+  check_int "the reverse triangle appears" 6 r2.Y.count
+
+(* Db.relation_for_atom against a row-by-row reference: dedupe the
+   input rows keeping first occurrences, keep the rows that match the
+   atom's constants and repeated variables, project onto its distinct
+   variables in first-occurrence order *)
+let prop_atom_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 3 >>= fun k ->
+      let value = map (Printf.sprintf "c%d") (int_range 0 3) in
+      let row = array_size (return k) value in
+      let term =
+        frequency
+          [
+            (3, map (fun v -> Cq.Var v) (oneofl [ "X"; "Y"; "Z" ]));
+            (1, map (fun c -> Cq.Const c) (oneofl [ "c0"; "c2"; "zz" ]));
+          ]
+      in
+      pair (list_size (int_range 0 24) row) (array_size (return k) term))
+  in
+  let print (rows, args) =
+    Printf.sprintf "%d rows; r(%s)" (List.length rows)
+      (String.concat ","
+         (Array.to_list
+            (Array.map (function Cq.Var v -> v | Cq.Const c -> "'" ^ c) args)))
+  in
+  QCheck.Test.make ~count:500 ~name:"atom relations = row-by-row reference"
+    (QCheck.make ~print gen)
+    (fun (rows, args) ->
+      let db = Db.create () in
+      Db.add db ~name:"r" rows;
+      let var_id v = Char.code v.[0] in
+      let vars = Cq.atom_vars { Cq.pred = "r"; args } in
+      let first_of v =
+        let rec go j = if args.(j) = Cq.Var v then j else go (j + 1) in
+        go 0
+      in
+      let distinct =
+        List.rev
+          (List.fold_left
+             (fun seen row -> if List.mem row seen then seen else row :: seen)
+             [] rows)
+      in
+      let matches row =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun j term ->
+               match term with
+               | Cq.Const c -> row.(j) = c
+               | Cq.Var v -> row.(j) = row.(first_of v))
+             args)
+      in
+      let expected =
+        List.filter_map
+          (fun row ->
+            if matches row then
+              Some
+                (Array.map
+                   (fun v -> Option.get (Intern.find (Db.interner db) row.(first_of v)))
+                   vars)
+            else None)
+          distinct
+      in
+      match rows with
+      | [] -> Db.find db "r" = None
+      | _ ->
+          let r = Db.relation_for_atom db ~var_id { Cq.pred = "r"; args } in
+          Qrelation.scope r = Array.map var_id vars
+          && Qrelation.cardinality r = List.length expected
+          && Qrelation.rows r = expected)
+
+(* fuzz: byte mutants of a small CSV either load or fail with a
+   [Failure] naming the file and a line; any other exception fails the
+   property *)
+let prop_csv_mutants =
+  let seed = "# edges\r\na,b\r\nb, c\n\n  c ,a\na,b\r\n#end\n" in
+  let dir = Filename.get_temp_dir_name () in
+  QCheck.Test.make ~count:2000 ~name:"csv mutants load or fail located"
+    (Mutants.arbitrary ~grammar:",#\r\n\t abc" [ seed ])
+    (fun text ->
+      let path = Filename.temp_file ~temp_dir:dir "hd_query_fuzz" ".csv" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      write_file path text;
+      match Db.load_file (Db.create ()) path with
+      | () -> true
+      | exception Failure msg ->
+          Scanf.sscanf_opt msg "Db: %s@, line %u: " (fun p _ -> p = path)
+          = Some true)
+
 (* ------------------------------------------------------------------ *)
 (* Engine vs brute force                                               *)
 (* ------------------------------------------------------------------ *)
@@ -838,33 +992,6 @@ let test_parse_multi () =
   | exception Failure msg -> check "trailing" true (contains msg "trailing"))
 
 (* ------------------------------------------------------------------ *)
-(* Db atom-relation cache                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_atom_cache () =
-  let db = db_of_edges (triangle_plus_chain 3) in
-  let value name = Obs.Counter.value (Obs.Counter.make name) in
-  Obs.enable ();
-  Obs.reset ();
-  let r1 = Y.run ~mode:Y.Count db triangle_q in
-  let misses1 = value "query.atom_cache_misses" in
-  let hits1 = value "query.atom_cache_hits" in
-  (* the same query again: every atom relation comes from the cache *)
-  let r2 = Y.run ~mode:Y.Count db triangle_q in
-  let misses2 = value "query.atom_cache_misses" in
-  let hits2 = value "query.atom_cache_hits" in
-  check_int "same count" r1.Y.count r2.Y.count;
-  check "first run misses" true (misses1 > 0);
-  check_int "second run misses nothing" misses1 misses2;
-  check "second run hits" true (hits2 > hits1);
-  (* mutating the db flushes the cache *)
-  Db.add db ~name:"e" [ [| "x"; "y" |] ];
-  let (_ : Y.result) = Y.run ~mode:Y.Count db triangle_q in
-  let misses3 = value "query.atom_cache_misses" in
-  Obs.disable ();
-  check "add flushes cache" true (misses3 > misses2)
-
-(* ------------------------------------------------------------------ *)
 (* Observability: enumeration is backtrack-free after reduction        *)
 (* ------------------------------------------------------------------ *)
 
@@ -985,8 +1112,13 @@ let () =
         [
           Alcotest.test_case "load csv/tsv" `Quick test_db_load;
           Alcotest.test_case "errors" `Quick test_db_load_errors;
-          Alcotest.test_case "atom-relation cache" `Quick test_atom_cache;
-        ] );
+          Alcotest.test_case "loader lines, duplicates and appends" `Quick
+            test_db_loader_lines;
+          Alcotest.test_case "atom relations are column views" `Quick
+            test_atom_views;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_atom_matches_reference; prop_csv_mutants ] );
       ( "colexec",
         [
           Alcotest.test_case "selection-vector semijoin" `Quick
